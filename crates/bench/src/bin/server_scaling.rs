@@ -1,8 +1,7 @@
 //! E-X5 — decision-service scaling: closed-loop `/decide` throughput vs
 //! worker count, the memoized decision cache against the uncached
-//! baseline, and the connection-ramp sweep comparing the epoll reactor
-//! front end's open-connection ceiling with the thread-per-connection
-//! baseline.
+//! baseline, and the connection-ramp sweep measuring the epoll reactor's
+//! open-connection ceiling.
 //!
 //! Each cell starts a fresh in-process `sss-server` on an OS-assigned
 //! port, drives it with the `sss-loadgen` drivers (closed-loop HTTP for
@@ -15,13 +14,12 @@ use serde::Serialize;
 use sss_bench::{quick, results_dir, seed};
 use sss_loadgen::{run_conn_ramp, run_http_load, ConnRampSpec, HttpLoadReport, HttpLoadSpec};
 use sss_report::{write_json, CsvWriter, Table};
-use sss_server::{Frontend, Server, ServerConfig};
+use sss_server::{Server, ServerConfig};
 
 /// One measured cell of any of the three experiments.
 #[derive(Debug, Clone, Serialize)]
 struct Cell {
     experiment: &'static str,
-    frontend: String,
     workers: usize,
     cache_capacity: usize,
     distinct_workloads: usize,
@@ -42,13 +40,12 @@ struct Cell {
     cache_misses: u64,
 }
 
-fn bind(frontend: Frontend, workers: usize, cache_capacity: usize) -> Server {
+fn bind(workers: usize, cache_capacity: usize) -> Server {
     Server::bind(ServerConfig {
         port: 0,
         workers,
         cache_capacity,
         max_batch: 32,
-        frontend,
         ..ServerConfig::default()
     })
     .expect("bind in-process server")
@@ -58,14 +55,13 @@ fn bind(frontend: Frontend, workers: usize, cache_capacity: usize) -> Server {
 /// driver against it, and collapse the outcome into a [`Cell`].
 fn measure(
     experiment: &'static str,
-    frontend: Frontend,
     workers: usize,
     cache_capacity: usize,
     clients: usize,
     requests_per_client: usize,
     distinct_workloads: usize,
 ) -> Cell {
-    let server = bind(frontend, workers, cache_capacity);
+    let server = bind(workers, cache_capacity);
     let addr = server.local_addr().to_string();
     // Snapshot cache counters through the library (not /healthz) so the
     // probe itself does not perturb the request count.
@@ -83,7 +79,6 @@ fn measure(
 
     Cell {
         experiment,
-        frontend: frontend.to_string(),
         workers,
         cache_capacity,
         distinct_workloads,
@@ -103,12 +98,7 @@ fn measure(
 
 /// Ramp `connections` keep-alive sockets against a fresh server and
 /// collapse the ceiling + tail into a [`Cell`].
-fn measure_ramp(
-    frontend: Frontend,
-    workers: usize,
-    connections: usize,
-    requests_per_conn: usize,
-) -> Cell {
+fn measure_ramp(workers: usize, connections: usize, requests_per_conn: usize) -> Cell {
     let cache_capacity = 4096;
     // Ramp cells get a generous idle window: on a loaded single-core CI
     // box the ramp itself can take tens of seconds, and the early
@@ -119,7 +109,6 @@ fn measure_ramp(
         workers,
         cache_capacity,
         max_batch: 32,
-        frontend,
         idle_timeout_ticks: 1200,
         ..ServerConfig::default()
     })
@@ -139,7 +128,6 @@ fn measure_ramp(
 
     Cell {
         experiment: "ramp",
-        frontend: frontend.to_string(),
         workers,
         cache_capacity,
         distinct_workloads: spec.distinct_workloads,
@@ -183,17 +171,7 @@ fn main() {
     let hostile_pool = 256;
     let scaling: Vec<Cell> = worker_counts
         .iter()
-        .map(|&w| {
-            measure(
-                "workers",
-                Frontend::default(),
-                w,
-                0,
-                clients,
-                requests_per_client,
-                hostile_pool,
-            )
-        })
+        .map(|&w| measure("workers", w, 0, clients, requests_per_client, hostile_pool))
         .collect();
 
     // Experiment B: memoized cache vs uncached baseline on a repetitive
@@ -201,45 +179,27 @@ fn main() {
     let repeat_pool = 8;
     let cached: Vec<Cell> = [0usize, 4096]
         .iter()
-        .map(|&cap| {
-            measure(
-                "cache",
-                Frontend::default(),
-                4,
-                cap,
-                clients,
-                requests_per_client,
-                repeat_pool,
-            )
-        })
+        .map(|&cap| measure("cache", 4, cap, clients, requests_per_client, repeat_pool))
         .collect();
 
     // Experiment C: connection-ramp sweep — the reactor's open-connection
-    // ceiling next to the thread-per-connection baseline. The reactor
-    // rides to 8000 held sockets (5000+ even in quick mode, pinning the
-    // C10k-path acceptance); the threaded cells stay small because a
-    // thread per socket is exactly the cost being demonstrated.
-    let (reactor_ramp, threaded_ramp): (&[usize], &[usize]) = if quick() {
-        (&[256, 5000], &[256])
+    // ceiling. It rides to 8000 held sockets (5000+ even in quick mode,
+    // pinning the C10k-path acceptance).
+    let ramp_sizes: &[usize] = if quick() {
+        &[256, 5000]
     } else {
-        (&[1000, 5000, 8000], &[256, 1000])
+        &[1000, 5000, 8000]
     };
     let requests_per_conn = 2;
-    eprintln!("ramp: reactor to {reactor_ramp:?} connections, threaded to {threaded_ramp:?}...");
-    let mut ramp: Vec<Cell> = Vec::new();
-    for &n in threaded_ramp {
-        ramp.push(measure_ramp(Frontend::Threaded, 2, n, requests_per_conn));
-    }
-    for &n in reactor_ramp {
-        ramp.push(measure_ramp(Frontend::Reactor, 2, n, requests_per_conn));
-    }
+    eprintln!("ramp: reactor to {ramp_sizes:?} connections...");
+    let ramp: Vec<Cell> = ramp_sizes
+        .iter()
+        .map(|&n| measure_ramp(2, n, requests_per_conn))
+        .collect();
 
     let mut scaling_table =
         Table::new(["workers", "req/s", "p50 ms", "p90 ms", "p99 ms", "max ms"]).with_title(
-            format!(
-                "Decision-service throughput vs worker count ({} frontend, uncached, 256 distinct workloads)",
-                Frontend::default()
-            ),
+            "Decision-service throughput vs worker count (uncached, 256 distinct workloads)",
         );
     for c in &scaling {
         scaling_table.row([
@@ -284,7 +244,6 @@ fn main() {
     );
 
     let mut ramp_table = Table::new([
-        "frontend",
         "target conns",
         "open ceiling",
         "errors",
@@ -293,10 +252,9 @@ fn main() {
         "p90 ms",
         "p99 ms",
     ])
-    .with_title("Connection-ramp sweep: simultaneously-held keep-alive sockets per front end");
+    .with_title("Connection-ramp sweep: simultaneously-held keep-alive sockets");
     for c in &ramp {
         ramp_table.row([
-            c.frontend.clone(),
             c.connections.to_string(),
             c.opened.to_string(),
             c.errors.to_string(),
@@ -308,11 +266,7 @@ fn main() {
     }
     println!("{}", ramp_table.to_text());
 
-    if let Some(best) = ramp
-        .iter()
-        .filter(|c| c.frontend == "reactor")
-        .max_by_key(|c| c.opened)
-    {
+    if let Some(best) = ramp.iter().max_by_key(|c| c.opened) {
         println!(
             "reactor ceiling this run: {} simultaneously-open connections ({} errors)",
             best.opened, best.errors
@@ -322,7 +276,6 @@ fn main() {
     let dir = results_dir();
     let mut csv = CsvWriter::new([
         "experiment",
-        "frontend",
         "workers",
         "cache_capacity",
         "distinct_workloads",
@@ -341,7 +294,6 @@ fn main() {
     for c in scaling.iter().chain(&cached).chain(&ramp) {
         csv.row([
             c.experiment.to_string(),
-            c.frontend.clone(),
             c.workers.to_string(),
             c.cache_capacity.to_string(),
             c.distinct_workloads.to_string(),

@@ -60,9 +60,6 @@
 //! assert_eq!(decisions[63], Decision::RemoteStream);
 //! ```
 
-use std::str::FromStr;
-
-use serde::{Deserialize, Serialize};
 use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio};
 
 use crate::decision::Decision;
@@ -151,34 +148,6 @@ pub(crate) mod kernel {
     #[inline(always)]
     pub(crate) fn decide(s: f64, c: f64, rl: f64, rr: f64, bw: f64, a: f64, th: f64) -> Decision {
         verdict(s, bw * a, t_local(s, c, rl), t_pct(s, c, rr, bw, a, th))
-    }
-}
-
-/// Which evaluation core a driver should run the model through.
-///
-/// `Scalar` is the original point-wise path (one
-/// [`CompletionModel`](crate::CompletionModel) per operating point), kept
-/// as the reference oracle; `Batched` flows the same arithmetic through
-/// [`BatchEvaluator`] columns. The two produce bit-identical output — the
-/// determinism CI job byte-compares them at the process level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EvalEngine {
-    /// Point-wise evaluation, one model per operating point.
-    Scalar,
-    /// Struct-of-arrays batched evaluation (the default).
-    #[default]
-    Batched,
-}
-
-impl FromStr for EvalEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(EvalEngine::Scalar),
-            "batched" => Ok(EvalEngine::Batched),
-            other => Err(format!("unknown engine {other:?} (use scalar or batched)")),
-        }
     }
 }
 
@@ -818,16 +787,5 @@ mod tests {
         batch.push(&params(0.5, 2.0));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.get(0), params(0.5, 2.0));
-    }
-
-    #[test]
-    fn engine_parses() {
-        assert_eq!("scalar".parse::<EvalEngine>().unwrap(), EvalEngine::Scalar);
-        assert_eq!(
-            "batched".parse::<EvalEngine>().unwrap(),
-            EvalEngine::Batched
-        );
-        assert_eq!(EvalEngine::default(), EvalEngine::Batched);
-        assert!("vectorized".parse::<EvalEngine>().is_err());
     }
 }

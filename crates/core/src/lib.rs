@@ -72,7 +72,7 @@ pub mod sensitivity;
 pub mod sss;
 pub mod tiers;
 
-pub use batch::{BatchEvaluator, BatchView, EvalEngine, ParamsBatch};
+pub use batch::{BatchEvaluator, BatchView, ParamsBatch};
 pub use congestion::{CongestionCurve, Curve1D, MG1Reference, MM1Reference};
 pub use contention::{contended_decision, ContentionSummary};
 pub use decision::{decide, decide_batch, BreakEven, Decision, DecisionReport, RegimeMap};
@@ -85,7 +85,7 @@ pub use model::CompletionModel;
 pub use montecarlo::{MonteCarloOutcome, TransferEfficiencyDistribution};
 pub use params::{ModelParams, ModelParamsBuilder, ParamError};
 pub use planner::{plan_for_tier, Plan};
-pub use scenario::{Scenario, ScenarioSpec};
+pub use scenario::{edit_distance, nearest_within, Scenario, ScenarioSpec};
 pub use sensitivity::Sensitivity;
 pub use sss::StreamingSpeedScore;
 pub use tiers::{Tier, TierReport};

@@ -428,10 +428,11 @@ impl Scenario {
     }
 }
 
-/// Levenshtein distance over bytes — the ids and aliases are ASCII, and a
-/// typo'd query is at worst compared byte-wise, which only ever
-/// overestimates the distance (safe for a "did you mean" hint).
-fn edit_distance(a: &str, b: &str) -> usize {
+/// Levenshtein distance over bytes — the ids, aliases and CLI flags it
+/// compares are ASCII, and a typo'd query is at worst compared byte-wise,
+/// which only ever overestimates the distance (safe for a "did you mean"
+/// hint).
+pub fn edit_distance(a: &str, b: &str) -> usize {
     let (a, b) = (a.as_bytes(), b.as_bytes());
     let mut prev: Vec<usize> = (0..=b.len()).collect();
     let mut curr = vec![0usize; b.len() + 1];
@@ -447,8 +448,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// The candidate closest to `query` by edit distance, if any lies within
-/// `max_distance`; ties keep the earliest candidate (registry order).
-fn nearest_within<'a>(
+/// `max_distance`; ties keep the earliest candidate.
+pub fn nearest_within<'a>(
     query: &str,
     candidates: impl Iterator<Item = &'a str>,
     max_distance: usize,

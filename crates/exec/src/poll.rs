@@ -20,8 +20,9 @@
 //!   path is about.
 //!
 //! On non-Linux targets every constructor returns
-//! [`std::io::ErrorKind::Unsupported`]; callers fall back to blocking I/O
-//! (the server keeps its threaded front end for exactly this reason).
+//! [`std::io::ErrorKind::Unsupported`], so the workspace still compiles
+//! there and callers fail with a clear error at runtime (the server
+//! refuses to bind).
 
 use std::io;
 
@@ -396,8 +397,8 @@ mod sys {
 
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Portable stub: constructors fail with `Unsupported`, so callers can
-    //! compile everywhere and fall back to blocking I/O at runtime.
+    //! Portable stub: constructors fail with `Unsupported`, so callers
+    //! compile everywhere and report the missing platform at runtime.
 
     use super::Event;
     use std::io;

@@ -28,7 +28,7 @@
 //!   [`TraceShape`], exactly as `SessionReplay` builds it); on top of
 //!   that, all concurrent raw demands are squeezed through a shared
 //!   backbone of capacity [`FleetConfig::wan`] by max-min fair
-//!   progressive filling ([`progressive_fill`], the same arithmetic as
+//!   water-filling ([`WaterFiller`], the same allocation as
 //!   `sss-netsim`'s `FluidSimulator`). A session that is never clipped
 //!   below its solo rate experiences *literally* the single-session
 //!   replay: its movement runs through the same
@@ -59,7 +59,7 @@ use sss_core::{
 };
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_iosim::{EventStreamingPipeline, FrameSource, WanProfile};
-use sss_netsim::{progressive_fill, WaterFiller, WaterFlowId};
+use sss_netsim::{WaterFiller, WaterFlowId};
 use sss_report::{CsvWriter, Table};
 use sss_sim::{BandwidthTrace, EventQueue, Fidelity, Seconds, TraceShape};
 use sss_stats::Ecdf;
@@ -139,79 +139,6 @@ impl Deserialize for AdmissionPolicy {
     }
 }
 
-/// Which allocation integrator advances the fleet.
-///
-/// Both engines implement the same event-driven fluid semantics —
-/// admissions, max-min fair WAN shares, solo-trace breakpoints, drains —
-/// and are held together by a differential test. They differ only in
-/// per-event cost: the reference loop re-runs [`progressive_fill`] over
-/// every active flow at every event (O(k²) each), while the incremental
-/// engine re-levels a [`WaterFiller`] in O(log k) and pops the next
-/// event from a calendar instead of scanning all flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FleetEngine {
-    /// Incremental water-filling allocator plus breakpoint calendar —
-    /// the default, and the only path that scales to thousands of
-    /// concurrent sessions.
-    Incremental,
-    /// The original per-event full recomputation. Kept as the semantic
-    /// oracle and as the `fleet_scaling` bench baseline.
-    Reference,
-}
-
-impl FleetEngine {
-    /// Every engine, in reporting order.
-    pub const ALL: [FleetEngine; 2] = [FleetEngine::Incremental, FleetEngine::Reference];
-
-    /// The engine's lowercase label (also the CLI/HTTP spelling).
-    pub fn label(&self) -> &'static str {
-        match self {
-            FleetEngine::Incremental => "incremental",
-            FleetEngine::Reference => "reference",
-        }
-    }
-
-    /// Parse a lowercase label back into an engine.
-    pub fn parse(s: &str) -> Result<FleetEngine, String> {
-        match s {
-            "incremental" => Ok(FleetEngine::Incremental),
-            "reference" => Ok(FleetEngine::Reference),
-            other => Err(format!(
-                "unknown fleet engine {other:?}; known engines: incremental, reference"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for FleetEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl Serialize for FleetEngine {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
-    }
-}
-
-impl Deserialize for FleetEngine {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => FleetEngine::parse(s).map_err(serde::Error::custom),
-            other => Err(serde::Error::custom(format!(
-                "expected a fleet-engine string, got {other:?}"
-            ))),
-        }
-    }
-}
-
-/// Serde default: requests that predate the engine knob mean the
-/// production path.
-fn default_engine() -> FleetEngine {
-    FleetEngine::Incremental
-}
-
 /// How the fleet exercises the scenario mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
@@ -238,9 +165,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Movement integrator for the reported per-session completions.
     pub fidelity: Fidelity,
-    /// Allocation integrator advancing admissions, shares and drains.
-    #[serde(default = "default_engine")]
-    pub engine: FleetEngine,
 }
 
 impl FleetConfig {
@@ -257,7 +181,6 @@ impl FleetConfig {
             frames: 16,
             seed,
             fidelity: Fidelity::Fluid,
-            engine: FleetEngine::Incremental,
         }
     }
 
@@ -290,12 +213,6 @@ impl FleetConfig {
     /// The same configuration with a different offered load.
     pub fn with_load(mut self, load: f64) -> Self {
         self.load = load;
-        self
-    }
-
-    /// The same configuration with a different allocation engine.
-    pub fn with_engine(mut self, engine: FleetEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -496,10 +413,10 @@ fn tier_rank(tier: Tier) -> u8 {
 }
 
 /// The DTN slot queue, policy-specialized so an admission is O(log n)
-/// (or O(catalog) for fair-share) instead of the reference loop's O(n)
-/// scan plus `Vec::remove` shift. Each variant pops exactly the session
-/// [`FleetSim::pick`] would select — a differential test holds the two
-/// to the same order under every policy.
+/// (or O(catalog) for fair-share) instead of an O(n) scan plus
+/// `Vec::remove` shift. Each variant pops exactly the session the
+/// test-only reference scan (`pick`) would select — a differential test
+/// holds the two to the same order under every policy.
 enum AdmissionQueue {
     /// Arrival order: push back, pop front.
     Fifo(VecDeque<usize>),
@@ -683,38 +600,9 @@ impl FleetSim {
         planned
     }
 
-    /// Which waiting session the policy admits next: an index into
-    /// `queued` (itself kept in arrival order).
-    fn pick(&self, queued: &[usize], states: &[SessionState], admitted: &[usize]) -> usize {
-        match self.config.policy {
-            AdmissionPolicy::Fifo => 0,
-            AdmissionPolicy::FairShare => {
-                let mut best = 0usize;
-                for (pos, &i) in queued.iter().enumerate().skip(1) {
-                    if admitted[states[i].scenario_idx]
-                        < admitted[states[queued[best]].scenario_idx]
-                    {
-                        best = pos;
-                    }
-                }
-                best
-            }
-            AdmissionPolicy::Priority => {
-                let mut best = 0usize;
-                for (pos, &i) in queued.iter().enumerate().skip(1) {
-                    let rank = tier_rank(self.scenarios[states[i].scenario_idx].tier);
-                    if rank < tier_rank(self.scenarios[states[queued[best]].scenario_idx].tier) {
-                        best = pos;
-                    }
-                }
-                best
-            }
-        }
-    }
-
     /// Fresh per-session integrator state for a planned arrival schedule
-    /// — shared verbatim by both engines so their sessions start from
-    /// identical traces, clocks and byte counts.
+    /// — shared verbatim with the test-only reference integrator so both
+    /// start from identical traces, clocks and byte counts.
     fn session_states(&self, plan: &[Planned]) -> Vec<SessionState> {
         plan.iter()
             .map(|p| {
@@ -754,146 +642,9 @@ impl FleetSim {
     /// admissions, solo-trace breakpoints, drains), in the style of
     /// `sss-netsim`'s `FluidSimulator`. Returns the advanced states, the
     /// peak concurrency and the number of integrator events processed.
-    fn integrate(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
-        match self.config.engine {
-            FleetEngine::Incremental => self.integrate_incremental(plan),
-            FleetEngine::Reference => self.integrate_reference(plan),
-        }
-    }
-
-    /// The seed allocation loop: every event re-derives all solo rates,
-    /// re-runs [`progressive_fill`] over every active flow and rescans
-    /// all drains and breakpoints — O(k²) per event. Byte-faithful to
-    /// the original integrator; the oracle the incremental engine is
-    /// differentially tested against, and the `fleet_scaling` baseline.
-    fn integrate_reference(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
-        let mut states = self.session_states(plan);
-        let n = states.len();
-        let wan_bps = self.config.wan.as_bytes_per_sec();
-        let slots = self.config.slots as usize;
-        let mut admitted_per_scenario = vec![0usize; self.scenarios.len()];
-        let mut queued: Vec<usize> = Vec::new();
-        let mut active: Vec<usize> = Vec::new();
-        let mut next_arrival = 0usize;
-        let mut peak_active = 0u32;
-        let mut t = 0.0f64;
-        let mut events = 0u64;
-
-        loop {
-            events += 1;
-            while next_arrival < n && states[next_arrival].arrival_s <= t {
-                queued.push(next_arrival);
-                next_arrival += 1;
-            }
-            while active.len() < slots && !queued.is_empty() {
-                let pos = self.pick(&queued, &states, &admitted_per_scenario);
-                let i = queued.remove(pos);
-                states[i].admitted = true;
-                states[i].start_s = t;
-                states[i].wait_s = t - states[i].arrival_s;
-                if states[i].wait_s > 0.0 {
-                    states[i].clipped = true;
-                }
-                admitted_per_scenario[states[i].scenario_idx] += 1;
-                active.push(i);
-            }
-            peak_active = peak_active.max(active.len() as u32);
-            if active.is_empty() {
-                if next_arrival < n {
-                    t = states[next_arrival].arrival_s;
-                    continue;
-                }
-                break;
-            }
-
-            // Max-min fair shares of the backbone among the raw demands
-            // θ·solo(rel); an unclipped session's deflated grant is its
-            // solo rate *verbatim* (see `progressive_fill`), which keeps
-            // its recorded pieces bit-equal to its solo trace.
-            let solo: Vec<f64> = active
-                .iter()
-                .map(|&i| states[i].trace.rate_at(states[i].rel_s))
-                .collect();
-            let caps: Vec<f64> = active
-                .iter()
-                .zip(&solo)
-                .map(|(&i, &r)| states[i].theta * r)
-                .collect();
-            let shares = progressive_fill(wan_bps, &caps);
-            let mut rates = Vec::with_capacity(active.len());
-            for j in 0..active.len() {
-                let i = active[j];
-                if shares[j] < caps[j] {
-                    states[i].clipped = true;
-                    rates.push(shares[j] / states[i].theta);
-                } else {
-                    rates.push(solo[j]);
-                }
-            }
-            for (j, &i) in active.iter().enumerate() {
-                let rel = states[i].rel_s;
-                push_piece(&mut states[i].pieces, rel, rates[j]);
-            }
-
-            // Next event as a *delta*: the next arrival, the next
-            // solo-trace breakpoint of an active session, or a drain at
-            // the current rates. Every candidate is strictly positive
-            // (arrivals at or before `t` were consumed above, and
-            // `next_change` is strictly beyond `rel_s`), so the step
-            // always makes progress; the session owning the winning
-            // breakpoint gets its clock *snapped* onto the breakpoint —
-            // and the drain comparison mirrors `FluidSimulator::run`, so
-            // the defining session lands exactly on zero.
-            let d_arrival = if next_arrival < n {
-                states[next_arrival].arrival_s - t
-            } else {
-                f64::INFINITY
-            };
-            let breaks: Vec<Option<f64>> = active
-                .iter()
-                .map(|&i| states[i].trace.next_change(states[i].rel_s))
-                .collect();
-            let d_break = active
-                .iter()
-                .zip(&breaks)
-                .filter_map(|(&i, b)| b.map(|b| b - states[i].rel_s))
-                .fold(f64::INFINITY, f64::min);
-            let drain = active
-                .iter()
-                .zip(&rates)
-                .filter(|(_, &r)| r > 0.0)
-                .map(|(&i, &r)| states[i].remaining / r)
-                .fold(f64::INFINITY, f64::min);
-            // A zero-rate session always has a future breakpoint (the
-            // kernel requires a positive final rate), so `dt` is finite.
-            let dt = d_arrival.min(d_break).min(drain);
-
-            for (j, &i) in active.iter().enumerate() {
-                let r = rates[j];
-                if r > 0.0 && states[i].remaining / r <= dt {
-                    states[i].remaining = 0.0;
-                    states[i].done = true;
-                } else {
-                    states[i].remaining = (states[i].remaining - r * dt).max(0.0);
-                }
-                match breaks[j] {
-                    Some(b) if b - states[i].rel_s == dt => states[i].rel_s = b,
-                    _ => states[i].rel_s += dt,
-                }
-            }
-            active.retain(|&i| !states[i].done);
-            t = if d_arrival == dt {
-                states[next_arrival].arrival_s
-            } else {
-                t + dt
-            };
-        }
-        (states, peak_active, events)
-    }
-
-    /// The incremental allocation integrator.
     ///
-    /// Three structures replace the reference loop's full rescans:
+    /// Three structures replace the test-only reference loop's full
+    /// rescans:
     ///
     /// * a [`WaterFiller`] holds every active flow's WAN demand and
     ///   re-levels in O(log k) per cap change, arrival or drain, so the
@@ -914,7 +665,7 @@ impl FleetSim {
     /// rounding), mirroring the reference loop's snapping; an unclipped
     /// session's recorded pieces carry its solo rates bit-for-bit, which
     /// preserves the fleet-of-one ≡ `SessionReplay` identity.
-    fn integrate_incremental(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
+    fn integrate(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
         let mut states = self.session_states(plan);
         let n = states.len();
         let wan_bps = self.config.wan.as_bytes_per_sec();
@@ -1309,11 +1060,18 @@ impl FleetSim {
     /// [`FleetSim::run`] with the pool explicit (`None` = calling
     /// thread). All paths return the same bytes.
     pub fn run_with(&self, pool: Option<&ThreadPool>) -> Result<FleetReport, String> {
+        self.report(pool, self.integrate(&self.plan()))
+    }
+
+    /// Replay every integrated session through the movement pipeline
+    /// (fanned across `pool` when given) and aggregate the fleet report.
+    fn report(
+        &self,
+        pool: Option<&ThreadPool>,
+        (states, peak_active, events): (Vec<SessionState>, u32, u64),
+    ) -> Result<FleetReport, String> {
         let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
-
-        let plan = self.plan();
-        let (states, peak_active, events) = self.integrate(&plan);
 
         let indices: Vec<u32> = (0..states.len() as u32).collect();
         let eval = |&k: &u32| {
@@ -1562,6 +1320,176 @@ pub fn fleet_scenario_csv(reports: &[FleetReport]) -> CsvWriter {
 mod tests {
     use super::*;
     use crate::{ReplayConfig, SessionReplay};
+    use sss_netsim::progressive_fill;
+
+    /// The original allocation loop, byte-faithful to the seed
+    /// integrator: the oracle [`FleetSim::integrate`] is differentially
+    /// tested against.
+    impl FleetSim {
+        /// The seed allocation loop: every event re-derives all solo rates,
+        /// re-runs [`progressive_fill`] over every active flow and rescans
+        /// all drains and breakpoints — O(k²) per event.
+        fn integrate_reference(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
+            let mut states = self.session_states(plan);
+            let n = states.len();
+            let wan_bps = self.config.wan.as_bytes_per_sec();
+            let slots = self.config.slots as usize;
+            let mut admitted_per_scenario = vec![0usize; self.scenarios.len()];
+            let mut queued: Vec<usize> = Vec::new();
+            let mut active: Vec<usize> = Vec::new();
+            let mut next_arrival = 0usize;
+            let mut peak_active = 0u32;
+            let mut t = 0.0f64;
+            let mut events = 0u64;
+
+            loop {
+                events += 1;
+                while next_arrival < n && states[next_arrival].arrival_s <= t {
+                    queued.push(next_arrival);
+                    next_arrival += 1;
+                }
+                while active.len() < slots && !queued.is_empty() {
+                    let pos = self.pick(&queued, &states, &admitted_per_scenario);
+                    let i = queued.remove(pos);
+                    states[i].admitted = true;
+                    states[i].start_s = t;
+                    states[i].wait_s = t - states[i].arrival_s;
+                    if states[i].wait_s > 0.0 {
+                        states[i].clipped = true;
+                    }
+                    admitted_per_scenario[states[i].scenario_idx] += 1;
+                    active.push(i);
+                }
+                peak_active = peak_active.max(active.len() as u32);
+                if active.is_empty() {
+                    if next_arrival < n {
+                        t = states[next_arrival].arrival_s;
+                        continue;
+                    }
+                    break;
+                }
+
+                // Max-min fair shares of the backbone among the raw demands
+                // θ·solo(rel); an unclipped session's deflated grant is its
+                // solo rate *verbatim* (see `progressive_fill`), which keeps
+                // its recorded pieces bit-equal to its solo trace.
+                let solo: Vec<f64> = active
+                    .iter()
+                    .map(|&i| states[i].trace.rate_at(states[i].rel_s))
+                    .collect();
+                let caps: Vec<f64> = active
+                    .iter()
+                    .zip(&solo)
+                    .map(|(&i, &r)| states[i].theta * r)
+                    .collect();
+                let shares = progressive_fill(wan_bps, &caps);
+                let mut rates = Vec::with_capacity(active.len());
+                for j in 0..active.len() {
+                    let i = active[j];
+                    if shares[j] < caps[j] {
+                        states[i].clipped = true;
+                        rates.push(shares[j] / states[i].theta);
+                    } else {
+                        rates.push(solo[j]);
+                    }
+                }
+                for (j, &i) in active.iter().enumerate() {
+                    let rel = states[i].rel_s;
+                    push_piece(&mut states[i].pieces, rel, rates[j]);
+                }
+
+                // Next event as a *delta*: the next arrival, the next
+                // solo-trace breakpoint of an active session, or a drain at
+                // the current rates. Every candidate is strictly positive
+                // (arrivals at or before `t` were consumed above, and
+                // `next_change` is strictly beyond `rel_s`), so the step
+                // always makes progress; the session owning the winning
+                // breakpoint gets its clock *snapped* onto the breakpoint —
+                // and the drain comparison mirrors `FluidSimulator::run`, so
+                // the defining session lands exactly on zero.
+                let d_arrival = if next_arrival < n {
+                    states[next_arrival].arrival_s - t
+                } else {
+                    f64::INFINITY
+                };
+                let breaks: Vec<Option<f64>> = active
+                    .iter()
+                    .map(|&i| states[i].trace.next_change(states[i].rel_s))
+                    .collect();
+                let d_break = active
+                    .iter()
+                    .zip(&breaks)
+                    .filter_map(|(&i, b)| b.map(|b| b - states[i].rel_s))
+                    .fold(f64::INFINITY, f64::min);
+                let drain = active
+                    .iter()
+                    .zip(&rates)
+                    .filter(|(_, &r)| r > 0.0)
+                    .map(|(&i, &r)| states[i].remaining / r)
+                    .fold(f64::INFINITY, f64::min);
+                // A zero-rate session always has a future breakpoint (the
+                // kernel requires a positive final rate), so `dt` is finite.
+                let dt = d_arrival.min(d_break).min(drain);
+
+                for (j, &i) in active.iter().enumerate() {
+                    let r = rates[j];
+                    if r > 0.0 && states[i].remaining / r <= dt {
+                        states[i].remaining = 0.0;
+                        states[i].done = true;
+                    } else {
+                        states[i].remaining = (states[i].remaining - r * dt).max(0.0);
+                    }
+                    match breaks[j] {
+                        Some(b) if b - states[i].rel_s == dt => states[i].rel_s = b,
+                        _ => states[i].rel_s += dt,
+                    }
+                }
+                active.retain(|&i| !states[i].done);
+                t = if d_arrival == dt {
+                    states[next_arrival].arrival_s
+                } else {
+                    t + dt
+                };
+            }
+            (states, peak_active, events)
+        }
+
+        /// Which waiting session the policy admits next: an index into
+        /// `queued` (itself kept in arrival order).
+        fn pick(&self, queued: &[usize], states: &[SessionState], admitted: &[usize]) -> usize {
+            match self.config.policy {
+                AdmissionPolicy::Fifo => 0,
+                AdmissionPolicy::FairShare => {
+                    let mut best = 0usize;
+                    for (pos, &i) in queued.iter().enumerate().skip(1) {
+                        if admitted[states[i].scenario_idx]
+                            < admitted[states[queued[best]].scenario_idx]
+                        {
+                            best = pos;
+                        }
+                    }
+                    best
+                }
+                AdmissionPolicy::Priority => {
+                    let mut best = 0usize;
+                    for (pos, &i) in queued.iter().enumerate().skip(1) {
+                        let rank = tier_rank(self.scenarios[states[i].scenario_idx].tier);
+                        if rank < tier_rank(self.scenarios[states[queued[best]].scenario_idx].tier)
+                        {
+                            best = pos;
+                        }
+                    }
+                    best
+                }
+            }
+        }
+
+        /// The fleet replayed through [`FleetSim::integrate_reference`]
+        /// instead of the incremental integrator.
+        fn run_reference(&self) -> Result<FleetReport, String> {
+            self.report(None, self.integrate_reference(&self.plan()))
+        }
+    }
 
     fn solo_config(seed: u64, shape: TraceShape, fidelity: Fidelity) -> FleetConfig {
         FleetConfig {
@@ -1575,7 +1503,6 @@ mod tests {
             frames: 16,
             seed,
             fidelity,
-            engine: FleetEngine::Incremental,
         }
     }
 
@@ -1598,17 +1525,17 @@ mod tests {
         let scenario = Scenario::by_id("lcls-coherent-scattering").unwrap();
         for shape in TraceShape::ALL {
             for fidelity in [Fidelity::Exact, Fidelity::Fluid] {
-                for engine in FleetEngine::ALL {
-                    let config = solo_config(42, shape, fidelity).with_engine(engine);
-                    let fleet = FleetSim::new(vec![scenario.clone()], config)
-                        .unwrap()
-                        .run_sequential()
-                        .unwrap();
-                    let mut rc = ReplayConfig::quick(42).with_fidelity(fidelity);
-                    rc.shapes = vec![shape];
-                    let replay = SessionReplay::new(vec![scenario.clone()], rc)
-                        .unwrap()
-                        .run_sequential();
+                let sim = FleetSim::new(vec![scenario.clone()], solo_config(42, shape, fidelity))
+                    .unwrap();
+                let mut rc = ReplayConfig::quick(42).with_fidelity(fidelity);
+                rc.shapes = vec![shape];
+                let replay = SessionReplay::new(vec![scenario.clone()], rc)
+                    .unwrap()
+                    .run_sequential();
+                for (engine, fleet) in [
+                    ("incremental", sim.run_sequential().unwrap()),
+                    ("reference", sim.run_reference().unwrap()),
+                ] {
                     let f = &fleet.records[0];
                     let r = &replay.records[0];
                     assert_eq!(
@@ -1839,15 +1766,6 @@ mod tests {
         assert!(a.records[0].arrival_s != c.records[0].arrival_s);
     }
 
-    #[test]
-    fn engines_round_trip_labels() {
-        for engine in FleetEngine::ALL {
-            assert_eq!(FleetEngine::parse(engine.label()), Ok(engine));
-            assert_eq!(engine.to_string(), engine.label());
-        }
-        assert!(FleetEngine::parse("quadratic").is_err());
-    }
-
     /// The tentpole differential gate: under heavy contention, every
     /// shape and policy, the incremental engine reproduces the reference
     /// loop's admissions exactly and its continuous outcomes to within
@@ -1862,14 +1780,9 @@ mod tests {
                 config.wan = Rate::from_gbps(12.0);
                 config.shape = shape;
                 config.policy = policy;
-                let inc = FleetSim::bundled(config.clone())
-                    .unwrap()
-                    .run_sequential()
-                    .unwrap();
-                let reference = FleetSim::bundled(config.with_engine(FleetEngine::Reference))
-                    .unwrap()
-                    .run_sequential()
-                    .unwrap();
+                let sim = FleetSim::bundled(config).unwrap();
+                let inc = sim.run_sequential().unwrap();
+                let reference = sim.run_reference().unwrap();
                 assert_eq!(inc.records.len(), reference.records.len());
                 assert_eq!(inc.peak_active, reference.peak_active);
                 assert!(inc.events > 0 && reference.events > 0);

@@ -327,8 +327,7 @@ pub fn loadtest_table(report: &HttpLoadReport) -> sss_report::Table {
 /// concurrency, this mode probes the *connection ceiling*: how many
 /// simultaneously-open sockets the server front end actually sustains.
 /// The report carries the observed ceiling next to req/s and the latency
-/// tail so a thread-per-connection front end and an epoll reactor can be
-/// compared on the same axis.
+/// tail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnRampSpec {
     /// Server address, e.g. `"127.0.0.1:8080"`.

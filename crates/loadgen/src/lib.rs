@@ -58,8 +58,7 @@ mod sweep;
 pub use experiment::{ClientRecord, Experiment, ExperimentResult, SpawnStrategy, TransferLog};
 pub use fleet::{
     fleet_csv, fleet_scenario_csv, fleet_scenario_table, fleet_summary_table, fleet_table,
-    AdmissionPolicy, FleetConfig, FleetEngine, FleetRecord, FleetReport, FleetSim,
-    ScenarioContention,
+    AdmissionPolicy, FleetConfig, FleetRecord, FleetReport, FleetSim, ScenarioContention,
 };
 pub use frontier::{boundary_csv, frontier_csv, frontier_table, FrontierJob};
 pub use httpload::{

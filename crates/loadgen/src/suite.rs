@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sss_core::{decide, decide_batch, DecisionReport, EvalEngine, ModelParams, Scenario};
+use sss_core::{decide_batch, DecisionReport, ModelParams, Scenario};
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_iosim::{presets, theta_estimate, FileBasedPipeline, FrameSource, StreamingPipeline};
 use sss_netsim::{LinkConfig, Qdisc, SimConfig, TcpConfig};
@@ -274,41 +274,32 @@ impl ScenarioSuite {
         }
     }
 
-    /// The decision model over every scenario: one struct-of-arrays batch
-    /// (split into `chunk`-sized views fanned across the pool when one is
-    /// given), or the point-wise scalar oracle. Both produce byte-identical
-    /// reports; the determinism CI job compares them at the process level.
-    fn decisions(
-        &self,
-        pool: Option<&ThreadPool>,
-        engine: EvalEngine,
-        chunk: usize,
-    ) -> Vec<DecisionReport> {
+    /// The decision model over every scenario as one struct-of-arrays
+    /// batch, split into `chunk`-sized views fanned across the pool when
+    /// one is given. Every split produces the same reports.
+    fn decisions(&self, pool: Option<&ThreadPool>, chunk: usize) -> Vec<DecisionReport> {
         let params: Vec<ModelParams> = self.scenarios.iter().map(|s| s.params).collect();
-        match (engine, pool) {
-            (EvalEngine::Scalar, Some(p)) => p.map(&params, decide),
-            (EvalEngine::Scalar, None) => params.iter().map(decide).collect(),
-            (EvalEngine::Batched, Some(p)) => {
+        match pool {
+            Some(p) => {
                 let chunks: Vec<&[ModelParams]> = params.chunks(chunk).collect();
                 p.map(&chunks, |c| decide_batch(c)).concat()
             }
-            (EvalEngine::Batched, None) => decide_batch(&params),
+            None => decide_batch(&params),
         }
     }
 
     /// Evaluate the whole suite on `pool`, fanning the netsim probes of
-    /// every (scenario × congestion level) cell and the per-scenario I/O
-    /// analyses across the pool's workers; the decision model runs through
-    /// the batched engine.
+    /// every (scenario × congestion level) cell, the batched decision
+    /// chunks and the per-scenario I/O analyses across the pool's workers.
     pub fn run(&self, pool: &ThreadPool) -> Vec<ScenarioEvaluation> {
-        self.run_with(Some(pool), EvalEngine::Batched, Self::DEFAULT_CHUNK)
+        self.run_with(Some(pool), Self::DEFAULT_CHUNK)
     }
 
     /// Evaluate the suite on the calling thread. Produces bit-identical
     /// results to [`ScenarioSuite::run`]: seeds are position-derived, so
     /// scheduling cannot perturb them.
     pub fn run_sequential(&self) -> Vec<ScenarioEvaluation> {
-        self.run_with(None, EvalEngine::Batched, Self::DEFAULT_CHUNK)
+        self.run_with(None, Self::DEFAULT_CHUNK)
     }
 
     /// Scenarios per batched-decision chunk when the caller doesn't tune
@@ -317,18 +308,12 @@ impl ScenarioSuite {
     pub const DEFAULT_CHUNK: usize = 4;
 
     /// [`ScenarioSuite::run`] with every knob explicit: an optional pool
-    /// (`None` = calling thread), the evaluation engine, and the batched
-    /// engine's chunk size (`--chunk` on the CLI). All combinations return
-    /// the same bytes.
+    /// (`None` = calling thread) and the decision batch's chunk size
+    /// (`--chunk` on the CLI). All combinations return the same bytes.
     ///
     /// # Panics
     /// Panics when `chunk == 0`.
-    pub fn run_with(
-        &self,
-        pool: Option<&ThreadPool>,
-        engine: EvalEngine,
-        chunk: usize,
-    ) -> Vec<ScenarioEvaluation> {
+    pub fn run_with(&self, pool: Option<&ThreadPool>, chunk: usize) -> Vec<ScenarioEvaluation> {
         assert!(chunk > 0, "chunk size must be positive");
         let specs: Vec<SweepSpec> = (0..self.scenarios.len())
             .map(|i| self.sweep_spec(i))
@@ -340,7 +325,7 @@ impl ScenarioSuite {
             Some(p) => p.map(&experiments, Experiment::run),
             None => experiments.iter().map(Experiment::run).collect(),
         };
-        let decisions = self.decisions(pool, engine, chunk);
+        let decisions = self.decisions(pool, chunk);
         let ios = match pool {
             Some(p) => p.map(&self.scenarios, |s| Self::analyze_io(s, &self.config)),
             None => self
@@ -499,23 +484,30 @@ mod tests {
         assert_eq!(par, seq);
     }
 
+    /// The batched decisions reproduce the point-wise `decide` oracle
+    /// bit for bit, whatever the chunk size and pool.
     #[test]
-    fn scalar_and_batched_engines_agree_for_any_chunk() {
+    fn batched_decisions_match_the_pointwise_oracle_for_any_chunk() {
         let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
-        let pool = ThreadPool::new(4);
-        let scalar = suite.run_with(Some(&pool), EvalEngine::Scalar, 1);
-        for chunk in [1usize, 2, 64] {
-            let batched = suite.run_with(Some(&pool), EvalEngine::Batched, chunk);
-            assert_eq!(batched, scalar, "chunk {chunk}");
+        let sequential = suite.run_sequential();
+        for (evaluation, scenario) in sequential.iter().zip(suite.scenarios()) {
+            assert_eq!(evaluation.decision, sss_core::decide(&scenario.params));
         }
-        assert_eq!(suite.run_with(None, EvalEngine::Scalar, 1), scalar);
+        let pool = ThreadPool::new(4);
+        for chunk in [1usize, 2, 64] {
+            assert_eq!(
+                suite.run_with(Some(&pool), chunk),
+                sequential,
+                "chunk {chunk}"
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_rejected() {
         let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
-        let _ = suite.run_with(None, EvalEngine::Batched, 0);
+        let _ = suite.run_with(None, 0);
     }
 
     #[test]

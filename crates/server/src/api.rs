@@ -12,7 +12,7 @@ use sss_core::{
     Scenario, Sensitivity, Tier, TierReport,
 };
 use sss_loadgen::{
-    AdmissionPolicy, FleetConfig, FleetEngine, FleetSim, FrontierJob, ReplayConfig, SessionReplay,
+    AdmissionPolicy, FleetConfig, FleetSim, FrontierJob, ReplayConfig, SessionReplay,
 };
 use sss_sim::{Fidelity, TraceShape};
 use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio};
@@ -378,10 +378,6 @@ fn default_fleet_fidelity() -> String {
     "fluid".into()
 }
 
-fn default_fleet_engine() -> String {
-    "incremental".into()
-}
-
 /// Body of `POST /fleet`: a multi-tenant fleet drawn from the bundled
 /// scenario catalog, replayed under WAN sharing and DTN slot contention.
 ///
@@ -422,10 +418,6 @@ pub struct FleetRequest {
     /// Movement integrator label (default `"fluid"`).
     #[serde(default = "default_fleet_fidelity")]
     pub fidelity: String,
-    /// Allocation-engine label: `"incremental"` or `"reference"`
-    /// (default `"incremental"`).
-    #[serde(default = "default_fleet_engine")]
-    pub engine: String,
 }
 
 impl Default for FleetRequest {
@@ -440,7 +432,6 @@ impl Default for FleetRequest {
             frames: default_fleet_frames(),
             seed: default_seed(),
             fidelity: default_fleet_fidelity(),
-            engine: default_fleet_engine(),
         }
     }
 }
@@ -477,7 +468,6 @@ impl FleetRequest {
             frames: self.frames,
             seed: self.seed,
             fidelity: Fidelity::parse(&self.fidelity)?,
-            engine: FleetEngine::parse(&self.engine)?,
         };
         FleetSim::bundled(config)
     }

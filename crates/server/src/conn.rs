@@ -20,7 +20,10 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 use crate::http::{write_response, HttpError, Parser, Request};
-use crate::server::LINGER_CAP;
+
+/// Most bytes an error teardown drains before giving up on a graceful
+/// close.
+const LINGER_CAP: usize = 1024 * 1024;
 
 /// Most requests a connection may have in flight (dispatched, response not
 /// yet written) before the reactor stops reading from it. Bounds per-
@@ -293,7 +296,7 @@ impl Conn {
 
     fn encode(&mut self, status: u16, body: &str, close: bool) {
         // Writing into a Vec cannot fail; the signature is io-flavored
-        // because the same encoder serves the blocking front end.
+        // because `write_response` takes any `Write`.
         let _ = write_response(&mut self.out, status, body.as_bytes(), !close);
         self.next_write += 1;
         if close {

@@ -9,12 +9,10 @@
 //! The core is the *incremental* [`Parser`]: feed it whatever bytes the
 //! socket produced and it consumes exactly up to the end of one complete
 //! request, carrying partial state (a request line split mid-word, a body
-//! split mid-`Content-Length`) across calls. That single state machine
-//! serves both front ends: the reactor pushes nonblocking read chunks
-//! straight into it, and the blocking [`read_request`] wraps it over a
-//! `BufRead`.
+//! split mid-`Content-Length`) across calls. The reactor pushes its
+//! nonblocking read chunks straight into it.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Maximum accepted request-line/header-line length, bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -23,11 +21,9 @@ pub const MAX_HEADERS: usize = 64;
 /// Maximum accepted body size, bytes.
 pub const MAX_BODY: usize = 1024 * 1024;
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The connection failed mid-request.
-    Io(io::Error),
     /// The bytes on the wire are not a well-formed request.
     Malformed(String),
     /// The request body exceeds [`MAX_BODY`] ("413 Payload Too Large").
@@ -40,7 +36,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(m) => write!(f, "request too large: {m}"),
             HttpError::HeadersTooLarge(m) => write!(f, "request headers too large: {m}"),
@@ -49,12 +44,6 @@ impl std::fmt::Display for HttpError {
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +80,7 @@ pub enum ParsePhase {
     /// Mid request-line or mid-headers. EOF here is a malformed request.
     Head,
     /// Mid body (`Content-Length` bytes still owed). EOF here is a
-    /// truncated transfer — an I/O-level failure.
+    /// truncated transfer.
     Body,
 }
 
@@ -310,45 +299,6 @@ fn build_request(head: Head, body: Vec<u8>) -> Request {
     }
 }
 
-/// Read one request off a blocking connection.
-///
-/// Returns `Ok(None)` when the peer closed the connection cleanly between
-/// requests (the normal end of a keep-alive session). Drives the same
-/// incremental [`Parser`] the reactor uses, consuming from the `BufRead`
-/// buffer only up to the end of the request so pipelined successors stay
-/// buffered for the next call.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpError> {
-    let mut parser = Parser::new();
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return match parser.phase() {
-                ParsePhase::Idle => Ok(None),
-                ParsePhase::Head => Err(HttpError::Malformed("EOF mid-request".into())),
-                ParsePhase::Body => Err(HttpError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside counted body",
-                ))),
-            };
-        }
-        let (consumed, request) = match parser.push(available) {
-            Ok(step) => step,
-            Err(e) => {
-                // The request is doomed either way; consuming what the
-                // parser examined keeps the reader consistent for the
-                // error response that follows.
-                let n = available.len();
-                reader.consume(n);
-                return Err(e);
-            }
-        };
-        reader.consume(consumed);
-        if let Some(request) = request {
-            return Ok(Some(request));
-        }
-    }
-}
-
 fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -383,17 +333,42 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use proptest::prelude::*;
 
-    fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(bytes))
+    /// Drive one parser over `chunks` the way a connection does: re-push
+    /// each chunk's unconsumed tail until it is used up, collecting every
+    /// completed request in order.
+    fn feed<'a>(
+        parser: &mut Parser,
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<Vec<Request>, HttpError> {
+        let mut requests = Vec::new();
+        for chunk in chunks {
+            let mut offset = 0;
+            while offset < chunk.len() {
+                let (used, request) = parser.push(&chunk[offset..])?;
+                offset += used;
+                requests.extend(request);
+            }
+        }
+        Ok(requests)
+    }
+
+    /// Every request in `wire`, pushed as one buffer.
+    fn parse(wire: &[u8]) -> Result<Vec<Request>, HttpError> {
+        feed(&mut Parser::new(), [wire])
+    }
+
+    /// The single request in `wire`.
+    fn parse_one(wire: &[u8]) -> Request {
+        let mut requests = parse(wire).unwrap();
+        assert_eq!(requests.len(), 1, "expected exactly one request");
+        requests.remove(0)
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req = parse(b"POST /decide HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"POST /decide HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/decide");
         assert_eq!(req.body, b"abcd");
@@ -403,24 +378,22 @@ mod tests {
 
     #[test]
     fn strips_query_string() {
-        let req = parse(b"GET /scenarios?limit=3 HTTP/1.1\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET /scenarios?limit=3 HTTP/1.1\r\n\r\n");
         assert_eq!(req.path, "/scenarios");
     }
 
     #[test]
-    fn clean_eof_is_none() {
-        assert!(parse(b"").unwrap().is_none());
+    fn empty_input_yields_nothing_and_stays_idle() {
+        let mut parser = Parser::new();
+        assert_eq!(parser.push(b"").unwrap(), (0, None));
+        assert_eq!(parser.phase(), ParsePhase::Idle);
     }
 
     #[test]
     fn connection_close_honored() {
-        let req = parse(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(req.close);
-        let old = parse(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap().unwrap();
+        let old = parse_one(b"GET /healthz HTTP/1.0\r\n\r\n");
         assert!(old.close, "HTTP/1.0 defaults to close");
     }
 
@@ -477,23 +450,21 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_io_error() {
-        assert!(matches!(
-            parse(b"POST /decide HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(HttpError::Io(_))
-        ));
+    fn truncated_body_waits_in_body_phase() {
+        let mut parser = Parser::new();
+        let wire = b"POST /decide HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        assert!(feed(&mut parser, [&wire[..]]).unwrap().is_empty());
+        assert_eq!(parser.phase(), ParsePhase::Body);
     }
 
     #[test]
-    fn eof_mid_headers_is_malformed() {
-        assert!(matches!(
-            parse(b"POST /decide HTTP/1.1\r\nHost: x\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(parse(b"POST /dec"), Err(HttpError::Malformed(_))));
+    fn partial_head_waits_in_head_phase() {
+        for wire in [&b"POST /decide HTTP/1.1\r\nHost: x\r\n"[..], b"POST /dec"] {
+            let mut parser = Parser::new();
+            assert!(feed(&mut parser, [wire]).unwrap().is_empty());
+            assert_eq!(parser.phase(), ParsePhase::Head);
+        }
     }
-
-    // --- incremental Parser behavior -------------------------------------
 
     /// Feed `wire` one byte at a time: every possible split boundary at once.
     fn parse_bytewise(wire: &[u8]) -> Request {
@@ -558,6 +529,53 @@ mod tests {
         let req = parse_bytewise(b"GET /scenarios HTTP/1.1\nHost: x\n\n");
         assert_eq!(req.path, "/scenarios");
         assert_eq!(req.header("host"), Some("x"));
+    }
+
+    /// Well-formed requests covering every framing the parser knows:
+    /// counted bodies, no body, query strings, HTTP/1.0, bare `\n` line
+    /// ends, empty header values and explicit connection tokens.
+    const CORPUS: &[&[u8]] = &[
+        b"POST /decide HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
+        b"GET /scenarios?limit=3 HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        b"POST /fleet HTTP/1.1\ncontent-length: 11\nconnection: close\n\n{\"load\":6 }",
+        b"DELETE /healthz HTTP/1.1\r\nx-empty:\r\ncontent-length: 0\r\n\r\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// Any split of a corpus request — or of a pipelined pair — parses
+        /// through [`Parser::push`] to exactly the requests the whole
+        /// buffer yields, and leaves the parser idle.
+        #[test]
+        fn any_split_parses_like_the_whole_buffer(
+            first in 0usize..CORPUS.len(),
+            // `CORPUS.len()` itself means "no pipelined successor".
+            second in 0usize..=CORPUS.len(),
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let mut wire = CORPUS[first].to_vec();
+            if let Some(next) = CORPUS.get(second) {
+                wire.extend_from_slice(next);
+            }
+            let whole = parse(&wire).unwrap();
+            prop_assert_eq!(whole.len(), 1 + usize::from(second < CORPUS.len()));
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut chunks: Vec<&[u8]> = Vec::new();
+            let mut at = 0;
+            for cut in cuts {
+                chunks.push(&wire[at..cut]);
+                at = cut;
+            }
+            chunks.push(&wire[at..]);
+            let mut parser = Parser::new();
+            let split = feed(&mut parser, chunks).unwrap();
+            prop_assert_eq!(split, whole);
+            prop_assert_eq!(parser.phase(), ParsePhase::Idle);
+        }
     }
 
     #[test]

@@ -2,19 +2,19 @@
 //!
 //! The paper frames stream-vs-store as a question a facility asks *per
 //! request*, continuously — not once. This crate turns the analytic model
-//! into a long-running advisor: a pure-`std` HTTP/1.1 server (hand-rolled
-//! parsing over `TcpListener`, no external dependencies) whose request
-//! path is built for repeated traffic:
+//! into a long-running advisor: a pure-`std` HTTP/1.1 server (an epoll
+//! reactor with hand-rolled incremental parsing, no external
+//! dependencies) whose request path is built for repeated traffic:
 //!
 //! ```text
-//! connection threads ──▶ Batcher queue ──▶ dispatcher ──▶ ThreadPool wave
-//!                                              │
-//!                                   DecisionCache (sharded, memoized)
+//! epoll reactor ──▶ service threads ──▶ Batcher queue ──▶ dispatcher ──▶ ThreadPool wave
+//!                                                                │
+//!                                                 DecisionCache (sharded, memoized)
 //! ```
 //!
-//! * [`server::Server`] — accept loop and router for `POST /decide`,
-//!   `POST /tiers`, `POST /frontier`, `POST /simulate`, `GET /scenarios`
-//!   and `GET /healthz`.
+//! * [`server::Server`] — the reactor front end (Linux) and the router
+//!   for `POST /decide`, `POST /tiers`, `POST /frontier`,
+//!   `POST /simulate`, `POST /fleet`, `GET /scenarios` and `GET /healthz`.
 //! * [`batch::Batcher`] — micro-batches concurrent `/decide` bodies and
 //!   evaluates each wave of cache misses in one [`sss_exec::ThreadPool`]
 //!   fan-out. `/frontier` requests fan their grid rows and boundary edges
@@ -81,4 +81,4 @@ pub use api::{
 };
 pub use batch::{BatchStats, Batcher};
 pub use cache::{CacheKey, CacheStats, DecisionCache, ResponseCache};
-pub use server::{Frontend, Health, Server, ServerConfig, ServerHandle};
+pub use server::{Health, Server, ServerConfig, ServerHandle};

@@ -1,8 +1,7 @@
 //! Nonblocking epoll reactor front end: one event-loop thread, C10k+.
 //!
-//! The threaded front end spends an OS thread per connection; this one
-//! spends a [`sss_exec::poll::Poller`] registration. A single thread
-//! drives the whole socket population:
+//! Each connection costs a [`sss_exec::poll::Poller`] registration, not
+//! an OS thread. A single thread drives the whole socket population:
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
@@ -27,10 +26,9 @@
 //! ```
 //!
 //! Parsed requests are dispatched to a small pool of *service threads*
-//! that call the exact same [`route`](crate::server) the threaded front
-//! end calls — byte-identical responses by construction, since compute
-//! still funnels through the micro-batcher, the `ThreadPool`, and the
-//! response caches. Completed bodies come back over a mutex-guarded queue
+//! that call [`route`](crate::server), so compute funnels through the
+//! micro-batcher, the `ThreadPool`, and the response caches. Completed
+//! bodies come back over a mutex-guarded queue
 //! plus a [`WakePipe`](sss_exec::poll::WakePipe) registered in the same
 //! epoll set (the classic self-pipe), and the connection writes them out
 //! in request order.
@@ -120,10 +118,7 @@ fn service_threads(workers: usize) -> usize {
 /// Serve `listener` with the reactor until shutdown is flagged.
 pub(crate) fn run(listener: TcpListener, state: Arc<AppState>) -> io::Result<()> {
     let config = state.config;
-    let wake = state
-        .waker
-        .clone()
-        .ok_or_else(|| io::Error::other("reactor started without its wake pipe"))?;
+    let wake = state.waker.clone();
 
     // Two descriptors per loadtest-style in-process client plus slack;
     // best-effort — the accept path enforces max_connections regardless.
@@ -207,8 +202,8 @@ pub(crate) fn run(listener: TcpListener, state: Arc<AppState>) -> io::Result<()>
     Ok(())
 }
 
-/// Service-thread body: route requests exactly as the threaded front end
-/// does, then hand the body back through the completion queue + wake pipe.
+/// Service-thread body: route each request, then hand the body back
+/// through the completion queue + wake pipe.
 fn service_loop(
     rx: channel::Receiver<Job>,
     state: &AppState,
@@ -329,7 +324,7 @@ fn conn_ready(
             dispatch(slot, gen, request, slab, state, job_tx);
         }
         if let Some(error) = bad {
-            reject(slot, slab, poller, state, &error);
+            reject(slot, slab, &error);
         }
     }
 
@@ -369,7 +364,7 @@ fn dispatch(
 
 /// Sequence a parse-error response after any valid pipelined predecessors
 /// and seal the connection.
-fn reject(slot: usize, slab: &mut Slab, poller: &Poller, state: &AppState, error: &HttpError) {
+fn reject(slot: usize, slab: &mut Slab, error: &HttpError) {
     let Some(conn) = slab.conns[slot].as_mut() else {
         return;
     };
@@ -377,11 +372,6 @@ fn reject(slot: usize, slab: &mut Slab, poller: &Poller, state: &AppState, error
         HttpError::Malformed(_) => 400,
         HttpError::TooLarge(_) => 413,
         HttpError::HeadersTooLarge(_) => 431,
-        // Read-level I/O failures never produce a response.
-        HttpError::Io(_) => {
-            retire(slot, slab, poller, state);
-            return;
-        }
     };
     let seq = conn.assign_seq();
     conn.seal();

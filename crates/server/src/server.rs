@@ -1,12 +1,11 @@
-//! The TCP accept loop, request router, and lifecycle handle.
+//! Service configuration, request router, and lifecycle handle.
 
 use std::collections::HashSet;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use sss_units::Ratio;
@@ -19,66 +18,7 @@ use crate::api::{
 };
 use crate::batch::{BatchStats, Batcher};
 use crate::cache::{CacheKey, CacheStats, DecisionCache, ResponseCache};
-use crate::http::{read_request, write_response, HttpError, Request};
-
-/// Which connection front end serves the listener.
-///
-/// Both front ends route through the same caches, batcher and pool, and
-/// produce byte-identical responses (CI byte-compares them); they differ
-/// only in how connections are multiplexed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
-pub enum Frontend {
-    /// One blocking OS thread per accepted connection. Portable and
-    /// simple; concurrency is capped by thread spawn cost.
-    Threaded,
-    /// Single nonblocking epoll event loop over per-connection state
-    /// machines (keep-alive + pipelining), dispatching parsed requests to
-    /// a small service pool. Linux-only; the C10k front end.
-    Reactor,
-}
-
-impl Frontend {
-    /// `"threaded"` / `"reactor"` — the CLI/serde spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Frontend::Threaded => "threaded",
-            Frontend::Reactor => "reactor",
-        }
-    }
-}
-
-impl Default for Frontend {
-    /// The reactor where it exists (Linux), the portable threaded loop
-    /// elsewhere.
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            Frontend::Reactor
-        } else {
-            Frontend::Threaded
-        }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threaded" => Ok(Frontend::Threaded),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!(
-                "unknown frontend {other:?} (expected threaded|reactor)"
-            )),
-        }
-    }
-}
+use crate::http::Request;
 
 /// How the service is sized. `Default` is a sensible interactive setup:
 /// an OS-assigned port, one worker per core, a 4096-entry cache and
@@ -99,19 +39,14 @@ pub struct ServerConfig {
     /// `GET /healthz`.
     #[serde(default = "default_fleet_session_cap")]
     pub fleet_session_cap: u32,
-    /// Which connection front end multiplexes the listener.
-    #[serde(default)]
-    pub frontend: Frontend,
     /// Most connections the reactor holds open at once; accepts beyond it
-    /// are dropped immediately. (The threaded front end is bounded by
-    /// thread spawn instead.)
+    /// are dropped immediately.
     #[serde(default = "default_max_connections")]
     pub max_connections: usize,
     /// Idle timeout counted in quiet reactor ticks — `epoll_wait`
     /// timeouts with zero events — so the hot path never reads a wall
-    /// clock (0 disables the timeout). The threaded front end converts
-    /// `idle_timeout_ticks × tick_ms` into its blocking read timeout, so
-    /// both front ends idle out after the same nominal duration.
+    /// clock (0 disables the timeout). The nominal idle window is
+    /// `idle_timeout_ticks × tick_ms`.
     #[serde(default = "default_idle_timeout_ticks")]
     pub idle_timeout_ticks: u64,
     /// Reactor tick length: the bound on `epoll_wait`, and therefore on
@@ -133,19 +68,12 @@ fn default_fleet_session_cap() -> u32 {
     FleetRequest::DEFAULT_SESSION_CAP
 }
 
-/// Serde default for [`Health::frontend`]: health bodies that predate the
-/// field came from the threaded accept loop.
-fn default_frontend_name() -> String {
-    "threaded".to_owned()
-}
-
 /// Serde default: plenty for the CI box, far under typical fd hard caps.
 fn default_max_connections() -> usize {
     16 * 1024
 }
 
-/// Serde default: 300 ticks × 100 ms = the threaded front end's
-/// historical 30 s read timeout.
+/// Serde default: 300 ticks × 100 ms = a 30 s idle window.
 fn default_idle_timeout_ticks() -> u64 {
     300
 }
@@ -175,7 +103,6 @@ impl Default for ServerConfig {
             cache_capacity: 4096,
             max_batch: 32,
             fleet_session_cap: FleetRequest::DEFAULT_SESSION_CAP,
-            frontend: Frontend::default(),
             max_connections: default_max_connections(),
             idle_timeout_ticks: default_idle_timeout_ticks(),
             tick_ms: default_tick_ms(),
@@ -227,7 +154,7 @@ const SIMULATE_CACHE_CAP: usize = 256;
 const FLEET_CACHE_CAP: usize = 64;
 
 /// The identity of a `/fleet` query: every knob that shapes the fleet,
-/// with float knobs compared by their exact bits (the engine is a pure
+/// with float knobs compared by their exact bits (the fleet is a pure
 /// function of them, so bit-equal knobs mean byte-equal bodies).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FleetKey {
@@ -416,9 +343,8 @@ impl<K: Clone + Eq + std::hash::Hash> SingleFlight<K> {
     }
 }
 
-/// Everything a connection (thread or reactor) needs, shared behind one
-/// `Arc`. `pub(crate)` so the reactor module can route through the same
-/// state the threaded front end uses.
+/// Everything the reactor and its service threads need, shared behind
+/// one `Arc`.
 pub(crate) struct AppState {
     cache: Arc<DecisionCache>,
     /// Shared pool `/frontier` and `/simulate` cache misses fan their
@@ -434,13 +360,13 @@ pub(crate) struct AppState {
     scenarios_body: Arc<str>,
     started: Instant,
     pub(crate) requests: AtomicU64,
-    /// Connections currently open, across either front end.
+    /// Connections currently open.
     pub(crate) open_conns: AtomicU64,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: Arc<AtomicBool>,
     /// Self-pipe waking the reactor's `epoll_wait` (completions and
-    /// shutdown); `None` under the threaded front end.
-    pub(crate) waker: Option<Arc<WakePipe>>,
+    /// shutdown).
+    pub(crate) waker: Arc<WakePipe>,
 }
 
 /// The `/healthz` body.
@@ -456,9 +382,6 @@ pub struct Health {
     pub workers: usize,
     /// Maximum batch size configured.
     pub max_batch: usize,
-    /// Which front end is serving (`"threaded"` or `"reactor"`).
-    #[serde(default = "default_frontend_name")]
-    pub frontend: String,
     /// Connections open at the moment of the probe (including the one
     /// carrying it).
     #[serde(default)]
@@ -519,15 +442,12 @@ impl Server {
         // The reactor's wake pipe is created at bind so an unsupported
         // platform fails the boot with a clear error instead of a dead
         // background accept thread.
-        let waker = match config.frontend {
-            Frontend::Reactor => Some(Arc::new(WakePipe::new().map_err(|e| {
-                std::io::Error::new(
-                    e.kind(),
-                    format!("reactor front end unavailable on this platform: {e}"),
-                )
-            })?)),
-            Frontend::Threaded => None,
-        };
+        let waker = Arc::new(WakePipe::new().map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!("reactor front end unavailable on this platform: {e}"),
+            )
+        })?);
         Ok(Server {
             listener,
             state: Arc::new(AppState {
@@ -560,25 +480,17 @@ impl Server {
 
     /// Serve until [`ServerHandle::shutdown`] is called (from a handle
     /// created before `run`, via [`Server::handle`]) — or forever.
-    ///
-    /// Dispatches to the configured [`Frontend`]: the blocking
-    /// thread-per-connection loop, or the nonblocking epoll reactor.
     pub fn run(self) -> std::io::Result<()> {
-        match self.state.config.frontend {
-            Frontend::Threaded => run_threaded(self.listener, self.state),
-            Frontend::Reactor => {
-                #[cfg(unix)]
-                {
-                    crate::reactor::run(self.listener, self.state)
-                }
-                #[cfg(not(unix))]
-                {
-                    Err(std::io::Error::new(
-                        std::io::ErrorKind::Unsupported,
-                        "reactor front end requires epoll (Linux)",
-                    ))
-                }
-            }
+        #[cfg(unix)]
+        {
+            crate::reactor::run(self.listener, self.state)
+        }
+        #[cfg(not(unix))]
+        {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "reactor front end requires epoll (Linux)",
+            ))
         }
     }
 
@@ -602,26 +514,11 @@ impl Server {
     }
 }
 
-/// The threaded front end: one blocking OS thread per accepted
-/// connection. Portable, and the reference the reactor is byte-compared
-/// against.
-fn run_threaded(listener: TcpListener, state: Arc<AppState>) -> std::io::Result<()> {
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let state = state.clone();
-        std::thread::spawn(move || handle_connection(stream, &state));
-    }
-    Ok(())
-}
-
 /// Controls a serving instance: address introspection and shutdown.
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    waker: Option<Arc<WakePipe>>,
+    waker: Arc<WakePipe>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -631,125 +528,32 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting connections and (for spawned servers) join the
-    /// accept thread. In-flight connections finish independently.
+    /// Stop serving and (for spawned servers) join the reactor thread.
     ///
     /// The reactor observes the flag promptly: its `epoll_wait` is woken
-    /// through the self-pipe (and bounded by `tick_ms` regardless). The
-    /// threaded accept loop only re-checks the flag around a connection,
-    /// so it is poked awake with a throwaway connect.
+    /// through the self-pipe (and bounded by `tick_ms` regardless).
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        } else if let Ok(stream) = TcpStream::connect(self.addr) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        self.waker.wake();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
     }
 }
 
-/// Per-connection loop: parse requests, route, write responses, until the
-/// peer closes, errs, asks to close, or idles past the read timeout.
-fn handle_connection(stream: TcpStream, state: &AppState) {
-    state.open_conns.fetch_add(1, Ordering::Relaxed);
-    // Decrement on every exit path, including a panicking route handler.
-    struct Gauge<'a>(&'a AtomicU64);
-    impl Drop for Gauge<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let _gauge = Gauge(&state.open_conns);
-
-    // Same nominal idle budget as the reactor's quiet-tick clock.
-    let idle_ms = state
-        .config
-        .tick_ms
-        .saturating_mul(state.config.idle_timeout_ticks);
-    let _ = stream.set_read_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(Some(request)) => {
-                state.requests.fetch_add(1, Ordering::Relaxed);
-                let close = request.close;
-                let (status, body) = route(&request, state);
-                if write_response(&mut writer, status, body.as_bytes(), !close).is_err() || close {
-                    break;
-                }
-            }
-            Ok(None) => break,              // clean close between requests
-            Err(HttpError::Io(_)) => break, // timeout or dropped mid-request
-            Err(e @ HttpError::Malformed(_)) => {
-                let _ = respond_error(&mut writer, 400, &e.to_string());
-                linger_close(&mut writer, &mut reader);
-                break;
-            }
-            Err(e @ HttpError::TooLarge(_)) => {
-                let _ = respond_error(&mut writer, 413, &e.to_string());
-                linger_close(&mut writer, &mut reader);
-                break;
-            }
-            Err(e @ HttpError::HeadersTooLarge(_)) => {
-                let _ = respond_error(&mut writer, 431, &e.to_string());
-                linger_close(&mut writer, &mut reader);
-                break;
-            }
-        }
-    }
-    let _ = writer.flush();
-}
-
-/// Most bytes an error teardown drains before giving up on a graceful
-/// close (shared with the reactor front end).
-pub(crate) const LINGER_CAP: usize = 1024 * 1024;
-
-/// Lingering close after an error response: flush the response, send our
-/// FIN, then drain whatever the client was still sending until it closes.
-/// Closing with unread bytes in the receive buffer would turn into an RST
-/// that can destroy the in-flight error response before the client reads
-/// it. Bounded by [`LINGER_CAP`] and the connection's read timeout.
-fn linger_close(writer: &mut BufWriter<TcpStream>, reader: &mut BufReader<TcpStream>) {
-    if writer.flush().is_err() {
-        return;
-    }
-    let _ = writer.get_ref().shutdown(Shutdown::Write);
-    let mut drained = 0usize;
-    let mut scratch = [0u8; 4096];
-    while drained < LINGER_CAP {
-        match reader.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained += n,
-        }
-    }
-}
-
 /// Body served when response serialization itself fails — which the
 /// vendored serde_json cannot do for these pure value types, but a panic
-/// on a connection thread would silently drop the connection, so the
-/// failure mode is an error body instead.
+/// on a service thread would silently drop the response, so the failure
+/// mode is an error body instead.
 const SERIALIZE_ERROR_BODY: &str = r#"{"error":"internal: response serialization failed"}"#;
 
 /// Serialize a response body, degrading to [`SERIALIZE_ERROR_BODY`]
-/// instead of panicking the connection thread.
+/// instead of panicking the service thread.
 fn json_body<T: serde::Serialize>(value: &T) -> Arc<str> {
     match serde_json::to_string(value) {
         Ok(json) => Arc::from(json),
         Err(_) => Arc::from(SERIALIZE_ERROR_BODY),
     }
-}
-
-fn respond_error<W: Write>(writer: &mut W, status: u16, message: &str) -> std::io::Result<()> {
-    let body = error_body(message.to_owned());
-    write_response(writer, status, body.as_bytes(), false)
 }
 
 pub(crate) fn error_body(message: String) -> Arc<str> {
@@ -759,8 +563,6 @@ pub(crate) fn error_body(message: String) -> Arc<str> {
 /// Dispatch one request to its endpoint, producing status and JSON body.
 /// Bodies are `Arc<str>` so the hot paths (cached `/decide` hits, the
 /// precomputed `/scenarios` catalog) are served without copying them.
-/// Shared verbatim by both front ends — the reason their responses are
-/// byte-identical.
 pub(crate) fn route(request: &Request, state: &AppState) -> (u16, Arc<str>) {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/decide") => handle_decide(&request.body, state),
@@ -913,7 +715,6 @@ fn handle_healthz(state: &AppState) -> (u16, Arc<str>) {
         requests: state.requests.load(Ordering::Relaxed),
         workers: state.config.workers,
         max_batch: state.config.max_batch,
-        frontend: state.config.frontend.to_string(),
         open_connections: state.open_conns.load(Ordering::Relaxed),
         cache: state.cache.stats(),
         batch: state.batcher.stats(),

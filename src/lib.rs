@@ -64,8 +64,8 @@ pub use sss_units as units;
 pub mod prelude {
     pub use sss_core::{
         decide, decide_batch, Axis, BatchEvaluator, BreakEven, CompletionModel, CongestionCurve,
-        Decision, DecisionReport, EvalEngine, FrontierMap, FrontierSpec, ModelParams, ParamsBatch,
-        RegimeMap, Scenario, ScenarioSpec, StreamingSpeedScore, Tier, TierReport,
+        Decision, DecisionReport, FrontierMap, FrontierSpec, ModelParams, ParamsBatch, RegimeMap,
+        Scenario, ScenarioSpec, StreamingSpeedScore, Tier, TierReport,
     };
     pub use sss_exec::ThreadPool;
     pub use sss_iosim::{

@@ -21,18 +21,18 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use stream_score::core::frontier::{AlphaJitter, Axis, FrontierMap, FrontierSpec};
+use stream_score::core::nearest_within;
 use stream_score::core::planner::plan_for_tier;
 use stream_score::core::sensitivity::Sensitivity;
-use stream_score::core::EvalEngine;
 use stream_score::loadgen::{
     boundary_csv, fleet_csv, fleet_scenario_table, fleet_table, frontier_csv, frontier_table,
     loadtest_table, ramp_table, replay_csv, replay_summary_table, replay_table, run_conn_ramp,
-    run_http_load, AdmissionPolicy, ConnRampSpec, FleetConfig, FleetEngine, FleetSim, FrontierJob,
-    HttpLoadSpec, ReplayConfig, SessionReplay, STEADY_TOLERANCE,
+    run_http_load, AdmissionPolicy, ConnRampSpec, FleetConfig, FleetSim, FrontierJob, HttpLoadSpec,
+    ReplayConfig, SessionReplay, STEADY_TOLERANCE,
 };
 use stream_score::prelude::*;
 use stream_score::report::CharGrid;
-use stream_score::server::{Frontend, Server, ServerConfig};
+use stream_score::server::{Server, ServerConfig};
 use stream_score::sim::{fluid_tolerance, Fidelity, TraceShape};
 
 fn usage() -> &'static str {
@@ -46,8 +46,7 @@ fn usage() -> &'static str {
                               [--curve results/fig2a_curve.json]\n\
        stream-score scenarios [--scenario <ID>] [--depth quick|full]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
-                              [--engine batched|scalar] [--chunk <N>]\n\
-                              [--levels 1,4,8] [--seconds <N>]\n\
+                              [--chunk <N>] [--levels 1,4,8] [--seconds <N>]\n\
                               [--seed <N>] [--format text|md]\n\
        stream-score simulate  [--scenario <ID>] [--shapes steady,diurnal,bursty,outage]\n\
                               [--frames <N>] [--files <N>] [--seed <N>]\n\
@@ -58,7 +57,6 @@ fn usage() -> &'static str {
                               [--policy fifo|fair-share|priority] [--slots <N>]\n\
                               [--wan <RATE>] [--shape steady|diurnal|bursty|outage]\n\
                               [--frames <N>] [--seed <N>] [--fidelity exact|fluid|hybrid]\n\
-                              [--engine incremental|reference]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
                               [--format text|md|csv] [--check true]\n\
        stream-score frontier  --scenario <ID> | (same flags as decide)\n\
@@ -72,15 +70,13 @@ fn usage() -> &'static str {
        stream-score probe     [--seconds <N>] [--concurrency <N>]\n\
        stream-score serve     [--port <N>] [--workers <N>]\n\
                               [--cache-capacity <N>] [--batch-max <N>] [--fleet-cap <N>]\n\
-                              [--frontend reactor|threaded] [--max-conns <N>]\n\
-                              [--idle-ticks <N>] [--tick-ms <N>]\n\
+                              [--max-conns <N>] [--idle-ticks <N>] [--tick-ms <N>]\n\
                               [--read-buf <BYTES>] [--write-buf <BYTES>]\n\
        stream-score loadtest  [--addr <HOST:PORT>] [--clients <N>]\n\
                               [--concurrency <N>]  (connection-ramp mode)\n\
                               [--requests <N>] [--distinct <N>] [--seed <N>]\n\
-                              [--workers <N>] [--cache-capacity <N>]\n\
-                              [--frontend reactor|threaded] [--format text|md]\n\
-       stream-score help\n\
+                              [--workers <N>] [--cache-capacity <N>] [--format text|md]\n\
+       stream-score help | <COMMAND> --help\n\
      \n\
      EXAMPLES:\n\
        stream-score decide --data 2GB --intensity 17TF/GB --local 10TF \\\n\
@@ -92,9 +88,159 @@ fn usage() -> &'static str {
        stream-score fleet    --load 8 --policy priority --wan 40Gbps\n"
 }
 
-/// Parse `--key value` pairs, naming the offending flag on malformed or
-/// duplicated input.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+type Flags = HashMap<String, String>;
+
+/// The seven model-parameter flags of `decide`, shared by every command
+/// that takes an explicit workload.
+const PARAM_FLAGS: &[&str] = &[
+    "data",
+    "intensity",
+    "local",
+    "remote",
+    "bw",
+    "alpha",
+    "theta",
+];
+
+/// One subcommand: its handler and every flag it accepts.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+    /// Whether the command also takes [`PARAM_FLAGS`].
+    params: bool,
+    flags: &'static [&'static str],
+}
+
+impl Command {
+    fn accepted(&self) -> impl Iterator<Item = &'static str> + '_ {
+        let params: &'static [&'static str] = if self.params { PARAM_FLAGS } else { &[] };
+        params.iter().chain(self.flags).copied()
+    }
+}
+
+/// Every subcommand and the flags it accepts. Flags are checked against
+/// this table before dispatch, so a misspelled or retired flag is an
+/// error instead of a silently ignored default.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "decide",
+        run: cmd_decide,
+        params: true,
+        flags: &[],
+    },
+    Command {
+        name: "tiers",
+        run: cmd_tiers,
+        params: true,
+        flags: &["sss"],
+    },
+    Command {
+        name: "plan",
+        run: cmd_plan,
+        params: true,
+        flags: &["tier", "curve"],
+    },
+    Command {
+        name: "scenarios",
+        run: cmd_scenarios,
+        params: false,
+        flags: &[
+            "scenario", "depth", "mode", "workers", "chunk", "levels", "seconds", "seed", "format",
+        ],
+    },
+    Command {
+        name: "simulate",
+        run: cmd_simulate,
+        params: false,
+        flags: &[
+            "scenario",
+            "shapes",
+            "frames",
+            "files",
+            "seed",
+            "fidelity",
+            "mode",
+            "workers",
+            "format",
+            "check",
+            "tolerance",
+        ],
+    },
+    Command {
+        name: "fleet",
+        run: cmd_fleet,
+        params: false,
+        flags: &[
+            "scenario", "sessions", "load", "policy", "slots", "wan", "shape", "frames", "seed",
+            "fidelity", "mode", "workers", "format", "check",
+        ],
+    },
+    Command {
+        name: "frontier",
+        run: cmd_frontier,
+        params: true,
+        flags: &[
+            "scenario",
+            "x",
+            "y",
+            "z",
+            "slices",
+            "resolution",
+            "tolerance",
+            "mode",
+            "workers",
+            "chunk",
+            "jitter-sd",
+            "jitter-samples",
+            "seed",
+            "format",
+        ],
+    },
+    Command {
+        name: "probe",
+        run: cmd_probe,
+        params: false,
+        flags: &["seconds", "concurrency"],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        params: false,
+        flags: &[
+            "port",
+            "workers",
+            "cache-capacity",
+            "batch-max",
+            "fleet-cap",
+            "max-conns",
+            "idle-ticks",
+            "tick-ms",
+            "read-buf",
+            "write-buf",
+        ],
+    },
+    Command {
+        name: "loadtest",
+        run: cmd_loadtest,
+        params: false,
+        flags: &[
+            "addr",
+            "clients",
+            "concurrency",
+            "requests",
+            "distinct",
+            "seed",
+            "workers",
+            "cache-capacity",
+            "format",
+        ],
+    },
+];
+
+/// Parse `--key value` pairs for `command`, naming the offending flag on
+/// malformed, duplicated or unknown input (with a did-you-mean for near
+/// misses).
+fn parse_flags(command: &Command, args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -103,6 +249,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         };
         if key.is_empty() {
             return Err("expected a flag name after \"--\"".into());
+        }
+        if !command.accepted().any(|flag| flag == key) {
+            let hint = nearest_within(key, command.accepted(), 2)
+                .map(|near| format!(" — did you mean --{near}?"))
+                .unwrap_or_default();
+            return Err(format!("unknown flag --{key} for {}{hint}", command.name));
         }
         let Some(value) = args.get(i + 1) else {
             return Err(format!("flag --{key} is missing its value"));
@@ -115,7 +267,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
-fn params_from_flags(flags: &HashMap<String, String>) -> Result<ModelParams, String> {
+fn params_from_flags(flags: &Flags) -> Result<ModelParams, String> {
     let get = |key: &str| -> Result<String, String> {
         flags
             .get(key)
@@ -145,7 +297,7 @@ fn params_from_flags(flags: &HashMap<String, String>) -> Result<ModelParams, Str
         .map_err(|e| e.to_string())
 }
 
-fn cmd_decide(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_decide(flags: &Flags) -> Result<(), String> {
     let params = params_from_flags(flags)?;
     let model = CompletionModel::new(params);
     let report = decide(&params);
@@ -205,7 +357,7 @@ fn cmd_decide(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tiers(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_tiers(flags: &Flags) -> Result<(), String> {
     let params = params_from_flags(flags)?;
     let sss: Ratio = flags
         .get("sss")
@@ -228,7 +380,7 @@ fn cmd_tiers(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let params = params_from_flags(flags)?;
     let tier = match flags.get("tier").map(String::as_str) {
         Some("1") => Tier::RealTime,
@@ -286,7 +438,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_scenarios(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_scenarios(flags: &Flags) -> Result<(), String> {
     let mut config = match flags.get("depth").map(String::as_str) {
         Some("full") => SuiteConfig::standard(42),
         Some("quick") | None => SuiteConfig::quick(42),
@@ -312,14 +464,7 @@ fn cmd_scenarios(flags: &HashMap<String, String>) -> Result<(), String> {
         Some("text") | None => false,
         Some(other) => return Err(format!("unknown format {other:?} (use text or md)")),
     };
-    let engine: EvalEngine = match flags.get("engine") {
-        Some(raw) => raw.parse()?,
-        None => EvalEngine::Batched,
-    };
     let chunk = parse_chunk(flags)?;
-    if engine == EvalEngine::Scalar && chunk.is_some() {
-        return Err("--chunk tunes the batched engine and conflicts with --engine scalar".into());
-    }
 
     let suite = match flags.get("scenario") {
         Some(query) => {
@@ -340,14 +485,14 @@ fn cmd_scenarios(flags: &HashMap<String, String>) -> Result<(), String> {
                         .into(),
                 );
             }
-            suite.run_with(None, engine, chunk_or_default)
+            suite.run_with(None, chunk_or_default)
         }
         Some("parallel") | None => {
             let pool = match parse_workers(flags)? {
                 Some(n) => ThreadPool::new(n),
                 None => ThreadPool::with_available_parallelism(),
             };
-            suite.run_with(Some(&pool), engine, chunk_or_default)
+            suite.run_with(Some(&pool), chunk_or_default)
         }
         Some(other) => {
             return Err(format!(
@@ -381,7 +526,7 @@ fn cmd_scenarios(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `stream-score simulate`: replay scenarios through the event-driven
 /// simulator under time-varying WAN traces and report how far (and where)
 /// the closed-form model drifts from the simulated ground truth.
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let mut config = ReplayConfig::standard(42);
     if let Some(shapes) = flags.get("shapes") {
         config.shapes = shapes
@@ -538,7 +683,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let mut config = FleetConfig::standard(42);
     config.sessions = flag_or(flags, "sessions", config.sessions)?;
     config.load = flag_or(flags, "load", config.load)?;
@@ -554,9 +699,6 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(raw) = flags.get("fidelity") {
         config.fidelity = Fidelity::parse(raw)?;
-    }
-    if let Some(raw) = flags.get("engine") {
-        config.engine = FleetEngine::parse(raw)?;
     }
     config.validate()?;
 
@@ -681,7 +823,7 @@ fn decision_glyph(d: Decision) -> char {
     }
 }
 
-fn cmd_frontier(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_frontier(flags: &Flags) -> Result<(), String> {
     // Base operating point: a registered scenario, or explicit flags.
     let base = match flags.get("scenario") {
         Some(query) => {
@@ -823,7 +965,7 @@ fn print_frontier(map: &FrontierMap) {
     }
 }
 
-fn cmd_probe(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_probe(flags: &Flags) -> Result<(), String> {
     let seconds: u32 = flags
         .get("seconds")
         .map(|s| s.parse().map_err(|_| format!("bad --seconds {s}")))
@@ -871,7 +1013,7 @@ fn cmd_probe(flags: &HashMap<String, String>) -> Result<(), String> {
 /// zero workers cannot make progress, and silently clamping would make
 /// `--workers 0` lie about the parallelism used. Shared by `scenarios`,
 /// `loadtest`, `serve` and `frontier`.
-fn parse_workers(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+fn parse_workers(flags: &Flags) -> Result<Option<usize>, String> {
     match flags.get("workers") {
         Some(raw) => {
             let n: usize = raw.parse().map_err(|_| format!("bad --workers {raw:?}"))?;
@@ -888,7 +1030,7 @@ fn parse_workers(flags: &HashMap<String, String>) -> Result<Option<usize>, Strin
 /// boundary edges per batched pool task — rejecting 0 up front. Any
 /// positive chunk produces byte-identical output; the flag only tunes how
 /// work is bundled onto workers. Shared by `scenarios` and `frontier`.
-fn parse_chunk(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+fn parse_chunk(flags: &Flags) -> Result<Option<usize>, String> {
     match flags.get("chunk") {
         Some(raw) => {
             let n: usize = raw.parse().map_err(|_| format!("bad --chunk {raw:?}"))?;
@@ -904,27 +1046,14 @@ fn parse_chunk(flags: &HashMap<String, String>) -> Result<Option<usize>, String>
 }
 
 /// Parse an optional numeric flag with a default.
-fn flag_or<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn flag_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
     match flags.get(key) {
         Some(raw) => raw.parse().map_err(|_| format!("bad --{key} {raw:?}")),
         None => Ok(default),
     }
 }
 
-/// Parse the `--frontend` flag shared by `serve` and `loadtest`'s
-/// in-process server, surfacing the enum's own error message.
-fn parse_frontend(flags: &HashMap<String, String>) -> Result<Frontend, String> {
-    match flags.get("frontend") {
-        Some(raw) => raw.parse(),
-        None => Ok(Frontend::default()),
-    }
-}
-
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         port: flag_or(flags, "port", 8080u16)?,
@@ -936,7 +1065,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         cache_capacity: flag_or(flags, "cache-capacity", 4096usize)?,
         max_batch: flag_or(flags, "batch-max", 32usize)?,
         fleet_session_cap: flag_or(flags, "fleet-cap", defaults.fleet_session_cap)?,
-        frontend: parse_frontend(flags)?,
         max_connections: flag_or(flags, "max-conns", defaults.max_connections)?,
         idle_timeout_ticks: flag_or(flags, "idle-ticks", defaults.idle_timeout_ticks)?,
         tick_ms: flag_or(flags, "tick-ms", defaults.tick_ms)?,
@@ -961,10 +1089,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let server =
         Server::bind(config).map_err(|e| format!("cannot bind port {}: {e}", config.port))?;
     println!(
-        "serving on http://{} ({} frontend, {} workers, cache capacity {}, batches up to {}, \
+        "serving on http://{} ({} workers, cache capacity {}, batches up to {}, \
          fleet cap {} sessions, up to {} connections)",
         server.local_addr(),
-        config.frontend,
         config.workers,
         config.cache_capacity,
         config.max_batch,
@@ -978,7 +1105,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     server.run().map_err(|e| format!("server failed: {e}"))
 }
 
-fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_loadtest(flags: &Flags) -> Result<(), String> {
     let markdown = match flags.get("format").map(String::as_str) {
         Some("md") => true,
         Some("text") | None => false,
@@ -1003,7 +1130,7 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<(), String> {
     // in-process on an OS-assigned port for a self-contained benchmark.
     let (addr, served) = match flags.get("addr") {
         Some(addr) => {
-            for local in ["workers", "cache-capacity", "frontend"] {
+            for local in ["workers", "cache-capacity"] {
                 if flags.contains_key(local) {
                     return Err(format!(
                         "--{local} configures the in-process server and conflicts with --addr"
@@ -1021,16 +1148,12 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<(), String> {
                         .map(|n| n.get())
                         .unwrap_or(1)
                 }),
-                frontend: parse_frontend(flags)?,
                 ..ServerConfig::default()
             };
-            let frontend = config.frontend;
             let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
             let addr = server.local_addr().to_string();
             let handle = server.spawn();
-            println!(
-                "no --addr given: serving in-process on {addr} ({frontend} frontend) for this run"
-            );
+            println!("no --addr given: serving in-process on {addr} for this run");
             (addr, Some(handle))
         }
     };
@@ -1093,11 +1216,27 @@ fn cmd_loadtest(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("error: unknown command {name:?}\n");
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    if args[1..]
+        .iter()
+        .any(|arg| matches!(arg.as_str(), "--help" | "-h"))
+    {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let flags = match parse_flags(command, &args[1..]) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("malformed flags: {e}\n");
@@ -1105,29 +1244,43 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "decide" => cmd_decide(&flags),
-        "tiers" => cmd_tiers(&flags),
-        "plan" => cmd_plan(&flags),
-        "scenarios" => cmd_scenarios(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "frontier" => cmd_frontier(&flags),
-        "probe" => cmd_probe(&flags),
-        "serve" => cmd_serve(&flags),
-        "loadtest" => cmd_loadtest(&flags),
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match (command.run)(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n");
             eprint!("{}", usage());
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage text and the flag table cannot drift apart: every
+    /// accepted flag is documented, and every documented flag is
+    /// accepted by some command.
+    #[test]
+    fn usage_documents_exactly_the_accepted_flags() {
+        let text = usage();
+        for command in COMMANDS {
+            assert!(text.contains(&format!("stream-score {}", command.name)));
+            for flag in command.accepted() {
+                assert!(
+                    text.contains(&format!("--{flag} ")),
+                    "usage is missing --{flag} of {}",
+                    command.name
+                );
+            }
+        }
+        for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if let Some(flag) = word.strip_prefix("--").filter(|f| !f.is_empty()) {
+                assert!(
+                    flag == "help" || COMMANDS.iter().any(|c| c.accepted().any(|f| f == flag)),
+                    "usage documents --{flag}, which no command accepts"
+                );
+            }
         }
     }
 }

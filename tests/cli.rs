@@ -140,31 +140,66 @@ fn scenarios_rejects_bad_depth() {
 }
 
 #[test]
-fn scenarios_engines_agree_byte_for_byte() {
-    let mut scalar: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    scalar.extend_from_slice(&["--engine", "scalar"]);
-    let mut batched: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    batched.extend_from_slice(&["--engine", "batched", "--chunk", "3"]);
-    let (ok_a, stdout_a, _) = run(&scalar);
-    let (ok_b, stdout_b, _) = run(&batched);
-    assert!(ok_a && ok_b);
+fn scenarios_chunk_sizes_agree_byte_for_byte() {
+    let mut chunked: Vec<&str> = SCENARIOS_QUICK.to_vec();
+    chunked.extend_from_slice(&["--chunk", "1"]);
+    let (ok_a, stdout_a, _) = run(SCENARIOS_QUICK);
+    let (ok_b, stdout_b, stderr) = run(&chunked);
+    assert!(ok_a && ok_b, "{stderr}");
     assert_eq!(
         stdout_a, stdout_b,
-        "scalar and batched engines must emit identical bytes"
+        "--chunk 1 must emit the default chunking's bytes"
     );
+}
 
-    let (ok, _, stderr) = run(&["scenarios", "--engine", "vectorized"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown engine"), "{stderr}");
+/// Retired selectors and typos are rejected by name instead of silently
+/// running the default path.
+#[test]
+fn unknown_flags_are_rejected() {
+    for (args, flag) in [
+        (
+            &["serve", "--frontend", "threaded"] as &[&str],
+            "--frontend",
+        ),
+        (&["scenarios", "--engine", "scalar"], "--engine"),
+        (&["fleet", "--engine", "reference"], "--engine"),
+        (&["loadtest", "--frontend", "reactor"], "--frontend"),
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
 
-    // --chunk only tunes the batched engine; pairing it with the scalar
-    // oracle is rejected rather than silently ignored.
-    let (ok, _, stderr) = run(&["scenarios", "--engine", "scalar", "--chunk", "4"]);
+#[test]
+fn misspelled_flag_gets_a_suggestion() {
+    let (ok, _, stderr) = run(&["fleet", "--sesions", "5"]);
     assert!(!ok);
     assert!(
-        stderr.contains("conflicts with --engine scalar"),
+        stderr.contains("unknown flag --sesions for fleet — did you mean --sessions?"),
         "{stderr}"
     );
+    let mut args: Vec<&str> = DECIDE_ARGS.to_vec();
+    args.extend_from_slice(&["--bogus-flag", "1"]);
+    let (ok, _, stderr) = run(&args);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --bogus-flag"), "{stderr}");
+}
+
+#[test]
+fn command_help_prints_usage_and_succeeds() {
+    for args in [
+        &["decide", "--help"] as &[&str],
+        &["fleet", "-h"],
+        &["serve", "--port", "0", "--help"],
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

@@ -1,38 +1,44 @@
-//! Differential tests between the two server front ends.
+//! Golden-byte tests for the reactor front end.
 //!
-//! The reactor front end exists for scale, not for behavior: every
-//! response it produces must be byte-identical to what the blocking
-//! thread-per-connection front end writes for the same request. These
-//! tests pin that equivalence across all four POST routes, the GET
-//! routes, and the error paths, then exercise the reactor-only machinery
-//! (pipelining, split reads, oversized-header rejection, idle timeouts,
-//! the connection cap, and shutdown promptness) that the shared
-//! integration suite cannot reach through the blocking code path.
+//! Every response the reactor writes must be exactly
+//! [`write_response`] applied to the body the library computes for the
+//! same request: the 200 routes are compared against `DecideResponse`,
+//! `TiersResponse`, the frontier job, the session replay and the scenario
+//! catalog evaluated in-process, and the error paths against their status
+//! code plus the same framing of the body that was served. The remaining
+//! tests exercise the reactor machinery (pipelining, split reads,
+//! oversized-header rejection, idle timeouts, the connection cap, and
+//! shutdown promptness).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use stream_score::server::{Frontend, Server, ServerConfig, ServerHandle};
+use stream_score::exec::ThreadPool;
+use stream_score::server::http::write_response;
+use stream_score::server::{
+    DecideRequest, DecideResponse, FrontierRequest, ScenariosResponse, Server, ServerConfig,
+    ServerHandle, SimulateRequest, TiersResponse,
+};
+use stream_score::units::Ratio;
 
 const TABLE3: &str = r#"{"data_gb":2.0,"intensity_tflop_per_gb":17.0,"local_tflops":10.0,
     "remote_tflops":340.0,"bandwidth_gbps":25.0,"alpha":0.8}"#;
 
-fn start_with(frontend: Frontend, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
+fn start_with(tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
         port: 0,
         workers: 2,
         cache_capacity: 64,
         max_batch: 8,
-        frontend,
         ..ServerConfig::default()
     };
     tweak(&mut config);
     Server::bind(config).expect("bind server").spawn()
 }
 
-fn start(frontend: Frontend) -> ServerHandle {
-    start_with(frontend, |_| {})
+fn start() -> ServerHandle {
+    start_with(|_| {})
 }
 
 /// One request over a fresh connection; returns the complete raw
@@ -50,81 +56,139 @@ fn call_raw(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) ->
     response
 }
 
-/// The fixed request mix the differential test replays against both
-/// front ends: all four POST routes (valid and invalid bodies), both GET
-/// routes' routing errors, unknown paths, and malformed JSON.
-fn request_mix() -> Vec<(&'static str, &'static str, String)> {
+/// The wire bytes of a closing response carrying `body`.
+fn framed(status: u16, body: &str) -> String {
+    let mut out = Vec::new();
+    write_response(&mut out, status, body.as_bytes(), false).expect("encode into a Vec");
+    String::from_utf8(out).expect("UTF-8 response")
+}
+
+/// Status code and body of a raw response.
+fn split_response(raw: &str) -> (u16, &str) {
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status code");
+    let body = raw.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    (status, body)
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("response serializes")
+}
+
+/// What one request in the mix must draw.
+enum Expected {
+    /// A 200 carrying exactly this library-computed body.
+    Body(String),
+    /// An error response with this status.
+    Status(u16),
+}
+
+/// The fixed request mix: all four compute routes plus the catalog, each
+/// with its golden body, then the routing and validation error paths.
+fn request_mix() -> Vec<(&'static str, &'static str, String, Expected)> {
+    let pool = ThreadPool::new(2);
+    let workload: DecideRequest = serde_json::from_str(TABLE3).expect("table 3 parses");
+    let params = workload.params().expect("table 3 is valid");
+    let decide = json(&DecideResponse::evaluate(&params));
     let tiers = format!(r#"{{"workload":{TABLE3},"sss":7.5}}"#);
     let frontier = format!(
         r#"{{"workload":{TABLE3},"x":"wan_gbps:1:100","y":"data_tb:0.1:10","resolution":8}}"#
     );
+    let frontier_body = {
+        let request: FrontierRequest = serde_json::from_str(&frontier).expect("frontier parses");
+        json(&request.job().expect("frontier job").run(&pool))
+    };
     let simulate =
         format!(r#"{{"workload":{TABLE3},"shapes":["steady","outage"],"frames":16,"files":4}}"#);
+    let simulate_body = {
+        let request: SimulateRequest = serde_json::from_str(&simulate).expect("simulate parses");
+        json(&request.replay().expect("replay").run(&pool))
+    };
     vec![
-        ("POST", "/decide", TABLE3.to_owned()),
-        ("POST", "/tiers", tiers),
-        ("POST", "/frontier", frontier),
-        ("POST", "/simulate", simulate),
+        (
+            "POST",
+            "/decide",
+            TABLE3.to_owned(),
+            Expected::Body(decide.clone()),
+        ),
+        (
+            "POST",
+            "/tiers",
+            tiers,
+            Expected::Body(json(&TiersResponse::evaluate(&params, Ratio::new(7.5)))),
+        ),
+        ("POST", "/frontier", frontier, Expected::Body(frontier_body)),
+        ("POST", "/simulate", simulate, Expected::Body(simulate_body)),
         // Repeat of the first body: exercises the cache-hit path too.
-        ("POST", "/decide", TABLE3.to_owned()),
-        ("GET", "/scenarios", String::new()),
-        // Error paths must match byte-for-byte as well.
-        ("POST", "/decide", "not json".to_owned()),
+        ("POST", "/decide", TABLE3.to_owned(), Expected::Body(decide)),
+        (
+            "GET",
+            "/scenarios",
+            String::new(),
+            Expected::Body(json(&ScenariosResponse::bundled())),
+        ),
+        (
+            "POST",
+            "/decide",
+            "not json".to_owned(),
+            Expected::Status(400),
+        ),
         (
             "POST",
             "/decide",
             TABLE3.replace("\"alpha\":0.8", "\"alpha\":1.4"),
+            Expected::Status(400),
         ),
-        ("GET", "/no-such-endpoint", String::new()),
-        ("GET", "/decide", String::new()),
-        ("DELETE", "/healthz", String::new()),
+        (
+            "GET",
+            "/no-such-endpoint",
+            String::new(),
+            Expected::Status(404),
+        ),
+        ("GET", "/decide", String::new(), Expected::Status(405)),
+        ("DELETE", "/healthz", String::new(), Expected::Status(405)),
     ]
 }
 
-/// The tentpole invariant: the reactor and the threaded front end answer
-/// the same request mix with byte-identical raw responses — status line,
-/// headers, and body — across every route and error path.
+/// The front end adds nothing but framing: every raw response — status
+/// line, headers, and body — is the library's own answer, framed by
+/// `write_response`.
 #[cfg(target_os = "linux")]
 #[test]
-fn responses_byte_identical_across_frontends() {
-    let mix = request_mix();
-    let run = |frontend: Frontend| -> Vec<String> {
-        let handle = start(frontend);
-        let out = mix
-            .iter()
-            .map(|(method, path, body)| call_raw(handle.addr(), method, path, body))
-            .collect();
-        handle.shutdown();
-        out
-    };
-    let threaded = run(Frontend::Threaded);
-    let reactor = run(Frontend::Reactor);
-    for (i, (t, r)) in threaded.iter().zip(&reactor).enumerate() {
-        let (method, path, _) = &mix[i];
-        assert_eq!(t, r, "front ends disagree on request {i} ({method} {path})");
+fn responses_match_golden_bytes() {
+    let handle = start();
+    for (i, (method, path, body, expected)) in request_mix().into_iter().enumerate() {
+        let raw = call_raw(handle.addr(), method, path, &body);
+        let (status, served) = split_response(&raw);
+        match expected {
+            Expected::Body(golden) => {
+                assert_eq!(raw, framed(200, &golden), "request {i} ({method} {path})");
+            }
+            Expected::Status(code) => {
+                assert_eq!(status, code, "request {i} ({method} {path}): {raw}");
+                assert!(served.contains("\"error\""), "request {i}: {served}");
+                assert_eq!(raw, framed(code, served), "request {i} ({method} {path})");
+            }
+        }
     }
+    handle.shutdown();
 }
 
-/// `/healthz` reports which front end is serving and how many
-/// connections it currently holds.
+/// `/healthz` reports how many connections the reactor currently holds.
 #[cfg(target_os = "linux")]
 #[test]
-fn healthz_names_the_frontend_and_counts_connections() {
-    for (frontend, name) in [
-        (Frontend::Reactor, "reactor"),
-        (Frontend::Threaded, "threaded"),
-    ] {
-        let handle = start(frontend);
-        let raw = call_raw(handle.addr(), "GET", "/healthz", "");
-        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-        let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default();
-        let health: stream_score::server::Health =
-            serde_json::from_str(body).expect("health parses");
-        assert_eq!(health.frontend, name);
-        // The probing connection itself is open while the body renders.
-        assert!(health.open_connections >= 1, "{}", health.open_connections);
-        handle.shutdown();
-    }
+fn healthz_counts_connections() {
+    let handle = start();
+    let raw = call_raw(handle.addr(), "GET", "/healthz", "");
+    let (status, body) = split_response(&raw);
+    assert_eq!(status, 200, "{raw}");
+    let health: stream_score::server::Health = serde_json::from_str(body).expect("health parses");
+    // The probing connection itself is open while the body renders.
+    assert!(health.open_connections >= 1, "{}", health.open_connections);
+    handle.shutdown();
 }
 
 /// Several requests written back-to-back in one TCP segment come back as
@@ -132,7 +196,7 @@ fn healthz_names_the_frontend_and_counts_connections() {
 #[cfg(target_os = "linux")]
 #[test]
 fn pipelined_requests_answered_in_order() {
-    let handle = start(Frontend::Reactor);
+    let handle = start();
     let reference = call_raw(handle.addr(), "POST", "/decide", TABLE3);
     let reference_body = reference.split("\r\n\r\n").nth(1).expect("body");
 
@@ -169,7 +233,7 @@ fn pipelined_requests_answered_in_order() {
 #[cfg(target_os = "linux")]
 #[test]
 fn split_writes_reassemble() {
-    let handle = start(Frontend::Reactor);
+    let handle = start();
     let reference = call_raw(handle.addr(), "POST", "/decide", TABLE3);
 
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -192,35 +256,32 @@ fn split_writes_reassemble() {
 }
 
 /// A header line past the parser's limit draws `431 Request Header
-/// Fields Too Large` — from both front ends, byte-identically.
+/// Fields Too Large`, framed like every other closing response.
 #[cfg(target_os = "linux")]
 #[test]
-fn oversized_header_draws_431_from_both_frontends() {
-    let run = |frontend: Frontend| -> String {
-        let handle = start(frontend);
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        let huge = "x".repeat(16 * 1024);
-        write!(
-            stream,
-            "POST /decide HTTP/1.1\r\nx-padding: {huge}\r\ncontent-length: 0\r\n\r\n"
-        )
-        .expect("send");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        handle.shutdown();
-        response
-    };
-    let threaded = run(Frontend::Threaded);
-    let reactor = run(Frontend::Reactor);
-    assert!(threaded.starts_with("HTTP/1.1 431"), "{threaded}");
-    assert_eq!(threaded, reactor);
+fn oversized_header_draws_431() {
+    let handle = start();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let huge = "x".repeat(16 * 1024);
+    write!(
+        stream,
+        "POST /decide HTTP/1.1\r\nx-padding: {huge}\r\ncontent-length: 0\r\n\r\n"
+    )
+    .expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read");
+    handle.shutdown();
+    let (status, body) = split_response(&response);
+    assert_eq!(status, 431, "{response}");
+    assert!(body.contains("request headers too large"), "{body}");
+    assert_eq!(response, framed(431, body));
 }
 
 /// Garbage on the wire draws a `400` and a teardown, not a hang.
 #[cfg(target_os = "linux")]
 #[test]
 fn malformed_request_draws_400_and_teardown() {
-    let handle = start(Frontend::Reactor);
+    let handle = start();
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.write_all(b"not http at all\r\n\r\n").expect("send");
     let mut response = String::new();
@@ -235,18 +296,13 @@ fn malformed_request_draws_400_and_teardown() {
 #[cfg(target_os = "linux")]
 #[test]
 fn shutdown_is_prompt_with_no_clients() {
-    for frontend in [Frontend::Reactor, Frontend::Threaded] {
-        let handle = start(frontend);
-        #[allow(clippy::disallowed_methods)]
-        // sss-lint: allow(D002, test wall-clock measures shutdown promptness, never sim state)
-        let begun = Instant::now();
-        handle.shutdown();
-        let took = begun.elapsed();
-        assert!(
-            took < Duration::from_secs(2),
-            "{frontend} shutdown took {took:?}"
-        );
-    }
+    let handle = start();
+    #[allow(clippy::disallowed_methods)]
+    // sss-lint: allow(D002, test wall-clock measures shutdown promptness, never sim state)
+    let begun = Instant::now();
+    handle.shutdown();
+    let took = begun.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
 }
 
 /// Idle connections are retired after `idle_timeout_ticks` quiet epoll
@@ -254,7 +310,7 @@ fn shutdown_is_prompt_with_no_clients() {
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_connections_time_out() {
-    let handle = start_with(Frontend::Reactor, |config| {
+    let handle = start_with(|config| {
         config.tick_ms = 10;
         config.idle_timeout_ticks = 5;
     });
@@ -274,7 +330,7 @@ fn idle_connections_time_out() {
 #[cfg(target_os = "linux")]
 #[test]
 fn connections_beyond_cap_are_dropped() {
-    let handle = start_with(Frontend::Reactor, |config| {
+    let handle = start_with(|config| {
         config.max_connections = 2;
     });
     let keep_a = TcpStream::connect(handle.addr()).expect("connect");
@@ -321,7 +377,7 @@ fn connections_beyond_cap_are_dropped() {
 #[cfg(target_os = "linux")]
 #[test]
 fn ramp_holds_a_thousand_connections() {
-    let handle = start_with(Frontend::Reactor, |config| {
+    let handle = start_with(|config| {
         config.cache_capacity = 4096;
     });
     let spec = stream_score::loadgen::ConnRampSpec {

@@ -353,3 +353,63 @@ fn healthz_cache_stats_are_byte_stable_across_runs() {
     };
     assert_eq!(run(), run(), "cache-stats bytes drifted between runs");
 }
+
+/// Every field of `FleetRequest` shapes the fleet, so every field must
+/// be part of the `/fleet` cache key: a request that differs from a
+/// cached one in any single field is a cache miss, never a stale hit.
+#[test]
+fn fleet_cache_key_covers_every_request_field() {
+    use stream_score::server::api::FleetRequest;
+
+    let base = FleetRequest {
+        sessions: 13,
+        ..FleetRequest::default()
+    };
+    // One in-range alternative per wire field.
+    type Variant = (&'static str, fn(&mut FleetRequest));
+    let variants: &[Variant] = &[
+        ("sessions", |r| r.sessions = 12),
+        ("load", |r| r.load = 3.0),
+        ("shape", |r| r.shape = "bursty".into()),
+        ("policy", |r| r.policy = "priority".into()),
+        ("slots", |r| r.slots = 3),
+        ("wan_gbps", |r| r.wan_gbps = 50.0),
+        ("frames", |r| r.frames = 8),
+        ("seed", |r| r.seed = 7),
+        ("fidelity", |r| r.fidelity = "exact".into()),
+    ];
+    // The table names every serialized field, so a field added later
+    // fails here until it has a variant (and a place in the key).
+    let serde::Value::Map(fields) = serde_json::to_value(&base).expect("request serializes") else {
+        panic!("FleetRequest serializes as a JSON object");
+    };
+    let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+    let covered: Vec<&str> = variants.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, covered, "every FleetRequest field needs a variant");
+
+    let handle = start(2, 64);
+    let addr = handle.addr();
+    let post = |request: &FleetRequest| {
+        let body = serde_json::to_string(request).expect("request serializes");
+        let (status, response) = call(addr, "POST", "/fleet", &body);
+        assert_eq!(status, 200, "{response}");
+        response
+    };
+    let first = post(&base);
+    let misses = health(addr).fleet_cache.misses;
+    assert_eq!(post(&base), first, "a repeat is served from the cache");
+    assert_eq!(health(addr).fleet_cache.misses, misses, "a repeat is a hit");
+
+    for (field, vary) in variants {
+        let mut request = base.clone();
+        vary(&mut request);
+        assert_ne!(request, base, "the {field} variant must change the request");
+        let before = health(addr).fleet_cache.misses;
+        post(&request);
+        assert!(
+            health(addr).fleet_cache.misses > before,
+            "a request differing only in {field} was served from the cache"
+        );
+    }
+    handle.shutdown();
+}
