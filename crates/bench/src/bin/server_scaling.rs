@@ -4,15 +4,15 @@
 //! open-connection ceiling.
 //!
 //! Each cell starts a fresh in-process `sss-server` on an OS-assigned
-//! port, drives it with the `sss-loadgen` drivers (closed-loop HTTP for
-//! throughput, the nonblocking connection ramp for the ceiling sweep),
-//! and tears it down. Results render as tables and persist as CSV + JSON
+//! port, drives it with the `sss-loadgen` event-loop load driver (8
+//! connections for throughput, thousands for the ceiling sweep), and
+//! tears it down. Results render as tables and persist as CSV + JSON
 //! under `results/`. Honors `SSS_SEED` and `SSS_QUICK` like the other
 //! regenerators.
 
 use serde::Serialize;
 use sss_bench::{quick, results_dir, seed};
-use sss_loadgen::{run_conn_ramp, run_http_load, ConnRampSpec, HttpLoadReport, HttpLoadSpec};
+use sss_loadgen::{run_http_load, HttpLoadSpec};
 use sss_report::{write_json, CsvWriter, Table};
 use sss_server::{Server, ServerConfig};
 
@@ -23,11 +23,9 @@ struct Cell {
     workers: usize,
     cache_capacity: usize,
     distinct_workloads: usize,
-    /// Target concurrency: clients for the closed-loop experiments,
-    /// connections for the ramp sweep.
+    /// Target connection count.
     connections: usize,
-    /// Simultaneously-open connections actually reached (equals
-    /// `connections` for the closed-loop experiments).
+    /// Simultaneously-open connections actually reached.
     opened: usize,
     requests: u64,
     errors: u64,
@@ -40,70 +38,21 @@ struct Cell {
     cache_misses: u64,
 }
 
-fn bind(workers: usize, cache_capacity: usize) -> Server {
-    Server::bind(ServerConfig {
-        port: 0,
-        workers,
-        cache_capacity,
-        max_batch: 32,
-        ..ServerConfig::default()
-    })
-    .expect("bind in-process server")
-}
-
-/// Start a server sized `(workers, cache_capacity)`, run the closed-loop
-/// driver against it, and collapse the outcome into a [`Cell`].
+/// Start a fresh server sized `(workers, cache_capacity)`, drive it with
+/// `connections` × `requests_per_conn` closed-loop requests, and collapse
+/// the outcome into a [`Cell`].
 fn measure(
     experiment: &'static str,
     workers: usize,
     cache_capacity: usize,
-    clients: usize,
-    requests_per_client: usize,
+    connections: usize,
+    requests_per_conn: usize,
     distinct_workloads: usize,
 ) -> Cell {
-    let server = bind(workers, cache_capacity);
-    let addr = server.local_addr().to_string();
-    // Snapshot cache counters through the library (not /healthz) so the
-    // probe itself does not perturb the request count.
-    let spec = HttpLoadSpec {
-        addr,
-        clients,
-        requests_per_client,
-        distinct_workloads,
-        seed: seed(),
-    };
-    let handle = server.spawn();
-    let report: HttpLoadReport = run_http_load(&spec).expect("load run completes");
-    let health = fetch_health(&spec.addr);
-    handle.shutdown();
-
-    Cell {
-        experiment,
-        workers,
-        cache_capacity,
-        distinct_workloads,
-        connections: clients,
-        opened: clients,
-        requests: report.ok + report.errors,
-        errors: report.errors,
-        throughput_rps: report.throughput_rps,
-        p50_ms: report.latency.p50 * 1e3,
-        p90_ms: report.latency.p90 * 1e3,
-        p99_ms: report.latency.p99 * 1e3,
-        max_ms: report.latency.max * 1e3,
-        cache_hits: health.cache.hits,
-        cache_misses: health.cache.misses,
-    }
-}
-
-/// Ramp `connections` keep-alive sockets against a fresh server and
-/// collapse the ceiling + tail into a [`Cell`].
-fn measure_ramp(workers: usize, connections: usize, requests_per_conn: usize) -> Cell {
-    let cache_capacity = 4096;
-    // Ramp cells get a generous idle window: on a loaded single-core CI
-    // box the ramp itself can take tens of seconds, and the early
-    // connections sit quiet until the serve phase begins. Reaping them
-    // would measure the timeout, not the ceiling.
+    // A generous idle window: on a loaded single-core CI box a large ramp
+    // can take tens of seconds, and the early connections sit quiet until
+    // the serve phase begins. Reaping them would measure the timeout, not
+    // the ceiling.
     let server = Server::bind(ServerConfig {
         port: 0,
         workers,
@@ -113,24 +62,25 @@ fn measure_ramp(workers: usize, connections: usize, requests_per_conn: usize) ->
         ..ServerConfig::default()
     })
     .expect("bind in-process server");
-    let addr = server.local_addr().to_string();
-    let spec = ConnRampSpec {
-        addr,
+    let spec = HttpLoadSpec {
+        addr: server.local_addr().to_string(),
         connections,
         requests_per_conn,
-        distinct_workloads: 8,
+        distinct_workloads,
         seed: seed(),
     };
     let handle = server.spawn();
-    let report = run_conn_ramp(&spec).expect("ramp run completes");
+    let report = run_http_load(&spec).expect("load run completes");
+    // Snapshot cache counters after the run so the probe itself does not
+    // perturb the request count.
     let health = fetch_health(&spec.addr);
     handle.shutdown();
 
     Cell {
-        experiment: "ramp",
+        experiment,
         workers,
         cache_capacity,
-        distinct_workloads: spec.distinct_workloads,
+        distinct_workloads,
         connections,
         opened: report.opened,
         requests: report.ok + report.errors,
@@ -162,16 +112,16 @@ fn fetch_health(addr: &str) -> sss_server::Health {
 }
 
 fn main() {
-    let (clients, requests_per_client) = if quick() { (4, 50) } else { (8, 500) };
+    let (conns, per_conn) = if quick() { (4, 50) } else { (8, 500) };
     let worker_counts = [1usize, 2, 4, 8];
 
     // Experiment A: throughput vs worker count, cache-hostile mix (more
     // distinct workloads than total requests would ever repeat cheaply).
-    eprintln!("scaling: {clients} clients × {requests_per_client} requests per cell...");
+    eprintln!("scaling: {conns} connections × {per_conn} requests per cell...");
     let hostile_pool = 256;
     let scaling: Vec<Cell> = worker_counts
         .iter()
-        .map(|&w| measure("workers", w, 0, clients, requests_per_client, hostile_pool))
+        .map(|&w| measure("workers", w, 0, conns, per_conn, hostile_pool))
         .collect();
 
     // Experiment B: memoized cache vs uncached baseline on a repetitive
@@ -179,7 +129,7 @@ fn main() {
     let repeat_pool = 8;
     let cached: Vec<Cell> = [0usize, 4096]
         .iter()
-        .map(|&cap| measure("cache", 4, cap, clients, requests_per_client, repeat_pool))
+        .map(|&cap| measure("cache", 4, cap, conns, per_conn, repeat_pool))
         .collect();
 
     // Experiment C: connection-ramp sweep — the reactor's open-connection
@@ -190,11 +140,10 @@ fn main() {
     } else {
         &[1000, 5000, 8000]
     };
-    let requests_per_conn = 2;
     eprintln!("ramp: reactor to {ramp_sizes:?} connections...");
     let ramp: Vec<Cell> = ramp_sizes
         .iter()
-        .map(|&n| measure_ramp(2, n, requests_per_conn))
+        .map(|&n| measure("ramp", 2, 4096, n, 2, 8))
         .collect();
 
     let mut scaling_table =
@@ -243,7 +192,7 @@ fn main() {
         uncached.throughput_rps
     );
 
-    let mut ramp_table = Table::new([
+    let mut ceiling_table = Table::new([
         "target conns",
         "open ceiling",
         "errors",
@@ -254,7 +203,7 @@ fn main() {
     ])
     .with_title("Connection-ramp sweep: simultaneously-held keep-alive sockets");
     for c in &ramp {
-        ramp_table.row([
+        ceiling_table.row([
             c.connections.to_string(),
             c.opened.to_string(),
             c.errors.to_string(),
@@ -264,7 +213,7 @@ fn main() {
             format!("{:.3}", c.p99_ms),
         ]);
     }
-    println!("{}", ramp_table.to_text());
+    println!("{}", ceiling_table.to_text());
 
     if let Some(best) = ramp.iter().max_by_key(|c| c.opened) {
         println!(

@@ -1,8 +1,8 @@
 //! Minimal readiness-driven I/O layer over Linux `epoll`.
 //!
 //! The container ships no async runtime and the workspace vendors no I/O
-//! crates, so the reactor front end in `sss-server` and the connection-ramp
-//! client in `sss-loadgen` both sit on this hand-rolled shim: raw `extern
+//! crates, so the reactor front end in `sss-server` and the HTTP load
+//! driver in `sss-loadgen` both sit on this hand-rolled shim: raw `extern
 //! "C"` declarations for the handful of syscalls they need (`std` already
 //! links libc on every supported target, so no new dependency is involved).
 //!

@@ -1,54 +1,59 @@
 //! Closed-loop HTTP load driver for the `sss-server` decision service.
 //!
 //! Mirrors the iperf3-style methodology the rest of this crate applies to
-//! the network simulator, but against a *real* socket: `clients` threads
-//! each hold one persistent HTTP/1.1 connection and issue `POST /decide`
-//! requests back-to-back (closed loop — a client sends its next request
-//! only after the previous response arrives). Latency is measured per
-//! request from first byte written to last body byte read, and the run
-//! reports throughput plus the same tail digest
-//! ([`TailMetrics`](sss_stats::TailMetrics)) the paper uses for transfer
-//! times — the service is judged by the standard it preaches: worst case,
-//! not average.
+//! the network simulator, but against a *real* socket. One nonblocking
+//! event loop opens `connections` keep-alive HTTP/1.1 connections, holds
+//! **all of them open at once**, and runs a closed loop over the whole
+//! set: each connection keeps one `POST /decide` in flight and sends its
+//! next request only after the previous response arrives. The loop stands
+//! on `sss_exec::poll`, the readiness layer under the server's reactor
+//! front end, so 8000 connections cost 8000 file descriptors rather than
+//! 8000 threads, and a handful of connections cost the client less per
+//! request than they cost the server it measures.
+//!
+//! Latency is measured per request, from the moment it is queued to the
+//! last body byte read. The run reports serve-phase throughput plus the
+//! same tail digest ([`TailMetrics`]) the paper uses for transfer times —
+//! the service is judged by the standard it preaches: worst case, not
+//! average. It also reports how many connections were actually held
+//! ([`HttpLoadReport::opened`]), so the same driver measures request
+//! throughput at low concurrency and the connection ceiling at high.
 //!
 //! The request mix cycles deterministically through `distinct_workloads`
 //! parameter sets derived from the scenario registry (seed-rotated), so
 //! the expected cache-hit fraction is controlled: with `w` workloads and
 //! `n` total requests, a memoizing server sees exactly `w` misses.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Instant;
-
 use sss_core::{ModelParams, Scenario};
 use sss_exec::SeedSequence;
+use sss_report::Table;
 use sss_stats::{Summary, TailMetrics};
 use sss_units::Ratio;
 
-/// What to run: target address, concurrency, volume, and request mix.
+/// What to run: target address, connection count, volume, and request mix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HttpLoadSpec {
     /// Server address, e.g. `"127.0.0.1:8080"`.
     pub addr: String,
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-    /// Size of the workload pool the clients cycle through; small values
-    /// make the run cache-friendly, large values cache-hostile.
+    /// Keep-alive connections to open and hold simultaneously.
+    pub connections: usize,
+    /// Closed-loop requests each connection issues once open.
+    pub requests_per_conn: usize,
+    /// Size of the workload pool the connections cycle through; small
+    /// values make the run cache-friendly, large values cache-hostile.
     pub distinct_workloads: usize,
     /// Seed rotating which registry scenarios anchor the workload pool.
     pub seed: u64,
 }
 
 impl HttpLoadSpec {
-    /// A short smoke run against `addr`: 4 clients × 50 requests over 8
-    /// distinct workloads.
+    /// A short smoke run against `addr`: 4 connections × 50 requests over
+    /// 8 distinct workloads.
     pub fn smoke(addr: impl Into<String>) -> Self {
         HttpLoadSpec {
             addr: addr.into(),
-            clients: 4,
-            requests_per_client: 50,
+            connections: 4,
+            requests_per_conn: 50,
             distinct_workloads: 8,
             seed: 42,
         }
@@ -56,8 +61,8 @@ impl HttpLoadSpec {
 
     /// Reject degenerate configurations before opening sockets.
     pub fn validate(&self) -> Result<(), String> {
-        if self.clients == 0 || self.requests_per_client == 0 {
-            return Err("clients and requests must be positive".into());
+        if self.connections == 0 || self.requests_per_conn == 0 {
+            return Err("connections and requests must be positive".into());
         }
         if self.distinct_workloads == 0 {
             return Err("need at least one distinct workload".into());
@@ -94,13 +99,24 @@ impl HttpLoadSpec {
 pub struct HttpLoadReport {
     /// The spec that produced this report.
     pub spec: HttpLoadSpec,
+    /// Connections actually opened and held — the observed ceiling. Less
+    /// than `spec.connections` when the server (or the local descriptor
+    /// budget) stopped accepting; every opened socket stays open until
+    /// the run ends, so this is simultaneous, not cumulative.
+    pub opened: usize,
+    /// Connections that completed every request they were assigned.
+    pub completed: usize,
     /// Requests answered with `200`.
     pub ok: u64,
-    /// Requests answered with any other status.
+    /// Requests answered with any other status, plus one per connection
+    /// that died mid-run (reset, malformed response, failed connect).
     pub errors: u64,
-    /// Wall-clock duration of the whole run, seconds.
+    /// Seconds spent opening the connection set (the ramp phase).
+    pub ramp_s: f64,
+    /// Wall-clock duration of the whole run (ramp + serve), seconds.
     pub elapsed_s: f64,
-    /// `ok / elapsed`: sustained request throughput.
+    /// `ok / serve-phase seconds`: sustained throughput once the set is
+    /// open.
     pub throughput_rps: f64,
     /// Per-request latency digest, seconds.
     pub latency: TailMetrics,
@@ -108,149 +124,24 @@ pub struct HttpLoadReport {
     pub summary: Summary,
 }
 
-struct ClientOutcome {
-    ok: u64,
-    errors: u64,
-    latencies_s: Vec<f64>,
-}
-
-/// Read one HTTP response (status line, headers, `Content-Length` body)
-/// and return its status code and body.
-fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(u16, Vec<u8>)> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned());
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(bad("connection closed before status line"));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("bad status line"))?;
-
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(bad("connection closed inside headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("bad content-length"))?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((status, body))
-}
-
-/// One client's closed loop over its persistent connection.
-fn run_client(
-    spec: &HttpLoadSpec,
-    client: usize,
-    bodies: &[String],
-) -> std::io::Result<ClientOutcome> {
-    let stream = TcpStream::connect(&spec.addr)?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut outcome = ClientOutcome {
-        ok: 0,
-        errors: 0,
-        latencies_s: Vec::with_capacity(spec.requests_per_client),
-    };
-    for k in 0..spec.requests_per_client {
-        // Stripe the pool across clients so concurrent requests mix
-        // workloads instead of marching in lockstep.
-        let body = &bodies[(client + k * spec.clients) % bodies.len()];
-        #[allow(clippy::disallowed_methods)]
-        // sss-lint: allow(D002, closed-loop latency of a real server is wall-clock by definition; never feeds simulation state)
-        let started = Instant::now();
-        write!(
-            writer,
-            "POST /decide HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        )?;
-        writer.flush()?;
-        let (status, _body) = read_response(&mut reader)?;
-        outcome.latencies_s.push(started.elapsed().as_secs_f64());
-        if status == 200 {
-            outcome.ok += 1;
-        } else {
-            outcome.errors += 1;
-        }
-    }
-    Ok(outcome)
-}
-
-/// Run the closed-loop load and aggregate every client's measurements.
+/// Open the connection set, then drive the closed loop from one epoll
+/// event loop until every surviving connection finishes.
 ///
-/// Fails if the spec is degenerate or any client cannot connect; a
-/// connected client that later hits an I/O error surfaces that error too
-/// (partial results are not reported — a half-run throughput number would
-/// mislead).
+/// Failure is counted, not fatal: falling short of `spec.connections`
+/// shows up in [`HttpLoadReport::opened`], and a connection that dies
+/// adds one to [`HttpLoadReport::errors`]. The run fails only when the
+/// spec is degenerate, no connection opens, no request is answered at
+/// all, or the event loop stalls (60 s without a single readiness event).
+#[cfg(target_os = "linux")]
+pub fn run_http_load(spec: &HttpLoadSpec) -> Result<HttpLoadReport, String> {
+    engine::run(spec)
+}
+
+/// Non-Linux stub: the driver needs the epoll readiness layer.
+#[cfg(not(target_os = "linux"))]
 pub fn run_http_load(spec: &HttpLoadSpec) -> Result<HttpLoadReport, String> {
     spec.validate()?;
-    let bodies: Vec<String> = spec
-        .workloads()
-        .iter()
-        .map(|p| {
-            serde_json::to_string(&ModelParamsBody::from(p))
-                .map_err(|e| format!("serializing request body: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-
-    #[allow(clippy::disallowed_methods)]
-    // sss-lint: allow(D002, wall-clock throughput measurement of a real server; never feeds simulation state)
-    let started = Instant::now();
-    let outcomes: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spec.clients)
-            .map(|client| {
-                let bodies = &bodies;
-                scope.spawn(move || {
-                    run_client(spec, client, bodies).map_err(|e| format!("client {client}: {e}"))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("client thread panicked".to_string()))
-            })
-            .collect()
-    });
-    let elapsed_s = started.elapsed().as_secs_f64();
-
-    let mut ok = 0;
-    let mut errors = 0;
-    let mut latencies = Vec::with_capacity(spec.clients * spec.requests_per_client);
-    for outcome in outcomes {
-        let outcome = outcome?;
-        ok += outcome.ok;
-        errors += outcome.errors;
-        latencies.extend(outcome.latencies_s);
-    }
-    let latency =
-        TailMetrics::from_samples(&latencies).ok_or_else(|| "no latencies measured".to_string())?;
-    Ok(HttpLoadReport {
-        spec: spec.clone(),
-        ok,
-        errors,
-        elapsed_s,
-        throughput_rps: ok as f64 / elapsed_s.max(f64::MIN_POSITIVE),
-        latency,
-        summary: Summary::from_samples(&latencies),
-    })
+    Err("the HTTP load driver requires the Linux epoll readiness layer".into())
 }
 
 /// The `/decide` body in paper units (mirrors `sss_server::DecideRequest`
@@ -281,163 +172,14 @@ impl From<&ModelParams> for ModelParamsBody {
     }
 }
 
-/// Render a load report as the standard results table (milliseconds for
-/// the latency columns).
-pub fn loadtest_table(report: &HttpLoadReport) -> sss_report::Table {
+/// Render a load report as the standard results table (latency columns in
+/// milliseconds; "opened" is the simultaneously-held connection count
+/// actually reached).
+pub fn loadtest_table(report: &HttpLoadReport) -> Table {
     let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let mut table = sss_report::Table::new([
-        "clients",
-        "requests",
-        "ok",
-        "errors",
-        "elapsed s",
-        "req/s",
-        "p50 ms",
-        "p90 ms",
-        "p99 ms",
-        "max ms",
-    ])
-    .with_title(format!(
-        "Closed-loop /decide load against {} ({} distinct workloads)",
-        report.spec.addr, report.spec.distinct_workloads
-    ));
-    table.row([
-        report.spec.clients.to_string(),
-        (report.ok + report.errors).to_string(),
-        report.ok.to_string(),
-        report.errors.to_string(),
-        format!("{:.3}", report.elapsed_s),
-        format!("{:.0}", report.throughput_rps),
-        ms(report.latency.p50),
-        ms(report.latency.p90),
-        ms(report.latency.p99),
-        ms(report.latency.max),
-    ]);
-    table
-}
-
-// ── Connection-ramp mode ────────────────────────────────────────────────
-
-/// Spec for the connection-ramp mode: one process opens `connections`
-/// keep-alive HTTP/1.1 connections, holds **all of them open at once**,
-/// and runs a closed loop (one outstanding request per connection) over
-/// the whole set from a single nonblocking event loop.
-///
-/// Where [`HttpLoadSpec`] measures request throughput at thread-friendly
-/// concurrency, this mode probes the *connection ceiling*: how many
-/// simultaneously-open sockets the server front end actually sustains.
-/// The report carries the observed ceiling next to req/s and the latency
-/// tail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConnRampSpec {
-    /// Server address, e.g. `"127.0.0.1:8080"`.
-    pub addr: String,
-    /// Keep-alive connections to open and hold simultaneously.
-    pub connections: usize,
-    /// Closed-loop requests each connection issues once open.
-    pub requests_per_conn: usize,
-    /// Workload pool size (same semantics as [`HttpLoadSpec`]).
-    pub distinct_workloads: usize,
-    /// Seed rotating the pool's anchor scenarios.
-    pub seed: u64,
-}
-
-impl ConnRampSpec {
-    /// A short smoke ramp against `addr`: 64 connections × 4 requests
-    /// over 8 distinct workloads.
-    pub fn smoke(addr: impl Into<String>) -> Self {
-        ConnRampSpec {
-            addr: addr.into(),
-            connections: 64,
-            requests_per_conn: 4,
-            distinct_workloads: 8,
-            seed: 42,
-        }
-    }
-
-    /// Reject degenerate configurations before opening sockets.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.connections == 0 || self.requests_per_conn == 0 {
-            return Err("connections and requests must be positive".into());
-        }
-        if self.distinct_workloads == 0 {
-            return Err("need at least one distinct workload".into());
-        }
-        Ok(())
-    }
-
-    /// The same deterministic workload pool [`HttpLoadSpec::workloads`]
-    /// produces for this `(distinct_workloads, seed)` — both modes hit a
-    /// memoizing server with an identical miss set.
-    pub fn workloads(&self) -> Vec<ModelParams> {
-        HttpLoadSpec {
-            addr: String::new(),
-            clients: 1,
-            requests_per_client: 1,
-            distinct_workloads: self.distinct_workloads,
-            seed: self.seed,
-        }
-        .workloads()
-    }
-}
-
-/// What one connection-ramp run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConnRampReport {
-    /// The spec that produced this report.
-    pub spec: ConnRampSpec,
-    /// Connections actually opened and held — the observed ceiling. Less
-    /// than `spec.connections` when the server (or the local descriptor
-    /// budget) stopped accepting; every opened socket stays open until
-    /// the run ends, so this is simultaneous, not cumulative.
-    pub opened: usize,
-    /// Connections that completed every request they were assigned.
-    pub completed: usize,
-    /// Requests answered with `200`.
-    pub ok: u64,
-    /// Requests answered with any other status, plus one per connection
-    /// that died mid-run (reset, malformed response, failed connect).
-    pub errors: u64,
-    /// Seconds spent opening the connection set (the ramp phase).
-    pub ramp_s: f64,
-    /// Wall-clock duration of the whole run (ramp + serve), seconds.
-    pub elapsed_s: f64,
-    /// `ok / serve-phase seconds`: sustained throughput once the set is
-    /// open.
-    pub throughput_rps: f64,
-    /// Per-request latency digest, seconds.
-    pub latency: TailMetrics,
-    /// Streaming mean/min/max of the same latencies, seconds.
-    pub summary: Summary,
-}
-
-/// Run the connection ramp: open the set, then drive the closed loop from
-/// one epoll event loop until every surviving connection finishes.
-///
-/// Falling short of `spec.connections` is *not* an error — the observed
-/// ceiling is the measurement. Fails only when the spec is degenerate, no
-/// connection opens at all, or the event loop stalls (60 s without a
-/// single readiness event).
-#[cfg(target_os = "linux")]
-pub fn run_conn_ramp(spec: &ConnRampSpec) -> Result<ConnRampReport, String> {
-    ramp::run(spec)
-}
-
-/// Non-Linux stub: the ramp client needs the epoll readiness layer.
-#[cfg(not(target_os = "linux"))]
-pub fn run_conn_ramp(spec: &ConnRampSpec) -> Result<ConnRampReport, String> {
-    spec.validate()?;
-    Err("connection-ramp mode requires the Linux epoll readiness layer".into())
-}
-
-/// Render a ramp report as the standard results table (latency columns in
-/// milliseconds; "open ceiling" is the simultaneously-held connection
-/// count actually reached).
-pub fn ramp_table(report: &ConnRampReport) -> sss_report::Table {
-    let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let mut table = sss_report::Table::new([
-        "target conns",
-        "open ceiling",
+    let mut table = Table::new([
+        "conns",
+        "opened",
         "completed",
         "ok",
         "errors",
@@ -447,10 +189,11 @@ pub fn ramp_table(report: &ConnRampReport) -> sss_report::Table {
         "p50 ms",
         "p90 ms",
         "p99 ms",
+        "max ms",
     ])
     .with_title(format!(
-        "Connection ramp against {} ({} keep-alive requests per connection)",
-        report.spec.addr, report.spec.requests_per_conn
+        "Closed-loop /decide load against {} ({} requests per connection, {} distinct workloads)",
+        report.spec.addr, report.spec.requests_per_conn, report.spec.distinct_workloads
     ));
     table.row([
         report.spec.connections.to_string(),
@@ -464,16 +207,15 @@ pub fn ramp_table(report: &ConnRampReport) -> sss_report::Table {
         ms(report.latency.p50),
         ms(report.latency.p90),
         ms(report.latency.p99),
+        ms(report.latency.max),
     ]);
     table
 }
 
 #[cfg(target_os = "linux")]
-mod ramp {
-    //! The nonblocking ramp engine: a single thread drives every
-    //! connection through `sss_exec::poll` — the same readiness layer the
-    //! server's reactor front end stands on — so 10k+ sockets need 10k
-    //! file descriptors, not 10k threads.
+mod engine {
+    //! The event loop: a single thread drives every connection through
+    //! `sss_exec::poll`.
 
     use std::io::{ErrorKind, Read, Write};
     use std::net::TcpStream;
@@ -483,7 +225,7 @@ mod ramp {
     use sss_exec::poll::{raise_nofile_limit, Events, Poller};
     use sss_stats::{Summary, TailMetrics};
 
-    use super::{ConnRampReport, ConnRampSpec, ModelParamsBody};
+    use super::{HttpLoadReport, HttpLoadSpec, ModelParamsBody};
 
     /// Event-loop tick, and how many silent ticks in a row mean the run
     /// is stuck (60 s with no readiness anywhere).
@@ -534,10 +276,31 @@ mod ramp {
         }))
     }
 
+    /// The request pool and how the connection set stripes it.
+    struct Mix<'a> {
+        /// One framed `POST /decide` per distinct workload.
+        requests: &'a [Vec<u8>],
+        /// Connections sharing the pool (the opened count).
+        stride: usize,
+        /// Requests each connection issues.
+        per_conn: usize,
+    }
+
+    /// Running totals over the whole connection set.
+    #[derive(Default)]
+    struct Tally {
+        ok: u64,
+        errors: u64,
+        latencies: Vec<f64>,
+    }
+
     /// One nonblocking connection's closed-loop state.
-    struct RampConn {
+    struct Conn {
         stream: TcpStream,
         fd: i32,
+        /// Position in the connection set: the poller token and the
+        /// connection's offset into the request stripe.
+        idx: usize,
         /// Request bytes not yet accepted by the socket.
         out: Vec<u8>,
         out_pos: usize,
@@ -548,31 +311,30 @@ mod ramp {
         sent: usize,
         /// Responses fully read so far.
         finished: usize,
+        /// When the in-flight request was queued.
         started_at: Instant,
         /// Finished or died — no longer polled (socket stays open).
         done: bool,
-        /// Interest set currently registered with the poller.
-        registered: (bool, bool),
+        /// Whether write interest is registered with the poller (read
+        /// interest always is).
+        polled_for_write: bool,
     }
 
-    impl RampConn {
-        fn new(stream: TcpStream) -> Self {
-            let fd = stream.as_raw_fd();
-            #[allow(clippy::disallowed_methods)]
-            // sss-lint: allow(D002, per-request wall-clock latency of a real server; never feeds simulation state)
-            let started_at = Instant::now();
-            RampConn {
+    impl Conn {
+        fn new(stream: TcpStream, idx: usize, now: Instant) -> Self {
+            Conn {
+                fd: stream.as_raw_fd(),
                 stream,
-                fd,
+                idx,
                 out: Vec::new(),
                 out_pos: 0,
                 resp: Vec::new(),
                 head: None,
                 sent: 0,
                 finished: 0,
-                started_at,
+                started_at: now,
                 done: false,
-                registered: (false, false),
+                polled_for_write: false,
             }
         }
 
@@ -580,12 +342,13 @@ mod ramp {
             self.out_pos < self.out.len()
         }
 
-        /// Queue the next request (striped across the pool the same way
-        /// [`super::run_http_load`] stripes clients) and start its clock.
-        fn begin_request(&mut self, idx: usize, total: usize, requests: &[Vec<u8>]) {
-            let k = self.sent;
-            self.out
-                .extend_from_slice(&requests[(idx + k * total) % requests.len()]);
+        /// Queue the next request and start its clock. Connection `idx`
+        /// sends pool entry `idx + k · stride` on its `k`-th request, so
+        /// concurrent requests mix workloads instead of marching in
+        /// lockstep.
+        fn begin_request(&mut self, mix: &Mix) {
+            let pick = (self.idx + self.sent * mix.stride) % mix.requests.len();
+            self.out.extend_from_slice(&mix.requests[pick]);
             self.sent += 1;
             #[allow(clippy::disallowed_methods)]
             // sss-lint: allow(D002, per-request wall-clock latency of a real server; never feeds simulation state)
@@ -612,44 +375,27 @@ mod ramp {
             Ok(())
         }
 
-        /// React to a readiness event: drain writes, drain reads through
-        /// the response framer, queue follow-up requests. `Err` means the
+        /// React to a readiness event: drain writes, read through the
+        /// response framer, queue follow-up requests. `Err` means the
         /// connection died and should be counted as an error.
-        #[allow(clippy::too_many_arguments)]
         fn step(
             &mut self,
             readable: bool,
             writable: bool,
             scratch: &mut [u8],
-            requests: &[Vec<u8>],
-            idx: usize,
-            total: usize,
-            requests_per_conn: usize,
-            ok: &mut u64,
-            errors: &mut u64,
-            latencies: &mut Vec<f64>,
+            mix: &Mix,
+            tally: &mut Tally,
         ) -> Result<(), ()> {
             if writable {
                 self.flush()?;
             }
             if readable {
-                loop {
-                    if self.finished >= requests_per_conn {
-                        break;
-                    }
+                while self.finished < mix.per_conn {
                     match self.stream.read(scratch) {
                         Ok(0) => return Err(()),
                         Ok(n) => {
                             self.resp.extend_from_slice(&scratch[..n]);
-                            self.consume_responses(
-                                requests,
-                                idx,
-                                total,
-                                requests_per_conn,
-                                ok,
-                                errors,
-                                latencies,
-                            )?;
+                            self.consume_responses(mix, tally)?;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -666,17 +412,7 @@ mod ramp {
         /// Frame as many complete responses as `resp` holds; each one
         /// records a latency sample and queues the next request of the
         /// closed loop.
-        #[allow(clippy::too_many_arguments)]
-        fn consume_responses(
-            &mut self,
-            requests: &[Vec<u8>],
-            idx: usize,
-            total: usize,
-            requests_per_conn: usize,
-            ok: &mut u64,
-            errors: &mut u64,
-            latencies: &mut Vec<f64>,
-        ) -> Result<(), ()> {
+        fn consume_responses(&mut self, mix: &Mix, tally: &mut Tally) -> Result<(), ()> {
             loop {
                 let head = match self.head {
                     Some(head) => head,
@@ -691,19 +427,21 @@ mod ramp {
                 if self.resp.len() < head.total {
                     return Ok(());
                 }
-                latencies.push(self.started_at.elapsed().as_secs_f64());
+                tally
+                    .latencies
+                    .push(self.started_at.elapsed().as_secs_f64());
                 if head.status == 200 {
-                    *ok += 1;
+                    tally.ok += 1;
                 } else {
-                    *errors += 1;
+                    tally.errors += 1;
                 }
                 self.resp.drain(..head.total);
                 self.head = None;
                 self.finished += 1;
-                if self.finished >= requests_per_conn {
+                if self.finished >= mix.per_conn {
                     return Ok(());
                 }
-                self.begin_request(idx, total, requests);
+                self.begin_request(mix);
             }
         }
     }
@@ -714,9 +452,9 @@ mod ramp {
     fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
         let mut delay = Duration::from_millis(2);
         let mut attempt = 0;
-        loop {
+        let stream = loop {
             match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(stream),
+                Ok(stream) => break stream,
                 Err(e) if attempt >= 5 => return Err(e),
                 Err(_) => {
                     std::thread::sleep(delay);
@@ -724,10 +462,13 @@ mod ramp {
                     attempt += 1;
                 }
             }
-        }
+        };
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     }
 
-    pub(super) fn run(spec: &ConnRampSpec) -> Result<ConnRampReport, String> {
+    pub(super) fn run(spec: &HttpLoadSpec) -> Result<HttpLoadReport, String> {
         spec.validate()?;
         let requests: Vec<Vec<u8>> = spec
             .workloads()
@@ -754,22 +495,12 @@ mod ramp {
         // Ramp phase: open until the target or the first hard refusal —
         // the shortfall is the measurement, not a failure.
         let mut conns = Vec::with_capacity(spec.connections);
-        let mut errors = 0u64;
-        for _ in 0..spec.connections {
+        let mut tally = Tally::default();
+        for idx in 0..spec.connections {
             match connect_with_retry(&spec.addr) {
-                Ok(stream) => {
-                    if stream
-                        .set_nodelay(true)
-                        .and_then(|()| stream.set_nonblocking(true))
-                        .is_err()
-                    {
-                        errors += 1;
-                        break;
-                    }
-                    conns.push(RampConn::new(stream));
-                }
+                Ok(stream) => conns.push(Conn::new(stream, idx, started)),
                 Err(_) => {
-                    errors += 1;
+                    tally.errors += 1;
                     break;
                 }
             }
@@ -781,29 +512,36 @@ mod ramp {
         let ramp_s = started.elapsed().as_secs_f64();
 
         // Serve phase: closed loop over the whole set from one event loop.
+        let mix = Mix {
+            requests: &requests,
+            stride: opened,
+            per_conn: spec.requests_per_conn,
+        };
         let poller = Poller::new().map_err(|e| format!("creating poller: {e}"))?;
-        let mut ok = 0u64;
-        let mut latencies = Vec::with_capacity(opened.saturating_mul(spec.requests_per_conn));
-        let mut finished_conns = 0usize;
-        for (idx, conn) in conns.iter_mut().enumerate() {
-            conn.begin_request(idx, opened, &requests);
+        tally
+            .latencies
+            .reserve(opened.saturating_mul(spec.requests_per_conn));
+        // Connections finished or dead, no longer polled.
+        let mut retired = 0usize;
+        for conn in &mut conns {
+            conn.begin_request(&mix);
             let registered = conn.flush().is_ok()
                 && poller
-                    .add(conn.fd, idx as u64, true, conn.wants_write())
+                    .add(conn.fd, conn.idx as u64, true, conn.wants_write())
                     .is_ok();
             if registered {
-                conn.registered = (true, conn.wants_write());
+                conn.polled_for_write = conn.wants_write();
             } else {
                 conn.done = true;
-                errors += 1;
-                finished_conns += 1;
+                tally.errors += 1;
+                retired += 1;
             }
         }
 
         let mut events = Events::with_capacity(1024);
         let mut scratch = vec![0u8; 16 * 1024];
         let mut quiet = 0u32;
-        while finished_conns < opened {
+        while retired < opened {
             let n = poller
                 .wait(&mut events, TICK_MS)
                 .map_err(|e| format!("polling: {e}"))?;
@@ -811,8 +549,8 @@ mod ramp {
                 quiet += 1;
                 if quiet >= STALL_TICKS {
                     return Err(format!(
-                        "connection ramp stalled: {} of {opened} connections silent for {} s",
-                        opened - finished_conns,
+                        "load run stalled: {} of {opened} connections silent for {} s",
+                        opened - retired,
                         i64::from(STALL_TICKS) * i64::from(TICK_MS) / 1000
                     ));
                 }
@@ -820,8 +558,7 @@ mod ramp {
             }
             quiet = 0;
             for event in events.iter() {
-                let idx = event.token as usize;
-                let Some(conn) = conns.get_mut(idx) else {
+                let Some(conn) = conns.get_mut(event.token as usize) else {
                     continue;
                 };
                 if conn.done {
@@ -830,69 +567,52 @@ mod ramp {
                 // Fold kernel error flags into both directions: the next
                 // read/write observes the failure and retires the
                 // connection.
-                let dead = conn
+                let mut alive = conn
                     .step(
                         event.readable || event.error,
                         event.writable || event.error,
                         &mut scratch,
-                        &requests,
-                        idx,
-                        opened,
-                        spec.requests_per_conn,
-                        &mut ok,
-                        &mut errors,
-                        &mut latencies,
+                        &mix,
+                        &mut tally,
                     )
-                    .is_err();
-                if dead {
-                    errors += 1;
-                    conn.done = true;
-                    let _ = poller.remove(conn.fd);
-                    finished_conns += 1;
-                    continue;
+                    .is_ok();
+                let answered = conn.finished >= mix.per_conn;
+                if alive && !answered && conn.wants_write() != conn.polled_for_write {
+                    conn.polled_for_write = conn.wants_write();
+                    alive = poller
+                        .modify(conn.fd, conn.idx as u64, true, conn.polled_for_write)
+                        .is_ok();
                 }
-                if conn.finished >= spec.requests_per_conn {
-                    // All answered. Stop polling but keep the socket open:
-                    // the run measures *held* connections, so the whole
-                    // set stays simultaneously open until the report.
-                    conn.done = true;
-                    let _ = poller.remove(conn.fd);
-                    finished_conns += 1;
-                    continue;
-                }
-                let want = (true, conn.wants_write());
-                if want != conn.registered {
-                    if poller.modify(conn.fd, idx as u64, want.0, want.1).is_err() {
-                        errors += 1;
-                        conn.done = true;
-                        let _ = poller.remove(conn.fd);
-                        finished_conns += 1;
-                        continue;
+                // Retired connections stop being polled but keep their
+                // socket: the run measures *held* connections, so the
+                // whole set stays simultaneously open until the report.
+                if !alive || answered {
+                    if !alive {
+                        tally.errors += 1;
                     }
-                    conn.registered = want;
+                    conn.done = true;
+                    let _ = poller.remove(conn.fd);
+                    retired += 1;
                 }
             }
         }
 
         let elapsed_s = started.elapsed().as_secs_f64();
         let serve_s = (elapsed_s - ramp_s).max(f64::MIN_POSITIVE);
-        let completed = conns
-            .iter()
-            .filter(|c| c.finished >= spec.requests_per_conn)
-            .count();
-        let latency = TailMetrics::from_samples(&latencies)
-            .ok_or_else(|| "no latencies measured".to_string())?;
-        Ok(ConnRampReport {
+        let completed = conns.iter().filter(|c| c.finished >= mix.per_conn).count();
+        let latency = TailMetrics::from_samples(&tally.latencies)
+            .ok_or_else(|| format!("no request to {} was answered", spec.addr))?;
+        Ok(HttpLoadReport {
             spec: spec.clone(),
             opened,
             completed,
-            ok,
-            errors,
+            ok: tally.ok,
+            errors: tally.errors,
             ramp_s,
             elapsed_s,
-            throughput_rps: ok as f64 / serve_s,
+            throughput_rps: tally.ok as f64 / serve_s,
             latency,
-            summary: Summary::from_samples(&latencies),
+            summary: Summary::from_samples(&tally.latencies),
         })
     }
 }
@@ -946,53 +666,20 @@ mod tests {
     #[test]
     fn degenerate_specs_rejected() {
         let mut spec = HttpLoadSpec::smoke("unused");
-        spec.clients = 0;
+        spec.connections = 0;
+        assert!(spec.validate().is_err());
+        let mut spec = HttpLoadSpec::smoke("unused");
+        spec.requests_per_conn = 0;
         assert!(spec.validate().is_err());
         let mut spec = HttpLoadSpec::smoke("unused");
         spec.distinct_workloads = 0;
         assert!(spec.validate().is_err());
     }
 
-    #[test]
-    fn response_reader_parses_framed_body() {
-        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello";
-        let (status, body) = read_response(&mut BufReader::new(&wire[..])).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, b"hello");
-    }
-
-    #[test]
-    fn response_reader_rejects_garbage() {
-        let wire = b"not http\r\n\r\n";
-        assert!(read_response(&mut BufReader::new(&wire[..])).is_err());
-    }
-
-    #[test]
-    fn ramp_spec_validates_and_shares_the_pool() {
-        let mut spec = ConnRampSpec::smoke("unused");
-        spec.connections = 0;
-        assert!(spec.validate().is_err());
-        let mut spec = ConnRampSpec::smoke("unused");
-        spec.distinct_workloads = 0;
-        assert!(spec.validate().is_err());
-
-        let ramp = ConnRampSpec {
-            distinct_workloads: 24,
-            seed: 7,
-            ..ConnRampSpec::smoke("unused")
-        };
-        let load = HttpLoadSpec {
-            distinct_workloads: 24,
-            seed: 7,
-            ..HttpLoadSpec::smoke("unused")
-        };
-        assert_eq!(ramp.workloads(), load.workloads());
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
-    fn ramp_head_parser_frames_and_rejects() {
-        use super::ramp::{parse_head, RespHead};
+    fn head_parser_frames_and_rejects() {
+        use super::engine::{parse_head, RespHead};
 
         let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello";
         assert_eq!(
@@ -1011,16 +698,83 @@ mod tests {
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn ramp_errs_without_a_server() {
+    fn run_errs_without_a_server() {
         // Port 9 on localhost (discard) is essentially never bound in the
         // test environment; all connects fail, so the run reports that it
         // could not open any connection.
-        let spec = ConnRampSpec {
+        let spec = HttpLoadSpec {
             connections: 1,
             requests_per_conn: 1,
-            ..ConnRampSpec::smoke("127.0.0.1:9")
+            ..HttpLoadSpec::smoke("127.0.0.1:9")
         };
-        let err = run_conn_ramp(&spec).unwrap_err();
+        let err = run_http_load(&spec).unwrap_err();
         assert!(err.contains("could not open any connection"), "{err}");
+    }
+
+    /// Serve `POST`s on one stub connection with a fixed `200` until the
+    /// client hangs up.
+    #[cfg(target_os = "linux")]
+    fn answer_until_eof(mut stream: std::net::TcpStream) {
+        use std::io::{Read, Write};
+
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            // Frame every complete request buffered so far.
+            while let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&buf[..end]).to_ascii_lowercase();
+                let body_len: usize = head
+                    .split("content-length:")
+                    .nth(1)
+                    .and_then(|rest| rest.lines().next())
+                    .and_then(|v| v.trim().parse().ok())
+                    .unwrap_or(0);
+                if buf.len() < end + 4 + body_len {
+                    break;
+                }
+                buf.drain(..end + 4 + body_len);
+                if stream
+                    .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok")
+                    .is_err()
+                {
+                    return;
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            }
+        }
+    }
+
+    /// A connection that dies is counted, not fatal: of two accepted
+    /// connections, the stub answers one and closes the other, and the
+    /// run still reports the survivor's requests.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dead_connection_counts_one_error_and_the_run_completes() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        let addr = listener.local_addr().expect("stub addr").to_string();
+        let stub = std::thread::spawn(move || {
+            let (answered, _) = listener.accept().expect("accept first");
+            let (closed, _) = listener.accept().expect("accept second");
+            drop(closed);
+            answer_until_eof(answered);
+        });
+        let spec = HttpLoadSpec {
+            connections: 2,
+            requests_per_conn: 5,
+            ..HttpLoadSpec::smoke(addr)
+        };
+        let report = run_http_load(&spec).expect("a dead connection must not abort the run");
+        assert_eq!(report.opened, 2);
+        assert_eq!(report.errors, 1);
+        assert_eq!(
+            report.ok, 5,
+            "the surviving connection's requests all succeed"
+        );
+        assert_eq!(report.completed, 1);
+        assert_eq!(report.latency.count, 5);
+        stub.join().expect("stub thread");
     }
 }

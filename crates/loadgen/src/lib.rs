@@ -17,11 +17,11 @@
 //! `T_worst` the Streaming Speed Score needs.
 //!
 //! The same closed-loop discipline also drives the real `sss-server`
-//! decision service over HTTP: [`HttpLoadSpec`]/[`run_http_load`] measure
-//! request throughput and per-request latency tails against a live
-//! socket, and [`ConnRampSpec`]/[`run_conn_ramp`] probe the connection
-//! ceiling — thousands of simultaneously-held keep-alive sockets driven
-//! from one nonblocking event loop.
+//! decision service over HTTP: [`HttpLoadSpec`]/[`run_http_load`] hold a
+//! set of keep-alive connections open from one nonblocking event loop and
+//! measure request throughput, per-request latency tails and the
+//! connection ceiling actually reached — from a handful of sockets up to
+//! thousands.
 //!
 //! # Example
 //!
@@ -61,10 +61,7 @@ pub use fleet::{
     AdmissionPolicy, FleetConfig, FleetRecord, FleetReport, FleetSim, ScenarioContention,
 };
 pub use frontier::{boundary_csv, frontier_csv, frontier_table, FrontierJob};
-pub use httpload::{
-    loadtest_table, ramp_table, run_conn_ramp, run_http_load, ConnRampReport, ConnRampSpec,
-    HttpLoadReport, HttpLoadSpec,
-};
+pub use httpload::{loadtest_table, run_http_load, HttpLoadReport, HttpLoadSpec};
 pub use replay::{
     replay_csv, replay_fidelity_csv, replay_summary_table, replay_table, ReplayConfig,
     ReplayRecord, ReplayReport, SessionReplay, ShapeSummary, STEADY_TOLERANCE,

@@ -1,5 +1,5 @@
-//! Flow-level **fluid** network simulation: max-min fair progressive
-//! filling over the same star topology as the packet simulator.
+//! Flow-level **fluid** network simulation: max-min fair water-filling
+//! over the same star topology as the packet simulator.
 //!
 //! Where [`Simulator`](crate::Simulator) steps per packet — slow start,
 //! loss, retransmission — the [`FluidSimulator`] treats every active
@@ -25,6 +25,7 @@ use sss_units::TimeDelta;
 
 use crate::config::SimConfig;
 use crate::sim::FlowSpec;
+use crate::waterfill::WaterFiller;
 
 /// Max-min fair **progressive filling**: distribute `capacity` across
 /// flows whose individual demands are bounded by `caps`, so that no flow
@@ -34,10 +35,11 @@ use crate::sim::FlowSpec;
 /// Repeatedly offers every unfrozen flow an equal share of the remaining
 /// capacity; flows whose cap is at or under the offer freeze at their cap
 /// (the capacity they decline is redistributed), and the rest split what
-/// is left evenly. This is the allocation kernel behind
-/// [`FluidSimulator`]'s shared-bottleneck mechanics, exported so other
-/// layers (the multi-tenant fleet simulator in `sss-loadgen`) share the
-/// exact same arithmetic.
+/// is left evenly. Every round rescans all flows, so one allocation costs
+/// `O(k²)`; production code answers the same question incrementally
+/// through [`WaterFiller`]. This one-shot form stays public as the
+/// reference oracle that the `WaterFiller` differential tests and the
+/// fleet simulator's reference integrator compare against.
 ///
 /// A frozen flow's rate is assigned as `caps[i]` verbatim — bit-equal to
 /// the demand, which is what lets callers distinguish "granted its full
@@ -183,22 +185,22 @@ impl FluidSimulator {
         self.flows.len() - 1
     }
 
-    /// Max-min fair rates for the active flows: progressive filling of
-    /// the bottleneck, with each flow capped at its fair share of its
-    /// client's access link.
+    /// Max-min fair rates for the active flows: the bottleneck
+    /// water-filled over the flows, with each flow capped at its fair
+    /// share of its client's access link.
     fn max_min_rates(&self, active: &[usize]) -> Vec<f64> {
         let access = self.cfg.access.rate.as_bytes_per_sec();
-        let bottleneck = self.cfg.bottleneck.rate.as_bytes_per_sec();
         let mut per_client = vec![0u32; self.clients as usize];
         for &f in active {
             per_client[self.flows[f].client as usize] += 1;
         }
         // Each flow's hard cap: an equal share of its access link.
-        let caps: Vec<f64> = active
+        let mut filler = WaterFiller::new(self.cfg.bottleneck.rate.as_bytes_per_sec());
+        let ids: Vec<_> = active
             .iter()
-            .map(|&f| access / per_client[self.flows[f].client as usize] as f64)
+            .map(|&f| filler.insert(access / per_client[self.flows[f].client as usize] as f64))
             .collect();
-        progressive_fill(bottleneck, &caps)
+        ids.into_iter().map(|id| filler.grant(id)).collect()
     }
 
     /// Run to completion and report. Deterministic, and — because every

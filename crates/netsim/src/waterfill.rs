@@ -1,12 +1,13 @@
 //! Incremental max-min fairness: the **water-filling** allocator behind
-//! the fleet simulator's shared-WAN mechanics.
+//! the fleet simulator's shared-WAN mechanics and
+//! [`FluidSimulator`](crate::FluidSimulator)'s shared bottleneck — the
+//! one max-min allocator production code uses.
 //!
 //! [`progressive_fill`](crate::progressive_fill) answers one allocation
-//! from scratch in `O(k²)`: every round rescans all `k` flows. That is
-//! fine inside [`FluidSimulator`](crate::FluidSimulator), whose flow
-//! counts are small, but the multi-tenant fleet simulator re-solves the
-//! allocation at *every* event — arrival, drain, trace breakpoint — and
-//! at facility scale the quadratic rescan dominates the run.
+//! from scratch in `O(k²)`: every round rescans all `k` flows. The
+//! multi-tenant fleet simulator re-solves the allocation at *every*
+//! event — arrival, drain, trace breakpoint — and at facility scale that
+//! quadratic rescan would dominate the run.
 //!
 //! [`WaterFiller`] maintains the same allocation *incrementally*. The
 //! standard water-level characterization: with capacity `C` and caps

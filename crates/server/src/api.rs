@@ -3,8 +3,10 @@
 //! Requests use the paper's own units (GB, TF/GB, TFLOPS, Gbps) as flat
 //! JSON numbers — the same convention as [`sss_core::ScenarioSpec`] — so a
 //! facility operator can POST the row of Table 3 they care about without
-//! converting anything. Responses embed the analytic types of `sss-core`
-//! (`DecisionReport`, `BreakEven`, `Sensitivity`, `TierReport`) verbatim.
+//! converting anything. Every request body rejects keys it does not
+//! define (a misspelled field is a 400 naming it, never a silent default).
+//! Responses embed the analytic types of `sss-core` (`DecisionReport`,
+//! `BreakEven`, `Sensitivity`, `TierReport`) verbatim.
 
 use serde::{Deserialize, Serialize};
 use sss_core::{
@@ -26,6 +28,7 @@ fn default_theta() -> f64 {
 /// `theta` defaults to 1 (pure streaming, no file-I/O inflation) when the
 /// field is omitted, mirroring the CLI's optional `--theta`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DecideRequest {
     /// `S_unit` in decimal gigabytes.
     pub data_gb: f64,
@@ -116,6 +119,7 @@ impl DecideResponse {
 /// Body of `POST /tiers`: a workload plus the measured worst-case
 /// inflation (Streaming Speed Score, Eq. 11) to bound the transfer by.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TiersRequest {
     /// The workload in paper units.
     pub workload: DecideRequest,
@@ -202,6 +206,7 @@ fn default_slices() -> usize {
 /// serialized [`sss_core::FrontierMap`] — byte-identical to what the CLI
 /// and the sequential reference produce for the same query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FrontierRequest {
     /// The base operating point, in paper units.
     pub workload: DecideRequest,
@@ -286,6 +291,7 @@ fn default_fidelity() -> String {
 /// byte-identical to what `stream-score simulate` computes for the same
 /// workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimulateRequest {
     /// The workload in paper units.
     pub workload: DecideRequest,
@@ -386,6 +392,7 @@ fn default_fleet_fidelity() -> String {
 /// the slowdown distribution; byte-identical to what `stream-score fleet`
 /// computes for the same knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetRequest {
     /// Sessions drawn from the catalog (default 26; the service rejects
     /// requests above its configured cap, which defaults to

@@ -11,7 +11,7 @@
 //! stream-score tiers --data 2GB --intensity 17TF/GB --local 10TF \
 //!                    --remote 340TF --bw 25Gbps --alpha 0.8 --sss 7.5
 //! stream-score serve --port 8080    # long-running HTTP/JSON decision service
-//! stream-score loadtest --clients 8 # closed-loop load against the service
+//! stream-score loadtest --clients 8 # closed-loop load from one event loop
 //! ```
 //!
 //! Arguments use the same notations as the paper (`2GB`, `25Gbps`,
@@ -26,9 +26,9 @@ use stream_score::core::planner::plan_for_tier;
 use stream_score::core::sensitivity::Sensitivity;
 use stream_score::loadgen::{
     boundary_csv, fleet_csv, fleet_scenario_table, fleet_table, frontier_csv, frontier_table,
-    loadtest_table, ramp_table, replay_csv, replay_summary_table, replay_table, run_conn_ramp,
-    run_http_load, AdmissionPolicy, ConnRampSpec, FleetConfig, FleetSim, FrontierJob, HttpLoadSpec,
-    ReplayConfig, SessionReplay, STEADY_TOLERANCE,
+    loadtest_table, replay_csv, replay_summary_table, replay_table, run_http_load, AdmissionPolicy,
+    FleetConfig, FleetSim, FrontierJob, HttpLoadSpec, ReplayConfig, SessionReplay,
+    STEADY_TOLERANCE,
 };
 use stream_score::prelude::*;
 use stream_score::report::CharGrid;
@@ -72,9 +72,8 @@ fn usage() -> &'static str {
                               [--cache-capacity <N>] [--batch-max <N>] [--fleet-cap <N>]\n\
                               [--max-conns <N>] [--idle-ticks <N>] [--tick-ms <N>]\n\
                               [--read-buf <BYTES>] [--write-buf <BYTES>]\n\
-       stream-score loadtest  [--addr <HOST:PORT>] [--clients <N>]\n\
-                              [--concurrency <N>]  (connection-ramp mode)\n\
-                              [--requests <N>] [--distinct <N>] [--seed <N>]\n\
+       stream-score loadtest  [--addr <HOST:PORT>] [--clients <N>] [--requests <N>]\n\
+                              [--distinct <N>] [--seed <N>]\n\
                               [--workers <N>] [--cache-capacity <N>] [--format text|md]\n\
        stream-score help | <COMMAND> --help\n\
      \n\
@@ -85,7 +84,8 @@ fn usage() -> &'static str {
                            --remote 340TF --bw 25Gbps --alpha 0.8 --sss 7.5\n\
        stream-score frontier --scenario lcls2 --x wan_gbps:1:400 --y data_tb:0.1:100\n\
        stream-score simulate --scenario lcls2 --shapes steady,outage\n\
-       stream-score fleet    --load 8 --policy priority --wan 40Gbps\n"
+       stream-score fleet    --load 8 --policy priority --wan 40Gbps\n\
+       stream-score loadtest --clients 8000 --requests 2\n"
 }
 
 type Flags = HashMap<String, String>;
@@ -226,7 +226,6 @@ const COMMANDS: &[Command] = &[
         flags: &[
             "addr",
             "clients",
-            "concurrency",
             "requests",
             "distinct",
             "seed",
@@ -1111,20 +1110,10 @@ fn cmd_loadtest(flags: &Flags) -> Result<(), String> {
         Some("text") | None => false,
         Some(other) => return Err(format!("unknown format {other:?} (use text or md)")),
     };
-    // --concurrency switches from the threaded closed-loop driver to the
-    // nonblocking connection ramp: one event loop holding every
-    // connection open at once.
-    let ramp_conns = flags
-        .get("concurrency")
-        .map(|_| flag_or(flags, "concurrency", 0usize))
-        .transpose()?;
-    if ramp_conns.is_some() && flags.contains_key("clients") {
-        return Err(
-            "--clients drives the closed-loop mode and --concurrency the connection ramp; \
-             pick one"
-                .into(),
-        );
-    }
+    let connections = flag_or(flags, "clients", 4usize)?;
+    let requests_per_conn = flag_or(flags, "requests", 100usize)?;
+    let distinct_workloads = flag_or(flags, "distinct", 8usize)?;
+    let seed = flag_or(flags, "seed", 42u64)?;
 
     // With --addr, drive an already-running server; without, spin one up
     // in-process on an OS-assigned port for a self-contained benchmark.
@@ -1158,59 +1147,33 @@ fn cmd_loadtest(flags: &Flags) -> Result<(), String> {
         }
     };
 
-    let distinct_workloads = flag_or(flags, "distinct", 8usize)?;
-    let seed = flag_or(flags, "seed", 42u64)?;
-    let outcome = if let Some(connections) = ramp_conns {
-        let spec = ConnRampSpec {
-            addr,
-            connections,
-            requests_per_conn: flag_or(flags, "requests", 4usize)?,
-            distinct_workloads,
-            seed,
-        };
-        run_conn_ramp(&spec).map(|report| {
-            let table = ramp_table(&report);
-            let summary = format!(
-                "held {} of {} connections open simultaneously; mean latency {:.3} ms \
-                 over {} requests ({} errors)",
-                report.opened,
-                report.spec.connections,
-                report.summary.mean() * 1e3,
-                report.ok + report.errors,
-                report.errors
-            );
-            (table, summary)
-        })
-    } else {
-        let spec = HttpLoadSpec {
-            addr,
-            clients: flag_or(flags, "clients", 4usize)?,
-            requests_per_client: flag_or(flags, "requests", 100usize)?,
-            distinct_workloads,
-            seed,
-        };
-        run_http_load(&spec).map(|report| {
-            let table = loadtest_table(&report);
-            let summary = format!(
-                "mean latency {:.3} ms over {} requests ({} errors)",
-                report.summary.mean() * 1e3,
-                report.ok + report.errors,
-                report.errors
-            );
-            (table, summary)
-        })
-    };
+    let outcome = run_http_load(&HttpLoadSpec {
+        addr,
+        connections,
+        requests_per_conn,
+        distinct_workloads,
+        seed,
+    });
     if let Some(handle) = served {
         handle.shutdown();
     }
-    let (table, summary) = outcome?;
+    let report = outcome?;
 
+    let table = loadtest_table(&report);
     if markdown {
         print!("{}", table.to_markdown());
     } else {
         print!("{}", table.to_text());
     }
-    println!("{summary}");
+    println!(
+        "held {} of {} connections open simultaneously; mean latency {:.3} ms \
+         over {} requests ({} errors)",
+        report.opened,
+        report.spec.connections,
+        report.summary.mean() * 1e3,
+        report.ok + report.errors,
+        report.errors
+    );
     Ok(())
 }
 

@@ -164,6 +164,7 @@ fn unknown_flags_are_rejected() {
         (&["scenarios", "--engine", "scalar"], "--engine"),
         (&["fleet", "--engine", "reference"], "--engine"),
         (&["loadtest", "--frontend", "reactor"], "--frontend"),
+        (&["loadtest", "--concurrency", "8"], "--concurrency"),
     ] {
         let (ok, _, stderr) = run(args);
         assert!(!ok, "{args:?} must fail");
@@ -471,6 +472,10 @@ fn loadtest_self_serves_when_no_addr_given() {
     assert!(stdout.contains("serving in-process"), "{stdout}");
     assert!(stdout.contains("req/s"), "{stdout}");
     assert!(stdout.contains("mean latency"), "{stdout}");
+    assert!(
+        stdout.contains("held 2 of 2 connections open simultaneously"),
+        "{stdout}"
+    );
 }
 
 #[test]

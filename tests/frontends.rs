@@ -370,24 +370,24 @@ fn connections_beyond_cap_are_dropped() {
     handle.shutdown();
 }
 
-/// The connection-ramp client holds a four-digit connection set open
-/// against the reactor from one process, with every request answered.
-/// (The full ≥5k ramp runs in the `server_scaling` bench; this keeps the
-/// test suite fast while still proving the mechanism end to end.)
+/// The load driver holds a four-digit connection set open against the
+/// reactor from one process, with every request answered. (The full ≥5k
+/// ramp runs in the `server_scaling` bench; this keeps the test suite
+/// fast while still proving the mechanism end to end.)
 #[cfg(target_os = "linux")]
 #[test]
 fn ramp_holds_a_thousand_connections() {
     let handle = start_with(|config| {
         config.cache_capacity = 4096;
     });
-    let spec = stream_score::loadgen::ConnRampSpec {
+    let spec = stream_score::loadgen::HttpLoadSpec {
         addr: handle.addr().to_string(),
         connections: 1000,
         requests_per_conn: 2,
         distinct_workloads: 8,
         seed: 42,
     };
-    let report = stream_score::loadgen::run_conn_ramp(&spec).expect("ramp run");
+    let report = stream_score::loadgen::run_http_load(&spec).expect("ramp run");
     handle.shutdown();
     assert_eq!(report.opened, 1000, "reactor must accept the whole set");
     assert_eq!(report.completed, 1000);

@@ -118,6 +118,60 @@ fn bad_requests_get_400s_and_unknown_paths_404() {
     handle.shutdown();
 }
 
+/// A misspelled or invented body field is a 400 naming it on every POST
+/// route — never a silently applied default.
+#[test]
+fn unknown_body_fields_draw_400_naming_the_field() {
+    let handle = start(1, 16);
+    let addr = handle.addr();
+    let typo_theta = TABLE3.replace('}', r#","thetaa":3}"#);
+    let cases = [
+        ("/decide", typo_theta.clone(), "DecideRequest", "thetaa"),
+        (
+            "/tiers",
+            format!(r#"{{"workload":{TABLE3},"sss":7.5,"ssss":2}}"#),
+            "TiersRequest",
+            "ssss",
+        ),
+        // The nested workload is held to the same rule.
+        (
+            "/tiers",
+            format!(r#"{{"workload":{typo_theta},"sss":7.5}}"#),
+            "DecideRequest",
+            "thetaa",
+        ),
+        (
+            "/frontier",
+            format!(
+                r#"{{"workload":{TABLE3},"x":"wan_gbps:1:400","y":"data_tb:0.1:100","resolutoin":8}}"#
+            ),
+            "FrontierRequest",
+            "resolutoin",
+        ),
+        (
+            "/simulate",
+            format!(r#"{{"workload":{TABLE3},"frame":8}}"#),
+            "SimulateRequest",
+            "frame",
+        ),
+        (
+            "/fleet",
+            r#"{"sesions":99999,"bogus":true}"#.to_string(),
+            "FleetRequest",
+            "sesions",
+        ),
+    ];
+    for (path, body, ty, field) in cases {
+        let (status, answer) = call(addr, "POST", path, &body);
+        assert_eq!(status, 400, "{path} {body}: {answer}");
+        assert!(
+            answer.contains(&format!("{ty}: unknown field `{field}`")),
+            "{path} must name `{field}`: {answer}"
+        );
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn keep_alive_serves_many_requests_per_connection() {
     let handle = start(2, 64);
@@ -252,23 +306,24 @@ fn http_load_driver_round_trips() {
     let handle = start(4, 1024);
     let spec = stream_score::loadgen::HttpLoadSpec {
         addr: handle.addr().to_string(),
-        clients: 3,
-        requests_per_client: 20,
+        connections: 3,
+        requests_per_conn: 20,
         distinct_workloads: 5,
         seed: 7,
     };
     let report = stream_score::loadgen::run_http_load(&spec).expect("load run");
+    assert_eq!((report.opened, report.completed), (3, 3));
     assert_eq!(report.ok, 60);
     assert_eq!(report.errors, 0);
     assert!(report.throughput_rps > 0.0);
     assert!(report.latency.max >= report.latency.p50);
 
     let h = health(handle.addr());
-    // At least one miss per distinct workload. Concurrent clients can race
-    // the same key into a single dispatcher wave before its first insert —
-    // the batcher documents that duplicates within a wave evaluate (and
-    // count) redundantly — so each of the 5 keys may miss up to once per
-    // client, never more.
+    // At least one miss per distinct workload. Concurrent connections can
+    // race the same key into a single dispatcher wave before its first
+    // insert — the batcher documents that duplicates within a wave
+    // evaluate (and count) redundantly — so each of the 5 keys may miss up
+    // to once per connection, never more.
     assert!(
         (5..=15).contains(&h.cache.misses),
         "expected ~one miss per distinct workload, got {}",
