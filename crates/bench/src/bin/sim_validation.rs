@@ -5,8 +5,8 @@
 //! every cell is replayed through both the exact (per-frame event) and
 //! the fluid (closed-form rate integration) integrators, their parity is
 //! gated on the per-shape tolerances `sss-sim` exports, and the bench
-//! reports each fidelity's cells/sec throughput plus the measured
-//! fluid-over-exact speedup.
+//! reports each fidelity's median cells/sec over repeated timed runs
+//! (with the min–max) plus the fluid-over-exact speedup of the medians.
 //!
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
@@ -21,6 +21,11 @@ use sss_loadgen::{
 };
 use sss_report::write_json;
 use sss_sim::{fluid_tolerance, Fidelity, TraceShape};
+use sss_stats::Ecdf;
+
+/// Timed sequential replays per fidelity; the throughput figures are
+/// their median and range.
+const TIMED_RUNS: usize = 5;
 
 /// Everything the JSON artifact records: both replay matrices plus the
 /// measured throughput of each integrator.
@@ -32,37 +37,54 @@ struct SimValidationArtifact {
     fluid_speedup: f64,
 }
 
-/// One fidelity's measured replay throughput.
+/// One fidelity's measured replay throughput over [`TIMED_RUNS`] runs.
 #[derive(Debug, Clone, Serialize)]
 struct FidelityThroughput {
     fidelity: Fidelity,
     frames: u32,
     cells: usize,
-    elapsed_s: f64,
+    runs: usize,
+    /// Median over the runs; the speedup is the ratio of two medians.
     cells_per_sec: f64,
+    cells_per_sec_min: f64,
+    cells_per_sec_max: f64,
 }
 
-/// Time one sequential replay of `config`, returning the report and the
-/// cells/sec it sustained. Sequential on purpose: the pool would blur
-/// the per-integrator cost the speedup figure is about.
-fn timed_replay(config: ReplayConfig) -> (ReplayReport, FidelityThroughput) {
-    let fidelity = config.fidelity;
-    let frames = config.frames;
-    let replay = SessionReplay::bundled(config).expect("bundled ReplayConfig is valid");
-    #[allow(clippy::disallowed_methods)]
-    // sss-lint: allow(D002, bench measures real elapsed time by design)
-    let start = Instant::now();
-    let report = replay.run_sequential();
-    let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
-    let cells = report.records.len();
-    let throughput = FidelityThroughput {
-        fidelity,
-        frames,
+/// Time [`TIMED_RUNS`] sequential replays of `config`. Sequential on
+/// purpose: the pool would blur the per-integrator cost the speedup
+/// figure is about.
+fn timed_replays(config: ReplayConfig) -> FidelityThroughput {
+    let replay = SessionReplay::bundled(config.clone()).expect("bundled ReplayConfig is valid");
+    let mut cells = 0;
+    let rates: Vec<f64> = (0..TIMED_RUNS)
+        .map(|_| {
+            #[allow(clippy::disallowed_methods)]
+            // sss-lint: allow(D002, bench measures real elapsed time by design)
+            let start = Instant::now();
+            let report = replay.run_sequential();
+            let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
+            cells = report.records.len();
+            cells as f64 / elapsed_s
+        })
+        .collect();
+    let rates = Ecdf::from_samples(&rates).expect("timed runs yield finite rates");
+    FidelityThroughput {
+        fidelity: config.fidelity,
+        frames: config.frames,
         cells,
-        elapsed_s,
-        cells_per_sec: cells as f64 / elapsed_s,
-    };
-    (report, throughput)
+        runs: TIMED_RUNS,
+        cells_per_sec: rates.median(),
+        cells_per_sec_min: rates.min(),
+        cells_per_sec_max: rates.max(),
+    }
+}
+
+/// `median (min-max)` cells/sec, rounded to whole cells.
+fn rate_range(tp: &FidelityThroughput) -> String {
+    format!(
+        "{:.0} ({:.0}-{:.0})",
+        tp.cells_per_sec, tp.cells_per_sec_min, tp.cells_per_sec_max
+    )
 }
 
 fn main() {
@@ -114,39 +136,34 @@ fn main() {
 
     // Throughput: the same matrix at a deliberately high frame count,
     // where the exact integrator pays O(frames) per cell and the fluid
-    // one O(trace segments). Quick mode halves the frame count; the
-    // fluid run repeats to keep its (sub-millisecond) timing measurable.
+    // one O(trace segments). Quick mode halves the frame count. Both
+    // fidelities get the same statistic, so the speedup compares like
+    // with like.
     let bench_frames = if quick() { 2048 } else { 4096 };
     let mut bench_config = config.clone();
     bench_config.frames = bench_frames;
     bench_config.files = 16.min(bench_frames);
-    let (_, exact_tp) = timed_replay(bench_config.clone());
-    let fluid_runs = 5;
-    let fluid_tp = (0..fluid_runs)
-        .map(|_| timed_replay(bench_config.clone().with_fidelity(Fidelity::Fluid)).1)
-        .fold(None::<FidelityThroughput>, |best, t| match best {
-            Some(b) if b.cells_per_sec >= t.cells_per_sec => Some(b),
-            _ => Some(t),
-        })
-        .expect("at least one fluid timing run");
+    let exact_tp = timed_replays(bench_config.clone());
+    let fluid_tp = timed_replays(bench_config.with_fidelity(Fidelity::Fluid));
     let speedup = fluid_tp.cells_per_sec / exact_tp.cells_per_sec;
-    println!(
-        "throughput at {bench_frames} frames/cell: exact {:.0} cells/s, fluid {:.0} cells/s",
-        exact_tp.cells_per_sec, fluid_tp.cells_per_sec
+    let throughput_line = format!(
+        "throughput at {bench_frames} frames/cell, median (min-max) of {TIMED_RUNS} runs: \
+         exact {} cells/s, fluid {} cells/s",
+        rate_range(&exact_tp),
+        rate_range(&fluid_tp)
     );
-    println!("fluid fast path speedup: {speedup:.0}x cells/sec over the exact integrator");
+    println!("{throughput_line}");
+    println!("fluid fast path speedup: {speedup:.0}x median cells/sec over the exact integrator");
 
     let dir = results_dir();
     let md = dir.join("sim_validation.md");
     std::fs::write(
         &md,
         format!(
-            "{}{}\nfluid parity max rel err: {max_parity:.2e}\n\nthroughput at {bench_frames} \
-             frames/cell: exact {:.0} cells/s, fluid {:.0} cells/s ({speedup:.0}x)\n",
+            "{}{}\nfluid parity max rel err: {max_parity:.2e}\n\n{throughput_line} \
+             ({speedup:.0}x)\n",
             replay_table(&exact).to_markdown(),
             replay_summary_table(&exact).to_markdown(),
-            exact_tp.cells_per_sec,
-            fluid_tp.cells_per_sec,
         ),
     )
     .expect("write sim_validation.md");

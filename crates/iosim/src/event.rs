@@ -12,14 +12,25 @@
 //! scheduled outages land mid-transfer exactly where they would on the
 //! real systems.
 //!
+//! **Event sets.** The [`EventQueue`](sss_sim::EventQueue) holds
+//! completions only: at most one `SendDone` while streaming, and one
+//! `WriterDone` plus at most `files` `TransferDone`s on the file path.
+//! Frame productions never enter it. They are already sorted (frame `i`
+//! is ready at `period·(i+1)`), so each pipeline reads them from a
+//! cursor merged in front of the queue, and a production wins a tie with
+//! a completion at the same instant. That is the order the productions
+//! had when they were all scheduled up front: they held the queue's
+//! lowest sequence numbers, so its FIFO tie-break popped them first.
+//! Keeping it keeps every event's `f64` operations, and so every output
+//! bit, while each pop touches a queue one to `1 + files` deep instead
+//! of one holding every frame.
+//!
 //! **Parity contract:** under `BandwidthTrace::steady(wan.bandwidth)` the
 //! event-driven pipelines perform the same `f64` operations as the
 //! busy-until recurrences (modulo addition associativity) and agree with
 //! them within `1e-9` relative error; the property tests at the bottom
 //! of this module and the catalog-wide suite in `sss-loadgen` hold them
 //! to it.
-
-use std::collections::VecDeque;
 
 use sss_sim::{BandwidthTrace, EventQueue, Seconds};
 use sss_units::TimeDelta;
@@ -48,8 +59,8 @@ pub struct EventStreamingPipeline {
 
 /// Streaming-process events.
 enum StreamEv {
-    /// Frame `i` finished acquisition and entered the send queue.
-    Produced(u32),
+    /// The next frame finished acquisition and entered the send queue.
+    Produced,
     /// The link finished serializing frame `i`.
     SendDone(u32),
 }
@@ -73,43 +84,36 @@ impl EventStreamingPipeline {
         let one_way = self.wan.rtt.as_secs() / 2.0;
 
         let mut queue: EventQueue<Seconds, StreamEv> = EventQueue::new();
-        for i in 0..src.n_frames {
-            queue.schedule(
-                Seconds::new(src.frame_ready(i).as_secs()),
-                StreamEv::Produced(i),
-            );
-        }
-
-        let mut pending: VecDeque<u32> = VecDeque::new();
-        let mut sending = false;
+        // Frames `next_send..next_frame` are produced and waiting for the
+        // link: productions arrive in index order and the link is FIFO.
+        let mut next_frame = 0u32;
+        let mut next_send = 0u32;
         let mut available = vec![0.0f64; n];
 
-        // The link process: picks the next queued frame the moment it is
+        // The link process: picks the next waiting frame the moment it is
         // both idle and a frame exists — i.e. starts at
         // max(produced, link_free), exactly the busy-until recurrence.
+        // Its one in-flight send is the queue's only event, so an empty
+        // queue means an idle link.
         let start_next =
-            |queue: &mut EventQueue<Seconds, StreamEv>, pending: &mut VecDeque<u32>, now: f64| {
-                let i = pending.pop_front().expect("caller checked non-empty");
+            |queue: &mut EventQueue<Seconds, StreamEv>, next_send: &mut u32, now: f64| {
                 let sent = self.trace.finish_time(now, frame_bytes) + overhead;
-                queue.schedule(Seconds::new(sent), StreamEv::SendDone(i));
+                queue.schedule(Seconds::new(sent), StreamEv::SendDone(*next_send));
+                *next_send += 1;
             };
 
-        while let Some((t, ev)) = queue.pop() {
-            let now = t.value();
+        while let Some((now, ev)) = next_event(src, &mut next_frame, &mut queue, StreamEv::Produced)
+        {
             match ev {
-                StreamEv::Produced(i) => {
-                    pending.push_back(i);
-                    if !sending {
-                        sending = true;
-                        start_next(&mut queue, &mut pending, now);
+                StreamEv::Produced => {
+                    if queue.is_empty() {
+                        start_next(&mut queue, &mut next_send, now);
                     }
                 }
                 StreamEv::SendDone(i) => {
                     available[i as usize] = now + one_way;
-                    if pending.is_empty() {
-                        sending = false;
-                    } else {
-                        start_next(&mut queue, &mut pending, now);
+                    if next_send < next_frame {
+                        start_next(&mut queue, &mut next_send, now);
                     }
                 }
             }
@@ -159,12 +163,8 @@ enum WriterOp {
 
 /// File-pipeline events.
 enum FileEv {
-    /// Simulation start: kicks the writer so file-creation metadata is
-    /// charged from t=0, before the first frame exists (matching the
-    /// analytic recurrence's up-front `write_free += metadata`).
-    Start,
-    /// Frame `i` finished acquisition.
-    Produced(u32),
+    /// The next frame finished acquisition.
+    Produced,
     /// The local writer finished its current operation.
     WriterDone,
     /// A DTN slot delivered file `f` (verified, on the remote PFS).
@@ -236,29 +236,25 @@ impl EventFileBasedPipeline {
 
         let ops = self.writer_program();
         let mut queue: EventQueue<Seconds, FileEv> = EventQueue::new();
-        queue.schedule(Seconds::ZERO, FileEv::Start);
-        for i in 0..src.n_frames {
-            queue.schedule(
-                Seconds::new(src.frame_ready(i).as_secs()),
-                FileEv::Produced(i),
-            );
-        }
-
-        let mut produced = vec![false; src.n_frames as usize];
-        let mut op_cursor = 0usize;
-        let mut writer_busy = false;
+        // Frames `0..next_frame` are produced: productions arrive in
+        // index order.
+        let mut next_frame = 0u32;
         let mut closes_on_done: Option<u32> = None;
         let mut slot_free = vec![0.0f64; p.dtn.concurrency as usize];
         let mut available = vec![0.0f64; self.files as usize];
 
-        while let Some((t, ev)) = queue.pop() {
-            let now = t.value();
+        // The writer's program starts with opening file 0, charged from
+        // t=0 before the first frame exists (matching the analytic
+        // recurrence's up-front `write_free += metadata`).
+        debug_assert!(matches!(ops[0], WriterOp::Open));
+        let mut op_cursor = 1usize;
+        let mut writer_busy = true;
+        queue.schedule(Seconds::new(metadata), FileEv::WriterDone);
+
+        while let Some((now, ev)) = next_event(src, &mut next_frame, &mut queue, FileEv::Produced) {
             let mut closed: Option<u32> = None;
             match ev {
-                FileEv::Start => {}
-                FileEv::Produced(i) => {
-                    produced[i as usize] = true;
-                }
+                FileEv::Produced => {}
                 FileEv::WriterDone => {
                     writer_busy = false;
                     closed = closes_on_done.take();
@@ -299,8 +295,8 @@ impl EventFileBasedPipeline {
                         queue.schedule(Seconds::new(now + metadata), FileEv::WriterDone);
                     }
                     WriterOp::Write { frame, closes } => {
-                        if !produced[frame as usize] {
-                            break; // the Produced event will resume us
+                        if frame >= next_frame {
+                            break; // its production will resume us
                         }
                         op_cursor += 1;
                         writer_busy = true;
@@ -327,13 +323,305 @@ impl EventFileBasedPipeline {
     }
 }
 
+/// Take the next event of a pipeline whose frame productions are merged
+/// in front of `queue` as a sorted stream: the production of frame
+/// `*next_frame` (reported as `produced`) if it is due no later than the
+/// earliest queued completion, else that completion. Returns the event's
+/// instant in seconds.
+///
+/// Productions win ties; the module docs say why.
+fn next_event<E>(
+    src: &FrameSource,
+    next_frame: &mut u32,
+    queue: &mut EventQueue<Seconds, E>,
+    produced: E,
+) -> Option<(f64, E)> {
+    if *next_frame < src.n_frames {
+        let ready = Seconds::new(src.frame_ready(*next_frame).as_secs());
+        if queue.peek_time().is_none_or(|&due| ready <= due) {
+            *next_frame += 1;
+            return Some((ready.value(), produced));
+        }
+    }
+    queue.pop().map(|(t, ev)| (t.value(), ev))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{FileBasedPipeline, StreamingPipeline};
     use crate::profile::presets;
+    use proptest::prelude::*;
     use sss_sim::TraceShape;
     use sss_units::{Bytes, Rate};
+
+    /// Streaming events of the pre-scheduled oracle.
+    enum PrescheduledStreamEv {
+        Produced(u32),
+        SendDone(u32),
+    }
+
+    /// File-pipeline events of the pre-scheduled oracle.
+    enum PrescheduledFileEv {
+        Start,
+        Produced(u32),
+        WriterDone,
+        TransferDone(u32),
+    }
+
+    impl EventStreamingPipeline {
+        /// The reference the merged loop is held to: every production
+        /// scheduled on the queue before the first pop.
+        fn run_prescheduled(&self) -> MovementResult {
+            let src = &self.source;
+            let n = src.n_frames as usize;
+            let frame_bytes = src.frame_bytes.as_b();
+            let overhead = self.wan.per_message_overhead.as_secs();
+            let one_way = self.wan.rtt.as_secs() / 2.0;
+
+            let mut queue: EventQueue<Seconds, PrescheduledStreamEv> = EventQueue::new();
+            for i in 0..src.n_frames {
+                queue.schedule(
+                    Seconds::new(src.frame_ready(i).as_secs()),
+                    PrescheduledStreamEv::Produced(i),
+                );
+            }
+
+            let mut pending: std::collections::VecDeque<u32> = Default::default();
+            let mut sending = false;
+            let mut available = vec![0.0f64; n];
+
+            let start_next = |queue: &mut EventQueue<Seconds, PrescheduledStreamEv>,
+                              pending: &mut std::collections::VecDeque<u32>,
+                              now: f64| {
+                let i = pending.pop_front().expect("caller checked non-empty");
+                let sent = self.trace.finish_time(now, frame_bytes) + overhead;
+                queue.schedule(Seconds::new(sent), PrescheduledStreamEv::SendDone(i));
+            };
+
+            while let Some((t, ev)) = queue.pop() {
+                let now = t.value();
+                match ev {
+                    PrescheduledStreamEv::Produced(i) => {
+                        pending.push_back(i);
+                        if !sending {
+                            sending = true;
+                            start_next(&mut queue, &mut pending, now);
+                        }
+                    }
+                    PrescheduledStreamEv::SendDone(i) => {
+                        available[i as usize] = now + one_way;
+                        if pending.is_empty() {
+                            sending = false;
+                        } else {
+                            start_next(&mut queue, &mut pending, now);
+                        }
+                    }
+                }
+            }
+
+            let completion = *available.last().expect("non-empty scan");
+            MovementResult {
+                completion: TimeDelta::from_secs(completion),
+                post_acquisition_lag: TimeDelta::from_secs(
+                    (completion - src.acquisition_duration().as_secs()).max(0.0),
+                ),
+                unit_available_s: available,
+                bytes: src.total_bytes(),
+            }
+        }
+    }
+
+    impl EventFileBasedPipeline {
+        /// The reference the merged loop is held to: a `Start` event and
+        /// every production scheduled on the queue before the first pop.
+        fn run_prescheduled(&self) -> MovementResult {
+            let src = &self.source;
+            let p = &self.path;
+            let frame_bytes = src.frame_bytes.as_b();
+            let write_bw = p.local.write_bw.as_bytes_per_sec();
+            let metadata = p.local.metadata_latency.as_secs();
+            let stage_cap = p.local.read_bw.min(p.remote.write_bw).as_bytes_per_sec();
+            let divisor = p.dtn.concurrency as f64;
+            let fixed = p.dtn.startup_per_file.as_secs()
+                + p.remote.metadata_latency.as_secs()
+                + p.wan.rtt.as_secs();
+            let checksum = p.dtn.checksum_rate.as_bytes_per_sec();
+
+            let ops = self.writer_program();
+            let mut queue: EventQueue<Seconds, PrescheduledFileEv> = EventQueue::new();
+            queue.schedule(Seconds::ZERO, PrescheduledFileEv::Start);
+            for i in 0..src.n_frames {
+                queue.schedule(
+                    Seconds::new(src.frame_ready(i).as_secs()),
+                    PrescheduledFileEv::Produced(i),
+                );
+            }
+
+            let mut produced = vec![false; src.n_frames as usize];
+            let mut op_cursor = 0usize;
+            let mut writer_busy = false;
+            let mut closes_on_done: Option<u32> = None;
+            let mut slot_free = vec![0.0f64; p.dtn.concurrency as usize];
+            let mut available = vec![0.0f64; self.files as usize];
+
+            while let Some((t, ev)) = queue.pop() {
+                let now = t.value();
+                let mut closed: Option<u32> = None;
+                match ev {
+                    PrescheduledFileEv::Start => {}
+                    PrescheduledFileEv::Produced(i) => {
+                        produced[i as usize] = true;
+                    }
+                    PrescheduledFileEv::WriterDone => {
+                        writer_busy = false;
+                        closed = closes_on_done.take();
+                    }
+                    PrescheduledFileEv::TransferDone(f) => {
+                        available[f as usize] = now;
+                    }
+                }
+
+                if let Some(file) = closed {
+                    let bytes = frame_bytes * self.frames_in_file(file) as f64;
+                    let (slot, _) = slot_free
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| a.1.partial_cmp(b.1).expect("slot time NaN"))
+                        .expect("at least one slot");
+                    let start = now.max(slot_free[slot]);
+                    let wire_done =
+                        self.trace
+                            .capped_finish_time(start + fixed, bytes, divisor, stage_cap);
+                    let done = wire_done + bytes / checksum;
+                    slot_free[slot] = done;
+                    queue.schedule(Seconds::new(done), PrescheduledFileEv::TransferDone(file));
+                }
+
+                while !writer_busy && op_cursor < ops.len() {
+                    match ops[op_cursor] {
+                        WriterOp::Open => {
+                            op_cursor += 1;
+                            writer_busy = true;
+                            queue.schedule(
+                                Seconds::new(now + metadata),
+                                PrescheduledFileEv::WriterDone,
+                            );
+                        }
+                        WriterOp::Write { frame, closes } => {
+                            if !produced[frame as usize] {
+                                break;
+                            }
+                            op_cursor += 1;
+                            writer_busy = true;
+                            closes_on_done = closes;
+                            queue.schedule(
+                                Seconds::new(now + frame_bytes / write_bw),
+                                PrescheduledFileEv::WriterDone,
+                            );
+                        }
+                    }
+                }
+            }
+            debug_assert_eq!(op_cursor, ops.len(), "writer program must drain");
+
+            let completion = available.iter().cloned().fold(0.0f64, f64::max);
+            MovementResult {
+                completion: TimeDelta::from_secs(completion),
+                post_acquisition_lag: TimeDelta::from_secs(
+                    (completion - src.acquisition_duration().as_secs()).max(0.0),
+                ),
+                unit_available_s: available,
+                bytes: src.total_bytes(),
+            }
+        }
+    }
+
+    /// A movement result as raw bits, so equality means bit identity.
+    fn bits(r: &MovementResult) -> (u64, u64, Vec<u64>) {
+        (
+            r.completion.as_secs().to_bits(),
+            r.post_acquisition_lag.as_secs().to_bits(),
+            r.unit_available_s.iter().map(|t| t.to_bits()).collect(),
+        )
+    }
+
+    /// The geometry that lands completions on production instants: one
+    /// 8 MB frame per 1 ms into an 8 GB/s WAN and an 8 GB/s local write,
+    /// so a frame's wire or write time equals the production period.
+    fn tie_geometry(frames: u32) -> (FrameSource, WanProfile, PathProfile) {
+        let src = scan(1.0, frames);
+        let mut path = presets::aps_to_alcf();
+        path.wan.bandwidth = Rate::from_gigabytes_per_sec(8.0);
+        path.local.write_bw = Rate::from_gigabytes_per_sec(8.0);
+        (src, path.wan, path)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..Default::default() })]
+
+        /// The merged-production loops replay the pre-scheduled oracle
+        /// bit for bit: completion, post-acquisition lag and every unit
+        /// instant, across geometry, aggregation, DTN concurrency, all
+        /// trace shapes and zero or nonzero latencies.
+        #[test]
+        fn merged_productions_match_the_prescheduled_oracle(
+            frames in 1u32..300,
+            files_raw in any::<u32>(),
+            concurrency in 1u32..=4,
+            geometry in 0u32..3,
+            period_ms in 0.5f64..60.0,
+            trace_pick in 0usize..=TraceShape::ALL.len(),
+            horizon in 0.05f64..2.0,
+            seed in any::<u64>(),
+            latencies in 0u32..4,
+        ) {
+            let files = 1 + files_raw % frames;
+            // Branches: the tie geometry, an arrival-gated source on the
+            // calibrated path, and the replay's nanosecond burst.
+            let (src, mut wan, mut path) = match geometry {
+                0 => tie_geometry(frames),
+                1 => (scan(period_ms, frames), presets::aps_alcf_wan(), presets::aps_to_alcf()),
+                _ => (
+                    FrameSource::new(frames, Bytes::from_mb(8.0), TimeDelta::from_secs(1e-9)),
+                    presets::aps_alcf_wan(),
+                    presets::aps_to_alcf(),
+                ),
+            };
+            if latencies & 1 == 0 {
+                wan.rtt = TimeDelta::ZERO;
+            }
+            if latencies & 2 == 0 {
+                wan.per_message_overhead = TimeDelta::ZERO;
+            }
+            path.wan = wan;
+            path.dtn.concurrency = concurrency;
+            let trace = match trace_pick {
+                0 => BandwidthTrace::steady(wan.bandwidth),
+                k => TraceShape::ALL[k - 1].build(wan.bandwidth, horizon, seed),
+            };
+
+            let stream = EventStreamingPipeline::new(src, wan, trace.clone());
+            prop_assert_eq!(bits(&stream.run()), bits(&stream.run_prescheduled()));
+            let staged = EventFileBasedPipeline::new(src, files, path, trace);
+            prop_assert_eq!(bits(&staged.run()), bits(&staged.run_prescheduled()));
+        }
+    }
+
+    #[test]
+    fn tie_geometry_lands_completions_on_production_instants() {
+        let (src, mut wan, _) = tie_geometry(64);
+        wan.rtt = TimeDelta::ZERO;
+        wan.per_message_overhead = TimeDelta::ZERO;
+        let r = EventStreamingPipeline::new(src, wan, BandwidthTrace::steady(wan.bandwidth)).run();
+        let ties = (1..src.n_frames)
+            .filter(|&i| {
+                r.unit_available_s[i as usize - 1].to_bits()
+                    == src.frame_ready(i).as_secs().to_bits()
+            })
+            .count();
+        assert!(ties > 0, "no send completed on a production instant");
+    }
 
     fn scan(period_ms: f64, frames: u32) -> FrameSource {
         FrameSource::new(

@@ -2,10 +2,12 @@
 //! piecewise-constant rate integration in place of per-frame and
 //! per-byte event stepping.
 //!
-//! The event pipelines in [`crate::event`] cost `O(frames)` queue
-//! operations; the fluid counterparts here cost `O(trace segments +
-//! files)` regardless of frame count, by advancing time analytically to
-//! the next trace breakpoint, DTN-slot edge or completion:
+//! The event pipelines in [`crate::event`] handle `O(frames)` events, on
+//! a queue at most `1 + files` deep (frame productions are merged in as
+//! a sorted stream, never queued); the fluid counterparts here cost
+//! `O(trace segments + files)` regardless of frame count, by advancing
+//! time analytically to the next trace breakpoint, DTN-slot edge or
+//! completion:
 //!
 //! * **Streaming** models the frame stream as a fluid arriving at the
 //!   generation rate from the first frame's production instant and
