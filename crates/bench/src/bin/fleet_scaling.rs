@@ -1,6 +1,10 @@
-//! E-X8 — fleet advancement at scale: wall-clock throughput of the
-//! allocation integrator (water-filling level tracker + breakpoint
-//! calendar), swept over fleet size × trace shape × admission policy.
+//! E-X8 — fleet advancement at scale: wall-clock throughput of a whole
+//! fleet run (the allocation integrator's water-filling level tracker
+//! and event calendar, plus the per-session trace builds and movement
+//! replays), swept over fleet size × trace shape × admission policy.
+//! Clipped sessions sit at floor caps, so a bursty cell schedules few
+//! breakpoint events beyond one arrival, admission and drain per
+//! session, and its time is mostly those per-session costs.
 //! Persists `results/fleet_scaling.{csv,json,md}`.
 //!
 //! Honors `SSS_SEED`, `SSS_QUICK` and `SSS_WORKERS` like the other
@@ -26,8 +30,8 @@ fn fleet_sizes() -> &'static [u32] {
     }
 }
 
-/// Shapes exercised: the constant backbone and the bursty one whose
-/// breakpoint calendar is densest.
+/// Shapes exercised: the constant backbone and the bursty one with the
+/// most trace breakpoints.
 const SHAPES: [TraceShape; 2] = [TraceShape::Steady, TraceShape::Bursty];
 
 /// One timed (sessions × shape × policy) cell.

@@ -325,9 +325,12 @@ pub struct FleetReport {
     /// Largest number of concurrently admitted sessions observed —
     /// bounded by [`FleetConfig::slots`] by construction.
     pub peak_active: u32,
-    /// Allocation-integrator events processed (arrivals, admissions,
-    /// breakpoints, drains, clip flips) — the denominator of the scaling
-    /// bench's events/sec.
+    /// Allocation-integrator events processed: arrivals, admissions,
+    /// drains, trace breakpoints of sessions not held at a floor cap,
+    /// floor-window ends, and wakes of floored sessions the level rose
+    /// to. The breakpoints a floored session passes inside its window
+    /// are never scheduled, so they are not counted. The denominator of
+    /// the scaling bench's events/sec.
     #[serde(default)]
     pub events: u64,
 }
@@ -475,11 +478,12 @@ impl AdmissionQueue {
 enum FleetEvent {
     /// The session arrives and joins the admission queue.
     Arrival(usize),
-    /// An admitted session's solo trace switches segments. The trace
-    /// clock advances with wall time whether the session is clipped or
-    /// not, so a breakpoint scheduled at admission can only be orphaned
-    /// by the session draining first — which the `done` flag detects.
-    Breakpoint(usize),
+    /// An admitted session's trace clock reaches `Lane::next_break`: the
+    /// next segment switch, or the end of its floor window. Carries the
+    /// breakpoint generation it was scheduled under; holding the session
+    /// at a floor or waking it bumps the generation, which orphans the
+    /// pending entry, as does the session draining (the `done` flag).
+    Breakpoint(usize, u64),
     /// An unclipped session runs dry at its solo rate; stale once the
     /// session's epoch moved past the recorded one.
     Drain(usize, u64),
@@ -492,11 +496,19 @@ struct Lane {
     flow: Option<WaterFlowId>,
     /// Whether the flow sat above the water level at the last resolution.
     clipped: bool,
-    /// Solo rate of the current trace segment — the deflated grant while
-    /// unclipped; the WAN demand is `theta` times this.
+    /// Whether the flow is held at a floor cap: clipped, with its demand
+    /// registered as the smallest one it has before `next_break`, and no
+    /// calendar entry for the segment switches in between.
+    floored: bool,
+    /// Solo rate of the trace segment last looked up — the deflated
+    /// grant while unclipped; the WAN demand is `theta` times this.
+    /// Stale while floored.
     solo: f64,
-    /// Trace time of the next segment switch, if any.
+    /// Trace time of the pending breakpoint entry: the next segment
+    /// switch, or the end of the floor window while floored.
     next_break: Option<f64>,
+    /// Generation of the live breakpoint entry.
+    break_gen: u64,
     /// Wall-clock instant the anchors below were last materialized.
     t_anchor: f64,
     /// Deflated bytes remaining at the anchor (governs unclipped drains).
@@ -506,8 +518,9 @@ struct Lane {
     /// `d = v(t₀) + θ·rem(t₀)`, a constant — so the drain heap never
     /// re-sorts while the level moves.
     d_key: f64,
-    /// Bumped on every state transition; calendar and heap entries carry
-    /// the epoch they were scheduled under and are dropped when stale.
+    /// Bumped on every state transition; drain entries (calendar and
+    /// heap) carry the epoch they were scheduled under and are dropped
+    /// when stale.
     epoch: u64,
 }
 
@@ -523,6 +536,30 @@ fn leave_clipped(set: &mut Vec<usize>, pos: &mut [usize], i: usize) {
         pos[set[p]] = p;
     }
     pos[i] = usize::MAX;
+}
+
+/// How often the integrator held a session at a floor cap, woke a
+/// floored session because the level rose to its floor, and let a floor
+/// window run to its end. Only the tests read these: they prove that a
+/// differential run took every floor path.
+#[derive(Debug, Default, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
+struct FloorCounts {
+    floors: u64,
+    wakes: u64,
+    expiries: u64,
+}
+
+/// What one pass of the allocation integrator produced.
+struct Integration {
+    /// Every session's state, advanced to completion.
+    states: Vec<SessionState>,
+    /// Largest number of concurrently admitted sessions.
+    peak_active: u32,
+    /// Events processed, as [`FleetReport::events`] counts them.
+    events: u64,
+    #[cfg_attr(not(test), allow(dead_code))]
+    floor_counts: FloorCounts,
 }
 
 impl FleetSim {
@@ -639,11 +676,10 @@ impl FleetSim {
     /// The fluid allocation integrator: admissions, max-min fair WAN
     /// shares, queue waits and each session's granted piecewise-constant
     /// allocation. Event-driven and analytic between events (arrivals,
-    /// admissions, solo-trace breakpoints, drains), in the style of
-    /// `sss-netsim`'s `FluidSimulator`. Returns the advanced states, the
-    /// peak concurrency and the number of integrator events processed.
+    /// admissions, trace breakpoints of unclipped sessions, floor-window
+    /// ends, drains), in the style of `sss-netsim`'s `FluidSimulator`.
     ///
-    /// Three structures replace the test-only reference loop's full
+    /// Four structures replace the test-only reference loop's full
     /// rescans:
     ///
     /// * a [`WaterFiller`] holds every active flow's WAN demand and
@@ -656,7 +692,19 @@ impl FleetSim {
     ///   space**: with `v(t) = ∫ level dt`, a continuously-clipped
     ///   session's remaining hits zero when `v` reaches the constant
     ///   `d = v(t₀) + θ·rem(t₀)` — level changes move every clipped
-    ///   drain time at once, but leave the heap order untouched.
+    ///   drain time at once, but leave the heap order untouched;
+    /// * **floor caps** keep clipped sessions off the calendar. The level
+    ///   is `L = (C − Σ frozen caps)/(n − m)`, so a clipped flow's cap
+    ///   only enters the search for the frozen prefix: while it stays
+    ///   above `L`, its exact value moves neither `L`, nor the flow's
+    ///   grant `L/θ`, nor its drain key. A session that resolves clipped
+    ///   is registered at the smallest demand it has until its first
+    ///   trace segment at or below the level
+    ///   ([`BandwidthTrace::window_above`]), with one calendar entry at
+    ///   the end of that window in place of one per breakpoint. When a
+    ///   re-level lifts the level to a floor, the flip query reports the
+    ///   flow, which wakes onto its true cap, and the step re-levels
+    ///   until no floor is crossed.
     ///
     /// Scratch buffers are reused across events and per-session state is
     /// materialized lazily (only when a session's own status changes), so
@@ -665,7 +713,7 @@ impl FleetSim {
     /// rounding), mirroring the reference loop's snapping; an unclipped
     /// session's recorded pieces carry its solo rates bit-for-bit, which
     /// preserves the fleet-of-one ≡ `SessionReplay` identity.
-    fn integrate(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
+    fn integrate(&self, plan: &[Planned]) -> Integration {
         let mut states = self.session_states(plan);
         let n = states.len();
         let wan_bps = self.config.wan.as_bytes_per_sec();
@@ -682,8 +730,10 @@ impl FleetSim {
             .map(|_| Lane {
                 flow: None,
                 clipped: false,
+                floored: false,
                 solo: 0.0,
                 next_break: None,
+                break_gen: 0,
                 t_anchor: 0.0,
                 rem_anchor: 0.0,
                 d_key: 0.0,
@@ -709,12 +759,15 @@ impl FleetSim {
         let mut touched: Vec<usize> = Vec::new();
         let mut touch_stamp: Vec<u64> = vec![0; n];
         let mut stamp = 0u64;
+        // Sessions whose flow caps lie in a band the level swept.
+        let mut band: Vec<usize> = Vec::new();
 
         let mut active = 0usize;
         let mut peak_active = 0u32;
         let mut t = 0.0f64;
         let mut v = 0.0f64;
         let mut events = 0u64;
+        let mut floor_counts = FloorCounts::default();
 
         loop {
             // Drop heap entries orphaned by a flip, breakpoint or drain.
@@ -795,17 +848,18 @@ impl FleetSim {
                             queue.push(i, states[i].scenario_idx, rank);
                             events += 1;
                         }
-                        FleetEvent::Breakpoint(i) => {
-                            if states[i].done {
+                        FleetEvent::Breakpoint(i, gen) => {
+                            if states[i].done || lanes[i].break_gen != gen {
                                 continue;
                             }
                             let (Some(flow), Some(b)) = (lanes[i].flow, lanes[i].next_break) else {
                                 continue;
                             };
                             // Materialize remaining over the outgoing
-                            // segment, then snap the trace clock onto the
-                            // breakpoint verbatim (the reference loop's
-                            // rounding guard).
+                            // segment or floor window, then snap the trace
+                            // clock onto the breakpoint verbatim (the
+                            // reference loop's rounding guard) and register
+                            // the true cap there.
                             let theta = states[i].theta;
                             let rem = if lanes[i].clipped {
                                 ((lanes[i].d_key - v) / theta).max(0.0)
@@ -818,6 +872,10 @@ impl FleetSim {
                             let (solo, next_b) = states[i].trace.segment_at(b);
                             wf.update(flow, theta * solo);
                             let lane = &mut lanes[i];
+                            if lane.floored {
+                                lane.floored = false;
+                                floor_counts.expiries += 1;
+                            }
                             lane.rem_anchor = rem;
                             lane.t_anchor = t_next;
                             lane.solo = solo;
@@ -826,7 +884,7 @@ impl FleetSim {
                             if let Some(nb) = next_b {
                                 calendar.schedule(
                                     Seconds::new(t_next + (nb - b)),
-                                    FleetEvent::Breakpoint(i),
+                                    FleetEvent::Breakpoint(i, gen),
                                 );
                             }
                             if touch_stamp[i] != stamp {
@@ -882,7 +940,10 @@ impl FleetSim {
                 lane.rem_anchor = states[i].s_bytes;
                 lane.epoch += 1;
                 if let Some(b) = next_b {
-                    calendar.schedule(Seconds::new(t_next + b), FleetEvent::Breakpoint(i));
+                    calendar.schedule(
+                        Seconds::new(t_next + b),
+                        FleetEvent::Breakpoint(i, lane.break_gen),
+                    );
                 }
                 if touch_stamp[i] != stamp {
                     touch_stamp[i] = stamp;
@@ -894,24 +955,59 @@ impl FleetSim {
 
             // 4. Resolution: one re-level covers every mutation above.
             // A flow whose own cap didn't change flips clip status iff
-            // the level crossed its cap, so the (old, new] level band
+            // the level crossed its cap, so the band the level swept
             // plus the touched list is exactly the set of candidates.
-            let level_new = wf.level();
-            let moved = level_new.to_bits() != level.to_bits();
-            if moved {
-                let (lo, hi) = if level_new > level {
-                    (level, level_new)
-                } else {
-                    (level_new, level)
-                };
-                wf.for_caps_in(lo, hi, |f| {
-                    let i = flow_session[f.index()];
+            // A floor in that band is stale — the level rose to it — so
+            // its session wakes onto its true cap, which re-levels; the
+            // sweep repeats until it reaches no further floor.
+            let (mut swept_lo, mut swept_hi) = (level, level);
+            let mut level_new = wf.level();
+            loop {
+                band.clear();
+                if level_new > swept_hi {
+                    wf.for_caps_in(swept_hi, level_new, |f| band.push(flow_session[f.index()]));
+                    swept_hi = level_new;
+                }
+                if level_new < swept_lo {
+                    wf.for_caps_in(level_new, swept_lo, |f| band.push(flow_session[f.index()]));
+                    swept_lo = level_new;
+                }
+                let mut woke = false;
+                for &i in &band {
                     if touch_stamp[i] != stamp {
                         touch_stamp[i] = stamp;
                         touched.push(i);
                     }
-                });
+                    if !lanes[i].floored {
+                        continue;
+                    }
+                    let Some(flow) = lanes[i].flow else { continue };
+                    // Wake: the trace clock ran on past segment switches
+                    // with no calendar entry, so look up where it is now.
+                    let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
+                    let (solo, next_b) = states[i].trace.segment_at(rel_now);
+                    wf.update(flow, states[i].theta * solo);
+                    let lane = &mut lanes[i];
+                    lane.floored = false;
+                    lane.solo = solo;
+                    lane.next_break = next_b;
+                    lane.break_gen += 1;
+                    if let Some(nb) = next_b {
+                        calendar.schedule(
+                            Seconds::new(t_next + (nb - rel_now)),
+                            FleetEvent::Breakpoint(i, lane.break_gen),
+                        );
+                    }
+                    floor_counts.wakes += 1;
+                    events += 1;
+                    woke = true;
+                }
+                if !woke {
+                    break;
+                }
+                level_new = wf.level();
             }
+            let moved = level_new.to_bits() != level.to_bits();
             for &i in &touched {
                 if states[i].done {
                     continue;
@@ -946,6 +1042,36 @@ impl FleetSim {
                     }
                     let rel = states[i].rel_s;
                     push_piece(&mut states[i].pieces, rel, level_new / theta);
+                    // Hold it at a floor cap when its trace stays above
+                    // the level past the pending breakpoint.
+                    let window = lane.next_break.and_then(|b| {
+                        states[i]
+                            .trace
+                            .window_above(b, |rate| theta * rate > level_new)
+                    });
+                    if let Some((min, end)) = window {
+                        // The floor is the smaller of the current cap
+                        // and the window's smallest later demand.
+                        let floor = theta * min;
+                        if floor < wf.cap(flow) {
+                            wf.update(flow, floor);
+                            debug_assert_eq!(
+                                wf.level().to_bits(),
+                                level_new.to_bits(),
+                                "a floor above the level must not move it"
+                            );
+                        }
+                        lane.floored = true;
+                        lane.next_break = end;
+                        lane.break_gen += 1;
+                        if let Some(e) = end {
+                            calendar.schedule(
+                                Seconds::new(t_next + (e - states[i].rel_s)),
+                                FleetEvent::Breakpoint(i, lane.break_gen),
+                            );
+                        }
+                        floor_counts.floors += 1;
+                    }
                 } else {
                     leave_clipped(&mut clipped_set, &mut clipped_pos, i);
                     if lane.solo > 0.0 {
@@ -975,7 +1101,12 @@ impl FleetSim {
 
             t = t_next;
         }
-        (states, peak_active, events)
+        Integration {
+            states,
+            peak_active,
+            events,
+            floor_counts,
+        }
     }
 
     /// One session's reported record: its granted allocation replayed
@@ -1068,7 +1199,12 @@ impl FleetSim {
     fn report(
         &self,
         pool: Option<&ThreadPool>,
-        (states, peak_active, events): (Vec<SessionState>, u32, u64),
+        Integration {
+            states,
+            peak_active,
+            events,
+            ..
+        }: Integration,
     ) -> Result<FleetReport, String> {
         let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
@@ -1329,7 +1465,7 @@ mod tests {
         /// The seed allocation loop: every event re-derives all solo rates,
         /// re-runs [`progressive_fill`] over every active flow and rescans
         /// all drains and breakpoints — O(k²) per event.
-        fn integrate_reference(&self, plan: &[Planned]) -> (Vec<SessionState>, u32, u64) {
+        fn integrate_reference(&self, plan: &[Planned]) -> Integration {
             let mut states = self.session_states(plan);
             let n = states.len();
             let wan_bps = self.config.wan.as_bytes_per_sec();
@@ -1451,7 +1587,12 @@ mod tests {
                     t + dt
                 };
             }
-            (states, peak_active, events)
+            Integration {
+                states,
+                peak_active,
+                events,
+                floor_counts: FloorCounts::default(),
+            }
         }
 
         /// Which waiting session the policy admits next: an index into
@@ -1766,55 +1907,80 @@ mod tests {
         assert!(a.records[0].arrival_s != c.records[0].arrival_s);
     }
 
-    /// The tentpole differential gate: under heavy contention, every
-    /// shape and policy, the incremental engine reproduces the reference
-    /// loop's admissions exactly and its continuous outcomes to within
-    /// float dust (the allocators agree to ≤1e-12 relative per event;
-    /// event-time shifts compound that slightly).
+    /// The tentpole differential gate: under contention, for every
+    /// shape, policy, backbone from scarce to ample, and three seeds, the
+    /// incremental engine reproduces the reference loop's admissions
+    /// exactly and its continuous outcomes to within float dust (the
+    /// allocators agree to ≤1e-12 relative per event; event-time shifts
+    /// compound that slightly). The grid must hold sessions at floor
+    /// caps, wake floored sessions and run floor windows to their end,
+    /// or it would not test them.
     #[test]
     fn incremental_and_reference_engines_agree_under_contention() {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1e-9);
-        for policy in AdmissionPolicy::ALL {
-            for shape in [TraceShape::Steady, TraceShape::Bursty] {
-                let mut config = FleetConfig::quick(11).with_load(6.0);
-                config.wan = Rate::from_gbps(12.0);
-                config.shape = shape;
-                config.policy = policy;
-                let sim = FleetSim::bundled(config).unwrap();
-                let inc = sim.run_sequential().unwrap();
-                let reference = sim.run_reference().unwrap();
-                assert_eq!(inc.records.len(), reference.records.len());
-                assert_eq!(inc.peak_active, reference.peak_active);
-                assert!(inc.events > 0 && reference.events > 0);
-                assert!(
-                    inc.records.iter().any(|r| r.contended),
-                    "{shape}/{policy}: the cell must actually contend"
+        let cells = AdmissionPolicy::ALL.into_iter().flat_map(|policy| {
+            TraceShape::ALL.into_iter().flat_map(move |shape| {
+                [3.0, 12.0, 40.0, 200.0]
+                    .into_iter()
+                    .flat_map(move |gbps| [11, 12, 13].map(|seed| (policy, shape, gbps, seed)))
+            })
+        });
+        let mut totals = FloorCounts::default();
+        for (policy, shape, gbps, seed) in cells {
+            let mut config = FleetConfig::quick(seed).with_load(6.0);
+            config.sessions = 60;
+            config.wan = Rate::from_gbps(gbps);
+            config.shape = shape;
+            config.policy = policy;
+            let sim = FleetSim::bundled(config).unwrap();
+            let run = sim.integrate(&sim.plan());
+            let counts = run.floor_counts;
+            totals.floors += counts.floors;
+            totals.wakes += counts.wakes;
+            totals.expiries += counts.expiries;
+            let inc = sim.report(None, run).unwrap();
+            let reference = sim.run_reference().unwrap();
+            let cell = format!("{shape}/{policy}/{gbps} Gbps/seed {seed}");
+            assert_eq!(inc.records.len(), reference.records.len(), "{cell}");
+            assert_eq!(inc.peak_active, reference.peak_active, "{cell}");
+            assert!(inc.events > 0 && reference.events > 0);
+            assert!(
+                inc.records.iter().any(|r| r.contended),
+                "{cell}: the cell must actually contend"
+            );
+            if matches!(shape, TraceShape::Steady | TraceShape::Outage) {
+                assert_eq!(
+                    counts.floors, 0,
+                    "{cell}: no floor can sit below the true cap"
                 );
-                for (a, b) in inc.records.iter().zip(&reference.records) {
-                    let tag = format!("{shape}/{policy}/session {}", a.session);
-                    assert_eq!(a.scenario_id, b.scenario_id, "{tag}");
-                    assert_eq!(a.contended, b.contended, "{tag}: clip status");
-                    assert!(
-                        close(a.wait_s, b.wait_s),
-                        "{tag}: wait {} vs {}",
-                        a.wait_s,
-                        b.wait_s
-                    );
-                    assert!(
-                        close(a.movement_s, b.movement_s),
-                        "{tag}: movement {} vs {}",
-                        a.movement_s,
-                        b.movement_s
-                    );
-                    assert!(
-                        close(a.completion_s, b.completion_s),
-                        "{tag}: completion {} vs {}",
-                        a.completion_s,
-                        b.completion_s
-                    );
-                }
+            }
+            for (a, b) in inc.records.iter().zip(&reference.records) {
+                let tag = format!("{cell}/session {}", a.session);
+                assert_eq!(a.scenario_id, b.scenario_id, "{tag}");
+                assert_eq!(a.contended, b.contended, "{tag}: clip status");
+                assert!(
+                    close(a.wait_s, b.wait_s),
+                    "{tag}: wait {} vs {}",
+                    a.wait_s,
+                    b.wait_s
+                );
+                assert!(
+                    close(a.movement_s, b.movement_s),
+                    "{tag}: movement {} vs {}",
+                    a.movement_s,
+                    b.movement_s
+                );
+                assert!(
+                    close(a.completion_s, b.completion_s),
+                    "{tag}: completion {} vs {}",
+                    a.completion_s,
+                    b.completion_s
+                );
             }
         }
+        assert!(totals.floors > 0, "no session was held at a floor");
+        assert!(totals.wakes > 0, "no floored session was woken");
+        assert!(totals.expiries > 0, "no floor window ran to its end");
     }
 
     /// Satellite gate: the policy-specialized [`AdmissionQueue`] pops

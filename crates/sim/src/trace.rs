@@ -176,6 +176,60 @@ impl BandwidthTrace {
         )
     }
 
+    /// How far ahead of `t_s` the trace stays above a threshold: walks
+    /// segment indices forward from the segment containing `t_s` while
+    /// `above(rate)` holds.
+    ///
+    /// Returns `None` when that first segment already fails — a window
+    /// that ends at `t_s` crosses no breakpoint. Otherwise returns the
+    /// minimum rate over the window and its end: the start of the first
+    /// segment that fails `above`, as a segment start verbatim, or `None`
+    /// when every later segment passes (the window has no end). A
+    /// zero-rate segment ends the window whenever `above(0.0)` is false.
+    ///
+    /// The fleet engine calls this with `t_s` on a breakpoint to hold a
+    /// clipped session at the smallest demand it will have before its
+    /// demand can fall to the shared level.
+    ///
+    /// ```
+    /// use sss_sim::BandwidthTrace;
+    /// use sss_units::Rate;
+    ///
+    /// let t = BandwidthTrace::from_segments(&[
+    ///     (0.0, Rate::from_bytes_per_sec(4.0)),
+    ///     (1.0, Rate::from_bytes_per_sec(3.0)),
+    ///     (2.0, Rate::from_bytes_per_sec(5.0)),
+    ///     (3.0, Rate::from_bytes_per_sec(1.0)),
+    /// ])
+    /// .unwrap();
+    /// // Above 2 B/s from t=1 until the 1 B/s segment at t=3.
+    /// assert_eq!(t.window_above(1.0, |r| r > 2.0), Some((3.0, Some(3.0))));
+    /// // The segment at t=3 is already at or below 2 B/s.
+    /// assert_eq!(t.window_above(3.0, |r| r > 2.0), None);
+    /// ```
+    pub fn window_above(
+        &self,
+        t_s: f64,
+        above: impl Fn(f64) -> bool,
+    ) -> Option<(f64, Option<f64>)> {
+        let mut i = self.segment_index(t_s);
+        let mut min = self.rates_bps[i];
+        if !above(min) {
+            return None;
+        }
+        loop {
+            i += 1;
+            let Some(&start) = self.starts_s.get(i) else {
+                return Some((min, None));
+            };
+            let rate = self.rates_bps[i];
+            if !above(rate) {
+                return Some((min, Some(start)));
+            }
+            min = min.min(rate);
+        }
+    }
+
     /// Index of the segment containing `t_s` — the shared entry lookup
     /// behind [`BandwidthTrace::segment_at`] and the fluid integrators'
     /// walking cursors.
@@ -666,6 +720,72 @@ mod tests {
                 let (rate, next) = t.segment_at(q);
                 assert_eq!(rate, t.rate_at(q), "{shape}: rate at {q}");
                 assert_eq!(next, t.next_change(q), "{shape}: next at {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_rate_slot_ends_the_window() {
+        let t = TraceShape::Outage.build(gbs(1.0), 10.0, 0);
+        // Above any non-negative threshold, the outage at t=2.5 ends the
+        // window that starts on the first segment.
+        assert_eq!(t.window_above(0.0, |r| r > 0.0), Some((1.0e9, Some(2.5))));
+        // Starting on the outage itself, the window is empty.
+        assert_eq!(t.window_above(2.5, |r| r > 0.0), None);
+    }
+
+    #[test]
+    fn the_final_segment_gives_a_window_with_no_end() {
+        let t = BandwidthTrace::from_segments(&[(0.0, gbs(0.5)), (1.0, gbs(3.0)), (2.0, gbs(2.0))])
+            .unwrap();
+        assert_eq!(t.window_above(1.0, |r| r > 1.0e9), Some((2.0e9, None)));
+        // On the final segment itself, too.
+        assert_eq!(t.window_above(7.0, |r| r > 1.0e9), Some((2.0e9, None)));
+        // The minimum covers the segment containing `t_s` mid-segment.
+        assert_eq!(t.window_above(0.5, |r| r > 0.1e9), Some((0.5e9, None)));
+    }
+
+    /// Asked on a breakpoint whose segment is already at or below the
+    /// threshold, the window ends right there: it crosses no breakpoint.
+    #[test]
+    fn a_window_that_crosses_no_breakpoint_returns_nothing() {
+        let t = BandwidthTrace::from_segments(&[(0.0, gbs(2.0)), (1.0, gbs(0.5)), (2.0, gbs(3.0))])
+            .unwrap();
+        // The segment at t=1 is at the threshold: `above` is strict.
+        assert_eq!(t.window_above(1.0, |r| r > 0.5e9), None);
+        assert_eq!(t.window_above(1.5, |r| r > 1.0e9), None);
+    }
+
+    /// Every returned end is a segment start bit for bit, and every
+    /// segment inside the window passes the threshold.
+    #[test]
+    fn a_returned_window_end_is_a_segment_start_verbatim() {
+        for shape in TraceShape::ALL {
+            let t = shape.build(gbs(1.0 / 3.0), 7.0 / 3.0, 42);
+            for threshold in [0.05e9, 0.1e9, 0.2e9, 0.3e9] {
+                let above = |r: f64| r > threshold;
+                for (k, &start) in t.starts_s.iter().enumerate() {
+                    let Some((min, end)) = t.window_above(start, above) else {
+                        assert!(!above(t.rates_bps[k]), "{shape}: segment {k}");
+                        continue;
+                    };
+                    let stop = match end {
+                        Some(e) => t
+                            .starts_s
+                            .iter()
+                            .position(|s| s.to_bits() == e.to_bits())
+                            .unwrap_or_else(|| panic!("{shape}: end {e} is no segment start")),
+                        None => t.starts_s.len(),
+                    };
+                    assert!(stop > k, "{shape}: the window covers segment {k}");
+                    assert!(t.rates_bps[k..stop].iter().all(|&r| above(r)));
+                    assert!(stop == t.starts_s.len() || !above(t.rates_bps[stop]));
+                    let want = t.rates_bps[k..stop]
+                        .iter()
+                        .copied()
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(min.to_bits(), want.to_bits(), "{shape}: min from {start}");
+                }
             }
         }
     }

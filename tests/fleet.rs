@@ -65,32 +65,51 @@ fn fleet_round_trips_in_every_format() {
     assert_eq!(lines.count(), 13, "one row per session");
 }
 
+/// The default steady shape has no trace breakpoints; bursty and diurnal
+/// traces make the integrator hold clipped sessions at floor caps, wake
+/// them and run floor windows out, so every gate covers those too.
+const SHAPES: [&str; 3] = ["steady", "bursty", "diurnal"];
+
 #[test]
 fn fleet_csv_is_byte_identical_across_workers_and_reruns() {
-    let base = quick(&["--format", "csv"]);
-    let (ok, one, _) = run(&[&base[..], &["--workers", "1"]].concat());
-    assert!(ok);
-    let (ok, eight, _) = run(&[&base[..], &["--workers", "8"]].concat());
-    assert!(ok);
-    let (ok, sequential, _) = run(&[&base[..], &["--mode", "sequential"]].concat());
-    assert!(ok);
-    let (ok, again, _) = run(&[&base[..], &["--workers", "8"]].concat());
-    assert!(ok);
-    assert_eq!(one, eight, "worker count must not change a byte");
-    assert_eq!(one, sequential, "parallel and sequential runs must agree");
-    assert_eq!(eight, again, "same seed must reproduce the same bytes");
+    for shape in SHAPES {
+        let extra = ["--format", "csv", "--shape", shape];
+        let base = quick(&extra);
+        let (ok, one, _) = run(&[&base[..], &["--workers", "1"]].concat());
+        assert!(ok);
+        let (ok, eight, _) = run(&[&base[..], &["--workers", "8"]].concat());
+        assert!(ok);
+        let (ok, sequential, _) = run(&[&base[..], &["--mode", "sequential"]].concat());
+        assert!(ok);
+        let (ok, again, _) = run(&[&base[..], &["--workers", "8"]].concat());
+        assert!(ok);
+        assert!(one.lines().skip(1).all(|row| row.contains(shape)), "{one}");
+        assert_eq!(one, eight, "{shape}: worker count must not change a byte");
+        assert_eq!(
+            one, sequential,
+            "{shape}: parallel and sequential runs must agree"
+        );
+        assert_eq!(
+            eight, again,
+            "{shape}: same seed must reproduce the same bytes"
+        );
+    }
 }
 
 #[test]
 fn fleet_check_holds_fluid_against_exact() {
-    let (ok, text, stderr) = run(&quick(&["--check", "true"]));
-    assert!(ok, "{stderr}");
-    assert!(text.contains("check passed"), "{text}");
+    for shape in SHAPES {
+        let fluid = ["--shape", shape, "--check", "true"];
+        let (ok, text, stderr) = run(&quick(&fluid));
+        assert!(ok, "{shape}: {stderr}");
+        assert!(text.contains("check passed"), "{shape}: {text}");
 
-    // And from the exact side: same gate, integrators swapped.
-    let (ok, text, stderr) = run(&quick(&["--fidelity", "exact", "--check", "true"]));
-    assert!(ok, "{stderr}");
-    assert!(text.contains("check passed"), "{text}");
+        // And from the exact side: same gate, integrators swapped.
+        let exact = ["--shape", shape, "--fidelity", "exact", "--check", "true"];
+        let (ok, text, stderr) = run(&quick(&exact));
+        assert!(ok, "{shape}: {stderr}");
+        assert!(text.contains("check passed"), "{shape}: {text}");
+    }
 }
 
 #[test]
