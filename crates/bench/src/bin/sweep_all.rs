@@ -1,10 +1,9 @@
 //! Run every regenerator in sequence, leaving all artifacts in
 //! `results/`. Equivalent to invoking fig2a, fig2b, fig3, fig4, tables,
 //! case_study, regimes, ablation_continuum, headline, scenario_suite,
-//! frontier_map, batch_scaling, sim_validation, fleet_contention and
-//! fleet_scaling one by one, but reuses
-//! the expensive Figure 2 sweeps across the binaries that need them by
-//! caching the curve JSON.
+//! frontier_map, sim_validation, fleet_contention and fleet_scaling one
+//! by one, but reuses the expensive Figure 2 sweeps across the binaries
+//! that need them by caching the curve JSON.
 
 use std::process::Command;
 
@@ -22,7 +21,6 @@ fn main() {
         "headline",
         "scenario_suite",
         "frontier_map",
-        "batch_scaling",
         "sim_validation",
         "fleet_contention",
         "fleet_scaling",

@@ -3,8 +3,7 @@
 use serde::{Deserialize, Serialize};
 use sss_units::{Rate, Ratio, TimeDelta};
 
-use crate::batch::{kernel, BatchEvaluator, ParamsBatch};
-use crate::model::CompletionModel;
+use crate::model::{kernel, CompletionModel};
 use crate::params::ModelParams;
 
 /// The verdict for a workload.
@@ -42,50 +41,24 @@ pub struct DecisionReport {
     pub reasons: Vec<String>,
 }
 
-/// The numeric columns one report needs, in seconds and plain ratios —
-/// what the batched and scalar paths both feed into [`report_from`].
-struct PointEval {
-    t_local: f64,
-    t_transfer: f64,
-    t_pct: f64,
-    gain: f64,
-    reduction: f64,
-    decision: Decision,
-}
-
-impl PointEval {
-    /// Scalar reference evaluation via the `n = 1` model wrapper.
-    fn of(params: &ModelParams) -> PointEval {
-        let m = CompletionModel::new(*params);
-        let t_local = m.t_local().as_secs();
-        let t_pct = m.t_pct().as_secs();
-        PointEval {
-            t_local,
-            t_transfer: m.t_transfer().as_secs(),
-            t_pct,
-            gain: m.gain().value(),
-            reduction: m.reduction(),
-            decision: kernel::verdict(
-                params.data_unit.as_b(),
-                params.effective_rate().as_bytes_per_sec(),
-                t_local,
-                t_pct,
-            ),
-        }
-    }
-}
-
-/// Render the justification and assemble the report from the evaluated
-/// numbers. Formatting consumes the exact kernel outputs, so the batched
-/// and scalar paths produce byte-identical reports.
-fn report_from(params: &ModelParams, ev: PointEval) -> DecisionReport {
-    let t_local = TimeDelta::from_secs(ev.t_local);
-    let t_pct = TimeDelta::from_secs(ev.t_pct);
+/// Apply the §3 model and produce a decision with its justification.
+pub fn decide(params: &ModelParams) -> DecisionReport {
+    let m = CompletionModel::new(*params);
+    let t_local = m.t_local();
+    let t_pct = m.t_pct();
+    let gain = m.gain();
+    let reduction = m.reduction();
     let required = params.required_stream_rate();
     let effective = params.effective_rate();
+    let decision = kernel::verdict(
+        params.data_unit.as_b(),
+        effective.as_bytes_per_sec(),
+        t_local.as_secs(),
+        t_pct.as_secs(),
+    );
     let mut reasons = Vec::new();
 
-    match ev.decision {
+    match decision {
         Decision::Infeasible => reasons.push(format!(
             "required sustained rate {required} exceeds effective link rate {effective} \
              (α = {} on {}): remote real-time processing is infeasible",
@@ -93,8 +66,8 @@ fn report_from(params: &ModelParams, ev: PointEval) -> DecisionReport {
         )),
         Decision::RemoteStream => reasons.push(format!(
             "remote completion {t_pct} beats local {t_local} (gain {:.2}×, {:.1}% reduction)",
-            ev.gain,
-            ev.reduction * 100.0
+            gain.value(),
+            reduction * 100.0
         )),
         Decision::Local => reasons.push(format!(
             "local completion {t_local} is no worse than remote {t_pct}; \
@@ -106,73 +79,25 @@ fn report_from(params: &ModelParams, ev: PointEval) -> DecisionReport {
             "file I/O inflates the transfer by θ = {}; a streaming path (θ = 1) would \
              save {}",
             params.theta,
-            TimeDelta::from_secs(ev.t_transfer) * (params.theta.value() - 1.0)
+            m.t_io()
         ));
     }
 
     DecisionReport {
-        decision: ev.decision,
+        decision,
         t_local,
         t_pct,
-        gain: Ratio::new(ev.gain),
-        reduction: ev.reduction,
+        gain,
+        reduction,
         required_rate: required,
         effective_rate: effective,
         reasons,
     }
 }
 
-/// Apply the §3 model and produce a decision with its justification.
-pub fn decide(params: &ModelParams) -> DecisionReport {
-    report_from(params, PointEval::of(params))
-}
-
-/// Batched [`decide`]: evaluate every workload's numeric columns in one
-/// struct-of-arrays pass before rendering the per-point reports.
-///
-/// Output is bit-identical to mapping [`decide`] over the slice — the
-/// kernels are the same arithmetic — but the hot part of the work (the
-/// completion-time columns) runs as auto-vectorizable loops instead of
-/// one wrapper construction per point. This is what the scenario suite
-/// and the HTTP micro-batcher flush their waves through.
+/// [`decide`] over a slice of workloads, in order.
 pub fn decide_batch(params: &[ModelParams]) -> Vec<DecisionReport> {
-    let batch = ParamsBatch::from_params(params);
-    let n = batch.len();
-    let eval = BatchEvaluator;
-    // Three vectorizable column passes compute every division once; the
-    // guarded ratios and verdicts then derive from those columns (the
-    // same inputs the dedicated kernels would divide again), so the
-    // reports stay bit-identical to `decide` at roughly half the
-    // arithmetic.
-    let mut t_local = vec![0.0; n];
-    let mut t_transfer = vec![0.0; n];
-    let mut t_pct = vec![0.0; n];
-    eval.t_local_into(batch.view(), &mut t_local);
-    eval.t_transfer_into(batch.view(), &mut t_transfer);
-    eval.t_pct_into(batch.view(), &mut t_pct);
-
-    params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            report_from(
-                p,
-                PointEval {
-                    t_local: t_local[i],
-                    t_transfer: t_transfer[i],
-                    t_pct: t_pct[i],
-                    gain: kernel::guarded_ratio(t_local[i], t_pct[i]),
-                    reduction: 1.0 - kernel::guarded_ratio(t_pct[i], t_local[i]),
-                    decision: kernel::verdict(
-                        p.data_unit.as_b(),
-                        p.effective_rate().as_bytes_per_sec(),
-                        t_local[i],
-                        t_pct[i],
-                    ),
-                },
-            )
-        })
-        .collect()
+    params.iter().map(decide).collect()
 }
 
 /// Analytic break-even boundaries: where the decision flips.

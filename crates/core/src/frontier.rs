@@ -29,9 +29,8 @@ use serde::{Deserialize, Serialize};
 use sss_stats::Summary;
 use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio};
 
-use crate::batch::{kernel, BatchEvaluator, ParamsBatch};
 use crate::decision::Decision;
-use crate::model::CompletionModel;
+use crate::model::{kernel, CompletionModel};
 use crate::montecarlo::{MonteCarloOutcome, TransferEfficiencyDistribution};
 use crate::params::ModelParams;
 
@@ -350,49 +349,10 @@ impl FrontierSpec {
         p
     }
 
-    /// Classify one grid cell. `slice`, `row` and `col` position the cell
-    /// for seed derivation; the arithmetic is independent of evaluation
-    /// order, which is what makes parallel drivers bit-identical.
-    pub fn cell(
-        &self,
-        base: &ModelParams,
-        slice: usize,
-        z: Option<f64>,
-        row: usize,
-        col: usize,
-    ) -> FrontierCell {
-        let x = self.x.sample(col, self.resolution);
-        let y = self.y.sample(row, self.resolution);
-        let p = self.params_at(base, z, x, y);
-        let (decision, gain) = classify(&p);
-        let p_remote = self.jitter.map(|j| {
-            let seed = cell_seed(
-                self.seed,
-                slice as u64,
-                (row * self.resolution + col) as u64,
-            );
-            let dist = TransferEfficiencyDistribution::TruncatedNormal {
-                mean: p.alpha.value(),
-                sd: j.sd,
-            };
-            MonteCarloOutcome::run(&p, dist, j.samples, seed)
-                .map(|o| o.prob_remote_wins)
-                .unwrap_or(f64::NAN)
-        });
-        FrontierCell {
-            x,
-            y,
-            decision,
-            gain,
-            p_remote,
-        }
-    }
-
-    /// One full grid row (fixed y), left to right — classified as a
-    /// single struct-of-arrays batch through the shared kernels, then
-    /// annotated cell by cell in jitter mode (seeds stay position-derived,
-    /// so the output is bit-identical to mapping [`FrontierSpec::cell`]
-    /// across the row).
+    /// One full grid row (fixed y), left to right. `slice` and `row`
+    /// position each cell for seed derivation; the arithmetic is
+    /// independent of evaluation order, which is what makes parallel
+    /// drivers bit-identical.
     pub fn eval_row(
         &self,
         base: &ModelParams,
@@ -402,22 +362,12 @@ impl FrontierSpec {
     ) -> Vec<FrontierCell> {
         let n = self.resolution;
         let y = self.y.sample(row, n);
-        let mut xs = Vec::with_capacity(n);
-        let mut batch = ParamsBatch::with_capacity(n);
-        for col in 0..n {
-            let x = self.x.sample(col, n);
-            batch.push(&self.params_at(base, z, x, y));
-            xs.push(x);
-        }
-        let mut decisions = vec![Decision::Local; n];
-        let mut gains = vec![0.0; n];
-        BatchEvaluator.classify_into(batch.view(), &mut decisions, &mut gains);
         (0..n)
             .map(|col| {
+                let x = self.x.sample(col, n);
+                let p = self.params_at(base, z, x, y);
+                let (decision, gain) = classify(&p);
                 let p_remote = self.jitter.map(|j| {
-                    // Only jitter mode needs the typed parameters back;
-                    // the analytic path never leaves the columns.
-                    let p = batch.get(col);
                     let seed = cell_seed(self.seed, slice as u64, (row * n + col) as u64);
                     let dist = TransferEfficiencyDistribution::TruncatedNormal {
                         mean: p.alpha.value(),
@@ -428,10 +378,10 @@ impl FrontierSpec {
                         .unwrap_or(f64::NAN)
                 });
                 FrontierCell {
-                    x: xs[col],
+                    x,
                     y,
-                    decision: decisions[col],
-                    gain: gains[col],
+                    decision,
+                    gain,
                     p_remote,
                 }
             })
@@ -531,129 +481,6 @@ impl FrontierSpec {
         }
     }
 
-    /// Refine a whole bundle of disagreeing edges in lockstep: every
-    /// bisection round gathers the still-open brackets' midpoints into one
-    /// struct-of-arrays batch and classifies them with a single kernel
-    /// pass, instead of walking each edge to convergence on its own.
-    ///
-    /// Each edge's bisection trajectory is exactly the one
-    /// [`FrontierSpec::refine`] would walk (edges are independent), so the
-    /// returned points — in `edges` order — are bit-identical to mapping
-    /// `refine` over the bundle, whatever the bundle size. This is the
-    /// unit of fan-out for the parallel driver's `--chunk` knob.
-    pub fn refine_edges(
-        &self,
-        base: &ModelParams,
-        z: Option<f64>,
-        cells: &[Vec<FrontierCell>],
-        edges: &[Edge],
-    ) -> Vec<BoundaryPoint> {
-        struct Bracket {
-            along_x: bool,
-            lo: f64,
-            hi: f64,
-            fixed: f64,
-            lower: Decision,
-            upper: Decision,
-            evaluations: u32,
-        }
-        let mut brackets: Vec<Bracket> = edges
-            .iter()
-            .map(|&edge| {
-                let (lo, hi, fixed, upper) = if edge.along_x {
-                    (
-                        cells[edge.row][edge.col].x,
-                        cells[edge.row][edge.col + 1].x,
-                        cells[edge.row][edge.col].y,
-                        cells[edge.row][edge.col + 1].decision,
-                    )
-                } else {
-                    (
-                        cells[edge.row][edge.col].y,
-                        cells[edge.row + 1][edge.col].y,
-                        cells[edge.row][edge.col].x,
-                        cells[edge.row + 1][edge.col].decision,
-                    )
-                };
-                Bracket {
-                    along_x: edge.along_x,
-                    lo,
-                    hi,
-                    fixed,
-                    lower: cells[edge.row][edge.col].decision,
-                    upper,
-                    evaluations: 0,
-                }
-            })
-            .collect();
-
-        // Reused round buffers: indices of still-open brackets, their
-        // midpoints, the batched parameters and the verdicts.
-        let mut active: Vec<usize> = Vec::with_capacity(brackets.len());
-        let mut mids: Vec<f64> = Vec::with_capacity(brackets.len());
-        let mut batch = ParamsBatch::with_capacity(brackets.len());
-        let mut verdicts: Vec<Decision> = Vec::new();
-        loop {
-            active.clear();
-            mids.clear();
-            batch.clear();
-            for (i, b) in brackets.iter().enumerate() {
-                let axis = if b.along_x { &self.x } else { &self.y };
-                let open = axis.bracket_width(b.lo, b.hi) > axis.tolerance_width(self.tolerance)
-                    && (b.evaluations as usize) < self.max_bisections;
-                if open {
-                    let mid = axis.midpoint(b.lo, b.hi);
-                    let p = if b.along_x {
-                        self.params_at(base, z, mid, b.fixed)
-                    } else {
-                        self.params_at(base, z, b.fixed, mid)
-                    };
-                    active.push(i);
-                    mids.push(mid);
-                    batch.push(&p);
-                }
-            }
-            if active.is_empty() {
-                break;
-            }
-            verdicts.clear();
-            verdicts.resize(active.len(), Decision::Local);
-            BatchEvaluator.decide_into(batch.view(), &mut verdicts);
-            for ((&i, &mid), &d) in active.iter().zip(&mids).zip(&verdicts) {
-                let b = &mut brackets[i];
-                b.evaluations += 1;
-                if d == b.lower {
-                    b.lo = mid;
-                } else {
-                    b.hi = mid;
-                    b.upper = d;
-                }
-            }
-        }
-
-        brackets
-            .into_iter()
-            .map(|b| {
-                let axis = if b.along_x { &self.x } else { &self.y };
-                let refined = axis.midpoint(b.lo, b.hi);
-                let (x, y) = if b.along_x {
-                    (refined, b.fixed)
-                } else {
-                    (b.fixed, refined)
-                };
-                BoundaryPoint {
-                    x,
-                    y,
-                    along_x: b.along_x,
-                    lower: b.lower,
-                    upper: b.upper,
-                    width: b.hi - b.lo,
-                    evaluations: b.evaluations,
-                }
-            })
-            .collect()
-    }
-
     /// Fold a slice's cells and refined boundary into a [`FrontierSlice`],
     /// streaming the per-cell gains through an online [`Summary`].
     pub fn assemble(
@@ -686,13 +513,11 @@ impl FrontierSpec {
         }
     }
 
-    /// Compute the map on the calling thread: every grid row is one
-    /// batched kernel pass, and every slice's disagreeing edges refine as
-    /// one lockstep bundle. The parallel driver
-    /// (`sss_loadgen::FrontierJob`) fans the same row and bundle functions
-    /// across a pool and reassembles in order, so its output is
-    /// bit-identical to this reference — as is the point-wise
-    /// [`FrontierSpec::compute_scalar`] oracle.
+    /// Compute the map on the calling thread: every grid row in order,
+    /// then one [`FrontierSpec::refine`] walk per disagreeing edge. The
+    /// parallel driver (`sss_loadgen::FrontierJob`) fans the same row and
+    /// edge functions across a pool and reassembles in order, so its
+    /// output is bit-identical to this reference.
     pub fn compute(&self, base: &ModelParams) -> FrontierMap {
         let slices: Vec<FrontierSlice> = self
             .zs()
@@ -701,31 +526,6 @@ impl FrontierSpec {
             .map(|(si, &z)| {
                 let cells: Vec<Vec<FrontierCell>> = (0..self.resolution)
                     .map(|row| self.eval_row(base, si, z, row))
-                    .collect();
-                let boundary = self.refine_edges(base, z, &cells, &self.edges(&cells));
-                self.assemble(z, cells, boundary)
-            })
-            .collect();
-        FrontierMap::from_slices(self.clone(), *base, slices)
-    }
-
-    /// The point-wise reference: one [`FrontierSpec::cell`] evaluation per
-    /// grid point and one sequential [`FrontierSpec::refine`] walk per
-    /// edge, exactly as the engine worked before batching. Kept as the
-    /// oracle the batched path is tested against; output is bit-identical
-    /// to [`FrontierSpec::compute`].
-    pub fn compute_scalar(&self, base: &ModelParams) -> FrontierMap {
-        let slices: Vec<FrontierSlice> = self
-            .zs()
-            .iter()
-            .enumerate()
-            .map(|(si, &z)| {
-                let cells: Vec<Vec<FrontierCell>> = (0..self.resolution)
-                    .map(|row| {
-                        (0..self.resolution)
-                            .map(|col| self.cell(base, si, z, row, col))
-                            .collect()
-                    })
                     .collect();
                 let boundary: Vec<BoundaryPoint> = self
                     .edges(&cells)
@@ -853,18 +653,21 @@ impl FrontierMap {
 }
 
 /// The decision and gain at one operating point, without allocating the
-/// justification strings of [`decide`](crate::decision::decide) — this is
-/// the point-wise oracle's hot loop, funneled through the same
-/// `kernel::verdict` branch as the batched and report-building paths.
+/// justification strings of [`decide`](crate::decision::decide): `T_local`
+/// and `T_pct` are evaluated once and feed both the shared
+/// `kernel::verdict` branch and the guarded gain, the same bits as
+/// [`CompletionModel::gain`].
 fn classify(p: &ModelParams) -> (Decision, f64) {
     let m = CompletionModel::new(*p);
+    let t_local = m.t_local().as_secs();
+    let t_pct = m.t_pct().as_secs();
     let decision = kernel::verdict(
         p.data_unit.as_b(),
         p.effective_rate().as_bytes_per_sec(),
-        m.t_local().as_secs(),
-        m.t_pct().as_secs(),
+        t_local,
+        t_pct,
     );
-    (decision, m.gain().value())
+    (decision, kernel::guarded_ratio(t_local, t_pct))
 }
 
 /// SplitMix64 finalizer — the same derivation as `sss_exec::SeedSequence`
@@ -1071,57 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_matches_scalar_oracle_bit_for_bit() {
-        // Linear, log, 3D-sliced and jittered specs all agree with the
-        // point-wise reference down to the last bit.
-        let mut linear = spec(14);
-        linear.tolerance = 1e-4;
-        assert_eq!(linear.compute(&lcls()), linear.compute_scalar(&lcls()));
-
-        let mut fancy = FrontierSpec::new(
-            Axis::parse("wan_gbps:1:400:log").unwrap(),
-            Axis::parse("data_gb:0.5:50:log").unwrap(),
-        );
-        fancy.resolution = 8;
-        fancy.z = Some(Axis::parse("remote_tflops:50:500").unwrap());
-        fancy.slices = 2;
-        fancy.jitter = Some(AlphaJitter {
-            sd: 0.08,
-            samples: 16,
-        });
-        let batched = fancy.compute(&lcls());
-        let scalar = fancy.compute_scalar(&lcls());
-        assert_eq!(batched, scalar);
-        assert_eq!(
-            serde_json::to_string(&batched).unwrap(),
-            serde_json::to_string(&scalar).unwrap()
-        );
-    }
-
-    #[test]
-    fn refine_edges_bundles_match_per_edge_refine() {
-        let s = spec(12);
-        let map = s.compute(&lcls());
-        let cells = &map.slices[0].cells;
-        let edges = s.edges(cells);
-        assert!(edges.len() >= 4, "need a real work list");
-        let bundled = s.refine_edges(&lcls(), None, cells, &edges);
-        let single: Vec<BoundaryPoint> = edges
-            .iter()
-            .map(|&e| s.refine(&lcls(), None, cells, e))
-            .collect();
-        assert_eq!(bundled, single);
-        // Bundle size cannot perturb results either.
-        for chunk in [1usize, 3, 100] {
-            let chunked: Vec<BoundaryPoint> = edges
-                .chunks(chunk)
-                .flat_map(|c| s.refine_edges(&lcls(), None, cells, c))
-                .collect();
-            assert_eq!(chunked, single, "chunk {chunk}");
-        }
-    }
-
-    #[test]
     fn position_derived_seeds_are_distinct() {
         let a = cell_seed(42, 0, 0);
         let b = cell_seed(42, 0, 1);
@@ -1129,5 +881,63 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, cell_seed(42, 0, 0));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::decision::{decide, BreakEven};
+    use proptest::prelude::*;
+
+    /// Wide-but-valid parameter sets, including the `C = 0` corner the
+    /// gain guard exists for (one draw in eight zeroes the intensity).
+    fn arb_params() -> impl Strategy<Value = ModelParams> {
+        (
+            1e-3f64..1e4,  // S_unit GB
+            0u32..8,       // 0 → zero intensity (pure movement)
+            1e-3f64..1e3,  // C TF/GB otherwise
+            1e-2f64..1e4,  // R_local TFLOPS
+            1e-2f64..1e5,  // R_remote TFLOPS
+            1e-1f64..1e3,  // Bw Gbps
+            0.01f64..=1.0, // alpha
+            1.0f64..50.0,  // theta
+        )
+            .prop_map(|(s, zero, c, rl, rr, bw, a, th)| {
+                let c = if zero == 0 { 0.0 } else { c };
+                ModelParams::builder()
+                    .data_unit(Bytes::from_gb(s))
+                    .intensity(ComputeIntensity::from_tflop_per_gb(c))
+                    .local_rate(FlopRate::from_tflops(rl))
+                    .remote_rate(FlopRate::from_tflops(rr))
+                    .bandwidth(Rate::from_gbps(bw))
+                    .alpha(Ratio::new(a))
+                    .theta(Ratio::new(th))
+                    .build()
+                    .expect("generated params valid")
+            })
+    }
+
+    proptest! {
+        /// The frontier's per-point verdict and gain match `decide` and
+        /// `CompletionModel::gain` bit for bit *at* the decision
+        /// boundary: each workload is pinned to its break-even remote
+        /// rate r* (and a hair either side), where `T_pct` and `T_local`
+        /// are as close as f64 lets them be.
+        #[test]
+        fn parity_at_the_decision_boundary(p in arb_params(), pick in 0usize..5) {
+            let nudge = [1.0f64, 1.0 - 1e-15, 1.0 + 1e-15, 0.999, 1.001][pick];
+            let Some(r_star) = BreakEven::of(&p).r_star else {
+                return Ok(());
+            };
+            prop_assume!(r_star.value().is_finite() && r_star.value() < 1e9);
+            let mut tied = p;
+            tied.remote_rate = p.local_rate * (r_star.value() * nudge);
+            prop_assume!(tied.validated().is_ok());
+            let (decision, gain) = classify(&tied);
+            prop_assert_eq!(decision, decide(&tied).decision);
+            prop_assert_eq!(gain.to_bits(),
+                CompletionModel::new(tied).gain().value().to_bits());
+        }
     }
 }

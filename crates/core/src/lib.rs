@@ -6,13 +6,11 @@
 //!   `R_local`, `R_remote`, `Bw`, `α`, `θ`) with their semantic
 //!   constraints enforced at construction.
 //! * [`CompletionModel`] — Eq. 3–10: `T_local`, `T_transfer`, `T_remote`,
-//!   `T_IO`, and the total processing-completion time `T_pct`.
+//!   `T_IO`, and the total processing-completion time `T_pct`; its scalar
+//!   kernels are the one evaluator behind [`decide`], Monte Carlo and the
+//!   frontier.
 //! * [`StreamingSpeedScore`] — Eq. 11: worst-case over theoretical
 //!   transfer time, measured under controlled congestion.
-//! * [`batch`] — the struct-of-arrays evaluation engine: flat parameter
-//!   columns plus allocation-free, auto-vectorizable kernels shared (at
-//!   `n = 1`) by the scalar model, and by every bulk consumer — Monte
-//!   Carlo, the frontier, the scenario suite, the decision service.
 //! * [`decision`] — the stream / stay-local verdict, feasibility checks,
 //!   analytic break-even boundaries and (α, r) regime maps.
 //! * [`frontier`] — break-even frontier maps over arbitrary parameter
@@ -57,7 +55,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod congestion;
 pub mod contention;
 pub mod decision;
@@ -72,7 +69,6 @@ pub mod sensitivity;
 pub mod sss;
 pub mod tiers;
 
-pub use batch::{BatchEvaluator, BatchView, ParamsBatch};
 pub use congestion::{CongestionCurve, Curve1D, MG1Reference, MM1Reference};
 pub use contention::{contended_decision, ContentionSummary};
 pub use decision::{decide, decide_batch, BreakEven, Decision, DecisionReport, RegimeMap};

@@ -3,8 +3,87 @@
 use serde::{Deserialize, Serialize};
 use sss_units::{Ratio, TimeDelta};
 
-use crate::batch::kernel;
 use crate::params::ModelParams;
+
+/// The scalar kernels behind every evaluation: plain `f64` arithmetic in
+/// base units (bytes, FLOP/byte, FLOPS, bytes/s), written once so
+/// [`CompletionModel`], [`decide`](crate::decision::decide), Monte Carlo
+/// and the frontier cannot drift apart.
+pub(crate) mod kernel {
+    use crate::decision::Decision;
+
+    /// Eq. 3 — `T_local = C·S/R_local`, seconds.
+    #[inline(always)]
+    pub(crate) fn t_local(s: f64, c: f64, rl: f64) -> f64 {
+        (c * s) / rl
+    }
+
+    /// Eq. 5 — `T_transfer = S/(α·Bw)`, seconds.
+    #[inline(always)]
+    pub(crate) fn t_transfer(s: f64, bw: f64, a: f64) -> f64 {
+        s / (bw * a)
+    }
+
+    /// Eq. 6 — `T_remote = C·S/R_remote`, seconds.
+    #[inline(always)]
+    pub(crate) fn t_remote(s: f64, c: f64, rr: f64) -> f64 {
+        (c * s) / rr
+    }
+
+    /// Eq. 9/10 — `T_pct = θ·T_transfer + T_remote`, seconds.
+    #[inline(always)]
+    pub(crate) fn t_pct(s: f64, c: f64, rr: f64, bw: f64, a: f64, th: f64) -> f64 {
+        t_transfer(s, bw, a) * th + t_remote(s, c, rr)
+    }
+
+    /// `num/den`, guarded against the zero-adjacent corners: a `0/0` tie
+    /// reads as 1 (the paths are equally fast) and `x/0` saturates to
+    /// `f64::MAX` instead of `inf`, so gains and reductions stay finite
+    /// for every constructible parameter set (e.g. `C = 0` workloads).
+    #[inline(always)]
+    pub(crate) fn guarded_ratio(num: f64, den: f64) -> f64 {
+        // sss-lint: allow(D004, exact-zero guard keeps 0/0 and x/0 finite)
+        if den == 0.0 {
+            // sss-lint: allow(D004, 0/0 is defined as ratio 1; exact test intended)
+            if num == 0.0 {
+                1.0
+            } else {
+                f64::MAX
+            }
+        } else {
+            num / den
+        }
+    }
+
+    /// `T_local / T_pct` with the zero guard (> 1 means remote wins).
+    #[inline(always)]
+    pub(crate) fn gain(s: f64, c: f64, rl: f64, rr: f64, bw: f64, a: f64, th: f64) -> f64 {
+        guarded_ratio(t_local(s, c, rl), t_pct(s, c, rr, bw, a, th))
+    }
+
+    /// `1 − T_pct/T_local` with the zero guard (negative when remote is
+    /// slower).
+    #[inline(always)]
+    pub(crate) fn reduction(s: f64, c: f64, rl: f64, rr: f64, bw: f64, a: f64, th: f64) -> f64 {
+        1.0 - guarded_ratio(t_pct(s, c, rr, bw, a, th), t_local(s, c, rl))
+    }
+
+    /// The three-way verdict from already-evaluated times: infeasible
+    /// when the demanded sustained rate (`S` bytes per second) exceeds
+    /// the effective link rate `α·Bw`, otherwise a strict
+    /// `T_pct < T_local` comparison. Every decision branch in the crate
+    /// funnels through this one function.
+    #[inline(always)]
+    pub(crate) fn verdict(s: f64, effective: f64, t_local: f64, t_pct: f64) -> Decision {
+        if s > effective {
+            Decision::Infeasible
+        } else if t_pct < t_local {
+            Decision::RemoteStream
+        } else {
+            Decision::Local
+        }
+    }
+}
 
 /// Evaluates the paper's completion-time equations for one parameter set.
 ///
@@ -44,10 +123,7 @@ impl CompletionModel {
         &self.params
     }
 
-    /// The batch kernels' seven raw arguments, in base units. The model is
-    /// the `n = 1` wrapper over `sss_core::batch`: every method below
-    /// delegates to the same inline kernels the batched loops run, so the
-    /// two paths cannot drift apart.
+    /// The kernels' seven raw arguments, in base units.
     #[inline(always)]
     fn raw(&self) -> (f64, f64, f64, f64, f64, f64, f64) {
         let p = &self.params;

@@ -10,9 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use sss_units::TimeDelta;
+use sss_units::{Ratio, TimeDelta};
 
-use crate::batch::{BatchEvaluator, ParamsBatch};
 use crate::model::CompletionModel;
 use crate::params::ModelParams;
 
@@ -139,18 +138,15 @@ impl MonteCarloOutcome {
         if n == 0 || dist.validate().is_err() {
             return None;
         }
-        // Draw every α straight into the batch's α column, then evaluate
-        // all n draws in one struct-of-arrays kernel pass — same RNG
-        // sequence and arithmetic as the old per-draw scalar loop, so the
-        // outcome is bit-identical.
         let mut rng = StdRng::seed_from_u64(seed);
         let t_local = CompletionModel::new(*params).t_local().as_secs();
-        let mut batch = ParamsBatch::broadcast(params, n);
-        for a in batch.alpha_mut() {
-            *a = dist.sample(&mut rng);
-        }
-        let mut t_pct_s = vec![0.0; n];
-        BatchEvaluator.t_pct_into(batch.view(), &mut t_pct_s);
+        let mut drawn = *params;
+        let mut t_pct_s: Vec<f64> = (0..n)
+            .map(|_| {
+                drawn.alpha = Ratio::new(dist.sample(&mut rng));
+                CompletionModel::new(drawn).t_pct().as_secs()
+            })
+            .collect();
         let wins = t_pct_s.iter().filter(|t| **t < t_local).count();
         t_pct_s.sort_by(f64::total_cmp);
         let ecdf = sss_stats::Ecdf::from_samples(&t_pct_s).expect("non-empty, NaN-free");

@@ -33,7 +33,6 @@
 //! to it.
 
 use sss_sim::{BandwidthTrace, EventQueue, Seconds};
-use sss_units::TimeDelta;
 
 use crate::pipeline::MovementResult;
 use crate::profile::{PathProfile, WanProfile};
@@ -120,14 +119,7 @@ impl EventStreamingPipeline {
         }
 
         let completion = *available.last().expect("non-empty scan");
-        MovementResult {
-            completion: TimeDelta::from_secs(completion),
-            post_acquisition_lag: TimeDelta::from_secs(
-                (completion - src.acquisition_duration().as_secs()).max(0.0),
-            ),
-            unit_available_s: available,
-            bytes: src.total_bytes(),
-        }
+        MovementResult::new(src, completion, available)
     }
 }
 
@@ -312,14 +304,7 @@ impl EventFileBasedPipeline {
         debug_assert_eq!(op_cursor, ops.len(), "writer program must drain");
 
         let completion = available.iter().cloned().fold(0.0f64, f64::max);
-        MovementResult {
-            completion: TimeDelta::from_secs(completion),
-            post_acquisition_lag: TimeDelta::from_secs(
-                (completion - src.acquisition_duration().as_secs()).max(0.0),
-            ),
-            unit_available_s: available,
-            bytes: src.total_bytes(),
-        }
+        MovementResult::new(src, completion, available)
     }
 }
 
@@ -353,7 +338,7 @@ mod tests {
     use crate::profile::presets;
     use proptest::prelude::*;
     use sss_sim::TraceShape;
-    use sss_units::{Bytes, Rate};
+    use sss_units::{Bytes, Rate, TimeDelta};
 
     /// Streaming events of the pre-scheduled oracle.
     enum PrescheduledStreamEv {
@@ -421,14 +406,7 @@ mod tests {
             }
 
             let completion = *available.last().expect("non-empty scan");
-            MovementResult {
-                completion: TimeDelta::from_secs(completion),
-                post_acquisition_lag: TimeDelta::from_secs(
-                    (completion - src.acquisition_duration().as_secs()).max(0.0),
-                ),
-                unit_available_s: available,
-                bytes: src.total_bytes(),
-            }
+            MovementResult::new(src, completion, available)
         }
     }
 
@@ -526,14 +504,7 @@ mod tests {
             debug_assert_eq!(op_cursor, ops.len(), "writer program must drain");
 
             let completion = available.iter().cloned().fold(0.0f64, f64::max);
-            MovementResult {
-                completion: TimeDelta::from_secs(completion),
-                post_acquisition_lag: TimeDelta::from_secs(
-                    (completion - src.acquisition_duration().as_secs()).max(0.0),
-                ),
-                unit_available_s: available,
-                bytes: src.total_bytes(),
-            }
+            MovementResult::new(src, completion, available)
         }
     }
 

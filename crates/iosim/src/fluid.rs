@@ -34,7 +34,6 @@
 //! the exported [`fluid_tolerance`](sss_sim::fluid_tolerance) contract.
 
 use sss_sim::Fidelity;
-use sss_units::TimeDelta;
 
 use crate::event::{EventFileBasedPipeline, EventStreamingPipeline};
 use crate::pipeline::MovementResult;
@@ -91,14 +90,7 @@ impl EventStreamingPipeline {
             f64::INFINITY,
         ) + one_way;
 
-        MovementResult {
-            completion: TimeDelta::from_secs(completion),
-            post_acquisition_lag: TimeDelta::from_secs(
-                (completion - src.acquisition_duration().as_secs()).max(0.0),
-            ),
-            unit_available_s: Vec::new(),
-            bytes: src.total_bytes(),
-        }
+        MovementResult::new(src, completion, Vec::new())
     }
 
     /// Run at the requested fidelity: `Exact` is
@@ -189,14 +181,7 @@ impl EventFileBasedPipeline {
         }
 
         let completion = available.iter().cloned().fold(0.0f64, f64::max);
-        MovementResult {
-            completion: TimeDelta::from_secs(completion),
-            post_acquisition_lag: TimeDelta::from_secs(
-                (completion - src.acquisition_duration().as_secs()).max(0.0),
-            ),
-            unit_available_s: available,
-            bytes: src.total_bytes(),
-        }
+        MovementResult::new(src, completion, available)
     }
 
     /// Run at the requested fidelity. The fluid file path is exact, so

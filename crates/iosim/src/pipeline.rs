@@ -24,6 +24,21 @@ pub struct MovementResult {
 }
 
 impl MovementResult {
+    /// The outcome of moving `source`'s scan: the last byte available
+    /// `completion` seconds after acquisition start, each unit at its
+    /// `unit_available_s` entry. The lag behind the end of acquisition
+    /// clamps at zero.
+    pub(crate) fn new(source: &FrameSource, completion: f64, unit_available_s: Vec<f64>) -> Self {
+        MovementResult {
+            completion: TimeDelta::from_secs(completion),
+            post_acquisition_lag: TimeDelta::from_secs(
+                (completion - source.acquisition_duration().as_secs()).max(0.0),
+            ),
+            unit_available_s,
+            bytes: source.total_bytes(),
+        }
+    }
+
     /// Mean availability lag of units behind their production time
     /// (staleness of the remote copy during acquisition), seconds.
     ///
@@ -153,14 +168,7 @@ impl FileBasedPipeline {
         }
 
         let completion = available.iter().cloned().fold(0.0f64, f64::max);
-        MovementResult {
-            completion: TimeDelta::from_secs(completion),
-            post_acquisition_lag: TimeDelta::from_secs(
-                (completion - src.acquisition_duration().as_secs()).max(0.0),
-            ),
-            unit_available_s: available,
-            bytes: src.total_bytes(),
-        }
+        MovementResult::new(src, completion, available)
     }
 }
 
@@ -201,14 +209,7 @@ impl StreamingPipeline {
             available.push(sent + one_way);
         }
         let completion = *available.last().expect("non-empty scan");
-        MovementResult {
-            completion: TimeDelta::from_secs(completion),
-            post_acquisition_lag: TimeDelta::from_secs(
-                (completion - src.acquisition_duration().as_secs()).max(0.0),
-            ),
-            unit_available_s: available,
-            bytes: src.total_bytes(),
-        }
+        MovementResult::new(src, completion, available)
     }
 }
 

@@ -21,13 +21,12 @@ pub struct FrontierJob {
     spec: FrontierSpec,
 }
 
-impl FrontierJob {
-    /// Edges per lockstep refinement bundle when the caller doesn't tune
-    /// it ([`FrontierJob::run_chunked`]). Big enough to amortize a pool
-    /// task over many bisections, small enough to keep every worker busy
-    /// on typical boundaries.
-    pub const DEFAULT_EDGE_CHUNK: usize = 16;
+/// Edges per pool task when refining the boundary: big enough to amortize
+/// a task over many bisections, small enough to keep every worker busy on
+/// typical boundaries.
+const EDGE_BUNDLE: usize = 16;
 
+impl FrontierJob {
     /// Validate the spec and bind it to `base`.
     pub fn new(base: ModelParams, spec: FrontierSpec) -> Result<FrontierJob, String> {
         spec.validate()?;
@@ -45,23 +44,10 @@ impl FrontierJob {
         &self.base
     }
 
-    /// Compute the map, fanning grid rows (one batched kernel pass each)
-    /// and boundary-edge bundles across `pool` with the default chunk
-    /// size. Output is bit-identical to [`FrontierJob::run_sequential`].
+    /// Compute the map, fanning grid rows and bundles of boundary edges
+    /// across `pool`. Output is bit-identical to
+    /// [`FrontierJob::run_sequential`].
     pub fn run(&self, pool: &ThreadPool) -> FrontierMap {
-        self.run_chunked(pool, Self::DEFAULT_EDGE_CHUNK)
-    }
-
-    /// [`FrontierJob::run`] with an explicit edge-bundle size — the CLI's
-    /// `--chunk` tuning knob. Every bundle of up to `chunk` disagreeing
-    /// edges refines in lockstep as one pool task; per-edge bisection
-    /// trajectories are independent of the bundling, so any chunk size
-    /// produces the same bytes.
-    ///
-    /// # Panics
-    /// Panics when `chunk == 0`.
-    pub fn run_chunked(&self, pool: &ThreadPool, chunk: usize) -> FrontierMap {
-        assert!(chunk > 0, "chunk size must be positive");
         let spec = &self.spec;
         let rows: Vec<usize> = (0..spec.resolution).collect();
         let slices: Vec<FrontierSlice> = spec
@@ -72,10 +58,13 @@ impl FrontierJob {
                 let cells: Vec<Vec<FrontierCell>> =
                     pool.map(&rows, |&row| spec.eval_row(&self.base, si, z, row));
                 let edges = spec.edges(&cells);
-                let bundles: Vec<&[sss_core::Edge]> = edges.chunks(chunk).collect();
+                let bundles: Vec<&[sss_core::Edge]> = edges.chunks(EDGE_BUNDLE).collect();
                 let boundary: Vec<BoundaryPoint> = pool
                     .map(&bundles, |bundle| {
-                        spec.refine_edges(&self.base, z, &cells, bundle)
+                        bundle
+                            .iter()
+                            .map(|&e| spec.refine(&self.base, z, &cells, e))
+                            .collect::<Vec<_>>()
                     })
                     .concat();
                 spec.assemble(z, cells, boundary)
@@ -223,22 +212,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(job.run(&ThreadPool::new(8)), job.run_sequential());
-    }
-
-    #[test]
-    fn chunk_size_does_not_change_bytes() {
-        let job = job(12);
-        let reference = job.run_sequential();
-        for chunk in [1usize, 4, 64] {
-            let map = job.run_chunked(&ThreadPool::new(4), chunk);
-            assert_eq!(map, reference, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        let _ = job(6).run_chunked(&ThreadPool::new(2), 0);
     }
 
     #[test]

@@ -249,8 +249,8 @@ impl SessionReplay {
     /// [`SessionReplay::run`] with the pool explicit (`None` = calling
     /// thread). All paths return the same bytes.
     pub fn run_with(&self, pool: Option<&ThreadPool>) -> ReplayReport {
-        // The model side of every comparison comes from one batched
-        // evaluation pass over the catalog.
+        // The model side of every comparison: one `decide` per catalog
+        // scenario, on the calling thread.
         let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
 

@@ -248,7 +248,7 @@ impl ScenarioSuite {
 
     /// I/O-pipeline analysis of one scenario (deterministic, analytic —
     /// no RNG involved). The decision-model side is evaluated separately,
-    /// as one batch over the whole suite.
+    /// for the whole suite at once.
     fn analyze_io(scenario: &Scenario, config: &SuiteConfig) -> IoSummary {
         // The scenario's data unit as a frame stream at its production
         // cadence: `frames` frames per second, sized to S_unit.
@@ -274,47 +274,24 @@ impl ScenarioSuite {
         }
     }
 
-    /// The decision model over every scenario as one struct-of-arrays
-    /// batch, split into `chunk`-sized views fanned across the pool when
-    /// one is given. Every split produces the same reports.
-    fn decisions(&self, pool: Option<&ThreadPool>, chunk: usize) -> Vec<DecisionReport> {
-        let params: Vec<ModelParams> = self.scenarios.iter().map(|s| s.params).collect();
-        match pool {
-            Some(p) => {
-                let chunks: Vec<&[ModelParams]> = params.chunks(chunk).collect();
-                p.map(&chunks, |c| decide_batch(c)).concat()
-            }
-            None => decide_batch(&params),
-        }
-    }
-
     /// Evaluate the whole suite on `pool`, fanning the netsim probes of
-    /// every (scenario × congestion level) cell, the batched decision
-    /// chunks and the per-scenario I/O analyses across the pool's workers.
+    /// every (scenario × congestion level) cell and the per-scenario I/O
+    /// analyses across the pool's workers.
     pub fn run(&self, pool: &ThreadPool) -> Vec<ScenarioEvaluation> {
-        self.run_with(Some(pool), Self::DEFAULT_CHUNK)
+        self.run_with(Some(pool))
     }
 
     /// Evaluate the suite on the calling thread. Produces bit-identical
     /// results to [`ScenarioSuite::run`]: seeds are position-derived, so
     /// scheduling cannot perturb them.
     pub fn run_sequential(&self) -> Vec<ScenarioEvaluation> {
-        self.run_with(None, Self::DEFAULT_CHUNK)
+        self.run_with(None)
     }
 
-    /// Scenarios per batched-decision chunk when the caller doesn't tune
-    /// it — one pool task per four rows keeps the (cheap) decision wave
-    /// from serializing behind a single worker on large catalogs.
-    pub const DEFAULT_CHUNK: usize = 4;
-
-    /// [`ScenarioSuite::run`] with every knob explicit: an optional pool
-    /// (`None` = calling thread) and the decision batch's chunk size
-    /// (`--chunk` on the CLI). All combinations return the same bytes.
-    ///
-    /// # Panics
-    /// Panics when `chunk == 0`.
-    pub fn run_with(&self, pool: Option<&ThreadPool>, chunk: usize) -> Vec<ScenarioEvaluation> {
-        assert!(chunk > 0, "chunk size must be positive");
+    /// [`ScenarioSuite::run`] with the pool explicit (`None` = calling
+    /// thread). Both paths return the same bytes; the decision model runs
+    /// on the calling thread either way.
+    pub fn run_with(&self, pool: Option<&ThreadPool>) -> Vec<ScenarioEvaluation> {
         let specs: Vec<SweepSpec> = (0..self.scenarios.len())
             .map(|i| self.sweep_spec(i))
             .collect();
@@ -325,7 +302,8 @@ impl ScenarioSuite {
             Some(p) => p.map(&experiments, Experiment::run),
             None => experiments.iter().map(Experiment::run).collect(),
         };
-        let decisions = self.decisions(pool, chunk);
+        let params: Vec<ModelParams> = self.scenarios.iter().map(|s| s.params).collect();
+        let decisions = decide_batch(&params);
         let ios = match pool {
             Some(p) => p.map(&self.scenarios, |s| Self::analyze_io(s, &self.config)),
             None => self
@@ -484,30 +462,16 @@ mod tests {
         assert_eq!(par, seq);
     }
 
-    /// The batched decisions reproduce the point-wise `decide` oracle
-    /// bit for bit, whatever the chunk size and pool.
+    /// Every suite verdict is the point-wise `decide` report, whatever
+    /// the pool.
     #[test]
-    fn batched_decisions_match_the_pointwise_oracle_for_any_chunk() {
+    fn decisions_match_decide() {
         let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
         let sequential = suite.run_sequential();
         for (evaluation, scenario) in sequential.iter().zip(suite.scenarios()) {
             assert_eq!(evaluation.decision, sss_core::decide(&scenario.params));
         }
-        let pool = ThreadPool::new(4);
-        for chunk in [1usize, 2, 64] {
-            assert_eq!(
-                suite.run_with(Some(&pool), chunk),
-                sequential,
-                "chunk {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
-        let _ = suite.run_with(None, 0);
+        assert_eq!(suite.run(&ThreadPool::new(4)), sequential);
     }
 
     #[test]

@@ -101,11 +101,11 @@ impl DecideResponse {
         Self::from_report(params, decide(params))
     }
 
-    /// Wrap an already-evaluated report — the batched dispatcher computes
-    /// a whole wave's reports in one `sss_core::decide_batch` pass, then
-    /// finishes each response (break-even boundaries, sensitivities,
-    /// serialization) per workload. Byte-identical to
-    /// [`DecideResponse::evaluate`] for the same parameters.
+    /// Wrap an already-evaluated report — the batched dispatcher decides
+    /// a whole wave with `sss_core::decide_batch`, then finishes each
+    /// response (break-even boundaries, sensitivities, serialization) per
+    /// workload. Byte-identical to [`DecideResponse::evaluate`] for the
+    /// same parameters.
     pub fn from_report(params: &ModelParams, report: DecisionReport) -> Self {
         let feasible = report.decision != Decision::Infeasible;
         DecideResponse {

@@ -4,13 +4,12 @@
 //! the parsed parameters to the [`Batcher`] and block on a reply channel.
 //! A single dispatcher thread drains whatever has accumulated in the
 //! submission queue — up to `max_batch` requests — checks the decision
-//! cache for each, flushes **all** the misses through one
-//! `sss_core::decide_batch` struct-of-arrays kernel sweep, and then
-//! finishes the responses (break-even boundaries, sensitivities,
-//! serialization) in **one** [`sss_exec::ThreadPool`] task wave. Under
-//! load this amortizes both the model arithmetic and the thread fan-out
-//! across many requests (one kernel sweep and one pool spawn per batch,
-//! not per request) while an idle service still answers a lone request
+//! cache for each, decides **all** the misses with
+//! `sss_core::decide_batch`, and then finishes the responses (break-even
+//! boundaries, sensitivities, serialization) in **one**
+//! [`sss_exec::ThreadPool`] task wave. Under load this amortizes the
+//! thread fan-out across many requests (one pool spawn per batch, not
+//! per request) while an idle service still answers a lone request
 //! immediately: the dispatcher never waits for a batch to fill.
 //!
 //! Replies are the serialized response bodies (`Arc<str>`) produced by
@@ -112,11 +111,9 @@ impl Batcher {
                 let miss_indices: Vec<usize> =
                     (0..jobs.len()).filter(|&i| bodies[i].is_none()).collect();
 
-                // Flush the whole wave of misses through one batched
-                // decide pass (a single struct-of-arrays kernel sweep on
-                // the dispatcher thread), then finish each response —
-                // break-even, sensitivities, serialization — across the
-                // pool. Duplicate keys within a wave evaluate redundantly
+                // Decide the whole wave of misses on the dispatcher
+                // thread, then finish each response — break-even,
+                // sensitivities, serialization — across the pool. Duplicate keys within a wave evaluate redundantly
                 // (same pure result) — harmless, and not worth an
                 // intra-batch dedup pass.
                 let miss_params: Vec<ModelParams> =

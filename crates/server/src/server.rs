@@ -1,6 +1,7 @@
 //! Service configuration, request router, and lifecycle handle.
 
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -238,23 +239,28 @@ impl<K: Clone + Eq + std::hash::Hash> SingleFlight<K> {
 
     /// Serve `key` from `cache`, computing the body at most once across
     /// concurrent identical requests. (With caching disabled every
-    /// waiter recomputes — degenerate but correct.)
-    fn serve(
+    /// waiter recomputes — degenerate but correct.) Only a success is
+    /// memoized, so a failure answers this caller alone and an identical
+    /// later request recomputes instead of being served a cached error;
+    /// a compute step that cannot fail returns `Result<_, Infallible>`.
+    fn serve_fallible<E>(
         &self,
         cache: &ResponseCache<K>,
         key: K,
-        compute: impl FnOnce() -> Arc<str>,
-    ) -> Arc<str> {
+        compute: impl FnOnce() -> Result<Arc<str>, E>,
+    ) -> Result<Arc<str>, E> {
         loop {
             if let Some(hit) = cache.get(&key) {
-                return hit;
+                return Ok(hit);
             }
             let mut inflight = self.lock();
             if inflight.insert(key.clone()) {
                 break;
             }
             // Someone else is computing this key: wait for them to
-            // finish, then re-check the cache.
+            // finish, then re-check the cache. A computer that *failed*
+            // releases its claim without an insert; the re-check misses
+            // and this waiter takes over.
             drop(
                 self.done
                     .wait(inflight)
@@ -280,56 +286,6 @@ impl<K: Clone + Eq + std::hash::Hash> SingleFlight<K> {
         // Re-check after winning the claim: another computer's insert
         // may have landed between our miss and our claim, and recomputing
         // for bytes already in the cache would waste the pool.
-        if let Some(hit) = cache.get(&key) {
-            drop(claim);
-            return hit;
-        }
-        let body = compute();
-        cache.insert(key.clone(), body.clone());
-        drop(claim);
-        body
-    }
-
-    /// [`SingleFlight::serve`] for a compute step that can fail: only a
-    /// success is memoized, so a failure body answers this caller alone
-    /// and an identical later request recomputes instead of being served
-    /// a cached error.
-    fn serve_fallible(
-        &self,
-        cache: &ResponseCache<K>,
-        key: K,
-        compute: impl FnOnce() -> Result<Arc<str>, Arc<str>>,
-    ) -> Result<Arc<str>, Arc<str>> {
-        loop {
-            if let Some(hit) = cache.get(&key) {
-                return Ok(hit);
-            }
-            let mut inflight = self.lock();
-            if inflight.insert(key.clone()) {
-                break;
-            }
-            drop(
-                self.done
-                    .wait(inflight)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            // A computer that *failed* releases its claim without an
-            // insert; the re-check misses and this waiter takes over.
-        }
-        struct Claim<'a, K: Clone + Eq + std::hash::Hash> {
-            flight: &'a SingleFlight<K>,
-            key: &'a K,
-        }
-        impl<K: Clone + Eq + std::hash::Hash> Drop for Claim<'_, K> {
-            fn drop(&mut self) {
-                self.flight.lock().remove(self.key);
-                self.flight.done.notify_all();
-            }
-        }
-        let claim = Claim {
-            flight: self,
-            key: &key,
-        };
         if let Some(hit) = cache.get(&key) {
             drop(claim);
             return Ok(hit);
@@ -616,10 +572,11 @@ fn handle_frontier(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
         Err(e) => return (400, error_body(e)),
     };
     let key = FrontierKey::of(&request, job.base());
-    let body = state.frontier_flight.serve(&state.frontier_cache, key, || {
-        let map = job.run(&state.miss_pool);
-        json_body(&map)
-    });
+    let Ok(body) = state
+        .frontier_flight
+        .serve_fallible(&state.frontier_cache, key, || {
+            Ok::<_, Infallible>(json_body(&job.run(&state.miss_pool)))
+        });
     (200, body)
 }
 
@@ -642,10 +599,11 @@ fn handle_simulate(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
         Err(e) => return (400, error_body(e)),
     };
     let key = SimulateKey::of(&request, &replay.scenarios()[0].params);
-    let body = state.simulate_flight.serve(&state.simulate_cache, key, || {
-        let report = replay.run(&state.miss_pool);
-        json_body(&report)
-    });
+    let Ok(body) = state
+        .simulate_flight
+        .serve_fallible(&state.simulate_cache, key, || {
+            Ok::<_, Infallible>(json_body(&replay.run(&state.miss_pool)))
+        });
     (200, body)
 }
 

@@ -10,7 +10,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`sss_core`] | the decision model: `T_pct` (Eq. 3–10), Streaming Speed Score (Eq. 11), the batched SoA evaluation engine, break-even boundaries, latency tiers, regime maps |
+//! | [`sss_core`] | the decision model: `T_pct` (Eq. 3–10), Streaming Speed Score (Eq. 11), break-even boundaries and frontier maps, latency tiers, regime maps |
 //! | [`sss_sim`] | the shared discrete-event kernel: clocks, deterministic event queue, time-varying WAN bandwidth traces |
 //! | [`sss_netsim`] | packet-level network simulator (TCP CUBIC/Reno + SACK + HyStart, drop-tail queues) standing in for the paper's 25 Gbps testbed |
 //! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning) plus the trace-driven `SessionReplay` model validator |
@@ -63,9 +63,9 @@ pub use sss_units as units;
 /// the model, run the simulators.
 pub mod prelude {
     pub use sss_core::{
-        decide, decide_batch, Axis, BatchEvaluator, BreakEven, CompletionModel, CongestionCurve,
-        Decision, DecisionReport, FrontierMap, FrontierSpec, ModelParams, ParamsBatch, RegimeMap,
-        Scenario, ScenarioSpec, StreamingSpeedScore, Tier, TierReport,
+        decide, decide_batch, Axis, BreakEven, CompletionModel, CongestionCurve, Decision,
+        DecisionReport, FrontierMap, FrontierSpec, ModelParams, RegimeMap, Scenario, ScenarioSpec,
+        StreamingSpeedScore, Tier, TierReport,
     };
     pub use sss_exec::ThreadPool;
     pub use sss_iosim::{

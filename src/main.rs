@@ -46,7 +46,7 @@ fn usage() -> &'static str {
                               [--curve results/fig2a_curve.json]\n\
        stream-score scenarios [--scenario <ID>] [--depth quick|full]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
-                              [--chunk <N>] [--levels 1,4,8] [--seconds <N>]\n\
+                              [--levels 1,4,8] [--seconds <N>]\n\
                               [--seed <N>] [--format text|md]\n\
        stream-score simulate  [--scenario <ID>] [--shapes steady,diurnal,bursty,outage]\n\
                               [--frames <N>] [--files <N>] [--seed <N>]\n\
@@ -64,7 +64,6 @@ fn usage() -> &'static str {
                               [--z <AXIS:LO:HI[:log]> --slices <N>]\n\
                               [--resolution <N>] [--tolerance <T>]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
-                              [--chunk <N>]\n\
                               [--jitter-sd <SD> --jitter-samples <N>] [--seed <N>]\n\
                               [--format text|md|csv]\n\
        stream-score probe     [--seconds <N>] [--concurrency <N>]\n\
@@ -145,7 +144,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_scenarios,
         params: false,
         flags: &[
-            "scenario", "depth", "mode", "workers", "chunk", "levels", "seconds", "seed", "format",
+            "scenario", "depth", "mode", "workers", "levels", "seconds", "seed", "format",
         ],
     },
     Command {
@@ -189,7 +188,6 @@ const COMMANDS: &[Command] = &[
             "tolerance",
             "mode",
             "workers",
-            "chunk",
             "jitter-sd",
             "jitter-samples",
             "seed",
@@ -463,7 +461,6 @@ fn cmd_scenarios(flags: &Flags) -> Result<(), String> {
         Some("text") | None => false,
         Some(other) => return Err(format!("unknown format {other:?} (use text or md)")),
     };
-    let chunk = parse_chunk(flags)?;
 
     let suite = match flags.get("scenario") {
         Some(query) => {
@@ -472,26 +469,19 @@ fn cmd_scenarios(flags: &Flags) -> Result<(), String> {
         }
         None => ScenarioSuite::bundled(config),
     }?;
-    let chunk_or_default = chunk.unwrap_or(ScenarioSuite::DEFAULT_CHUNK);
     let evaluations = match flags.get("mode").map(String::as_str) {
         Some("sequential") => {
             if flags.contains_key("workers") {
                 return Err("--workers conflicts with --mode sequential".into());
             }
-            if chunk.is_some() {
-                return Err(
-                    "--chunk tunes the parallel batch fan-out and conflicts with --mode sequential"
-                        .into(),
-                );
-            }
-            suite.run_with(None, chunk_or_default)
+            suite.run_sequential()
         }
         Some("parallel") | None => {
             let pool = match parse_workers(flags)? {
                 Some(n) => ThreadPool::new(n),
                 None => ThreadPool::with_available_parallelism(),
             };
-            suite.run_with(Some(&pool), chunk_or_default)
+            suite.run(&pool)
         }
         Some(other) => {
             return Err(format!(
@@ -877,17 +867,10 @@ fn cmd_frontier(flags: &Flags) -> Result<(), String> {
     }
 
     let job = FrontierJob::new(base, spec)?;
-    let chunk = parse_chunk(flags)?;
     let map = match flags.get("mode").map(String::as_str) {
         Some("sequential") => {
             if flags.contains_key("workers") {
                 return Err("--workers conflicts with --mode sequential".into());
-            }
-            if chunk.is_some() {
-                return Err(
-                    "--chunk tunes the parallel edge bundles and conflicts with --mode sequential"
-                        .into(),
-                );
             }
             job.run_sequential()
         }
@@ -896,7 +879,7 @@ fn cmd_frontier(flags: &Flags) -> Result<(), String> {
                 Some(n) => ThreadPool::new(n),
                 None => ThreadPool::with_available_parallelism(),
             };
-            job.run_chunked(&pool, chunk.unwrap_or(FrontierJob::DEFAULT_EDGE_CHUNK))
+            job.run(&pool)
         }
         Some(other) => {
             return Err(format!(
@@ -1018,25 +1001,6 @@ fn parse_workers(flags: &Flags) -> Result<Option<usize>, String> {
             let n: usize = raw.parse().map_err(|_| format!("bad --workers {raw:?}"))?;
             if n == 0 {
                 return Err("--workers must be >= 1 (a pool with zero workers cannot run)".into());
-            }
-            Ok(Some(n))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Parse the optional `--chunk` flag — operating points (scenarios) or
-/// boundary edges per batched pool task — rejecting 0 up front. Any
-/// positive chunk produces byte-identical output; the flag only tunes how
-/// work is bundled onto workers. Shared by `scenarios` and `frontier`.
-fn parse_chunk(flags: &Flags) -> Result<Option<usize>, String> {
-    match flags.get("chunk") {
-        Some(raw) => {
-            let n: usize = raw.parse().map_err(|_| format!("bad --chunk {raw:?}"))?;
-            if n == 0 {
-                return Err(
-                    "--chunk must be >= 1 (a zero-item batch chunk cannot make progress)".into(),
-                );
             }
             Ok(Some(n))
         }

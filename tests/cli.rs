@@ -139,19 +139,6 @@ fn scenarios_rejects_bad_depth() {
     assert!(stderr.contains("unknown depth"), "{stderr}");
 }
 
-#[test]
-fn scenarios_chunk_sizes_agree_byte_for_byte() {
-    let mut chunked: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    chunked.extend_from_slice(&["--chunk", "1"]);
-    let (ok_a, stdout_a, _) = run(SCENARIOS_QUICK);
-    let (ok_b, stdout_b, stderr) = run(&chunked);
-    assert!(ok_a && ok_b, "{stderr}");
-    assert_eq!(
-        stdout_a, stdout_b,
-        "--chunk 1 must emit the default chunking's bytes"
-    );
-}
-
 /// Retired selectors and typos are rejected by name instead of silently
 /// running the default path.
 #[test]
@@ -165,6 +152,21 @@ fn unknown_flags_are_rejected() {
         (&["fleet", "--engine", "reference"], "--engine"),
         (&["loadtest", "--frontend", "reactor"], "--frontend"),
         (&["loadtest", "--concurrency", "8"], "--concurrency"),
+        (&["scenarios", "--chunk", "1"], "--chunk"),
+        (
+            &[
+                "frontier",
+                "--scenario",
+                "lcls2",
+                "--x",
+                "wan_gbps:1:400",
+                "--y",
+                "data_gb:1:10",
+                "--chunk",
+                "1",
+            ],
+            "--chunk",
+        ),
     ] {
         let (ok, _, stderr) = run(args);
         assert!(!ok, "{args:?} must fail");
@@ -237,41 +239,6 @@ fn scenario_typos_get_a_suggestion() {
     assert!(stderr.contains("did you mean \"lcls\"?"), "{stderr}");
 }
 
-#[test]
-fn scenarios_chunk_conflicts_with_sequential_mode() {
-    let mut args: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    args.extend_from_slice(&["--mode", "sequential", "--chunk", "4"]);
-    let (ok, _, stderr) = run(&args);
-    assert!(!ok);
-    assert!(
-        stderr.contains("conflicts with --mode sequential"),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn chunk_zero_rejected() {
-    let mut scen: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    scen.extend_from_slice(&["--chunk", "0"]);
-    let (ok, _, stderr) = run(&scen);
-    assert!(!ok);
-    assert!(stderr.contains("--chunk must be >= 1"), "{stderr}");
-
-    let (ok, _, stderr) = run(&[
-        "frontier",
-        "--scenario",
-        "lcls2",
-        "--x",
-        "wan_gbps:1:400",
-        "--y",
-        "data_gb:1:10",
-        "--chunk",
-        "0",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("--chunk must be >= 1"), "{stderr}");
-}
-
 const FRONTIER_QUICK: &[&str] = &[
     "frontier",
     "--scenario",
@@ -304,28 +271,6 @@ fn frontier_parallel_and_sequential_agree() {
     let (ok_b, stdout_b, _) = run(&par);
     assert!(ok_a && ok_b);
     assert_eq!(stdout_a, stdout_b, "frontier output must be bit-identical");
-}
-
-#[test]
-fn frontier_chunk_does_not_change_bytes() {
-    let (ok, reference, _) = run(FRONTIER_QUICK);
-    assert!(ok);
-    for chunk in ["1", "64"] {
-        let mut args: Vec<&str> = FRONTIER_QUICK.to_vec();
-        args.extend_from_slice(&["--chunk", chunk, "--workers", "4"]);
-        let (ok, stdout, stderr) = run(&args);
-        assert!(ok, "{stderr}");
-        assert_eq!(stdout, reference, "--chunk {chunk} changed the bytes");
-    }
-    // --chunk tunes the parallel fan-out only.
-    let mut args: Vec<&str> = FRONTIER_QUICK.to_vec();
-    args.extend_from_slice(&["--mode", "sequential", "--chunk", "4"]);
-    let (ok, _, stderr) = run(&args);
-    assert!(!ok);
-    assert!(
-        stderr.contains("conflicts with --mode sequential"),
-        "{stderr}"
-    );
 }
 
 #[test]
