@@ -1,38 +1,45 @@
-//! The movement pipelines of Figure 4, re-expressed as **event-driven
-//! processes** on the shared `sss-sim` kernel.
+//! The movement pipelines of Figure 4 over a **time-varying WAN**: the
+//! per-frame ground truth behind [`Fidelity::Exact`](sss_sim::Fidelity).
 //!
 //! The analytic pipelines in [`crate::pipeline`] compute busy-until
-//! recurrences in program order; that is exact for a constant-rate WAN
-//! but cannot express a link whose bandwidth changes while a transfer is
-//! in flight. The event-driven versions here run the same stages as
-//! processes scheduling one another through an
-//! [`EventQueue`](sss_sim::EventQueue) on the exact-`f64`
-//! [`Seconds`](sss_sim::Seconds) clock, with every WAN byte integrated
-//! over a [`BandwidthTrace`] — so diurnal cycles, bursty congestion and
-//! scheduled outages land mid-transfer exactly where they would on the
-//! real systems.
+//! recurrences against a constant-rate WAN, which cannot express a link
+//! whose bandwidth changes while a transfer is in flight. The pipelines
+//! here run the same stages with every WAN byte integrated over a
+//! [`BandwidthTrace`], so diurnal cycles, bursty congestion and scheduled
+//! outages land mid-transfer exactly where they would on the real
+//! systems.
 //!
-//! **Event sets.** The [`EventQueue`](sss_sim::EventQueue) holds
-//! completions only: at most one `SendDone` while streaming, and one
-//! `WriterDone` plus at most `files` `TransferDone`s on the file path.
-//! Frame productions never enter it. They are already sorted (frame `i`
-//! is ready at `period·(i+1)`), so each pipeline reads them from a
-//! cursor merged in front of the queue, and a production wins a tie with
-//! a completion at the same instant. That is the order the productions
-//! had when they were all scheduled up front: they held the queue's
-//! lowest sequence numbers, so its FIFO tie-break popped them first.
-//! Keeping it keeps every event's `f64` operations, and so every output
-//! bit, while each pop touches a queue one to `1 + files` deep instead
-//! of one holding every frame.
+//! **Recurrences, not an event loop.** Every stage serves its work in
+//! order (the link and the local writer frame by frame, the DTN file by
+//! file in close order), and frame `i` is ready at `period·(i+1)`, so
+//! each pipeline is a busy-until chain:
+//!
+//! * streaming: the link sends frame `i` at
+//!   `sent_i = finish(max(ready_i, sent_{i-1}), frame_bytes) + overhead`,
+//!   integrated over the trace from a forward segment cursor
+//!   ([`BandwidthTrace::finish_time_from`]);
+//! * file-based: the local writer's sequential program pays `metadata`
+//!   per file open and `max(ready_i, writer_free) + frame_bytes/write_bw`
+//!   per frame write; each file then takes the earliest-free DTN slot at
+//!   its close, and nothing flows from a delivery back to the writer.
+//!
+//! A discrete-event simulation of the same processes has to break ties
+//! between a production and a completion at the same instant; here each
+//! tie resolves to the same `f64` either way. The tests keep that
+//! simulation, with every production scheduled up front on an
+//! [`EventQueue`](sss_sim::EventQueue), as the reference the recurrences
+//! must match bit for bit. Every production, send, writer operation and
+//! delivery instant is still checked the way a [`Seconds`] is: finite
+//! and non-negative.
 //!
 //! **Parity contract:** under `BandwidthTrace::steady(wan.bandwidth)` the
-//! event-driven pipelines perform the same `f64` operations as the
-//! busy-until recurrences (modulo addition associativity) and agree with
-//! them within `1e-9` relative error; the property tests at the bottom
-//! of this module and the catalog-wide suite in `sss-loadgen` hold them
-//! to it.
+//! traced pipelines perform the same `f64` operations as the
+//! constant-rate recurrences (modulo addition associativity) and agree
+//! with them within `1e-9` relative error; the property tests at the
+//! bottom of this module and the catalog-wide suite in `sss-loadgen` hold
+//! them to it.
 
-use sss_sim::{BandwidthTrace, EventQueue, Seconds};
+use sss_sim::{BandwidthTrace, Seconds};
 
 use crate::pipeline::MovementResult;
 use crate::profile::{PathProfile, WanProfile};
@@ -42,7 +49,7 @@ use crate::workload::FrameSource;
 /// remote consumer's memory over one long-lived connection whose
 /// achievable rate follows `trace`.
 ///
-/// The event-driven counterpart of
+/// The traced counterpart of
 /// [`StreamingPipeline`](crate::StreamingPipeline): with a steady trace
 /// at `wan.bandwidth` the two agree within 1e-9 relative error.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,14 +63,6 @@ pub struct EventStreamingPipeline {
     pub trace: BandwidthTrace,
 }
 
-/// Streaming-process events.
-enum StreamEv {
-    /// The next frame finished acquisition and entered the send queue.
-    Produced,
-    /// The link finished serializing frame `i`.
-    SendDone(u32),
-}
-
 impl EventStreamingPipeline {
     /// Build a traced streaming pipeline.
     ///
@@ -74,49 +73,27 @@ impl EventStreamingPipeline {
         EventStreamingPipeline { source, wan, trace }
     }
 
-    /// Run the process network to completion.
+    /// Move the scan frame by frame.
     pub fn run(&self) -> MovementResult {
         let src = &self.source;
-        let n = src.n_frames as usize;
         let frame_bytes = src.frame_bytes.as_b();
         let overhead = self.wan.per_message_overhead.as_secs();
         let one_way = self.wan.rtt.as_secs() / 2.0;
 
-        let mut queue: EventQueue<Seconds, StreamEv> = EventQueue::new();
-        // Frames `next_send..next_frame` are produced and waiting for the
-        // link: productions arrive in index order and the link is FIFO.
-        let mut next_frame = 0u32;
-        let mut next_send = 0u32;
-        let mut available = vec![0.0f64; n];
-
-        // The link process: picks the next waiting frame the moment it is
-        // both idle and a frame exists — i.e. starts at
-        // max(produced, link_free), exactly the busy-until recurrence.
-        // Its one in-flight send is the queue's only event, so an empty
-        // queue means an idle link.
-        let start_next =
-            |queue: &mut EventQueue<Seconds, StreamEv>, next_send: &mut u32, now: f64| {
-                let sent = self.trace.finish_time(now, frame_bytes) + overhead;
-                queue.schedule(Seconds::new(sent), StreamEv::SendDone(*next_send));
-                *next_send += 1;
-            };
-
-        while let Some((now, ev)) = next_event(src, &mut next_frame, &mut queue, StreamEv::Produced)
-        {
-            match ev {
-                StreamEv::Produced => {
-                    if queue.is_empty() {
-                        start_next(&mut queue, &mut next_send, now);
-                    }
-                }
-                StreamEv::SendDone(i) => {
-                    available[i as usize] = now + one_way;
-                    if next_send < next_frame {
-                        start_next(&mut queue, &mut next_send, now);
-                    }
-                }
-            }
-        }
+        // The FIFO link starts each frame once it exists and the frame
+        // before it is sent; sends start in order, so the trace cursor
+        // only moves forward.
+        let mut seg = 0;
+        let mut link_free = 0.0f64;
+        let available: Vec<f64> = (0..src.n_frames)
+            .map(|i| {
+                let ready = instant(src.frame_ready(i).as_secs());
+                let start = ready.max(link_free);
+                link_free =
+                    instant(self.trace.finish_time_from(&mut seg, start, frame_bytes) + overhead);
+                link_free + one_way
+            })
+            .collect();
 
         let completion = *available.last().expect("non-empty scan");
         MovementResult::new(src, completion, available)
@@ -128,7 +105,7 @@ impl EventStreamingPipeline {
 /// when closed, and the DTN's transfer slots move files over the traced
 /// WAN into the remote PFS.
 ///
-/// The event-driven counterpart of
+/// The traced counterpart of
 /// [`FileBasedPipeline`](crate::FileBasedPipeline), with the same parity
 /// contract as [`EventStreamingPipeline`].
 #[derive(Debug, Clone, PartialEq)]
@@ -142,25 +119,6 @@ pub struct EventFileBasedPipeline {
     pub path: PathProfile,
     /// Achievable WAN bandwidth over time.
     pub trace: BandwidthTrace,
-}
-
-/// One operation in the local writer's sequential program.
-#[derive(Debug, Clone, Copy)]
-enum WriterOp {
-    /// Create/open the next file in sequence (metadata cost).
-    Open,
-    /// Write frame `i`; closing file `f` if it is the file's last frame.
-    Write { frame: u32, closes: Option<u32> },
-}
-
-/// File-pipeline events.
-enum FileEv {
-    /// The next frame finished acquisition.
-    Produced,
-    /// The local writer finished its current operation.
-    WriterDone,
-    /// A DTN slot delivered file `f` (verified, on the remote PFS).
-    TransferDone(u32),
 }
 
 impl EventFileBasedPipeline {
@@ -183,41 +141,41 @@ impl EventFileBasedPipeline {
         }
     }
 
-    /// Frames per file; the last files take one fewer when uneven (the
-    /// remainder spreads over the first files, as in the analytic
-    /// pipeline).
-    pub(crate) fn frames_in_file(&self, file: u32) -> u32 {
-        let base = self.source.n_frames / self.files;
-        let rem = self.source.n_frames % self.files;
-        base + u32::from(file < rem)
-    }
-
-    /// The writer's sequential program: open each file, write its frames.
-    fn writer_program(&self) -> Vec<WriterOp> {
-        let mut ops = Vec::with_capacity((self.source.n_frames + self.files) as usize);
-        let mut frame = 0u32;
-        for file in 0..self.files {
-            ops.push(WriterOp::Open);
-            let in_file = self.frames_in_file(file);
-            for k in 0..in_file {
-                ops.push(WriterOp::Write {
-                    frame,
-                    closes: (k + 1 == in_file).then_some(file),
-                });
-                frame += 1;
-            }
-        }
-        debug_assert_eq!(frame, self.source.n_frames);
-        ops
-    }
-
-    /// Run the process network to completion.
+    /// Move the scan frame by frame through the local writer, then file
+    /// by file through the DTN.
     pub fn run(&self) -> MovementResult {
         let src = &self.source;
+        let local = &self.path.local;
+        let write_s = src.frame_bytes.as_b() / local.write_bw.as_bytes_per_sec();
+        let metadata = local.metadata_latency.as_secs();
+
+        // The writer's sequential program: open each file (charged from
+        // t=0 for the first, before any frame exists), then write each of
+        // its frames once the frame exists and the writer is free. A file
+        // closes with its last write.
+        let mut writer_free = 0.0f64;
+        let mut frame = 0u32;
+        let mut closes = Vec::with_capacity(self.files as usize);
+        for file in 0..self.files {
+            writer_free = instant(writer_free + metadata);
+            for _ in 0..src.frames_in_file(self.files, file) {
+                let ready = instant(src.frame_ready(frame).as_secs());
+                writer_free = instant(ready.max(writer_free) + write_s);
+                frame += 1;
+            }
+            closes.push(writer_free);
+        }
+        debug_assert_eq!(frame, src.n_frames);
+        self.deliver(&closes)
+    }
+
+    /// The DTN stage both fidelities share: in close order, each file
+    /// takes the earliest-free of the transfer slots at `closes[file]`,
+    /// pays the fixed per-file costs, moves its bytes at the traced WAN
+    /// share capped by the slower PFS stage, then verifies checksums.
+    pub(crate) fn deliver(&self, closes: &[f64]) -> MovementResult {
         let p = &self.path;
-        let frame_bytes = src.frame_bytes.as_b();
-        let write_bw = p.local.write_bw.as_bytes_per_sec();
-        let metadata = p.local.metadata_latency.as_secs();
+        let frame_bytes = self.source.frame_bytes.as_b();
         // The slowest pipelined per-byte stage bounds a DTN task's rate.
         let stage_cap = p.local.read_bw.min(p.remote.write_bw).as_bytes_per_sec();
         let divisor = p.dtn.concurrency as f64;
@@ -226,109 +184,35 @@ impl EventFileBasedPipeline {
             + p.wan.rtt.as_secs();
         let checksum = p.dtn.checksum_rate.as_bytes_per_sec();
 
-        let ops = self.writer_program();
-        let mut queue: EventQueue<Seconds, FileEv> = EventQueue::new();
-        // Frames `0..next_frame` are produced: productions arrive in
-        // index order.
-        let mut next_frame = 0u32;
-        let mut closes_on_done: Option<u32> = None;
         let mut slot_free = vec![0.0f64; p.dtn.concurrency as usize];
-        let mut available = vec![0.0f64; self.files as usize];
-
-        // The writer's program starts with opening file 0, charged from
-        // t=0 before the first frame exists (matching the analytic
-        // recurrence's up-front `write_free += metadata`).
-        debug_assert!(matches!(ops[0], WriterOp::Open));
-        let mut op_cursor = 1usize;
-        let mut writer_busy = true;
-        queue.schedule(Seconds::new(metadata), FileEv::WriterDone);
-
-        while let Some((now, ev)) = next_event(src, &mut next_frame, &mut queue, FileEv::Produced) {
-            let mut closed: Option<u32> = None;
-            match ev {
-                FileEv::Produced => {}
-                FileEv::WriterDone => {
-                    writer_busy = false;
-                    closed = closes_on_done.take();
-                }
-                FileEv::TransferDone(f) => {
-                    available[f as usize] = now;
-                }
-            }
-
-            // A closed file grabs the earliest-free DTN slot: it starts
-            // at max(close time, slot free), pays the fixed per-file
-            // costs, moves its bytes at the traced WAN share capped by
-            // the slower PFS stage, then verifies checksums.
-            if let Some(file) = closed {
-                let bytes = frame_bytes * self.frames_in_file(file) as f64;
-                let (slot, _) = slot_free
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("slot time NaN"))
-                    .expect("at least one slot");
-                let start = now.max(slot_free[slot]);
-                let wire_done =
-                    self.trace
-                        .capped_finish_time(start + fixed, bytes, divisor, stage_cap);
-                let done = wire_done + bytes / checksum;
-                slot_free[slot] = done;
-                queue.schedule(Seconds::new(done), FileEv::TransferDone(file));
-            }
-
-            // The writer advances whenever it is idle and its next
-            // operation is unblocked (opens run immediately; writes wait
-            // for their frame).
-            while !writer_busy && op_cursor < ops.len() {
-                match ops[op_cursor] {
-                    WriterOp::Open => {
-                        op_cursor += 1;
-                        writer_busy = true;
-                        queue.schedule(Seconds::new(now + metadata), FileEv::WriterDone);
-                    }
-                    WriterOp::Write { frame, closes } => {
-                        if frame >= next_frame {
-                            break; // its production will resume us
-                        }
-                        op_cursor += 1;
-                        writer_busy = true;
-                        closes_on_done = closes;
-                        queue.schedule(
-                            Seconds::new(now + frame_bytes / write_bw),
-                            FileEv::WriterDone,
-                        );
-                    }
-                }
-            }
+        let mut available = Vec::with_capacity(closes.len());
+        for (file, &close) in closes.iter().enumerate() {
+            let bytes = frame_bytes * self.source.frames_in_file(self.files, file as u32) as f64;
+            let (slot, _) = slot_free
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("slot time NaN"))
+                .expect("at least one slot");
+            let start = close.max(slot_free[slot]);
+            let wire_done = self
+                .trace
+                .capped_finish_time(start + fixed, bytes, divisor, stage_cap);
+            let done = instant(wire_done + bytes / checksum);
+            slot_free[slot] = done;
+            available.push(done);
         }
-        debug_assert_eq!(op_cursor, ops.len(), "writer program must drain");
 
         let completion = available.iter().cloned().fold(0.0f64, f64::max);
-        MovementResult::new(src, completion, available)
+        MovementResult::new(&self.source, completion, available)
     }
 }
 
-/// Take the next event of a pipeline whose frame productions are merged
-/// in front of `queue` as a sorted stream: the production of frame
-/// `*next_frame` (reported as `produced`) if it is due no later than the
-/// earliest queued completion, else that completion. Returns the event's
-/// instant in seconds.
+/// An instant on the simulated clock, checked as a [`Seconds`] is.
 ///
-/// Productions win ties; the module docs say why.
-fn next_event<E>(
-    src: &FrameSource,
-    next_frame: &mut u32,
-    queue: &mut EventQueue<Seconds, E>,
-    produced: E,
-) -> Option<(f64, E)> {
-    if *next_frame < src.n_frames {
-        let ready = Seconds::new(src.frame_ready(*next_frame).as_secs());
-        if queue.peek_time().is_none_or(|&due| ready <= due) {
-            *next_frame += 1;
-            return Some((ready.value(), produced));
-        }
-    }
-    queue.pop().map(|(t, ev)| (t.value(), ev))
+/// # Panics
+/// Panics on a negative or non-finite instant.
+fn instant(t: f64) -> f64 {
+    Seconds::new(t).value()
 }
 
 #[cfg(test)]
@@ -337,7 +221,7 @@ mod tests {
     use crate::pipeline::{FileBasedPipeline, StreamingPipeline};
     use crate::profile::presets;
     use proptest::prelude::*;
-    use sss_sim::TraceShape;
+    use sss_sim::{EventQueue, TraceShape};
     use sss_units::{Bytes, Rate, TimeDelta};
 
     /// Streaming events of the pre-scheduled oracle.
@@ -354,9 +238,18 @@ mod tests {
         TransferDone(u32),
     }
 
+    /// One operation in the oracle writer's sequential program.
+    #[derive(Debug, Clone, Copy)]
+    enum WriterOp {
+        /// Create/open the next file in sequence (metadata cost).
+        Open,
+        /// Write frame `i`; closing file `f` if it is the file's last frame.
+        Write { frame: u32, closes: Option<u32> },
+    }
+
     impl EventStreamingPipeline {
-        /// The reference the merged loop is held to: every production
-        /// scheduled on the queue before the first pop.
+        /// The discrete-event reference the recurrence is held to: every
+        /// production scheduled on the queue before the first pop.
         fn run_prescheduled(&self) -> MovementResult {
             let src = &self.source;
             let n = src.n_frames as usize;
@@ -411,8 +304,29 @@ mod tests {
     }
 
     impl EventFileBasedPipeline {
-        /// The reference the merged loop is held to: a `Start` event and
-        /// every production scheduled on the queue before the first pop.
+        /// The oracle writer's sequential program: open each file, write
+        /// its frames.
+        fn writer_program(&self) -> Vec<WriterOp> {
+            let mut ops = Vec::with_capacity((self.source.n_frames + self.files) as usize);
+            let mut frame = 0u32;
+            for file in 0..self.files {
+                ops.push(WriterOp::Open);
+                let in_file = self.source.frames_in_file(self.files, file);
+                for k in 0..in_file {
+                    ops.push(WriterOp::Write {
+                        frame,
+                        closes: (k + 1 == in_file).then_some(file),
+                    });
+                    frame += 1;
+                }
+            }
+            debug_assert_eq!(frame, self.source.n_frames);
+            ops
+        }
+
+        /// The discrete-event reference the recurrences are held to: a
+        /// `Start` event and every production scheduled on the queue
+        /// before the first pop.
         fn run_prescheduled(&self) -> MovementResult {
             let src = &self.source;
             let p = &self.path;
@@ -461,7 +375,7 @@ mod tests {
                 }
 
                 if let Some(file) = closed {
-                    let bytes = frame_bytes * self.frames_in_file(file) as f64;
+                    let bytes = frame_bytes * self.source.frames_in_file(self.files, file) as f64;
                     let (slot, _) = slot_free
                         .iter()
                         .enumerate()
@@ -531,12 +445,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 1024, ..Default::default() })]
 
-        /// The merged-production loops replay the pre-scheduled oracle
-        /// bit for bit: completion, post-acquisition lag and every unit
-        /// instant, across geometry, aggregation, DTN concurrency, all
-        /// trace shapes and zero or nonzero latencies.
+        /// The recurrences replay the pre-scheduled event oracle bit for
+        /// bit: completion, post-acquisition lag and every unit instant,
+        /// across geometry, aggregation, DTN concurrency, all trace
+        /// shapes and zero or nonzero latencies.
         #[test]
-        fn merged_productions_match_the_prescheduled_oracle(
+        fn recurrences_match_the_prescheduled_oracle(
             frames in 1u32..300,
             files_raw in any::<u32>(),
             concurrency in 1u32..=4,

@@ -1,13 +1,11 @@
 //! The **fluid fast path** of the movement pipelines: closed-form
-//! piecewise-constant rate integration in place of per-frame and
-//! per-byte event stepping.
+//! piecewise-constant rate integration in place of per-frame stepping.
 //!
-//! The event pipelines in [`crate::event`] handle `O(frames)` events, on
-//! a queue at most `1 + files` deep (frame productions are merged in as
-//! a sorted stream, never queued); the fluid counterparts here cost
-//! `O(trace segments + files)` regardless of frame count, by advancing
-//! time analytically to the next trace breakpoint, DTN-slot edge or
-//! completion:
+//! The exact pipelines in [`crate::event`] step one busy-until
+//! recurrence per frame, `O(frames)` per run; the fluid counterparts
+//! here cost `O(trace segments + files)` regardless of frame count, by
+//! advancing time analytically to the next trace breakpoint, DTN-slot
+//! edge or completion:
 //!
 //! * **Streaming** models the frame stream as a fluid arriving at the
 //!   generation rate from the first frame's production instant and
@@ -25,9 +23,9 @@
 //! * **File-based** is exact in *every* regime: the local writer's
 //!   busy-until recurrence has a closed form (the maximum of a linear
 //!   function over the frames of a file, attained at an endpoint), and
-//!   the DTN stage already moves whole files through the closed-form
-//!   traced integrator. Hybrid therefore never falls back on the file
-//!   path.
+//!   the DTN stage, which moves whole files through the closed-form
+//!   traced integrator, is the exact pipeline's own. Hybrid therefore
+//!   never falls back on the file path.
 //!
 //! The differential proptest suite at the bottom of this module and the
 //! catalog-wide harness in `tests/fidelity_parity.rs` hold both paths to
@@ -126,18 +124,10 @@ impl EventFileBasedPipeline {
     /// re-association only.
     pub fn run_fluid(&self) -> MovementResult {
         let src = &self.source;
-        let p = &self.path;
-        let frame_bytes = src.frame_bytes.as_b();
-        let write_bw = p.local.write_bw.as_bytes_per_sec();
-        let metadata = p.local.metadata_latency.as_secs();
-        let stage_cap = p.local.read_bw.min(p.remote.write_bw).as_bytes_per_sec();
-        let divisor = p.dtn.concurrency as f64;
-        let fixed = p.dtn.startup_per_file.as_secs()
-            + p.remote.metadata_latency.as_secs()
-            + p.wan.rtt.as_secs();
-        let checksum = p.dtn.checksum_rate.as_bytes_per_sec();
+        let local = &self.path.local;
+        let metadata = local.metadata_latency.as_secs();
         let period = src.period.as_secs();
-        let w = frame_bytes / write_bw;
+        let w = src.frame_bytes.as_b() / local.write_bw.as_bytes_per_sec();
 
         // Local writer, closed form per file: the k writes of a file
         // chain as d_j = max(d_{j-1}, ready_j) + w from the post-open
@@ -148,44 +138,24 @@ impl EventFileBasedPipeline {
         let mut file_ready = Vec::with_capacity(self.files as usize);
         for file in 0..self.files {
             let entry = write_free + metadata;
-            let k = self.frames_in_file(file) as f64;
+            let in_file = src.frames_in_file(self.files, file);
+            let k = in_file as f64;
             let r_first = period * (frame + 1) as f64;
             let r_last = period * (frame as f64 + k);
             let close = (entry + k * w).max(r_first + k * w).max(r_last + w);
             write_free = close;
             file_ready.push(close);
-            frame += self.frames_in_file(file);
+            frame += in_file;
         }
         debug_assert_eq!(frame, src.n_frames);
 
-        // DTN transfer: the same earliest-free-slot program as the event
-        // pipeline — already closed-form per file via the traced
-        // integrator (closes are nondecreasing, so program order is
-        // event order).
-        let mut slot_free = vec![0.0f64; p.dtn.concurrency as usize];
-        let mut available = Vec::with_capacity(self.files as usize);
-        for (file, &ready) in file_ready.iter().enumerate() {
-            let bytes = frame_bytes * self.frames_in_file(file as u32) as f64;
-            let (slot, _) = slot_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("slot time NaN"))
-                .expect("at least one slot");
-            let start = ready.max(slot_free[slot]);
-            let wire_done = self
-                .trace
-                .capped_finish_time(start + fixed, bytes, divisor, stage_cap);
-            let done = wire_done + bytes / checksum;
-            slot_free[slot] = done;
-            available.push(done);
-        }
-
-        let completion = available.iter().cloned().fold(0.0f64, f64::max);
-        MovementResult::new(src, completion, available)
+        // The DTN stage is already closed-form per file via the traced
+        // integrator, so it is the exact pipeline's own.
+        self.deliver(&file_ready)
     }
 
     /// Run at the requested fidelity. The fluid file path is exact, so
-    /// `Hybrid` never falls back to the event simulator here.
+    /// `Hybrid` never falls back to the per-frame pipeline here.
     pub fn run_fidelity(&self, fidelity: Fidelity) -> MovementResult {
         match fidelity {
             Fidelity::Exact => self.run(),

@@ -65,9 +65,10 @@ impl MovementResult {
 }
 
 /// File-based movement: frames are written to the local PFS grouped into
-/// `files` equal parts; each file becomes eligible for DTN transfer when
-/// its last frame is written; the DTN moves files (with per-file startup
-/// and checksum cost) over the WAN into the remote PFS.
+/// `files` parts that differ by at most one frame; each file becomes
+/// eligible for DTN transfer when its last frame is written; the DTN
+/// moves files (with per-file startup and checksum cost) over the WAN
+/// into the remote PFS.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FileBasedPipeline {
     /// The detector workload.
@@ -104,14 +105,6 @@ impl FileBasedPipeline {
         }
     }
 
-    /// Frames per file; the last file takes the remainder.
-    fn frames_in_file(&self, file: u32) -> u32 {
-        let base = self.source.n_frames / self.files;
-        let rem = self.source.n_frames % self.files;
-        // Distribute the remainder over the first `rem` files.
-        base + u32::from(file < rem)
-    }
-
     /// Run the pipeline.
     pub fn run(&self) -> MovementResult {
         let src = &self.source;
@@ -128,7 +121,7 @@ impl FileBasedPipeline {
             // Metadata cost to create/open the file, charged up front.
             write_free += p.local.metadata_latency.as_secs();
             let mut closed_at = 0.0f64;
-            for _ in 0..self.frames_in_file(file) {
+            for _ in 0..src.frames_in_file(self.files, file) {
                 let produced = src.frame_ready(frame_idx).as_secs();
                 let start = produced.max(write_free);
                 let done = start + (src.frame_bytes / p.local.write_bw).as_secs();
@@ -148,7 +141,7 @@ impl FileBasedPipeline {
         let mut slot_free = vec![0.0f64; p.dtn.concurrency as usize];
         let mut available = Vec::with_capacity(self.files as usize);
         for (file, &ready) in file_ready.iter().enumerate() {
-            let bytes = src.frame_bytes * self.frames_in_file(file as u32) as f64;
+            let bytes = src.frame_bytes * src.frames_in_file(self.files, file as u32) as f64;
             // Earliest-free slot (deterministic tie-break by index).
             let (slot, _) = slot_free
                 .iter()
@@ -301,13 +294,12 @@ mod tests {
     #[test]
     fn uneven_frame_split_covers_all_frames() {
         let src = FrameSource::new(10, Bytes::from_mb(1.0), TimeDelta::from_millis(10.0));
-        let p = FileBasedPipeline::new(src, 3, presets::aps_to_alcf());
-        let total: u32 = (0..3).map(|f| p.frames_in_file(f)).sum();
+        let total: u32 = (0..3).map(|f| src.frames_in_file(3, f)).sum();
         assert_eq!(total, 10);
-        // 10 = 4 + 3 + 3.
-        assert_eq!(p.frames_in_file(0), 4);
-        assert_eq!(p.frames_in_file(1), 3);
-        assert_eq!(p.frames_in_file(2), 3);
+        // 10 = 4 + 3 + 3: the first files take the remainder.
+        assert_eq!(src.frames_in_file(3, 0), 4);
+        assert_eq!(src.frames_in_file(3, 1), 3);
+        assert_eq!(src.frames_in_file(3, 2), 3);
     }
 
     #[test]

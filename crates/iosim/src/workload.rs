@@ -48,6 +48,13 @@ impl FrameSource {
         self.period * (i + 1) as f64
     }
 
+    /// Frames in file `file` when the scan is aggregated into `files`
+    /// files: `n_frames / files` each, plus one more in each of the first
+    /// `n_frames % files` files.
+    pub(crate) fn frames_in_file(&self, files: u32, file: u32) -> u32 {
+        self.n_frames / files + u32::from(file < self.n_frames % files)
+    }
+
     /// Total scan volume.
     pub fn total_bytes(&self) -> Bytes {
         self.frame_bytes * self.n_frames as f64

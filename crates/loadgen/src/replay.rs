@@ -2,7 +2,7 @@
 //!
 //! The closed-form completion model (Eq. 3–10) treats the network as a
 //! constant effective rate `α·Bw`. [`SessionReplay`] replays every
-//! catalog scenario through the event-driven movement simulator under a
+//! catalog scenario through the per-frame movement simulator under a
 //! set of WAN [`TraceShape`]s — steady, diurnal, bursty, scheduled
 //! outage — and compares the simulated completion time and the simulated
 //! decision against [`CompletionModel`]/[`decide_batch`], producing

@@ -1,7 +1,7 @@
 //! The simulation-fidelity ladder and its parity-tolerance contract.
 //!
-//! The event-driven simulators step per frame, per file or per packet;
-//! the fluid fast path advances time analytically between
+//! The exact simulators step per frame, per file or per packet; the
+//! fluid fast path advances time analytically between
 //! [`BandwidthTrace`](crate::BandwidthTrace) breakpoints instead. A
 //! [`Fidelity`] selects which world a consumer runs in, and the
 //! [`fluid_tolerance`] contract states — as exported constants, so the
@@ -16,7 +16,7 @@ use crate::trace::TraceShape;
 /// Relative fluid-vs-exact completion tolerance under a steady trace.
 ///
 /// On a constant-rate trace the fluid solver performs the same division
-/// the event pipeline chains per frame, so the gap is pure floating-point
+/// the exact pipeline chains per frame, so the gap is pure floating-point
 /// re-association.
 pub const FLUID_TOLERANCE_STEADY: f64 = 1e-9;
 
@@ -67,8 +67,9 @@ pub fn fluid_tolerance(shape: TraceShape) -> f64 {
 ///
 /// The ladder trades stepping cost for modeling generality:
 ///
-/// * [`Fidelity::Exact`] — the event-driven simulators: per-frame
-///   streaming, per-file DTN staging, per-packet TCP. The reference.
+/// * [`Fidelity::Exact`] — the stepping simulators: per-frame streaming
+///   and local writes as busy-until recurrences, per-file DTN staging,
+///   per-packet TCP on the event queue. The reference.
 /// * [`Fidelity::Fluid`] — closed-form piecewise-constant rate
 ///   integration between trace breakpoints: time advances analytically
 ///   to the next breakpoint, slot edge or completion. Cost is
@@ -80,12 +81,12 @@ pub fn fluid_tolerance(shape: TraceShape) -> f64 {
 ///   to the packet/frame-level simulator elsewhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Fidelity {
-    /// Event-driven reference simulation (per frame / file / packet).
+    /// Stepping reference simulation (per frame / file / packet).
     #[default]
     Exact,
     /// Closed-form fluid-flow integration between breakpoints.
     Fluid,
-    /// Fluid where provably exact, event-driven otherwise.
+    /// Fluid where provably exact, stepping per frame otherwise.
     Hybrid,
 }
 

@@ -1,11 +1,12 @@
-//! The shared discrete-event simulation kernel.
+//! The shared simulation kernel.
 //!
-//! Both simulation worlds in this workspace — the packet-level network
-//! simulator (`sss-netsim`) and the staging-pipeline I/O simulator
-//! (`sss-iosim`) — are discrete-event programs: a clock, a future-event
-//! set, and processes that schedule one another. This crate owns those
-//! shared mechanics so the two simulators run on **one** kernel instead
-//! of two divergent copies:
+//! The simulators in this workspace share one set of clocks, one
+//! future-event set and one bandwidth vocabulary instead of divergent
+//! copies. The packet-level network simulator (`sss-netsim`) and the
+//! fleet simulator (`sss-loadgen`) are discrete-event programs on an
+//! [`EventQueue`]; the staging-pipeline I/O simulator (`sss-iosim`)
+//! needs no event set, because its FIFO stages are per-frame busy-until
+//! recurrences over a [`BandwidthTrace`]:
 //!
 //! * [`SimTime`] — the integer-nanosecond clock (exact ordering,
 //!   platform-independent reproducibility) the network simulator runs on;
@@ -14,9 +15,9 @@
 //! * [`EventQueue`] — the deterministic future-event set (FIFO among
 //!   simultaneous events), generic over either clock;
 //! * [`BandwidthTrace`] / [`TraceShape`] — piecewise-constant
-//!   time-varying WAN bandwidth profiles, the vocabulary that lets
-//!   event-driven pipelines replay conditions the closed-form completion
-//!   model cannot express (diurnal cycles, bursty congestion, scheduled
+//!   time-varying WAN bandwidth profiles, the vocabulary that lets the
+//!   simulators replay conditions the closed-form completion model
+//!   cannot express (diurnal cycles, bursty congestion, scheduled
 //!   outages).
 //!
 //! # Example

@@ -157,6 +157,7 @@ impl Seconds {
     ///
     /// # Panics
     /// Panics on negative or non-finite input.
+    #[inline]
     pub fn new(s: f64) -> Self {
         assert!(
             s >= 0.0 && s.is_finite(),

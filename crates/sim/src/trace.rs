@@ -3,7 +3,7 @@
 //! The closed-form completion model treats the network as a constant
 //! effective rate `α·Bw`; real campaigns see diurnal load cycles, bursty
 //! loss episodes and scheduled maintenance windows. A [`BandwidthTrace`]
-//! is a piecewise-constant rate over simulated time; the event-driven
+//! is a piecewise-constant rate over simulated time; the exact movement
 //! pipelines integrate transfers over it, which is exactly where the
 //! simulated completion diverges from the closed form.
 //!
@@ -281,6 +281,47 @@ impl BandwidthTrace {
         self.capped_finish_time(start_s, bytes, 1.0, f64::INFINITY)
     }
 
+    /// [`BandwidthTrace::finish_time`] for a chain of transfers whose
+    /// starts never decrease, such as a FIFO link's sends. `seg` is a
+    /// segment cursor: start it at 0 and pass it to every call of the
+    /// chain. Each call walks it forward to the segment containing
+    /// `start_s` instead of binary-searching, then integrates from there
+    /// exactly as `finish_time(start_s, bytes)` does, so the result is
+    /// the same `f64`.
+    ///
+    /// ```
+    /// use sss_sim::BandwidthTrace;
+    /// use sss_units::Rate;
+    ///
+    /// let t = BandwidthTrace::from_segments(&[
+    ///     (0.0, Rate::from_gigabytes_per_sec(1.0)),
+    ///     (2.0, Rate::ZERO),
+    ///     (4.0, Rate::from_gigabytes_per_sec(1.0)),
+    /// ])
+    /// .unwrap();
+    /// let mut seg = 0;
+    /// let first = t.finish_time_from(&mut seg, 0.0, 1.5e9);
+    /// let second = t.finish_time_from(&mut seg, first, 1.5e9);
+    /// assert_eq!((first, second), (1.5, 5.0));
+    /// assert_eq!(second, t.finish_time(first, 1.5e9));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics when the cursor's segment starts after `start_s`, and on
+    /// the inputs [`BandwidthTrace::capped_finish_time`] rejects.
+    pub fn finish_time_from(&self, seg: &mut usize, start_s: f64, bytes: f64) -> f64 {
+        check_transfer(start_s, bytes);
+        assert!(
+            self.starts_s[*seg] <= start_s,
+            "segment cursor at t={} is past the start {start_s}",
+            self.starts_s[*seg]
+        );
+        while self.starts_s.get(*seg + 1).is_some_and(|&s| s <= start_s) {
+            *seg += 1;
+        }
+        self.walk(*seg, start_s, bytes, 1.0, f64::INFINITY)
+    }
+
     /// [`BandwidthTrace::finish_time`] with the per-segment rate divided
     /// by `divisor` (a fair share of the link, e.g. DTN concurrency) and
     /// capped at `cap` bytes/s (a slower stage bounding the pipeline).
@@ -292,26 +333,26 @@ impl BandwidthTrace {
     /// Panics on negative inputs, non-positive `divisor`/`cap`, or
     /// non-finite `start_s`/`bytes`.
     pub fn capped_finish_time(&self, start_s: f64, bytes: f64, divisor: f64, cap: f64) -> f64 {
-        assert!(
-            start_s >= 0.0 && start_s.is_finite(),
-            "start must be non-negative and finite, got {start_s}"
-        );
-        assert!(
-            bytes >= 0.0 && bytes.is_finite(),
-            "bytes must be non-negative and finite, got {bytes}"
-        );
+        check_transfer(start_s, bytes);
         assert!(divisor > 0.0, "divisor must be positive, got {divisor}");
         assert!(cap > 0.0, "cap must be positive, got {cap}");
+        self.walk(self.segment_index(start_s), start_s, bytes, divisor, cap)
+    }
+
+    /// The traced byte integrator behind every finish time: moves
+    /// `bytes` from `start_s`, which lies in segment `seg`, at each
+    /// segment's rate divided by `divisor` and capped at `cap`.
+    #[inline]
+    fn walk(&self, mut seg: usize, start_s: f64, bytes: f64, divisor: f64, cap: f64) -> f64 {
         // sss-lint: allow(D004, zero-byte transfer completes instantly; exact guard)
         if bytes == 0.0 {
             return start_s;
         }
         let mut remaining = bytes;
         let mut t = start_s;
-        let mut i = self.segment_index(t);
         loop {
-            let rate = (self.rates_bps[i] / divisor).min(cap);
-            match self.starts_s.get(i + 1) {
+            let rate = (self.rates_bps[seg] / divisor).min(cap);
+            match self.starts_s.get(seg + 1) {
                 None => return t + remaining / rate, // final rate is positive
                 Some(&end) => {
                     if rate > 0.0 {
@@ -322,7 +363,7 @@ impl BandwidthTrace {
                         remaining -= capacity;
                     }
                     t = end;
-                    i += 1;
+                    seg += 1;
                 }
             }
         }
@@ -527,6 +568,21 @@ pub enum TraceShape {
     Outage,
 }
 
+/// The transfer inputs every finish time checks.
+///
+/// # Panics
+/// Panics on a negative or non-finite `start_s` or `bytes`.
+fn check_transfer(start_s: f64, bytes: f64) {
+    assert!(
+        start_s >= 0.0 && start_s.is_finite(),
+        "start must be non-negative and finite, got {start_s}"
+    );
+    assert!(
+        bytes >= 0.0 && bytes.is_finite(),
+        "bytes must be non-negative and finite, got {bytes}"
+    );
+}
+
 /// SplitMix64 finalizer — the same generator `sss_exec::SeedSequence`
 /// uses, inlined so the kernel crate stays dependency-free.
 fn splitmix64(state: &mut u64) {
@@ -655,6 +711,7 @@ impl Deserialize for TraceShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn gbs(x: f64) -> Rate {
         Rate::from_gigabytes_per_sec(x)
@@ -814,6 +871,67 @@ mod tests {
     fn zero_bytes_finish_immediately() {
         let t = BandwidthTrace::steady(gbs(1.0));
         assert_eq!(t.finish_time(7.5, 0.0), 7.5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..Default::default() })]
+
+        /// The segment cursor replays `finish_time` bit for bit along
+        /// chains of non-decreasing starts: on every bundled shape and on
+        /// random traces with zero-rate segments, with starts on the
+        /// previous finish, exactly on breakpoints, between them and
+        /// repeated, and with zero-byte transfers.
+        #[test]
+        fn the_cursor_replays_finish_time_bit_for_bit(
+            trace_pick in 0usize..=TraceShape::ALL.len(),
+            horizon in 0.05f64..20.0,
+            seed in any::<u64>(),
+            // (duration, rate level) pairs; level 0 is a zero-rate slot.
+            segs in proptest::collection::vec((0.01f64..5.0, 0u32..4), 0..12),
+            steps in proptest::collection::vec((0u32..4, 0.0f64..1.0, 0.0f64..1.0), 1..100),
+        ) {
+            let trace = match trace_pick {
+                0 => {
+                    let mut segments = vec![(0.0, gbs(1.0))];
+                    let mut t = 0.0;
+                    for (dur, level) in segs {
+                        t += dur;
+                        segments.push((t, gbs(f64::from(level) * 0.5)));
+                    }
+                    segments.push((t + 1.0, gbs(2.0)));
+                    BandwidthTrace::from_segments(&segments).unwrap()
+                }
+                k => TraceShape::ALL[k - 1].build(gbs(1.0), horizon, seed),
+            };
+            // Sizes and gaps scale with the breakpoint span, so a chain
+            // crosses many breakpoints before it passes the last one.
+            let unit = trace.starts_s.last().copied().filter(|&s| s > 0.0).unwrap_or(1.0) / 64.0;
+            let (mut seg, mut start, mut finish) = (0usize, 0.0f64, 0.0f64);
+            for (how, gap, size) in steps {
+                start = match how {
+                    0 => finish,
+                    1 => trace.starts_s.iter().copied().find(|&s| s > start).unwrap_or(start),
+                    2 => start + gap * unit,
+                    _ => start,
+                };
+                let bytes = if size < 0.25 { 0.0 } else { size * unit * 1e9 };
+                finish = trace.finish_time_from(&mut seg, start, bytes);
+                prop_assert_eq!(
+                    finish.to_bits(),
+                    trace.finish_time(start, bytes).to_bits(),
+                    "{} bytes from {}", bytes, start
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is past the start")]
+    fn a_cursor_ahead_of_the_start_fails_loudly() {
+        let t = BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (2.0, gbs(0.5))]).unwrap();
+        let mut seg = 0;
+        t.finish_time_from(&mut seg, 3.0, 1.0e9);
+        t.finish_time_from(&mut seg, 1.0, 1.0e9);
     }
 
     #[test]

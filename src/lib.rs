@@ -14,7 +14,7 @@
 //! | [`sss_sim`] | the shared discrete-event kernel: clocks, deterministic event queue, time-varying WAN bandwidth traces |
 //! | [`sss_netsim`] | packet-level network simulator (TCP CUBIC/Reno + SACK + HyStart, drop-tail queues) standing in for the paper's 25 Gbps testbed |
 //! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning) plus the trace-driven `SessionReplay` model validator |
-//! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), both as analytic recurrences and as event-driven processes |
+//! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), both as constant-rate recurrences and as per-frame recurrences over a time-varying WAN trace |
 //! | [`sss_stats`] | tail-latency statistics: ECDF, P², histograms, bootstrap |
 //! | [`sss_exec`] | deterministic parallel sweep executor |
 //! | [`sss_units`] | typed quantities (GB vs Gb/s vs TFLOPS confusion is a compile error) |
