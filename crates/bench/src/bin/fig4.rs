@@ -8,8 +8,11 @@
 //! penalties; large aggregates are competitive at the low rate.
 
 use sss_bench::{fmt_s, results_dir};
-use sss_iosim::{presets, theta_estimate, FileBasedPipeline, FrameSource, StreamingPipeline};
+use sss_iosim::{
+    presets, theta_estimate, EventFileBasedPipeline, EventStreamingPipeline, FrameSource,
+};
 use sss_report::{CsvWriter, Table};
+use sss_sim::BandwidthTrace;
 use sss_units::TimeDelta;
 
 fn main() {
@@ -23,10 +26,12 @@ fn main() {
         "theta_estimate",
     ]);
 
+    let path = presets::aps_to_alcf();
+    let steady = BandwidthTrace::steady(path.wan.bandwidth);
     for (label, period) in [("0.033 s/frame", 0.033), ("0.33 s/frame", 0.33)] {
         let scan = FrameSource::aps_scan(TimeDelta::from_secs(period));
         let acquisition = scan.acquisition_duration();
-        let wire = scan.total_bytes() / presets::aps_alcf_wan().bandwidth;
+        let wire = scan.total_bytes() / path.wan.bandwidth;
 
         let mut table = Table::new(["method", "completion", "lag after acquisition", "θ est."])
             .with_title(format!(
@@ -35,7 +40,7 @@ fn main() {
                 fmt_s(acquisition.as_secs())
             ));
 
-        let stream = StreamingPipeline::new(scan, presets::aps_alcf_wan()).run();
+        let stream = EventStreamingPipeline::new(scan, path.wan, steady.clone()).run();
         table.row([
             "memory streaming".to_string(),
             fmt_s(stream.completion.as_secs()),
@@ -53,7 +58,7 @@ fn main() {
 
         let mut file_completions = Vec::new();
         for files in [1u32, 10, 144, 1440] {
-            let r = FileBasedPipeline::new(scan, files, presets::aps_to_alcf()).run();
+            let r = EventFileBasedPipeline::new(scan, files, path, steady.clone()).run();
             let theta = theta_estimate(r.post_acquisition_lag, wire)
                 .map(|t| format!("{:.1}", t.value()))
                 .unwrap_or_else(|| "-".into());

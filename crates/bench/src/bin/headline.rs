@@ -6,9 +6,10 @@
 //!    of magnitude" (from Figure 2(a) vs the 0.16 s theoretical time).
 
 use sss_bench::{figure2_sweep, results_dir};
-use sss_iosim::{presets, FileBasedPipeline, FrameSource, StreamingPipeline};
+use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource};
 use sss_loadgen::SpawnStrategy;
 use sss_report::Table;
+use sss_sim::BandwidthTrace;
 use sss_units::TimeDelta;
 
 fn main() {
@@ -17,8 +18,10 @@ fn main() {
 
     // Claim 1: completion-time reduction at the high frame rate.
     let scan = FrameSource::aps_scan(TimeDelta::from_secs(0.033));
-    let stream = StreamingPipeline::new(scan, presets::aps_alcf_wan()).run();
-    let files = FileBasedPipeline::new(scan, 1440, presets::aps_to_alcf()).run();
+    let path = presets::aps_to_alcf();
+    let steady = BandwidthTrace::steady(path.wan.bandwidth);
+    let stream = EventStreamingPipeline::new(scan, path.wan, steady.clone()).run();
+    let files = EventFileBasedPipeline::new(scan, 1440, path, steady).run();
     let reduction = 1.0 - stream.completion.as_secs() / files.completion.as_secs();
     table.row([
         "streaming vs file-based completion reduction (high rate)".to_string(),

@@ -1,8 +1,8 @@
 //! E-X6 — the model-error ground truth: every registered scenario
-//! replayed through the event-driven simulator under all four WAN trace
+//! replayed through the per-frame simulator under all four WAN trace
 //! shapes, compared against the closed-form model, and persisted as
 //! `results/sim_validation.{csv,json,md}` — now with a fidelity column:
-//! every cell is replayed through both the exact (per-frame event) and
+//! every cell is replayed through both the exact (per-frame) and
 //! the fluid (closed-form rate integration) integrators, their parity is
 //! gated on the per-shape tolerances `sss-sim` exports, and the bench
 //! reports each fidelity's median cells/sec over repeated timed runs

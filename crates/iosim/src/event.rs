@@ -1,13 +1,9 @@
-//! The movement pipelines of Figure 4 over a **time-varying WAN**: the
-//! per-frame ground truth behind [`Fidelity::Exact`](sss_sim::Fidelity).
-//!
-//! The analytic pipelines in [`crate::pipeline`] compute busy-until
-//! recurrences against a constant-rate WAN, which cannot express a link
-//! whose bandwidth changes while a transfer is in flight. The pipelines
-//! here run the same stages with every WAN byte integrated over a
-//! [`BandwidthTrace`], so diurnal cycles, bursty congestion and scheduled
-//! outages land mid-transfer exactly where they would on the real
-//! systems.
+//! The movement pipelines of Figure 4: the per-frame ground truth behind
+//! [`Fidelity::Exact`](sss_sim::Fidelity), with every WAN byte integrated
+//! over a [`BandwidthTrace`]. A constant-rate WAN is
+//! [`BandwidthTrace::steady`]; diurnal cycles, bursty congestion and
+//! scheduled outages land mid-transfer exactly where they would on the
+//! real systems.
 //!
 //! **Recurrences, not an event loop.** Every stage serves its work in
 //! order (the link and the local writer frame by frame, the DTN file by
@@ -32,12 +28,10 @@
 //! delivery instant is still checked the way a [`Seconds`] is: finite
 //! and non-negative.
 //!
-//! **Parity contract:** under `BandwidthTrace::steady(wan.bandwidth)` the
-//! traced pipelines perform the same `f64` operations as the
-//! constant-rate recurrences (modulo addition associativity) and agree
-//! with them within `1e-9` relative error; the property tests at the
-//! bottom of this module and the catalog-wide suite in `sss-loadgen` hold
-//! them to it.
+//! On a steady trace each integration is `start + bytes/rate`, so the
+//! chains reduce to constant-rate arithmetic; a test checks every
+//! instant of a small stream and staged scan against that arithmetic
+//! written out by hand.
 
 use sss_sim::{BandwidthTrace, Seconds};
 
@@ -45,13 +39,10 @@ use crate::pipeline::MovementResult;
 use crate::profile::{PathProfile, WanProfile};
 use crate::workload::FrameSource;
 
-/// Streaming movement over a time-varying WAN: frames are pushed to the
-/// remote consumer's memory over one long-lived connection whose
-/// achievable rate follows `trace`.
-///
-/// The traced counterpart of
-/// [`StreamingPipeline`](crate::StreamingPipeline): with a steady trace
-/// at `wan.bandwidth` the two agree within 1e-9 relative error.
+/// Streaming movement: frames are pushed to the remote consumer's memory
+/// as soon as they are produced, over one long-lived connection whose
+/// achievable rate follows `trace` (Figure 1(b)); no file system touches
+/// the critical path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventStreamingPipeline {
     /// The detector workload.
@@ -64,7 +55,7 @@ pub struct EventStreamingPipeline {
 }
 
 impl EventStreamingPipeline {
-    /// Build a traced streaming pipeline.
+    /// Build a streaming pipeline.
     ///
     /// # Panics
     /// Panics on an invalid WAN profile.
@@ -100,19 +91,17 @@ impl EventStreamingPipeline {
     }
 }
 
-/// File-based movement over a time-varying WAN: frames are written to the
-/// local PFS grouped into `files` parts, each file becomes DTN-eligible
-/// when closed, and the DTN's transfer slots move files over the traced
-/// WAN into the remote PFS.
-///
-/// The traced counterpart of
-/// [`FileBasedPipeline`](crate::FileBasedPipeline), with the same parity
-/// contract as [`EventStreamingPipeline`].
+/// File-based movement: frames are written to the local PFS grouped into
+/// `files` parts that differ by at most one frame, each file becomes
+/// DTN-eligible when closed, and the DTN's transfer slots move files
+/// (with per-file startup and checksum cost) over the traced WAN into
+/// the remote PFS.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventFileBasedPipeline {
     /// The detector workload.
     pub source: FrameSource,
-    /// Number of files the scan is aggregated into.
+    /// Number of files the scan is aggregated into (Figure 4: 1, 10,
+    /// 144, 1,440).
     pub files: u32,
     /// Substrate performance profile (the trace replaces the profile's
     /// constant WAN bandwidth).
@@ -122,8 +111,7 @@ pub struct EventFileBasedPipeline {
 }
 
 impl EventFileBasedPipeline {
-    /// Build a traced file-based pipeline; `files` must be in
-    /// `1..=n_frames`.
+    /// Build a file-based pipeline; `files` must be in `1..=n_frames`.
     ///
     /// # Panics
     /// Panics when `files` is out of range or the profile is invalid.
@@ -218,8 +206,7 @@ fn instant(t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{FileBasedPipeline, StreamingPipeline};
-    use crate::profile::presets;
+    use crate::profile::{presets, DtnProfile, PfsProfile};
     use proptest::prelude::*;
     use sss_sim::{EventQueue, TraceShape};
     use sss_units::{Bytes, Rate, TimeDelta};
@@ -516,78 +503,101 @@ mod tests {
         )
     }
 
-    fn assert_close(a: f64, b: f64, what: &str) {
-        let scale = a.abs().max(b.abs()).max(1e-12);
-        assert!(
-            (a - b).abs() / scale <= 1e-9,
-            "{what}: event {a} vs analytic {b}"
-        );
-    }
-
+    /// Every instant of a 3-frame stream and a 3-frame, 2-file staged
+    /// scan on a steady trace, worked out by hand. Frames of 1 MB are
+    /// ready at 10, 20 and 30 ms; the WAN moves 100 MB/s with a 4 ms RTT
+    /// and 2 ms per message; the writer pays 8 ms per open and 5 ms per
+    /// frame; each file pays 0.1 s DTN startup, 50 ms remote metadata
+    /// and the RTT, then moves at the WAN share capped by the 80 MB/s
+    /// local read, then checksums at 100 MB/s.
     #[test]
-    fn steady_streaming_matches_analytic() {
-        let src = scan(33.0, 96);
-        let wan = presets::aps_alcf_wan();
-        let analytic = StreamingPipeline::new(src, wan).run();
-        let event =
-            EventStreamingPipeline::new(src, wan, BandwidthTrace::steady(wan.bandwidth)).run();
-        assert_close(
-            event.completion.as_secs(),
-            analytic.completion.as_secs(),
-            "completion",
-        );
-        for (i, (e, a)) in event
-            .unit_available_s
-            .iter()
-            .zip(&analytic.unit_available_s)
-            .enumerate()
-        {
-            assert_close(*e, *a, &format!("frame {i}"));
-        }
-    }
-
-    #[test]
-    fn steady_file_based_matches_analytic() {
-        let src = scan(33.0, 96);
-        let path = presets::aps_to_alcf();
-        for files in [1u32, 7, 24, 96] {
-            let analytic = FileBasedPipeline::new(src, files, path).run();
-            let event = EventFileBasedPipeline::new(
-                src,
-                files,
-                path,
-                BandwidthTrace::steady(path.wan.bandwidth),
-            )
-            .run();
-            assert_close(
-                event.completion.as_secs(),
-                analytic.completion.as_secs(),
-                &format!("completion ({files} files)"),
-            );
-            for (i, (e, a)) in event
-                .unit_available_s
-                .iter()
-                .zip(&analytic.unit_available_s)
-                .enumerate()
-            {
-                assert_close(*e, *a, &format!("file {i} of {files}"));
+    fn steady_trace_instants_match_hand_arithmetic() {
+        let close = |got: &[f64], want: &[f64], what: &str| {
+            assert_eq!(got.len(), want.len(), "{what}: unit count");
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-12 * w.abs(),
+                    "{what}: unit {i} at {g}, want {w}"
+                );
             }
-        }
-    }
+        };
+        let src = FrameSource::new(3, Bytes::from_mb(1.0), TimeDelta::from_millis(10.0));
+        let wan = WanProfile {
+            bandwidth: Rate::from_megabytes_per_sec(100.0),
+            rtt: TimeDelta::from_millis(4.0),
+            per_message_overhead: TimeDelta::from_millis(2.0),
+        };
+        let steady = BandwidthTrace::steady(wan.bandwidth);
 
-    #[test]
-    fn steady_parity_with_concurrency() {
-        let src = scan(10.0, 64);
+        // Each send takes 10 ms on the wire plus 2 ms overhead, and lands
+        // half an RTT later. Frame 0 starts when it is ready; frames 1
+        // and 2 wait for the link.
+        let stream = EventStreamingPipeline::new(src, wan, steady.clone()).run();
+        close(&stream.unit_available_s, &[0.024, 0.036, 0.048], "stream");
+        close(
+            &[stream.completion.as_secs()],
+            &[0.048],
+            "stream completion",
+        );
+        close(
+            &[stream.post_acquisition_lag.as_secs()],
+            &[0.018],
+            "stream lag",
+        );
+
+        // The writer opens file 0 at 8 ms, writes frames 0 and 1 as they
+        // arrive (15, 25 ms) and closes it at 25 ms; it opens file 1 at
+        // 33 ms, after frame 2 is ready, and closes it at 38 ms. A file
+        // then pays 0.154 s of fixed cost before its bytes move.
         let mut path = presets::aps_to_alcf();
-        path.dtn.concurrency = 4;
-        let analytic = FileBasedPipeline::new(src, 16, path).run();
-        let event =
-            EventFileBasedPipeline::new(src, 16, path, BandwidthTrace::steady(path.wan.bandwidth))
-                .run();
-        assert_close(
-            event.completion.as_secs(),
-            analytic.completion.as_secs(),
-            "4-way DTN completion",
+        path.wan = wan;
+        path.local = PfsProfile {
+            metadata_latency: TimeDelta::from_millis(8.0),
+            write_bw: Rate::from_megabytes_per_sec(200.0),
+            read_bw: Rate::from_megabytes_per_sec(80.0),
+        };
+        path.remote = PfsProfile {
+            metadata_latency: TimeDelta::from_millis(50.0),
+            write_bw: Rate::from_gigabytes_per_sec(1.0),
+            read_bw: Rate::from_gigabytes_per_sec(1.0),
+        };
+        path.dtn = DtnProfile {
+            startup_per_file: TimeDelta::from_millis(100.0),
+            checksum_rate: Rate::from_megabytes_per_sec(100.0),
+            concurrency: 1,
+        };
+
+        // One slot: the local read (80 MB/s) caps the full WAN. File 0
+        // (2 MB) moves in 25 ms from its 25 ms close; file 1 (1 MB) waits
+        // for the slot until 0.224 s and moves in 12.5 ms.
+        let one = EventFileBasedPipeline::new(src, 2, path, steady.clone()).run();
+        close(
+            &one.unit_available_s,
+            &[0.025 + 0.154 + 0.025 + 0.02, 0.224 + 0.154 + 0.0125 + 0.01],
+            "1 slot",
+        );
+        close(&[one.completion.as_secs()], &[0.4005], "1-slot completion");
+        close(
+            &[one.post_acquisition_lag.as_secs()],
+            &[0.3705],
+            "1-slot lag",
+        );
+
+        // Two slots: each gets half the WAN (50 MB/s), below the read
+        // cap. File 1 takes the idle second slot at its 38 ms close and
+        // lands before file 0, so completion is file 0's instant.
+        path.dtn.concurrency = 2;
+        let two = EventFileBasedPipeline::new(src, 2, path, steady).run();
+        close(
+            &two.unit_available_s,
+            &[0.025 + 0.154 + 0.04 + 0.02, 0.038 + 0.154 + 0.02 + 0.01],
+            "2 slots",
+        );
+        close(&[two.completion.as_secs()], &[0.239], "2-slot completion");
+        close(
+            &[two.post_acquisition_lag.as_secs()],
+            &[0.209],
+            "2-slot lag",
         );
     }
 

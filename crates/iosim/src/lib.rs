@@ -12,17 +12,22 @@
 //! per-file startup/checksum work — and from aggregation wait (a file can
 //! only move once its last frame is written). The pipeline model has
 //! exactly those terms, each overlappable stage computed with busy-until
-//! recurrences, so the figure's *shape* (streaming ≈ acquisition-bound;
-//! small-file case catastrophically slower; large aggregates competitive
-//! at low rates) emerges from the same mechanics as on the real systems.
+//! recurrences over a WAN [`BandwidthTrace`](sss_sim::BandwidthTrace), so
+//! the figure's *shape* (streaming ≈ acquisition-bound; small-file case
+//! catastrophically slower; large aggregates competitive at low rates)
+//! emerges from the same mechanics as on the real systems. A constant-rate
+//! WAN is the steady trace at its bandwidth.
 //!
 //! ```
-//! use sss_iosim::{FileBasedPipeline, StreamingPipeline, FrameSource, presets};
+//! use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource};
+//! use sss_sim::BandwidthTrace;
 //! use sss_units::TimeDelta;
 //!
 //! let scan = FrameSource::aps_scan(TimeDelta::from_secs(0.033));
-//! let stream = StreamingPipeline::new(scan, presets::aps_alcf_wan()).run();
-//! let files = FileBasedPipeline::new(scan, 1440, presets::aps_to_alcf()).run();
+//! let path = presets::aps_to_alcf();
+//! let steady = BandwidthTrace::steady(path.wan.bandwidth);
+//! let stream = EventStreamingPipeline::new(scan, path.wan, steady.clone()).run();
+//! let files = EventFileBasedPipeline::new(scan, 1440, path, steady).run();
 //! // Streaming finishes essentially with acquisition; 1,440 small files
 //! // pay ~a second of fixed cost each.
 //! assert!(stream.completion < files.completion);
@@ -32,15 +37,11 @@ mod event;
 mod fluid;
 mod pipeline;
 mod profile;
-mod staged;
 mod workload;
 
 pub use event::{EventFileBasedPipeline, EventStreamingPipeline};
-pub use pipeline::{FileBasedPipeline, MovementResult, StreamingPipeline};
+pub use pipeline::MovementResult;
 pub use profile::{presets, DtnProfile, PathProfile, PfsProfile, WanProfile};
-pub use staged::{
-    effective_rate, staged_analysis, streaming_analysis, AnalysisResult, RemoteAnalysis,
-};
 pub use workload::FrameSource;
 
 use sss_units::{Ratio, TimeDelta};
@@ -85,6 +86,7 @@ mod theta_tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use sss_sim::BandwidthTrace;
     use sss_units::{Bytes, Rate};
 
     fn any_source(period_ms: f64, frames: u32) -> FrameSource {
@@ -95,12 +97,21 @@ mod proptests {
         )
     }
 
+    fn streamed(src: FrameSource, wan: WanProfile) -> MovementResult {
+        EventStreamingPipeline::new(src, wan, BandwidthTrace::steady(wan.bandwidth)).run()
+    }
+
+    fn staged(src: FrameSource, files: u32, path: PathProfile) -> MovementResult {
+        EventFileBasedPipeline::new(src, files, path, BandwidthTrace::steady(path.wan.bandwidth))
+            .run()
+    }
+
     proptest! {
         /// File movement never completes before acquisition ends.
         #[test]
         fn file_completion_after_acquisition(files in 1u32..64, period in 1.0f64..50.0) {
             let src = any_source(period, 128);
-            let r = FileBasedPipeline::new(src, files, presets::aps_to_alcf()).run();
+            let r = staged(src, files, presets::aps_to_alcf());
             prop_assert!(r.completion.as_secs() >= src.acquisition_duration().as_secs() - 1e-9);
         }
 
@@ -109,7 +120,7 @@ mod proptests {
         #[test]
         fn stream_completion_after_acquisition(period in 1.0f64..50.0) {
             let src = any_source(period, 128);
-            let r = StreamingPipeline::new(src, presets::aps_alcf_wan()).run();
+            let r = streamed(src, presets::aps_alcf_wan());
             prop_assert!(r.completion.as_secs() >= src.acquisition_duration().as_secs() - 1e-9);
         }
 
@@ -118,8 +129,8 @@ mod proptests {
         #[test]
         fn streaming_dominates(files in 1u32..64, period in 1.0f64..40.0) {
             let src = any_source(period, 96);
-            let s = StreamingPipeline::new(src, presets::aps_alcf_wan()).run();
-            let f = FileBasedPipeline::new(src, files, presets::aps_to_alcf()).run();
+            let s = streamed(src, presets::aps_alcf_wan());
+            let f = staged(src, files, presets::aps_to_alcf());
             prop_assert!(s.completion.as_secs() <= f.completion.as_secs() + 1e-9);
         }
 
@@ -131,8 +142,8 @@ mod proptests {
             let mut slow = base;
             slow.dtn.startup_per_file =
                 base.dtn.startup_per_file + TimeDelta::from_millis(extra_ms);
-            let a = FileBasedPipeline::with_profiles(src, files, base).run();
-            let b = FileBasedPipeline::with_profiles(src, files, slow).run();
+            let a = staged(src, files, base);
+            let b = staged(src, files, slow);
             prop_assert!(b.completion.as_secs() >= a.completion.as_secs() - 1e-9);
         }
 
@@ -140,7 +151,7 @@ mod proptests {
         #[test]
         fn theta_at_least_one(files in 1u32..64) {
             let src = any_source(10.0, 64);
-            let f = FileBasedPipeline::new(src, files, presets::aps_to_alcf()).run();
+            let f = staged(src, files, presets::aps_to_alcf());
             let wire = src.total_bytes() / Rate::from_gigabytes_per_sec(12.5);
             let theta = theta_estimate(f.post_acquisition_lag, wire).unwrap();
             prop_assert!(theta.value() >= 1.0 - 1e-9);
@@ -230,41 +241,6 @@ mod proptests {
                 fluid >= exact - exact.abs() * 1e-9,
                 "gated: fluid {fluid} finished before exact {exact}"
             );
-        }
-
-        /// Analytic-vs-event parity: under a constant-bandwidth trace the
-        /// event-driven pipelines reproduce the busy-until recurrences
-        /// within 1e-9 relative error, for arbitrary workload geometry,
-        /// aggregation and DTN concurrency.
-        #[test]
-        fn event_pipelines_match_recurrences_on_steady_traces(
-            frames in 1u32..96,
-            period in 1.0f64..60.0,
-            files_raw in 1u32..32,
-            concurrency in 1u32..5,
-        ) {
-            let files = files_raw.min(frames);
-            let src = any_source(period, frames);
-            let wan = presets::aps_alcf_wan();
-            let mut path = presets::aps_to_alcf();
-            path.dtn.concurrency = concurrency;
-            let steady = sss_sim::BandwidthTrace::steady(wan.bandwidth);
-
-            let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-12);
-
-            let s_ref = StreamingPipeline::new(src, wan).run();
-            let s_ev = EventStreamingPipeline::new(src, wan, steady.clone()).run();
-            prop_assert!(rel(s_ev.completion.as_secs(), s_ref.completion.as_secs()) <= 1e-9);
-            for (e, a) in s_ev.unit_available_s.iter().zip(&s_ref.unit_available_s) {
-                prop_assert!(rel(*e, *a) <= 1e-9, "stream unit {e} vs {a}");
-            }
-
-            let f_ref = FileBasedPipeline::new(src, files, path).run();
-            let f_ev = EventFileBasedPipeline::new(src, files, path, steady).run();
-            prop_assert!(rel(f_ev.completion.as_secs(), f_ref.completion.as_secs()) <= 1e-9);
-            for (e, a) in f_ev.unit_available_s.iter().zip(&f_ref.unit_available_s) {
-                prop_assert!(rel(*e, *a) <= 1e-9, "file unit {e} vs {a}");
-            }
         }
     }
 }

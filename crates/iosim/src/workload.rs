@@ -92,6 +92,17 @@ mod tests {
     }
 
     #[test]
+    fn uneven_frame_split_covers_all_frames() {
+        let src = FrameSource::new(10, Bytes::from_mb(1.0), TimeDelta::from_millis(10.0));
+        let total: u32 = (0..3).map(|f| src.frames_in_file(3, f)).sum();
+        assert_eq!(total, 10);
+        // 10 = 4 + 3 + 3: the first files take the remainder.
+        assert_eq!(src.frames_in_file(3, 0), 4);
+        assert_eq!(src.frames_in_file(3, 1), 3);
+        assert_eq!(src.frames_in_file(3, 2), 3);
+    }
+
+    #[test]
     fn generation_rate() {
         let s = FrameSource::aps_scan(TimeDelta::from_secs(0.033));
         // ~8.39 MB / 33 ms ≈ 254 MB/s.

@@ -11,8 +11,8 @@
 //!
 //! Code under `#[cfg(test)]`/`#[test]` is exempt from every rule: tests
 //! may compare floats exactly, unwrap freely and measure wall-clock. The
-//! workspace walker additionally never feeds `tests/`/`benches/`
-//! directories to the engine.
+//! workspace walker additionally never feeds `tests/` directories to the
+//! engine.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::pragma;

@@ -7,8 +7,8 @@
 //! * `crates/<name>/Cargo.toml` (manifest layering check),
 //! * the root crate's `src/*.rs` and `examples/*.rs`.
 //!
-//! Integration tests (`tests/`) and criterion benches (`benches/`) are
-//! never walked: they are test code, which the rules exempt wholesale.
+//! Integration tests (`tests/`) are never walked: they are test code,
+//! which the rules exempt wholesale.
 
 use std::path::{Path, PathBuf};
 

@@ -31,9 +31,9 @@
 //!   water-filling ([`WaterFiller`], the same allocation as
 //!   `sss-netsim`'s `FluidSimulator`). A session that is never clipped
 //!   below its solo rate experiences *literally* the single-session
-//!   replay: its movement runs through the same
-//!   [`EventStreamingPipeline`] call on the same trace, which is what
-//!   makes a fleet of one bit-identical to [`SessionReplay`].
+//!   replay: the replay's own session helper builds its trace and its
+//!   [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline), which
+//!   is what makes a fleet of one bit-identical to [`SessionReplay`].
 //! * **Fidelity** — the allocation integrator is fluid (event-driven,
 //!   analytic between rate changes); each session's *reported* movement
 //!   then replays its granted piecewise-constant allocation through the
@@ -58,17 +58,13 @@ use sss_core::{
     Scenario, Tier,
 };
 use sss_exec::{SeedSequence, ThreadPool};
-use sss_iosim::{EventStreamingPipeline, FrameSource, WanProfile};
 use sss_netsim::{WaterFiller, WaterFlowId};
 use sss_report::{CsvWriter, Table};
 use sss_sim::{BandwidthTrace, EventQueue, Fidelity, Seconds, TraceShape};
 use sss_stats::Ecdf;
-use sss_units::{Bytes, Rate, TimeDelta};
+use sss_units::Rate;
 
-/// Cadence of the near-instant production burst (seconds per frame) —
-/// the same constant the single-session replay uses, so a fleet of one
-/// constructs an identical [`FrameSource`].
-const BURST_PERIOD_S: f64 = 1e-9;
+use crate::replay::Session;
 
 /// Who gets the next free DTN slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -353,9 +349,7 @@ struct Planned {
 struct SessionState {
     scenario_idx: usize,
     arrival_s: f64,
-    theta: f64,
-    s_bytes: f64,
-    base: Rate,
+    session: Session,
     trace: BandwidthTrace,
     start_s: f64,
     /// Elapsed time since admission — the session's private trace clock.
@@ -607,10 +601,7 @@ impl FleetSim {
         let mean_movement: f64 = self
             .scenarios
             .iter()
-            .map(|s| {
-                let p = &s.params;
-                p.theta.value() * p.data_unit.as_b() / p.effective_rate().as_bytes_per_sec()
-            })
+            .map(|s| Session::new(&s.params).horizon)
             .sum::<f64>()
             / catalog_n as f64;
         let lambda = self.config.load / mean_movement;
@@ -643,27 +634,18 @@ impl FleetSim {
     fn session_states(&self, plan: &[Planned]) -> Vec<SessionState> {
         plan.iter()
             .map(|p| {
-                let s = &self.scenarios[p.scenario_idx];
-                let params = &s.params;
-                let s_bytes = params.data_unit.as_b();
-                let theta = params.theta.value();
-                let effective = params.effective_rate().as_bytes_per_sec();
                 // The session's private path is exactly the solo replay
-                // trace: base α·Bw/θ, horizon θ·S/(α·Bw) (module docs).
-                let base = Rate::from_bytes_per_sec(effective / theta);
-                let horizon = theta * s_bytes / effective;
-                let trace = self.config.shape.build(base, horizon, p.trace_seed);
+                // trace (module docs).
+                let session = Session::new(&self.scenarios[p.scenario_idx].params);
                 SessionState {
                     scenario_idx: p.scenario_idx,
                     arrival_s: p.arrival_s,
-                    theta,
-                    s_bytes,
-                    base,
-                    trace,
+                    session,
+                    trace: session.trace(self.config.shape, p.trace_seed),
                     start_s: 0.0,
                     rel_s: 0.0,
                     wait_s: 0.0,
-                    remaining: s_bytes,
+                    remaining: session.s_bytes,
                     clipped: false,
                     pieces: Vec::new(),
                     admitted: false,
@@ -860,7 +842,7 @@ impl FleetSim {
                             // clock onto the breakpoint verbatim (the
                             // reference loop's rounding guard) and register
                             // the true cap there.
-                            let theta = states[i].theta;
+                            let theta = states[i].session.theta;
                             let rem = if lanes[i].clipped {
                                 ((lanes[i].d_key - v) / theta).max(0.0)
                             } else {
@@ -925,7 +907,7 @@ impl FleetSim {
                 admitted_per_scenario[states[i].scenario_idx] += 1;
                 active += 1;
                 let (solo, next_b) = states[i].trace.segment_at(0.0);
-                let flow = wf.insert(states[i].theta * solo);
+                let flow = wf.insert(states[i].session.theta * solo);
                 if flow.index() >= flow_session.len() {
                     flow_session.resize(flow.index() + 1, usize::MAX);
                 }
@@ -937,7 +919,7 @@ impl FleetSim {
                 lane.solo = solo;
                 lane.next_break = next_b;
                 lane.t_anchor = t_next;
-                lane.rem_anchor = states[i].s_bytes;
+                lane.rem_anchor = states[i].session.s_bytes;
                 lane.epoch += 1;
                 if let Some(b) = next_b {
                     calendar.schedule(
@@ -986,7 +968,7 @@ impl FleetSim {
                     // with no calendar entry, so look up where it is now.
                     let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
                     let (solo, next_b) = states[i].trace.segment_at(rel_now);
-                    wf.update(flow, states[i].theta * solo);
+                    wf.update(flow, states[i].session.theta * solo);
                     let lane = &mut lanes[i];
                     lane.floored = false;
                     lane.solo = solo;
@@ -1014,7 +996,7 @@ impl FleetSim {
                 }
                 let Some(flow) = lanes[i].flow else { continue };
                 let now_clipped = wf.is_clipped(flow);
-                let theta = states[i].theta;
+                let theta = states[i].session.theta;
                 // Materialize remaining at `t_next` under the dynamics
                 // that governed since the anchor, then re-anchor. For
                 // sessions whose own event already re-anchored above
@@ -1094,7 +1076,7 @@ impl FleetSim {
             if moved {
                 for &i in &clipped_set {
                     let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
-                    let rate = level_new / states[i].theta;
+                    let rate = level_new / states[i].session.theta;
                     push_piece(&mut states[i].pieces, rel_now, rate);
                 }
             }
@@ -1112,8 +1094,8 @@ impl FleetSim {
     /// One session's reported record: its granted allocation replayed
     /// through the movement pipeline at the configured fidelity. An
     /// uncontended session replays its solo trace through the *same*
-    /// pipeline call as `SessionReplay::evaluate_cell` — the structural
-    /// guarantee behind the fleet-of-one bit-identity tests.
+    /// session pipeline as `SessionReplay::evaluate_cell` — the
+    /// structural guarantee behind the fleet-of-one bit-identity tests.
     fn finalize(
         &self,
         session: u32,
@@ -1135,17 +1117,9 @@ impl FleetSim {
             BandwidthTrace::from_segments(&segments)
                 .map_err(|e| format!("session {session} composed an invalid allocation: {e}"))?
         };
-        let source = FrameSource::new(
-            self.config.frames,
-            Bytes::from_b(st.s_bytes / self.config.frames as f64),
-            TimeDelta::from_secs(BURST_PERIOD_S),
-        );
-        let wan = WanProfile {
-            bandwidth: st.base,
-            rtt: TimeDelta::ZERO,
-            per_message_overhead: TimeDelta::ZERO,
-        };
-        let movement = EventStreamingPipeline::new(source, wan, trace)
+        let movement = st
+            .session
+            .stream(self.config.frames, trace)
             .run_fidelity(self.config.fidelity)
             .completion
             .as_secs();
@@ -1516,7 +1490,7 @@ mod tests {
                 let caps: Vec<f64> = active
                     .iter()
                     .zip(&solo)
-                    .map(|(&i, &r)| states[i].theta * r)
+                    .map(|(&i, &r)| states[i].session.theta * r)
                     .collect();
                 let shares = progressive_fill(wan_bps, &caps);
                 let mut rates = Vec::with_capacity(active.len());
@@ -1524,7 +1498,7 @@ mod tests {
                     let i = active[j];
                     if shares[j] < caps[j] {
                         states[i].clipped = true;
-                        rates.push(shares[j] / states[i].theta);
+                        rates.push(shares[j] / states[i].session.theta);
                     } else {
                         rates.push(solo[j]);
                     }

@@ -50,11 +50,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use sss_core::{decide_batch, CompletionModel, Decision, DecisionReport, Scenario};
+use sss_core::{decide_batch, CompletionModel, Decision, DecisionReport, ModelParams, Scenario};
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource, WanProfile};
 use sss_report::{CsvWriter, Table};
-use sss_sim::{Fidelity, TraceShape};
+use sss_sim::{BandwidthTrace, Fidelity, TraceShape};
 use sss_units::{Bytes, Rate, TimeDelta};
 
 /// Documented steady-state tolerance: with a constant trace the replay
@@ -65,10 +65,67 @@ pub const STEADY_TOLERANCE: f64 = 1e-6;
 /// Cadence of the near-instant production burst (seconds per frame).
 const BURST_PERIOD_S: f64 = 1e-9;
 
+/// One scenario's data unit as a replay cell moves it (module docs):
+/// `S` bytes burst out at [`BURST_PERIOD_S`] cadence onto a zero-overhead
+/// WAN whose trace has base rate `α·Bw/θ` over the nominal movement time
+/// `θ·S/(α·Bw)`. [`FleetSim`](crate::FleetSim) moves each of its
+/// sessions through this type too, so an uncontended fleet session is a
+/// replay cell by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Session {
+    /// The scenario's I/O-overhead coefficient θ.
+    pub(crate) theta: f64,
+    /// The data unit `S`, bytes.
+    pub(crate) s_bytes: f64,
+    /// The θ-deflated trace base rate `α·Bw/θ`.
+    pub(crate) base: Rate,
+    /// The nominal movement time `θ·S/(α·Bw)`, seconds: every trace
+    /// shape's characteristic horizon.
+    pub(crate) horizon: f64,
+}
+
+impl Session {
+    /// The session of a scenario with parameters `params`.
+    pub(crate) fn new(params: &ModelParams) -> Self {
+        let s_bytes = params.data_unit.as_b();
+        let theta = params.theta.value();
+        let effective = params.effective_rate().as_bytes_per_sec();
+        Session {
+            theta,
+            s_bytes,
+            base: Rate::from_bytes_per_sec(effective / theta),
+            horizon: theta * s_bytes / effective,
+        }
+    }
+
+    /// The session's solo WAN trace of `shape`.
+    pub(crate) fn trace(&self, shape: TraceShape, seed: u64) -> BandwidthTrace {
+        shape.build(self.base, self.horizon, seed)
+    }
+
+    /// The streaming pipeline moving the unit as `frames` frames over
+    /// `trace`.
+    pub(crate) fn stream(&self, frames: u32, trace: BandwidthTrace) -> EventStreamingPipeline {
+        let source = FrameSource::new(
+            frames,
+            Bytes::from_b(self.s_bytes / frames as f64),
+            TimeDelta::from_secs(BURST_PERIOD_S),
+        );
+        // Zero-overhead WAN: the closed form has no framing or RTT terms,
+        // so none may leak into the comparison.
+        let wan = WanProfile {
+            bandwidth: self.base,
+            rtt: TimeDelta::ZERO,
+            per_message_overhead: TimeDelta::ZERO,
+        };
+        EventStreamingPipeline::new(source, wan, trace)
+    }
+}
+
 /// How the replay exercises each scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayConfig {
-    /// Frames the data unit is split into for the event pipelines.
+    /// Frames the data unit is split into for the movement pipelines.
     pub frames: u32,
     /// File count for the staged (file-based) replay column.
     pub files: u32,
@@ -76,8 +133,8 @@ pub struct ReplayConfig {
     pub shapes: Vec<TraceShape>,
     /// Master seed; per-cell seeds derive from it by position.
     pub seed: u64,
-    /// Which movement integrator the pipelines use: per-frame event
-    /// stepping ([`Fidelity::Exact`]), closed-form piecewise-constant
+    /// Which movement integrator the pipelines use: per-frame
+    /// recurrences ([`Fidelity::Exact`]), closed-form piecewise-constant
     /// rate integration ([`Fidelity::Fluid`]), or fluid-where-provable
     /// ([`Fidelity::Hybrid`]).
     pub fidelity: Fidelity,
@@ -152,7 +209,7 @@ pub struct ReplayRecord {
     /// `|sim − model| / model` on `T_pct`.
     pub t_pct_rel_err: f64,
     /// Staged (file-based) movement completion over the same trace,
-    /// seconds — the event pipeline the θ coefficient abstracts.
+    /// seconds — the file-based pipeline the θ coefficient abstracts.
     pub sim_file_completion_s: f64,
     /// The verdict the closed-form model reaches.
     pub model_decision: Decision,
@@ -294,32 +351,13 @@ impl SessionReplay {
     ) -> ReplayRecord {
         let p = &scenario.params;
         let model_eval = CompletionModel::new(*p);
-        let s_bytes = p.data_unit.as_b();
-        let theta = p.theta.value();
-        let effective = p.effective_rate().as_bytes_per_sec();
-
-        // The nominal (steady-rate) transfer duration anchors the trace's
-        // characteristic horizon, and θ deflates the trace so every byte
-        // pays the I/O-inflated movement cost (module docs).
-        let base = Rate::from_bytes_per_sec(effective / theta);
-        let horizon = theta * s_bytes / effective;
-        let trace = shape.build(base, horizon, seed);
-
-        let source = FrameSource::new(
-            self.config.frames,
-            Bytes::from_b(s_bytes / self.config.frames as f64),
-            TimeDelta::from_secs(BURST_PERIOD_S),
-        );
-        // Zero-overhead WAN: the closed form has no framing or RTT terms,
-        // so none may leak into the comparison.
-        let wan = WanProfile {
-            bandwidth: base,
-            rtt: TimeDelta::ZERO,
-            per_message_overhead: TimeDelta::ZERO,
-        };
-        let movement = EventStreamingPipeline::new(source, wan, trace.clone())
-            .run_fidelity(self.config.fidelity);
-        let sim_transfer = movement.completion.as_secs();
+        let session = Session::new(p);
+        let trace = session.trace(shape, seed);
+        let stream = session.stream(self.config.frames, trace.clone());
+        let sim_transfer = stream
+            .run_fidelity(self.config.fidelity)
+            .completion
+            .as_secs();
 
         // Remote compute has no network in it; the closed form is exact
         // there, so the simulated T_pct reuses it (sequential, as Eq. 10).
@@ -328,12 +366,13 @@ impl SessionReplay {
         let model_t_pct = model.t_pct.as_secs();
         let t_pct_rel_err = (sim_t_pct - model_t_pct).abs() / model_t_pct.abs().max(1e-12);
 
-        // The staged column: the same trace through the file-based event
-        // pipeline (preset PFS/DTN substrate, the traced WAN in place of
-        // its constant link).
+        // The staged column: the same unit and trace through the
+        // file-based pipeline (preset PFS/DTN substrate, the session's
+        // WAN in place of its link).
         let mut path = presets::aps_to_alcf();
-        path.wan = wan;
-        let staged = EventFileBasedPipeline::new(source, self.config.files, path, trace.clone());
+        path.wan = stream.wan;
+        let staged =
+            EventFileBasedPipeline::new(stream.source, self.config.files, path, trace.clone());
         let sim_file_completion_s = staged
             .run_fidelity(self.config.fidelity)
             .completion
@@ -344,7 +383,7 @@ impl SessionReplay {
         // rate over the nominal horizon (θ-undeflated, comparable to
         // α·Bw); the time comparison uses the simulated T_pct against the
         // analytic T_local (no network on the local path).
-        let mean_effective = theta * trace.mean_rate(horizon);
+        let mean_effective = session.theta * trace.mean_rate(session.horizon);
         let required = p.required_stream_rate().as_bytes_per_sec();
         let t_local = model.t_local.as_secs();
         let sim_decision = if required > mean_effective {

@@ -21,9 +21,12 @@ use serde::{Deserialize, Serialize};
 
 use sss_core::{decide_batch, DecisionReport, ModelParams, Scenario};
 use sss_exec::{SeedSequence, ThreadPool};
-use sss_iosim::{presets, theta_estimate, FileBasedPipeline, FrameSource, StreamingPipeline};
+use sss_iosim::{
+    presets, theta_estimate, EventFileBasedPipeline, EventStreamingPipeline, FrameSource,
+};
 use sss_netsim::{LinkConfig, Qdisc, SimConfig, TcpConfig};
 use sss_report::{CsvWriter, Table};
+use sss_sim::BandwidthTrace;
 use sss_units::{Bytes, Rate, TimeDelta};
 
 use crate::experiment::{Experiment, SpawnStrategy};
@@ -246,9 +249,10 @@ impl ScenarioSuite {
         }
     }
 
-    /// I/O-pipeline analysis of one scenario (deterministic, analytic —
-    /// no RNG involved). The decision-model side is evaluated separately,
-    /// for the whole suite at once.
+    /// I/O-pipeline analysis of one scenario over a steady WAN at its
+    /// effective rate (deterministic — no RNG involved). The
+    /// decision-model side is evaluated separately, for the whole suite
+    /// at once.
     fn analyze_io(scenario: &Scenario, config: &SuiteConfig) -> IoSummary {
         // The scenario's data unit as a frame stream at its production
         // cadence: `frames` frames per second, sized to S_unit.
@@ -262,8 +266,9 @@ impl ScenarioSuite {
         let mut path = presets::aps_to_alcf();
         path.wan = wan;
 
-        let streaming = StreamingPipeline::new(source, wan).run();
-        let files = FileBasedPipeline::new(source, config.files, path).run();
+        let steady = BandwidthTrace::steady(wan.bandwidth);
+        let streaming = EventStreamingPipeline::new(source, wan, steady.clone()).run();
+        let files = EventFileBasedPipeline::new(source, config.files, path, steady).run();
 
         let wire = source.total_bytes() / scenario.params.effective_rate();
         IoSummary {

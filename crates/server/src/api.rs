@@ -308,9 +308,10 @@ pub struct SimulateRequest {
     /// Seed for the `bursty` shape's dip placement (default 42).
     #[serde(default = "default_seed")]
     pub seed: u64,
-    /// Movement integrator: `"exact"` (per-frame events, the default),
-    /// `"fluid"` (closed-form piecewise-constant rate integration), or
-    /// `"hybrid"` (fluid where provably exact, events elsewhere).
+    /// Movement integrator: `"exact"` (per-frame recurrences, the
+    /// default), `"fluid"` (closed-form piecewise-constant rate
+    /// integration), or `"hybrid"` (fluid where provably exact, per-frame
+    /// elsewhere).
     #[serde(default = "default_fidelity")]
     pub fidelity: String,
 }

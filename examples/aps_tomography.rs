@@ -11,6 +11,9 @@ use stream_score::iosim::theta_estimate;
 use stream_score::prelude::*;
 
 fn main() {
+    let path = presets::aps_to_alcf();
+    // A constant-rate WAN is the steady trace at its bandwidth.
+    let steady = BandwidthTrace::steady(path.wan.bandwidth);
     for (label, period_s) in [
         ("fast acquisition (0.033 s/frame)", 0.033),
         ("slow acquisition (0.33 s/frame)", 0.33),
@@ -22,16 +25,16 @@ fn main() {
             scan.acquisition_duration().as_secs()
         );
 
-        let stream = StreamingPipeline::new(scan, presets::aps_alcf_wan()).run();
+        let stream = EventStreamingPipeline::new(scan, path.wan, steady.clone()).run();
         println!(
             "memory streaming : complete {:8.1} s  (lag after acquisition {:6.2} s)",
             stream.completion.as_secs(),
             stream.post_acquisition_lag.as_secs()
         );
 
-        let wire = scan.total_bytes() / presets::aps_alcf_wan().bandwidth;
+        let wire = scan.total_bytes() / path.wan.bandwidth;
         for files in [1u32, 10, 144, 1440] {
-            let r = FileBasedPipeline::new(scan, files, presets::aps_to_alcf()).run();
+            let r = EventFileBasedPipeline::new(scan, files, path, steady.clone()).run();
             let theta = theta_estimate(r.post_acquisition_lag, wire)
                 .map(|t| t.value())
                 .unwrap_or(f64::NAN);
@@ -42,7 +45,7 @@ fn main() {
             );
         }
 
-        let worst = FileBasedPipeline::new(scan, 1440, presets::aps_to_alcf()).run();
+        let worst = EventFileBasedPipeline::new(scan, 1440, path, steady.clone()).run();
         println!(
             "streaming cuts completion by {:.1}% vs the 1,440-file workflow",
             (1.0 - stream.completion.as_secs() / worst.completion.as_secs()) * 100.0

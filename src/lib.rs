@@ -14,7 +14,7 @@
 //! | [`sss_sim`] | the shared discrete-event kernel: clocks, deterministic event queue, time-varying WAN bandwidth traces |
 //! | [`sss_netsim`] | packet-level network simulator (TCP CUBIC/Reno + SACK + HyStart, drop-tail queues) standing in for the paper's 25 Gbps testbed |
 //! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning) plus the trace-driven `SessionReplay` model validator |
-//! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), both as constant-rate recurrences and as per-frame recurrences over a time-varying WAN trace |
+//! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), as per-frame recurrences over a WAN bandwidth trace (a constant-rate WAN is the steady trace) |
 //! | [`sss_stats`] | tail-latency statistics: ECDF, P², histograms, bootstrap |
 //! | [`sss_exec`] | deterministic parallel sweep executor |
 //! | [`sss_units`] | typed quantities (GB vs Gb/s vs TFLOPS confusion is a compile error) |
@@ -69,8 +69,7 @@ pub mod prelude {
     };
     pub use sss_exec::ThreadPool;
     pub use sss_iosim::{
-        presets, EventFileBasedPipeline, EventStreamingPipeline, FileBasedPipeline, FrameSource,
-        MovementResult, StreamingPipeline,
+        presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource, MovementResult,
     };
     pub use sss_loadgen::{
         frontier_csv, frontier_table, replay_table, run_http_load, summary_table, sweep,

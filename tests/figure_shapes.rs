@@ -64,9 +64,11 @@ fn fig3_shape_long_tail_under_congestion() {
 #[test]
 fn fig4_shape_streaming_vs_files() {
     let scan = FrameSource::new(144, Bytes::from_mb(8.0), TimeDelta::from_millis(33.0));
-    let stream = StreamingPipeline::new(scan, presets::aps_alcf_wan()).run();
-    let one = FileBasedPipeline::new(scan, 1, presets::aps_to_alcf()).run();
-    let many = FileBasedPipeline::new(scan, 144, presets::aps_to_alcf()).run();
+    let path = presets::aps_to_alcf();
+    let steady = BandwidthTrace::steady(path.wan.bandwidth);
+    let stream = EventStreamingPipeline::new(scan, path.wan, steady.clone()).run();
+    let one = EventFileBasedPipeline::new(scan, 1, path, steady.clone()).run();
+    let many = EventFileBasedPipeline::new(scan, 144, path, steady).run();
 
     // Ordering: streaming < aggregated file < per-frame files.
     assert!(stream.completion < one.completion);
@@ -78,16 +80,18 @@ fn fig4_shape_streaming_vs_files() {
 #[test]
 fn fig4_theta_grows_with_file_count() {
     let scan = FrameSource::new(144, Bytes::from_mb(8.0), TimeDelta::from_millis(33.0));
-    let wire = scan.total_bytes() / presets::aps_alcf_wan().bandwidth;
+    let path = presets::aps_to_alcf();
+    let steady = BandwidthTrace::steady(path.wan.bandwidth);
+    let wire = scan.total_bytes() / path.wan.bandwidth;
     let theta_1 = theta_estimate(
-        FileBasedPipeline::new(scan, 1, presets::aps_to_alcf())
+        EventFileBasedPipeline::new(scan, 1, path, steady.clone())
             .run()
             .post_acquisition_lag,
         wire,
     )
     .unwrap();
     let theta_144 = theta_estimate(
-        FileBasedPipeline::new(scan, 144, presets::aps_to_alcf())
+        EventFileBasedPipeline::new(scan, 144, path, steady)
             .run()
             .post_acquisition_lag,
         wire,

@@ -132,8 +132,10 @@ fn aps_scan_is_1440_frames_of_8mb() {
 #[test]
 fn measured_headline_reduction_is_around_97pct() {
     let scan = FrameSource::aps_scan(TimeDelta::from_secs(0.033));
-    let stream = StreamingPipeline::new(scan, presets::aps_alcf_wan()).run();
-    let files = FileBasedPipeline::new(scan, 1440, presets::aps_to_alcf()).run();
+    let path = presets::aps_to_alcf();
+    let steady = BandwidthTrace::steady(path.wan.bandwidth);
+    let stream = EventStreamingPipeline::new(scan, path.wan, steady.clone()).run();
+    let files = EventFileBasedPipeline::new(scan, 1440, path, steady).run();
     let reduction = 1.0 - stream.completion.as_secs() / files.completion.as_secs();
     assert!(
         (0.90..0.99).contains(&reduction),
