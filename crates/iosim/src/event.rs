@@ -12,8 +12,10 @@
 //!
 //! * streaming: the link sends frame `i` at
 //!   `sent_i = finish(max(ready_i, sent_{i-1}), frame_bytes) + overhead`,
-//!   integrated over the trace from a forward segment cursor
-//!   ([`BandwidthTrace::finish_time_from`]);
+//!   one FIFO send chain over the trace ([`BandwidthTrace::send_chain`]):
+//!   a frame that fits in the segment it starts in finishes at
+//!   `start + frame_bytes/rate`, with the quotient held per segment, and
+//!   only a frame that crosses a breakpoint walks segments;
 //! * file-based: the local writer's sequential program pays `metadata`
 //!   per file open and `max(ready_i, writer_free) + frame_bytes/write_bw`
 //!   per frame write; each file then takes the earliest-free DTN slot at
@@ -27,6 +29,11 @@
 //! must match bit for bit. Every production, send, writer operation and
 //! delivery instant is still checked the way a [`Seconds`] is: finite
 //! and non-negative.
+//!
+//! A run returns the completion and the lag behind acquisition, and
+//! keeps no per-frame or per-file instants. The tests read those through
+//! the crate-private `run_with`, which shows each unit's instant to a
+//! callback; `run` passes one that does nothing.
 //!
 //! On a steady trace each integration is `start + bytes/rate`, so the
 //! chains reduce to constant-rate arithmetic; a test checks every
@@ -66,28 +73,25 @@ impl EventStreamingPipeline {
 
     /// Move the scan frame by frame.
     pub fn run(&self) -> MovementResult {
+        self.run_with(|_| {})
+    }
+
+    /// [`EventStreamingPipeline::run`], showing `unit` each frame's
+    /// arrival instant in frame order.
+    pub(crate) fn run_with(&self, mut unit: impl FnMut(f64)) -> MovementResult {
         let src = &self.source;
-        let frame_bytes = src.frame_bytes.as_b();
-        let overhead = self.wan.per_message_overhead.as_secs();
+        assert!(src.n_frames > 0, "a scan needs at least one frame");
         let one_way = self.wan.rtt.as_secs() / 2.0;
-
-        // The FIFO link starts each frame once it exists and the frame
-        // before it is sent; sends start in order, so the trace cursor
-        // only moves forward.
-        let mut seg = 0;
-        let mut link_free = 0.0f64;
-        let available: Vec<f64> = (0..src.n_frames)
-            .map(|i| {
-                let ready = instant(src.frame_ready(i).as_secs());
-                let start = ready.max(link_free);
-                link_free =
-                    instant(self.trace.finish_time_from(&mut seg, start, frame_bytes) + overhead);
-                link_free + one_way
-            })
-            .collect();
-
-        let completion = *available.last().expect("non-empty scan");
-        MovementResult::new(src, completion, available)
+        // The FIFO link sends each frame once it exists and the frame
+        // before it is sent; a frame arrives half an RTT after its send.
+        let link_free = self.trace.send_chain(
+            src.n_frames,
+            src.frame_bytes.as_b(),
+            self.wan.per_message_overhead.as_secs(),
+            |i| src.frame_ready(i).as_secs(),
+            |free| unit(free + one_way),
+        );
+        MovementResult::new(src, link_free + one_way)
     }
 }
 
@@ -132,6 +136,12 @@ impl EventFileBasedPipeline {
     /// Move the scan frame by frame through the local writer, then file
     /// by file through the DTN.
     pub fn run(&self) -> MovementResult {
+        self.run_with(|_| {})
+    }
+
+    /// [`EventFileBasedPipeline::run`], showing `unit` each file's
+    /// delivery instant in file order.
+    pub(crate) fn run_with(&self, unit: impl FnMut(f64)) -> MovementResult {
         let src = &self.source;
         let local = &self.path.local;
         let write_s = src.frame_bytes.as_b() / local.write_bw.as_bytes_per_sec();
@@ -154,14 +164,15 @@ impl EventFileBasedPipeline {
             closes.push(writer_free);
         }
         debug_assert_eq!(frame, src.n_frames);
-        self.deliver(&closes)
+        self.deliver(&closes, unit)
     }
 
     /// The DTN stage both fidelities share: in close order, each file
     /// takes the earliest-free of the transfer slots at `closes[file]`,
     /// pays the fixed per-file costs, moves its bytes at the traced WAN
     /// share capped by the slower PFS stage, then verifies checksums.
-    pub(crate) fn deliver(&self, closes: &[f64]) -> MovementResult {
+    /// `unit` sees each file's delivery instant in file order.
+    pub(crate) fn deliver(&self, closes: &[f64], mut unit: impl FnMut(f64)) -> MovementResult {
         let p = &self.path;
         let frame_bytes = self.source.frame_bytes.as_b();
         // The slowest pipelined per-byte stage bounds a DTN task's rate.
@@ -173,7 +184,7 @@ impl EventFileBasedPipeline {
         let checksum = p.dtn.checksum_rate.as_bytes_per_sec();
 
         let mut slot_free = vec![0.0f64; p.dtn.concurrency as usize];
-        let mut available = Vec::with_capacity(closes.len());
+        let mut completion = 0.0f64;
         for (file, &close) in closes.iter().enumerate() {
             let bytes = frame_bytes * self.source.frames_in_file(self.files, file as u32) as f64;
             let (slot, _) = slot_free
@@ -187,11 +198,10 @@ impl EventFileBasedPipeline {
                 .capped_finish_time(start + fixed, bytes, divisor, stage_cap);
             let done = instant(wire_done + bytes / checksum);
             slot_free[slot] = done;
-            available.push(done);
+            completion = completion.max(done);
+            unit(done);
         }
-
-        let completion = available.iter().cloned().fold(0.0f64, f64::max);
-        MovementResult::new(&self.source, completion, available)
+        MovementResult::new(&self.source, completion)
     }
 }
 
@@ -206,6 +216,7 @@ fn instant(t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::with_units;
     use crate::profile::{presets, DtnProfile, PfsProfile};
     use proptest::prelude::*;
     use sss_sim::{EventQueue, TraceShape};
@@ -236,8 +247,9 @@ mod tests {
 
     impl EventStreamingPipeline {
         /// The discrete-event reference the recurrence is held to: every
-        /// production scheduled on the queue before the first pop.
-        fn run_prescheduled(&self) -> MovementResult {
+        /// production scheduled on the queue before the first pop. Returns
+        /// each frame's arrival instant too.
+        fn run_prescheduled(&self) -> (MovementResult, Vec<f64>) {
             let src = &self.source;
             let n = src.n_frames as usize;
             let frame_bytes = src.frame_bytes.as_b();
@@ -286,7 +298,7 @@ mod tests {
             }
 
             let completion = *available.last().expect("non-empty scan");
-            MovementResult::new(src, completion, available)
+            (MovementResult::new(src, completion), available)
         }
     }
 
@@ -313,8 +325,8 @@ mod tests {
 
         /// The discrete-event reference the recurrences are held to: a
         /// `Start` event and every production scheduled on the queue
-        /// before the first pop.
-        fn run_prescheduled(&self) -> MovementResult {
+        /// before the first pop. Returns each file's delivery instant too.
+        fn run_prescheduled(&self) -> (MovementResult, Vec<f64>) {
             let src = &self.source;
             let p = &self.path;
             let frame_bytes = src.frame_bytes.as_b();
@@ -405,16 +417,17 @@ mod tests {
             debug_assert_eq!(op_cursor, ops.len(), "writer program must drain");
 
             let completion = available.iter().cloned().fold(0.0f64, f64::max);
-            MovementResult::new(src, completion, available)
+            (MovementResult::new(src, completion), available)
         }
     }
 
-    /// A movement result as raw bits, so equality means bit identity.
-    fn bits(r: &MovementResult) -> (u64, u64, Vec<u64>) {
+    /// A movement result and its unit instants as raw bits, so equality
+    /// means bit identity.
+    fn bits((r, units): &(MovementResult, Vec<f64>)) -> (u64, u64, Vec<u64>) {
         (
             r.completion.as_secs().to_bits(),
             r.post_acquisition_lag.as_secs().to_bits(),
-            r.unit_available_s.iter().map(|t| t.to_bits()).collect(),
+            units.iter().map(|t| t.to_bits()).collect(),
         )
     }
 
@@ -474,9 +487,15 @@ mod tests {
             };
 
             let stream = EventStreamingPipeline::new(src, wan, trace.clone());
-            prop_assert_eq!(bits(&stream.run()), bits(&stream.run_prescheduled()));
+            prop_assert_eq!(
+                bits(&with_units(|u| stream.run_with(u))),
+                bits(&stream.run_prescheduled())
+            );
             let staged = EventFileBasedPipeline::new(src, files, path, trace);
-            prop_assert_eq!(bits(&staged.run()), bits(&staged.run_prescheduled()));
+            prop_assert_eq!(
+                bits(&with_units(|u| staged.run_with(u))),
+                bits(&staged.run_prescheduled())
+            );
         }
     }
 
@@ -485,11 +504,11 @@ mod tests {
         let (src, mut wan, _) = tie_geometry(64);
         wan.rtt = TimeDelta::ZERO;
         wan.per_message_overhead = TimeDelta::ZERO;
-        let r = EventStreamingPipeline::new(src, wan, BandwidthTrace::steady(wan.bandwidth)).run();
+        let stream = EventStreamingPipeline::new(src, wan, BandwidthTrace::steady(wan.bandwidth));
+        let (_, arrivals) = with_units(|u| stream.run_with(u));
         let ties = (1..src.n_frames)
             .filter(|&i| {
-                r.unit_available_s[i as usize - 1].to_bits()
-                    == src.frame_ready(i).as_secs().to_bits()
+                arrivals[i as usize - 1].to_bits() == src.frame_ready(i).as_secs().to_bits()
             })
             .count();
         assert!(ties > 0, "no send completed on a production instant");
@@ -532,8 +551,9 @@ mod tests {
         // Each send takes 10 ms on the wire plus 2 ms overhead, and lands
         // half an RTT later. Frame 0 starts when it is ready; frames 1
         // and 2 wait for the link.
-        let stream = EventStreamingPipeline::new(src, wan, steady.clone()).run();
-        close(&stream.unit_available_s, &[0.024, 0.036, 0.048], "stream");
+        let (stream, frames) =
+            with_units(|u| EventStreamingPipeline::new(src, wan, steady.clone()).run_with(u));
+        close(&frames, &[0.024, 0.036, 0.048], "stream");
         close(
             &[stream.completion.as_secs()],
             &[0.048],
@@ -570,9 +590,10 @@ mod tests {
         // One slot: the local read (80 MB/s) caps the full WAN. File 0
         // (2 MB) moves in 25 ms from its 25 ms close; file 1 (1 MB) waits
         // for the slot until 0.224 s and moves in 12.5 ms.
-        let one = EventFileBasedPipeline::new(src, 2, path, steady.clone()).run();
+        let (one, files) =
+            with_units(|u| EventFileBasedPipeline::new(src, 2, path, steady.clone()).run_with(u));
         close(
-            &one.unit_available_s,
+            &files,
             &[0.025 + 0.154 + 0.025 + 0.02, 0.224 + 0.154 + 0.0125 + 0.01],
             "1 slot",
         );
@@ -587,9 +608,10 @@ mod tests {
         // cap. File 1 takes the idle second slot at its 38 ms close and
         // lands before file 0, so completion is file 0's instant.
         path.dtn.concurrency = 2;
-        let two = EventFileBasedPipeline::new(src, 2, path, steady).run();
+        let (two, files) =
+            with_units(|u| EventFileBasedPipeline::new(src, 2, path, steady).run_with(u));
         close(
-            &two.unit_available_s,
+            &files,
             &[0.025 + 0.154 + 0.04 + 0.02, 0.038 + 0.154 + 0.02 + 0.01],
             "2 slots",
         );

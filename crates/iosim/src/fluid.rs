@@ -55,9 +55,8 @@ impl EventStreamingPipeline {
     /// Per-message overhead is folded into an effective per-segment rate
     /// (`B/(B/r + overhead)` per frame of `B` bytes at segment rate
     /// `r`), which is exact on steady traces and approximate across
-    /// breakpoints. The returned [`MovementResult::unit_available_s`] is
-    /// **empty** — a fluid has no per-frame availability instants; use
-    /// [`Fidelity::Exact`] when per-unit lag matters.
+    /// breakpoints. A fluid has no per-frame arrival instants: only the
+    /// completion and the lag behind acquisition are modelled.
     pub fn run_fluid(&self) -> MovementResult {
         let src = &self.source;
         let frame_bytes = src.frame_bytes.as_b();
@@ -88,7 +87,7 @@ impl EventStreamingPipeline {
             f64::INFINITY,
         ) + one_way;
 
-        MovementResult::new(src, completion, Vec::new())
+        MovementResult::new(src, completion)
     }
 
     /// Run at the requested fidelity: `Exact` is
@@ -123,6 +122,12 @@ impl EventFileBasedPipeline {
     /// [`EventFileBasedPipeline::run`] are floating-point
     /// re-association only.
     pub fn run_fluid(&self) -> MovementResult {
+        self.run_fluid_with(|_| {})
+    }
+
+    /// [`EventFileBasedPipeline::run_fluid`], showing `unit` each file's
+    /// delivery instant in file order.
+    pub(crate) fn run_fluid_with(&self, unit: impl FnMut(f64)) -> MovementResult {
         let src = &self.source;
         let local = &self.path.local;
         let metadata = local.metadata_latency.as_secs();
@@ -151,7 +156,7 @@ impl EventFileBasedPipeline {
 
         // The DTN stage is already closed-form per file via the traced
         // integrator, so it is the exact pipeline's own.
-        self.deliver(&file_ready)
+        self.deliver(&file_ready, unit)
     }
 
     /// Run at the requested fidelity. The fluid file path is exact, so
@@ -167,6 +172,7 @@ impl EventFileBasedPipeline {
 #[cfg(test)]
 mod tests {
     use crate::event::{EventFileBasedPipeline, EventStreamingPipeline};
+    use crate::pipeline::with_units;
     use crate::profile::presets;
     use crate::workload::FrameSource;
     use sss_sim::{BandwidthTrace, Fidelity, TraceShape};
@@ -210,20 +216,15 @@ mod tests {
             let trace = shape.build(path.wan.bandwidth, 2.0, 9);
             for files in [1u32, 7, 24, 96] {
                 let pipe = EventFileBasedPipeline::new(src, files, path, trace.clone());
-                let exact = pipe.run();
-                let fluid = pipe.run_fluid();
+                let (exact, exact_units) = with_units(|u| pipe.run_with(u));
+                let (fluid, fluid_units) = with_units(|u| pipe.run_fluid_with(u));
                 assert!(
                     rel(fluid.completion.as_secs(), exact.completion.as_secs()) <= 1e-9,
                     "{shape}/{files} files: fluid {} vs exact {}",
                     fluid.completion,
                     exact.completion
                 );
-                for (i, (f, e)) in fluid
-                    .unit_available_s
-                    .iter()
-                    .zip(&exact.unit_available_s)
-                    .enumerate()
-                {
+                for (i, (f, e)) in fluid_units.iter().zip(&exact_units).enumerate() {
                     assert!(rel(*f, *e) <= 1e-9, "{shape}: file {i}: {f} vs {e}");
                 }
             }
@@ -264,15 +265,6 @@ mod tests {
             (fluid - exact).abs() <= bound,
             "fluid {fluid} vs exact {exact}, bound {bound}"
         );
-    }
-
-    #[test]
-    fn fluid_streaming_has_no_per_frame_instants() {
-        let wan = presets::aps_alcf_wan();
-        let pipe =
-            EventStreamingPipeline::new(burst(16), wan, BandwidthTrace::steady(wan.bandwidth));
-        let fluid = pipe.run_fluid();
-        assert!(fluid.unit_available_s.is_empty());
     }
 
     #[test]

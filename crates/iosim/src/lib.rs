@@ -186,13 +186,13 @@ mod proptests {
 
             let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-12);
             let pipe = EventFileBasedPipeline::new(src, files, path, trace);
-            let exact = pipe.run();
-            let fluid = pipe.run_fluid();
+            let (exact, exact_units) = pipeline::with_units(|u| pipe.run_with(u));
+            let (fluid, fluid_units) = pipeline::with_units(|u| pipe.run_fluid_with(u));
             prop_assert!(
                 rel(fluid.completion.as_secs(), exact.completion.as_secs()) <= 1e-9,
                 "completion: fluid {} vs exact {}", fluid.completion, exact.completion
             );
-            for (f, e) in fluid.unit_available_s.iter().zip(&exact.unit_available_s) {
+            for (f, e) in fluid_units.iter().zip(&exact_units) {
                 prop_assert!(rel(*f, *e) <= 1e-9, "file instant {f} vs {e}");
             }
         }

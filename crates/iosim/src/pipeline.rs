@@ -15,24 +15,31 @@ pub struct MovementResult {
     /// `completion` minus the acquisition duration: how long remote
     /// processing had to wait after the instrument finished.
     pub post_acquisition_lag: TimeDelta,
-    /// Availability time of each movement unit (file or frame), seconds.
-    pub unit_available_s: Vec<f64>,
 }
 
 impl MovementResult {
     /// The outcome of moving `source`'s scan: the last byte available
-    /// `completion` seconds after acquisition start, each unit at its
-    /// `unit_available_s` entry. The lag behind the end of acquisition
-    /// clamps at zero.
-    pub(crate) fn new(source: &FrameSource, completion: f64, unit_available_s: Vec<f64>) -> Self {
+    /// `completion` seconds after acquisition start. The lag behind the
+    /// end of acquisition clamps at zero.
+    pub(crate) fn new(source: &FrameSource, completion: f64) -> Self {
         MovementResult {
             completion: TimeDelta::from_secs(completion),
             post_acquisition_lag: TimeDelta::from_secs(
                 (completion - source.acquisition_duration().as_secs()).max(0.0),
             ),
-            unit_available_s,
         }
     }
+}
+
+/// A run's result and every unit instant its per-unit callback saw, in
+/// order: how the tests read the instants the product discards.
+#[cfg(test)]
+pub(crate) fn with_units(
+    run: impl FnOnce(&mut dyn FnMut(f64)) -> MovementResult,
+) -> (MovementResult, Vec<f64>) {
+    let mut units = Vec::new();
+    let result = run(&mut |t| units.push(t));
+    (result, units)
 }
 
 /// Figure 4's shape on the calibrated APS→ALCF presets, over a constant
@@ -153,12 +160,20 @@ mod tests {
 
     #[test]
     fn unit_availability_is_monotone() {
-        let r = staged(fast_scan(), 10, presets::aps_to_alcf());
-        for w in r.unit_available_s.windows(2) {
+        let path = presets::aps_to_alcf();
+        let steady = BandwidthTrace::steady(path.wan.bandwidth);
+        let (_, files) = with_units(|u| {
+            EventFileBasedPipeline::new(fast_scan(), 10, path, steady.clone()).run_with(u)
+        });
+        for w in files.windows(2) {
             assert!(w[1] >= w[0] - 1e-9);
         }
-        let s = streamed(fast_scan(), presets::aps_alcf_wan());
-        for w in s.unit_available_s.windows(2) {
+        let wan = presets::aps_alcf_wan();
+        let (_, frames) = with_units(|u| {
+            EventStreamingPipeline::new(fast_scan(), wan, BandwidthTrace::steady(wan.bandwidth))
+                .run_with(u)
+        });
+        for w in frames.windows(2) {
             assert!(w[1] >= w[0]);
         }
     }

@@ -20,6 +20,8 @@
 use serde::{Deserialize, Serialize};
 use sss_units::Rate;
 
+use crate::time::Seconds;
+
 /// A piecewise-constant bandwidth profile over simulated time.
 ///
 /// Segments cover `[start_i, start_{i+1})`; the last segment extends
@@ -38,12 +40,44 @@ use sss_units::Rate;
 /// // 3 GB starting at t=0: 2 GB move before the outage, the rest after.
 /// assert_eq!(t.finish_time(0.0, 3.0e9), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BandwidthTrace {
     /// Segment start times in seconds; strictly increasing, first is 0.
     starts_s: Vec<f64>,
     /// Rate of each segment in bytes per second.
     rates_bps: Vec<f64>,
+}
+
+/// A [`BandwidthTrace`]'s wire form: its columns as serialized, not yet
+/// checked.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct TraceColumns {
+    starts_s: Vec<f64>,
+    rates_bps: Vec<f64>,
+}
+
+// A deserialized trace passes the checks of `from_segments`, so every
+// integrator can rely on them.
+impl Deserialize for BandwidthTrace {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let TraceColumns {
+            starts_s,
+            rates_bps,
+        } = TraceColumns::from_value(v)?;
+        if starts_s.len() != rates_bps.len() {
+            return Err(serde::Error::custom(format!(
+                "a trace needs one rate per segment start, got {} starts and {} rates",
+                starts_s.len(),
+                rates_bps.len()
+            )));
+        }
+        let segments: Vec<(f64, Rate)> = starts_s
+            .into_iter()
+            .zip(rates_bps.into_iter().map(Rate::from_bytes_per_sec))
+            .collect();
+        BandwidthTrace::from_segments(&segments).map_err(serde::Error::custom)
+    }
 }
 
 impl BandwidthTrace {
@@ -281,13 +315,21 @@ impl BandwidthTrace {
         self.capped_finish_time(start_s, bytes, 1.0, f64::INFINITY)
     }
 
-    /// [`BandwidthTrace::finish_time`] for a chain of transfers whose
-    /// starts never decrease, such as a FIFO link's sends. `seg` is a
-    /// segment cursor: start it at 0 and pass it to every call of the
-    /// chain. Each call walks it forward to the segment containing
-    /// `start_s` instead of binary-searching, then integrates from there
-    /// exactly as `finish_time(start_s, bytes)` does, so the result is
-    /// the same `f64`.
+    /// A FIFO link's chain of `sends` transfers of `bytes` each. Send `i`
+    /// starts once it is ready and the send before it has freed the link,
+    /// and holds the link `overhead` seconds past its last byte:
+    ///
+    /// `start_i = max(ready(i), free_{i-1})`,
+    /// `free_i = finish_time(start_i, bytes) + overhead`, `free_{-1} = 0`.
+    ///
+    /// `sent` sees every free instant in send order; the return value is
+    /// the last one (0 for no sends). Each finish is the
+    /// `f64` that [`BandwidthTrace::finish_time`] returns. Starts never
+    /// decrease, so the chain keeps the segment of the latest start in
+    /// locals and steps forward through the breakpoints instead of
+    /// binary-searching: a send that fits in that segment finishes at
+    /// `start + bytes/rate`, and only a send that crosses a breakpoint
+    /// integrates segment by segment.
     ///
     /// ```
     /// use sss_sim::BandwidthTrace;
@@ -299,27 +341,62 @@ impl BandwidthTrace {
     ///     (4.0, Rate::from_gigabytes_per_sec(1.0)),
     /// ])
     /// .unwrap();
-    /// let mut seg = 0;
-    /// let first = t.finish_time_from(&mut seg, 0.0, 1.5e9);
-    /// let second = t.finish_time_from(&mut seg, first, 1.5e9);
-    /// assert_eq!((first, second), (1.5, 5.0));
-    /// assert_eq!(second, t.finish_time(first, 1.5e9));
+    /// // Two 1.5 GB sends, both ready at t=0: the second one waits for
+    /// // the link, then for the outage.
+    /// let mut free = Vec::new();
+    /// let last = t.send_chain(2, 1.5e9, 0.0, |_| 0.0, |f| free.push(f));
+    /// assert_eq!(free, [1.5, 5.0]);
+    /// assert_eq!(last, t.finish_time(1.5, 1.5e9));
     /// ```
     ///
     /// # Panics
-    /// Panics when the cursor's segment starts after `start_s`, and on
-    /// the inputs [`BandwidthTrace::capped_finish_time`] rejects.
-    pub fn finish_time_from(&self, seg: &mut usize, start_s: f64, bytes: f64) -> f64 {
-        check_transfer(start_s, bytes);
-        assert!(
-            self.starts_s[*seg] <= start_s,
-            "segment cursor at t={} is past the start {start_s}",
-            self.starts_s[*seg]
-        );
-        while self.starts_s.get(*seg + 1).is_some_and(|&s| s <= start_s) {
-            *seg += 1;
+    /// Panics on a negative or non-finite ready or free instant or
+    /// `bytes`, and when a start falls before the segment the chain has
+    /// reached (a negative `overhead` can rewind it).
+    pub fn send_chain(
+        &self,
+        sends: u32,
+        bytes: f64,
+        overhead: f64,
+        mut ready: impl FnMut(u32) -> f64,
+        mut sent: impl FnMut(f64),
+    ) -> f64 {
+        // The segment of the latest start: its start, its end (infinite
+        // for the final segment), its rate and one send's time at it.
+        let segment = |seg: usize| {
+            let rate = self.rates_bps[seg];
+            let end = self.starts_s.get(seg + 1).copied().unwrap_or(f64::INFINITY);
+            (self.starts_s[seg], end, rate, bytes / rate)
+        };
+        let mut seg = 0;
+        let (mut seg_start, mut end, mut rate, mut per_send) = segment(seg);
+        let mut free = 0.0f64;
+        for i in 0..sends {
+            let start = Seconds::new(ready(i)).value().max(free);
+            check_transfer(start, bytes);
+            assert!(
+                seg_start <= start,
+                "segment cursor at t={seg_start} is past the start {start}"
+            );
+            if start >= end {
+                while self.starts_s.get(seg + 1).is_some_and(|&s| s <= start) {
+                    seg += 1;
+                }
+                (seg_start, end, rate, per_send) = segment(seg);
+            }
+            // sss-lint: allow(D004, zero-byte transfer completes instantly; exact guard)
+            let finish = if bytes == 0.0 {
+                start
+            } else if rate > 0.0 && rate * (end - start) >= bytes {
+                // The send fits in its segment: `walk`'s first step.
+                start + per_send
+            } else {
+                self.walk(seg, start, bytes, 1.0, f64::INFINITY)
+            };
+            free = Seconds::new(finish + overhead).value();
+            sent(free);
         }
-        self.walk(*seg, start_s, bytes, 1.0, f64::INFINITY)
+        free
     }
 
     /// [`BandwidthTrace::finish_time`] with the per-segment rate divided
@@ -572,6 +649,7 @@ pub enum TraceShape {
 ///
 /// # Panics
 /// Panics on a negative or non-finite `start_s` or `bytes`.
+#[inline(always)]
 fn check_transfer(start_s: f64, bytes: f64) {
     assert!(
         start_s >= 0.0 && start_s.is_finite(),
@@ -873,22 +951,72 @@ mod tests {
         assert_eq!(t.finish_time(7.5, 0.0), 7.5);
     }
 
+    /// The send chain written out with one `finish_time` per send: every
+    /// free instant of the chain, in send order.
+    fn step_by_step(
+        trace: &BandwidthTrace,
+        readies: &[f64],
+        bytes: f64,
+        overhead: f64,
+    ) -> Vec<f64> {
+        let mut free = 0.0f64;
+        readies
+            .iter()
+            .map(|&ready| {
+                free = trace.finish_time(ready.max(free), bytes) + overhead;
+                free
+            })
+            .collect()
+    }
+
+    /// Instants as raw bits, so equality means bit identity.
+    fn bits(instants: &[f64]) -> Vec<u64> {
+        instants.iter().map(|t| t.to_bits()).collect()
+    }
+
+    /// The send chain's free instants, and the instant it returns.
+    fn chained(
+        trace: &BandwidthTrace,
+        readies: &[f64],
+        bytes: f64,
+        overhead: f64,
+    ) -> (Vec<f64>, f64) {
+        let mut frees = Vec::with_capacity(readies.len());
+        let sends = u32::try_from(readies.len()).unwrap();
+        let last = trace.send_chain(
+            sends,
+            bytes,
+            overhead,
+            |i| readies[i as usize],
+            |free| frees.push(free),
+        );
+        (frees, last)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 1024, ..Default::default() })]
 
-        /// The segment cursor replays `finish_time` bit for bit along
-        /// chains of non-decreasing starts: on every bundled shape and on
-        /// random traces with zero-rate segments, with starts on the
-        /// previous finish, exactly on breakpoints, between them and
-        /// repeated, and with zero-byte transfers.
+        /// The send chain replays step-by-step `finish_time` bit for bit:
+        /// on every bundled shape and on random traces with zero-rate
+        /// segments; under burst readies (the link never idles),
+        /// arrival-gated readies (it idles between sends) and readies on
+        /// the breakpoints themselves; with sends that exactly fill the
+        /// segment they start on, zero-byte sends, and with or without a
+        /// per-send overhead.
         #[test]
-        fn the_cursor_replays_finish_time_bit_for_bit(
+        fn the_send_chain_replays_finish_time_bit_for_bit(
             trace_pick in 0usize..=TraceShape::ALL.len(),
             horizon in 0.05f64..20.0,
             seed in any::<u64>(),
             // (duration, rate level) pairs; level 0 is a zero-rate slot.
             segs in proptest::collection::vec((0.01f64..5.0, 0u32..4), 0..12),
-            steps in proptest::collection::vec((0u32..4, 0.0f64..1.0, 0.0f64..1.0), 1..100),
+            sends in 1usize..200,
+            pace in 0u32..3,
+            period in 0.0f64..1.0,
+            size_pick in 0u32..3,
+            size in 0.0f64..1.0,
+            fill_pick in any::<usize>(),
+            with_overhead in any::<bool>(),
         ) {
             let trace = match trace_pick {
                 0 => {
@@ -903,35 +1031,91 @@ mod tests {
                 }
                 k => TraceShape::ALL[k - 1].build(gbs(1.0), horizon, seed),
             };
-            // Sizes and gaps scale with the breakpoint span, so a chain
+            // Sizes and periods scale with the breakpoint span, so a chain
             // crosses many breakpoints before it passes the last one.
-            let unit = trace.starts_s.last().copied().filter(|&s| s > 0.0).unwrap_or(1.0) / 64.0;
-            let (mut seg, mut start, mut finish) = (0usize, 0.0f64, 0.0f64);
-            for (how, gap, size) in steps {
-                start = match how {
-                    0 => finish,
-                    1 => trace.starts_s.iter().copied().find(|&s| s > start).unwrap_or(start),
-                    2 => start + gap * unit,
-                    _ => start,
-                };
-                let bytes = if size < 0.25 { 0.0 } else { size * unit * 1e9 };
-                finish = trace.finish_time_from(&mut seg, start, bytes);
-                prop_assert_eq!(
-                    finish.to_bits(),
-                    trace.finish_time(start, bytes).to_bits(),
-                    "{} bytes from {}", bytes, start
-                );
-            }
+            let last_start = *trace.starts_s.last().unwrap();
+            let unit = if last_start > 0.0 { last_start / 64.0 } else { 1.0 / 64.0 };
+            let readies: Vec<f64> = match pace {
+                0 => (1..=sends).map(|i| 1e-9 * i as f64).collect(),
+                1 => (1..=sends).map(|i| period * unit * i as f64).collect(),
+                _ => (0..sends)
+                    .map(|i| trace.starts_s[i * trace.starts_s.len() / sends])
+                    .collect(),
+            };
+            // A send that exactly fills a positive-rate segment when it
+            // starts on that segment's breakpoint.
+            let fillable: Vec<usize> = (0..trace.starts_s.len() - 1)
+                .filter(|&k| trace.rates_bps[k] > 0.0)
+                .collect();
+            let bytes = match (size_pick, fillable.is_empty()) {
+                (0, _) => 0.0,
+                (1, false) => {
+                    let k = fillable[fill_pick % fillable.len()];
+                    trace.rates_bps[k] * (trace.starts_s[k + 1] - trace.starts_s[k])
+                }
+                _ => (0.01 + size) * unit * 1e9,
+            };
+            let overhead = if with_overhead { 0.1 * unit } else { 0.0 };
+
+            let want = step_by_step(&trace, &readies, bytes, overhead);
+            let (got, last) = chained(&trace, &readies, bytes, overhead);
+            prop_assert_eq!(bits(&got), bits(&want), "{} bytes", bytes);
+            prop_assert_eq!(last.to_bits(), want.last().unwrap().to_bits());
         }
+    }
+
+    /// Sends that start on a breakpoint and exactly fill its segment take
+    /// the in-segment path; the next send, starting on the following
+    /// breakpoint, steps the cursor first. A send that overflows its
+    /// segment by any amount integrates across the breakpoint.
+    #[test]
+    fn sends_that_fill_a_segment_match_finish_time() {
+        let t = BandwidthTrace::from_segments(&[
+            (0.0, gbs(1.0)),
+            (2.0, gbs(0.5)),
+            (6.0, Rate::ZERO),
+            (7.0, gbs(2.0)),
+        ])
+        .unwrap();
+        for (bytes, readies) in [
+            (2.0e9, vec![0.0, 2.0, 6.0, 7.0]),
+            (1.0e9, vec![0.0, 0.0, 2.0, 2.0, 4.5]),
+            (2.0e9 + 1.0, vec![0.0, 0.0, 6.0]),
+        ] {
+            let (got, last) = chained(&t, &readies, bytes, 0.0);
+            let want = step_by_step(&t, &readies, bytes, 0.0);
+            assert_eq!(bits(&got), bits(&want), "{bytes} B");
+            assert_eq!(last.to_bits(), got.last().unwrap().to_bits());
+        }
+        // The first chain written out: 2 GB fill [0, 2) at 1 GB/s and
+        // [2, 6) at 0.5 GB/s; the third send waits out the outage and
+        // moves at 2 GB/s from t=7.
+        assert_eq!(
+            chained(&t, &[0.0, 2.0, 6.0, 7.0], 2.0e9, 0.0).0,
+            [2.0, 6.0, 8.0, 9.0]
+        );
+    }
+
+    #[test]
+    fn an_empty_chain_leaves_the_link_free_at_zero() {
+        let t = BandwidthTrace::steady(gbs(1.0));
+        assert_eq!(chained(&t, &[], 1.0e9, 0.5), (vec![], 0.0));
     }
 
     #[test]
     #[should_panic(expected = "is past the start")]
-    fn a_cursor_ahead_of_the_start_fails_loudly() {
+    fn a_chain_rewound_by_a_negative_overhead_fails_loudly() {
         let t = BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (2.0, gbs(0.5))]).unwrap();
-        let mut seg = 0;
-        t.finish_time_from(&mut seg, 3.0, 1.0e9);
-        t.finish_time_from(&mut seg, 1.0, 1.0e9);
+        // The first send starts at t=3, on the second segment, and frees
+        // the link at 5 - 4 = 1: the second send would start before the
+        // segment the chain has reached.
+        chained(&t, &[3.0, 0.0], 1.0e9, -4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Seconds must be non-negative and finite")]
+    fn a_ready_instant_that_is_not_a_time_fails_loudly() {
+        chained(&BandwidthTrace::steady(gbs(1.0)), &[f64::NAN], 1.0e9, 0.0);
     }
 
     #[test]
@@ -1126,5 +1310,39 @@ mod tests {
             assert_eq!(round, shape);
         }
         assert!(serde_json::from_str::<TraceShape>("\"tsunami\"").is_err());
+    }
+
+    /// JSON that `from_segments` would reject fails to deserialize,
+    /// naming the problem, instead of building a trace the integrators
+    /// cannot run on.
+    #[test]
+    fn malformed_trace_json_is_rejected() {
+        for (json, why) in [
+            (r#"{"starts_s":[],"rates_bps":[]}"#, "at least one segment"),
+            (
+                r#"{"starts_s":[0.0,1.0],"rates_bps":[1.0]}"#,
+                "one rate per",
+            ),
+            (r#"{"starts_s":[0.0],"rates_bps":[0.0]}"#, "positive rate"),
+            (
+                r#"{"starts_s":[1.0,0.5],"rates_bps":[1.0,2.0]}"#,
+                "start at t=0",
+            ),
+            (
+                r#"{"starts_s":[0.0,2.0,1.0],"rates_bps":[1.0,2.0,3.0]}"#,
+                "strictly increasing",
+            ),
+            (r#"{"starts_s":[0.0,1.0],"rates_bps":[-1.0,2.0]}"#, ">= 0"),
+            (
+                r#"{"starts_s":[0.0],"rates_bps":[1.0],"rate":2.0}"#,
+                "unknown field",
+            ),
+            (r#"{"starts_s":[0.0]}"#, "missing field"),
+        ] {
+            let err = serde_json::from_str::<BandwidthTrace>(json)
+                .expect_err(json)
+                .to_string();
+            assert!(err.contains(why), "{json}: {err}");
+        }
     }
 }

@@ -75,6 +75,25 @@ fn simulate_csv_and_md_formats() {
     assert!(stdout.contains("| scenario |"), "{stdout}");
 }
 
+/// The exact replay at the benchmark's 65,536 frames a cell, where most
+/// frames fit in one trace segment, byte for byte against committed
+/// output. The quick 16-frame replay in `results/sim_validation.csv`
+/// crosses a breakpoint on nearly every send, so it cannot pin the
+/// in-segment path of the send chain.
+#[test]
+fn exact_replay_at_65536_frames_matches_the_golden_csv() {
+    for (seed, golden) in [
+        ("1", include_str!("golden/simulate_65536_seed1.csv")),
+        ("42", include_str!("golden/simulate_65536_seed42.csv")),
+    ] {
+        let (ok, stdout, stderr) = run(&[
+            "simulate", "--frames", "65536", "--files", "16", "--format", "csv", "--seed", seed,
+        ]);
+        assert!(ok, "{stderr}");
+        assert_eq!(stdout, golden, "seed {seed}");
+    }
+}
+
 #[test]
 fn simulate_rejects_bad_inputs() {
     let (ok, _, stderr) = run(&["simulate", "--shapes", "tsunami"]);
