@@ -1,20 +1,45 @@
-//! Ablation of the transport design choices DESIGN.md calls out: which
-//! TCP mechanics produce the paper's tail behaviour?
+//! Ablation of the simulator's transport design choices: which TCP
+//! mechanics produce the paper's tail behaviour?
 //!
-//! Runs the same congested batch (8 × 0.5 GB simultaneous clients on the
-//! Table 1 testbed) under combinations of congestion-control algorithm
-//! (Reno vs CUBIC), HyStart on/off, and bottleneck queue discipline
-//! (drop-tail vs RED), reporting worst/mean completion time, drops and
-//! retransmissions.
+//! Runs the same congested batch (8 × 0.5 GB simultaneous clients for
+//! 3 s on the Table 1 testbed; 8 × 100 MB for 2 s under `SSS_QUICK`, the
+//! values `figure2_sweep` shrinks to) under combinations of
+//! congestion-control algorithm (Reno vs CUBIC), HyStart on/off, and
+//! bottleneck queue discipline (drop-tail vs RED), reporting worst/mean
+//! completion time, drops and retransmissions.
 
-use sss_bench::{fmt_s, results_dir};
+use sss_bench::{fmt_s, quick, results_dir};
 use sss_loadgen::{Experiment, SpawnStrategy};
 use sss_netsim::{CongestionAlgo, Qdisc, SimConfig};
 use sss_report::{CsvWriter, Table};
 use sss_units::Bytes;
 
-fn run(algo: CongestionAlgo, hystart: bool, red: bool) -> (f64, f64, u64, u64, u64) {
-    let mut cfg = SimConfig::paper_testbed();
+/// The congested batch every ablation cell runs, at the testbed defaults.
+fn batch() -> Experiment {
+    let (duration_s, bytes_per_client) = if quick() {
+        (2, Bytes::from_mb(100.0))
+    } else {
+        (3, Bytes::from_gb(0.5))
+    };
+    Experiment {
+        config: SimConfig::paper_testbed(),
+        duration_s,
+        concurrency: 8,
+        parallel_flows: 2,
+        bytes_per_client,
+        strategy: SpawnStrategy::Simultaneous,
+        start_jitter: 0.002,
+        seed: 42,
+    }
+}
+
+fn run(
+    batch: &Experiment,
+    algo: CongestionAlgo,
+    hystart: bool,
+    red: bool,
+) -> (f64, f64, u64, u64, u64) {
+    let mut cfg = batch.config;
     cfg.tcp.algo = algo;
     cfg.tcp.hystart = hystart;
     if red {
@@ -26,17 +51,11 @@ fn run(algo: CongestionAlgo, hystart: bool, red: bool) -> (f64, f64, u64, u64, u
             weight: 0.002,
         };
     }
-    let exp = Experiment {
+    let r = Experiment {
         config: cfg,
-        duration_s: 3,
-        concurrency: 8,
-        parallel_flows: 2,
-        bytes_per_client: Bytes::from_gb(0.5),
-        strategy: SpawnStrategy::Simultaneous,
-        start_jitter: 0.002,
-        seed: 42,
-    };
-    let r = exp.run();
+        ..*batch
+    }
+    .run();
     let worst = r
         .worst_transfer_time()
         .map(|t| t.as_secs())
@@ -54,10 +73,17 @@ fn run(algo: CongestionAlgo, hystart: bool, red: bool) -> (f64, f64, u64, u64, u
 }
 
 fn main() {
+    let batch = batch();
     let mut table = Table::new([
         "algo", "hystart", "qdisc", "worst", "mean", "drops", "early", "retx MB",
     ])
-    .with_title("TCP design ablation: 8×0.5 GB simultaneous batches (128% offered) for 3 s");
+    .with_title(format!(
+        "TCP design ablation: {}×{} GB simultaneous batches ({:.0}% offered) for {} s",
+        batch.concurrency,
+        batch.bytes_per_client.as_gb(),
+        batch.offered_load().value() * 100.0,
+        batch.duration_s
+    ));
     let mut csv = CsvWriter::new([
         "algo",
         "hystart",
@@ -76,7 +102,7 @@ fn main() {
         for hystart in [true, false] {
             for red in [false, true] {
                 eprintln!("running {name} hystart={hystart} red={red}...");
-                let (worst, mean, drops, early, retx) = run(algo, hystart, red);
+                let (worst, mean, drops, early, retx) = run(&batch, algo, hystart, red);
                 let qdisc = if red { "RED" } else { "drop-tail" };
                 table.row([
                     name.to_string(),

@@ -1,9 +1,10 @@
 //! Run every regenerator in sequence, leaving all artifacts in
-//! `results/`. Equivalent to invoking fig2a, fig2b, fig3, fig4, tables,
-//! case_study, regimes, ablation_continuum, headline, scenario_suite,
-//! frontier_map, sim_validation, fleet_contention and fleet_scaling one
-//! by one, but reuses the expensive Figure 2 sweeps across the binaries
-//! that need them by caching the curve JSON.
+//! `results/`: tables, fig2a, fig2b, fig3, fig4, case_study, regimes,
+//! ablation_continuum, ablation_tcp, headline, scenario_suite,
+//! frontier_map, sim_validation, fleet_contention and fleet_scaling,
+//! each launched as its own process from this binary's directory. No
+//! sweep is shared between them: every binary that needs the Figure 2
+//! grid runs it again.
 
 use std::process::Command;
 

@@ -1,10 +1,9 @@
 //! Shared harness for the table/figure regenerator binaries.
 //!
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md's per-experiment index) by running the
-//! simulators at the published parameters and rendering the same series
-//! the paper reports, as terminal tables/plots plus CSV/JSON under
-//! `results/`.
+//! evaluation (its module doc says which) by running the simulators at
+//! the published parameters and rendering the same series the paper
+//! reports, as terminal tables/plots plus CSV/JSON under `results/`.
 //!
 //! Environment knobs (all optional):
 //! * `SSS_REPEATS` — repeats per sweep cell (default 1).

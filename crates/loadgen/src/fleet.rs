@@ -25,13 +25,13 @@
 //!   latency [`Tier`] first).
 //! * **WAN sharing** — each admitted session's private path is its solo
 //!   replay trace (the scenario's `α·Bw/θ` base reshaped by the cell's
-//!   [`TraceShape`], exactly as `SessionReplay` builds it); on top of
-//!   that, all concurrent raw demands are squeezed through a shared
+//!   [`TraceShape`], as `SessionReplay` builds it), held only from its
+//!   admission to its drain; all concurrent raw demands then share a
 //!   backbone of capacity [`FleetConfig::wan`] by max-min fair
-//!   water-filling ([`WaterFiller`], the same allocation as
-//!   `sss-netsim`'s `FluidSimulator`). A session that is never clipped
-//!   below its solo rate experiences *literally* the single-session
-//!   replay: the replay's own session helper builds its trace and its
+//!   water-filling ([`WaterFiller`], the allocation of `sss-netsim`'s
+//!   `FluidSimulator`). A session never clipped below its solo rate
+//!   experiences *literally* the single-session replay: the replay's own
+//!   session helper rebuilds its trace from the same seed and builds its
 //!   [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline), which
 //!   is what makes a fleet of one bit-identical to [`SessionReplay`].
 //! * **Fidelity** — the allocation integrator is fluid (event-driven,
@@ -350,7 +350,12 @@ struct SessionState {
     scenario_idx: usize,
     arrival_s: f64,
     session: Session,
-    trace: BandwidthTrace,
+    /// Seed of the solo trace. `session.trace(shape, trace_seed)` is a
+    /// pure function, so admission and `finalize` build the same bits.
+    trace_seed: u64,
+    /// The solo trace, held only from admission to drain: the traces
+    /// alive at any instant are bounded by the slots, not the sessions.
+    trace: Option<BandwidthTrace>,
     start_s: f64,
     /// Elapsed time since admission — the session's private trace clock.
     /// Kept directly (and snapped onto breakpoints verbatim) instead of
@@ -363,8 +368,29 @@ struct SessionState {
     /// Granted allocation as `(seconds since admission, deflated rate)`
     /// pieces — the session's contention-adjusted trace.
     pieces: Vec<(f64, f64)>,
-    admitted: bool,
     done: bool,
+}
+
+impl SessionState {
+    /// Admit the session at `t`: start its trace clock, record its wait
+    /// and build its solo trace, which it returns.
+    fn admit(&mut self, t: f64, shape: TraceShape) -> &BandwidthTrace {
+        self.start_s = t;
+        self.wait_s = t - self.arrival_s;
+        if self.wait_s > 0.0 {
+            self.clipped = true;
+        }
+        self.rel_s = 0.0;
+        self.trace
+            .insert(self.session.trace(shape, self.trace_seed))
+    }
+
+    /// The session ran dry: mark it done and free its trace.
+    fn drain(&mut self) {
+        self.remaining = 0.0;
+        self.done = true;
+        self.trace = None;
+    }
 }
 
 /// Append an allocation piece, merging bit-equal consecutive rates so an
@@ -468,10 +494,45 @@ impl AdmissionQueue {
     }
 }
 
-/// A calendar entry for the incremental engine.
+/// The arrival lane: [`FleetSim::plan`] emits arrivals in time order, so
+/// they need no calendar heap. The integrator merges this cursor in front
+/// of the calendar and takes arrivals first at a tie, the order their low
+/// sequence numbers gave them as calendar entries. Like dslab's ordered
+/// events, the lane panics if the plan steps back in time.
+struct ArrivalLane<'p> {
+    plan: &'p [Planned],
+    next: usize,
+}
+
+impl ArrivalLane<'_> {
+    /// The next arrival's instant.
+    fn peek(&self) -> Option<Seconds> {
+        self.plan.get(self.next).map(|p| Seconds::new(p.arrival_s))
+    }
+
+    /// Take the next arrival, a session index, if it falls at `now`.
+    fn pop_at(&mut self, now: Seconds) -> Option<usize> {
+        if self.peek() != Some(now) {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        if let Some(after) = self.plan.get(self.next) {
+            assert!(
+                after.arrival_s >= self.plan[i].arrival_s,
+                "arrival lane out of order: session {} arrives at {}s, before session {i} at {}s",
+                self.next,
+                after.arrival_s,
+                self.plan[i].arrival_s
+            );
+        }
+        Some(i)
+    }
+}
+
+/// A calendar entry for the incremental engine. Arrivals are not among
+/// them: they come in time order on the [`ArrivalLane`].
 enum FleetEvent {
-    /// The session arrives and joins the admission queue.
-    Arrival(usize),
     /// An admitted session's trace clock reaches `Lane::next_break`: the
     /// next segment switch, or the end of its floor window. Carries the
     /// breakpoint generation it was scheduled under; holding the session
@@ -546,7 +607,7 @@ struct FloorCounts {
 
 /// What one pass of the allocation integrator produced.
 struct Integration {
-    /// Every session's state, advanced to completion.
+    /// Every session's state, advanced to completion; none holds a trace.
     states: Vec<SessionState>,
     /// Largest number of concurrently admitted sessions.
     peak_active: u32,
@@ -630,25 +691,24 @@ impl FleetSim {
 
     /// Fresh per-session integrator state for a planned arrival schedule
     /// — shared verbatim with the test-only reference integrator so both
-    /// start from identical traces, clocks and byte counts.
+    /// start from identical trace seeds, clocks and byte counts. No trace
+    /// is built here: [`SessionState::admit`] builds it.
     fn session_states(&self, plan: &[Planned]) -> Vec<SessionState> {
         plan.iter()
             .map(|p| {
-                // The session's private path is exactly the solo replay
-                // trace (module docs).
                 let session = Session::new(&self.scenarios[p.scenario_idx].params);
                 SessionState {
                     scenario_idx: p.scenario_idx,
                     arrival_s: p.arrival_s,
                     session,
-                    trace: session.trace(self.config.shape, p.trace_seed),
+                    trace_seed: p.trace_seed,
+                    trace: None,
                     start_s: 0.0,
                     rel_s: 0.0,
                     wait_s: 0.0,
                     remaining: session.s_bytes,
                     clipped: false,
                     pieces: Vec::new(),
-                    admitted: false,
                     done: false,
                 }
             })
@@ -667,9 +727,10 @@ impl FleetSim {
     /// * a [`WaterFiller`] holds every active flow's WAN demand and
     ///   re-levels in O(log k) per cap change, arrival or drain, so the
     ///   max-min fair shares are never recomputed from scratch;
-    /// * an [`EventQueue`] calendar holds arrivals, per-session trace
-    ///   breakpoints and projected unclipped drains, so each step pops
-    ///   the winner instead of scanning every active flow;
+    /// * an [`EventQueue`] calendar holds per-session trace breakpoints
+    ///   and projected unclipped drains, and the time-ordered arrivals
+    ///   merge in front of it from their own [`ArrivalLane`], so each
+    ///   step pops the winner instead of scanning every active flow;
     /// * clipped drains live in a min-heap keyed in **water-volume
     ///   space**: with `v(t) = ∫ level dt`, a continuously-clipped
     ///   session's remaining hits zero when `v` reaches the constant
@@ -689,12 +750,14 @@ impl FleetSim {
     ///   until no floor is crossed.
     ///
     /// Scratch buffers are reused across events and per-session state is
-    /// materialized lazily (only when a session's own status changes), so
-    /// the steady-state step allocates nothing. Calendar instants are
-    /// stored verbatim and the clock jumps onto them exactly (no `t+dt`
-    /// rounding), mirroring the reference loop's snapping; an unclipped
-    /// session's recorded pieces carry its solo rates bit-for-bit, which
-    /// preserves the fleet-of-one ≡ `SessionReplay` identity.
+    /// materialized lazily (only when a session's own status changes).
+    /// Beyond the pieces each session records, a step allocates only when
+    /// it admits a session, whose solo trace it builds, and a drain frees
+    /// that trace. Arrival and calendar instants are stored verbatim and
+    /// the clock jumps onto them exactly (no `t+dt` rounding), mirroring
+    /// the reference loop's snapping; an unclipped session's recorded
+    /// pieces carry its solo rates bit-for-bit, which preserves the
+    /// fleet-of-one ≡ `SessionReplay` identity.
     fn integrate(&self, plan: &[Planned]) -> Integration {
         let mut states = self.session_states(plan);
         let n = states.len();
@@ -723,10 +786,8 @@ impl FleetSim {
             })
             .collect();
 
+        let mut arrivals = ArrivalLane { plan, next: 0 };
         let mut calendar: EventQueue<Seconds, FleetEvent> = EventQueue::new();
-        for (i, st) in states.iter().enumerate() {
-            calendar.schedule(Seconds::new(st.arrival_s), FleetEvent::Arrival(i));
-        }
         // Clipped drains: min-heap on (d_key bits, push seq) — both
         // non-negative, so the bit order is the value order and the seq
         // makes ties FIFO like the calendar's.
@@ -762,7 +823,13 @@ impl FleetSim {
             }
             let level = wf.level();
             let draining = level > 0.0 && level.is_finite();
-            let d_cal = calendar.peek_time().map(|s| s.value() - t);
+            // The next scheduled instant: the arrival lane's head or the
+            // calendar's, whichever is earlier.
+            let next_at = match (arrivals.peek(), calendar.peek_time()) {
+                (Some(a), Some(&c)) => Some(a.min(c)),
+                (a, c) => a.or(c.copied()),
+            };
+            let d_sched = next_at.map(|s| s.value() - t);
             // The earliest clipped drain as a delta — the incremental
             // analog of the reference loop's `remaining / rate` scan.
             let d_clip = match clip_heap.peek() {
@@ -771,18 +838,18 @@ impl FleetSim {
                 }
                 _ => None,
             };
-            let dt = match (d_cal, d_clip) {
+            let dt = match (d_sched, d_clip) {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
                 (None, Some(b)) => b,
                 (None, None) => break,
             };
-            // A calendar winner advances the clock onto the scheduled
-            // instant *verbatim* — the same no-rounding jump the
-            // reference loop makes onto `arrival_s`.
-            let at_calendar = d_cal.is_some_and(|a| a <= dt);
-            let t_next = match calendar.peek_time() {
-                Some(s) if at_calendar => s.value(),
+            // A scheduled winner advances the clock onto its instant
+            // *verbatim* — the same no-rounding jump the reference loop
+            // makes onto `arrival_s`.
+            let at_scheduled = d_sched.is_some_and(|a| a <= dt);
+            let t_next = match next_at {
+                Some(s) if at_scheduled => s.value(),
                 _ => t + dt,
             };
             let v_pre = v;
@@ -805,8 +872,7 @@ impl FleetSim {
                     break;
                 }
                 clip_heap.pop();
-                states[i].remaining = 0.0;
-                states[i].done = true;
+                states[i].drain();
                 if let Some(flow) = lanes[i].flow.take() {
                     wf.remove(flow);
                 }
@@ -816,25 +882,27 @@ impl FleetSim {
                 events += 1;
             }
 
-            // 2. Calendar events scheduled at exactly this instant, in
-            // (time, seq) order.
-            if at_calendar {
+            // 2. Events scheduled at exactly this instant: arrivals in
+            // plan order, then calendar entries in (time, seq) order.
+            if at_scheduled {
                 let now = Seconds::new(t_next);
+                while let Some(i) = arrivals.pop_at(now) {
+                    let rank = tier_rank(self.scenarios[states[i].scenario_idx].tier);
+                    queue.push(i, states[i].scenario_idx, rank);
+                    events += 1;
+                }
                 while calendar.peek_time() == Some(&now) {
                     let Some((_, event)) = calendar.pop() else {
                         break;
                     };
                     match event {
-                        FleetEvent::Arrival(i) => {
-                            let rank = tier_rank(self.scenarios[states[i].scenario_idx].tier);
-                            queue.push(i, states[i].scenario_idx, rank);
-                            events += 1;
-                        }
                         FleetEvent::Breakpoint(i, gen) => {
                             if states[i].done || lanes[i].break_gen != gen {
                                 continue;
                             }
-                            let (Some(flow), Some(b)) = (lanes[i].flow, lanes[i].next_break) else {
+                            let (Some(flow), Some(b), Some(trace)) =
+                                (lanes[i].flow, lanes[i].next_break, &states[i].trace)
+                            else {
                                 continue;
                             };
                             // Materialize remaining over the outgoing
@@ -842,6 +910,7 @@ impl FleetSim {
                             // clock onto the breakpoint verbatim (the
                             // reference loop's rounding guard) and register
                             // the true cap there.
+                            let (solo, next_b) = trace.segment_at(b);
                             let theta = states[i].session.theta;
                             let rem = if lanes[i].clipped {
                                 ((lanes[i].d_key - v) / theta).max(0.0)
@@ -851,7 +920,6 @@ impl FleetSim {
                             };
                             states[i].remaining = rem;
                             states[i].rel_s = b;
-                            let (solo, next_b) = states[i].trace.segment_at(b);
                             wf.update(flow, theta * solo);
                             let lane = &mut lanes[i];
                             if lane.floored {
@@ -879,8 +947,7 @@ impl FleetSim {
                             if states[i].done || lanes[i].epoch != epoch {
                                 continue;
                             }
-                            states[i].remaining = 0.0;
-                            states[i].done = true;
+                            states[i].drain();
                             if let Some(flow) = lanes[i].flow.take() {
                                 wf.remove(flow);
                             }
@@ -898,21 +965,14 @@ impl FleetSim {
                 let Some(i) = queue.pop(&admitted_per_scenario) else {
                     break;
                 };
-                states[i].admitted = true;
-                states[i].start_s = t_next;
-                states[i].wait_s = t_next - states[i].arrival_s;
-                if states[i].wait_s > 0.0 {
-                    states[i].clipped = true;
-                }
+                let (solo, next_b) = states[i].admit(t_next, self.config.shape).segment_at(0.0);
                 admitted_per_scenario[states[i].scenario_idx] += 1;
                 active += 1;
-                let (solo, next_b) = states[i].trace.segment_at(0.0);
                 let flow = wf.insert(states[i].session.theta * solo);
                 if flow.index() >= flow_session.len() {
                     flow_session.resize(flow.index() + 1, usize::MAX);
                 }
                 flow_session[flow.index()] = i;
-                states[i].rel_s = 0.0;
                 let lane = &mut lanes[i];
                 lane.flow = Some(flow);
                 lane.clipped = false;
@@ -963,11 +1023,13 @@ impl FleetSim {
                     if !lanes[i].floored {
                         continue;
                     }
-                    let Some(flow) = lanes[i].flow else { continue };
+                    let (Some(flow), Some(trace)) = (lanes[i].flow, &states[i].trace) else {
+                        continue;
+                    };
                     // Wake: the trace clock ran on past segment switches
                     // with no calendar entry, so look up where it is now.
                     let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
-                    let (solo, next_b) = states[i].trace.segment_at(rel_now);
+                    let (solo, next_b) = trace.segment_at(rel_now);
                     wf.update(flow, states[i].session.theta * solo);
                     let lane = &mut lanes[i];
                     lane.floored = false;
@@ -1029,6 +1091,7 @@ impl FleetSim {
                     let window = lane.next_break.and_then(|b| {
                         states[i]
                             .trace
+                            .as_ref()?
                             .window_above(b, |rate| theta * rate > level_new)
                     });
                     if let Some((min, end)) = window {
@@ -1105,9 +1168,9 @@ impl FleetSim {
         let scenario = &self.scenarios[st.scenario_idx];
         let trace = if !st.clipped {
             // Never queued, never clipped: the granted allocation IS the
-            // solo trace — reuse it verbatim for structural bit-identity
-            // with the single-session replay.
-            st.trace.clone()
+            // solo trace — rebuilt from its seed, bit for bit the trace
+            // the single-session replay builds.
+            st.session.trace(self.config.shape, st.trace_seed)
         } else {
             let segments: Vec<(f64, Rate)> = st
                 .pieces
@@ -1432,6 +1495,15 @@ mod tests {
     use crate::{ReplayConfig, SessionReplay};
     use sss_netsim::progressive_fill;
 
+    impl SessionState {
+        /// The solo trace of an admitted session that has not drained.
+        fn live_trace(&self) -> &BandwidthTrace {
+            self.trace
+                .as_ref()
+                .expect("only an admitted, undrained session reads its trace")
+        }
+    }
+
     /// The original allocation loop, byte-faithful to the seed
     /// integrator: the oracle [`FleetSim::integrate`] is differentially
     /// tested against.
@@ -1461,12 +1533,7 @@ mod tests {
                 while active.len() < slots && !queued.is_empty() {
                     let pos = self.pick(&queued, &states, &admitted_per_scenario);
                     let i = queued.remove(pos);
-                    states[i].admitted = true;
-                    states[i].start_s = t;
-                    states[i].wait_s = t - states[i].arrival_s;
-                    if states[i].wait_s > 0.0 {
-                        states[i].clipped = true;
-                    }
+                    states[i].admit(t, self.config.shape);
                     admitted_per_scenario[states[i].scenario_idx] += 1;
                     active.push(i);
                 }
@@ -1485,7 +1552,7 @@ mod tests {
                 // its recorded pieces bit-equal to its solo trace.
                 let solo: Vec<f64> = active
                     .iter()
-                    .map(|&i| states[i].trace.rate_at(states[i].rel_s))
+                    .map(|&i| states[i].live_trace().rate_at(states[i].rel_s))
                     .collect();
                 let caps: Vec<f64> = active
                     .iter()
@@ -1524,7 +1591,7 @@ mod tests {
                 };
                 let breaks: Vec<Option<f64>> = active
                     .iter()
-                    .map(|&i| states[i].trace.next_change(states[i].rel_s))
+                    .map(|&i| states[i].live_trace().next_change(states[i].rel_s))
                     .collect();
                 let d_break = active
                     .iter()
@@ -1544,8 +1611,7 @@ mod tests {
                 for (j, &i) in active.iter().enumerate() {
                     let r = rates[j];
                     if r > 0.0 && states[i].remaining / r <= dt {
-                        states[i].remaining = 0.0;
-                        states[i].done = true;
+                        states[i].drain();
                     } else {
                         states[i].remaining = (states[i].remaining - r * dt).max(0.0);
                     }
@@ -1955,6 +2021,59 @@ mod tests {
         assert!(totals.floors > 0, "no session was held at a floor");
         assert!(totals.wakes > 0, "no floored session was woken");
         assert!(totals.expiries > 0, "no floor window ran to its end");
+    }
+
+    /// A session holds its solo trace only from admission to drain: once
+    /// either integrator returns, every session has drained and freed it,
+    /// under every shape and with clipped and unclipped drains alike.
+    #[test]
+    fn integrators_free_every_trace_by_the_end() {
+        for shape in TraceShape::ALL {
+            let mut config = FleetConfig::quick(5).with_load(6.0).with_shape(shape);
+            config.wan = Rate::from_gbps(40.0);
+            let sim = FleetSim::bundled(config).unwrap();
+            let plan = sim.plan();
+            for (engine, run) in [
+                ("incremental", sim.integrate(&plan)),
+                ("reference", sim.integrate_reference(&plan)),
+            ] {
+                assert!(
+                    run.states.iter().any(|st| st.clipped)
+                        && run.states.iter().any(|st| !st.clipped),
+                    "{shape}/{engine}: the cell must drain clipped and unclipped sessions"
+                );
+                for (i, st) in run.states.iter().enumerate() {
+                    assert!(st.done, "{shape}/{engine}: session {i} never drained");
+                    assert!(
+                        st.trace.is_none(),
+                        "{shape}/{engine}: session {i} still holds its trace"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The arrival lane trusts the plan's time order and says so loudly
+    /// when it breaks, instead of stepping the clock backwards.
+    #[test]
+    #[should_panic(
+        expected = "arrival lane out of order: session 1 arrives at 1s, before session 0 at 2s"
+    )]
+    fn an_arrival_plan_that_steps_back_in_time_panics() {
+        let sim = FleetSim::bundled(FleetConfig::quick(1)).unwrap();
+        let plan = [
+            Planned {
+                scenario_idx: 0,
+                arrival_s: 2.0,
+                trace_seed: 1,
+            },
+            Planned {
+                scenario_idx: 1,
+                arrival_s: 1.0,
+                trace_seed: 2,
+            },
+        ];
+        sim.integrate(&plan);
     }
 
     /// Satellite gate: the policy-specialized [`AdmissionQueue`] pops

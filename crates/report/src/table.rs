@@ -1,8 +1,8 @@
 //! Column-aligned text and markdown tables.
 
 /// A simple table builder: a header row plus data rows, rendered with
-/// aligned columns (for terminals) or as GitHub-flavored markdown (for
-/// EXPERIMENTS.md).
+/// aligned columns (for terminals) or as GitHub-flavored markdown (the
+/// `.md` artifacts under `results/`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Table {
     title: Option<String>,

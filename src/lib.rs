@@ -44,9 +44,9 @@
 //! ```
 //!
 //! Every table and figure of the paper regenerates via the binaries in
-//! `sss-bench` (`cargo run --release -p sss-bench --bin sweep_all`); see
-//! DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-//! results.
+//! `sss-bench` (`cargo run --release -p sss-bench --bin sweep_all`): one
+//! binary per artifact in `crates/bench/src/bin/`, each module doc naming
+//! what it reproduces, all writing under `results/`.
 
 pub use sss_core as core;
 pub use sss_exec as exec;

@@ -1,5 +1,5 @@
-//! Miniature reproductions of each figure's qualitative *shape* — the
-//! assertions EXPERIMENTS.md relies on, kept fast enough for CI.
+//! Miniature reproductions of each figure's qualitative *shape*, kept
+//! fast enough for CI.
 
 use stream_score::iosim::theta_estimate;
 use stream_score::prelude::*;

@@ -1,9 +1,10 @@
 //! End-to-end gates for the multi-tenant fleet simulator: CLI
 //! round-trips in every output format, byte-identity across worker
-//! counts and repeated seeds, the `--check` differential smoke against
-//! the counterpart movement integrator, the shared `--seed` flag-error
-//! contract, and the `POST /fleet` endpoint with its memoized body
-//! cache surfaced in `/healthz`.
+//! counts and repeated seeds, the bursty cell against its golden CSVs,
+//! the `--check` differential smoke against the counterpart movement
+//! integrator, the shared `--seed` flag-error contract, and the
+//! `POST /fleet` endpoint with its memoized body cache surfaced in
+//! `/healthz`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -93,6 +94,38 @@ fn fleet_csv_is_byte_identical_across_workers_and_reruns() {
             eight, again,
             "{shape}: same seed must reproduce the same bytes"
         );
+    }
+}
+
+/// The default bursty cell, byte for byte against committed output at
+/// both fidelities. Its 52 sessions hold 13 that are never clipped,
+/// whose movement replays the solo trace rebuilt from its seed, and 39
+/// clipped ones, whose movement replays their granted pieces.
+#[test]
+fn bursty_fleet_matches_the_golden_csv() {
+    for (fidelity, golden) in [
+        (
+            "fluid",
+            include_str!("golden/fleet_bursty_seed42_fluid.csv"),
+        ),
+        (
+            "exact",
+            include_str!("golden/fleet_bursty_seed42_exact.csv"),
+        ),
+    ] {
+        let (ok, csv, stderr) = run(&[
+            "fleet",
+            "--shape",
+            "bursty",
+            "--seed",
+            "42",
+            "--format",
+            "csv",
+            "--fidelity",
+            fidelity,
+        ]);
+        assert!(ok, "{stderr}");
+        assert_eq!(csv, golden, "{fidelity}");
     }
 }
 

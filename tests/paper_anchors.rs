@@ -2,7 +2,7 @@
 //!
 //! These are the fixed points of the reproduction: arithmetic identities
 //! (which must match exactly) and measured anchors (which must land in
-//! the right regime). EXPERIMENTS.md cites this file.
+//! the right regime).
 
 use stream_score::prelude::*;
 
