@@ -16,10 +16,15 @@
 //!   a frame that fits in the segment it starts in finishes at
 //!   `start + frame_bytes/rate`, with the quotient held per segment, and
 //!   only a frame that crosses a breakpoint walks segments;
-//! * file-based: the local writer's sequential program pays `metadata`
-//!   per file open and `max(ready_i, writer_free) + frame_bytes/write_bw`
-//!   per frame write; each file then takes the earliest-free DTN slot at
-//!   its close, and nothing flows from a delivery back to the writer.
+//! * file-based: the local writer is a FIFO server at the constant
+//!   `write_bw`, so it runs on the same kernel over a steady trace
+//!   ([`BandwidthTrace::steady`]): a file's open holds the writer
+//!   `metadata` seconds, then the file's frames are one send chain from
+//!   the instant the open completes, each write finishing at
+//!   `max(ready_i, writer_free) + frame_bytes/write_bw`, and the chain's
+//!   last instant closes the file. Each file then takes the earliest-free
+//!   DTN slot at its close, and nothing flows from a delivery back to the
+//!   writer.
 //!
 //! A discrete-event simulation of the same processes has to break ties
 //! between a production and a completion at the same instant; here each
@@ -85,6 +90,7 @@ impl EventStreamingPipeline {
         // The FIFO link sends each frame once it exists and the frame
         // before it is sent; a frame arrives half an RTT after its send.
         let link_free = self.trace.send_chain(
+            0.0,
             src.n_frames,
             src.frame_bytes.as_b(),
             self.wan.per_message_overhead.as_secs(),
@@ -144,26 +150,31 @@ impl EventFileBasedPipeline {
     pub(crate) fn run_with(&self, unit: impl FnMut(f64)) -> MovementResult {
         let src = &self.source;
         let local = &self.path.local;
-        let write_s = src.frame_bytes.as_b() / local.write_bw.as_bytes_per_sec();
+        let writer = BandwidthTrace::steady(local.write_bw);
         let metadata = local.metadata_latency.as_secs();
 
         // The writer's sequential program: open each file (charged from
         // t=0 for the first, before any frame exists), then write each of
-        // its frames once the frame exists and the writer is free. A file
-        // closes with its last write.
+        // its frames once the frame exists and the writer is free, as one
+        // send chain at the write bandwidth from the open's completion. A
+        // file closes with its last write.
         let mut writer_free = 0.0f64;
-        let mut frame = 0u32;
+        let mut first = 0u32;
         let mut closes = Vec::with_capacity(self.files as usize);
         for file in 0..self.files {
-            writer_free = instant(writer_free + metadata);
-            for _ in 0..src.frames_in_file(self.files, file) {
-                let ready = instant(src.frame_ready(frame).as_secs());
-                writer_free = instant(ready.max(writer_free) + write_s);
-                frame += 1;
-            }
+            let frames = src.frames_in_file(self.files, file);
+            writer_free = writer.send_chain(
+                writer_free + metadata,
+                frames,
+                src.frame_bytes.as_b(),
+                0.0,
+                |k| src.frame_ready(first + k).as_secs(),
+                |_| {},
+            );
+            first += frames;
             closes.push(writer_free);
         }
-        debug_assert_eq!(frame, src.n_frames);
+        debug_assert_eq!(first, src.n_frames);
         self.deliver(&closes, unit)
     }
 

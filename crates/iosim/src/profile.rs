@@ -16,10 +16,11 @@ pub struct PfsProfile {
 }
 
 impl PfsProfile {
-    /// Validate: positive bandwidths, non-negative latency.
+    /// Validate: positive finite bandwidths, non-negative latency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.write_bw.as_bytes_per_sec() <= 0.0 || self.read_bw.as_bytes_per_sec() <= 0.0 {
-            return Err("PFS bandwidths must be positive".into());
+        let positive_finite = |bw: Rate| bw.as_bytes_per_sec() > 0.0 && bw.is_finite();
+        if !(positive_finite(self.write_bw) && positive_finite(self.read_bw)) {
+            return Err("PFS bandwidths must be positive and finite".into());
         }
         if self.metadata_latency.is_sign_negative() {
             return Err("metadata latency must be non-negative".into());
@@ -179,6 +180,12 @@ mod tests {
         let mut p = presets::voyager_gpfs();
         p.write_bw = Rate::ZERO;
         assert!(p.validate().is_err());
+        // The file pipeline's writer is a trace at the write bandwidth,
+        // which must be a finite rate.
+        for bw in [f64::INFINITY, f64::NAN] {
+            p.write_bw = Rate::from_bytes_per_sec(bw);
+            assert!(p.validate().is_err(), "write bandwidth {bw}");
+        }
 
         let mut d = presets::globus_dtn();
         d.concurrency = 0;

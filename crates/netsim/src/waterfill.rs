@@ -41,6 +41,8 @@
 //! proptest below holds every [`WaterFiller`] grant to ≤ 1e-12 relative
 //! error against it across random cap sets and event schedules.
 
+use sss_sim::non_negative_finite;
+
 /// Handle to a flow registered with a [`WaterFiller`].
 ///
 /// Handles are slab indices: dense, copyable, and recycled after
@@ -108,7 +110,7 @@ impl WaterFiller {
     /// Panics on a negative or non-finite capacity.
     pub fn new(capacity: f64) -> Self {
         assert!(
-            capacity >= 0.0 && capacity.is_finite(),
+            non_negative_finite(capacity),
             "capacity must be finite and >= 0, got {capacity}"
         );
         WaterFiller {
@@ -183,7 +185,7 @@ impl WaterFiller {
     /// Panics on a negative or non-finite cap.
     pub fn insert(&mut self, cap: f64) -> WaterFlowId {
         assert!(
-            cap >= 0.0 && cap.is_finite(),
+            non_negative_finite(cap),
             "flow cap must be finite and >= 0, got {cap}"
         );
         let id = match self.free.pop() {
@@ -228,7 +230,7 @@ impl WaterFiller {
     /// Panics on a removed handle or an invalid cap.
     pub fn update(&mut self, id: WaterFlowId, cap: f64) {
         assert!(
-            cap >= 0.0 && cap.is_finite(),
+            non_negative_finite(cap),
             "flow cap must be finite and >= 0, got {cap}"
         );
         let i = id.0;

@@ -54,7 +54,7 @@ pub use fidelity::{
     FLUID_TOLERANCE_OUTAGE, FLUID_TOLERANCE_STEADY,
 };
 pub use queue::EventQueue;
-pub use time::{Seconds, SimTime};
+pub use time::{non_negative_finite, Seconds, SimTime};
 pub use trace::{BandwidthTrace, TraceShape};
 
 #[cfg(test)]

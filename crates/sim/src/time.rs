@@ -10,6 +10,9 @@
 //!   simulator computes with the exact `f64` arithmetic of its analytic
 //!   reference recurrences, so its event clock must not round times to a
 //!   grid; a total order over finite non-negative floats is enough.
+//!
+//! Both clocks, the bandwidth traces and the fleet's water-filler accept
+//! an instant or an amount through one predicate, [`non_negative_finite`].
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -56,7 +59,7 @@ impl SimTime {
     /// Panics on negative or non-finite input: simulated time starts at 0.
     pub fn from_secs(s: f64) -> Self {
         assert!(
-            s >= 0.0 && s.is_finite(),
+            non_negative_finite(s),
             "SimTime must be non-negative and finite, got {s}"
         );
         SimTime((s * 1e9).round() as u64)
@@ -93,7 +96,7 @@ impl SimTime {
     pub fn delta_to_nanos(d: TimeDelta) -> u64 {
         let s = d.as_secs();
         assert!(
-            s >= 0.0 && s.is_finite(),
+            non_negative_finite(s),
             "cannot schedule a negative/non-finite delay: {s}"
         );
         (s * 1e9).round() as u64
@@ -140,13 +143,35 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Whether `x` is a valid instant or amount: non-negative and finite.
+///
+/// Accepts exactly what `x >= 0.0 && x.is_finite()` accepts: both zeros
+/// and every finite positive value, but no negative value, infinity or
+/// NaN. It is written as a range test because that compiles to two
+/// floating-point compares, while rustc lowers the `is_finite` form to
+/// LLVM's `is.fpclass`, whose integer expansion costs about twenty
+/// instructions on every checked instant of a per-frame chain. The range
+/// form is also the one clippy's `manual_range_contains` asks for.
+///
+/// ```
+/// use sss_sim::non_negative_finite;
+///
+/// assert!(non_negative_finite(0.0) && non_negative_finite(f64::MAX));
+/// assert!(!non_negative_finite(-1.0) && !non_negative_finite(f64::INFINITY));
+/// assert!(!non_negative_finite(f64::NAN));
+/// ```
+#[inline]
+pub fn non_negative_finite(x: f64) -> bool {
+    (0.0..=f64::MAX).contains(&x)
+}
+
 /// A totally-ordered instant in fractional seconds.
 ///
 /// The order is `f64::total_cmp`, so any finite values compare exactly as
 /// their arithmetic does; the constructor rejects NaN (which would break
-/// the `Ord` contract) and negative times (simulation starts at 0).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+/// the `Ord` contract) and negative times (simulation starts at 0). There
+/// is no serde form: every `Seconds` comes through [`Seconds::new`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -160,7 +185,7 @@ impl Seconds {
     #[inline]
     pub fn new(s: f64) -> Self {
         assert!(
-            s >= 0.0 && s.is_finite(),
+            non_negative_finite(s),
             "Seconds must be non-negative and finite, got {s}"
         );
         Seconds(s)
@@ -265,6 +290,31 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(SimTime::from_millis(160).to_string(), "t=0.160000s");
+    }
+
+    /// The predicate's accept set, at the edges of each class: both
+    /// zeros, the smallest subnormal and normal, one and the largest
+    /// finite value pass; the negative subnormal, a negative value, both
+    /// infinities and NaN of either sign fail.
+    #[test]
+    fn non_negative_finite_accepts_exactly_the_finite_non_negatives() {
+        for (x, want) in [
+            (0.0, true),
+            (-0.0, true),
+            (5e-324, true),
+            (f64::MIN_POSITIVE, true),
+            (1.0, true),
+            (f64::MAX, true),
+            (-5e-324, false),
+            (-1.0, false),
+            (f64::INFINITY, false),
+            (f64::NEG_INFINITY, false),
+            (f64::NAN, false),
+            (-f64::NAN, false),
+        ] {
+            assert_eq!(non_negative_finite(x), want, "{x:e}");
+            assert_eq!(x >= 0.0 && x.is_finite(), want, "{x:e}: the long form");
+        }
     }
 
     #[test]

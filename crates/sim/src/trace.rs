@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 use sss_units::Rate;
 
-use crate::time::Seconds;
+use crate::time::{non_negative_finite, Seconds};
 
 /// A piecewise-constant bandwidth profile over simulated time.
 ///
@@ -106,7 +106,9 @@ impl BandwidthTrace {
             ));
         }
         for w in segments.windows(2) {
-            if !(w[1].0.is_finite() && w[1].0 > w[0].0) {
+            // Starts increase from 0, so a start that passes the `>` test
+            // is non-negative: the predicate adds only finiteness.
+            if !(non_negative_finite(w[1].0) && w[1].0 > w[0].0) {
                 return Err(format!(
                     "segment starts must be finite and strictly increasing ({} then {})",
                     w[0].0, w[1].0
@@ -115,7 +117,7 @@ impl BandwidthTrace {
         }
         for (start, rate) in segments {
             let r = rate.as_bytes_per_sec();
-            if !(r.is_finite() && r >= 0.0) {
+            if !non_negative_finite(r) {
                 return Err(format!(
                     "rate at t={start} must be finite and >= 0, got {r}"
                 ));
@@ -315,21 +317,27 @@ impl BandwidthTrace {
         self.capped_finish_time(start_s, bytes, 1.0, f64::INFINITY)
     }
 
-    /// A FIFO link's chain of `sends` transfers of `bytes` each. Send `i`
-    /// starts once it is ready and the send before it has freed the link,
-    /// and holds the link `overhead` seconds past its last byte:
+    /// A FIFO link's chain of `sends` transfers of `bytes` each; the link
+    /// is first free at `free`. Send `i` starts once it is ready and the
+    /// send before it has freed the link, and holds the link `overhead`
+    /// seconds past its last byte:
     ///
     /// `start_i = max(ready(i), free_{i-1})`,
-    /// `free_i = finish_time(start_i, bytes) + overhead`, `free_{-1} = 0`.
+    /// `free_i = finish_time(start_i, bytes) + overhead`, `free_{-1} = free`.
     ///
     /// `sent` sees every free instant in send order; the return value is
-    /// the last one (0 for no sends). Each finish is the
+    /// the last one (`free` for no sends). Each finish is the
     /// `f64` that [`BandwidthTrace::finish_time`] returns. Starts never
     /// decrease, so the chain keeps the segment of the latest start in
     /// locals and steps forward through the breakpoints instead of
     /// binary-searching: a send that fits in that segment finishes at
     /// `start + bytes/rate`, and only a send that crosses a breakpoint
     /// integrates segment by segment.
+    ///
+    /// The WAN link starts free at 0. A constant-rate server that is busy
+    /// before its first send, such as a file writer that must open the
+    /// file first, is a chain on [`BandwidthTrace::steady`] from the
+    /// instant it frees up.
     ///
     /// ```
     /// use sss_sim::BandwidthTrace;
@@ -344,17 +352,23 @@ impl BandwidthTrace {
     /// // Two 1.5 GB sends, both ready at t=0: the second one waits for
     /// // the link, then for the outage.
     /// let mut free = Vec::new();
-    /// let last = t.send_chain(2, 1.5e9, 0.0, |_| 0.0, |f| free.push(f));
+    /// let last = t.send_chain(0.0, 2, 1.5e9, 0.0, |_| 0.0, |f| free.push(f));
     /// assert_eq!(free, [1.5, 5.0]);
     /// assert_eq!(last, t.finish_time(1.5, 1.5e9));
+    ///
+    /// // The same sends on a link that is busy until t=1: the first one
+    /// // moves 1 GB before the outage and the rest from t=4.
+    /// let last = t.send_chain(1.0, 2, 1.5e9, 0.0, |_| 0.0, |_| {});
+    /// assert_eq!(last, 6.0);
     /// ```
     ///
     /// # Panics
-    /// Panics on a negative or non-finite ready or free instant or
-    /// `bytes`, and when a start falls before the segment the chain has
-    /// reached (a negative `overhead` can rewind it).
+    /// Panics on a negative or non-finite first-free, ready or free
+    /// instant or `bytes`, and when a start falls before the segment the
+    /// chain has reached (a negative `overhead` can rewind it).
     pub fn send_chain(
         &self,
+        free: f64,
         sends: u32,
         bytes: f64,
         overhead: f64,
@@ -370,9 +384,12 @@ impl BandwidthTrace {
         };
         let mut seg = 0;
         let (mut seg_start, mut end, mut rate, mut per_send) = segment(seg);
-        let mut free = 0.0f64;
+        let mut free = Seconds::new(free).value();
         for i in 0..sends {
-            let start = Seconds::new(ready(i)).value().max(free);
+            // Both instants are checked, so one compare is their maximum:
+            // `f64::max` would put its NaN handling on the chain.
+            let ready_i = Seconds::new(ready(i)).value();
+            let start = if ready_i > free { ready_i } else { free };
             check_transfer(start, bytes);
             assert!(
                 seg_start <= start,
@@ -479,11 +496,11 @@ impl BandwidthTrace {
         cap: f64,
     ) -> f64 {
         assert!(
-            arrival_start_s >= 0.0 && arrival_start_s.is_finite(),
+            non_negative_finite(arrival_start_s),
             "arrival start must be non-negative and finite, got {arrival_start_s}"
         );
         assert!(
-            total_bytes >= 0.0 && total_bytes.is_finite(),
+            non_negative_finite(total_bytes),
             "bytes must be non-negative and finite, got {total_bytes}"
         );
         assert!(
@@ -590,7 +607,7 @@ impl BandwidthTrace {
     pub fn mapped_rates(&self, f: impl Fn(f64) -> f64) -> Result<Self, String> {
         let rates_bps: Vec<f64> = self.rates_bps.iter().map(|&r| f(r)).collect();
         for (start, r) in self.starts_s.iter().zip(&rates_bps) {
-            if !(r.is_finite() && *r >= 0.0) {
+            if !non_negative_finite(*r) {
                 return Err(format!(
                     "mapped rate at t={start} must be finite and >= 0, got {r}"
                 ));
@@ -652,11 +669,11 @@ pub enum TraceShape {
 #[inline(always)]
 fn check_transfer(start_s: f64, bytes: f64) {
     assert!(
-        start_s >= 0.0 && start_s.is_finite(),
+        non_negative_finite(start_s),
         "start must be non-negative and finite, got {start_s}"
     );
     assert!(
-        bytes >= 0.0 && bytes.is_finite(),
+        non_negative_finite(bytes),
         "bytes must be non-negative and finite, got {bytes}"
     );
 }
@@ -951,15 +968,16 @@ mod tests {
         assert_eq!(t.finish_time(7.5, 0.0), 7.5);
     }
 
-    /// The send chain written out with one `finish_time` per send: every
-    /// free instant of the chain, in send order.
+    /// The send chain written out with one `finish_time` per send from a
+    /// link first free at `free`: every free instant of the chain, in
+    /// send order.
     fn step_by_step(
         trace: &BandwidthTrace,
+        mut free: f64,
         readies: &[f64],
         bytes: f64,
         overhead: f64,
     ) -> Vec<f64> {
-        let mut free = 0.0f64;
         readies
             .iter()
             .map(|&ready| {
@@ -977,6 +995,7 @@ mod tests {
     /// The send chain's free instants, and the instant it returns.
     fn chained(
         trace: &BandwidthTrace,
+        free: f64,
         readies: &[f64],
         bytes: f64,
         overhead: f64,
@@ -984,6 +1003,7 @@ mod tests {
         let mut frees = Vec::with_capacity(readies.len());
         let sends = u32::try_from(readies.len()).unwrap();
         let last = trace.send_chain(
+            free,
             sends,
             bytes,
             overhead,
@@ -1000,9 +1020,10 @@ mod tests {
         /// on every bundled shape and on random traces with zero-rate
         /// segments; under burst readies (the link never idles),
         /// arrival-gated readies (it idles between sends) and readies on
-        /// the breakpoints themselves; with sends that exactly fill the
-        /// segment they start on, zero-byte sends, and with or without a
-        /// per-send overhead.
+        /// the breakpoints themselves; from a link first free at 0, on a
+        /// breakpoint or anywhere up to past the last one; with sends that
+        /// exactly fill the segment they start on, zero-byte sends, and
+        /// with or without a per-send overhead.
         #[test]
         fn the_send_chain_replays_finish_time_bit_for_bit(
             trace_pick in 0usize..=TraceShape::ALL.len(),
@@ -1017,6 +1038,8 @@ mod tests {
             size in 0.0f64..1.0,
             fill_pick in any::<usize>(),
             with_overhead in any::<bool>(),
+            free_pick in 0u32..3,
+            free_at in 0.0f64..1.5,
         ) {
             let trace = match trace_pick {
                 0 => {
@@ -1056,9 +1079,14 @@ mod tests {
                 _ => (0.01 + size) * unit * 1e9,
             };
             let overhead = if with_overhead { 0.1 * unit } else { 0.0 };
+            let free = match free_pick {
+                0 => 0.0,
+                1 => trace.starts_s[fill_pick % trace.starts_s.len()],
+                _ => free_at * 64.0 * unit,
+            };
 
-            let want = step_by_step(&trace, &readies, bytes, overhead);
-            let (got, last) = chained(&trace, &readies, bytes, overhead);
+            let want = step_by_step(&trace, free, &readies, bytes, overhead);
+            let (got, last) = chained(&trace, free, &readies, bytes, overhead);
             prop_assert_eq!(bits(&got), bits(&want), "{} bytes", bytes);
             prop_assert_eq!(last.to_bits(), want.last().unwrap().to_bits());
         }
@@ -1082,8 +1110,8 @@ mod tests {
             (1.0e9, vec![0.0, 0.0, 2.0, 2.0, 4.5]),
             (2.0e9 + 1.0, vec![0.0, 0.0, 6.0]),
         ] {
-            let (got, last) = chained(&t, &readies, bytes, 0.0);
-            let want = step_by_step(&t, &readies, bytes, 0.0);
+            let (got, last) = chained(&t, 0.0, &readies, bytes, 0.0);
+            let want = step_by_step(&t, 0.0, &readies, bytes, 0.0);
             assert_eq!(bits(&got), bits(&want), "{bytes} B");
             assert_eq!(last.to_bits(), got.last().unwrap().to_bits());
         }
@@ -1091,7 +1119,7 @@ mod tests {
         // [2, 6) at 0.5 GB/s; the third send waits out the outage and
         // moves at 2 GB/s from t=7.
         assert_eq!(
-            chained(&t, &[0.0, 2.0, 6.0, 7.0], 2.0e9, 0.0).0,
+            chained(&t, 0.0, &[0.0, 2.0, 6.0, 7.0], 2.0e9, 0.0).0,
             [2.0, 6.0, 8.0, 9.0]
         );
     }
@@ -1099,7 +1127,7 @@ mod tests {
     #[test]
     fn an_empty_chain_leaves_the_link_free_at_zero() {
         let t = BandwidthTrace::steady(gbs(1.0));
-        assert_eq!(chained(&t, &[], 1.0e9, 0.5), (vec![], 0.0));
+        assert_eq!(chained(&t, 0.0, &[], 1.0e9, 0.5), (vec![], 0.0));
     }
 
     #[test]
@@ -1109,13 +1137,27 @@ mod tests {
         // The first send starts at t=3, on the second segment, and frees
         // the link at 5 - 4 = 1: the second send would start before the
         // segment the chain has reached.
-        chained(&t, &[3.0, 0.0], 1.0e9, -4.0);
+        chained(&t, 0.0, &[3.0, 0.0], 1.0e9, -4.0);
     }
 
     #[test]
     #[should_panic(expected = "Seconds must be non-negative and finite")]
     fn a_ready_instant_that_is_not_a_time_fails_loudly() {
-        chained(&BandwidthTrace::steady(gbs(1.0)), &[f64::NAN], 1.0e9, 0.0);
+        chained(
+            &BandwidthTrace::steady(gbs(1.0)),
+            0.0,
+            &[f64::NAN],
+            1.0e9,
+            0.0,
+        );
+    }
+
+    /// The first-free instant is checked like every other instant, even
+    /// for a chain with no sends.
+    #[test]
+    #[should_panic(expected = "Seconds must be non-negative and finite")]
+    fn a_first_free_instant_that_is_not_a_time_fails_loudly() {
+        chained(&BandwidthTrace::steady(gbs(1.0)), f64::NAN, &[], 1.0e9, 0.0);
     }
 
     #[test]
