@@ -3,9 +3,9 @@
 //! The case study reads worst-case transfer times off Figure 2(a) at the
 //! workload's utilization (64% → 1.2 s, 96% → 6 s). [`CongestionCurve`]
 //! does that interpolation from any set of measurements. The queueing-
-//! theoretic references ([`MM1Reference`], [`MG1Reference`]) provide the
-//! closed-form baselines the paper's future work points at ("extend the
-//! model to incorporate concurrency, queuing effects").
+//! theoretic reference [`MM1Reference`] provides the closed-form baseline
+//! the paper's future work points at ("extend the model to incorporate
+//! concurrency, queuing effects").
 
 use serde::{Deserialize, Serialize};
 use sss_units::Ratio;
@@ -120,15 +120,6 @@ impl CongestionCurve {
         &self.points
     }
 
-    /// Fit the smooth growth law `SSS(u) = a·e^(b·u)` to the measured
-    /// points (log-space least squares). Congested worst-case curves are
-    /// approximately exponential below saturation, so this gives the
-    /// model a differentiable stand-in for the raw measurements; `None`
-    /// when the fit degenerates.
-    pub fn exponential_fit(&self) -> Option<sss_stats::ExponentialFit> {
-        sss_stats::ExponentialFit::fit(&self.points)
-    }
-
     /// Interpolated SSS at a utilization. Clamps below the first point;
     /// extrapolates linearly beyond the last (congestion keeps growing),
     /// never returning less than 1.
@@ -170,31 +161,6 @@ impl MM1Reference {
             1.0
         } else {
             1.0 / (1.0 - rho)
-        }
-    }
-}
-
-/// M/G/1 mean waiting time via Pollaczek–Khinchine, expressed as a
-/// response-time inflation factor:
-/// `1 + ρ(1 + c_v²) / (2(1 − ρ))`, with `c_v²` the squared coefficient
-/// of variation of service times. Burstier service (`c_v² > 1`, e.g.
-/// mixed large/small transfers) inflates delays beyond M/M/1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MG1Reference {
-    /// Squared coefficient of variation of the service-time distribution
-    /// (1 = exponential; 0 = deterministic).
-    pub cv2: f64,
-}
-
-impl MG1Reference {
-    /// Mean response-time inflation factor at utilization `rho`.
-    pub fn inflation(&self, rho: f64) -> f64 {
-        if rho >= 1.0 {
-            f64::INFINITY
-        } else if rho <= 0.0 {
-            1.0
-        } else {
-            1.0 + rho * (1.0 + self.cv2) / (2.0 * (1.0 - rho))
         }
     }
 }
@@ -249,19 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_fit_tracks_growth() {
-        let c = curve();
-        let f = c.exponential_fit().unwrap();
-        assert!(f.b > 0.0, "SSS must grow with utilization");
-        // The fit should be within a factor ~2 of the measured interior
-        // points (it is a smooth law over jumpy worst-case data).
-        for (u, s) in c.points() {
-            let ratio = f.at(*u) / s;
-            assert!((0.4..2.5).contains(&ratio), "fit off at u={u}: {ratio}");
-        }
-    }
-
-    #[test]
     fn mm1_blows_up_at_saturation() {
         let q = MM1Reference;
         assert_eq!(q.inflation(0.0), 1.0);
@@ -300,63 +253,6 @@ mod tests {
         // At and beyond saturation the queue is unstable: infinite mean.
         assert_eq!(q.inflation(1.0), f64::INFINITY);
         assert_eq!(q.inflation(1.5), f64::INFINITY);
-    }
-
-    #[test]
-    fn mg1_asymptote_at_zero_load() {
-        for cv2 in [0.0, 1.0, 4.0, 25.0] {
-            let q = MG1Reference { cv2 };
-            // Waiting vanishes as ρ → 0 regardless of service variance.
-            assert!((q.inflation(1e-12) - 1.0).abs() < 1e-9, "cv2 {cv2}");
-            assert_eq!(q.inflation(0.0), 1.0);
-            assert_eq!(q.inflation(-1.0), 1.0);
-        }
-    }
-
-    #[test]
-    fn mg1_asymptote_at_saturation_scales_with_variance() {
-        // Pollaczek–Khinchine: as ρ → 1 the M/G/1 inflation approaches
-        // (1 + c_v²)/2 times the M/M/1 one — burstiness multiplies the
-        // blow-up but never prevents it.
-        let mm1 = MM1Reference;
-        for cv2 in [0.0, 1.0, 4.0] {
-            let q = MG1Reference { cv2 };
-            let rho = 1.0 - 1e-9;
-            let ratio = q.inflation(rho) / mm1.inflation(rho);
-            assert!(
-                (ratio - (1.0 + cv2) / 2.0).abs() < 1e-6,
-                "cv2 {cv2}: ratio {ratio}"
-            );
-            assert_eq!(q.inflation(1.0), f64::INFINITY);
-            assert_eq!(q.inflation(2.0), f64::INFINITY);
-        }
-    }
-
-    #[test]
-    fn mg1_matches_mm1_for_exponential() {
-        let mm1 = MM1Reference;
-        let mg1 = MG1Reference { cv2: 1.0 };
-        for rho in [0.1, 0.5, 0.9] {
-            assert!((mg1.inflation(rho) - mm1.inflation(rho)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn deterministic_service_halves_waiting() {
-        let det = MG1Reference { cv2: 0.0 };
-        let exp = MG1Reference { cv2: 1.0 };
-        // P-K: deterministic waiting is half of exponential waiting.
-        let rho = 0.8f64;
-        let det_wait = det.inflation(rho) - 1.0;
-        let exp_wait = exp.inflation(rho) - 1.0;
-        assert!((det_wait * 2.0 - exp_wait).abs() < 1e-12);
-    }
-
-    #[test]
-    fn burstier_service_waits_longer() {
-        let bursty = MG1Reference { cv2: 4.0 };
-        let exp = MG1Reference { cv2: 1.0 };
-        assert!(bursty.inflation(0.7) > exp.inflation(0.7));
     }
 
     // --- Curve1D ---

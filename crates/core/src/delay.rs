@@ -40,12 +40,6 @@ impl DelayDecomposition {
     pub fn total(&self) -> TimeDelta {
         self.d_proc + self.d_queue + self.d_trans + self.d_prop
     }
-
-    /// Fraction of the total contributed by queueing — the term the
-    /// continuum approximation discards.
-    pub fn queueing_share(&self) -> f64 {
-        self.d_queue.as_secs() / self.total().as_secs()
-    }
 }
 
 /// Eq. 2 — `d_continuum ≈ d_prop`: the approximation under critique.
@@ -72,11 +66,6 @@ impl ContinuumApproximation {
     pub fn relative_error(&self, observed: TimeDelta) -> f64 {
         (observed.as_secs() - self.d_prop.as_secs()) / observed.as_secs()
     }
-
-    /// Absolute underestimation against an observed delay.
-    pub fn underestimate(&self, observed: TimeDelta) -> TimeDelta {
-        observed - self.d_prop
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +81,6 @@ mod tests {
             d_prop: TimeDelta::from_millis(8.0),
         };
         assert!((d.total().as_millis() - 173.01).abs() < 1e-9);
-        assert!((d.queueing_share() - 5.0 / 173.01).abs() < 1e-9);
     }
 
     #[test]
@@ -115,6 +103,5 @@ mod tests {
         let congested = approx.relative_error(TimeDelta::from_secs(5.0));
         assert!(calm < 0.25);
         assert!(congested > 0.99);
-        assert!((approx.underestimate(TimeDelta::from_secs(5.0)).as_secs() - 4.992).abs() < 1e-9);
     }
 }

@@ -20,8 +20,8 @@
 //! * [`delay`] — the Kurose–Ross delay decomposition (Eq. 1) and the
 //!   "computing continuum" approximation (Eq. 2) the paper critiques.
 //! * [`congestion`] — utilization → worst-case-inflation curves: empirical
-//!   interpolation from measurements plus M/M/1 and M/G/1 references
-//!   (the paper's announced future work on queueing effects).
+//!   interpolation from measurements plus an M/M/1 reference (the
+//!   paper's announced future work on queueing effects).
 //! * [`montecarlo`] — `T_pct` under stochastic transfer efficiency
 //!   (the announced future work on variability).
 //! * [`scenario`] — named facility workloads: LCLS-II (Table 3), APS,
@@ -69,7 +69,7 @@ pub mod sensitivity;
 pub mod sss;
 pub mod tiers;
 
-pub use congestion::{CongestionCurve, Curve1D, MG1Reference, MM1Reference};
+pub use congestion::{CongestionCurve, Curve1D, MM1Reference};
 pub use contention::{contended_decision, ContentionSummary};
 pub use decision::{decide, decide_batch, BreakEven, Decision, DecisionReport, RegimeMap};
 pub use delay::{ContinuumApproximation, DelayDecomposition};

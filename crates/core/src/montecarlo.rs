@@ -112,20 +112,6 @@ pub struct MonteCarloOutcome {
 }
 
 impl MonteCarloOutcome {
-    /// Probability that `T_pct` meets a completion-time budget.
-    ///
-    /// Budgets below the fastest draw return 0, budgets at or above the
-    /// slowest return 1, and an outcome with no samples returns 0 (no
-    /// evidence the budget is ever met) rather than `NaN`.
-    pub fn prob_within(&self, budget: TimeDelta) -> f64 {
-        let n = self.t_pct_s.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let b = budget.as_secs();
-        self.t_pct_s.partition_point(|t| *t <= b) as f64 / n as f64
-    }
-
     /// Run the study: draw α `n` times, evaluate `T_pct` for each.
     ///
     /// Returns `None` when `n == 0` or the distribution is invalid.
@@ -223,50 +209,6 @@ mod tests {
         let a = MonteCarloOutcome::run(&params(), d, 500, 42).unwrap();
         let b = MonteCarloOutcome::run(&params(), d, 500, 42).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn prob_within_budget() {
-        let out = MonteCarloOutcome::run(
-            &params(),
-            TransferEfficiencyDistribution::Uniform { lo: 0.5, hi: 1.0 },
-            2000,
-            3,
-        )
-        .unwrap();
-        assert_eq!(out.prob_within(TimeDelta::from_secs(1000.0)), 1.0);
-        assert_eq!(out.prob_within(TimeDelta::ZERO), 0.0);
-        let p_med = out.prob_within(out.p50);
-        assert!((p_med - 0.5).abs() < 0.05, "median prob {p_med}");
-    }
-
-    #[test]
-    fn prob_within_edges() {
-        let out = MonteCarloOutcome::run(
-            &params(),
-            TransferEfficiencyDistribution::Uniform { lo: 0.5, hi: 1.0 },
-            100,
-            9,
-        )
-        .unwrap();
-        // Budget strictly below the fastest draw: never met.
-        let min = out.t_pct_s[0];
-        assert_eq!(out.prob_within(TimeDelta::from_secs(min - 1e-9)), 0.0);
-        // Budget exactly at the slowest draw (inclusive): always met.
-        assert_eq!(out.prob_within(out.max), 1.0);
-        assert_eq!(out.prob_within(TimeDelta::from_secs(f64::INFINITY)), 1.0);
-        // A degenerate outcome with no samples reports 0, not NaN.
-        let empty = MonteCarloOutcome {
-            samples: 0,
-            mean: TimeDelta::ZERO,
-            p50: TimeDelta::ZERO,
-            p90: TimeDelta::ZERO,
-            p99: TimeDelta::ZERO,
-            max: TimeDelta::ZERO,
-            prob_remote_wins: 0.0,
-            t_pct_s: Vec::new(),
-        };
-        assert_eq!(empty.prob_within(TimeDelta::from_secs(1.0)), 0.0);
     }
 
     #[test]

@@ -66,14 +66,6 @@ impl StreamingSpeedScore {
     pub fn score(&self) -> Ratio {
         self.t_worst / self.t_theoretical
     }
-
-    /// Predict the worst-case transfer time of a *different* volume over
-    /// the same (congested) path, assuming the inflation factor carries
-    /// over — the extrapolation the case study performs on Figure 2(a)'s
-    /// measurements.
-    pub fn predict_worst(&self, size: Bytes, link: Rate) -> TimeDelta {
-        (size / link) * self.score()
-    }
 }
 
 #[cfg(test)]
@@ -112,21 +104,5 @@ mod tests {
         .is_none());
         assert!(StreamingSpeedScore::new(TimeDelta::from_secs(1.0), TimeDelta::ZERO).is_none());
         assert!(StreamingSpeedScore::new(TimeDelta::INFINITY, TimeDelta::from_secs(1.0)).is_none());
-    }
-
-    #[test]
-    fn case_study_extrapolation() {
-        // The case study extrapolates Figure 2(a) to 2 GB at 64%
-        // utilization: worst-case 1.2 s. That corresponds to a score of
-        // 1.2 / 0.64 = 1.875 carried over from the 0.5 GB measurements.
-        let measured = StreamingSpeedScore::from_measurement(
-            TimeDelta::from_secs(0.3),
-            Bytes::from_gb(0.5),
-            Rate::from_gbps(25.0),
-        )
-        .unwrap();
-        let predicted = measured.predict_worst(Bytes::from_gb(2.0), Rate::from_gbps(25.0));
-        // Same inflation on 4× the data = 4× the worst case.
-        assert!((predicted.as_secs() - 1.2).abs() < 1e-9);
     }
 }

@@ -8,7 +8,7 @@
 //! RNG seeds per item so the assignment of items to threads cannot change
 //! any outcome.
 //!
-//! Built directly on `crossbeam` channels and `std::thread::scope` rather
+//! Built directly on `std::thread::scope` and an atomic work counter rather
 //! than a work-stealing framework: the workloads are coarse (whole
 //! simulations, milliseconds to seconds each), so a simple shared-queue
 //! pool is optimal and the scheduling stays easy to reason about.
@@ -27,7 +27,7 @@ pub mod poll;
 mod pool;
 mod seed;
 
-pub use pool::{par_chunks_map, par_for_each, par_map, ThreadPool};
+pub use pool::{par_map, ThreadPool};
 pub use seed::SeedSequence;
 
 #[cfg(test)]
@@ -57,15 +57,6 @@ mod proptests {
                 prop_assert_eq!(a.seed(i), b.seed(i));
                 prop_assert!(seen.insert(a.seed(i)), "collision at index {}", i);
             }
-        }
-
-        /// Chunked map covers every element exactly once, in order.
-        #[test]
-        fn chunks_cover_all(xs in proptest::collection::vec(any::<u32>(), 0..100),
-                            workers in 1usize..6, chunk in 1usize..17) {
-            let out = par_chunks_map(workers, &xs, chunk, |c| c.to_vec());
-            let flat: Vec<u32> = out.into_iter().flatten().collect();
-            prop_assert_eq!(flat, xs);
         }
     }
 }

@@ -3,7 +3,6 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 
 /// A scoped thread pool over a shared work queue.
@@ -96,73 +95,6 @@ impl ThreadPool {
             .map(|s| s.take().expect("worker left a result slot empty"))
             .collect()
     }
-
-    /// Parallel for-each without collecting results.
-    pub fn for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        let _ = self.map(items, |t| {
-            f(t);
-        });
-    }
-
-    /// Run a set of independent closures, returning their results in order.
-    /// Useful when the tasks are heterogeneous rather than a map over data.
-    pub fn join_all<R, F>(&self, tasks: Vec<F>) -> Vec<R>
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
-        // Wrap each FnOnce in an Option so the shared-queue workers can take
-        // them through a channel.
-        let (tx, rx) = channel::unbounded::<(usize, F)>();
-        for (i, t) in tasks.into_iter().enumerate() {
-            tx.send((i, t)).expect("queue send");
-        }
-        drop(tx);
-
-        let n = rx.len();
-        let workers = self.workers.min(n).max(1);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(&mut slots);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            let slots = &slots;
-            let panic_payload = &panic_payload;
-            for _ in 0..workers {
-                let rx = rx.clone();
-                scope.spawn(move || {
-                    for (i, task) in rx.iter() {
-                        match catch_unwind(AssertUnwindSafe(task)) {
-                            Ok(r) => {
-                                slots.lock()[i] = Some(r);
-                            }
-                            Err(p) => {
-                                *panic_payload.lock() = Some(p);
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some(p) = panic_payload.into_inner() {
-            resume_unwind(p);
-        }
-        slots
-            .into_inner()
-            .iter_mut()
-            .map(|s| s.take().expect("task left a result slot empty"))
-            .collect()
-    }
 }
 
 /// Order-preserving parallel map with `workers` threads.
@@ -177,34 +109,9 @@ where
     ThreadPool::new(workers).map(items, f)
 }
 
-/// Parallel for-each with `workers` threads.
-pub fn par_for_each<T, F>(workers: usize, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    ThreadPool::new(workers).for_each(items, f)
-}
-
-/// Parallel map over fixed-size chunks of a slice, preserving chunk order.
-///
-/// Use when per-item work is too small to amortize queue traffic; `chunk`
-/// is the number of items per task.
-pub fn par_chunks_map<T, R, F>(workers: usize, items: &[T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-    ThreadPool::new(workers).map(&chunks, |c| f(c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn empty_input() {
@@ -249,58 +156,6 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn for_each_visits_everything() {
-        let xs: Vec<u64> = (0..500).collect();
-        let sum = AtomicU64::new(0);
-        par_for_each(4, &xs, |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 500 * 499 / 2);
-    }
-
-    #[test]
-    fn join_all_ordered() {
-        let pool = ThreadPool::new(4);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..10usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = pool.join_all(tasks);
-        assert_eq!(out, (0..10usize).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_all_empty() {
-        let pool = ThreadPool::new(2);
-        let out: Vec<u8> = pool.join_all(Vec::<Box<dyn FnOnce() -> u8 + Send>>::new());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "task panic")]
-    fn join_all_propagates_panic() {
-        let pool = ThreadPool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| -> usize { panic!("task panic") }),
-            Box::new(|| 3),
-        ];
-        let _ = pool.join_all(tasks);
-    }
-
-    #[test]
-    fn chunked_map() {
-        let xs: Vec<u32> = (0..10).collect();
-        let sums = par_chunks_map(3, &xs, 4, |c| c.iter().sum::<u32>());
-        assert_eq!(sums, vec![6, 22, 17]);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        let _ = par_chunks_map(2, &[1, 2, 3], 0, |c| c.len());
     }
 
     #[test]

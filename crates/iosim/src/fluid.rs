@@ -11,21 +11,18 @@
 //!   generation rate from the first frame's production instant and
 //!   drains it through
 //!   [`BandwidthTrace::fluid_completion`](sss_sim::BandwidthTrace::fluid_completion).
-//!   Whenever
-//!   the source outpaces the link's peak rate (the link never starves —
-//!   true for every replay cell, whose frames burst at nanosecond
-//!   cadence) the fluid answer *is* the exact answer up to
-//!   floating-point re-association; elsewhere the linearized arrivals
-//!   are off by at most one frame period plus one frame's wire time.
-//!   [`EventStreamingPipeline::fluid_is_exact`] tests the tight case,
-//!   and [`Fidelity::Hybrid`] falls back to the frame-level simulator
-//!   outside it.
+//!   Whenever the source outpaces the link's peak rate and there is no
+//!   per-message overhead, the link never starves and the fluid answer
+//!   *is* the exact answer up to floating-point re-association. Every
+//!   replay cell and fleet session meets that condition: their frames
+//!   burst at nanosecond cadence over a zero-overhead WAN. Elsewhere the
+//!   linearized arrivals are off by at most one frame period plus one
+//!   frame's wire time.
 //! * **File-based** is exact in *every* regime: the local writer's
 //!   busy-until recurrence has a closed form (the maximum of a linear
 //!   function over the frames of a file, attained at an endpoint), and
 //!   the DTN stage, which moves whole files through the closed-form
-//!   traced integrator, is the exact pipeline's own. Hybrid therefore
-//!   never falls back on the file path.
+//!   traced integrator, is the exact pipeline's own.
 //!
 //! The differential proptest suite at the bottom of this module and the
 //! catalog-wide harness in `tests/fidelity_parity.rs` hold both paths to
@@ -37,19 +34,6 @@ use crate::event::{EventFileBasedPipeline, EventStreamingPipeline};
 use crate::pipeline::MovementResult;
 
 impl EventStreamingPipeline {
-    /// Whether the fluid fast path is provably exact for this pipeline:
-    /// the source generates at or above the trace's peak rate (the link
-    /// never starves, so the fluid integral equals the per-frame chain)
-    /// and there is no per-message overhead to linearize.
-    ///
-    /// This is the condition [`Fidelity::Hybrid`] consults before taking
-    /// the fluid path; see the module docs for the error bound outside
-    /// it.
-    pub fn fluid_is_exact(&self) -> bool {
-        self.source.generation_rate().as_bytes_per_sec() >= self.trace.max_rate()
-            && self.wan.per_message_overhead.as_secs() <= 0.0
-    }
-
     /// Run the streaming movement on the fluid fast path.
     ///
     /// Per-message overhead is folded into an effective per-segment rate
@@ -92,20 +76,11 @@ impl EventStreamingPipeline {
 
     /// Run at the requested fidelity: `Exact` is
     /// [`EventStreamingPipeline::run`], `Fluid` is
-    /// [`EventStreamingPipeline::run_fluid`], and `Hybrid` takes the
-    /// fluid path only when [`EventStreamingPipeline::fluid_is_exact`]
-    /// holds.
+    /// [`EventStreamingPipeline::run_fluid`].
     pub fn run_fidelity(&self, fidelity: Fidelity) -> MovementResult {
         match fidelity {
             Fidelity::Exact => self.run(),
             Fidelity::Fluid => self.run_fluid(),
-            Fidelity::Hybrid => {
-                if self.fluid_is_exact() {
-                    self.run_fluid()
-                } else {
-                    self.run()
-                }
-            }
         }
     }
 }
@@ -159,13 +134,27 @@ impl EventFileBasedPipeline {
         self.deliver(&file_ready, unit)
     }
 
-    /// Run at the requested fidelity. The fluid file path is exact, so
-    /// `Hybrid` never falls back to the per-frame pipeline here.
+    /// Run at the requested fidelity: `Exact` is
+    /// [`EventFileBasedPipeline::run`], `Fluid` is
+    /// [`EventFileBasedPipeline::run_fluid`].
     pub fn run_fidelity(&self, fidelity: Fidelity) -> MovementResult {
         match fidelity {
             Fidelity::Exact => self.run(),
-            Fidelity::Fluid | Fidelity::Hybrid => self.run_fluid(),
+            Fidelity::Fluid => self.run_fluid(),
         }
+    }
+}
+
+#[cfg(test)]
+impl EventStreamingPipeline {
+    /// Whether the fluid fast path is provably exact for this pipeline:
+    /// the source generates at or above the trace's peak rate (the link
+    /// never starves, so the fluid integral equals the per-frame chain)
+    /// and there is no per-message overhead to linearize. See the module
+    /// docs for the error bound outside it.
+    pub(crate) fn fluid_is_exact(&self) -> bool {
+        self.source.generation_rate().as_bytes_per_sec() >= self.trace.max_rate()
+            && self.wan.per_message_overhead.as_secs() <= 0.0
     }
 }
 
@@ -232,22 +221,20 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_falls_back_when_the_link_can_starve() {
-        // A slow source on a fast link: arrivals gate the stream, the
-        // fluid linearization is approximate, Hybrid must pick Exact.
+    fn only_a_source_that_outpaces_the_link_is_fluid_exact() {
+        // A slow source on a fast link: arrivals gate the stream and the
+        // fluid linearization is approximate.
         let src = FrameSource::new(32, Bytes::from_mb(8.0), TimeDelta::from_millis(33.0));
         let wan = presets::aps_alcf_wan();
         let pipe = EventStreamingPipeline::new(src, wan, BandwidthTrace::steady(wan.bandwidth));
         assert!(!pipe.fluid_is_exact());
-        assert_eq!(pipe.run_fidelity(Fidelity::Hybrid), pipe.run());
         assert_eq!(pipe.run_fidelity(Fidelity::Exact), pipe.run());
-        // A burst source qualifies, so Hybrid rides the fluid path.
+        // A burst source over a zero-overhead WAN qualifies.
         let mut wan0 = wan;
         wan0.per_message_overhead = TimeDelta::ZERO;
         let fast =
             EventStreamingPipeline::new(burst(32), wan0, BandwidthTrace::steady(wan.bandwidth));
         assert!(fast.fluid_is_exact());
-        assert_eq!(fast.run_fidelity(Fidelity::Hybrid), fast.run_fluid());
     }
 
     #[test]

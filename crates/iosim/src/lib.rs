@@ -198,7 +198,7 @@ mod proptests {
         }
 
         /// Fluid-vs-exact parity, streaming path: on burst sources (the
-        /// replay regime, which satisfies the Hybrid exactness condition)
+        /// replay regime, which satisfies the fluid exactness condition)
         /// the fluid completion matches the per-frame chain within 1e-9
         /// for random traces; on arrival-gated sources it stays a lower
         /// envelope — never completing before the event simulator minus

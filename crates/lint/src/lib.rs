@@ -7,7 +7,9 @@
 //! regression only after it ships. This crate rejects the whole bug class
 //! at the source level instead. It is a self-contained static analyzer
 //! (pure std, hand-rolled lexer — no `syn`) that walks all non-vendor
-//! workspace sources and enforces six invariants; see [`rules::RULES`].
+//! workspace sources and enforces seven invariants; see [`rules::RULES`].
+//! Six are per file; the seventh, U001 ([`unused`]), reads the whole
+//! workspace for `pub` items that nothing names.
 //!
 //! Suppression is explicit and auditable: an inline
 //! `// sss-lint: allow(RULE, reason)` pragma (reason mandatory) clears one
@@ -42,6 +44,7 @@ pub mod baseline;
 pub mod lexer;
 pub mod pragma;
 pub mod rules;
+pub mod unused;
 pub mod walk;
 
 pub use rules::{lint_source, FileContext};
@@ -51,7 +54,7 @@ use std::path::Path;
 /// One diagnostic: a rule violated at a `file:line` anchor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule code (`D001`…`D004`, `P001`, `L001`) or meta code (`X001` bad
+    /// Rule code (`D001`…`D004`, `P001`, `L001`, `U001`) or meta code (`X001` bad
     /// pragma, `X002` stale baseline entry).
     pub rule: String,
     /// Workspace-relative file path with forward slashes.
@@ -62,20 +65,32 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Lint every non-vendor source file and crate manifest under `root`.
+/// Lint every non-vendor source file and crate manifest under `root`,
+/// then run U001 over those sources and the [`walk::user_files`].
 /// Findings come back sorted by `(file, line, rule)`.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+    let read = |file: &walk::SourceFile| {
+        std::fs::read_to_string(&file.path)
+            .map_err(|e| format!("reading {}: {e}", file.path.display()))
+    };
     let mut findings = Vec::new();
+    let mut sources = Vec::new();
     for file in walk::workspace_files(root)? {
-        let text = std::fs::read_to_string(&file.path)
-            .map_err(|e| format!("reading {}: {e}", file.path.display()))?;
+        let text = read(&file)?;
         let ctx = FileContext::for_path(&file.rel);
         if file.manifest {
             findings.extend(rules::lint_manifest(&file.rel, &text, &ctx));
         } else {
-            findings.extend(lint_source(&file.rel, &text, &ctx));
+            let tokens = lexer::lex(&text);
+            findings.extend(rules::lint_tokens(&file.rel, &tokens, &ctx));
+            sources.push((file.rel, tokens));
         }
     }
+    for file in walk::user_files(root)? {
+        let tokens = lexer::lex(&read(&file)?);
+        sources.push((file.rel, tokens));
+    }
+    findings.extend(unused::check(&sources));
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     Ok(findings)
 }

@@ -16,17 +16,6 @@ use crate::lexer::{Token, TokenKind};
 use crate::rules::rule_exists;
 use crate::Finding;
 
-/// One parsed allow pragma.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// The rule code being suppressed (e.g. `D002`).
-    pub rule: String,
-    /// The operator-supplied justification.
-    pub reason: String,
-    /// The source line the suppression applies to.
-    pub target_line: u32,
-}
-
 /// All pragma information extracted from one file's token stream.
 #[derive(Debug, Default)]
 pub struct Pragmas {

@@ -8,11 +8,12 @@
 //! | D004 | no float `==`/`!=` (use `to_bits` parity or an explicit tolerance) |
 //! | P001 | no `.unwrap()`/`.expect(` in the `server`/`loadgen` crates — a panic on a request path is a silently dropped connection |
 //! | L001 | crate layering: `units→stats→sim→core→{netsim,iosim}→exec→loadgen→report→server`; upward or lateral imports are errors |
+//! | U001 | no `pub` item that nothing outside its declaration, re-exports, own `impl` blocks and own crate's tests names (see [`crate::unused`]; `--workspace` only) |
 //!
 //! Code under `#[cfg(test)]`/`#[test]` is exempt from every rule: tests
 //! may compare floats exactly, unwrap freely and measure wall-clock. The
-//! workspace walker additionally never feeds `tests/` directories to the
-//! engine.
+//! workspace walker never feeds `tests/` directories to these per-file
+//! rules; U001 reads them only as users of the library crates.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::pragma;
@@ -54,6 +55,10 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "L001",
         summary: "crate layering units→stats→sim→core→{netsim,iosim}→exec→loadgen→report→server",
+    },
+    RuleInfo {
+        code: "U001",
+        summary: "no pub item that only its declaration, re-exports, own impls and own tests name",
     },
 ];
 
@@ -138,8 +143,13 @@ impl FileContext {
 
 /// Lint one file's source text. `path` is used verbatim in diagnostics.
 pub fn lint_source(path: &str, source: &str, ctx: &FileContext) -> Vec<Finding> {
-    let tokens = lex(source);
-    let pragmas = pragma::collect(&tokens);
+    lint_tokens(path, &lex(source), ctx)
+}
+
+/// [`lint_source`] on an already lexed file, so the workspace pass lexes
+/// each file once for the per-file rules and U001.
+pub(crate) fn lint_tokens(path: &str, tokens: &[Token], ctx: &FileContext) -> Vec<Finding> {
+    let pragmas = pragma::collect(tokens);
     // Comments only matter for pragmas; rule patterns match adjacent
     // code tokens.
     let code: Vec<&Token> = tokens
@@ -176,14 +186,14 @@ pub fn lint_source(path: &str, source: &str, ctx: &FileContext) -> Vec<Finding> 
     findings
 }
 
-fn ident<'t>(tok: Option<&&'t Token>) -> Option<&'t str> {
+pub(crate) fn ident<'t>(tok: Option<&&'t Token>) -> Option<&'t str> {
     match tok.map(|t| &t.kind) {
         Some(TokenKind::Ident(name)) => Some(name.as_str()),
         _ => None,
     }
 }
 
-fn is_op(tok: Option<&&Token>, op: &str) -> bool {
+pub(crate) fn is_op(tok: Option<&&Token>, op: &str) -> bool {
     matches!(tok.map(|t| &t.kind), Some(TokenKind::Op(o)) if *o == op)
 }
 
@@ -192,7 +202,7 @@ fn is_float(tok: Option<&&Token>) -> bool {
 }
 
 /// Line spans covered by `#[cfg(test)]` / `#[test]` items.
-fn test_regions(code: &[&Token]) -> Vec<(u32, u32)> {
+pub(crate) fn test_regions(code: &[&Token]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0;
     while i < code.len() {

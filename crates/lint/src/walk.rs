@@ -8,7 +8,9 @@
 //! * the root crate's `src/*.rs` and `examples/*.rs`.
 //!
 //! Integration tests (`tests/`) are never walked: they are test code,
-//! which the rules exempt wholesale.
+//! which the per-file rules exempt wholesale. U001 still reads them, and
+//! perfbench's sources, as users of the library crates' `pub` items; see
+//! [`user_files`].
 
 use std::path::{Path, PathBuf};
 
@@ -44,11 +46,28 @@ pub fn workspace_files(root: &Path) -> Result<Vec<SourceFile>, String> {
         if manifest.is_file() {
             files.push(source_file(root, manifest, true));
         }
-        collect_rs(root, &crate_dir.join("src"), &mut files)?;
+        collect_rs(root, &crate_dir.join("src"), true, &mut files)?;
     }
-    collect_rs(root, &root.join("src"), &mut files)?;
-    collect_rs(root, &root.join("examples"), &mut files)?;
+    collect_rs(root, &root.join("src"), true, &mut files)?;
+    collect_rs(root, &root.join("examples"), true, &mut files)?;
 
+    files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    Ok(files)
+}
+
+/// The files that only use the library crates, for U001: the root
+/// `tests/*.rs`, every `crates/<name>/tests/*.rs` (not the fixture
+/// directories under them) and `perfbench/src/**/*.rs`, sorted by
+/// relative path.
+pub fn user_files(root: &Path) -> Result<Vec<SourceFile>, String> {
+    let mut files = Vec::new();
+    collect_rs(root, &root.join("tests"), false, &mut files)?;
+    for crate_dir in sorted_dirs(&root.join("crates"))? {
+        if file_name(&crate_dir) != "vendor" {
+            collect_rs(root, &crate_dir.join("tests"), false, &mut files)?;
+        }
+    }
+    collect_rs(root, &root.join("perfbench/src"), true, &mut files)?;
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(files)
 }
@@ -85,8 +104,14 @@ fn sorted_dirs(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(dirs)
 }
 
-/// Recursively collect `.rs` files under `dir` (sorted within each level).
-fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), String> {
+/// Collect `.rs` files under `dir` (sorted within each level), descending
+/// into subdirectories when `recurse` is set.
+fn collect_rs(
+    root: &Path,
+    dir: &Path,
+    recurse: bool,
+    out: &mut Vec<SourceFile>,
+) -> Result<(), String> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -97,7 +122,9 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), 
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            collect_rs(root, &path, out)?;
+            if recurse {
+                collect_rs(root, &path, recurse, out)?;
+            }
         } else if path.extension().map(|e| e == "rs").unwrap_or(false) {
             out.push(source_file(root, path, false));
         }

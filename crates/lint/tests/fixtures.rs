@@ -3,12 +3,14 @@
 //! through the library API and through the compiled binary; plus the
 //! baseline-minimality contract — the committed `sss-lint.baseline` must
 //! grandfather exactly the findings a baseline-free workspace run emits.
+//! U001 reads a whole workspace, so its fixture is a small workspace tree,
+//! `tests/fixtures/u001/`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sss_lint::rules::{lint_source, FileContext};
-use sss_lint::Finding;
+use sss_lint::{lint_workspace, Finding};
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -149,6 +151,69 @@ fn malformed_pragmas_are_x001_and_do_not_suppress() {
     );
 }
 
+// ---- U001: a fixture workspace -------------------------------------------
+
+/// `(rule, "file:line")` of every finding the U001 fixture workspace must
+/// produce, sorted: a U001 on each line marked `// flagged` and an X001
+/// on the pragma that has no reason.
+fn u001_expected() -> Vec<(String, String)> {
+    let root = fixture_path("u001");
+    let mut want = Vec::new();
+    for file in ["crates/alpha/src/lib.rs", "crates/alpha/src/shapes.rs"] {
+        let text = std::fs::read_to_string(root.join(file)).expect("fixture source");
+        for (idx, line) in text.lines().enumerate() {
+            let rule = if line.ends_with("// flagged") {
+                "U001"
+            } else if line.ends_with("allow(U001)") {
+                "X001"
+            } else {
+                continue;
+            };
+            want.push((rule.to_string(), format!("{file}:{}", idx + 1)));
+        }
+    }
+    want
+}
+
+#[test]
+fn u001_flags_pub_items_that_only_they_name() {
+    let findings = lint_workspace(&fixture_path("u001")).expect("fixture workspace lints");
+    let found: Vec<(String, String)> = findings
+        .iter()
+        .map(|f| (f.rule.clone(), format!("{}:{}", f.file, f.line)))
+        .collect();
+    // Flagged: a dead `pub fn`; a type named only inside its own impls; a
+    // trait named only by its impl; an item named only by a `pub use`;
+    // one named only in its own crate's tests; one named only in a
+    // comment and a string; one whose pragma has no reason. Not flagged:
+    // users in another crate's tests, `tests/`, `crates/*/tests/`,
+    // `examples/` and `perfbench/src/`, a pragma'd API, test code,
+    // `pub(crate)` and binaries.
+    assert_eq!(found, u001_expected(), "{findings:#?}");
+    assert_eq!(found.len(), 8, "{findings:#?}");
+    for f in findings.iter().filter(|f| f.rule == "U001") {
+        assert!(f.message.contains("is named nowhere"), "{f:?}");
+    }
+}
+
+#[test]
+fn binary_runs_u001_in_workspace_mode_only() {
+    let root = fixture_path("u001");
+    let run = run_binary(&["--workspace", "--root", root.to_str().unwrap()]);
+    assert_eq!(run.code, 1, "stderr: {}", run.stderr);
+    assert_eq!(text_anchors(&run.stdout), u001_expected(), "{}", run.stdout);
+    // One file alone has no users to search, so U001 stays silent; the
+    // reasonless pragma is still X001.
+    let lib = root.join("crates/alpha/src/lib.rs");
+    let run = run_binary(&["--context", "alpha", lib.to_str().unwrap()]);
+    assert_eq!(run.code, 1, "stderr: {}", run.stderr);
+    let rules: Vec<String> = text_anchors(&run.stdout)
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
+    assert_eq!(rules, ["X001"], "{}", run.stdout);
+}
+
 // ---- binary: formats, exit codes, --context ----------------------------
 
 #[test]
@@ -203,7 +268,7 @@ fn binary_rejects_bad_usage_with_exit_two() {
 fn binary_lists_every_rule() {
     let run = run_binary(&["--list-rules"]);
     assert_eq!(run.code, 0);
-    for code in ["D001", "D002", "D003", "D004", "P001", "L001"] {
+    for code in ["D001", "D002", "D003", "D004", "P001", "L001", "U001"] {
         assert!(run.stdout.contains(code), "missing {code}: {}", run.stdout);
     }
 }

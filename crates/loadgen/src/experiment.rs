@@ -58,27 +58,6 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// The paper's Table 2 experiment cell at the given concurrency and
-    /// parallelism: 10 s of repeated 0.5 GB transfers on the Table 1
-    /// testbed, with a small 2 ms spawn jitter.
-    pub fn paper_cell(
-        concurrency: u32,
-        parallel_flows: u32,
-        strategy: SpawnStrategy,
-        seed: u64,
-    ) -> Self {
-        Experiment {
-            config: SimConfig::paper_testbed(),
-            duration_s: 10,
-            concurrency,
-            parallel_flows,
-            bytes_per_client: Bytes::from_gb(0.5),
-            strategy,
-            start_jitter: 0.002,
-            seed,
-        }
-    }
-
     /// Offered load as a fraction of bottleneck capacity:
     /// `concurrency × bytes_per_client / s` over the link rate.
     pub fn offered_load(&self) -> Ratio {
@@ -199,19 +178,6 @@ impl ClientRecord {
     }
 }
 
-/// Per-transfer log of an experiment — "detailed transfer time logs per
-/// client" in the paper's methodology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransferLog {
-    /// Client index.
-    pub client: u32,
-    /// Spawn time in seconds.
-    pub spawn_s: f64,
-    /// Transfer time in seconds (NaN never appears; incomplete transfers
-    /// are omitted from logs).
-    pub transfer_s: f64,
-}
-
 /// Result of one experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
@@ -229,20 +195,6 @@ impl ExperimentResult {
         self.clients
             .iter()
             .filter_map(|c| c.transfer_time().map(|t| t.as_secs()))
-            .collect()
-    }
-
-    /// Per-transfer logs for completed sessions.
-    pub fn logs(&self) -> Vec<TransferLog> {
-        self.clients
-            .iter()
-            .filter_map(|c| {
-                c.transfer_time().map(|t| TransferLog {
-                    client: c.client,
-                    spawn_s: c.spawn.as_secs(),
-                    transfer_s: t.as_secs(),
-                })
-            })
             .collect()
     }
 
@@ -294,6 +246,7 @@ impl ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepSpec;
 
     fn small_exp(concurrency: u32, strategy: SpawnStrategy) -> Experiment {
         Experiment {
@@ -350,16 +303,25 @@ mod tests {
         }
     }
 
+    /// The Table 2 cell at `concurrency` clients per second and P = 2.
+    fn table2_cell(concurrency: u32) -> Experiment {
+        SweepSpec::paper_grid(SpawnStrategy::Simultaneous, 1, 0)
+            .experiments()
+            .into_iter()
+            .find(|e| e.concurrency == concurrency && e.parallel_flows == 2)
+            .unwrap()
+    }
+
     #[test]
     fn offered_load_formula() {
-        let e = Experiment::paper_cell(4, 2, SpawnStrategy::Simultaneous, 0);
+        let e = table2_cell(4);
         // 4 × 0.5 GB/s = 2 GB/s = 16 Gbps on a 25 Gbps link = 64%.
         assert!((e.offered_load().value() - 0.64).abs() < 1e-9);
     }
 
     #[test]
     fn theoretical_time_matches_paper() {
-        let e = Experiment::paper_cell(1, 2, SpawnStrategy::Simultaneous, 0);
+        let e = table2_cell(1);
         assert!((e.theoretical_transfer_time().as_secs() - 0.16).abs() < 1e-9);
     }
 
@@ -397,14 +359,6 @@ mod tests {
         let lo = small_exp(1, SpawnStrategy::Scheduled).run();
         let hi = small_exp(4, SpawnStrategy::Scheduled).run();
         assert!(hi.utilization().value() > 2.0 * lo.utilization().value());
-    }
-
-    #[test]
-    fn logs_match_completed_clients() {
-        let r = small_exp(2, SpawnStrategy::Scheduled).run();
-        let logs = r.logs();
-        assert_eq!(logs.len(), r.clients.len());
-        assert!(logs.iter().all(|l| l.transfer_s > 0.0));
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   [`TraceShape`], as `SessionReplay` builds it), held only from its
 //!   admission to its drain; all concurrent raw demands then share a
 //!   backbone of capacity [`FleetConfig::wan`] by max-min fair
-//!   water-filling ([`WaterFiller`], the allocation of `sss-netsim`'s
-//!   `FluidSimulator`). A session never clipped below its solo rate
+//!   water-filling ([`WaterFiller`], re-levelled incrementally at each
+//!   event). A session never clipped below its solo rate
 //!   experiences *literally* the single-session replay: the replay's own
 //!   session helper rebuilds its trace from the same seed and builds its
 //!   [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline), which
@@ -719,7 +719,7 @@ impl FleetSim {
     /// shares, queue waits and each session's granted piecewise-constant
     /// allocation. Event-driven and analytic between events (arrivals,
     /// admissions, trace breakpoints of unclipped sessions, floor-window
-    /// ends, drains), in the style of `sss-netsim`'s `FluidSimulator`.
+    /// ends, drains).
     ///
     /// Four structures replace the test-only reference loop's full
     /// rescans:
@@ -861,7 +861,7 @@ impl FleetSim {
             touched.clear();
 
             // 1. Clipped drains due within this step — compared against
-            // the drain delta itself (the `FluidSimulator` idiom), so
+            // the drain delta itself, not a re-derived time difference, so
             // the defining session lands exactly on its key.
             while let Some(&Reverse((bits, _, i, epoch))) = clip_heap.peek() {
                 if states[i].done || lanes[i].epoch != epoch {
@@ -1582,7 +1582,7 @@ mod tests {
                 // `next_change` is strictly beyond `rel_s`), so the step
                 // always makes progress; the session owning the winning
                 // breakpoint gets its clock *snapped* onto the breakpoint —
-                // and the drain comparison mirrors `FluidSimulator::run`, so
+                // and drains compare against the drain delta itself, so
                 // the defining session lands exactly on zero.
                 let d_arrival = if next_arrival < n {
                     states[next_arrival].arrival_s - t

@@ -55,7 +55,7 @@ mod replay;
 mod suite;
 mod sweep;
 
-pub use experiment::{ClientRecord, Experiment, ExperimentResult, SpawnStrategy, TransferLog};
+pub use experiment::{ClientRecord, Experiment, ExperimentResult, SpawnStrategy};
 pub use fleet::{
     fleet_csv, fleet_scenario_csv, fleet_scenario_table, fleet_summary_table, fleet_table,
     AdmissionPolicy, FleetConfig, FleetRecord, FleetReport, FleetSim, ScenarioContention,

@@ -134,9 +134,10 @@ pub struct ReplayConfig {
     /// Master seed; per-cell seeds derive from it by position.
     pub seed: u64,
     /// Which movement integrator the pipelines use: per-frame
-    /// recurrences ([`Fidelity::Exact`]), closed-form piecewise-constant
-    /// rate integration ([`Fidelity::Fluid`]), or fluid-where-provable
-    /// ([`Fidelity::Hybrid`]).
+    /// recurrences ([`Fidelity::Exact`]) or closed-form piecewise-constant
+    /// rate integration ([`Fidelity::Fluid`]). Every replay cell's burst
+    /// source satisfies the fluid exactness condition, so the two agree
+    /// up to float re-association.
     pub fidelity: Fidelity,
 }
 
@@ -728,20 +729,6 @@ mod tests {
         let par = replay.run(&ThreadPool::new(8));
         let seq = replay.run_sequential();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn hybrid_replay_is_bit_identical_to_fluid_under_burst_production() {
-        // Every replay cell satisfies the fluid-exactness gate (burst
-        // production, zero overhead), so Hybrid must pick the fluid path
-        // in every cell — not approximately: the same code runs.
-        let fluid = SessionReplay::bundled(ReplayConfig::quick(7).with_fidelity(Fidelity::Fluid))
-            .unwrap()
-            .run_sequential();
-        let hybrid = SessionReplay::bundled(ReplayConfig::quick(7).with_fidelity(Fidelity::Hybrid))
-            .unwrap()
-            .run_sequential();
-        assert_eq!(fluid, hybrid);
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod tcp;
 mod waterfill;
 
 pub use config::{LinkConfig, Qdisc, SimConfig, TcpConfig};
-pub use fluid::{progressive_fill, FluidFlowRecord, FluidReport, FluidSimulator};
+pub use fluid::progressive_fill;
 pub use link::{Link, LinkStats};
 pub use packet::{FlowId, Packet, PacketKind};
 pub use sim::{CwndSample, FlowRecord, FlowSpec, SimReport, Simulator};
@@ -67,39 +67,35 @@ mod proptests {
         ) {
             let n = sizes.len().min(starts_ms.len());
             let cfg = SimConfig::small_test();
-            let mut sim = Simulator::new(cfg, n as u32);
-            for i in 0..n {
-                sim.add_flow(FlowSpec::new(
+            let specs: Vec<FlowSpec> = (0..n)
+                .map(|i| FlowSpec::new(
                     i as u32,
                     Bytes::from_b(sizes[i] as f64),
                     SimTime::from_millis(starts_ms[i]),
-                ));
+                ))
+                .collect();
+            let mut sim = Simulator::new(cfg, n as u32);
+            for &spec in &specs {
+                sim.add_flow(spec);
             }
             let report = sim.run();
             prop_assert!(report.all_completed(), "flows starved: {report:?}");
 
-            // Fluid fast path: the work-conserving, zero-overhead fluid
-            // makespan is an ideal lower bound on the packet-level one.
-            // (Per-flow FCTs are not comparable — TCP unfairness can let
-            // one flow beat its max-min fair share.)
-            let mut fluid = FluidSimulator::new(cfg, n as u32);
-            for i in 0..n {
-                fluid.add_flow(FlowSpec::new(
-                    i as u32,
-                    Bytes::from_b(sizes[i] as f64),
-                    SimTime::from_millis(starts_ms[i]),
-                ));
-            }
-            let floor = fluid.run();
+            // The work-conserving, zero-overhead fluid makespan is an
+            // ideal lower bound on the packet-level one. (Per-flow FCTs
+            // are not comparable — TCP unfairness can let one flow beat
+            // its max-min fair share.)
+            let floor = fluid::fluid_completions(&cfg, &specs)
+                .into_iter()
+                .fold(0.0, f64::max);
             let packet_end = report
                 .flows
                 .iter()
                 .filter_map(|r| r.completion.map(|t| t.as_secs()))
                 .fold(0.0, f64::max);
             prop_assert!(
-                floor.end_s <= packet_end + 1e-9,
-                "fluid makespan {} exceeds packet makespan {packet_end}",
-                floor.end_s
+                floor <= packet_end + 1e-9,
+                "fluid makespan {floor} exceeds packet makespan {packet_end}"
             );
 
             let expected: u64 = sizes[..n].iter().sum();

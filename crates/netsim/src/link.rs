@@ -121,11 +121,6 @@ impl Link {
         self.queue_bytes
     }
 
-    /// True when nothing is queued or transmitting.
-    pub fn is_idle(&self) -> bool {
-        self.in_flight.is_none() && self.queue.is_empty()
-    }
-
     /// Serialization time for `wire_bytes` at this link's rate, in ns.
     pub fn tx_time_ns(&self, wire_bytes: u32) -> u64 {
         (wire_bytes as f64 / self.config.rate.as_bytes_per_sec() * 1e9).round() as u64
@@ -243,7 +238,7 @@ mod tests {
             }
             other => panic!("expected StartTx, got {other:?}"),
         }
-        assert!(!l.is_idle());
+        assert!(l.in_flight.is_some());
         assert_eq!(l.queue_bytes(), 0);
     }
 
@@ -287,7 +282,7 @@ mod tests {
         let (p2, none) = l.tx_complete(next.unwrap());
         assert_eq!(p2.wire_bytes, 500);
         assert!(none.is_none());
-        assert!(l.is_idle());
+        assert!(l.in_flight.is_none() && l.queue.is_empty());
         assert_eq!(l.stats().tx_bytes, 1500);
         assert_eq!(l.stats().tx_pkts, 2);
     }

@@ -56,21 +56,6 @@ impl Packet {
             kind: PacketKind::Data { seq, retransmit },
         }
     }
-
-    /// Build a pure acknowledgement.
-    pub fn ack(flow: FlowId, cum_ack: u64) -> Self {
-        Packet {
-            flow,
-            payload_bytes: 0,
-            wire_bytes: Self::HEADER_BYTES + 14, // ACK with options ≈ 66 B
-            kind: PacketKind::Ack { cum_ack },
-        }
-    }
-
-    /// True for data segments.
-    pub fn is_data(&self) -> bool {
-        matches!(self.kind, PacketKind::Data { .. })
-    }
 }
 
 #[cfg(test)]
@@ -81,19 +66,7 @@ mod tests {
     fn data_packet_wire_size() {
         let p = Packet::data(FlowId(1), 0, 8948, false);
         assert_eq!(p.wire_bytes, 9000);
-        assert!(p.is_data());
-    }
-
-    #[test]
-    fn ack_packet() {
-        let p = Packet::ack(FlowId(2), 12345);
-        assert_eq!(p.payload_bytes, 0);
-        assert_eq!(p.wire_bytes, 66);
-        assert!(!p.is_data());
-        match p.kind {
-            PacketKind::Ack { cum_ack } => assert_eq!(cum_ack, 12345),
-            _ => panic!("expected ack"),
-        }
+        assert!(matches!(p.kind, PacketKind::Data { .. }));
     }
 
     #[test]

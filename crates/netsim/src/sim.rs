@@ -111,14 +111,6 @@ impl SimReport {
         )
     }
 
-    /// Completion times of all completed flows, in seconds.
-    pub fn fct_seconds(&self) -> Vec<f64> {
-        self.flows
-            .iter()
-            .filter_map(|f| f.fct().map(|t| t.as_secs()))
-            .collect()
-    }
-
     /// The maximum flow completion time — `T_worst` in the paper.
     pub fn worst_fct(&self) -> Option<TimeDelta> {
         self.flows

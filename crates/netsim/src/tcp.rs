@@ -349,11 +349,6 @@ impl TcpSender {
         self.srtt.map(TimeDelta::from_secs)
     }
 
-    /// True once every payload byte has been cumulatively acknowledged.
-    pub fn is_complete(&self) -> bool {
-        self.completed
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> TcpSenderStats {
         self.stats
@@ -766,11 +761,6 @@ impl TcpReceiver {
         self.delivered
     }
 
-    /// Number of buffered out-of-order ranges (diagnostic).
-    pub fn ooo_ranges(&self) -> usize {
-        self.ooo.len()
-    }
-
     /// Accept segment `[seq, seq+len)`; returns the acknowledgement to
     /// send: cumulative ACK plus the SACK block the segment landed in.
     /// Duplicate and overlapping data is tolerated (retransmissions).
@@ -962,7 +952,7 @@ mod tests {
         assert_eq!(sends(&actions), vec![(0, 300, false)]);
         let done = s.on_ack(ack(300), SimTime::from_millis(10));
         assert!(done.contains(&TcpAction::Complete));
-        assert!(s.is_complete());
+        assert!(s.completed);
     }
 
     #[test]
@@ -1253,7 +1243,7 @@ mod tests {
         let _ = s.on_start(SimTime::ZERO);
         let actions = s.on_ack(ack(999_999), SimTime::from_millis(1));
         assert!(actions.is_empty());
-        assert!(!s.is_complete());
+        assert!(!s.completed);
     }
 
     // --- receiver ---
@@ -1276,7 +1266,7 @@ mod tests {
             }
         );
         assert_eq!(r.delivered(), 2000);
-        assert_eq!(r.ooo_ranges(), 0);
+        assert_eq!(r.ooo.len(), 0);
     }
 
     #[test]
@@ -1298,7 +1288,7 @@ mod tests {
                 sack: Some((2000, 4000))
             }
         );
-        assert_eq!(r.ooo_ranges(), 1);
+        assert_eq!(r.ooo.len(), 1);
         // Filling the hole releases everything.
         assert_eq!(
             r.on_data(1000, 1000),
@@ -1308,7 +1298,7 @@ mod tests {
             }
         );
         assert_eq!(r.delivered(), 4000);
-        assert_eq!(r.ooo_ranges(), 0);
+        assert_eq!(r.ooo.len(), 0);
     }
 
     #[test]
@@ -1331,10 +1321,10 @@ mod tests {
         let _ = r.on_data(2000, 1000);
         let a = r.on_data(2500, 1000); // overlaps previous
         assert_eq!(a.sack, Some((2000, 3500)));
-        assert_eq!(r.ooo_ranges(), 1);
+        assert_eq!(r.ooo.len(), 1);
         let b = r.on_data(5000, 500); // disjoint
         assert_eq!(b.sack, Some((5000, 5500)));
-        assert_eq!(r.ooo_ranges(), 2);
+        assert_eq!(r.ooo.len(), 2);
         // Fill the first hole: frontier advances through merged range.
         assert_eq!(r.on_data(0, 2000).cum, 3500);
     }

@@ -1,7 +1,6 @@
 //! Incremental max-min fairness: the **water-filling** allocator behind
-//! the fleet simulator's shared-WAN mechanics and
-//! [`FluidSimulator`](crate::FluidSimulator)'s shared bottleneck — the
-//! one max-min allocator production code uses.
+//! the fleet simulator's shared-WAN mechanics — the one max-min allocator
+//! production code uses.
 //!
 //! [`progressive_fill`](crate::progressive_fill) answers one allocation
 //! from scratch in `O(k²)`: every round rescans all `k` flows. The
@@ -75,15 +74,15 @@ impl WaterFlowId {
 /// let a = wf.insert(2.0);
 /// let b = wf.insert(9.0);
 /// let c = wf.insert(9.0);
-/// // Same allocation as the one-shot oracle: [2, 4, 4].
+/// // Same allocation as the one-shot oracle, [2, 4, 4]: `a` keeps its
+/// // cap and the other two are clipped to the water level.
 /// assert_eq!(progressive_fill(10.0, &[2.0, 9.0, 9.0]), vec![2.0, 4.0, 4.0]);
-/// assert_eq!(wf.grant(a), 2.0);
-/// assert_eq!(wf.grant(b), 4.0);
-/// assert_eq!(wf.grant(c), 4.0);
+/// assert_eq!(wf.level(), 4.0);
+/// assert!(!wf.is_clipped(a) && wf.is_clipped(b) && wf.is_clipped(c));
 /// // One flow drains: the remaining two re-level in O(log k).
 /// wf.remove(b);
-/// assert_eq!(wf.grant(a), 2.0);
-/// assert_eq!(wf.grant(c), 8.0);
+/// assert_eq!(wf.level(), 8.0);
+/// assert!(!wf.is_clipped(a) && wf.is_clipped(c));
 /// ```
 #[derive(Debug, Clone)]
 pub struct WaterFiller {
@@ -162,7 +161,8 @@ impl WaterFiller {
     ///
     /// # Panics
     /// Panics on a removed handle.
-    pub fn grant(&self, id: WaterFlowId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn grant(&self, id: WaterFlowId) -> f64 {
         let cap = self.cap(id);
         if cap <= self.level {
             cap

@@ -26,7 +26,7 @@ mod table;
 
 pub use csv::CsvWriter;
 pub use grid::CharGrid;
-pub use plot::{histogram_bars, AsciiPlot, Scale, Series};
+pub use plot::{AsciiPlot, Scale, Series};
 pub use table::Table;
 
 use std::io;

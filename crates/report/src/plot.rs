@@ -189,60 +189,9 @@ impl AsciiPlot {
     }
 }
 
-/// Render a histogram as horizontal ASCII bars, one row per bucket.
-///
-/// `buckets` supplies `(label, count)` pairs; bar lengths are scaled to
-/// `width` characters against the largest count.
-pub fn histogram_bars<L: AsRef<str>>(buckets: &[(L, u64)], width: usize) -> String {
-    let max = buckets.iter().map(|(_, c)| *c).max().unwrap_or(0);
-    let label_w = buckets
-        .iter()
-        .map(|(l, _)| l.as_ref().chars().count())
-        .max()
-        .unwrap_or(0);
-    let mut out = String::new();
-    for (label, count) in buckets {
-        let bar_len = if max == 0 {
-            0
-        } else {
-            ((*count as f64 / max as f64) * width as f64).round() as usize
-        };
-        out.push_str(&format!(
-            "{:<label_w$} |{}{} {}\n",
-            label.as_ref(),
-            "#".repeat(bar_len),
-            " ".repeat(width - bar_len),
-            count,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_bars_scale_to_max() {
-        let out = histogram_bars(&[("0-1s", 100u64), ("1-2s", 50), ("2-4s", 0)], 20);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0].matches('#').count(), 20);
-        assert_eq!(lines[1].matches('#').count(), 10);
-        assert_eq!(lines[2].matches('#').count(), 0);
-        assert!(lines[0].ends_with("100"));
-    }
-
-    #[test]
-    fn histogram_bars_empty_input() {
-        assert_eq!(histogram_bars::<&str>(&[], 10), "");
-    }
-
-    #[test]
-    fn histogram_bars_all_zero() {
-        let out = histogram_bars(&[("a", 0u64), ("b", 0)], 8);
-        assert!(!out.contains('#'));
-    }
 
     #[test]
     fn renders_points_and_legend() {

@@ -309,9 +309,8 @@ pub struct SimulateRequest {
     #[serde(default = "default_seed")]
     pub seed: u64,
     /// Movement integrator: `"exact"` (per-frame recurrences, the
-    /// default), `"fluid"` (closed-form piecewise-constant rate
-    /// integration), or `"hybrid"` (fluid where provably exact, per-frame
-    /// elsewhere).
+    /// default) or `"fluid"` (closed-form piecewise-constant rate
+    /// integration).
     #[serde(default = "default_fidelity")]
     pub fidelity: String,
 }

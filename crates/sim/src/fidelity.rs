@@ -75,10 +75,6 @@ pub fn fluid_tolerance(shape: TraceShape) -> f64 {
 ///   to the next breakpoint, slot edge or completion. Cost is
 ///   `O(segments + files)` regardless of frame count; answers agree with
 ///   `Exact` within [`fluid_tolerance`] per shape.
-/// * [`Fidelity::Hybrid`] — fluid where the fluid answer is provably
-///   tight (the source outpaces the link's peak rate, so the link never
-///   starves and the fluid integral is the exact answer), falling back
-///   to the packet/frame-level simulator elsewhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Stepping reference simulation (per frame / file / packet).
@@ -86,20 +82,17 @@ pub enum Fidelity {
     Exact,
     /// Closed-form fluid-flow integration between breakpoints.
     Fluid,
-    /// Fluid where provably exact, stepping per frame otherwise.
-    Hybrid,
 }
 
 impl Fidelity {
     /// Every fidelity, ladder order.
-    pub const ALL: [Fidelity; 3] = [Fidelity::Exact, Fidelity::Fluid, Fidelity::Hybrid];
+    pub const ALL: [Fidelity; 2] = [Fidelity::Exact, Fidelity::Fluid];
 
     /// The fidelity's lowercase label (also the CLI/HTTP spelling).
     pub fn label(&self) -> &'static str {
         match self {
             Fidelity::Exact => "exact",
             Fidelity::Fluid => "fluid",
-            Fidelity::Hybrid => "hybrid",
         }
     }
 
@@ -108,9 +101,8 @@ impl Fidelity {
         match s {
             "exact" => Ok(Fidelity::Exact),
             "fluid" => Ok(Fidelity::Fluid),
-            "hybrid" => Ok(Fidelity::Hybrid),
             other => Err(format!(
-                "unknown fidelity {other:?}; known fidelities: exact, fluid, hybrid"
+                "unknown fidelity {other:?}; known fidelities: exact, fluid"
             )),
         }
     }
@@ -152,7 +144,7 @@ mod tests {
             assert_eq!(f.to_string(), f.label());
         }
         let err = Fidelity::parse("quantum").unwrap_err();
-        assert!(err.contains("exact, fluid, hybrid"), "{err}");
+        assert!(err.contains("exact, fluid"), "{err}");
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Convert to a [`TimeDelta`] measured from the epoch.
-    #[inline]
-    pub fn as_delta(self) -> TimeDelta {
-        TimeDelta::from_secs(self.as_secs())
-    }
-
     /// Saturating difference `self - earlier` as a [`TimeDelta`].
     #[inline]
     pub fn since(self, earlier: SimTime) -> TimeDelta {
@@ -278,7 +272,7 @@ mod tests {
         let d = TimeDelta::from_millis(16.0);
         assert_eq!(SimTime::delta_to_nanos(d), 16_000_000);
         let t = SimTime::ZERO + d;
-        assert_eq!(t.as_delta().as_millis(), 16.0);
+        assert_eq!(t.since(SimTime::ZERO).as_millis(), 16.0);
     }
 
     #[test]

@@ -277,7 +277,7 @@ impl BandwidthTrace {
 
     /// The largest per-segment rate in the profile, bytes per second.
     ///
-    /// The Hybrid fidelity uses this as its exactness test: a source that
+    /// The fluid streaming path's exactness test uses this: a source that
     /// generates at or above the peak service rate can never let the link
     /// starve, which makes the fluid integral the exact answer.
     pub fn max_rate(&self) -> f64 {
@@ -480,8 +480,9 @@ impl BandwidthTrace {
     /// When the arrival rate is at least the peak service rate the
     /// server never starves and the result equals
     /// `capped_finish_time(arrival_start_s, total_bytes, ..)` up to
-    /// floating-point re-association — the exactness condition the
-    /// Hybrid fidelity tests with [`BandwidthTrace::max_rate`].
+    /// floating-point re-association — the exactness condition, tested
+    /// with [`BandwidthTrace::max_rate`], that every replay cell's burst
+    /// source satisfies.
     ///
     /// # Panics
     /// Panics on negative/non-finite `arrival_start_s` or `total_bytes`,
@@ -1295,7 +1296,7 @@ mod tests {
     fn fluid_fast_arrivals_match_finish_time() {
         // An arrival rate at or above the peak service rate never lets
         // the server starve: the fluid completion is the plain traced
-        // finish time (the Hybrid exactness condition).
+        // finish time (the fluid exactness condition).
         for shape in TraceShape::ALL {
             let t = shape.build(gbs(1.0), 10.0, 11);
             let exact = t.finish_time(1.0, 9.0e9);

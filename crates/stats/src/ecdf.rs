@@ -83,19 +83,6 @@ impl Ecdf {
         }
     }
 
-    /// Nearest-rank quantile (no interpolation): the smallest sample `v`
-    /// such that at least `q·n` samples are ≤ `v`.
-    pub fn quantile_nearest_rank(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        // sss-lint: allow(D004, q is clamped; exactly 0 selects the minimum by definition)
-        if q == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = (q * n as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, n) - 1]
-    }
-
     /// The `(x, F(x))` step points, ready for plotting Figure 3.
     pub fn curve(&self) -> Vec<(f64, f64)> {
         let n = self.sorted.len() as f64;
@@ -143,15 +130,6 @@ mod tests {
         // Between ranks: interpolate.
         assert!((e.quantile(0.1) - 14.0).abs() < 1e-12);
         assert_eq!(e.median(), 30.0);
-    }
-
-    #[test]
-    fn nearest_rank_quantiles() {
-        let e = Ecdf::from_samples(&[10.0, 20.0, 30.0, 40.0, 50.0]).unwrap();
-        assert_eq!(e.quantile_nearest_rank(0.0), 10.0);
-        assert_eq!(e.quantile_nearest_rank(0.2), 10.0);
-        assert_eq!(e.quantile_nearest_rank(0.21), 20.0);
-        assert_eq!(e.quantile_nearest_rank(1.0), 50.0);
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Streaming moment estimates (Welford's online algorithm).
+//! Streaming count, mean, min and max.
 
 use serde::{Deserialize, Serialize};
 
-/// Single-pass count / mean / variance / min / max accumulator.
+/// Single-pass count / mean / min / max accumulator.
 ///
-/// Numerically stable for long streams (Welford's update), `O(1)` memory.
-/// Used by the load generator to summarize per-transfer completion times
-/// without retaining every sample.
+/// Numerically stable for long streams (Welford's mean update), `O(1)`
+/// memory. Used by the load generator to summarize per-transfer
+/// completion times without retaining every sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -28,7 +27,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -49,31 +47,8 @@ impl Summary {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merge another summary into this one (parallel reduction), preserving
-    /// exact count and numerically-stable combined mean/M2 (Chan et al.).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -90,35 +65,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance (divides by n); `NaN` when empty.
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (divides by n−1); `NaN` for fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Coefficient of variation (std dev over mean); the paper's congestion
-    /// discussion cites growing variation of GridFTP transfer times \[13\].
-    pub fn cv(&self) -> f64 {
-        self.std_dev() / self.mean()
     }
 
     /// Smallest observation; `+inf` when empty.
@@ -149,7 +95,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert!(s.mean().is_nan());
-        assert!(s.variance().is_nan());
         assert_eq!(s.min(), f64::INFINITY);
         assert_eq!(s.max(), f64::NEG_INFINITY);
     }
@@ -159,56 +104,14 @@ mod tests {
         let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
-    fn sample_variance_bessel() {
-        let s = Summary::from_samples(&[1.0, 2.0, 3.0]);
-        assert!((s.sample_variance() - 1.0).abs() < 1e-12);
-        assert!((s.std_dev() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn single_sample() {
         let s = Summary::from_samples(&[42.0]);
         assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.variance(), 0.0);
-        assert!(s.sample_variance().is_nan());
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 50.0).collect();
-        let whole = Summary::from_samples(&xs);
-        let mut left = Summary::from_samples(&xs[..37]);
-        let right = Summary::from_samples(&xs[37..]);
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = Summary::from_samples(&[1.0, 2.0]);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn cv_of_constant_stream_is_zero() {
-        let s = Summary::from_samples(&[3.0; 10]);
-        assert!(s.cv().abs() < 1e-12);
     }
 }

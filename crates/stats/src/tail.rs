@@ -48,11 +48,6 @@ impl TailMetrics {
     pub fn tail_inflation(&self) -> f64 {
         self.p99 / self.p50
     }
-
-    /// `max / P50` — worst-case inflation over the typical case.
-    pub fn worst_inflation(&self) -> f64 {
-        self.max / self.p50
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +76,6 @@ mod tests {
     fn tail_inflation_flat_distribution() {
         let t = TailMetrics::from_samples(&[2.0; 50]).unwrap();
         assert!((t.tail_inflation() - 1.0).abs() < 1e-12);
-        assert!((t.worst_inflation() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -92,6 +86,5 @@ mod tests {
         xs.extend_from_slice(&[2.0, 3.0, 4.0, 5.0, 6.0]);
         let t = TailMetrics::from_samples(&xs).unwrap();
         assert!(t.tail_inflation() > 10.0);
-        assert!(t.worst_inflation() >= t.tail_inflation());
     }
 }

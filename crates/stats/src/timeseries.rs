@@ -72,11 +72,6 @@ impl RateSeries {
         self.bins.iter().map(|b| b / self.bin_width_s).collect()
     }
 
-    /// Peak bin rate in bytes per second.
-    pub fn peak_rate(&self) -> f64 {
-        self.bins.iter().cloned().fold(0.0f64, f64::max) / self.bin_width_s
-    }
-
     /// Mean rate over the observed span (bytes per second); 0 when empty.
     pub fn mean_rate(&self) -> f64 {
         if self.bins.is_empty() {
@@ -133,11 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn peak_and_mean() {
+    fn mean_rate_spans_the_bins() {
         let mut s = RateSeries::new(0.5);
         s.record(0.0, 100.0); // bin 0 → 200 B/s
         s.record(0.6, 300.0); // bin 1 → 600 B/s
-        assert_eq!(s.peak_rate(), 600.0);
         assert_eq!(s.mean_rate(), 400.0);
     }
 
@@ -167,6 +161,5 @@ mod tests {
         let s = RateSeries::new(1.0);
         assert!(s.is_empty());
         assert_eq!(s.mean_rate(), 0.0);
-        assert_eq!(s.peak_rate(), 0.0);
     }
 }

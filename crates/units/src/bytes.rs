@@ -84,12 +84,6 @@ impl Bytes {
         self.0
     }
 
-    /// Value in decimal kilobytes.
-    #[inline]
-    pub fn as_kb(self) -> f64 {
-        self.0 / KILO
-    }
-
     /// Value in decimal megabytes.
     #[inline]
     pub fn as_mb(self) -> f64 {
@@ -106,18 +100,6 @@ impl Bytes {
     #[inline]
     pub fn as_tb(self) -> f64 {
         self.0 / TERA
-    }
-
-    /// Value in binary gibibytes.
-    #[inline]
-    pub fn as_gib(self) -> f64 {
-        self.0 / GIBI
-    }
-
-    /// Number of bits (8 per byte).
-    #[inline]
-    pub fn as_bits(self) -> f64 {
-        self.0 * 8.0
     }
 
     /// True when the stored value is negative.
@@ -353,11 +335,6 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(Bytes::from_mb(5.0).clamp(a, b), b);
         assert_eq!(Bytes::from_mb(0.5).clamp(a, b), a);
-    }
-
-    #[test]
-    fn bits_conversion() {
-        assert_eq!(Bytes::from_b(1.0).as_bits(), 8.0);
     }
 
     #[test]

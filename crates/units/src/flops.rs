@@ -117,12 +117,6 @@ impl FlopRate {
         self.0 / TERA
     }
 
-    /// Value in petaFLOPS.
-    #[inline]
-    pub fn as_pflops(self) -> f64 {
-        self.0 / PETA
-    }
-
     /// True when finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -171,12 +165,6 @@ impl ComputeIntensity {
     #[inline]
     pub const fn as_flop_per_byte(self) -> f64 {
         self.0
-    }
-
-    /// Value in FLOP per gigabyte.
-    #[inline]
-    pub fn as_flop_per_gb(self) -> f64 {
-        self.0 * GIGA
     }
 
     /// Value in teraFLOP per gigabyte.
@@ -482,7 +470,6 @@ mod tests {
     #[test]
     fn intensity_units() {
         let c = ComputeIntensity::from_tflop_per_gb(17.0);
-        assert!((c.as_flop_per_gb() - 17e12).abs() < 1.0);
         assert!((c.as_flop_per_byte() - 17e3).abs() < 1e-9);
     }
 

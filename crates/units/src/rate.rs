@@ -98,18 +98,6 @@ impl Rate {
         self.0 / GIGA
     }
 
-    /// Value in bits per second.
-    #[inline]
-    pub fn as_bits_per_sec(self) -> f64 {
-        self.0 * 8.0
-    }
-
-    /// Value in megabits per second.
-    #[inline]
-    pub fn as_mbps(self) -> f64 {
-        self.0 * 8.0 / MEGA
-    }
-
     /// Value in gigabits per second.
     #[inline]
     pub fn as_gbps(self) -> f64 {

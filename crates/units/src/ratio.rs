@@ -47,12 +47,6 @@ impl Ratio {
         self.0 * 100.0
     }
 
-    /// Multiplicative inverse.
-    #[inline]
-    pub fn recip(self) -> Ratio {
-        Ratio(1.0 / self.0)
-    }
-
     /// True when finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -180,7 +174,6 @@ mod tests {
         assert_eq!(a * b, Ratio::new(0.125));
         assert_eq!(a / b, Ratio::new(2.0));
         assert_eq!(a * 2.0, Ratio::ONE);
-        assert_eq!(a.recip(), Ratio::new(2.0));
     }
 
     #[test]

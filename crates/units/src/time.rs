@@ -3,7 +3,6 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -73,22 +72,10 @@ impl TimeDelta {
         self.0 * 1e3
     }
 
-    /// Value in microseconds.
-    #[inline]
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Value in nanoseconds.
     #[inline]
     pub fn as_nanos(self) -> f64 {
         self.0 * 1e9
-    }
-
-    /// Value in minutes.
-    #[inline]
-    pub fn as_minutes(self) -> f64 {
-        self.0 / 60.0
     }
 
     /// True when negative.
@@ -119,20 +106,6 @@ impl TimeDelta {
     #[inline]
     pub fn abs_diff(self, other: TimeDelta) -> TimeDelta {
         TimeDelta((self.0 - other.0).abs())
-    }
-
-    /// Convert to [`std::time::Duration`]; panics if negative or non-finite.
-    pub fn to_duration(self) -> Duration {
-        assert!(
-            self.0.is_finite() && self.0 >= 0.0,
-            "cannot convert {self:?} to std Duration"
-        );
-        Duration::from_secs_f64(self.0)
-    }
-
-    /// Convert from [`std::time::Duration`].
-    pub fn from_duration(d: Duration) -> Self {
-        TimeDelta(d.as_secs_f64())
     }
 }
 
@@ -254,7 +227,7 @@ mod tests {
         assert_eq!(TimeDelta::from_millis(1500.0).as_secs(), 1.5);
         assert_eq!(TimeDelta::from_micros(2.0).as_nanos(), 2000.0);
         assert_eq!(TimeDelta::from_minutes(2.0).as_secs(), 120.0);
-        assert_eq!(TimeDelta::from_hours(1.0).as_minutes(), 60.0);
+        assert_eq!(TimeDelta::from_hours(1.0).as_secs(), 3600.0);
         assert!((TimeDelta::from_nanos(1.0).as_secs() - 1e-9).abs() < 1e-24);
     }
 
@@ -274,22 +247,6 @@ mod tests {
         let budget = TimeDelta::from_secs(1.0) - TimeDelta::from_secs(6.0);
         assert!(budget.is_sign_negative());
         assert_eq!(budget.as_secs(), -5.0);
-    }
-
-    #[test]
-    fn std_duration_conversion() {
-        let t = TimeDelta::from_millis(250.0);
-        assert_eq!(t.to_duration(), Duration::from_millis(250));
-        assert_eq!(
-            TimeDelta::from_duration(Duration::from_secs(2)).as_secs(),
-            2.0
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot convert")]
-    fn negative_to_duration_panics() {
-        let _ = TimeDelta::from_secs(-1.0).to_duration();
     }
 
     #[test]

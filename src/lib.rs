@@ -15,7 +15,7 @@
 //! | [`sss_netsim`] | packet-level network simulator (TCP CUBIC/Reno + SACK + HyStart, drop-tail queues) standing in for the paper's 25 Gbps testbed |
 //! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning) plus the trace-driven `SessionReplay` model validator |
 //! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), as per-frame recurrences over a WAN bandwidth trace (a constant-rate WAN is the steady trace) |
-//! | [`sss_stats`] | tail-latency statistics: ECDF, P², histograms, bootstrap |
+//! | [`sss_stats`] | tail-latency statistics: Welford summary, ECDF, the P50/P90/P99/max digest, bootstrap CIs, rate series |
 //! | [`sss_exec`] | deterministic parallel sweep executor |
 //! | [`sss_units`] | typed quantities (GB vs Gb/s vs TFLOPS confusion is a compile error) |
 //! | [`sss_report`] | tables, ASCII plots, CSV/JSON |

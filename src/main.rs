@@ -50,13 +50,13 @@ fn usage() -> &'static str {
                               [--seed <N>] [--format text|md]\n\
        stream-score simulate  [--scenario <ID>] [--shapes steady,diurnal,bursty,outage]\n\
                               [--frames <N>] [--files <N>] [--seed <N>]\n\
-                              [--fidelity exact|fluid|hybrid]\n\
+                              [--fidelity exact|fluid]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
                               [--format text|md|csv] [--check true] [--tolerance <T>]\n\
        stream-score fleet     [--scenario <ID>] [--sessions <N>] [--load <L>]\n\
                               [--policy fifo|fair-share|priority] [--slots <N>]\n\
                               [--wan <RATE>] [--shape steady|diurnal|bursty|outage]\n\
-                              [--frames <N>] [--seed <N>] [--fidelity exact|fluid|hybrid]\n\
+                              [--frames <N>] [--seed <N>] [--fidelity exact|fluid]\n\
                               [--mode parallel|sequential] [--workers <N>]\n\
                               [--format text|md|csv] [--check true]\n\
        stream-score frontier  --scenario <ID> | (same flags as decide)\n\
@@ -628,12 +628,12 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
                 (1.0 - steady.agreement) * 100.0
             ));
         }
-        // Under a fluid/hybrid fidelity the check also gates the fast
-        // path itself: replay the same cells through the exact integrator
-        // and hold every cell to the per-shape tolerance the library
-        // exports (the same constants the test suites use).
+        // Under the fluid fidelity the check also gates the fast path
+        // itself: replay the same cells through the exact integrator and
+        // hold every cell to the per-shape tolerance the library exports
+        // (the same constants the test suites use).
         let mut fluid_max_rel = None;
-        if replay.config().fidelity != Fidelity::Exact {
+        if replay.config().fidelity == Fidelity::Fluid {
             let exact = SessionReplay::new(
                 replay.scenarios().to_vec(),
                 replay.config().clone().with_fidelity(Fidelity::Exact),

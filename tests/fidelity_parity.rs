@@ -102,19 +102,6 @@ fn parity_holds_at_standard_frame_counts_on_the_steady_shape() {
 }
 
 #[test]
-fn hybrid_matches_fluid_across_the_whole_matrix() {
-    // Replay cells all satisfy the fluid-exactness gate, so Hybrid is
-    // the fluid path by another name there — bit-identical reports.
-    let fluid = SessionReplay::bundled(harness_config(Fidelity::Fluid))
-        .unwrap()
-        .run_sequential();
-    let hybrid = SessionReplay::bundled(harness_config(Fidelity::Hybrid))
-        .unwrap()
-        .run_sequential();
-    assert_eq!(fluid, hybrid);
-}
-
-#[test]
 fn decisions_agree_between_fidelities_across_the_catalog() {
     // The catalog sits well off the stream/local frontier, so a
     // sub-tolerance completion nudge must never flip a verdict.
@@ -140,7 +127,7 @@ const QUICK: &[&str] = &["simulate", "--frames", "16", "--files", "4"];
 
 #[test]
 fn cli_accepts_every_fidelity_and_fluid_output_matches_exact_tables() {
-    for fidelity in ["exact", "fluid", "hybrid"] {
+    for fidelity in ["exact", "fluid"] {
         let mut args = QUICK.to_vec();
         args.extend_from_slice(&["--scenario", "lcls2", "--fidelity", fidelity]);
         let (ok, stdout, stderr) = run(&args);
@@ -161,13 +148,15 @@ fn cli_check_gates_fluid_parity_on_the_library_tolerances() {
 
 #[test]
 fn cli_rejects_unknown_fidelity_with_the_known_values_named() {
-    let (ok, _, stderr) = run(&["simulate", "--fidelity", "telepathy"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown fidelity"), "{stderr}");
-    assert!(
-        stderr.contains("exact, fluid, hybrid"),
-        "the error must name the valid values: {stderr}"
-    );
+    for bad in ["telepathy", "hybrid"] {
+        let (ok, _, stderr) = run(&["simulate", "--fidelity", bad]);
+        assert!(!ok, "--fidelity {bad} was accepted");
+        assert!(stderr.contains("unknown fidelity"), "{stderr}");
+        assert!(
+            stderr.contains("known fidelities: exact, fluid"),
+            "the error must name the valid values: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -172,6 +172,37 @@ fn unknown_body_fields_draw_400_naming_the_field() {
     handle.shutdown();
 }
 
+/// Both movement-bearing routes accept exactly the two fidelities: any
+/// other label, `hybrid` included, is a 400 naming them. Only successes
+/// are cached, so the same body with `fluid` right after computes and
+/// answers 200.
+#[test]
+fn unknown_fidelity_draws_400_naming_exact_and_fluid() {
+    let handle = start(1, 16);
+    let addr = handle.addr();
+    let cases = [
+        (
+            "/simulate",
+            format!(r#"{{"workload":{TABLE3},"frames":16,"files":4,"fidelity":"FIDELITY"}}"#),
+        ),
+        (
+            "/fleet",
+            r#"{"sessions":13,"fidelity":"FIDELITY"}"#.to_string(),
+        ),
+    ];
+    for (path, template) in cases {
+        let (status, body) = call(addr, "POST", path, &template.replace("FIDELITY", "hybrid"));
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(
+            body.contains("known fidelities: exact, fluid"),
+            "{path} must name the valid values: {body}"
+        );
+        let (status, body) = call(addr, "POST", path, &template.replace("FIDELITY", "fluid"));
+        assert_eq!(status, 200, "{path}: {body}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn keep_alive_serves_many_requests_per_connection() {
     let handle = start(2, 64);
