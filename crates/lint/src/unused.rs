@@ -22,9 +22,21 @@
 //! [`crate::walk::user_files`] lists: the integration tests and perfbench.
 //! Another crate's test code counts, because only `pub` reaches it.
 //! Comments and strings are not code, so a name mentioned only there is
-//! unused. The match is by name, so a dead item that shares its name with
-//! a used one goes unreported. An intentional public API takes a
+//! unused. An intentional public API takes a
 //! `// sss-lint: allow(U001, reason)` pragma on its declaration line.
+//!
+//! Two blind spots follow from matching names, not reachability:
+//!
+//! * a dead item that shares its name with a used one goes unreported;
+//! * dead items that name each other (two dead functions that call each
+//!   other, two dead structs whose fields hold each other) are each
+//!   other's users, so none of them is reported, however often the lint
+//!   is rerun after deletions.
+//!
+//! A `pub trait` whose methods are called only where it is already in
+//! scope is never named outside its own `impl` blocks, so it is flagged
+//! although deleting it would not compile; narrowing it to `pub(crate)`
+//! hands it back to rustc's `dead_code`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -101,8 +113,8 @@ pub(crate) fn check(sources: &[(String, Vec<Token>)]) -> Vec<Finding> {
                 line: decl.line,
                 message: format!(
                     "`pub {} {}` is named nowhere but its declaration, re-exports, own impls \
-                     and own crate's tests: delete it, or pragma the public API with the \
-                     consumer outside the workspace",
+                     and own crate's tests: delete it, make it pub(crate), or pragma the \
+                     public API with the consumer outside the workspace",
                     decl.keyword, decl.name
                 ),
             });
@@ -290,6 +302,19 @@ mod tests {
     fn a_generic_argument_of_the_trait_is_a_use_not_an_owner() {
         let src = "pub struct Foo;\npub struct Bar;\nimpl From<Foo> for Bar {\n    fn from(_: Foo) -> Bar { Bar }\n}\n";
         assert_eq!(flagged(src), ["pub struct Bar"]);
+    }
+
+    /// Calling a trait's methods never names the trait, so a `pub trait`
+    /// used only that way is flagged; `pub(crate)` clears it.
+    #[test]
+    fn a_trait_called_only_through_its_methods_is_flagged_until_pub_crate() {
+        let src = "pub trait Area {\n    fn area(&self) -> f64;\n}\npub struct Square(pub f64);\nimpl Area for Square {\n    fn area(&self) -> f64 { self.0 * self.0 }\n}\nfn main() { Square(2.0).area(); }\n";
+        let findings = check(&[("crates/demo/src/lib.rs".to_string(), lex(src))]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 1);
+        assert!(findings[0].message.starts_with("`pub trait Area`"));
+        assert!(findings[0].message.contains("make it pub(crate)"));
+        assert!(flagged(&src.replace("pub trait", "pub(crate) trait")).is_empty());
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Streaming count, mean, min and max.
+//! Streaming moment estimates (Welford's online algorithm).
 
 use serde::{Deserialize, Serialize};
 
-/// Single-pass count / mean / min / max accumulator.
+/// Single-pass count / mean / M2 / min / max accumulator.
 ///
-/// Numerically stable for long streams (Welford's mean update), `O(1)`
-/// memory. Used by the load generator to summarize per-transfer
-/// completion times without retaining every sample.
+/// Numerically stable for long streams (Welford's update), `O(1)` memory.
+/// Used by the load generator to summarize per-transfer completion times
+/// without retaining every sample. `m2`, the running sum of squared
+/// deviations from the mean, has no accessor: it is part of the serialized
+/// form (the frontier's per-slice `gain`), where variance is `m2 / count`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
+    m2: f64,
     min: f64,
     max: f64,
 }
@@ -27,6 +30,7 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
+            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -47,6 +51,8 @@ impl Summary {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
+        let delta2 = x - self.mean;
+        self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -104,6 +110,7 @@ mod tests {
         let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
+        assert!((s.m2 / s.count() as f64 - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-12);
@@ -113,5 +120,6 @@ mod tests {
     fn single_sample() {
         let s = Summary::from_samples(&[42.0]);
         assert_eq!(s.mean(), 42.0);
+        assert_eq!(s.m2, 0.0);
     }
 }

@@ -203,6 +203,70 @@ fn unknown_fidelity_draws_400_naming_exact_and_fluid() {
     handle.shutdown();
 }
 
+/// The wire schema of a frontier slice's `gain` summary: `count`,
+/// `mean`, `m2`, `min`, `max`, in that order. `m2` is the only spread
+/// statistic a client gets, so it must be the population variance of
+/// the slice's cell gains times the cell count.
+#[test]
+fn frontier_gain_carries_count_mean_m2_min_max() {
+    let handle = start(1, 16);
+    let body = format!(
+        r#"{{"workload":{TABLE3},"x":"wan_gbps:1:400","y":"data_gb:0.1:40:log",
+            "z":"remote_tflops:50:500","resolution":8,"slices":2}}"#
+    );
+    let (status, answer) = call(handle.addr(), "POST", "/frontier", &body);
+    assert_eq!(status, 200, "{answer}");
+    handle.shutdown();
+
+    let map: serde::Value = serde_json::from_str(&answer).expect("frontier body parses");
+    let Some(serde::Value::Seq(slices)) = map.get("slices") else {
+        panic!("no slices array: {answer}");
+    };
+    assert_eq!(slices.len(), 2);
+    for slice in slices {
+        let Some(serde::Value::Map(gain)) = slice.get("gain") else {
+            panic!("slice without a gain object: {answer}");
+        };
+        let keys: Vec<&str> = gain.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["count", "mean", "m2", "min", "max"]);
+
+        let Some(serde::Value::Seq(rows)) = slice.get("cells") else {
+            panic!("slice without cells: {answer}");
+        };
+        let gains: Vec<f64> = rows
+            .iter()
+            .flat_map(|row| match row {
+                serde::Value::Seq(cells) => cells.iter(),
+                other => panic!("a cell row is not an array: {other:?}"),
+            })
+            .map(|cell| {
+                cell.get("gain")
+                    .and_then(serde::Value::as_f64)
+                    .expect("cell gain")
+            })
+            .collect();
+        let n = gains.len() as f64;
+        let mean = gains.iter().sum::<f64>() / n;
+        let variance = gains.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / n;
+        let field = |name: &str| {
+            gain.iter()
+                .find(|(k, _)| k == name)
+                .unwrap()
+                .1
+                .as_f64()
+                .unwrap()
+        };
+        assert_eq!(field("count"), n);
+        assert!(variance > 0.0, "the grid spans gains");
+        let relative = (field("m2") / n - variance).abs() / variance;
+        assert!(
+            relative < 1e-9,
+            "m2 / count = {} vs {variance}",
+            field("m2") / n
+        );
+    }
+}
+
 #[test]
 fn keep_alive_serves_many_requests_per_connection() {
     let handle = start(2, 64);
