@@ -3,7 +3,7 @@
 //! The analyzer walks, in sorted order:
 //!
 //! * `crates/<name>/src/**/*.rs` for every crate except `crates/vendor`
-//!   (the API-compatible stand-ins are third-party by intent),
+//!   (the vendored stand-ins are third-party by intent),
 //! * `crates/<name>/Cargo.toml` (manifest layering check),
 //! * the root crate's `src/*.rs` and `examples/*.rs`.
 //!

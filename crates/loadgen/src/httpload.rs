@@ -27,7 +27,7 @@
 use sss_core::{ModelParams, Scenario};
 use sss_exec::SeedSequence;
 use sss_report::Table;
-use sss_stats::{Summary, TailMetrics};
+use sss_stats::TailMetrics;
 use sss_units::Ratio;
 
 /// What to run: target address, connection count, volume, and request mix.
@@ -120,8 +120,6 @@ pub struct HttpLoadReport {
     pub throughput_rps: f64,
     /// Per-request latency digest, seconds.
     pub latency: TailMetrics,
-    /// Streaming mean/min/max of the same latencies, seconds.
-    pub summary: Summary,
 }
 
 /// Open the connection set, then drive the closed loop from one epoll
@@ -223,7 +221,7 @@ mod engine {
     use std::time::{Duration, Instant};
 
     use sss_exec::poll::{raise_nofile_limit, Events, Poller};
-    use sss_stats::{Summary, TailMetrics};
+    use sss_stats::TailMetrics;
 
     use super::{HttpLoadReport, HttpLoadSpec, ModelParamsBody};
 
@@ -612,7 +610,6 @@ mod engine {
             elapsed_s,
             throughput_rps: tally.ok as f64 / serve_s,
             latency,
-            summary: Summary::from_samples(&tally.latencies),
         })
     }
 }

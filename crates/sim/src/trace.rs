@@ -65,20 +65,12 @@ impl Deserialize for BandwidthTrace {
             starts_s,
             rates_bps,
         } = TraceColumns::from_value(v)?;
-        if starts_s.len() != rates_bps.len() {
-            return Err(serde::Error::custom(format!(
-                "a trace needs one rate per segment start, got {} starts and {} rates",
-                starts_s.len(),
-                rates_bps.len()
-            )));
-        }
-        let segments: Vec<(f64, Rate)> = starts_s
-            .into_iter()
-            .zip(rates_bps.into_iter().map(Rate::from_bytes_per_sec))
-            .collect();
-        BandwidthTrace::from_segments(&segments).map_err(serde::Error::custom)
+        BandwidthTrace::from_columns(starts_s, rates_bps).map_err(serde::Error::custom)
     }
 }
+
+/// Segments a [`BandwidthTrace::window_above`] chunk tests at once.
+const LANES: usize = 8;
 
 impl BandwidthTrace {
     /// A constant-rate trace (the closed-form model's network).
@@ -95,35 +87,63 @@ impl BandwidthTrace {
     /// increasing finite starts, finite non-negative rates, and a
     /// positive final rate (so transfers always terminate).
     pub fn from_segments(segments: &[(f64, Rate)]) -> Result<Self, String> {
-        if segments.is_empty() {
-            return Err("a trace needs at least one segment".into());
-        }
-        // sss-lint: allow(D004, traces must start at literal t=0; validation is exact)
-        if segments[0].0 != 0.0 {
+        let (starts_s, rates_bps) = segments
+            .iter()
+            .map(|&(start, rate)| (start, rate.as_bytes_per_sec()))
+            .unzip();
+        Self::from_columns(starts_s, rates_bps)
+    }
+
+    /// The one validator behind every trace: `from_segments`, the
+    /// bundled shapes and the wire form. Checks, in this order: one rate
+    /// per start, at least one segment, a first start at 0, finite
+    /// strictly increasing starts, finite non-negative rates and a
+    /// positive final rate; the first failure is the error.
+    ///
+    /// Each column is swept branch-free over every segment, and the
+    /// first failure is looked for only once a sweep has found one, so
+    /// a valid trace pays no per-segment branch.
+    fn from_columns(starts_s: Vec<f64>, rates_bps: Vec<f64>) -> Result<Self, String> {
+        if starts_s.len() != rates_bps.len() {
             return Err(format!(
-                "the first segment must start at t=0, got {}",
-                segments[0].0
+                "a trace needs one rate per segment start, got {} starts and {} rates",
+                starts_s.len(),
+                rates_bps.len()
             ));
         }
-        for w in segments.windows(2) {
-            // Starts increase from 0, so a start that passes the `>` test
-            // is non-negative: the predicate adds only finiteness.
-            if !(non_negative_finite(w[1].0) && w[1].0 > w[0].0) {
-                return Err(format!(
-                    "segment starts must be finite and strictly increasing ({} then {})",
-                    w[0].0, w[1].0
-                ));
-            }
+        let (Some(&first), Some(&last)) = (starts_s.first(), rates_bps.last()) else {
+            return Err("a trace needs at least one segment".into());
+        };
+        // sss-lint: allow(D004, traces must start at literal t=0; validation is exact)
+        if first != 0.0 {
+            return Err(format!("the first segment must start at t=0, got {first}"));
         }
-        for (start, rate) in segments {
-            let r = rate.as_bytes_per_sec();
-            if !non_negative_finite(r) {
-                return Err(format!(
-                    "rate at t={start} must be finite and >= 0, got {r}"
-                ));
-            }
+        // Starts increase from 0, so a start that passes the `>` test is
+        // non-negative: the predicate adds only finiteness.
+        let rises = |w: &[f64]| non_negative_finite(w[1]) & (w[1] > w[0]);
+        if !starts_s.windows(2).fold(true, |all, w| all & rises(w)) {
+            let w = starts_s
+                .windows(2)
+                .find(|w| !rises(w))
+                .expect("the sweep found a start that does not rise");
+            return Err(format!(
+                "segment starts must be finite and strictly increasing ({} then {})",
+                w[0], w[1]
+            ));
         }
-        let last = segments.last().expect("non-empty").1.as_bytes_per_sec();
+        if !rates_bps
+            .iter()
+            .fold(true, |all, &r| all & non_negative_finite(r))
+        {
+            let (start, r) = starts_s
+                .iter()
+                .zip(&rates_bps)
+                .find(|&(_, &r)| !non_negative_finite(r))
+                .expect("the sweep found a rate that is not a rate");
+            return Err(format!(
+                "rate at t={start} must be finite and >= 0, got {r}"
+            ));
+        }
         if last <= 0.0 {
             return Err(
                 "the final segment must have a positive rate (transfers must terminate)"
@@ -131,8 +151,8 @@ impl BandwidthTrace {
             );
         }
         Ok(BandwidthTrace {
-            starts_s: segments.iter().map(|(s, _)| *s).collect(),
-            rates_bps: segments.iter().map(|(_, r)| r.as_bytes_per_sec()).collect(),
+            starts_s,
+            rates_bps,
         })
     }
 
@@ -227,6 +247,13 @@ impl BandwidthTrace {
     /// clipped session at the smallest demand it will have before its
     /// demand can fall to the shared level.
     ///
+    /// The later segments are tested eight at a time without a branch,
+    /// keeping one minimum per lane; only the chunk where the window
+    /// ends, and the short tail, are walked segment by segment. The lanes
+    /// take a minimum by compare-and-select, not `f64::min`: every rate
+    /// passed [`non_negative_finite`], so there is no NaN to handle, and
+    /// the select vectorizes where `f64::min` does not.
+    ///
     /// ```
     /// use sss_sim::BandwidthTrace;
     /// use sss_units::Rate;
@@ -248,22 +275,32 @@ impl BandwidthTrace {
         t_s: f64,
         above: impl Fn(f64) -> bool,
     ) -> Option<(f64, Option<f64>)> {
-        let mut i = self.segment_index(t_s);
-        let mut min = self.rates_bps[i];
+        let first = self.segment_index(t_s);
+        let mut min = self.rates_bps[first];
         if !above(min) {
             return None;
         }
-        loop {
-            i += 1;
-            let Some(&start) = self.starts_s.get(i) else {
-                return Some((min, None));
-            };
-            let rate = self.rates_bps[i];
+        let smaller = |a: f64, b: f64| if b < a { b } else { a };
+        let mut next = first + 1;
+        let (chunks, _) = self.rates_bps[next..].as_chunks::<LANES>();
+        let mut lanes = [min; LANES];
+        for chunk in chunks {
+            if !chunk.iter().fold(true, |all, &r| all & above(r)) {
+                break;
+            }
+            for (lane, &r) in lanes.iter_mut().zip(chunk) {
+                *lane = smaller(*lane, r);
+            }
+            next += LANES;
+        }
+        min = lanes.into_iter().fold(min, smaller);
+        for (&start, &rate) in self.starts_s[next..].iter().zip(&self.rates_bps[next..]) {
             if !above(rate) {
                 return Some((min, Some(start)));
             }
-            min = min.min(rate);
+            min = smaller(min, rate);
         }
+        Some((min, None))
     }
 
     /// Index of the segment containing `t_s` — the shared entry lookup
@@ -622,22 +659,6 @@ impl BandwidthTrace {
             rates_bps,
         })
     }
-
-    /// The same profile with every rate multiplied by `factor` (e.g. to
-    /// deflate an `α·Bw` effective-rate trace by a θ I/O inflation).
-    ///
-    /// # Panics
-    /// Panics on a non-positive or non-finite factor.
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "scale factor must be positive and finite, got {factor}"
-        );
-        BandwidthTrace {
-            starts_s: self.starts_s.clone(),
-            rates_bps: self.rates_bps.iter().map(|r| r * factor).collect(),
-        }
-    }
 }
 
 /// The bundled trace-shape vocabulary the replay layer exercises.
@@ -733,47 +754,53 @@ impl TraceShape {
             horizon_s > 0.0 && horizon_s.is_finite(),
             "horizon must be positive, got {horizon_s}"
         );
-        let segments = match self {
-            TraceShape::Steady => vec![(0.0, base)],
+        let base = base.as_bytes_per_sec();
+        let (starts_s, rates_bps) = match self {
+            TraceShape::Steady => (vec![0.0], vec![base]),
             TraceShape::Diurnal => {
                 const STEPS: usize = 16;
                 const PERIODS: usize = 8;
-                let mut segments = Vec::with_capacity(STEPS * PERIODS + 1);
+                let mut starts_s = Vec::with_capacity(STEPS * PERIODS + 1);
+                let mut rates_bps = Vec::with_capacity(STEPS * PERIODS + 1);
                 for k in 0..STEPS * PERIODS {
                     let phase = 2.0 * std::f64::consts::PI * (k % STEPS) as f64 / STEPS as f64;
-                    let multiplier = 0.55 + 0.45 * phase.cos();
-                    segments.push((
-                        horizon_s * k as f64 / STEPS as f64,
-                        Rate::from_bytes_per_sec(base.as_bytes_per_sec() * multiplier),
-                    ));
+                    starts_s.push(horizon_s * k as f64 / STEPS as f64);
+                    rates_bps.push(base * (0.55 + 0.45 * phase.cos()));
                 }
-                segments.push((horizon_s * PERIODS as f64, base));
-                segments
+                starts_s.push(horizon_s * PERIODS as f64);
+                rates_bps.push(base);
+                (starts_s, rates_bps)
             }
             TraceShape::Bursty => {
                 const SLOTS: usize = 32;
                 const HORIZONS: usize = 8;
-                let dip = Rate::from_bytes_per_sec(base.as_bytes_per_sec() * 0.3);
+                // The serial chain draws each slot's dip while the
+                // starts are written, and the rates are selected from
+                // the draws in a pass of their own: selected on the
+                // chain, a quarter of the slots dipping at random would
+                // mispredict a branch there.
+                let mut dips = [false; SLOTS * HORIZONS];
                 let mut state = seed;
-                let mut segments = Vec::with_capacity(SLOTS * HORIZONS + 1);
-                for k in 0..SLOTS * HORIZONS {
+                let mut starts_s = Vec::with_capacity(SLOTS * HORIZONS + 1);
+                for (k, dipped) in dips.iter_mut().enumerate() {
                     splitmix64(&mut state);
-                    let dipped = state.is_multiple_of(4);
-                    segments.push((
-                        horizon_s * k as f64 / SLOTS as f64,
-                        if dipped { dip } else { base },
-                    ));
+                    *dipped = state.is_multiple_of(4);
+                    starts_s.push(horizon_s * k as f64 / SLOTS as f64);
                 }
-                segments.push((horizon_s * HORIZONS as f64, base));
-                segments
+                starts_s.push(horizon_s * HORIZONS as f64);
+                let dip = base * 0.3;
+                let mut rates_bps = Vec::with_capacity(SLOTS * HORIZONS + 1);
+                rates_bps.extend(dips.iter().map(|&dipped| if dipped { dip } else { base }));
+                rates_bps.push(base);
+                (starts_s, rates_bps)
             }
-            TraceShape::Outage => vec![
-                (0.0, base),
-                (0.25 * horizon_s, Rate::ZERO),
-                (0.60 * horizon_s, base),
-            ],
+            TraceShape::Outage => (
+                vec![0.0, 0.25 * horizon_s, 0.60 * horizon_s],
+                vec![base, 0.0, base],
+            ),
         };
-        BandwidthTrace::from_segments(&segments).expect("bundled shapes build valid traces")
+        BandwidthTrace::from_columns(starts_s, rates_bps)
+            .expect("bundled shapes build valid traces")
     }
 }
 
@@ -940,6 +967,156 @@ mod tests {
                     assert_eq!(min.to_bits(), want.to_bits(), "{shape}: min from {start}");
                 }
             }
+        }
+    }
+
+    /// The scan `window_above` replaced, one segment at a time with
+    /// `f64::min`: its oracle.
+    fn scalar_window_above(
+        t: &BandwidthTrace,
+        t_s: f64,
+        above: impl Fn(f64) -> bool,
+    ) -> Option<(f64, Option<f64>)> {
+        let mut i = t.segment_index(t_s);
+        let mut min = t.rates_bps[i];
+        if !above(min) {
+            return None;
+        }
+        loop {
+            i += 1;
+            let Some(&start) = t.starts_s.get(i) else {
+                return Some((min, None));
+            };
+            let rate = t.rates_bps[i];
+            if !above(rate) {
+                return Some((min, Some(start)));
+            }
+            min = min.min(rate);
+        }
+    }
+
+    /// The construction `TraceShape::build` replaced, `(start, rate)`
+    /// tuples through `from_segments`: its oracle.
+    fn built_from_segments(
+        shape: TraceShape,
+        base: Rate,
+        horizon_s: f64,
+        seed: u64,
+    ) -> BandwidthTrace {
+        let segments = match shape {
+            TraceShape::Steady => vec![(0.0, base)],
+            TraceShape::Diurnal => {
+                const STEPS: usize = 16;
+                const PERIODS: usize = 8;
+                let mut segments = Vec::with_capacity(STEPS * PERIODS + 1);
+                for k in 0..STEPS * PERIODS {
+                    let phase = 2.0 * std::f64::consts::PI * (k % STEPS) as f64 / STEPS as f64;
+                    let multiplier = 0.55 + 0.45 * phase.cos();
+                    segments.push((
+                        horizon_s * k as f64 / STEPS as f64,
+                        Rate::from_bytes_per_sec(base.as_bytes_per_sec() * multiplier),
+                    ));
+                }
+                segments.push((horizon_s * PERIODS as f64, base));
+                segments
+            }
+            TraceShape::Bursty => {
+                const SLOTS: usize = 32;
+                const HORIZONS: usize = 8;
+                let dip = Rate::from_bytes_per_sec(base.as_bytes_per_sec() * 0.3);
+                let mut state = seed;
+                let mut segments = Vec::with_capacity(SLOTS * HORIZONS + 1);
+                for k in 0..SLOTS * HORIZONS {
+                    splitmix64(&mut state);
+                    let dipped = state.is_multiple_of(4);
+                    segments.push((
+                        horizon_s * k as f64 / SLOTS as f64,
+                        if dipped { dip } else { base },
+                    ));
+                }
+                segments.push((horizon_s * HORIZONS as f64, base));
+                segments
+            }
+            TraceShape::Outage => vec![
+                (0.0, base),
+                (0.25 * horizon_s, Rate::ZERO),
+                (0.60 * horizon_s, base),
+            ],
+        };
+        BandwidthTrace::from_segments(&segments).unwrap()
+    }
+
+    /// A window as raw bits, so equality means bit identity.
+    fn window_bits(window: Option<(f64, Option<f64>)>) -> Option<(u64, Option<u64>)> {
+        window.map(|(min, end)| (min.to_bits(), end.map(f64::to_bits)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..Default::default() })]
+
+        /// The chunked scan answers as the scalar one does, bit for bit:
+        /// on traces of 1 to 40 segments, so windows end in every lane
+        /// of a chunk and in the tail; with rates of +0.0 and a few
+        /// positive values, so rates tie the strict threshold, and with
+        /// a threshold below zero, so zero-rate segments pass; queried
+        /// on every segment start, mid-segment and past the last start.
+        #[test]
+        fn window_above_matches_the_scalar_scan_bit_for_bit(
+            // (duration, rate level) pairs; level 0 is a zero-rate slot.
+            segs in proptest::collection::vec((0.01f64..5.0, 0usize..4), 1..=40),
+            pick in 0usize..5,
+        ) {
+            const LEVELS: [f64; 4] = [0.0, 1.0, 2.5, 4.0];
+            let last = segs.len() - 1;
+            let mut start = 0.0;
+            let segments: Vec<(f64, Rate)> = segs
+                .iter()
+                .enumerate()
+                .map(|(k, &(dur, level))| {
+                    // The final rate must be positive.
+                    let level = if k == last { 1 + level % 3 } else { level };
+                    let segment = (start, Rate::from_bytes_per_sec(LEVELS[level]));
+                    start += dur;
+                    segment
+                })
+                .collect();
+            let t = BandwidthTrace::from_segments(&segments).unwrap();
+            let threshold = [-1.0, LEVELS[0], LEVELS[1], LEVELS[2], LEVELS[3]][pick];
+            let above = |r: f64| r > threshold;
+            let mut queries = vec![t.starts_s[last] + 1.0];
+            for (k, &s) in t.starts_s.iter().enumerate() {
+                queries.push(s);
+                if let Some(&next) = t.starts_s.get(k + 1) {
+                    queries.push((s + next) / 2.0);
+                }
+            }
+            for q in queries {
+                prop_assert_eq!(
+                    window_bits(t.window_above(q, above)),
+                    window_bits(scalar_window_above(&t, q, above)),
+                    "at {} above {}", q, threshold
+                );
+            }
+        }
+
+        /// Every shape builds the trace the tuple construction built,
+        /// bit for bit, over bases and horizons across many decades.
+        #[test]
+        fn builds_match_the_tuple_construction_bit_for_bit(
+            pick in 0usize..TraceShape::ALL.len(),
+            base_mantissa in 1.0f64..10.0,
+            base_exp in -3i32..13,
+            horizon_mantissa in 1.0f64..10.0,
+            horizon_exp in -6i32..6,
+            seed in any::<u64>(),
+        ) {
+            let shape = TraceShape::ALL[pick];
+            let base = Rate::from_bytes_per_sec(base_mantissa * 10f64.powi(base_exp));
+            let horizon = horizon_mantissa * 10f64.powi(horizon_exp);
+            let got = shape.build(base, horizon, seed);
+            let want = built_from_segments(shape, base, horizon, seed);
+            prop_assert_eq!(bits(&got.starts_s), bits(&want.starts_s));
+            prop_assert_eq!(bits(&got.rates_bps), bits(&want.rates_bps));
         }
     }
 
@@ -1208,25 +1385,65 @@ mod tests {
         assert!(TraceShape::parse("tsunami").is_err());
     }
 
+    /// Every validation failure names its fault in full, and an input
+    /// with two faults names the one checked first: the first start,
+    /// then the starts in order, then the rates in order, then the final
+    /// rate.
     #[test]
     fn invalid_segments_rejected() {
-        assert!(BandwidthTrace::from_segments(&[]).is_err());
-        assert!(BandwidthTrace::from_segments(&[(1.0, gbs(1.0))]).is_err());
-        assert!(BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (0.0, gbs(2.0))]).is_err());
-        assert!(
-            BandwidthTrace::from_segments(&[(0.0, Rate::ZERO)]).is_err(),
-            "an all-zero trace would never terminate"
-        );
-        assert!(
-            BandwidthTrace::from_segments(&[(0.0, Rate::from_bytes_per_sec(f64::NAN))]).is_err()
-        );
-    }
-
-    #[test]
-    fn scaled_divides_every_segment() {
-        let t = TraceShape::Outage.build(gbs(2.0), 10.0, 0).scaled(0.5);
-        assert_eq!(t.rate_at(0.0), 1.0e9);
-        assert_eq!(t.rate_at(3.0), 0.0);
+        let bps = Rate::from_bytes_per_sec;
+        let increasing = |a: &str, b: &str| {
+            format!("segment starts must be finite and strictly increasing ({a} then {b})")
+        };
+        let first_start = "the first segment must start at t=0, got 1".to_string();
+        for (segments, want) in [
+            (vec![], "a trace needs at least one segment".to_string()),
+            (vec![(1.0, gbs(1.0))], first_start.clone()),
+            (vec![(0.0, gbs(1.0)), (0.0, gbs(2.0))], increasing("0", "0")),
+            (
+                vec![(0.0, gbs(1.0)), (f64::INFINITY, gbs(2.0))],
+                increasing("0", "inf"),
+            ),
+            (
+                vec![(0.0, Rate::ZERO)],
+                "the final segment must have a positive rate (transfers must terminate)"
+                    .to_string(),
+            ),
+            (
+                vec![(0.0, bps(f64::NAN))],
+                "rate at t=0 must be finite and >= 0, got NaN".to_string(),
+            ),
+            (
+                vec![(0.0, bps(1.0)), (1.5, bps(-2.0)), (3.0, bps(1.0))],
+                "rate at t=1.5 must be finite and >= 0, got -2".to_string(),
+            ),
+            // Two faults each: the one checked first is named.
+            (vec![(1.0, gbs(1.0)), (0.5, gbs(1.0))], first_start),
+            (
+                vec![(0.0, bps(-1.0)), (2.0, bps(1.0)), (1.0, bps(1.0))],
+                increasing("2", "1"),
+            ),
+            (
+                vec![
+                    (0.0, bps(1.0)),
+                    (2.0, bps(1.0)),
+                    (1.0, bps(1.0)),
+                    (1.0, bps(1.0)),
+                ],
+                increasing("2", "1"),
+            ),
+            (
+                vec![(0.0, bps(1.0)), (1.0, bps(f64::INFINITY)), (2.0, bps(-1.0))],
+                "rate at t=1 must be finite and >= 0, got inf".to_string(),
+            ),
+            (
+                vec![(0.0, bps(-1.0)), (1.0, Rate::ZERO)],
+                "rate at t=0 must be finite and >= 0, got -1".to_string(),
+            ),
+        ] {
+            let got = BandwidthTrace::from_segments(&segments).expect_err(&want);
+            assert_eq!(got, want, "{segments:?}");
+        }
     }
 
     /// Breakpoint-boundary semantics: `rate_at` is right-continuous —

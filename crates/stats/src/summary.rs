@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 /// Single-pass count / mean / M2 / min / max accumulator.
 ///
 /// Numerically stable for long streams (Welford's update), `O(1)` memory.
-/// Used by the load generator to summarize per-transfer completion times
-/// without retaining every sample. `m2`, the running sum of squared
+/// The frontier streams each slice's per-cell gains through one without
+/// retaining every sample. `m2`, the running sum of squared
 /// deviations from the mean, has no accessor: it is part of the serialized
 /// form (the frontier's per-slice `gain`), where variance is `m2 / count`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,15 +34,6 @@ impl Summary {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// Build a summary from a slice in one call.
-    pub fn from_samples(xs: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &x in xs {
-            s.record(x);
-        }
-        s
     }
 
     /// Add one observation.
@@ -96,6 +87,14 @@ impl Summary {
 mod tests {
     use super::*;
 
+    fn summary_of(xs: &[f64]) -> Summary {
+        let mut s = Summary::new();
+        for &x in xs {
+            s.record(x);
+        }
+        s
+    }
+
     #[test]
     fn empty_summary() {
         let s = Summary::new();
@@ -107,7 +106,7 @@ mod tests {
 
     #[test]
     fn known_values() {
-        let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        let s = summary_of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.m2 / s.count() as f64 - 4.0).abs() < 1e-12);
@@ -118,7 +117,7 @@ mod tests {
 
     #[test]
     fn single_sample() {
-        let s = Summary::from_samples(&[42.0]);
+        let s = summary_of(&[42.0]);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.m2, 0.0);
     }

@@ -1134,7 +1134,7 @@ fn cmd_loadtest(flags: &Flags) -> Result<(), String> {
          over {} requests ({} errors)",
         report.opened,
         report.spec.connections,
-        report.summary.mean() * 1e3,
+        report.latency.mean * 1e3,
         report.ok + report.errors,
         report.errors
     );
