@@ -26,6 +26,16 @@
 //!   DTN slot at its close, and nothing flows from a delivery back to the
 //!   writer.
 //!
+//! A burst source keeps both chains backlogged after their first frame,
+//! so the kernel advances them sixteen frames at a time: it assumes each
+//! frame starts when the one before it frees the server, computes the
+//! sixteen frees with the single step's own `(free + frame_bytes/rate) +
+//! overhead`, and checks every frame without a branch (ready by its
+//! start, inside the segment, every instant valid). A block that fails
+//! any check is discarded and its frames step singly, as do the first
+//! frame, the short tail and frames that wait to be produced, so every
+//! instant is the `f64` a frame-by-frame chain gives.
+//!
 //! A discrete-event simulation of the same processes has to break ties
 //! between a production and a completion at the same instant; here each
 //! tie resolves to the same `f64` either way. The tests keep that

@@ -72,6 +72,9 @@ impl Deserialize for BandwidthTrace {
 /// Segments a [`BandwidthTrace::window_above`] chunk tests at once.
 const LANES: usize = 8;
 
+/// Sends a backlogged [`BandwidthTrace::send_chain`] advances at once.
+const BLOCK: usize = 16;
+
 impl BandwidthTrace {
     /// A constant-rate trace (the closed-form model's network).
     ///
@@ -360,7 +363,10 @@ impl BandwidthTrace {
     /// seconds past its last byte:
     ///
     /// `start_i = max(ready(i), free_{i-1})`,
-    /// `free_i = finish_time(start_i, bytes) + overhead`, `free_{-1} = free`.
+    /// `free_i = finish_time(start_i, bytes) + overhead`, `free_{-1} = free`,
+    ///
+    /// where a send ready exactly when the link frees starts at the free
+    /// instant (which decides the sign of a zero start).
     ///
     /// `sent` sees every free instant in send order; the return value is
     /// the last one (`free` for no sends). Each finish is the
@@ -370,6 +376,23 @@ impl BandwidthTrace {
     /// binary-searching: a send that fits in that segment finishes at
     /// `start + bytes/rate`, and only a send that crosses a breakpoint
     /// integrates segment by segment.
+    ///
+    /// A backlogged chain advances sixteen sends at a time. Sends step
+    /// singly in runs, the first send alone and then sixteen at a time.
+    /// When a run's last send started at the link's free instant, the
+    /// chain speculates that each of the next sixteen sends does too and
+    /// fits in the same segment: it computes their frees in order, each
+    /// `(free + bytes/rate) + overhead` as a single step would, and then
+    /// checks all sixteen without a branch. Each must be ready at a valid
+    /// instant no later than its start, start no earlier than the segment
+    /// and fit in it, and the last must free the link at a valid instant.
+    /// Only when every send passes does `sent` see the block's frees, and
+    /// the chain tries the next block; on a miss it discards the block
+    /// and steps its sends singly as the next run. The first send, tails
+    /// shorter than a block, idle sends and missed blocks all take the
+    /// single step, so every instant is the same `f64` either way. `ready`
+    /// is read ahead and may be read twice for a send, so it must be a
+    /// pure function of the index.
     ///
     /// The WAN link starts free at 0. A constant-rate server that is busy
     /// before its first send, such as a file writer that must open the
@@ -402,53 +425,82 @@ impl BandwidthTrace {
     /// # Panics
     /// Panics on a negative or non-finite first-free, ready or free
     /// instant or `bytes`, and when a start falls before the segment the
-    /// chain has reached (a negative `overhead` can rewind it).
+    /// chain has reached (a negative `overhead` can rewind it). The panic
+    /// comes at the faulty send, after `sent` has seen every send before
+    /// it, but a block may have read `ready` up to 15 sends past it.
     pub fn send_chain(
         &self,
         free: f64,
         sends: u32,
         bytes: f64,
         overhead: f64,
-        mut ready: impl FnMut(u32) -> f64,
+        ready: impl Fn(u32) -> f64,
         mut sent: impl FnMut(f64),
     ) -> f64 {
         // The segment of the latest start: its start, its end (infinite
-        // for the final segment), its rate and one send's time at it.
+        // for the final segment), its rate and one send's time at it. A
+        // zero-byte send's time is -0.0, so `start + per_send` is `start`
+        // bit for bit, -0.0 included, and the in-segment path needs no
+        // zero test of its own.
         let segment = |seg: usize| {
             let rate = self.rates_bps[seg];
             let end = self.starts_s.get(seg + 1).copied().unwrap_or(f64::INFINITY);
-            (self.starts_s[seg], end, rate, bytes / rate)
+            let per_send = if bytes > 0.0 { bytes / rate } else { -0.0 };
+            (self.starts_s[seg], end, rate, per_send)
         };
         let mut seg = 0;
         let (mut seg_start, mut end, mut rate, mut per_send) = segment(seg);
         let mut free = Seconds::new(free).value();
-        for i in 0..sends {
-            // Both instants are checked, so one compare is their maximum:
-            // `f64::max` would put its NaN handling on the chain.
-            let ready_i = Seconds::new(ready(i)).value();
-            let start = if ready_i > free { ready_i } else { free };
-            check_transfer(start, bytes);
-            assert!(
-                seg_start <= start,
-                "segment cursor at t={seg_start} is past the start {start}"
-            );
-            if start >= end {
-                while self.starts_s.get(seg + 1).is_some_and(|&s| s <= start) {
-                    seg += 1;
+        // Sends step singly in runs: the first send alone, then sixteen at
+        // a time (a missed block, a stretch of idle sends or the tail).
+        let mut run = 1;
+        let mut i = 0;
+        while i < sends {
+            let run_end = i + run.min(sends - i);
+            let mut backlogged = false;
+            for i in i..run_end {
+                // Both instants are checked, so one compare is their maximum:
+                // `f64::max` would put its NaN handling on the chain, and
+                // `start` needs no check of its own.
+                let ready_i = Seconds::new(ready(i)).value();
+                backlogged = ready_i <= free;
+                let start = if ready_i > free { ready_i } else { free };
+                check_bytes(bytes);
+                assert!(
+                    seg_start <= start,
+                    "segment cursor at t={seg_start} is past the start {start}"
+                );
+                if start >= end {
+                    while self.starts_s.get(seg + 1).is_some_and(|&s| s <= start) {
+                        seg += 1;
+                    }
+                    (seg_start, end, rate, per_send) = segment(seg);
                 }
-                (seg_start, end, rate, per_send) = segment(seg);
+                let finish = if rate > 0.0 && rate * (end - start) >= bytes {
+                    // The send fits in its segment: `walk`'s first step.
+                    start + per_send
+                } else {
+                    self.walk(seg, start, bytes, 1.0, f64::INFINITY)
+                };
+                free = Seconds::new(finish + overhead).value();
+                sent(free);
             }
-            // sss-lint: allow(D004, zero-byte transfer completes instantly; exact guard)
-            let finish = if bytes == 0.0 {
-                start
-            } else if rate > 0.0 && rate * (end - start) >= bytes {
-                // The send fits in its segment: `walk`'s first step.
-                start + per_send
-            } else {
-                self.walk(seg, start, bytes, 1.0, f64::INFINITY)
-            };
-            free = Seconds::new(finish + overhead).value();
-            sent(free);
+            i = run_end;
+            run = BLOCK as u32;
+            // A run whose last send started at the link's free instant
+            // may have reached a backlog: advance it block by block.
+            if !backlogged {
+                continue;
+            }
+            while sends - i >= BLOCK as u32 {
+                let cursor = (seg_start, end, rate, per_send);
+                let Some(frees) = backlogged_block(&ready, i, free, bytes, overhead, cursor) else {
+                    break;
+                };
+                frees.into_iter().for_each(&mut sent);
+                free = frees[BLOCK - 1];
+                i += BLOCK as u32;
+            }
         }
         free
     }
@@ -694,10 +746,70 @@ fn check_transfer(start_s: f64, bytes: f64) {
         non_negative_finite(start_s),
         "start must be non-negative and finite, got {start_s}"
     );
+    check_bytes(bytes);
+}
+
+/// [`check_transfer`]'s check of `bytes`, for a caller whose start is
+/// already a checked instant.
+///
+/// # Panics
+/// Panics on a negative or non-finite `bytes`.
+#[inline(always)]
+fn check_bytes(bytes: f64) {
     assert!(
         non_negative_finite(bytes),
         "bytes must be non-negative and finite, got {bytes}"
     );
+}
+
+/// The [`BandwidthTrace::send_chain`] block from send `first`, on a link
+/// free at `free` whose latest start lies in the segment `[seg_start,
+/// end)` at `rate`, `per_send` apart: the sixteen free instants, if every
+/// send starts at the free instant before it and takes the single step's
+/// in-segment path.
+///
+/// The frees are one chain of `(free + per_send) + overhead`, the single
+/// step's arithmetic; the checks run after it, lane by lane and without a
+/// branch. A lane passes when its ready instant is a time no later than
+/// its start (so the single step starts it there too), its start is not
+/// before the segment, and the segment holds the send. With `bytes > 0`
+/// the capacity test also fails a start at or past `end` and a zero-rate
+/// segment. Each start is the free instant before it, and a free that is
+/// not a time fails the next lane (a negative or NaN one `seg_start <=
+/// start`, an infinite one the capacity test), so only the block's last
+/// free needs its own check.
+#[inline]
+fn backlogged_block(
+    ready: &impl Fn(u32) -> f64,
+    first: u32,
+    free: f64,
+    bytes: f64,
+    overhead: f64,
+    (seg_start, end, rate, per_send): (f64, f64, f64, f64),
+) -> Option<[f64; BLOCK]> {
+    let mut readies = [0.0; BLOCK];
+    let mut starts = [0.0; BLOCK];
+    let mut frees = [0.0; BLOCK];
+    let mut f = free;
+    for k in 0..BLOCK {
+        readies[k] = ready(first + k as u32);
+        starts[k] = f;
+        f = (f + per_send) + overhead;
+        frees[k] = f;
+    }
+    // Counting the failed lanes keeps the checks branch-free, as packed
+    // compares; an `&`-fold over the lanes compiled to a branch per check.
+    let misses: u32 = (0..BLOCK)
+        .map(|k| {
+            let (ready, start) = (readies[k], starts[k]);
+            let fits = (0.0 <= ready)
+                & (ready <= start)
+                & (seg_start <= start)
+                & (rate * (end - start) >= bytes);
+            u32::from(!fits)
+        })
+        .sum();
+    (misses == 0 && bytes > 0.0 && non_negative_finite(f)).then_some(frees)
 }
 
 /// SplitMix64 finalizer — the same generator `sss_exec::SeedSequence`
@@ -1148,7 +1260,8 @@ mod tests {
 
     /// The send chain written out with one `finish_time` per send from a
     /// link first free at `free`: every free instant of the chain, in
-    /// send order.
+    /// send order. A send ready exactly when the link frees starts at the
+    /// free instant, which decides the sign of a zero start.
     fn step_by_step(
         trace: &BandwidthTrace,
         mut free: f64,
@@ -1159,7 +1272,8 @@ mod tests {
         readies
             .iter()
             .map(|&ready| {
-                free = trace.finish_time(ready.max(free), bytes) + overhead;
+                let start = if ready > free { ready } else { free };
+                free = trace.finish_time(start, bytes) + overhead;
                 free
             })
             .collect()
@@ -1197,11 +1311,15 @@ mod tests {
         /// The send chain replays step-by-step `finish_time` bit for bit:
         /// on every bundled shape and on random traces with zero-rate
         /// segments; under burst readies (the link never idles),
-        /// arrival-gated readies (it idles between sends) and readies on
-        /// the breakpoints themselves; from a link first free at 0, on a
-        /// breakpoint or anywhere up to past the last one; with sends that
-        /// exactly fill the segment they start on, zero-byte sends, and
-        /// with or without a per-send overhead.
+        /// arrival-gated readies (it idles between sends), readies on the
+        /// breakpoints themselves, and bursts of 1–40 sends ready at once
+        /// with idle gaps between them, so backlogged runs and idle sends
+        /// share sixteen-send blocks; from a link first free at ±0, on a
+        /// breakpoint or anywhere up to past the last one; for chains of
+        /// 0–200 sends, straddling blocks and tails; with sends that
+        /// exactly fill the segment they start on and zero-byte sends; and
+        /// with an overhead of +0.0, -0.0, a positive one, or a negative
+        /// one shorter than any send, which never rewinds the chain.
         #[test]
         fn the_send_chain_replays_finish_time_bit_for_bit(
             trace_pick in 0usize..=TraceShape::ALL.len(),
@@ -1209,14 +1327,15 @@ mod tests {
             seed in any::<u64>(),
             // (duration, rate level) pairs; level 0 is a zero-rate slot.
             segs in proptest::collection::vec((0.01f64..5.0, 0u32..4), 0..12),
-            sends in 1usize..200,
-            pace in 0u32..3,
+            sends in 0usize..=200,
+            pace in 0u32..4,
             period in 0.0f64..1.0,
+            burst in 1usize..=40,
             size_pick in 0u32..3,
             size in 0.0f64..1.0,
             fill_pick in any::<usize>(),
-            with_overhead in any::<bool>(),
-            free_pick in 0u32..3,
+            overhead_pick in 0u32..4,
+            free_pick in 0u32..4,
             free_at in 0.0f64..1.5,
         ) {
             let trace = match trace_pick {
@@ -1239,8 +1358,11 @@ mod tests {
             let readies: Vec<f64> = match pace {
                 0 => (1..=sends).map(|i| 1e-9 * i as f64).collect(),
                 1 => (1..=sends).map(|i| period * unit * i as f64).collect(),
-                _ => (0..sends)
+                2 => (0..sends)
                     .map(|i| trace.starts_s[i * trace.starts_s.len() / sends])
+                    .collect(),
+                _ => (0..sends)
+                    .map(|i| (i / burst) as f64 * period * unit * 64.0)
                     .collect(),
             };
             // A send that exactly fills a positive-rate segment when it
@@ -1256,17 +1378,25 @@ mod tests {
                 }
                 _ => (0.01 + size) * unit * 1e9,
             };
-            let overhead = if with_overhead { 0.1 * unit } else { 0.0 };
+            // Every send holds the link at least `bytes / max_rate`, so a
+            // negative overhead of half that frees it after its start.
+            let overhead = match overhead_pick {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 0.1 * unit,
+                _ => -0.5 * bytes / trace.max_rate(),
+            };
             let free = match free_pick {
                 0 => 0.0,
-                1 => trace.starts_s[fill_pick % trace.starts_s.len()],
+                1 => -0.0,
+                2 => trace.starts_s[fill_pick % trace.starts_s.len()],
                 _ => free_at * 64.0 * unit,
             };
 
             let want = step_by_step(&trace, free, &readies, bytes, overhead);
             let (got, last) = chained(&trace, free, &readies, bytes, overhead);
             prop_assert_eq!(bits(&got), bits(&want), "{} bytes", bytes);
-            prop_assert_eq!(last.to_bits(), want.last().unwrap().to_bits());
+            prop_assert_eq!(last.to_bits(), want.last().unwrap_or(&free).to_bits());
         }
     }
 
@@ -1308,26 +1438,83 @@ mod tests {
         assert_eq!(chained(&t, 0.0, &[], 1.0e9, 0.5), (vec![], 0.0));
     }
 
+    /// A fault fails the chain at the faulty send with the single step's
+    /// message, after `sent` has seen exactly the sends before it; a
+    /// fault inside a sixteen-send block is no exception.
+    fn assert_fails_at(
+        trace: &BandwidthTrace,
+        free: f64,
+        readies: &[f64],
+        bytes: f64,
+        overhead: f64,
+        (send, message): (usize, &str),
+    ) {
+        let mut seen = Vec::new();
+        let sends = u32::try_from(readies.len()).unwrap();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            trace.send_chain(
+                free,
+                sends,
+                bytes,
+                overhead,
+                |i| readies[i as usize],
+                |f| seen.push(f),
+            )
+        }))
+        .expect_err("the chain must fail");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(message)
+        );
+        let want = step_by_step(trace, free, &readies[..send], bytes, overhead);
+        assert_eq!(bits(&seen), bits(&want), "{message}");
+    }
+
     #[test]
-    #[should_panic(expected = "is past the start")]
     fn a_chain_rewound_by_a_negative_overhead_fails_loudly() {
         let t = BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (2.0, gbs(0.5))]).unwrap();
         // The first send starts at t=3, on the second segment, and frees
         // the link at 5 - 4 = 1: the second send would start before the
         // segment the chain has reached.
-        chained(&t, 0.0, &[3.0, 0.0], 1.0e9, -4.0);
+        let at_1 = (1, "segment cursor at t=2 is past the start 1");
+        assert_fails_at(&t, 0.0, &[3.0, 0.0], 1.0e9, -4.0, at_1);
+        // A backlogged chain from t=34.5 on the 2 GB/s segment from t=10:
+        // each 1 GB send takes 0.5 s and the overhead hands back 1.5 s, so
+        // send k starts at 34.5 - k. The first block passes; send 25, in
+        // the second, starts at 9.5, before the segment.
+        let t = BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (10.0, gbs(2.0))]).unwrap();
+        let at_25 = (25, "segment cursor at t=10 is past the start 9.5");
+        assert_fails_at(&t, 34.5, &[0.0; 40], 1.0e9, -1.5, at_25);
     }
 
     #[test]
-    #[should_panic(expected = "Seconds must be non-negative and finite")]
     fn a_ready_instant_that_is_not_a_time_fails_loudly() {
-        chained(
-            &BandwidthTrace::steady(gbs(1.0)),
-            0.0,
-            &[f64::NAN],
-            1.0e9,
-            0.0,
-        );
+        let t = BandwidthTrace::steady(gbs(1.0));
+        let nan = (0, "Seconds must be non-negative and finite, got NaN");
+        assert_fails_at(&t, 0.0, &[f64::NAN], 1.0e9, 0.0, nan);
+        // Send 20 of a backlogged chain, inside its second block.
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut readies = [0.0; 40];
+            readies[20] = bad;
+            let message = format!("Seconds must be non-negative and finite, got {bad}");
+            assert_fails_at(&t, 0.0, &readies, 1.0e9, 0.0, (20, &message));
+        }
+    }
+
+    #[test]
+    fn bytes_or_a_free_that_is_not_a_time_fails_loudly() {
+        let bytes = (0, "bytes must be non-negative and finite, got inf");
+        let t = BandwidthTrace::steady(gbs(1.0));
+        assert_fails_at(&t, 0.0, &[0.0; 40], f64::INFINITY, 0.0, bytes);
+        // At 1 B/s a send of f64::MAX / (k + 0.5) bytes takes as many
+        // seconds, so the free instant of send k overflows: send 20 is
+        // inside the second block, send 32 ends it.
+        let t = BandwidthTrace::steady(Rate::from_bytes_per_sec(1.0));
+        for send in [20, 32] {
+            let bytes = f64::MAX / (send as f64 + 0.5);
+            let free = (send, "Seconds must be non-negative and finite, got inf");
+            assert_fails_at(&t, 0.0, &[0.0; 40], bytes, 0.0, free);
+        }
     }
 
     /// The first-free instant is checked like every other instant, even
