@@ -5,11 +5,10 @@
 //! as `sim_validation`. Persists per-scenario mispredict rates and
 //! slowdown tails as `results/fleet_contention.{csv,json,md}`.
 //!
-//! Honors `SSS_SEED`, `SSS_QUICK` and `SSS_WORKERS` like the other
-//! regenerators.
+//! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
 use serde::Serialize;
-use sss_bench::{quick, results_dir, seed, workers};
+use sss_bench::{quick, results_dir, seed};
 use sss_exec::ThreadPool;
 use sss_loadgen::{
     fleet_scenario_csv, fleet_summary_table, AdmissionPolicy, FleetConfig, FleetReport, FleetSim,
@@ -83,7 +82,7 @@ fn spot_check(config: &FleetConfig, fluid: &FleetReport, pool: &ThreadPool) -> S
 
 fn main() {
     let base = base_config();
-    let pool = ThreadPool::new(workers());
+    let pool = ThreadPool::with_available_parallelism();
     eprintln!(
         "sweeping {} sessions x {} loads x {} shapes x {} policies on {} workers (fluid)...",
         base.sessions,

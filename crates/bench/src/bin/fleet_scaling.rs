@@ -7,13 +7,13 @@
 //! session, and its time is mostly those per-session costs.
 //! Persists `results/fleet_scaling.{csv,json,md}`.
 //!
-//! Honors `SSS_SEED`, `SSS_QUICK` and `SSS_WORKERS` like the other
-//! regenerators; quick mode drops the largest fleet.
+//! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators; quick
+//! mode drops the largest fleet.
 
 use std::time::Instant;
 
 use serde::Serialize;
-use sss_bench::{quick, results_dir, seed, workers};
+use sss_bench::{quick, results_dir, seed};
 use sss_exec::ThreadPool;
 use sss_loadgen::{AdmissionPolicy, FleetConfig, FleetSim};
 use sss_report::{write_json, CsvWriter, Table};
@@ -93,7 +93,7 @@ fn run_cell(config: &FleetConfig, pool: &ThreadPool) -> Cell {
 }
 
 fn main() {
-    let pool = ThreadPool::new(workers());
+    let pool = ThreadPool::with_available_parallelism();
     let sizes = fleet_sizes();
     eprintln!(
         "sweeping {} fleet sizes x {} shapes x {} policies on {} workers...",

@@ -5,7 +5,7 @@
 //!
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
-use sss_bench::{quick, results_dir, seed, workers};
+use sss_bench::{quick, results_dir, seed};
 use sss_core::{Axis, FrontierSpec, Scenario};
 use sss_exec::ThreadPool;
 use sss_loadgen::{frontier_csv, FrontierJob};
@@ -13,7 +13,7 @@ use sss_report::{write_json, CsvWriter, Table};
 
 fn main() {
     let resolution = if quick() { 12 } else { 24 };
-    let pool = ThreadPool::new(workers());
+    let pool = ThreadPool::with_available_parallelism();
     let dir = results_dir();
     let scenarios = Scenario::all();
     eprintln!(

@@ -23,7 +23,7 @@ use sss_report::write_json;
 use sss_sim::{fluid_tolerance, Fidelity, TraceShape};
 use sss_stats::Ecdf;
 
-/// Timed sequential replays per fidelity; the throughput figures are
+/// Timed one-worker replays per fidelity; the throughput figures are
 /// their median and range.
 const TIMED_RUNS: usize = 5;
 
@@ -50,8 +50,8 @@ struct FidelityThroughput {
     cells_per_sec_max: f64,
 }
 
-/// Time [`TIMED_RUNS`] sequential replays of `config`. Sequential on
-/// purpose: the pool would blur the per-integrator cost the speedup
+/// Time [`TIMED_RUNS`] one-worker replays of `config`. One worker on
+/// purpose: a wider pool would blur the per-integrator cost the speedup
 /// figure is about.
 fn timed_replays(config: ReplayConfig) -> FidelityThroughput {
     let replay = SessionReplay::bundled(config.clone()).expect("bundled ReplayConfig is valid");
@@ -61,7 +61,7 @@ fn timed_replays(config: ReplayConfig) -> FidelityThroughput {
             #[allow(clippy::disallowed_methods)]
             // sss-lint: allow(D002, bench measures real elapsed time by design)
             let start = Instant::now();
-            let report = replay.run_sequential();
+            let report = replay.run(&ThreadPool::new(1));
             let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
             cells = report.records.len();
             cells as f64 / elapsed_s

@@ -6,10 +6,15 @@
 //! reports, as terminal tables/plots plus CSV/JSON under `results/`.
 //!
 //! Environment knobs (all optional):
-//! * `SSS_REPEATS` — repeats per sweep cell (default 1).
+//! * `SSS_REPEATS` — repeats per sweep cell (default 1, at least 1).
 //! * `SSS_SEED` — master seed (default 42).
 //! * `SSS_QUICK` — set to shrink grids ~10× for a fast smoke pass.
 //! * `SSS_RESULTS_DIR` — output directory (default `results/`).
+//!
+//! A set `SSS_REPEATS` or `SSS_SEED` that is not a valid value panics,
+//! naming the variable and its value. The simulations run on a pool
+//! sized to the machine's available parallelism; their output does not
+//! depend on it.
 //!
 //! # Example
 //!
@@ -29,38 +34,47 @@
 //! the intended entry point — `cargo run --release -p sss-bench --bin
 //! sweep_all`, or `--bin server_scaling` for the decision-service bench.)
 
+use std::env::VarError;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use sss_core::{CongestionCurve, Curve1D};
+use sss_exec::ThreadPool;
 use sss_loadgen::{sweep, SpawnStrategy, SweepPoint, SweepSpec};
 use sss_units::Bytes;
 
 /// Master seed for all regenerators (override with `SSS_SEED`).
 pub fn seed() -> u64 {
-    std::env::var("SSS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    parse_knob("SSS_SEED", std::env::var("SSS_SEED"), 42, 0)
 }
 
-/// Repeats per sweep cell (override with `SSS_REPEATS`).
+/// Repeats per sweep cell (override with `SSS_REPEATS`, at least 1).
 pub fn repeats() -> u32 {
-    std::env::var("SSS_REPEATS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+    parse_knob("SSS_REPEATS", std::env::var("SSS_REPEATS"), 1, 1)
+}
+
+/// The value of the numeric knob `name` read as `var`: `default` when
+/// unset. Panics, naming the variable and its value, when the value does
+/// not parse or is below `min`, so a typo cannot run on the default.
+fn parse_knob<T>(name: &str, var: Result<String, VarError>, default: T, min: T) -> T
+where
+    T: FromStr + PartialOrd + Display,
+{
+    let raw = match var {
+        Err(VarError::NotPresent) => return default,
+        Ok(raw) => raw,
+        Err(VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    match raw.parse() {
+        Ok(value) if value >= min => value,
+        _ => panic!("{name}={raw:?}: expected an integer >= {min}"),
+    }
 }
 
 /// True when `SSS_QUICK` is set: shrink workloads for smoke runs.
 pub fn quick() -> bool {
     std::env::var("SSS_QUICK").is_ok()
-}
-
-/// Worker threads for sweeps: all available cores.
-pub fn workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Output directory for CSV/JSON artifacts, created on demand.
@@ -82,7 +96,7 @@ pub fn figure2_sweep(strategy: SpawnStrategy) -> Vec<SweepPoint> {
         spec.parallel_flows = vec![8];
         spec.bytes_per_client = Bytes::from_mb(100.0);
     }
-    sweep(&spec, workers())
+    sweep(&spec, &ThreadPool::with_available_parallelism())
 }
 
 /// Merge sweep points into strictly-increasing (utilization, y) pairs,
@@ -149,14 +163,35 @@ mod tests {
         // Don't assert exact values (env may override in CI), just types.
         let _ = seed();
         assert!(repeats() >= 1);
-        assert!(workers() >= 1);
+    }
+
+    #[test]
+    fn knobs_default_when_unset_and_parse_when_set() {
+        assert_eq!(
+            parse_knob("SSS_SEED", Err(VarError::NotPresent), 42u64, 0),
+            42
+        );
+        assert_eq!(parse_knob("SSS_SEED", Ok("0".into()), 42u64, 0), 0);
+        assert_eq!(parse_knob("SSS_REPEATS", Ok("3".into()), 1u32, 1), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "SSS_SEED=\"abc\": expected an integer >= 0")]
+    fn unparsable_seed_fails_loudly() {
+        parse_knob("SSS_SEED", Ok("abc".into()), 42u64, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "SSS_REPEATS=\"0\": expected an integer >= 1")]
+    fn zero_repeats_fail_loudly() {
+        parse_knob("SSS_REPEATS", Ok("0".into()), 1u32, 1);
     }
 
     #[test]
     fn congestion_curve_from_sweep_points() {
         use sss_loadgen::{sweep, SweepSpec};
         let spec = SweepSpec::small_grid(SpawnStrategy::Simultaneous, 7);
-        let points = sweep(&spec, 2);
+        let points = sweep(&spec, &ThreadPool::new(2));
         let curve = congestion_curve(&points);
         assert!(curve.sss_at(0.5).value() >= 1.0);
     }

@@ -514,10 +514,11 @@ impl FrontierSpec {
     }
 
     /// Compute the map on the calling thread: every grid row in order,
-    /// then one [`FrontierSpec::refine`] walk per disagreeing edge. The
-    /// parallel driver (`sss_loadgen::FrontierJob`) fans the same row and
-    /// edge functions across a pool and reassembles in order, so its
-    /// output is bit-identical to this reference.
+    /// then one [`FrontierSpec::refine`] walk per disagreeing edge. The CLI
+    /// and the service run the pool driver (`sss_loadgen::FrontierJob::run`),
+    /// which fans the same row and edge functions across its workers and
+    /// reassembles in order; this is the sequential reference the tests
+    /// hold it to, bit for bit.
     pub fn compute(&self, base: &ModelParams) -> FrontierMap {
         let slices: Vec<FrontierSlice> = self
             .zs()

@@ -14,11 +14,11 @@
 //! pool is optimal and the scheduling stays easy to reason about.
 //!
 //! ```
-//! use sss_exec::{par_map, SeedSequence};
+//! use sss_exec::{SeedSequence, ThreadPool};
 //!
 //! let seeds = SeedSequence::new(42);
 //! let configs: Vec<(usize, u64)> = (0..8).map(|i| (i, seeds.seed(i as u64))).collect();
-//! let results = par_map(4, &configs, |&(i, seed)| (i, seed % 7));
+//! let results = ThreadPool::new(4).map(&configs, |&(i, seed)| (i, seed % 7));
 //! assert_eq!(results.len(), 8);
 //! assert_eq!(results[3].0, 3); // order preserved
 //! ```
@@ -27,7 +27,7 @@ pub mod poll;
 mod pool;
 mod seed;
 
-pub use pool::{par_map, ThreadPool};
+pub use pool::ThreadPool;
 pub use seed::SeedSequence;
 
 #[cfg(test)]
@@ -38,10 +38,10 @@ mod proptests {
     proptest! {
         /// Parallel map equals sequential map regardless of worker count.
         #[test]
-        fn par_map_matches_seq(xs in proptest::collection::vec(-1000i64..1000, 0..64),
+        fn pool_map_matches_seq(xs in proptest::collection::vec(-1000i64..1000, 0..64),
                                workers in 1usize..8) {
             let f = |x: &i64| x.wrapping_mul(31).wrapping_add(7);
-            let par = par_map(workers, &xs, f);
+            let par = ThreadPool::new(workers).map(&xs, f);
             let seq: Vec<i64> = xs.iter().map(f).collect();
             prop_assert_eq!(par, seq);
         }

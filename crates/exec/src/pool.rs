@@ -1,4 +1,4 @@
-//! Shared-queue thread pool and order-preserving parallel maps.
+//! Shared-queue thread pool and its order-preserving parallel map.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,7 +39,8 @@ impl ThreadPool {
         self.workers
     }
 
-    /// Order-preserving parallel map over a slice.
+    /// Order-preserving parallel map over a slice. With one worker (or
+    /// one item) `f` runs inline on the calling thread.
     ///
     /// Panics in `f` are propagated to the caller after all workers stop
     /// (no deadlock, no lost panic).
@@ -97,52 +98,40 @@ impl ThreadPool {
     }
 }
 
-/// Order-preserving parallel map with `workers` threads.
-///
-/// Convenience wrapper over [`ThreadPool::map`].
-pub fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    ThreadPool::new(workers).map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_input() {
-        let out: Vec<i32> = par_map(4, &[] as &[i32], |x| *x);
+        let out: Vec<i32> = ThreadPool::new(4).map(&[] as &[i32], |x| *x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn preserves_order() {
         let xs: Vec<usize> = (0..1000).collect();
-        let out = par_map(8, &xs, |&x| x * 2);
+        let out = ThreadPool::new(8).map(&xs, |&x| x * 2);
         assert_eq!(out, xs.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_worker_fallback() {
         let xs = vec![1, 2, 3];
-        assert_eq!(par_map(1, &xs, |&x| x + 1), vec![2, 3, 4]);
+        assert_eq!(ThreadPool::new(1).map(&xs, |&x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]
     fn more_workers_than_items() {
         let xs = vec![5];
-        assert_eq!(par_map(16, &xs, |&x| x * x), vec![25]);
+        assert_eq!(ThreadPool::new(16).map(&xs, |&x| x * x), vec![25]);
     }
 
     #[test]
     fn borrows_environment() {
         let offset = 100;
         let xs = vec![1, 2, 3];
-        let out = par_map(2, &xs, |&x| x + offset);
+        let out = ThreadPool::new(2).map(&xs, |&x| x + offset);
         assert_eq!(out, vec![101, 102, 103]);
     }
 
@@ -150,7 +139,7 @@ mod tests {
     #[should_panic(expected = "deliberate test panic")]
     fn panics_propagate() {
         let xs: Vec<u32> = (0..64).collect();
-        let _ = par_map(4, &xs, |&x| {
+        let _ = ThreadPool::new(4).map(&xs, |&x| {
             if x == 13 {
                 panic!("deliberate test panic");
             }
@@ -169,7 +158,7 @@ mod tests {
     fn uneven_work_balances() {
         // Items with wildly different costs still all complete.
         let xs: Vec<u64> = (0..32).collect();
-        let out = par_map(4, &xs, |&x| {
+        let out = ThreadPool::new(4).map(&xs, |&x| {
             let mut acc = 0u64;
             for i in 0..(x * 1000) {
                 acc = acc.wrapping_add(i);

@@ -13,8 +13,8 @@
 //!   target mean number of concurrent movements) sets the arrival rate
 //!   `λ = ℓ / E[solo movement]`; inter-arrival gaps are `Exp(λ)` samples
 //!   from a position-derived SplitMix64 stream ([`SeedSequence`], the
-//!   same scheme as the frontier's α-jitter), so parallel and sequential
-//!   runs — and repeated runs at the same seed — are byte-identical.
+//!   same scheme as the frontier's α-jitter), so runs on any number of
+//!   workers — and repeated runs at the same seed — are byte-identical.
 //!   Scenario assignment is a seeded block shuffle: every consecutive
 //!   block of `catalog` arrivals covers each scenario exactly once, in a
 //!   per-block Fisher–Yates order.
@@ -1208,34 +1208,23 @@ impl FleetSim {
         })
     }
 
-    /// Run the fleet on `pool`.
+    /// Run the fleet on `pool`. Every worker count returns the same
+    /// bytes: the allocation integrator runs on the calling thread, and
+    /// the per-session pipeline replays use position-derived inputs only.
     ///
     /// # Errors
     /// Fails only if a composed allocation trace is rejected by the
     /// kernel's validator — impossible by construction, surfaced instead
     /// of unwrapped.
     pub fn run(&self, pool: &ThreadPool) -> Result<FleetReport, String> {
-        self.run_with(Some(pool))
-    }
-
-    /// Run on the calling thread. Bit-identical to [`FleetSim::run`]:
-    /// the allocation integrator is sequential either way, and the
-    /// per-session pipeline replays use position-derived inputs only.
-    pub fn run_sequential(&self) -> Result<FleetReport, String> {
-        self.run_with(None)
-    }
-
-    /// [`FleetSim::run`] with the pool explicit (`None` = calling
-    /// thread). All paths return the same bytes.
-    pub fn run_with(&self, pool: Option<&ThreadPool>) -> Result<FleetReport, String> {
         self.report(pool, self.integrate(&self.plan()))
     }
 
-    /// Replay every integrated session through the movement pipeline
-    /// (fanned across `pool` when given) and aggregate the fleet report.
+    /// Replay every integrated session through the movement pipeline,
+    /// fanned across `pool`, and aggregate the fleet report.
     fn report(
         &self,
-        pool: Option<&ThreadPool>,
+        pool: &ThreadPool,
         Integration {
             states,
             peak_active,
@@ -1251,10 +1240,7 @@ impl FleetSim {
             let st = &states[k as usize];
             self.finalize(k, st, &decisions[st.scenario_idx])
         };
-        let results: Vec<Result<FleetRecord, String>> = match pool {
-            Some(p) => p.map(&indices, eval),
-            None => indices.iter().map(eval).collect(),
-        };
+        let results: Vec<Result<FleetRecord, String>> = pool.map(&indices, eval);
         let mut records = Vec::with_capacity(results.len());
         for r in results {
             records.push(r?);
@@ -1668,7 +1654,7 @@ mod tests {
         /// The fleet replayed through [`FleetSim::integrate_reference`]
         /// instead of the incremental integrator.
         fn run_reference(&self) -> Result<FleetReport, String> {
-            self.report(None, self.integrate_reference(&self.plan()))
+            self.report(&ThreadPool::new(1), self.integrate_reference(&self.plan()))
         }
     }
 
@@ -1690,7 +1676,10 @@ mod tests {
     #[test]
     fn zero_load_draws_no_arrivals() {
         let config = FleetConfig::quick(42).with_load(0.0);
-        let report = FleetSim::bundled(config).unwrap().run_sequential().unwrap();
+        let report = FleetSim::bundled(config)
+            .unwrap()
+            .run(&ThreadPool::new(1))
+            .unwrap();
         assert!(report.records.is_empty());
         assert_eq!(report.makespan_s, 0.0);
         assert_eq!(report.peak_active, 0);
@@ -1712,9 +1701,9 @@ mod tests {
                 rc.shapes = vec![shape];
                 let replay = SessionReplay::new(vec![scenario.clone()], rc)
                     .unwrap()
-                    .run_sequential();
+                    .run(&ThreadPool::new(1));
                 for (engine, fleet) in [
-                    ("incremental", sim.run_sequential().unwrap()),
+                    ("incremental", sim.run(&ThreadPool::new(1)).unwrap()),
                     ("reference", sim.run_reference().unwrap()),
                 ] {
                     let f = &fleet.records[0];
@@ -1743,7 +1732,10 @@ mod tests {
         let mut config = FleetConfig::quick(7).with_load(32.0);
         config.sessions = 300;
         config.slots = 3;
-        let report = FleetSim::bundled(config).unwrap().run_sequential().unwrap();
+        let report = FleetSim::bundled(config)
+            .unwrap()
+            .run(&ThreadPool::new(1))
+            .unwrap();
         assert_eq!(report.records.len(), 300);
         assert!(report.peak_active <= 3, "peak {}", report.peak_active);
         assert!(report.peak_active >= 1);
@@ -1762,7 +1754,7 @@ mod tests {
     fn parallel_and_sequential_are_bit_identical() {
         let fleet = FleetSim::bundled(FleetConfig::quick(42).with_load(8.0)).unwrap();
         let par = fleet.run(&ThreadPool::new(4)).unwrap();
-        let seq = fleet.run_sequential().unwrap();
+        let seq = fleet.run(&ThreadPool::new(1)).unwrap();
         assert_eq!(par, seq);
     }
 
@@ -1771,7 +1763,10 @@ mod tests {
         // A backbone far below the summed demands forces clipping.
         let mut config = FleetConfig::quick(42).with_load(8.0);
         config.wan = Rate::from_gbps(10.0);
-        let report = FleetSim::bundled(config).unwrap().run_sequential().unwrap();
+        let report = FleetSim::bundled(config)
+            .unwrap()
+            .run(&ThreadPool::new(1))
+            .unwrap();
         assert!(report.records.iter().any(|r| r.contended));
         assert!(report.slowdown_p90 > 1.01, "P90 {}", report.slowdown_p90);
         // Quantiles are ordered by construction.
@@ -1788,11 +1783,11 @@ mod tests {
             let config = FleetConfig::quick(42).with_load(6.0).with_shape(shape);
             let fluid = FleetSim::bundled(config.clone().with_fidelity(Fidelity::Fluid))
                 .unwrap()
-                .run_sequential()
+                .run(&ThreadPool::new(1))
                 .unwrap();
             let exact = FleetSim::bundled(config.with_fidelity(Fidelity::Exact))
                 .unwrap()
-                .run_sequential()
+                .run(&ThreadPool::new(1))
                 .unwrap();
             let tol = sss_sim::fluid_tolerance(shape);
             for (f, e) in fluid.records.iter().zip(&exact.records) {
@@ -1832,7 +1827,7 @@ mod tests {
         config.slots = 1;
         let report = FleetSim::new(vec![tight.clone(), loose.clone()], config)
             .unwrap()
-            .run_sequential()
+            .run(&ThreadPool::new(1))
             .unwrap();
         let mean_wait = |id: &str| {
             let waits: Vec<f64> = report
@@ -1858,7 +1853,10 @@ mod tests {
             .with_policy(AdmissionPolicy::FairShare);
         config.sessions = 52;
         config.slots = 2;
-        let report = FleetSim::bundled(config).unwrap().run_sequential().unwrap();
+        let report = FleetSim::bundled(config)
+            .unwrap()
+            .run(&ThreadPool::new(1))
+            .unwrap();
         // Every scenario appears exactly sessions/13 times (block shuffle).
         for s in &report.scenarios {
             assert_eq!(s.summary.sessions, 4, "{}", s.scenario_id);
@@ -1900,7 +1898,7 @@ mod tests {
     fn report_serde_round_trip() {
         let report = FleetSim::bundled(FleetConfig::quick(42))
             .unwrap()
-            .run_sequential()
+            .run(&ThreadPool::new(1))
             .unwrap();
         let json = serde_json::to_string(&report).unwrap();
         let back: FleetReport = serde_json::from_str(&json).unwrap();
@@ -1911,7 +1909,7 @@ mod tests {
     fn tables_and_csv_cover_all_sessions() {
         let report = FleetSim::bundled(FleetConfig::quick(42))
             .unwrap()
-            .run_sequential()
+            .run(&ThreadPool::new(1))
             .unwrap();
         assert_eq!(fleet_table(&report).len(), report.records.len());
         assert_eq!(fleet_scenario_table(&report).len(), report.scenarios.len());
@@ -1932,16 +1930,16 @@ mod tests {
     fn same_seed_reruns_are_bit_identical_and_seeds_differ() {
         let a = FleetSim::bundled(FleetConfig::quick(42))
             .unwrap()
-            .run_sequential()
+            .run(&ThreadPool::new(1))
             .unwrap();
         let b = FleetSim::bundled(FleetConfig::quick(42))
             .unwrap()
-            .run_sequential()
+            .run(&ThreadPool::new(1))
             .unwrap();
         assert_eq!(a, b);
         let c = FleetSim::bundled(FleetConfig::quick(43))
             .unwrap()
-            .run_sequential()
+            .run(&ThreadPool::new(1))
             .unwrap();
         // A different master seed perturbs the arrival process.
         assert!(a.records[0].arrival_s != c.records[0].arrival_s);
@@ -1978,7 +1976,7 @@ mod tests {
             totals.floors += counts.floors;
             totals.wakes += counts.wakes;
             totals.expiries += counts.expiries;
-            let inc = sim.report(None, run).unwrap();
+            let inc = sim.report(&ThreadPool::new(1), run).unwrap();
             let reference = sim.run_reference().unwrap();
             let cell = format!("{shape}/{policy}/{gbps} Gbps/seed {seed}");
             assert_eq!(inc.records.len(), reference.records.len(), "{cell}");

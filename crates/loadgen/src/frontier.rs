@@ -13,8 +13,8 @@ use sss_core::{BoundaryPoint, Decision, FrontierCell, FrontierMap, FrontierSlice
 use sss_exec::ThreadPool;
 use sss_report::{CsvWriter, Table};
 
-/// A frontier query bound to its base operating point, ready to run
-/// sequentially or on a pool.
+/// A frontier query bound to its base operating point, ready to run on a
+/// pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierJob {
     base: ModelParams,
@@ -45,8 +45,9 @@ impl FrontierJob {
     }
 
     /// Compute the map, fanning grid rows and bundles of boundary edges
-    /// across `pool`. Output is bit-identical to
-    /// [`FrontierJob::run_sequential`].
+    /// across `pool`. Every worker count returns the map of the sequential
+    /// reference [`FrontierSpec::compute`], bit for bit: each cell's
+    /// arithmetic and jitter seed derive from its grid position.
     pub fn run(&self, pool: &ThreadPool) -> FrontierMap {
         let spec = &self.spec;
         let rows: Vec<usize> = (0..spec.resolution).collect();
@@ -71,11 +72,6 @@ impl FrontierJob {
             })
             .collect();
         FrontierMap::from_slices(spec.clone(), self.base, slices)
-    }
-
-    /// Compute the map on the calling thread ([`FrontierSpec::compute`]).
-    pub fn run_sequential(&self) -> FrontierMap {
-        self.spec.compute(&self.base)
     }
 }
 
@@ -184,7 +180,7 @@ mod tests {
     fn parallel_matches_sequential_bit_for_bit() {
         let job = job(12);
         let par = job.run(&ThreadPool::new(4));
-        let seq = job.run_sequential();
+        let seq = job.spec().compute(job.base());
         assert_eq!(par, seq);
         // Byte-level too: the serialized artifacts must be identical.
         assert_eq!(
@@ -211,7 +207,7 @@ mod tests {
             spec,
         )
         .unwrap();
-        assert_eq!(job.run(&ThreadPool::new(8)), job.run_sequential());
+        assert_eq!(job.run(&ThreadPool::new(8)), job.spec().compute(job.base()));
     }
 
     #[test]
@@ -231,7 +227,7 @@ mod tests {
     #[test]
     fn renderings_cover_every_cell_and_boundary_point() {
         let job = job(8);
-        let map = job.run_sequential();
+        let map = job.run(&ThreadPool::new(1));
         let csv = frontier_csv(&map);
         assert_eq!(csv.as_str().lines().count(), 1 + 8 * 8);
         let boundary = boundary_csv(&map);

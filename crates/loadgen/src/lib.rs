@@ -76,6 +76,7 @@ pub use sweep::{aggregate, sweep, SweepPoint, SweepSpec};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use sss_exec::ThreadPool;
     use sss_netsim::SimConfig;
     use sss_units::Bytes;
 
@@ -139,13 +140,13 @@ mod proptests {
             let scenarios = vec![scenario];
             let exact = SessionReplay::new(scenarios.clone(), base.clone())
                 .unwrap()
-                .run_sequential();
+                .run(&ThreadPool::new(1));
             let fluid = SessionReplay::new(
                 scenarios,
                 base.with_fidelity(Fidelity::Fluid),
             )
             .unwrap()
-            .run_sequential();
+            .run(&ThreadPool::new(1));
 
             for (e, f) in exact.records.iter().zip(&fluid.records) {
                 let tol = fluid_tolerance(e.shape);
@@ -196,7 +197,7 @@ mod proptests {
                 config.slots = 2;
                 FleetSim::bundled(config)
                     .unwrap()
-                    .run_sequential()
+                    .run(&ThreadPool::new(1))
                     .unwrap()
             };
             let small = run(n);

@@ -36,7 +36,7 @@
 //! nominal horizon, and the simulated `T_pct` against the analytic
 //! `T_local` (the local path has no network, so its closed form is
 //! exact). Cells fan out across the [`ThreadPool`] with position-derived
-//! seeds, so parallel and sequential replays are byte-identical.
+//! seeds, so replays are byte-identical across worker counts.
 //!
 //! ## Fidelity
 //!
@@ -293,27 +293,17 @@ impl SessionReplay {
         &self.config
     }
 
-    /// Replay every (scenario × shape) cell on `pool`.
+    /// Replay every (scenario × shape) cell on `pool`. Every worker count
+    /// returns the same bytes: seeds are position-derived, so scheduling
+    /// cannot perturb them.
     pub fn run(&self, pool: &ThreadPool) -> ReplayReport {
-        self.run_with(Some(pool))
-    }
-
-    /// Replay on the calling thread. Bit-identical to [`SessionReplay::run`]:
-    /// seeds are position-derived, so scheduling cannot perturb them.
-    pub fn run_sequential(&self) -> ReplayReport {
-        self.run_with(None)
-    }
-
-    /// [`SessionReplay::run`] with the pool explicit (`None` = calling
-    /// thread). All paths return the same bytes.
-    pub fn run_with(&self, pool: Option<&ThreadPool>) -> ReplayReport {
         // The model side of every comparison: one `decide` per catalog
         // scenario, on the calling thread.
         let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
 
         // Scenario-major cell order, each cell's seed derived from its
-        // position — what makes parallel and sequential replays agree.
+        // position — what makes replays agree across worker counts.
         let seeds = SeedSequence::new(self.config.seed);
         let shapes_n = self.config.shapes.len();
         let cells: Vec<(usize, usize, u64)> = (0..self.scenarios.len() * shapes_n)
@@ -328,10 +318,7 @@ impl SessionReplay {
                 seed,
             )
         };
-        let records = match pool {
-            Some(p) => p.map(&cells, eval),
-            None => cells.iter().map(eval).collect(),
-        };
+        let records = pool.map(&cells, eval);
 
         let shapes = self
             .config
@@ -556,7 +543,7 @@ mod tests {
     #[test]
     fn steady_replay_matches_the_closed_form() {
         let replay = SessionReplay::bundled(ReplayConfig::quick(42)).unwrap();
-        let report = replay.run_sequential();
+        let report = replay.run(&ThreadPool::new(1));
         let steady = report.shape_summary(TraceShape::Steady).unwrap();
         assert!(
             steady.max_rel_err <= STEADY_TOLERANCE,
@@ -573,7 +560,7 @@ mod tests {
     fn replay_covers_every_cell() {
         let config = ReplayConfig::quick(7);
         let replay = SessionReplay::new(two_scenarios(), config.clone()).unwrap();
-        let report = replay.run_sequential();
+        let report = replay.run(&ThreadPool::new(1));
         assert_eq!(report.records.len(), 2 * config.shapes.len());
         assert_eq!(report.shapes.len(), config.shapes.len());
         for r in &report.records {
@@ -587,7 +574,7 @@ mod tests {
     fn parallel_and_sequential_are_bit_identical() {
         let replay = SessionReplay::new(two_scenarios(), ReplayConfig::quick(42)).unwrap();
         let par = replay.run(&ThreadPool::new(4));
-        let seq = replay.run_sequential();
+        let seq = replay.run(&ThreadPool::new(1));
         assert_eq!(par, seq);
     }
 
@@ -596,7 +583,7 @@ mod tests {
         // The bundled shapes only remove bandwidth, so the simulated
         // transfer is never faster than the closed form's.
         let replay = SessionReplay::bundled(ReplayConfig::quick(42)).unwrap();
-        for r in replay.run_sequential().records {
+        for r in replay.run(&ThreadPool::new(1)).records {
             assert!(
                 r.sim_transfer_s >= r.model_transfer_s * (1.0 - 1e-9),
                 "{} under {}: sim {} beat model {}",
@@ -611,7 +598,7 @@ mod tests {
     #[test]
     fn outage_inflates_error_beyond_steady() {
         let replay = SessionReplay::bundled(ReplayConfig::quick(42)).unwrap();
-        let report = replay.run_sequential();
+        let report = replay.run(&ThreadPool::new(1));
         let steady = report.shape_summary(TraceShape::Steady).unwrap();
         let outage = report.shape_summary(TraceShape::Outage).unwrap();
         assert!(
@@ -628,10 +615,10 @@ mod tests {
         let scenarios = two_scenarios();
         let a = SessionReplay::new(scenarios.clone(), ReplayConfig::quick(1))
             .unwrap()
-            .run_sequential();
+            .run(&ThreadPool::new(1));
         let b = SessionReplay::new(scenarios, ReplayConfig::quick(2))
             .unwrap()
-            .run_sequential();
+            .run(&ThreadPool::new(1));
         for (ra, rb) in a.records.iter().zip(&b.records) {
             if ra.shape == TraceShape::Bursty {
                 continue; // dip placement is seeded and may differ
@@ -647,7 +634,7 @@ mod tests {
     #[test]
     fn tables_and_csv_cover_all_cells() {
         let replay = SessionReplay::new(two_scenarios(), ReplayConfig::quick(42)).unwrap();
-        let report = replay.run_sequential();
+        let report = replay.run(&ThreadPool::new(1));
         assert_eq!(replay_table(&report).len(), report.records.len());
         assert_eq!(replay_summary_table(&report).len(), report.shapes.len());
         let csv = replay_csv(&report);
@@ -659,13 +646,13 @@ mod tests {
     fn fidelity_csv_stacks_runs_with_a_label_column() {
         let exact = SessionReplay::new(two_scenarios(), ReplayConfig::quick(42))
             .unwrap()
-            .run_sequential();
+            .run(&ThreadPool::new(1));
         let fluid = SessionReplay::new(
             two_scenarios(),
             ReplayConfig::quick(42).with_fidelity(Fidelity::Fluid),
         )
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
         let csv = replay_fidelity_csv(&[(Fidelity::Exact, &exact), (Fidelity::Fluid, &fluid)]);
         let text = csv.as_str();
         assert_eq!(
@@ -683,7 +670,7 @@ mod tests {
     #[test]
     fn report_serde_round_trip() {
         let replay = SessionReplay::new(two_scenarios(), ReplayConfig::quick(42)).unwrap();
-        let report = replay.run_sequential();
+        let report = replay.run(&ThreadPool::new(1));
         let json = serde_json::to_string(&report).unwrap();
         let back: ReplayReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
@@ -693,10 +680,10 @@ mod tests {
     fn fluid_replay_matches_exact_within_the_exported_tolerances() {
         let exact = SessionReplay::bundled(ReplayConfig::quick(42))
             .unwrap()
-            .run_sequential();
+            .run(&ThreadPool::new(1));
         let fluid = SessionReplay::bundled(ReplayConfig::quick(42).with_fidelity(Fidelity::Fluid))
             .unwrap()
-            .run_sequential();
+            .run(&ThreadPool::new(1));
         assert_eq!(exact.records.len(), fluid.records.len());
         for (e, f) in exact.records.iter().zip(&fluid.records) {
             let tol = fluid_tolerance(e.shape);
@@ -727,7 +714,7 @@ mod tests {
         let replay =
             SessionReplay::bundled(ReplayConfig::quick(42).with_fidelity(Fidelity::Fluid)).unwrap();
         let par = replay.run(&ThreadPool::new(8));
-        let seq = replay.run_sequential();
+        let seq = replay.run(&ThreadPool::new(1));
         assert_eq!(par, seq);
     }
 

@@ -13,9 +13,9 @@
 //!   and file-based movement pipelines, yielding a measured θ estimate.
 //!
 //! Every cell's seed derives deterministically from the suite seed via
-//! [`SeedSequence`], so [`ScenarioSuite::run`] (parallel) and
-//! [`ScenarioSuite::run_sequential`] return bit-identical results — the
-//! determinism suite asserts exactly that.
+//! [`SeedSequence`], so [`ScenarioSuite::run`] returns bit-identical
+//! results on any number of workers — the determinism suite asserts
+//! exactly that.
 
 use serde::{Deserialize, Serialize};
 
@@ -281,42 +281,20 @@ impl ScenarioSuite {
 
     /// Evaluate the whole suite on `pool`, fanning the netsim probes of
     /// every (scenario × congestion level) cell and the per-scenario I/O
-    /// analyses across the pool's workers.
+    /// analyses across the pool's workers; the decision model runs on the
+    /// calling thread. Every worker count returns the same bytes: seeds
+    /// are position-derived, so scheduling cannot perturb them.
     pub fn run(&self, pool: &ThreadPool) -> Vec<ScenarioEvaluation> {
-        self.run_with(Some(pool))
-    }
-
-    /// Evaluate the suite on the calling thread. Produces bit-identical
-    /// results to [`ScenarioSuite::run`]: seeds are position-derived, so
-    /// scheduling cannot perturb them.
-    pub fn run_sequential(&self) -> Vec<ScenarioEvaluation> {
-        self.run_with(None)
-    }
-
-    /// [`ScenarioSuite::run`] with the pool explicit (`None` = calling
-    /// thread). Both paths return the same bytes; the decision model runs
-    /// on the calling thread either way.
-    pub fn run_with(&self, pool: Option<&ThreadPool>) -> Vec<ScenarioEvaluation> {
         let specs: Vec<SweepSpec> = (0..self.scenarios.len())
             .map(|i| self.sweep_spec(i))
             .collect();
         let per_spec: Vec<Vec<Experiment>> = specs.iter().map(|s| s.experiments()).collect();
         let experiments: Vec<Experiment> = per_spec.iter().flatten().copied().collect();
 
-        let results = match pool {
-            Some(p) => p.map(&experiments, Experiment::run),
-            None => experiments.iter().map(Experiment::run).collect(),
-        };
+        let results = pool.map(&experiments, Experiment::run);
         let params: Vec<ModelParams> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
-        let ios = match pool {
-            Some(p) => p.map(&self.scenarios, |s| Self::analyze_io(s, &self.config)),
-            None => self
-                .scenarios
-                .iter()
-                .map(|s| Self::analyze_io(s, &self.config))
-                .collect(),
-        };
+        let ios = pool.map(&self.scenarios, |s| Self::analyze_io(s, &self.config));
 
         let mut evaluations = Vec::with_capacity(self.scenarios.len());
         let mut offset = 0;
@@ -463,7 +441,7 @@ mod tests {
     fn parallel_and_sequential_are_bit_identical() {
         let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
         let par = suite.run(&ThreadPool::new(4));
-        let seq = suite.run_sequential();
+        let seq = suite.run(&ThreadPool::new(1));
         assert_eq!(par, seq);
     }
 
@@ -472,7 +450,7 @@ mod tests {
     #[test]
     fn decisions_match_decide() {
         let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
-        let sequential = suite.run_sequential();
+        let sequential = suite.run(&ThreadPool::new(1));
         for (evaluation, scenario) in sequential.iter().zip(suite.scenarios()) {
             assert_eq!(evaluation.decision, sss_core::decide(&scenario.params));
         }
@@ -503,7 +481,7 @@ mod tests {
     #[test]
     fn summary_table_has_one_row_per_scenario() {
         let suite = ScenarioSuite::new(two_scenarios(), tiny_config()).unwrap();
-        let evals = suite.run_sequential();
+        let evals = suite.run(&ThreadPool::new(1));
         let table = summary_table(&evals);
         assert_eq!(table.len(), evals.len());
         let text = table.to_text();

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sss_exec::{par_map, SeedSequence};
+use sss_exec::{SeedSequence, ThreadPool};
 use sss_netsim::SimConfig;
 use sss_units::Bytes;
 
@@ -127,11 +127,12 @@ impl SweepPoint {
     }
 }
 
-/// Run the sweep with `workers` threads, aggregating repeats per cell.
-/// Results arrive sorted by (parallel_flows, concurrency).
-pub fn sweep(spec: &SweepSpec, workers: usize) -> Vec<SweepPoint> {
+/// Run the sweep on `pool`, aggregating repeats per cell. Results arrive
+/// sorted by (parallel_flows, concurrency) and do not depend on the
+/// worker count: each experiment's seed derives from its position.
+pub fn sweep(spec: &SweepSpec, pool: &ThreadPool) -> Vec<SweepPoint> {
     let experiments = spec.experiments();
-    let results = par_map(workers, &experiments, Experiment::run);
+    let results = pool.map(&experiments, Experiment::run);
     aggregate(spec, &results)
 }
 
@@ -144,7 +145,7 @@ pub fn sweep(spec: &SweepSpec, workers: usize) -> Vec<SweepPoint> {
 pub fn aggregate(spec: &SweepSpec, results: &[ExperimentResult]) -> Vec<SweepPoint> {
     let mut points = Vec::with_capacity(spec.cells());
     let repeats = spec.repeats as usize;
-    for (chunk_idx, chunk) in results.chunks(repeats).enumerate() {
+    for chunk in results.chunks(repeats) {
         let first = &chunk[0].experiment;
         let mut samples = Vec::new();
         let mut worst: f64 = 0.0;
@@ -174,7 +175,6 @@ pub fn aggregate(spec: &SweepSpec, results: &[ExperimentResult]) -> Vec<SweepPoi
             samples,
             results: chunk.to_vec(),
         });
-        let _ = chunk_idx;
     }
     points
 }
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn small_sweep_runs_and_orders_points() {
         let spec = SweepSpec::small_grid(SpawnStrategy::Scheduled, 3);
-        let points = sweep(&spec, 2);
+        let points = sweep(&spec, &ThreadPool::new(2));
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].concurrency, 1);
         assert_eq!(points[1].concurrency, 4);
@@ -219,8 +219,8 @@ mod tests {
     #[test]
     fn sweep_deterministic_across_worker_counts() {
         let spec = SweepSpec::small_grid(SpawnStrategy::Simultaneous, 9);
-        let a = sweep(&spec, 1);
-        let b = sweep(&spec, 4);
+        let a = sweep(&spec, &ThreadPool::new(1));
+        let b = sweep(&spec, &ThreadPool::new(4));
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.samples, y.samples);

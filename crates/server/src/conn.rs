@@ -31,6 +31,15 @@ const LINGER_CAP: usize = 1024 * 1024;
 /// the cap is about protocol abuse, not tuning.
 pub(crate) const MAX_PIPELINE: usize = 64;
 
+/// Bytes the reactor reads from a socket per `read` call: one typical
+/// request burst.
+pub(crate) const READ_CHUNK: usize = 8 * 1024;
+
+/// Pending-response bytes a connection may buffer before the reactor stops
+/// reading more requests from it (pipelining backpressure): a few large
+/// (`/frontier`-sized) bodies.
+const WRITE_BACKLOG: usize = 256 * 1024;
+
 /// What [`Conn::read_ready`] observed on the socket.
 pub(crate) enum ReadOutcome {
     /// Zero or more complete requests were parsed; dispatch them in order.
@@ -148,18 +157,17 @@ impl Conn {
     }
 
     /// Too much pending state: stop draining the socket until responses
-    /// flush. `write_buffer` is the configured per-connection ceiling on
-    /// encoded-but-unsent bytes.
-    pub(crate) fn paused(&self, write_buffer: usize) -> bool {
-        self.inflight >= MAX_PIPELINE || self.out.len() - self.out_pos > write_buffer
+    /// flush.
+    pub(crate) fn paused(&self) -> bool {
+        self.inflight >= MAX_PIPELINE || self.out.len() - self.out_pos > WRITE_BACKLOG
     }
 
     /// Whether the poller should watch for readability.
-    pub(crate) fn wants_read(&self, write_buffer: usize) -> bool {
+    pub(crate) fn wants_read(&self) -> bool {
         if self.draining {
             return !self.read_closed;
         }
-        !self.read_closed && !self.sealed && !self.paused(write_buffer)
+        !self.read_closed && !self.sealed && !self.paused()
     }
 
     /// Whether the poller should watch for writability.
@@ -195,15 +203,15 @@ impl Conn {
     /// Reads at most a few `scratch`-fuls before yielding so one chatty
     /// peer cannot monopolize the event loop, and stops early when the
     /// connection pauses (pipelining cap or write backlog).
-    pub(crate) fn read_ready(&mut self, scratch: &mut [u8], write_buffer: usize) -> ReadOutcome {
+    pub(crate) fn read_ready(&mut self, scratch: &mut [u8]) -> ReadOutcome {
         if self.draining {
             return self.drain_ready(scratch);
         }
         let mut requests = Vec::new();
-        // 4 scratch-fuls ≈ 32 KiB per readiness event at the default
-        // read_buffer: enough to drain a burst, bounded for fairness.
+        // 4 scratch-fuls = 32 KiB per readiness event at READ_CHUNK:
+        // enough to drain a burst, bounded for fairness.
         for _ in 0..4 {
-            if self.sealed || self.paused(write_buffer) {
+            if self.sealed || self.paused() {
                 break;
             }
             match self.stream.read(scratch) {

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use crossbeam::channel;
 use sss_exec::poll::{Events, Poller, WakePipe};
 
-use crate::conn::{Conn, ReadOutcome};
+use crate::conn::{Conn, ReadOutcome, READ_CHUNK};
 use crate::http::{HttpError, Request};
 use crate::server::{error_body, route, AppState};
 
@@ -150,7 +150,7 @@ pub(crate) fn run(listener: TcpListener, state: Arc<AppState>) -> io::Result<()>
         free: Vec::new(),
     };
     let mut events = Events::with_capacity(1024);
-    let mut scratch = vec![0u8; config.read_buffer.clamp(512, 1 << 20)];
+    let mut scratch = vec![0u8; READ_CHUNK];
     let mut done_batch: Vec<Done> = Vec::new();
 
     let tick_ms = config.tick_ms.clamp(1, i32::MAX as u64) as i32;
@@ -308,10 +308,9 @@ fn conn_ready(
         return; // already retired this batch
     };
     conn.idle_ticks = 0;
-    let write_buffer = state.config.write_buffer;
 
     if event.readable {
-        let outcome = conn.read_ready(scratch, write_buffer);
+        let outcome = conn.read_ready(scratch);
         let (requests, bad) = match outcome {
             ReadOutcome::Requests(requests) => (requests, None),
             ReadOutcome::Bad(requests, error) => (requests, Some(error)),
@@ -388,10 +387,7 @@ fn finalize(slot: usize, slab: &mut Slab, poller: &Poller, state: &AppState) {
         retire(slot, slab, poller, state);
         return;
     }
-    let desired = (
-        conn.wants_read(state.config.write_buffer),
-        conn.wants_write(),
-    );
+    let desired = (conn.wants_read(), conn.wants_write());
     if desired != conn.registered {
         let fd = conn.stream().as_raw_fd();
         if poller

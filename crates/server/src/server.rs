@@ -54,13 +54,6 @@ pub struct ServerConfig {
     /// how stale a shutdown flag can go unobserved, in milliseconds.
     #[serde(default = "default_tick_ms")]
     pub tick_ms: u64,
-    /// Bytes the reactor reads from a socket per `read` call.
-    #[serde(default = "default_read_buffer")]
-    pub read_buffer: usize,
-    /// Pending-response bytes a connection may buffer before the reactor
-    /// stops reading more requests from it (pipelining backpressure).
-    #[serde(default = "default_write_buffer")]
-    pub write_buffer: usize,
 }
 
 /// Serde default: configurations that predate the knob keep the
@@ -84,31 +77,17 @@ fn default_tick_ms() -> u64 {
     100
 }
 
-/// Serde default: one typical request burst per `read`.
-fn default_read_buffer() -> usize {
-    8 * 1024
-}
-
-/// Serde default: a few large (`/frontier`-sized) bodies of backlog.
-fn default_write_buffer() -> usize {
-    256 * 1024
-}
-
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             port: 0,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: ThreadPool::with_available_parallelism().workers(),
             cache_capacity: 4096,
             max_batch: 32,
             fleet_session_cap: FleetRequest::DEFAULT_SESSION_CAP,
             max_connections: default_max_connections(),
             idle_timeout_ticks: default_idle_timeout_ticks(),
             tick_ms: default_tick_ms(),
-            read_buffer: default_read_buffer(),
-            write_buffer: default_write_buffer(),
         }
     }
 }

@@ -19,7 +19,7 @@ fn main() {
     let mut spec = SweepSpec::paper_grid(SpawnStrategy::Simultaneous, 1, 42);
     spec.duration_s = 3;
     spec.parallel_flows = vec![8];
-    let points = sweep(&spec, 2);
+    let points = sweep(&spec, &ThreadPool::new(2));
     let curve =
         CongestionCurve::from_points(points.iter().map(|p| (p.utilization, p.sss())).collect())
             .expect("sweep yields a curve");

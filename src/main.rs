@@ -44,33 +44,28 @@ fn usage() -> &'static str {
        stream-score tiers     (same flags as decide) --sss <RATIO>\n\
        stream-score plan      (same flags as decide) --tier <1|2|3>\n\
                               [--curve results/fig2a_curve.json]\n\
-       stream-score scenarios [--scenario <ID>] [--depth quick|full]\n\
-                              [--mode parallel|sequential] [--workers <N>]\n\
+       stream-score scenarios [--scenario <ID>] [--depth quick|full] [--workers <N>]\n\
                               [--levels 1,4,8] [--seconds <N>]\n\
                               [--seed <N>] [--format text|md]\n\
        stream-score simulate  [--scenario <ID>] [--shapes steady,diurnal,bursty,outage]\n\
                               [--frames <N>] [--files <N>] [--seed <N>]\n\
-                              [--fidelity exact|fluid]\n\
-                              [--mode parallel|sequential] [--workers <N>]\n\
+                              [--fidelity exact|fluid] [--workers <N>]\n\
                               [--format text|md|csv] [--check true] [--tolerance <T>]\n\
        stream-score fleet     [--scenario <ID>] [--sessions <N>] [--load <L>]\n\
                               [--policy fifo|fair-share|priority] [--slots <N>]\n\
                               [--wan <RATE>] [--shape steady|diurnal|bursty|outage]\n\
                               [--frames <N>] [--seed <N>] [--fidelity exact|fluid]\n\
-                              [--mode parallel|sequential] [--workers <N>]\n\
-                              [--format text|md|csv] [--check true]\n\
+                              [--workers <N>] [--format text|md|csv] [--check true]\n\
        stream-score frontier  --scenario <ID> | (same flags as decide)\n\
                               --x <AXIS:LO:HI[:log]> --y <AXIS:LO:HI[:log]>\n\
                               [--z <AXIS:LO:HI[:log]> --slices <N>]\n\
-                              [--resolution <N>] [--tolerance <T>]\n\
-                              [--mode parallel|sequential] [--workers <N>]\n\
+                              [--resolution <N>] [--tolerance <T>] [--workers <N>]\n\
                               [--jitter-sd <SD> --jitter-samples <N>] [--seed <N>]\n\
                               [--format text|md|csv]\n\
        stream-score probe     [--seconds <N>] [--concurrency <N>]\n\
        stream-score serve     [--port <N>] [--workers <N>]\n\
                               [--cache-capacity <N>] [--batch-max <N>] [--fleet-cap <N>]\n\
                               [--max-conns <N>] [--idle-ticks <N>] [--tick-ms <N>]\n\
-                              [--read-buf <BYTES>] [--write-buf <BYTES>]\n\
        stream-score loadtest  [--addr <HOST:PORT>] [--clients <N>] [--requests <N>]\n\
                               [--distinct <N>] [--seed <N>]\n\
                               [--workers <N>] [--cache-capacity <N>] [--format text|md]\n\
@@ -144,7 +139,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_scenarios,
         params: false,
         flags: &[
-            "scenario", "depth", "mode", "workers", "levels", "seconds", "seed", "format",
+            "scenario", "depth", "workers", "levels", "seconds", "seed", "format",
         ],
     },
     Command {
@@ -158,7 +153,6 @@ const COMMANDS: &[Command] = &[
             "files",
             "seed",
             "fidelity",
-            "mode",
             "workers",
             "format",
             "check",
@@ -171,7 +165,7 @@ const COMMANDS: &[Command] = &[
         params: false,
         flags: &[
             "scenario", "sessions", "load", "policy", "slots", "wan", "shape", "frames", "seed",
-            "fidelity", "mode", "workers", "format", "check",
+            "fidelity", "workers", "format", "check",
         ],
     },
     Command {
@@ -186,7 +180,6 @@ const COMMANDS: &[Command] = &[
             "slices",
             "resolution",
             "tolerance",
-            "mode",
             "workers",
             "jitter-sd",
             "jitter-samples",
@@ -213,8 +206,6 @@ const COMMANDS: &[Command] = &[
             "max-conns",
             "idle-ticks",
             "tick-ms",
-            "read-buf",
-            "write-buf",
         ],
     },
     Command {
@@ -469,26 +460,7 @@ fn cmd_scenarios(flags: &Flags) -> Result<(), String> {
         }
         None => ScenarioSuite::bundled(config),
     }?;
-    let evaluations = match flags.get("mode").map(String::as_str) {
-        Some("sequential") => {
-            if flags.contains_key("workers") {
-                return Err("--workers conflicts with --mode sequential".into());
-            }
-            suite.run_sequential()
-        }
-        Some("parallel") | None => {
-            let pool = match parse_workers(flags)? {
-                Some(n) => ThreadPool::new(n),
-                None => ThreadPool::with_available_parallelism(),
-            };
-            suite.run(&pool)
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown mode {other:?} (use parallel or sequential)"
-            ))
-        }
-    };
+    let evaluations = suite.run(&ThreadPool::new(parse_workers(flags)?));
 
     for e in &evaluations {
         let s = &e.scenario;
@@ -569,26 +541,8 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         Some(query) => SessionReplay::new(vec![Scenario::resolve(query)?], config),
         None => SessionReplay::bundled(config),
     }?;
-    let report = match flags.get("mode").map(String::as_str) {
-        Some("sequential") => {
-            if flags.contains_key("workers") {
-                return Err("--workers conflicts with --mode sequential".into());
-            }
-            replay.run_sequential()
-        }
-        Some("parallel") | None => {
-            let pool = match parse_workers(flags)? {
-                Some(n) => ThreadPool::new(n),
-                None => ThreadPool::with_available_parallelism(),
-            };
-            replay.run(&pool)
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown mode {other:?} (use parallel or sequential)"
-            ))
-        }
-    };
+    let pool = ThreadPool::new(parse_workers(flags)?);
+    let report = replay.run(&pool);
 
     match format {
         Some("csv") => print!("{}", replay_csv(&report).as_str()),
@@ -638,7 +592,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
                 replay.scenarios().to_vec(),
                 replay.config().clone().with_fidelity(Fidelity::Exact),
             )?
-            .run_sequential();
+            .run(&pool);
             let mut max_rel = 0.0f64;
             for (f, e) in report.records.iter().zip(&exact.records) {
                 let rel = (f.sim_t_pct_s - e.sim_t_pct_s).abs() / e.sim_t_pct_s.abs().max(1e-12);
@@ -708,26 +662,8 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
         Some(query) => FleetSim::new(vec![Scenario::resolve(query)?], config.clone()),
         None => FleetSim::bundled(config.clone()),
     }?;
-    let report = match flags.get("mode").map(String::as_str) {
-        Some("sequential") => {
-            if flags.contains_key("workers") {
-                return Err("--workers conflicts with --mode sequential".into());
-            }
-            fleet.run_sequential()?
-        }
-        Some("parallel") | None => {
-            let pool = match parse_workers(flags)? {
-                Some(n) => ThreadPool::new(n),
-                None => ThreadPool::with_available_parallelism(),
-            };
-            fleet.run(&pool)?
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown mode {other:?} (use parallel or sequential)"
-            ))
-        }
-    };
+    let pool = ThreadPool::new(parse_workers(flags)?);
+    let report = fleet.run(&pool)?;
 
     match format {
         Some("csv") => print!("{}", fleet_csv(std::slice::from_ref(&report)).as_str()),
@@ -767,14 +703,11 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
         } else {
             Fidelity::Exact
         };
-        let other = match flags.get("scenario") {
-            Some(query) => FleetSim::new(
-                vec![Scenario::resolve(query)?],
-                config.clone().with_fidelity(counterpart),
-            ),
-            None => FleetSim::bundled(config.clone().with_fidelity(counterpart)),
-        }?
-        .run_sequential()?;
+        let other = FleetSim::new(
+            fleet.scenarios().to_vec(),
+            config.clone().with_fidelity(counterpart),
+        )?
+        .run(&pool)?;
         let tol = fluid_tolerance(config.shape);
         let mut max_rel = 0.0f64;
         for (a, b) in report.records.iter().zip(&other.records) {
@@ -866,27 +799,7 @@ fn cmd_frontier(flags: &Flags) -> Result<(), String> {
         return Err("--seed only affects --jitter-sd sampling; set both or neither".into());
     }
 
-    let job = FrontierJob::new(base, spec)?;
-    let map = match flags.get("mode").map(String::as_str) {
-        Some("sequential") => {
-            if flags.contains_key("workers") {
-                return Err("--workers conflicts with --mode sequential".into());
-            }
-            job.run_sequential()
-        }
-        Some("parallel") | None => {
-            let pool = match parse_workers(flags)? {
-                Some(n) => ThreadPool::new(n),
-                None => ThreadPool::with_available_parallelism(),
-            };
-            job.run(&pool)
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown mode {other:?} (use parallel or sequential)"
-            ))
-        }
-    };
+    let map = FrontierJob::new(base, spec)?.run(&ThreadPool::new(parse_workers(flags)?));
 
     match flags.get("format").map(String::as_str) {
         Some("csv") => {
@@ -991,20 +904,20 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the optional `--workers` flag, rejecting 0 up front: a pool with
-/// zero workers cannot make progress, and silently clamping would make
-/// `--workers 0` lie about the parallelism used. Shared by `scenarios`,
-/// `loadtest`, `serve` and `frontier`.
-fn parse_workers(flags: &Flags) -> Result<Option<usize>, String> {
+/// Parse the `--workers` flag of every command that takes one: one worker
+/// per available core when absent. Rejects 0 up front: a pool with zero
+/// workers cannot make progress, and silently clamping would make
+/// `--workers 0` lie about the parallelism used.
+fn parse_workers(flags: &Flags) -> Result<usize, String> {
     match flags.get("workers") {
         Some(raw) => {
             let n: usize = raw.parse().map_err(|_| format!("bad --workers {raw:?}"))?;
             if n == 0 {
                 return Err("--workers must be >= 1 (a pool with zero workers cannot run)".into());
             }
-            Ok(Some(n))
+            Ok(n)
         }
-        None => Ok(None),
+        None => Ok(ThreadPool::with_available_parallelism().workers()),
     }
 }
 
@@ -1020,19 +933,13 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         port: flag_or(flags, "port", 8080u16)?,
-        workers: parse_workers(flags)?.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
+        workers: parse_workers(flags)?,
         cache_capacity: flag_or(flags, "cache-capacity", 4096usize)?,
         max_batch: flag_or(flags, "batch-max", 32usize)?,
         fleet_session_cap: flag_or(flags, "fleet-cap", defaults.fleet_session_cap)?,
         max_connections: flag_or(flags, "max-conns", defaults.max_connections)?,
         idle_timeout_ticks: flag_or(flags, "idle-ticks", defaults.idle_timeout_ticks)?,
         tick_ms: flag_or(flags, "tick-ms", defaults.tick_ms)?,
-        read_buffer: flag_or(flags, "read-buf", defaults.read_buffer)?,
-        write_buffer: flag_or(flags, "write-buf", defaults.write_buffer)?,
     };
     if config.max_batch == 0 {
         return Err("--batch-max must be positive".into());
@@ -1045,9 +952,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     if config.tick_ms == 0 {
         return Err("--tick-ms must be positive".into());
-    }
-    if config.read_buffer == 0 || config.write_buffer == 0 {
-        return Err("--read-buf and --write-buf must be positive".into());
     }
     let server =
         Server::bind(config).map_err(|e| format!("cannot bind port {}: {e}", config.port))?;
@@ -1096,11 +1000,7 @@ fn cmd_loadtest(flags: &Flags) -> Result<(), String> {
             let config = ServerConfig {
                 port: 0,
                 cache_capacity: flag_or(flags, "cache-capacity", 4096usize)?,
-                workers: parse_workers(flags)?.unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                }),
+                workers: parse_workers(flags)?,
                 ..ServerConfig::default()
             };
             let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;

@@ -116,7 +116,7 @@ fn scenarios_lists_the_bundled_facilities() {
 #[test]
 fn scenarios_parallel_and_sequential_agree() {
     let mut seq: Vec<&str> = SCENARIOS_QUICK.to_vec();
-    seq.extend_from_slice(&["--mode", "sequential"]);
+    seq.extend_from_slice(&["--workers", "1"]);
     let (ok_a, stdout_a, _) = run(SCENARIOS_QUICK);
     let (ok_b, stdout_b, _) = run(&seq);
     assert!(ok_a && ok_b);
@@ -153,6 +153,9 @@ fn unknown_flags_are_rejected() {
         (&["loadtest", "--frontend", "reactor"], "--frontend"),
         (&["loadtest", "--concurrency", "8"], "--concurrency"),
         (&["scenarios", "--chunk", "1"], "--chunk"),
+        (&["scenarios", "--mode", "sequential"], "--mode"),
+        (&["serve", "--read-buf", "1"], "--read-buf"),
+        (&["serve", "--write-buf", "1"], "--write-buf"),
         (
             &[
                 "frontier",
@@ -166,6 +169,20 @@ fn unknown_flags_are_rejected() {
                 "1",
             ],
             "--chunk",
+        ),
+        (
+            &[
+                "frontier",
+                "--scenario",
+                "lcls2",
+                "--x",
+                "wan_gbps:1:400",
+                "--y",
+                "data_gb:1:10",
+                "--mode",
+                "sequential",
+            ],
+            "--mode",
         ),
     ] {
         let (ok, _, stderr) = run(args);
@@ -264,7 +281,7 @@ fn frontier_maps_a_scenario_with_aliases() {
 #[test]
 fn frontier_parallel_and_sequential_agree() {
     let mut seq: Vec<&str> = FRONTIER_QUICK.to_vec();
-    seq.extend_from_slice(&["--mode", "sequential"]);
+    seq.extend_from_slice(&["--workers", "1"]);
     let mut par: Vec<&str> = FRONTIER_QUICK.to_vec();
     par.extend_from_slice(&["--workers", "8"]);
     let (ok_a, stdout_a, _) = run(&seq);

@@ -20,8 +20,8 @@ fn spec(seed: u64) -> SweepSpec {
 
 #[test]
 fn sweep_identical_across_worker_counts() {
-    let a = sweep(&spec(11), 1);
-    let b = sweep(&spec(11), 4);
+    let a = sweep(&spec(11), &ThreadPool::new(1));
+    let b = sweep(&spec(11), &ThreadPool::new(4));
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.concurrency, y.concurrency);
@@ -37,8 +37,8 @@ fn sweep_identical_across_worker_counts() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = sweep(&spec(11), 2);
-    let b = sweep(&spec(12), 2);
+    let a = sweep(&spec(11), &ThreadPool::new(2));
+    let b = sweep(&spec(12), &ThreadPool::new(2));
     // Jitter differs → at least one cell's samples differ.
     let any_diff = a.iter().zip(&b).any(|(x, y)| x.samples != y.samples);
     assert!(any_diff, "distinct seeds should perturb transfer times");

@@ -17,7 +17,7 @@ fn mini_sweep(strategy: SpawnStrategy) -> Vec<stream_score::loadgen::SweepPoint>
         repeats: 1,
         seed: 77,
     };
-    sweep(&spec, 2)
+    sweep(&spec, &ThreadPool::new(2))
 }
 
 #[test]

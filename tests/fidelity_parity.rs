@@ -40,10 +40,10 @@ fn harness_config(fidelity: Fidelity) -> ReplayConfig {
 fn every_catalog_cell_holds_fluid_parity_within_the_exported_tolerances() {
     let exact = SessionReplay::bundled(harness_config(Fidelity::Exact))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     let fluid = SessionReplay::bundled(harness_config(Fidelity::Fluid))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
 
     let scenarios = Scenario::all().len();
     assert!(scenarios >= 13, "catalog shrank to {scenarios}");
@@ -87,10 +87,10 @@ fn parity_holds_at_standard_frame_counts_on_the_steady_shape() {
     config.shapes = vec![TraceShape::Steady];
     let exact = SessionReplay::bundled(config.clone())
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     let fluid = SessionReplay::bundled(config.with_fidelity(Fidelity::Fluid))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     for (e, f) in exact.records.iter().zip(&fluid.records) {
         let rel = (f.sim_t_pct_s - e.sim_t_pct_s).abs() / e.sim_t_pct_s.abs().max(1e-12);
         assert!(
@@ -107,10 +107,10 @@ fn decisions_agree_between_fidelities_across_the_catalog() {
     // sub-tolerance completion nudge must never flip a verdict.
     let exact = SessionReplay::bundled(harness_config(Fidelity::Exact))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     let fluid = SessionReplay::bundled(harness_config(Fidelity::Fluid))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     for (e, f) in exact.records.iter().zip(&fluid.records) {
         assert_eq!(
             e.sim_decision, f.sim_decision,

@@ -80,16 +80,10 @@ fn fleet_csv_is_byte_identical_across_workers_and_reruns() {
         assert!(ok);
         let (ok, eight, _) = run(&[&base[..], &["--workers", "8"]].concat());
         assert!(ok);
-        let (ok, sequential, _) = run(&[&base[..], &["--mode", "sequential"]].concat());
-        assert!(ok);
         let (ok, again, _) = run(&[&base[..], &["--workers", "8"]].concat());
         assert!(ok);
         assert!(one.lines().skip(1).all(|row| row.contains(shape)), "{one}");
         assert_eq!(one, eight, "{shape}: worker count must not change a byte");
-        assert_eq!(
-            one, sequential,
-            "{shape}: parallel and sequential runs must agree"
-        );
         assert_eq!(
             eight, again,
             "{shape}: same seed must reproduce the same bytes"
@@ -165,7 +159,7 @@ fn fleet_rejects_bad_flags_with_the_shared_message() {
 
     let (ok, _, stderr) = run(&quick(&["--mode", "sequential", "--workers", "2"]));
     assert!(!ok);
-    assert!(stderr.contains("conflicts"), "{stderr}");
+    assert!(stderr.contains("unknown flag --mode for fleet"), "{stderr}");
 }
 
 #[test]

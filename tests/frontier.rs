@@ -55,7 +55,7 @@ fn boundary_is_monotone_along_the_feasibility_diagonal() {
 #[test]
 fn parallel_output_is_byte_identical_to_sequential() {
     let job = FrontierJob::new(lcls(), spec(12)).unwrap();
-    let seq = job.run_sequential();
+    let seq = job.spec().compute(job.base());
     for workers in [1, 4, 8] {
         let par = job.run(&ThreadPool::new(workers));
         assert_eq!(par, seq, "{workers} workers changed the result");
@@ -152,7 +152,8 @@ fn http_frontier_round_trips_and_memoizes() {
     );
     spec.resolution = 12;
     spec.tolerance = 1e-3;
-    let local = FrontierJob::new(lcls(), spec).unwrap().run_sequential();
+    let job = FrontierJob::new(lcls(), spec).unwrap();
+    let local = job.spec().compute(job.base());
     assert_eq!(served.slices, local.slices);
     assert_eq!(served.evaluations, local.evaluations);
 

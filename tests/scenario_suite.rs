@@ -55,7 +55,7 @@ fn scenarios_round_trip_through_specs() {
 fn full_bundled_suite_parallel_matches_sequential() {
     let suite = ScenarioSuite::bundled(tiny_config(7)).unwrap();
     let par = suite.run(&ThreadPool::new(4));
-    let seq = suite.run_sequential();
+    let seq = suite.run(&ThreadPool::new(1));
     assert_eq!(par.len(), seq.len());
     assert_eq!(par.len(), Scenario::registry().len());
     // Bit-identical, not approximately equal: same seeds, same order.
@@ -97,7 +97,7 @@ fn suite_evaluations_serialize() {
         tiny_config(3),
     )
     .unwrap();
-    let evals = suite.run_sequential();
+    let evals = suite.run(&ThreadPool::new(1));
     let json = serde_json::to_string(&evals).expect("serialize evaluations");
     let back: Vec<ScenarioEvaluation> = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(evals, back);
@@ -108,10 +108,10 @@ fn different_seeds_perturb_the_probes() {
     let scenarios = vec![Scenario::by_id("lcls-coherent-scattering").unwrap()];
     let a = ScenarioSuite::new(scenarios.clone(), tiny_config(1))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     let b = ScenarioSuite::new(scenarios, tiny_config(2))
         .unwrap()
-        .run_sequential();
+        .run(&ThreadPool::new(1));
     assert_ne!(
         a[0].congestion, b[0].congestion,
         "distinct suite seeds must yield distinct netsim probes"
@@ -121,7 +121,7 @@ fn different_seeds_perturb_the_probes() {
 #[test]
 fn summary_table_covers_the_catalog() {
     let suite = ScenarioSuite::bundled(tiny_config(42)).unwrap();
-    let evals = suite.run_sequential();
+    let evals = suite.run(&ThreadPool::new(1));
     let table = summary_table(&evals);
     assert_eq!(table.len(), Scenario::registry().len());
     let text = table.to_text();

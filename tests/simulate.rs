@@ -1,5 +1,5 @@
 //! Integration tests for the trace-driven session-replay validator: the
-//! `stream-score simulate` CLI, determinism across execution modes, and
+//! `stream-score simulate` CLI, determinism across worker counts, and
 //! the acceptance contract (all catalog scenarios × ≥3 trace shapes,
 //! steady agreement within the documented tolerance).
 
@@ -50,7 +50,7 @@ fn simulate_check_passes_on_steady_traces() {
 #[test]
 fn simulate_parallel_and_sequential_agree() {
     let mut seq: Vec<&str> = SIMULATE_QUICK.to_vec();
-    seq.extend_from_slice(&["--mode", "sequential"]);
+    seq.extend_from_slice(&["--workers", "1"]);
     let mut par: Vec<&str> = SIMULATE_QUICK.to_vec();
     par.extend_from_slice(&["--workers", "8"]);
     let (ok_a, stdout_a, _) = run(&seq);
@@ -107,7 +107,7 @@ fn simulate_rejects_bad_inputs() {
     let (ok, _, stderr) = run(&["simulate", "--mode", "sequential", "--workers", "2"]);
     assert!(!ok);
     assert!(
-        stderr.contains("conflicts with --mode sequential"),
+        stderr.contains("unknown flag --mode for simulate"),
         "{stderr}"
     );
 
@@ -127,7 +127,7 @@ fn library_replay_meets_the_acceptance_contract() {
     // byte-identical parallel replay.
     let replay = SessionReplay::bundled(ReplayConfig::quick(42)).unwrap();
     let report = replay.run(&ThreadPool::new(8));
-    assert_eq!(report, replay.run_sequential());
+    assert_eq!(report, replay.run(&ThreadPool::new(1)));
 
     let scenarios = Scenario::all().len();
     let shapes = replay.config().shapes.len();
