@@ -9,9 +9,12 @@
 //! any outcome.
 //!
 //! Built directly on `std::thread::scope` and an atomic work counter rather
-//! than a work-stealing framework: the workloads are coarse (whole
-//! simulations, milliseconds to seconds each), so a simple shared-queue
-//! pool is optimal and the scheduling stays easy to reason about.
+//! than a work-stealing framework. The maps range from a few dozen whole
+//! simulations (milliseconds to seconds each) to thousands of fleet
+//! sessions (about a microsecond each), so workers claim consecutive items
+//! in runs sized to the map (see [`ThreadPool`]): one at a time for the
+//! coarse maps, dozens at a time for the fine ones. A simple shared-queue
+//! pool then keeps the scheduling easy to reason about.
 //!
 //! ```
 //! use sss_exec::{SeedSequence, ThreadPool};
@@ -36,9 +39,10 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Parallel map equals sequential map regardless of worker count.
+        /// Parallel map equals sequential map regardless of worker count,
+        /// from one-item claims to runs of dozens of items.
         #[test]
-        fn pool_map_matches_seq(xs in proptest::collection::vec(-1000i64..1000, 0..64),
+        fn pool_map_matches_seq(xs in proptest::collection::vec(-1000i64..1000, 0..2000),
                                workers in 1usize..8) {
             let f = |x: &i64| x.wrapping_mul(31).wrapping_add(7);
             let par = ThreadPool::new(workers).map(&xs, f);

@@ -5,14 +5,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
+/// Claims each worker makes in a [`ThreadPool::map`] of many items: the
+/// items are claimed in runs of `max(1, n / (workers · CLAIMS_PER_WORKER))`.
+const CLAIMS_PER_WORKER: usize = 16;
+
 /// A scoped thread pool over a shared work queue.
 ///
-/// Workers pull indices from an atomic counter, so load balances naturally
-/// when items have uneven cost (a concurrency-8 simulation takes ~8× a
-/// concurrency-1 run). Results land in their input slot, preserving order.
+/// Workers claim runs of consecutive items from an atomic counter, so
+/// load balances when items have uneven cost (a concurrency-8
+/// simulation takes ~8× a concurrency-1 run). A run is
+/// `max(1, n / (workers · 16))` items long: a map of a few dozen whole
+/// simulations claims them one at a time, while a map of 5000 small
+/// sessions touches the counter about sixteen times per worker instead
+/// of once per item. Results land in their input slot, preserving order.
 ///
 /// The pool is created per call — thread spawn cost is negligible next to
-/// the simulations being run, and scoped threads let closures borrow from
+/// the work being mapped, and scoped threads let closures borrow from
 /// the caller without `'static` bounds.
 pub struct ThreadPool {
     workers: usize,
@@ -42,6 +50,9 @@ impl ThreadPool {
     /// Order-preserving parallel map over a slice. With one worker (or
     /// one item) `f` runs inline on the calling thread.
     ///
+    /// Each claimed run is written into its own stretch of one result
+    /// vector, which becomes the returned `Vec` in place.
+    ///
     /// Panics in `f` are propagated to the caller after all workers stop
     /// (no deadlock, no lost panic).
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -59,29 +70,34 @@ impl ThreadPool {
             return items.iter().map(f).collect();
         }
 
-        let next = AtomicUsize::new(0);
+        let run = run_len(n, workers);
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
-        let slots = Mutex::new(&mut slots);
+        // One lock per run, taken once by the worker that claims it, so
+        // never contended: it only hands that worker the run's slots.
+        let runs: Vec<Mutex<&mut [Option<R>]>> = slots.chunks_mut(run).map(Mutex::new).collect();
+        let next = AtomicUsize::new(0);
         let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    let r = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(run_slots) = runs.get(r) else {
                         break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                        Ok(r) => {
-                            slots.lock()[i] = Some(r);
+                    };
+                    let mut run_slots = run_slots.lock();
+                    let run_items = &items[r * run..];
+                    let filled = catch_unwind(AssertUnwindSafe(|| {
+                        for (slot, item) in run_slots.iter_mut().zip(run_items) {
+                            *slot = Some(f(item));
                         }
-                        Err(p) => {
-                            *panic_payload.lock() = Some(p);
-                            // Drain remaining work so peers exit promptly.
-                            next.store(n, Ordering::Relaxed);
-                            break;
-                        }
+                    }));
+                    if let Err(p) = filled {
+                        *panic_payload.lock() = Some(p);
+                        // Drain remaining work so peers exit promptly.
+                        next.store(runs.len(), Ordering::Relaxed);
+                        break;
                     }
                 });
             }
@@ -91,11 +107,15 @@ impl ThreadPool {
             resume_unwind(p);
         }
         slots
-            .into_inner()
-            .iter_mut()
-            .map(|s| s.take().expect("worker left a result slot empty"))
+            .into_iter()
+            .map(|s| s.expect("worker left a result slot empty"))
             .collect()
     }
+}
+
+/// Items per claim when `workers` workers map `n` items.
+fn run_len(n: usize, workers: usize) -> usize {
+    (n / (workers * CLAIMS_PER_WORKER)).max(1)
 }
 
 #[cfg(test)]
@@ -136,15 +156,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deliberate test panic")]
     fn panics_propagate() {
-        let xs: Vec<u32> = (0..64).collect();
-        let _ = ThreadPool::new(4).map(&xs, |&x| {
-            if x == 13 {
-                panic!("deliberate test panic");
-            }
-            x
-        });
+        // 64 items are claimed one at a time; 1000 in runs of fifteen,
+        // and item 487 is the eighth of its run.
+        assert_eq!(run_len(1000, 4), 15);
+        for (n, bad) in [(64u32, 13u32), (1000, 487)] {
+            let xs: Vec<u32> = (0..n).collect();
+            let payload = std::panic::catch_unwind(|| {
+                ThreadPool::new(4).map(&xs, |&x| {
+                    if x == bad {
+                        panic!("deliberate test panic at item {x}");
+                    }
+                    x
+                })
+            })
+            .expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("deliberate test panic at item {bad}").as_str())
+            );
+        }
     }
 
     #[test]
@@ -156,16 +187,18 @@ mod tests {
 
     #[test]
     fn uneven_work_balances() {
-        // Items with wildly different costs still all complete.
-        let xs: Vec<u64> = (0..32).collect();
+        // Items with wildly different costs still all complete, claimed
+        // in runs of several items.
+        let xs: Vec<u64> = (0..2048).collect();
+        assert!(run_len(xs.len(), 4) > 1);
         let out = ThreadPool::new(4).map(&xs, |&x| {
             let mut acc = 0u64;
-            for i in 0..(x * 1000) {
+            for i in 0..((x % 97) * 1000) {
                 acc = acc.wrapping_add(i);
             }
             (x, acc)
         });
-        assert_eq!(out.len(), 32);
+        assert_eq!(out.len(), xs.len());
         for (i, (x, _)) in out.iter().enumerate() {
             assert_eq!(*x, i as u64);
         }

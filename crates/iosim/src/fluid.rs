@@ -49,13 +49,17 @@ impl EventStreamingPipeline {
         let one_way = self.wan.rtt.as_secs() / 2.0;
 
         // Effective service rate per segment once framing overhead is
-        // amortized over a frame's wire time.
+        // amortized over a frame's wire time; without overhead the trace
+        // itself serves.
+        let deflated;
         let service = if overhead > 0.0 {
-            self.trace
+            deflated = self
+                .trace
                 .mapped_rates(|r| r * frame_bytes / (frame_bytes + r * overhead))
-                .expect("overhead deflation keeps rates finite and the final rate positive")
+                .expect("overhead deflation keeps rates finite and the final rate positive");
+            &deflated
         } else {
-            self.trace.clone()
+            &self.trace
         };
 
         // The frame stream linearized: frame i is fully produced at

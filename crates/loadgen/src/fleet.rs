@@ -31,7 +31,7 @@
 //!   water-filling ([`WaterFiller`], re-levelled incrementally at each
 //!   event). A session never clipped below its solo rate
 //!   experiences *literally* the single-session replay: the replay's own
-//!   session helper rebuilds its trace from the same seed and builds its
+//!   session helper rebuilds its trace from the same draws and builds its
 //!   [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline), which
 //!   is what makes a fleet of one bit-identical to [`SessionReplay`].
 //! * **Fidelity** — the allocation integrator is fluid (event-driven,
@@ -60,7 +60,7 @@ use sss_core::{
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_netsim::{WaterFiller, WaterFlowId};
 use sss_report::{CsvWriter, Table};
-use sss_sim::{BandwidthTrace, EventQueue, Fidelity, Seconds, TraceShape};
+use sss_sim::{BandwidthTrace, Dips, EventQueue, Fidelity, Seconds, TraceShape};
 use sss_stats::Ecdf;
 use sss_units::Rate;
 
@@ -338,11 +338,16 @@ pub struct FleetSim {
     config: FleetConfig,
 }
 
+/// Seeds a call of [`TraceShape::draw`] takes in [`FleetSim::plan`]: the
+/// draw advances eight SplitMix64 chains at once, so a group of eight
+/// leaves it no chain to advance alone.
+const DRAW_GROUP: usize = 8;
+
 /// One planned arrival.
 struct Planned {
     scenario_idx: usize,
     arrival_s: f64,
-    trace_seed: u64,
+    dips: Dips,
 }
 
 /// A session's state through the allocation integrator.
@@ -350,9 +355,10 @@ struct SessionState {
     scenario_idx: usize,
     arrival_s: f64,
     session: Session,
-    /// Seed of the solo trace. `session.trace(shape, trace_seed)` is a
-    /// pure function, so admission and `finalize` build the same bits.
-    trace_seed: u64,
+    /// The solo trace's draws, made from its seed when the run was
+    /// planned. `session.trace(shape, &dips)` is a pure function, so
+    /// admission and `finalize` lay out the same bits.
+    dips: Dips,
     /// The solo trace, held only from admission to drain: the traces
     /// alive at any instant are bounded by the slots, not the sessions.
     trace: Option<BandwidthTrace>,
@@ -381,8 +387,7 @@ impl SessionState {
             self.clipped = true;
         }
         self.rel_s = 0.0;
-        self.trace
-            .insert(self.session.trace(shape, self.trace_seed))
+        self.trace.insert(self.session.trace(shape, &self.dips))
     }
 
     /// The session ran dry: mark it done and free its trace.
@@ -654,7 +659,11 @@ impl FleetSim {
     /// `λ = load / E[solo movement]`, scenarios assigned by seeded block
     /// shuffle, per-session trace seeds position-derived so session `k`'s
     /// trace seed equals the single-session replay's cell-`k` seed.
-    fn plan(&self) -> Vec<Planned> {
+    ///
+    /// Every session's dips are drawn here, on `pool`, [`DRAW_GROUP`]
+    /// seeds a call, so the integrator only lays traces out. Shapes that
+    /// draw nothing skip the fan-out.
+    fn plan(&self, pool: &ThreadPool) -> Vec<Planned> {
         if self.config.load <= 0.0 || self.config.sessions == 0 {
             return Vec::new();
         }
@@ -667,14 +676,23 @@ impl FleetSim {
             / catalog_n as f64;
         let lambda = self.config.load / mean_movement;
 
-        let trace_seeds = SeedSequence::new(self.config.seed);
+        let n = self.config.sessions as usize;
+        let shape = self.config.shape;
+        let draws = if shape == TraceShape::Bursty {
+            let trace_seeds = SeedSequence::new(self.config.seed);
+            let seeds: Vec<u64> = (0..n as u64).map(|k| trace_seeds.seed(k)).collect();
+            let groups: Vec<&[u64]> = seeds.chunks(DRAW_GROUP).collect();
+            pool.map(&groups, |group| shape.draw(group)).concat()
+        } else {
+            vec![Dips::default(); n]
+        };
         let gap_stream = SeedSequence::new(self.config.seed).child(1);
         let shuffle_root = SeedSequence::new(self.config.seed).child(2);
 
-        let mut planned = Vec::with_capacity(self.config.sessions as usize);
+        let mut planned = Vec::with_capacity(n);
         let mut t = 0.0f64;
         let mut order = Vec::new();
-        for k in 0..self.config.sessions as usize {
+        for (k, dips) in draws.into_iter().enumerate() {
             if k % catalog_n == 0 {
                 order = block_permutation(catalog_n, shuffle_root.child((k / catalog_n) as u64));
             }
@@ -683,7 +701,7 @@ impl FleetSim {
             planned.push(Planned {
                 scenario_idx: order[k % catalog_n],
                 arrival_s: t,
-                trace_seed: trace_seeds.seed(k as u64),
+                dips,
             });
         }
         planned
@@ -691,7 +709,7 @@ impl FleetSim {
 
     /// Fresh per-session integrator state for a planned arrival schedule
     /// — shared verbatim with the test-only reference integrator so both
-    /// start from identical trace seeds, clocks and byte counts. No trace
+    /// start from identical trace draws, clocks and byte counts. No trace
     /// is built here: [`SessionState::admit`] builds it.
     fn session_states(&self, plan: &[Planned]) -> Vec<SessionState> {
         plan.iter()
@@ -701,7 +719,7 @@ impl FleetSim {
                     scenario_idx: p.scenario_idx,
                     arrival_s: p.arrival_s,
                     session,
-                    trace_seed: p.trace_seed,
+                    dips: p.dips,
                     trace: None,
                     start_s: 0.0,
                     rel_s: 0.0,
@@ -1168,9 +1186,9 @@ impl FleetSim {
         let scenario = &self.scenarios[st.scenario_idx];
         let trace = if !st.clipped {
             // Never queued, never clipped: the granted allocation IS the
-            // solo trace — rebuilt from its seed, bit for bit the trace
-            // the single-session replay builds.
-            st.session.trace(self.config.shape, st.trace_seed)
+            // solo trace — laid out again from its draws, bit for bit the
+            // trace the single-session replay builds.
+            st.session.trace(self.config.shape, &st.dips)
         } else {
             let segments: Vec<(f64, Rate)> = st
                 .pieces
@@ -1217,7 +1235,7 @@ impl FleetSim {
     /// kernel's validator — impossible by construction, surfaced instead
     /// of unwrapped.
     pub fn run(&self, pool: &ThreadPool) -> Result<FleetReport, String> {
-        self.report(pool, self.integrate(&self.plan()))
+        self.report(pool, self.integrate(&self.plan(pool)))
     }
 
     /// Replay every integrated session through the movement pipeline,
@@ -1654,7 +1672,8 @@ mod tests {
         /// The fleet replayed through [`FleetSim::integrate_reference`]
         /// instead of the incremental integrator.
         fn run_reference(&self) -> Result<FleetReport, String> {
-            self.report(&ThreadPool::new(1), self.integrate_reference(&self.plan()))
+            let pool = ThreadPool::new(1);
+            self.report(&pool, self.integrate_reference(&self.plan(&pool)))
         }
     }
 
@@ -1971,7 +1990,7 @@ mod tests {
             config.shape = shape;
             config.policy = policy;
             let sim = FleetSim::bundled(config).unwrap();
-            let run = sim.integrate(&sim.plan());
+            let run = sim.integrate(&sim.plan(&ThreadPool::new(1)));
             let counts = run.floor_counts;
             totals.floors += counts.floors;
             totals.wakes += counts.wakes;
@@ -2030,7 +2049,7 @@ mod tests {
             let mut config = FleetConfig::quick(5).with_load(6.0).with_shape(shape);
             config.wan = Rate::from_gbps(40.0);
             let sim = FleetSim::bundled(config).unwrap();
-            let plan = sim.plan();
+            let plan = sim.plan(&ThreadPool::new(1));
             for (engine, run) in [
                 ("incremental", sim.integrate(&plan)),
                 ("reference", sim.integrate_reference(&plan)),
@@ -2063,12 +2082,12 @@ mod tests {
             Planned {
                 scenario_idx: 0,
                 arrival_s: 2.0,
-                trace_seed: 1,
+                dips: Dips::default(),
             },
             Planned {
                 scenario_idx: 1,
                 arrival_s: 1.0,
-                trace_seed: 2,
+                dips: Dips::default(),
             },
         ];
         sim.integrate(&plan);
@@ -2082,7 +2101,7 @@ mod tests {
     fn admission_queue_matches_the_reference_scan() {
         for policy in AdmissionPolicy::ALL {
             let sim = FleetSim::bundled(FleetConfig::quick(7).with_policy(policy)).unwrap();
-            let plan = sim.plan();
+            let plan = sim.plan(&ThreadPool::new(1));
             let states = sim.session_states(&plan);
             let catalog = sim.scenarios().len();
 

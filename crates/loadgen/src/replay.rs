@@ -54,7 +54,7 @@ use sss_core::{decide_batch, CompletionModel, Decision, DecisionReport, ModelPar
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource, WanProfile};
 use sss_report::{CsvWriter, Table};
-use sss_sim::{BandwidthTrace, Fidelity, TraceShape};
+use sss_sim::{BandwidthTrace, Dips, Fidelity, TraceShape};
 use sss_units::{Bytes, Rate, TimeDelta};
 
 /// Documented steady-state tolerance: with a constant trace the replay
@@ -98,9 +98,9 @@ impl Session {
         }
     }
 
-    /// The session's solo WAN trace of `shape`.
-    pub(crate) fn trace(&self, shape: TraceShape, seed: u64) -> BandwidthTrace {
-        shape.build(self.base, self.horizon, seed)
+    /// The session's solo WAN trace of `shape`, laid out from `dips`.
+    pub(crate) fn trace(&self, shape: TraceShape, dips: &Dips) -> BandwidthTrace {
+        shape.lay_out(self.base, self.horizon, dips)
     }
 
     /// The streaming pipeline moving the unit as `frames` frames over
@@ -340,7 +340,7 @@ impl SessionReplay {
         let p = &scenario.params;
         let model_eval = CompletionModel::new(*p);
         let session = Session::new(p);
-        let trace = session.trace(shape, seed);
+        let trace = session.trace(shape, &shape.draw(&[seed])[0]);
         let stream = session.stream(self.config.frames, trace.clone());
         let sim_transfer = stream
             .run_fidelity(self.config.fidelity)

@@ -75,6 +75,15 @@ const LANES: usize = 8;
 /// Sends a backlogged [`BandwidthTrace::send_chain`] advances at once.
 const BLOCK: usize = 16;
 
+/// Slots a bursty trace cuts each horizon into.
+const SLOTS: usize = 32;
+
+/// Horizons a bursty trace repeats its slots over.
+const HORIZONS: usize = 8;
+
+/// SplitMix64 chains [`TraceShape::draw`] advances at once.
+const CHAINS: usize = 8;
+
 impl BandwidthTrace {
     /// A constant-rate trace (the closed-form model's network).
     ///
@@ -736,6 +745,42 @@ pub enum TraceShape {
     Outage,
 }
 
+/// A bursty trace's drawn dips, one flag per slot in four words of 64,
+/// each word's first slot in its top bit: bit `63 - k % 64` of word
+/// `k / 64` is set when slot `k` of the 256 dips.
+///
+/// [`TraceShape::draw`] draws them from seeds and
+/// [`TraceShape::lay_out`] lays a trace out from them. The other shapes
+/// draw nothing: their dips are all clear, and their layouts ignore them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Dips([u64; SLOTS * HORIZONS / 64]);
+
+impl Dips {
+    /// The bursty dips of `N` seeds: each seed's SplitMix64 stream, one
+    /// step per slot, the slot dipping when the state is a multiple of
+    /// 4. Each flag shifts in at the bottom of its word, so the word's
+    /// first slot ends on top. The `N` chains advance interleaved, each
+    /// step of one chain beside the same step of the others, so the
+    /// multiplier has independent work while each chain waits on its own
+    /// last step. Every chain's sequence is the one it has alone.
+    fn drawn<const N: usize>(mut states: [u64; N]) -> [Dips; N] {
+        let mut dips = [Dips::default(); N];
+        for word in 0..SLOTS * HORIZONS / 64 {
+            let mut words = [0u64; N];
+            for _ in 0..64 {
+                for (state, w) in states.iter_mut().zip(&mut words) {
+                    splitmix64(state);
+                    *w = (*w << 1) | u64::from(state.is_multiple_of(4));
+                }
+            }
+            for (d, w) in dips.iter_mut().zip(words) {
+                d.0[word] = w;
+            }
+        }
+        dips
+    }
+}
+
 /// The transfer inputs every finish time checks.
 ///
 /// # Panics
@@ -859,9 +904,52 @@ impl TraceShape {
     /// shape's dip placement (the other shapes ignore it), so traces are
     /// pure functions of `(shape, base, horizon, seed)`.
     ///
+    /// A build is two steps, each public on its own: the draw, from the
+    /// seed to the 256 dip flags ([`TraceShape::draw`]), and the layout,
+    /// from the flags, base and horizon to the trace
+    /// ([`TraceShape::lay_out`]). A caller that knows its seeds ahead
+    /// can draw them all at once, eight chains at a time, and lay each
+    /// trace out when it needs it, to the same bits.
+    ///
     /// # Panics
     /// Panics on a non-positive base rate or horizon.
     pub fn build(&self, base: Rate, horizon_s: f64, seed: u64) -> BandwidthTrace {
+        let [dips] = self.drawn([seed]);
+        self.lay_out(base, horizon_s, &dips)
+    }
+
+    /// Each seed's [`Dips`], in seed order, as [`TraceShape::build`]
+    /// draws them. The `bursty` shape draws eight seeds' chains at a
+    /// time, interleaved, and the seeds after the last full eight one
+    /// at a time; every other shape draws nothing and returns clear
+    /// dips.
+    pub fn draw(&self, seeds: &[u64]) -> Vec<Dips> {
+        let (groups, tail) = seeds.as_chunks::<CHAINS>();
+        let mut dips = Vec::with_capacity(seeds.len());
+        for &group in groups {
+            dips.extend(self.drawn(group));
+        }
+        for &seed in tail {
+            dips.extend(self.drawn([seed]));
+        }
+        dips
+    }
+
+    /// The dips of `N` seeds: only `bursty` draws.
+    fn drawn<const N: usize>(&self, seeds: [u64; N]) -> [Dips; N] {
+        match self {
+            TraceShape::Bursty => Dips::drawn(seeds),
+            _ => [Dips::default(); N],
+        }
+    }
+
+    /// Lay out the trace at `base` rate over the characteristic horizon
+    /// `horizon_s` from drawn `dips` (see [`TraceShape::build`], which
+    /// is this layout of its seed's draw). Only `bursty` reads the dips.
+    ///
+    /// # Panics
+    /// Panics on a non-positive base rate or horizon.
+    pub fn lay_out(&self, base: Rate, horizon_s: f64, dips: &Dips) -> BandwidthTrace {
         assert!(
             horizon_s > 0.0 && horizon_s.is_finite(),
             "horizon must be positive, got {horizon_s}"
@@ -884,25 +972,24 @@ impl TraceShape {
                 (starts_s, rates_bps)
             }
             TraceShape::Bursty => {
-                const SLOTS: usize = 32;
-                const HORIZONS: usize = 8;
-                // The serial chain draws each slot's dip while the
-                // starts are written, and the rates are selected from
-                // the draws in a pass of their own: selected on the
-                // chain, a quarter of the slots dipping at random would
-                // mispredict a branch there.
-                let mut dips = [false; SLOTS * HORIZONS];
-                let mut state = seed;
+                // A `u32` index converts to `f64` in one instruction. Each
+                // rate is picked from the pair by the top flag of its word
+                // as the flags shift up: branched on, a quarter of the
+                // slots dipping at random would mispredict.
+                let slots = (SLOTS * HORIZONS) as u32;
+                let pair = [base, base * 0.3];
                 let mut starts_s = Vec::with_capacity(SLOTS * HORIZONS + 1);
-                for (k, dipped) in dips.iter_mut().enumerate() {
-                    splitmix64(&mut state);
-                    *dipped = state.is_multiple_of(4);
-                    starts_s.push(horizon_s * k as f64 / SLOTS as f64);
-                }
+                starts_s.extend((0..slots).map(|k| horizon_s * f64::from(k) / SLOTS as f64));
                 starts_s.push(horizon_s * HORIZONS as f64);
-                let dip = base * 0.3;
                 let mut rates_bps = Vec::with_capacity(SLOTS * HORIZONS + 1);
-                rates_bps.extend(dips.iter().map(|&dipped| if dipped { dip } else { base }));
+                for &word in &dips.0 {
+                    let mut flags = word;
+                    rates_bps.extend((0..64).map(|_| {
+                        let rate = pair[(flags >> 63) as usize];
+                        flags <<= 1;
+                        rate
+                    }));
+                }
                 rates_bps.push(base);
                 (starts_s, rates_bps)
             }
@@ -1212,7 +1299,10 @@ mod tests {
         }
 
         /// Every shape builds the trace the tuple construction built,
-        /// bit for bit, over bases and horizons across many decades.
+        /// bit for bit, over bases and horizons across many decades, and
+        /// so does the layout of the seed's draw. A batch of 0 to 40
+        /// seeds, so full groups of eight chains and every length of
+        /// tail after them, draws each seed's own dips.
         #[test]
         fn builds_match_the_tuple_construction_bit_for_bit(
             pick in 0usize..TraceShape::ALL.len(),
@@ -1221,14 +1311,20 @@ mod tests {
             horizon_mantissa in 1.0f64..10.0,
             horizon_exp in -6i32..6,
             seed in any::<u64>(),
+            batch in proptest::collection::vec(any::<u64>(), 0..=40),
         ) {
             let shape = TraceShape::ALL[pick];
             let base = Rate::from_bytes_per_sec(base_mantissa * 10f64.powi(base_exp));
             let horizon = horizon_mantissa * 10f64.powi(horizon_exp);
-            let got = shape.build(base, horizon, seed);
             let want = built_from_segments(shape, base, horizon, seed);
-            prop_assert_eq!(bits(&got.starts_s), bits(&want.starts_s));
-            prop_assert_eq!(bits(&got.rates_bps), bits(&want.rates_bps));
+            let built = shape.build(base, horizon, seed);
+            let laid_out = shape.lay_out(base, horizon, &shape.draw(&[seed])[0]);
+            for got in [built, laid_out] {
+                prop_assert_eq!(bits(&got.starts_s), bits(&want.starts_s));
+                prop_assert_eq!(bits(&got.rates_bps), bits(&want.rates_bps));
+            }
+            let alone: Vec<Dips> = batch.iter().map(|&s| shape.draw(&[s])[0]).collect();
+            prop_assert_eq!(shape.draw(&batch), alone);
         }
     }
 

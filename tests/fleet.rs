@@ -93,8 +93,8 @@ fn fleet_csv_is_byte_identical_across_workers_and_reruns() {
 
 /// The default bursty cell, byte for byte against committed output at
 /// both fidelities. Its 52 sessions hold 13 that are never clipped,
-/// whose movement replays the solo trace rebuilt from its seed, and 39
-/// clipped ones, whose movement replays their granted pieces.
+/// whose movement replays the solo trace laid out again from its draws,
+/// and 39 clipped ones, whose movement replays their granted pieces.
 #[test]
 fn bursty_fleet_matches_the_golden_csv() {
     for (fidelity, golden) in [
