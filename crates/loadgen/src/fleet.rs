@@ -25,15 +25,15 @@
 //!   latency [`Tier`] first).
 //! * **WAN sharing** — each admitted session's private path is its solo
 //!   replay trace (the scenario's `α·Bw/θ` base reshaped by the cell's
-//!   [`TraceShape`], as `SessionReplay` builds it), held only from its
-//!   admission to its drain; all concurrent raw demands then share a
-//!   backbone of capacity [`FleetConfig::wan`] by max-min fair
-//!   water-filling ([`WaterFiller`], re-levelled incrementally at each
-//!   event). A session never clipped below its solo rate
-//!   experiences *literally* the single-session replay: the replay's own
-//!   session helper rebuilds its trace from the same draws and builds its
-//!   [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline), which
-//!   is what makes a fleet of one bit-identical to [`SessionReplay`].
+//!   [`TraceShape`]), read through a [`DippedTrace`] over the scenario's
+//!   clear layout, laid out once per run, and the session's drawn dips.
+//!   All concurrent raw demands share a backbone of capacity
+//!   [`FleetConfig::wan`] by max-min fair water-filling ([`WaterFiller`],
+//!   re-levelled incrementally at each event). A session never clipped
+//!   below its solo rate experiences *literally* the single-session
+//!   replay: the replay's session helper lays its trace out from the same
+//!   draws and builds its [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline),
+//!   which is what makes a fleet of one bit-identical to [`SessionReplay`].
 //! * **Fidelity** — the allocation integrator is fluid (event-driven,
 //!   analytic between rate changes); each session's *reported* movement
 //!   then replays its granted piecewise-constant allocation through the
@@ -60,7 +60,7 @@ use sss_core::{
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_netsim::{WaterFiller, WaterFlowId};
 use sss_report::{CsvWriter, Table};
-use sss_sim::{BandwidthTrace, Dips, EventQueue, Fidelity, Seconds, TraceShape};
+use sss_sim::{BandwidthTrace, DippedTrace, Dips, EventQueue, Fidelity, Seconds, TraceShape};
 use sss_stats::Ecdf;
 use sss_units::Rate;
 
@@ -356,12 +356,11 @@ struct SessionState {
     arrival_s: f64,
     session: Session,
     /// The solo trace's draws, made from its seed when the run was
-    /// planned. `session.trace(shape, &dips)` is a pure function, so
-    /// admission and `finalize` lay out the same bits.
+    /// planned. The integrator reads the solo trace through a
+    /// [`DippedTrace`] over the scenario's clear layout and these dips,
+    /// and `finalize` lays an unclipped session's trace out from them:
+    /// the same bits either way.
     dips: Dips,
-    /// The solo trace, held only from admission to drain: the traces
-    /// alive at any instant are bounded by the slots, not the sessions.
-    trace: Option<BandwidthTrace>,
     start_s: f64,
     /// Elapsed time since admission — the session's private trace clock.
     /// Kept directly (and snapped onto breakpoints verbatim) instead of
@@ -378,23 +377,27 @@ struct SessionState {
 }
 
 impl SessionState {
-    /// Admit the session at `t`: start its trace clock, record its wait
-    /// and build its solo trace, which it returns.
-    fn admit(&mut self, t: f64, shape: TraceShape) -> &BandwidthTrace {
+    /// Admit the session at `t`: start its trace clock and record its
+    /// wait.
+    fn admit(&mut self, t: f64) {
         self.start_s = t;
         self.wait_s = t - self.arrival_s;
         if self.wait_s > 0.0 {
             self.clipped = true;
         }
         self.rel_s = 0.0;
-        self.trace.insert(self.session.trace(shape, &self.dips))
     }
 
-    /// The session ran dry: mark it done and free its trace.
+    /// The session's solo trace, read through its scenario's layout in
+    /// `clear` (one per scenario, from clear dips).
+    fn solo<'a>(&self, shape: TraceShape, clear: &'a [BandwidthTrace]) -> DippedTrace<'a> {
+        DippedTrace::new(shape, &clear[self.scenario_idx], &self.dips)
+    }
+
+    /// The session ran dry: mark it done.
     fn drain(&mut self) {
         self.remaining = 0.0;
         self.done = true;
-        self.trace = None;
     }
 }
 
@@ -612,7 +615,7 @@ struct FloorCounts {
 
 /// What one pass of the allocation integrator produced.
 struct Integration {
-    /// Every session's state, advanced to completion; none holds a trace.
+    /// Every session's state, advanced to completion.
     states: Vec<SessionState>,
     /// Largest number of concurrently admitted sessions.
     peak_active: u32,
@@ -710,7 +713,7 @@ impl FleetSim {
     /// Fresh per-session integrator state for a planned arrival schedule
     /// — shared verbatim with the test-only reference integrator so both
     /// start from identical trace draws, clocks and byte counts. No trace
-    /// is built here: [`SessionState::admit`] builds it.
+    /// is laid out here.
     fn session_states(&self, plan: &[Planned]) -> Vec<SessionState> {
         plan.iter()
             .map(|p| {
@@ -720,7 +723,6 @@ impl FleetSim {
                     arrival_s: p.arrival_s,
                     session,
                     dips: p.dips,
-                    trace: None,
                     start_s: 0.0,
                     rel_s: 0.0,
                     wait_s: 0.0,
@@ -761,7 +763,7 @@ impl FleetSim {
     ///   grant `L/θ`, nor its drain key. A session that resolves clipped
     ///   is registered at the smallest demand it has until its first
     ///   trace segment at or below the level
-    ///   ([`BandwidthTrace::window_above`]), with one calendar entry at
+    ///   ([`DippedTrace::window_above`]), with one calendar entry at
     ///   the end of that window in place of one per breakpoint. When a
     ///   re-level lifts the level to a floor, the flip query reports the
     ///   flow, which wakes onto its true cap, and the step re-levels
@@ -769,21 +771,29 @@ impl FleetSim {
     ///
     /// Scratch buffers are reused across events and per-session state is
     /// materialized lazily (only when a session's own status changes).
-    /// Beyond the pieces each session records, a step allocates only when
-    /// it admits a session, whose solo trace it builds, and a drain frees
-    /// that trace. Arrival and calendar instants are stored verbatim and
-    /// the clock jumps onto them exactly (no `t+dt` rounding), mirroring
-    /// the reference loop's snapping; an unclipped session's recorded
-    /// pieces carry its solo rates bit-for-bit, which preserves the
-    /// fleet-of-one ≡ `SessionReplay` identity.
+    /// Each scenario's solo trace is laid out once per run from clear
+    /// dips, and every session reads its own through a [`DippedTrace`]
+    /// over that layout and its dips, so beyond the pieces each session
+    /// records, an admission allocates nothing and a drain frees nothing.
+    /// Arrival and calendar instants are stored verbatim and the clock
+    /// jumps onto them exactly (no `t+dt` rounding), mirroring the
+    /// reference loop's snapping; an unclipped session's recorded pieces
+    /// carry its solo rates bit-for-bit, which preserves the fleet-of-one
+    /// ≡ `SessionReplay` identity.
     fn integrate(&self, plan: &[Planned]) -> Integration {
         let mut states = self.session_states(plan);
         let n = states.len();
         let wan_bps = self.config.wan.as_bytes_per_sec();
         let slots = self.config.slots as usize;
+        let shape = self.config.shape;
         let catalog = self.scenarios.len();
         let mut admitted_per_scenario = vec![0usize; catalog];
         let mut queue = AdmissionQueue::new(self.config.policy, catalog);
+        let clear: Vec<BandwidthTrace> = self
+            .scenarios
+            .iter()
+            .map(|s| Session::new(&s.params).trace(shape, &Dips::default()))
+            .collect();
 
         let mut wf = WaterFiller::new(wan_bps);
         // Live flow handle → session index (slab slots are recycled, so
@@ -918,9 +928,7 @@ impl FleetSim {
                             if states[i].done || lanes[i].break_gen != gen {
                                 continue;
                             }
-                            let (Some(flow), Some(b), Some(trace)) =
-                                (lanes[i].flow, lanes[i].next_break, &states[i].trace)
-                            else {
+                            let (Some(flow), Some(b)) = (lanes[i].flow, lanes[i].next_break) else {
                                 continue;
                             };
                             // Materialize remaining over the outgoing
@@ -928,7 +936,7 @@ impl FleetSim {
                             // clock onto the breakpoint verbatim (the
                             // reference loop's rounding guard) and register
                             // the true cap there.
-                            let (solo, next_b) = trace.segment_at(b);
+                            let (solo, next_b) = states[i].solo(shape, &clear).segment_at(b);
                             let theta = states[i].session.theta;
                             let rem = if lanes[i].clipped {
                                 ((lanes[i].d_key - v) / theta).max(0.0)
@@ -983,7 +991,8 @@ impl FleetSim {
                 let Some(i) = queue.pop(&admitted_per_scenario) else {
                     break;
                 };
-                let (solo, next_b) = states[i].admit(t_next, self.config.shape).segment_at(0.0);
+                states[i].admit(t_next);
+                let (solo, next_b) = states[i].solo(shape, &clear).segment_at(0.0);
                 admitted_per_scenario[states[i].scenario_idx] += 1;
                 active += 1;
                 let flow = wf.insert(states[i].session.theta * solo);
@@ -1041,13 +1050,13 @@ impl FleetSim {
                     if !lanes[i].floored {
                         continue;
                     }
-                    let (Some(flow), Some(trace)) = (lanes[i].flow, &states[i].trace) else {
+                    let Some(flow) = lanes[i].flow else {
                         continue;
                     };
                     // Wake: the trace clock ran on past segment switches
                     // with no calendar entry, so look up where it is now.
                     let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
-                    let (solo, next_b) = trace.segment_at(rel_now);
+                    let (solo, next_b) = states[i].solo(shape, &clear).segment_at(rel_now);
                     wf.update(flow, states[i].session.theta * solo);
                     let lane = &mut lanes[i];
                     lane.floored = false;
@@ -1108,8 +1117,7 @@ impl FleetSim {
                     // the level past the pending breakpoint.
                     let window = lane.next_break.and_then(|b| {
                         states[i]
-                            .trace
-                            .as_ref()?
+                            .solo(shape, &clear)
                             .window_above(b, |rate| theta * rate > level_new)
                     });
                     if let Some((min, end)) = window {
@@ -1499,24 +1507,22 @@ mod tests {
     use crate::{ReplayConfig, SessionReplay};
     use sss_netsim::progressive_fill;
 
-    impl SessionState {
-        /// The solo trace of an admitted session that has not drained.
-        fn live_trace(&self) -> &BandwidthTrace {
-            self.trace
-                .as_ref()
-                .expect("only an admitted, undrained session reads its trace")
-        }
-    }
-
     /// The original allocation loop, byte-faithful to the seed
     /// integrator: the oracle [`FleetSim::integrate`] is differentially
     /// tested against.
     impl FleetSim {
         /// The seed allocation loop: every event re-derives all solo rates,
         /// re-runs [`progressive_fill`] over every active flow and rescans
-        /// all drains and breakpoints — O(k²) per event.
+        /// all drains and breakpoints — O(k²) per event. Every session's
+        /// solo trace is laid out from its own dips, so the differential
+        /// test holds the incremental engine's [`DippedTrace`] reads to
+        /// the layout.
         fn integrate_reference(&self, plan: &[Planned]) -> Integration {
             let mut states = self.session_states(plan);
+            let traces: Vec<BandwidthTrace> = states
+                .iter()
+                .map(|st| st.session.trace(self.config.shape, &st.dips))
+                .collect();
             let n = states.len();
             let wan_bps = self.config.wan.as_bytes_per_sec();
             let slots = self.config.slots as usize;
@@ -1537,7 +1543,7 @@ mod tests {
                 while active.len() < slots && !queued.is_empty() {
                     let pos = self.pick(&queued, &states, &admitted_per_scenario);
                     let i = queued.remove(pos);
-                    states[i].admit(t, self.config.shape);
+                    states[i].admit(t);
                     admitted_per_scenario[states[i].scenario_idx] += 1;
                     active.push(i);
                 }
@@ -1556,7 +1562,7 @@ mod tests {
                 // its recorded pieces bit-equal to its solo trace.
                 let solo: Vec<f64> = active
                     .iter()
-                    .map(|&i| states[i].live_trace().rate_at(states[i].rel_s))
+                    .map(|&i| traces[i].rate_at(states[i].rel_s))
                     .collect();
                 let caps: Vec<f64> = active
                     .iter()
@@ -1595,7 +1601,7 @@ mod tests {
                 };
                 let breaks: Vec<Option<f64>> = active
                     .iter()
-                    .map(|&i| states[i].live_trace().next_change(states[i].rel_s))
+                    .map(|&i| traces[i].next_change(states[i].rel_s))
                     .collect();
                 let d_break = active
                     .iter()
@@ -2040,11 +2046,11 @@ mod tests {
         assert!(totals.expiries > 0, "no floor window ran to its end");
     }
 
-    /// A session holds its solo trace only from admission to drain: once
-    /// either integrator returns, every session has drained and freed it,
-    /// under every shape and with clipped and unclipped drains alike.
+    /// Once either integrator returns, every session has drained, under
+    /// every shape, and each cell drained clipped and unclipped sessions
+    /// alike.
     #[test]
-    fn integrators_free_every_trace_by_the_end() {
+    fn integrators_drain_every_session_clipped_or_not() {
         for shape in TraceShape::ALL {
             let mut config = FleetConfig::quick(5).with_load(6.0).with_shape(shape);
             config.wan = Rate::from_gbps(40.0);
@@ -2061,10 +2067,6 @@ mod tests {
                 );
                 for (i, st) in run.states.iter().enumerate() {
                     assert!(st.done, "{shape}/{engine}: session {i} never drained");
-                    assert!(
-                        st.trace.is_none(),
-                        "{shape}/{engine}: session {i} still holds its trace"
-                    );
                 }
             }
         }

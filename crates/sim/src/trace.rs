@@ -84,6 +84,10 @@ const HORIZONS: usize = 8;
 /// SplitMix64 chains [`TraceShape::draw`] advances at once.
 const CHAINS: usize = 8;
 
+/// The share of base a bursty slot keeps when it dips: the layout and
+/// [`DippedTrace`] both take a dipped slot's rate as `base * DIP_FACTOR`.
+const DIP_FACTOR: f64 = 0.3;
+
 impl BandwidthTrace {
     /// A constant-rate trace (the closed-form model's network).
     ///
@@ -747,7 +751,7 @@ pub enum TraceShape {
 
 /// A bursty trace's drawn dips, one flag per slot in four words of 64,
 /// each word's first slot in its top bit: bit `63 - k % 64` of word
-/// `k / 64` is set when slot `k` of the 256 dips.
+/// `k / 64` is set when slot `k` of the 256 slots dips.
 ///
 /// [`TraceShape::draw`] draws them from seeds and
 /// [`TraceShape::lay_out`] lays a trace out from them. The other shapes
@@ -778,6 +782,125 @@ impl Dips {
             }
         }
         dips
+    }
+
+    /// Whether slot `k` dips. No slot past the last does, a bursty
+    /// trace's final segment among them.
+    fn dipped(&self, k: usize) -> bool {
+        self.0
+            .get(k / 64)
+            .is_some_and(|&w| (w << (k % 64)) >> 63 == 1)
+    }
+
+    /// The first slot at or after `from` whose flag is `dipped`, or the
+    /// slot count when there is none: the index of a bursty trace's final
+    /// segment, which never dips. Masks the slots before `from` off its
+    /// word and counts leading zeros, a word at a time.
+    fn next_slot(&self, from: usize, dipped: bool) -> usize {
+        let flip = if dipped { 0 } else { u64::MAX };
+        let mut word = from / 64;
+        let Some(&w) = self.0.get(word) else {
+            return SLOTS * HORIZONS;
+        };
+        let mut flags = (w ^ flip) & (u64::MAX >> (from % 64));
+        loop {
+            if flags != 0 {
+                return word * 64 + flags.leading_zeros() as usize;
+            }
+            word += 1;
+            let Some(&w) = self.0.get(word) else {
+                return SLOTS * HORIZONS;
+            };
+            flags = w ^ flip;
+        }
+    }
+}
+
+/// One session's trace read in place: its shape's clear layout,
+/// `shape.lay_out(base, horizon_s, &Dips::default())`, paired with the
+/// session's [`Dips`], so the session's own trace is never laid out.
+///
+/// [`DippedTrace::segment_at`] and [`DippedTrace::window_above`] return,
+/// bit for bit, what the same calls return on `shape.lay_out(base,
+/// horizon_s, &dips)`. Every layout of a shape at one base and horizon
+/// has the clear layout's starts, and a dipped slot's rate is its clear
+/// rate times the factor the layout dips by. Only `bursty` reads its
+/// dips; the view of any other shape reads the clear layout unchanged.
+///
+/// The clear layout also carries every check the session's own layout
+/// would make: those depend on the base and horizon alone.
+#[derive(Debug, Clone, Copy)]
+pub struct DippedTrace<'a> {
+    clear: &'a BandwidthTrace,
+    dips: Dips,
+}
+
+impl<'a> DippedTrace<'a> {
+    /// The view of `shape`'s layout from `dips` over `clear`, the layout
+    /// of the same shape, base and horizon from clear dips. Shapes other
+    /// than `bursty` ignore `dips`, as their layouts do.
+    pub fn new(shape: TraceShape, clear: &'a BandwidthTrace, dips: &Dips) -> Self {
+        let dips = match shape {
+            TraceShape::Bursty => {
+                debug_assert_eq!(clear.segments(), SLOTS * HORIZONS + 1);
+                *dips
+            }
+            _ => Dips::default(),
+        };
+        DippedTrace { clear, dips }
+    }
+
+    /// [`BandwidthTrace::segment_at`] on the laid-out trace: one binary
+    /// search over the clear starts, the rate picked from the clear rate
+    /// and its dip by the segment's flag.
+    pub fn segment_at(&self, t_s: f64) -> (f64, Option<f64>) {
+        let idx = self.clear.starts_s.partition_point(|&s| s <= t_s);
+        let seg = idx.saturating_sub(1);
+        let rate = self.clear.rates_bps[seg];
+        let pair = [rate, rate * DIP_FACTOR];
+        (
+            pair[usize::from(self.dips.dipped(seg))],
+            self.clear.starts_s.get(idx).copied(),
+        )
+    }
+
+    /// [`BandwidthTrace::window_above`] on the laid-out trace, without
+    /// its segment scan.
+    ///
+    /// When no slot dips from the segment containing `t_s` on, the rates
+    /// from there are the clear layout's, and its scan answers. Otherwise
+    /// the trace is bursty, and ahead of `t_s` it has two rates: the base
+    /// in clear slots and the final segment, and the dip in dipped slots.
+    /// `above` is called at most once on each, and the window's end is
+    /// the next slot flagged unlike the first, found by counting leading
+    /// zeros over the four dip words. So `above` must be a pure function,
+    /// as the scan's branch-free chunks already assume.
+    pub fn window_above(
+        &self,
+        t_s: f64,
+        above: impl Fn(f64) -> bool,
+    ) -> Option<(f64, Option<f64>)> {
+        let first = self.clear.segment_index(t_s);
+        let next_dip = self.dips.next_slot(first, true);
+        if next_dip == SLOTS * HORIZONS {
+            return self.clear.window_above(t_s, above);
+        }
+        // A bursty slot: its clear rate is the base.
+        let base = self.clear.rates_bps[first];
+        let dip = base * DIP_FACTOR;
+        let (here, other, end) = if next_dip == first {
+            (dip, base, self.dips.next_slot(first, false))
+        } else {
+            (base, dip, next_dip)
+        };
+        if !above(here) {
+            return None;
+        }
+        if above(other) {
+            // Every rate ahead passes, and one of them is a dip.
+            return Some((dip, None));
+        }
+        Some((here, Some(self.clear.starts_s[end])))
     }
 }
 
@@ -977,7 +1100,7 @@ impl TraceShape {
                 // as the flags shift up: branched on, a quarter of the
                 // slots dipping at random would mispredict.
                 let slots = (SLOTS * HORIZONS) as u32;
-                let pair = [base, base * 0.3];
+                let pair = [base, base * DIP_FACTOR];
                 let mut starts_s = Vec::with_capacity(SLOTS * HORIZONS + 1);
                 starts_s.extend((0..slots).map(|k| horizon_s * f64::from(k) / SLOTS as f64));
                 starts_s.push(horizon_s * HORIZONS as f64);
@@ -1295,6 +1418,85 @@ mod tests {
                     window_bits(scalar_window_above(&t, q, above)),
                     "at {} above {}", q, threshold
                 );
+            }
+        }
+
+        /// A `DippedTrace` reads as the layout of its dips, bit for bit:
+        /// on every shape, at bases and horizons across many decades, with
+        /// dips from none through sparse and dense to all on every shape
+        /// (the non-bursty views must ignore them), and with every slot
+        /// from a random one on clear, so windows start with no dip
+        /// ahead. `segment_at` is asked on every breakpoint, just left of
+        /// it, between breakpoints, before 0 and past the last start, and
+        /// `window_above` from the same instants: under thresholds below
+        /// the dip, on it, between the dip and the base and on the base,
+        /// and under a predicate that passes the dip but not the base.
+        #[test]
+        fn the_dipped_view_reads_as_its_layout_bit_for_bit(
+            pick in 0usize..TraceShape::ALL.len(),
+            base_mantissa in 1.0f64..10.0,
+            base_exp in -3i32..13,
+            horizon_mantissa in 1.0f64..10.0,
+            horizon_exp in -6i32..6,
+            words in proptest::collection::vec(any::<u64>(), 12..=12),
+            density in 0usize..6,
+            cut in 0usize..=2 * SLOTS * HORIZONS,
+        ) {
+            let shape = TraceShape::ALL[pick];
+            let base = Rate::from_bytes_per_sec(base_mantissa * 10f64.powi(base_exp));
+            let horizon = horizon_mantissa * 10f64.powi(horizon_exp);
+            let cut = cut.min(SLOTS * HORIZONS);
+            let mut flags = [0u64; 4];
+            for (k, flag) in flags.iter_mut().enumerate() {
+                let (a, b, c) = (words[k], words[k + 4], words[k + 8]);
+                let w = [0, a & b & c, a & b, a, a | b | c, u64::MAX][density];
+                // Keep only the slots before the cut.
+                let keep = cut.saturating_sub(64 * k).min(64);
+                *flag = if keep == 64 { w } else { w & !(u64::MAX >> keep) };
+            }
+            let dips = Dips(flags);
+            let laid_out = shape.lay_out(base, horizon, &dips);
+            let clear = shape.lay_out(base, horizon, &Dips::default());
+            let view = DippedTrace::new(shape, &clear, &dips);
+
+            let last = *laid_out.starts_s.last().unwrap();
+            let mut queries = vec![-1.0, last + 1.0, 2.0 * last + 1.0];
+            for (k, &s) in laid_out.starts_s.iter().enumerate() {
+                queries.push(s);
+                queries.push(s - s.abs() * 1e-12 - 1e-300);
+                if let Some(&next) = laid_out.starts_s.get(k + 1) {
+                    queries.push((s + next) / 2.0);
+                }
+            }
+            let base = base.as_bytes_per_sec();
+            let dip = base * DIP_FACTOR;
+            let mid = (dip + base) / 2.0;
+            let predicates: [(&str, &dyn Fn(f64) -> bool); 6] = [
+                ("above half the dip", &|r| r > dip / 2.0),
+                ("above the dip", &|r| r > dip),
+                ("above the midpoint", &|r| r > mid),
+                ("above the base", &|r| r > base),
+                ("below the midpoint", &|r| r < mid),
+                ("not the base", &|r| r != base),
+            ];
+            for &q in &queries {
+                prop_assert_eq!(
+                    view.segment_at(q).0.to_bits(),
+                    laid_out.segment_at(q).0.to_bits(),
+                    "{}: rate at {}", shape, q
+                );
+                prop_assert_eq!(
+                    view.segment_at(q).1.map(f64::to_bits),
+                    laid_out.segment_at(q).1.map(f64::to_bits),
+                    "{}: next breakpoint after {}", shape, q
+                );
+                for (name, above) in predicates {
+                    prop_assert_eq!(
+                        window_bits(view.window_above(q, above)),
+                        window_bits(laid_out.window_above(q, above)),
+                        "{}: window from {} {}", shape, q, name
+                    );
+                }
             }
         }
 

@@ -1,8 +1,8 @@
 //! End-to-end gates for the multi-tenant fleet simulator: CLI
 //! round-trips in every output format, byte-identity across worker
-//! counts and repeated seeds, the bursty cell against its golden CSVs,
-//! the `--check` differential smoke against the counterpart movement
-//! integrator, the shared `--seed` flag-error contract, and the
+//! counts and repeated seeds, the bursty and diurnal cells against their
+//! golden CSVs, the `--check` differential smoke against the counterpart
+//! movement integrator, the shared `--seed` flag-error contract, and the
 //! `POST /fleet` endpoint with its memoized body cache surfaced in
 //! `/healthz`.
 
@@ -91,26 +91,41 @@ fn fleet_csv_is_byte_identical_across_workers_and_reruns() {
     }
 }
 
-/// The default bursty cell, byte for byte against committed output at
-/// both fidelities. Its 52 sessions hold 13 that are never clipped,
-/// whose movement replays the solo trace laid out again from its draws,
-/// and 39 clipped ones, whose movement replays their granted pieces.
+/// The default bursty and diurnal cells, byte for byte against
+/// committed output at both fidelities. The bursty cell's 52 sessions
+/// hold 13 that are never clipped, whose movement replays the solo trace
+/// laid out again from its draws, and 39 clipped ones, whose movement
+/// replays their granted pieces. The diurnal cell holds sessions at floor
+/// caps, wakes them and runs floor windows to their end on a shape whose
+/// trace the integrator reads from its clear layout.
 #[test]
 fn bursty_fleet_matches_the_golden_csv() {
-    for (fidelity, golden) in [
+    for (shape, fidelity, golden) in [
         (
+            "bursty",
             "fluid",
             include_str!("golden/fleet_bursty_seed42_fluid.csv"),
         ),
         (
+            "bursty",
             "exact",
             include_str!("golden/fleet_bursty_seed42_exact.csv"),
+        ),
+        (
+            "diurnal",
+            "fluid",
+            include_str!("golden/fleet_diurnal_seed42_fluid.csv"),
+        ),
+        (
+            "diurnal",
+            "exact",
+            include_str!("golden/fleet_diurnal_seed42_exact.csv"),
         ),
     ] {
         let (ok, csv, stderr) = run(&[
             "fleet",
             "--shape",
-            "bursty",
+            shape,
             "--seed",
             "42",
             "--format",
@@ -119,7 +134,7 @@ fn bursty_fleet_matches_the_golden_csv() {
             fidelity,
         ]);
         assert!(ok, "{stderr}");
-        assert_eq!(csv, golden, "{fidelity}");
+        assert_eq!(csv, golden, "{shape}/{fidelity}");
     }
 }
 
