@@ -1,10 +1,11 @@
 //! E-X8 — fleet advancement at scale: wall-clock throughput of a whole
-//! fleet run (the allocation integrator's water-filling level tracker
-//! and event calendar, plus the per-session trace builds and movement
-//! replays), swept over fleet size × trace shape × admission policy.
-//! Clipped sessions sit at floor caps, so a bursty cell schedules few
-//! breakpoint events beyond one arrival, admission and drain per
-//! session, and its time is mostly those per-session costs.
+//! fleet run (the plan's dip draws, the allocation integrator's
+//! water-filling level tracker and event calendar over one clear trace
+//! layout per scenario, and the per-session movement replays), swept
+//! over fleet size × trace shape × admission policy. Clipped sessions
+//! sit at floor caps, so a bursty cell schedules few breakpoint events
+//! beyond one arrival, admission and drain per session, and its time is
+//! mostly per-session work.
 //! Persists `results/fleet_scaling.{csv,json,md}`.
 //!
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators; quick

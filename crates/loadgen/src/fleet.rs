@@ -29,7 +29,7 @@
 //!   clear layout, laid out once per run, and the session's drawn dips.
 //!   All concurrent raw demands share a backbone of capacity
 //!   [`FleetConfig::wan`] by max-min fair water-filling ([`WaterFiller`],
-//!   re-levelled incrementally at each event). A session never clipped
+//!   re-levelled on the first read after a change). A session never clipped
 //!   below its solo rate experiences *literally* the single-session
 //!   replay: the replay's session helper lays its trace out from the same
 //!   draws and builds its [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline),
@@ -744,9 +744,12 @@ impl FleetSim {
     /// Four structures replace the test-only reference loop's full
     /// rescans:
     ///
-    /// * a [`WaterFiller`] holds every active flow's WAN demand and
-    ///   re-levels in O(log k) per cap change, arrival or drain, so the
-    ///   max-min fair shares are never recomputed from scratch;
+    /// * a [`WaterFiller`] holds every active flow's WAN demand in
+    ///   sorted order. A cap change, arrival or drain only marks its
+    ///   level stale, and the next read solves it with one scan up to
+    ///   the first clipped flow, so the changes between two reads cost
+    ///   one solve and the max-min fair shares are never recomputed
+    ///   from scratch;
     /// * an [`EventQueue`] calendar holds per-session trace breakpoints
     ///   and projected unclipped drains, and the time-ordered arrivals
     ///   merge in front of it from their own [`ArrivalLane`], so each

@@ -10,28 +10,35 @@
 //!
 //! [`WaterFiller`] maintains the same allocation *incrementally*. The
 //! standard water-level characterization: with capacity `C` and caps
-//! sorted ascending `c₁ ≤ … ≤ cₙ`, a flow at sorted position `j` is
-//! **frozen** (granted its cap) iff
+//! sorted ascending `c₁ ≤ … ≤ cₙ`, the flow at sorted position `j`
+//! **passes** iff
 //!
 //! ```text
-//! g(j) = Σ_{i≤j} cᵢ + c_j·(n−j) ≤ C        (g is nondecreasing in j)
+//! g(j) = Σ_{i≤j} cᵢ + c_j·(n−j) ≤ C
 //! ```
 //!
-//! so the frozen prefix length `m` is a binary search, and the water
-//! level is `L = (C − Σ_{i≤m} cᵢ) / (n−m)` (`+∞` when every demand
-//! fits). Grants are then a pure function of `(cap, L)`: `cap` verbatim
-//! when `cap ≤ L` — bit-equal to the demand, preserving
-//! `progressive_fill`'s contract that an ordinary `<` separates clipped
-//! from unclipped flows — and `L` otherwise.
+//! and the frozen prefix (the flows granted their caps) is the longest
+//! run of leading flows that pass, of length `m`. The water level is
+//! `L = (C − Σ_{i≤m} cᵢ) / (n−m)` (`+∞` when every flow passes). Grants
+//! are then a pure function of `(cap, L)`: `cap` verbatim when `cap ≤ L`
+//! — bit-equal to the demand, preserving `progressive_fill`'s contract
+//! that an ordinary `<` separates clipped from unclipped flows — and `L`
+//! otherwise. In exact arithmetic `g` is nondecreasing, so the first
+//! failure ends every later run too; in floats, tied caps can make `g`
+//! dip by an ulp, and the first failure is what defines `m`.
 //!
-//! The structure keeps flows sorted by `(cap, id)` with a running
-//! prefix-sum array: building from `k` flows is `O(k log k)`, and when
-//! one flow's cap changes, arrives or drains, **re-levelling is an
-//! `O(log k)` binary search** over the repaired prefix sums. Positional
-//! maintenance is a bounded `memmove` (`k` is capped by the fleet's DTN
-//! slot count, ≤ 4096), which on contiguous memory beats pointer-chasing
-//! trees at every size the cap admits. The sorted order also gives the
-//! fleet engine its status-flip query for free: when the level moves
+//! The structure keeps flows sorted by `(cap, id)`: an arrival, drain or
+//! cap change is a position search and a bounded `memmove` (`k` is
+//! capped by the fleet's DTN slot count, ≤ 4096), which on contiguous
+//! memory beats pointer-chasing trees at every size the cap admits. A
+//! mutation only marks the level stale. The next read
+//! ([`WaterFiller::level`], [`WaterFiller::is_clipped`]) solves it with
+//! **one scan up from the smallest cap**, carrying the running sum and
+//! stopping at the first flow that fails — `O(m+1)` for `m` frozen flows,
+//! and a contended fleet freezes few. The sum restarts from zero at every
+//! solve, so the level never depends on mutation history, and mutations
+//! between two reads cost no solve at all. The sorted order also gives
+//! the fleet engine its status-flip query for free: when the level moves
 //! from `L₀` to `L₁`, exactly the flows with caps in
 //! `(min(L₀,L₁), max(L₀,L₁)]` can change sides — an `O(log k + flips)`
 //! range visit instead of a full rescan.
@@ -65,7 +72,9 @@ impl WaterFlowId {
 /// [`progressive_fill`](crate::progressive_fill) over the live caps
 /// after every mutation, up to float re-association (the differential
 /// tests hold the drift to ≤ 1e-12 relative); frozen grants are caps
-/// **verbatim** in both.
+/// **verbatim** in both. Mutations keep the sorted order and leave the
+/// level stale; the reads that need it ([`WaterFiller::level`],
+/// [`WaterFiller::is_clipped`]) take `&mut self` and solve it once.
 ///
 /// ```
 /// use sss_netsim::{progressive_fill, WaterFiller};
@@ -79,7 +88,7 @@ impl WaterFlowId {
 /// assert_eq!(progressive_fill(10.0, &[2.0, 9.0, 9.0]), vec![2.0, 4.0, 4.0]);
 /// assert_eq!(wf.level(), 4.0);
 /// assert!(!wf.is_clipped(a) && wf.is_clipped(b) && wf.is_clipped(c));
-/// // One flow drains: the remaining two re-level in O(log k).
+/// // One flow drains: the next read re-levels the remaining two.
 /// wf.remove(b);
 /// assert_eq!(wf.level(), 8.0);
 /// assert!(!wf.is_clipped(a) && wf.is_clipped(c));
@@ -96,10 +105,9 @@ pub struct WaterFiller {
     free: Vec<u32>,
     /// Live flow ids sorted ascending by `(cap, id)`.
     order: Vec<u32>,
-    /// `prefix[i]` = running sum of `caps` over `order[0..=i]`.
-    prefix: Vec<f64>,
-    /// The current water level; `+∞` when every demand fits.
-    level: f64,
+    /// The water level as of the last read (`+∞` when every demand
+    /// fits); `None` once a mutation has made it stale.
+    level: Option<f64>,
 }
 
 impl WaterFiller {
@@ -118,8 +126,7 @@ impl WaterFiller {
             alive: Vec::new(),
             free: Vec::new(),
             order: Vec::new(),
-            prefix: Vec::new(),
-            level: f64::INFINITY,
+            level: None,
         }
     }
 
@@ -141,9 +148,12 @@ impl WaterFiller {
     /// The current water level: every flow with `cap > level` is clipped
     /// to it. `+∞` when every demand fits within the capacity (all flows
     /// granted their caps), which makes `grant = min(cap, level)` the
-    /// uniform rule.
-    pub fn level(&self) -> f64 {
-        self.level
+    /// uniform rule. Solved here, once per run of mutations, in `O(m+1)`
+    /// for `m` frozen flows.
+    pub fn level(&mut self) -> f64 {
+        *self
+            .level
+            .get_or_insert_with(|| front_scan(self.capacity, &self.caps, &self.order))
     }
 
     /// The registered cap of a live flow.
@@ -162,12 +172,13 @@ impl WaterFiller {
     /// # Panics
     /// Panics on a removed handle.
     #[cfg(test)]
-    pub(crate) fn grant(&self, id: WaterFlowId) -> f64 {
+    pub(crate) fn grant(&mut self, id: WaterFlowId) -> f64 {
         let cap = self.cap(id);
-        if cap <= self.level {
+        let level = self.level();
+        if cap <= level {
             cap
         } else {
-            self.level
+            level
         }
     }
 
@@ -175,11 +186,11 @@ impl WaterFiller {
     ///
     /// # Panics
     /// Panics on a removed handle.
-    pub fn is_clipped(&self, id: WaterFlowId) -> bool {
-        self.cap(id) > self.level
+    pub fn is_clipped(&mut self, id: WaterFlowId) -> bool {
+        self.cap(id) > self.level()
     }
 
-    /// Register a flow demanding `cap`; re-levels incrementally.
+    /// Register a flow demanding `cap`; the level goes stale.
     ///
     /// # Panics
     /// Panics on a negative or non-finite cap.
@@ -202,12 +213,11 @@ impl WaterFiller {
         };
         let pos = self.position_of(cap, id);
         self.order.insert(pos, id);
-        self.prefix.push(0.0);
-        self.refresh_from(pos);
+        self.level = None;
         WaterFlowId(id)
     }
 
-    /// Remove a drained flow; re-levels incrementally.
+    /// Remove a drained flow; the level goes stale.
     ///
     /// # Panics
     /// Panics on a handle already removed.
@@ -217,14 +227,13 @@ impl WaterFiller {
         let pos = self.position_of(self.caps[i as usize], i);
         debug_assert_eq!(self.order[pos], i);
         self.order.remove(pos);
-        self.prefix.pop();
         self.alive[i as usize] = false;
         self.free.push(i);
-        self.refresh_from(pos);
+        self.level = None;
     }
 
     /// Change a live flow's cap (a trace breakpoint moving its demand);
-    /// re-levels incrementally.
+    /// the level goes stale.
     ///
     /// # Panics
     /// Panics on a removed handle or an invalid cap.
@@ -241,7 +250,7 @@ impl WaterFiller {
         self.caps[i as usize] = cap;
         let new = self.position_of(cap, i);
         self.order.insert(new, i);
-        self.refresh_from(old.min(new));
+        self.level = None;
     }
 
     /// Visit every live flow whose cap lies in the half-open interval
@@ -272,58 +281,10 @@ impl WaterFiller {
             .partition_point(|&f| (self.caps[f as usize].to_bits(), f) < key)
     }
 
-    /// Repair the prefix sums from `from` onward and re-solve the level.
-    /// The running sum re-uses `prefix[from-1]`, which is by induction
-    /// bitwise equal to a fresh left-to-right summation of the current
-    /// sorted caps — so the level never depends on mutation history.
-    fn refresh_from(&mut self, from: usize) {
-        let mut acc = if from == 0 {
-            0.0
-        } else {
-            self.prefix[from - 1]
-        };
-        for k in from..self.order.len() {
-            acc += self.caps[self.order[k] as usize];
-            self.prefix[k] = acc;
-        }
-        self.relevel();
-    }
-
-    /// Binary-search the frozen prefix (the largest `m` with
-    /// `g(m) ≤ C`; `g` is nondecreasing) and derive the water level —
-    /// the `O(log k)` re-level at the heart of the structure.
-    fn relevel(&mut self) {
-        let n = self.order.len();
-        if n == 0 {
-            self.level = f64::INFINITY;
-            return;
-        }
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            let i = mid - 1;
-            let g = self.prefix[i] + self.caps[self.order[i] as usize] * (n - mid) as f64;
-            if g <= self.capacity {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        let m = lo;
-        self.level = if m == n {
-            f64::INFINITY
-        } else {
-            let used = if m == 0 { 0.0 } else { self.prefix[m - 1] };
-            ((self.capacity - used) / (n - m) as f64).max(0.0)
-        };
-    }
-
-    /// Structural invariants, asserted by the tests after every
-    /// mutation: order sorted by `(cap, id)`, prefix sums bitwise equal
-    /// to a fresh left-to-right summation.
+    /// Structural invariant, asserted by the tests after every mutation:
+    /// order sorted by `(cap, id)` over live flows.
     #[cfg(test)]
     fn check_invariants(&self) {
-        let mut acc = 0.0f64;
         for (k, &f) in self.order.iter().enumerate() {
             assert!(self.alive[f as usize]);
             if k > 0 {
@@ -332,10 +293,33 @@ impl WaterFiller {
                 let b = (self.caps[f as usize].to_bits(), f);
                 assert!(a < b, "order not sorted at {k}");
             }
-            acc += self.caps[f as usize];
-            assert_eq!(acc.to_bits(), self.prefix[k].to_bits(), "prefix at {k}");
         }
     }
+}
+
+/// The water level of the flows `order` lists in ascending `(cap, id)`
+/// order: one scan up from the smallest cap, with a running sum of the
+/// caps that passed, which stops at the first flow that fails. `rest`
+/// counts the flows above the current one as a float (exact below 2⁵³),
+/// which spares an integer conversion per flow.
+fn front_scan(capacity: f64, caps: &[f64], order: &[u32]) -> f64 {
+    let mut used = 0.0;
+    let mut rest = order.len() as f64;
+    for &f in order {
+        let cap = caps[f as usize];
+        rest -= 1.0;
+        let sum = used + cap;
+        if sum + cap * rest > capacity {
+            // `used` is 0 at the first flow. Past it, the flow before
+            // passed with `fl(used + c·k) ≤ C` for some `c·k ≥ 0`, and
+            // rounding is monotone, so `used ≤ C`: the level is ≥ +0.
+            let level = (capacity - used) / (rest + 1.0);
+            debug_assert!(level >= 0.0, "negative water level {level}");
+            return level;
+        }
+        used = sum;
+    }
+    f64::INFINITY
 }
 
 #[cfg(test)]
@@ -343,6 +327,8 @@ mod tests {
     use super::*;
     use crate::fluid::progressive_fill;
     use proptest::prelude::*;
+    use proptest::{collection, TestRng};
+    use sss_core::Scenario;
 
     /// Shadow model: `(id, cap)` in insertion order, the layout
     /// `progressive_fill` sees.
@@ -378,7 +364,7 @@ mod tests {
         /// Every grant within 1e-12 relative of the oracle, frozen
         /// grants bit-equal to their caps, and total grants within the
         /// capacity.
-        fn assert_matches_oracle(&self) {
+        fn assert_matches_oracle(&mut self) {
             self.wf.check_invariants();
             let caps: Vec<f64> = self.live.iter().map(|&(_, c)| c).collect();
             let want = progressive_fill(self.wf.capacity(), &caps);
@@ -562,5 +548,195 @@ mod tests {
                 s.assert_matches_oracle();
             }
         }
+    }
+
+    /// The caps a fleet's flows demand, as perfbench's `waterfill_layers`
+    /// draws them: each catalog scenario's base rate and its 0.3× dip,
+    /// plus zero (a session in an outage window). The set is small, so
+    /// live caps tie often.
+    fn tied_caps() -> Vec<f64> {
+        let mut caps: Vec<f64> = Scenario::all()
+            .iter()
+            .flat_map(|s| {
+                let eff = s.params.effective_rate().as_bytes_per_sec();
+                [eff, 0.3 * eff]
+            })
+            .collect();
+        caps.push(0.0);
+        caps
+    }
+
+    /// `g(j)` over ascending caps, with the running sum left to right
+    /// from zero.
+    fn g_values(sorted: &[f64]) -> Vec<f64> {
+        let n = sorted.len();
+        let mut sum = 0.0;
+        sorted
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| {
+                sum += c;
+                sum + c * (n - j - 1) as f64
+            })
+            .collect()
+    }
+
+    /// The level from scratch: freeze leading flows while they pass and
+    /// share what is left among the rest.
+    fn scanned_level(capacity: f64, sorted: &[f64]) -> f64 {
+        let n = sorted.len();
+        let mut used = 0.0;
+        for (j, g) in g_values(sorted).into_iter().enumerate() {
+            if g > capacity {
+                return (capacity - used) / (n - j) as f64;
+            }
+            used += sorted[j];
+        }
+        f64::INFINITY
+    }
+
+    /// The level as the prefix-sum allocator solved it: running prefix
+    /// sums, then a binary search for the largest `m` with `g(m) ≤ C`.
+    /// That is the longest passing run only while `g` is nondecreasing.
+    fn bisected_level(capacity: f64, sorted: &[f64]) -> f64 {
+        let n = sorted.len();
+        let mut prefix = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for &c in sorted {
+            acc += c;
+            prefix.push(acc);
+        }
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            let i = mid - 1;
+            let g = prefix[i] + sorted[i] * (n - mid) as f64;
+            if g <= capacity {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        let m = lo;
+        if m == n {
+            f64::INFINITY
+        } else {
+            let used = if m == 0 { 0.0 } else { prefix[m - 1] };
+            ((capacity - used) / (n - m) as f64).max(0.0)
+        }
+    }
+
+    /// The lazy level under random interleavings of inserts, updates,
+    /// removes and reads over tied caps: every read (`level` or
+    /// `is_clipped`) answers bit for bit as a fresh front scan over the
+    /// sorted live caps, and, whenever float `g` is nondecreasing over
+    /// them, as the prefix-sum bisection the scan replaced.
+    ///
+    /// The catalog's rates have short mantissas, so their sums are exact
+    /// and `g` never dips over them. Half the cases scale the set by one
+    /// factor, as a session's `θ` scales its demand: ties stay ties, sums
+    /// round, and the bisection's precondition fails on some reads (the
+    /// test asserts that both sides come up). A third of the cases start
+    /// with every flow on one cap. Capacities sit at zero, across the
+    /// contended-to-frozen range, and on a `g` value of the first flows or
+    /// one ulp either side, which the first read sees.
+    #[test]
+    fn the_lazy_level_is_a_fresh_front_scan_bit_for_bit() {
+        let catalog = tied_caps();
+        let cases = (
+            (0u8..2, 0.5f64..2.0),
+            (0u8..3, 0.0f64..1.0, -1i8..=1),
+            (0u8..3, collection::vec(0..catalog.len(), 1..=200)),
+            collection::vec((0u8..5, any::<u16>(), 0..catalog.len()), 0..200),
+        );
+        let mut rng = TestRng::from_name(module_path!());
+        let (mut reads, mut monotone, mut split) = (0u32, 0u32, 0u32);
+        for case in 0..256 {
+            let ((scaled, factor), (class, frac, nudge), (uniform, mut first), mut steps) =
+                cases.generate(&mut rng);
+            if uniform == 0 {
+                // Every first flow on one cap: `g` is one value `n·c` in
+                // exact arithmetic, and rounding alone orders it.
+                let k = first[0];
+                first.fill(k);
+            }
+            // Read first, while the capacity still sits on a `g` value.
+            steps.insert(0, (3, 0, 0));
+            let set: Vec<f64> = match scaled {
+                0 => catalog.clone(),
+                _ => catalog.iter().map(|&c| c * factor).collect(),
+            };
+            let mut sorted: Vec<f64> = first.iter().map(|&k| set[k]).collect();
+            sorted.sort_by(f64::total_cmp);
+            let capacity = match class {
+                0 => 0.0,
+                1 => 1.2 * frac * sorted.iter().sum::<f64>(),
+                _ => {
+                    let gs = g_values(&sorted);
+                    let g = gs[(frac * gs.len() as f64) as usize];
+                    match nudge {
+                        -1 if g > 0.0 => f64::from_bits(g.to_bits() - 1),
+                        1 => f64::from_bits(g.to_bits() + 1),
+                        _ => g,
+                    }
+                }
+            };
+            let mut wf = WaterFiller::new(capacity);
+            let mut live: Vec<(WaterFlowId, f64)> =
+                first.iter().map(|&k| (wf.insert(set[k]), set[k])).collect();
+            for (at, (kind, pick, k)) in steps.into_iter().enumerate() {
+                let slot = pick as usize % live.len().max(1);
+                match kind {
+                    1 if !live.is_empty() => {
+                        wf.update(live[slot].0, set[k]);
+                        live[slot].1 = set[k];
+                    }
+                    2 if !live.is_empty() => {
+                        wf.remove(live.swap_remove(slot).0);
+                    }
+                    3 | 4 => {
+                        let mut sorted: Vec<f64> = live.iter().map(|&(_, c)| c).collect();
+                        sorted.sort_by(f64::total_cmp);
+                        let want = scanned_level(capacity, &sorted);
+                        let ctx =
+                            || format!("case {case}, step {at}, C {capacity:e}, caps {sorted:?}");
+                        if kind == 4 && !live.is_empty() {
+                            let (id, cap) = live[slot];
+                            assert_eq!(wf.is_clipped(id), cap > want, "is_clipped: {}", ctx());
+                        }
+                        let got = wf.level();
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "level {got:e} vs scan {want:e}: {}",
+                            ctx()
+                        );
+                        reads += 1;
+                        let old = bisected_level(capacity, &sorted);
+                        if g_values(&sorted).windows(2).all(|w| w[0] <= w[1]) {
+                            monotone += 1;
+                            assert_eq!(
+                                got.to_bits(),
+                                old.to_bits(),
+                                "level {got:e} vs bisection {old:e}: {}",
+                                ctx()
+                            );
+                        } else if got.to_bits() != old.to_bits() {
+                            split += 1;
+                        }
+                    }
+                    _ => live.push((wf.insert(set[k]), set[k])),
+                }
+                wf.check_invariants();
+            }
+        }
+        eprintln!(
+            "{monotone} of {reads} reads had a nondecreasing g; \
+             the bisection answered otherwise on {split} of the rest"
+        );
+        assert!(
+            0 < monotone && monotone < reads,
+            "{monotone} of {reads} reads had a nondecreasing g: both sides must come up"
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end gates for the multi-tenant fleet simulator: CLI
 //! round-trips in every output format, byte-identity across worker
 //! counts and repeated seeds, the bursty and diurnal cells against their
-//! golden CSVs, the `--check` differential smoke against the counterpart
-//! movement integrator, the shared `--seed` flag-error contract, and the
+//! golden CSVs, the benchmark cell against its pinned digest, the
+//! `--check` differential smoke against the counterpart movement
+//! integrator, the shared `--seed` flag-error contract, and the
 //! `POST /fleet` endpoint with its memoized body cache surfaced in
 //! `/healthz`.
 
@@ -136,6 +137,55 @@ fn bursty_fleet_matches_the_golden_csv() {
         assert!(ok, "{stderr}");
         assert_eq!(csv, golden, "{shape}/{fidelity}");
     }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// perfbench's `fleet_bursty` cell: 5000 bursty sessions through 128 DTN
+/// slots on a 40 Gbps backbone, where about 126 flows share the WAN and
+/// nearly all of them are clipped. The goldens above pin a 52-session,
+/// 4-slot cell; this pins the contended regime the benchmark times, by
+/// row count and an FNV-1a-64 digest of the CSV (0.96 MB, too big to
+/// commit). Change the digest only when the fleet's bytes change on
+/// purpose.
+#[test]
+fn the_benchmark_cell_matches_its_pinned_digest() {
+    let (ok, csv, stderr) = run(&[
+        "fleet",
+        "--sessions",
+        "5000",
+        "--load",
+        "512",
+        "--slots",
+        "128",
+        "--wan",
+        "40Gbps",
+        "--shape",
+        "bursty",
+        "--policy",
+        "fifo",
+        "--fidelity",
+        "fluid",
+        "--frames",
+        "16",
+        "--seed",
+        "1",
+        "--format",
+        "csv",
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(
+        csv.lines().count(),
+        5001,
+        "a header and one row per session"
+    );
+    assert_eq!(csv.len(), 955_599);
+    assert_eq!(fnv1a64(csv.as_bytes()), 0x63fe_b4ac_1918_4007);
 }
 
 #[test]
