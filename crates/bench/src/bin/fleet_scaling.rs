@@ -75,8 +75,10 @@ fn cell_config(sessions: u32, shape: TraceShape, policy: AdmissionPolicy) -> Fle
 /// `POST /fleet` would pay).
 fn run_cell(config: &FleetConfig, pool: &ThreadPool) -> Cell {
     let sim = FleetSim::bundled(config.clone()).expect("bundled FleetConfig is valid");
-    #[allow(clippy::disallowed_methods)]
-    // sss-lint: allow(D002, wall-clock measurement of the integrator itself; never feeds simulation state)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock measurement of the integrator itself; never feeds simulation state"
+    )]
     let started = Instant::now();
     let report = sim.run(pool).expect("fleet cell replays");
     let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);

@@ -58,8 +58,10 @@ fn timed_replays(config: ReplayConfig) -> FidelityThroughput {
     let mut cells = 0;
     let rates: Vec<f64> = (0..TIMED_RUNS)
         .map(|_| {
-            #[allow(clippy::disallowed_methods)]
-            // sss-lint: allow(D002, bench measures real elapsed time by design)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bench measures real elapsed time by design"
+            )]
             let start = Instant::now();
             let report = replay.run(&ThreadPool::new(1));
             let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);

@@ -457,9 +457,9 @@ mod tests {
 
     #[test]
     fn comments_preserve_text_for_pragmas() {
-        let toks = lex("// sss-lint: allow(D002, timing)\nx");
+        let toks = lex("// sss-lint: allow(D004, exact guard)\nx");
         match &toks[0].kind {
-            TokenKind::Comment(text) => assert!(text.contains("allow(D002")),
+            TokenKind::Comment(text) => assert!(text.contains("allow(D004")),
             other => panic!("expected comment, got {other:?}"),
         }
     }

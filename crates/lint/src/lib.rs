@@ -1,4 +1,4 @@
-//! `sss-lint`: a workspace-native determinism & robustness analyzer.
+//! `sss-lint`: a workspace-native determinism analyzer.
 //!
 //! Every load-bearing guarantee in this repository — bit-identical
 //! sequential/parallel suite output, seeded position-derived Monte-Carlo
@@ -7,9 +7,10 @@
 //! regression only after it ships. This crate rejects the whole bug class
 //! at the source level instead. It is a self-contained static analyzer
 //! (pure std, hand-rolled lexer — no `syn`) that walks all non-vendor
-//! workspace sources and enforces seven invariants; see [`rules::RULES`].
-//! Six are per file; the seventh, U001 ([`unused`]), reads the whole
-//! workspace for `pub` items that nothing names.
+//! workspace sources and crate manifests and enforces the four invariants
+//! no compiler pass checks; see [`rules::RULES`]. D001 and D004 are per
+//! source file, L001 is per manifest, and U001 ([`unused`]) reads the
+//! whole workspace for `pub` items that nothing names.
 //!
 //! Suppression is explicit and auditable: an inline
 //! `// sss-lint: allow(RULE, reason)` pragma (reason mandatory) clears one
@@ -21,19 +22,19 @@
 //! ```
 //! use sss_lint::rules::{lint_source, FileContext};
 //!
-//! // A wall-clock read inside a simulation crate is a determinism bug…
+//! // An exact float comparison is a determinism hazard…
 //! let findings = lint_source(
 //!     "crates/sim/src/demo.rs",
-//!     "fn stamp() -> std::time::Instant { Instant::now() }",
+//!     "fn idle(rate: f64) -> bool { rate == 0.0 }",
 //!     &FileContext::for_crate("sim"),
 //! );
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].rule, "D002");
+//! assert_eq!(findings[0].rule, "D004");
 //!
 //! // …but the same tokens inside a string literal are data, not code.
 //! let clean = lint_source(
 //!     "crates/sim/src/demo.rs",
-//!     r#"const DOC: &str = "never call Instant::now() here";"#,
+//!     r#"const DOC: &str = "never write rate == 0.0 here";"#,
 //!     &FileContext::for_crate("sim"),
 //! );
 //! assert!(clean.is_empty());
@@ -54,7 +55,7 @@ use std::path::Path;
 /// One diagnostic: a rule violated at a `file:line` anchor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule code (`D001`…`D004`, `P001`, `L001`, `U001`) or meta code (`X001` bad
+    /// Rule code (`D001`, `D004`, `L001`, `U001`) or meta code (`X001` bad
     /// pragma, `X002` stale baseline entry).
     pub rule: String,
     /// Workspace-relative file path with forward slashes.
@@ -175,13 +176,13 @@ mod tests {
     #[test]
     fn text_and_json_render_anchor() {
         let f = vec![Finding {
-            rule: "D002".into(),
+            rule: "D004".into(),
             file: "crates/sim/src/x.rs".into(),
             line: 7,
-            message: "wall clock".into(),
+            message: "float equality".into(),
         }];
         let text = render_text(&f, 2);
-        assert!(text.contains("crates/sim/src/x.rs:7: D002: wall clock"));
+        assert!(text.contains("crates/sim/src/x.rs:7: D004: float equality"));
         assert!(text.contains("1 finding(s), 2 grandfathered"));
         let json = render_json(&f, 2);
         assert!(json.contains("\"file\":\"crates/sim/src/x.rs\""));

@@ -129,10 +129,10 @@ mod tests {
 
     #[test]
     fn trailing_pragma_binds_to_its_line() {
-        let toks = lex("let t = now(); // sss-lint: allow(D002, latency measurement)\n");
+        let toks = lex("let idle = rate == 0.0; // sss-lint: allow(D004, exact-zero guard)\n");
         let pragmas = collect(&toks);
-        assert!(pragmas.allows("D002", 1));
-        assert!(!pragmas.allows("D002", 2));
+        assert!(pragmas.allows("D004", 1));
+        assert!(!pragmas.allows("D004", 2));
         assert!(pragmas.errors.is_empty());
     }
 
@@ -145,16 +145,16 @@ mod tests {
 
     #[test]
     fn stacked_pragmas_accumulate() {
-        let src = "// sss-lint: allow(D002, a)\n// sss-lint: allow(P001, b)\nwork();\n";
+        let src = "// sss-lint: allow(D004, a)\n// sss-lint: allow(D001, b)\nwork();\n";
         let pragmas = collect(&lex(src));
-        assert!(pragmas.allows("D002", 3));
-        assert!(pragmas.allows("P001", 3));
+        assert!(pragmas.allows("D004", 3));
+        assert!(pragmas.allows("D001", 3));
     }
 
     #[test]
     fn missing_reason_is_an_error() {
-        let pragmas = collect(&lex("x(); // sss-lint: allow(D002)\n"));
-        assert!(!pragmas.allows("D002", 1));
+        let pragmas = collect(&lex("x(); // sss-lint: allow(D004)\n"));
+        assert!(!pragmas.allows("D004", 1));
         assert_eq!(pragmas.errors.len(), 1);
         assert!(pragmas.errors[0].1.contains("reason"));
     }

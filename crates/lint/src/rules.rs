@@ -1,19 +1,24 @@
-//! The rule engine: determinism & robustness invariants over token streams.
+//! The rule engine: determinism invariants over token streams and crate
+//! manifests.
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | D001 | no `HashMap`/`HashSet` iteration in `core`/`loadgen`/`report`/`server` (order nondeterminism on output paths) |
-//! | D002 | no wall-clock (`Instant::now`, `SystemTime`) anywhere without a justifying pragma — it breaks replay in the simulation crates and must be intentional elsewhere |
-//! | D003 | no unseeded RNG (`thread_rng`, `from_entropy`, `OsRng`) outside bench/CLI entry points |
 //! | D004 | no float `==`/`!=` (use `to_bits` parity or an explicit tolerance) |
-//! | P001 | no `.unwrap()`/`.expect(` in the `server`/`loadgen` crates — a panic on a request path is a silently dropped connection |
-//! | L001 | crate layering: `units→stats→sim→core→{netsim,iosim}→exec→loadgen→report→server`; upward or lateral imports are errors |
+//! | L001 | crate layering: `units→stats→sim→core→{netsim,iosim}→exec→loadgen→report→server`; an upward or lateral dependency in a crate's `Cargo.toml` is an error |
 //! | U001 | no `pub` item that nothing outside its declaration, re-exports, own `impl` blocks and own crate's tests names (see [`crate::unused`]; `--workspace` only) |
 //!
-//! Code under `#[cfg(test)]`/`#[test]` is exempt from every rule: tests
-//! may compare floats exactly, unwrap freely and measure wall-clock. The
-//! workspace walker never feeds `tests/` directories to these per-file
-//! rules; U001 reads them only as users of the library crates.
+//! Invariants a compiler pass already sees are not repeated here: the
+//! wall clock is clippy's `disallowed-methods` (`clippy.toml`),
+//! request-path panics are `clippy::unwrap_used`/`expect_used` in
+//! `sss-server` and `sss-loadgen`, and the vendored `rand` has no
+//! entropy source to call. A crate names only the crates its manifest
+//! declares, so L001 reads manifests alone.
+//!
+//! Code under `#[cfg(test)]`/`#[test]` is exempt from D001 and D004:
+//! tests may compare floats exactly. The workspace walker never feeds
+//! `tests/` directories to these per-file rules; U001 reads them only as
+//! users of the library crates.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::pragma;
@@ -36,25 +41,13 @@ pub const RULES: &[RuleInfo] = &[
             "no HashMap/HashSet iteration in core/loadgen/report/server (order nondeterminism)",
     },
     RuleInfo {
-        code: "D002",
-        summary: "no wall-clock (Instant::now/SystemTime) without a justifying pragma",
-    },
-    RuleInfo {
-        code: "D003",
-        summary: "no unseeded RNG (thread_rng/from_entropy/OsRng) outside bench/CLI entry points",
-    },
-    RuleInfo {
         code: "D004",
         summary: "no float ==/!= (use to_bits parity or an explicit tolerance)",
     },
     RuleInfo {
-        code: "P001",
-        summary:
-            "no .unwrap()/.expect( in server/loadgen non-test code (panic drops the connection)",
-    },
-    RuleInfo {
         code: "L001",
-        summary: "crate layering units→stats→sim→core→{netsim,iosim}→exec→loadgen→report→server",
+        summary: "crate layering units→stats→sim→core→{netsim,iosim}→exec→loadgen→report→server \
+                  in Cargo.toml dependencies",
     },
     RuleInfo {
         code: "U001",
@@ -81,37 +74,27 @@ pub fn layer_rank(crate_name: &str) -> Option<u32> {
         "report" => 7,
         "server" => 8,
         "bench" => 9,
-        // The root binary/library sits on top of everything.
-        "stream-score" => 10,
         _ => return None,
     })
 }
 
-/// Which workspace crate a file belongs to, for scoping the rules.
+/// Which workspace crate a file belongs to, for scoping D001 and L001.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FileContext {
-    /// Short crate name (`core`, `server`, …; `stream-score` for the root
-    /// crate). `None` disables the crate-scoped rules (D001, D003 scope,
-    /// P001, L001) but keeps the universal ones (D002, D004).
+    /// Short crate name (`core`, `server`, …). `None` disables D001 and
+    /// L001 but keeps D004.
     pub crate_name: Option<String>,
 }
 
 impl FileContext {
     /// Infer the owning crate from a workspace-relative path:
-    /// `crates/<name>/…` maps to `<name>`; `src/…`, `examples/…` and
-    /// `tests/…` map to the root `stream-score` crate.
+    /// `crates/<name>/…` maps to `<name>`; any other path has no crate.
     pub fn for_path(path: &str) -> Self {
         let path = path.replace('\\', "/");
-        let crate_name = if let Some(rest) = path.strip_prefix("crates/") {
-            rest.split('/').next().map(str::to_string)
-        } else if path.starts_with("src/")
-            || path.starts_with("examples/")
-            || path.starts_with("tests/")
-        {
-            Some("stream-score".to_string())
-        } else {
-            None
-        };
+        let crate_name = path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split('/').next())
+            .map(str::to_string);
         FileContext { crate_name }
     }
 
@@ -122,22 +105,11 @@ impl FileContext {
         }
     }
 
-    fn name(&self) -> &str {
-        self.crate_name.as_deref().unwrap_or("")
-    }
-
     fn d001_applies(&self) -> bool {
-        matches!(self.name(), "core" | "loadgen" | "report" | "server")
-    }
-
-    fn p001_applies(&self) -> bool {
-        matches!(self.name(), "server" | "loadgen")
-    }
-
-    /// Bench binaries and the CLI are entry points: ambient entropy is
-    /// acceptable there (and only there).
-    fn d003_exempt(&self) -> bool {
-        matches!(self.name(), "bench" | "stream-score")
+        matches!(
+            self.crate_name.as_deref(),
+            Some("core" | "loadgen" | "report" | "server")
+        )
     }
 }
 
@@ -176,11 +148,7 @@ pub(crate) fn lint_tokens(path: &str, tokens: &[Token], ctx: &FileContext) -> Ve
     };
 
     check_d001(&code, ctx, &mut emit);
-    check_d002(&code, &mut emit);
-    check_d003(&code, ctx, &mut emit);
     check_d004(&code, &mut emit);
-    check_p001(&code, ctx, &mut emit);
-    check_l001(&code, ctx, &mut emit);
 
     findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
     findings
@@ -343,52 +311,6 @@ fn check_d001(code: &[&Token], ctx: &FileContext, emit: &mut impl FnMut(&str, u3
     }
 }
 
-fn check_d002(code: &[&Token], emit: &mut impl FnMut(&str, u32, String)) {
-    for i in 0..code.len() {
-        match ident(code.get(i)) {
-            Some("Instant")
-                if is_op(code.get(i + 1), "::") && ident(code.get(i + 2)) == Some("now") =>
-            {
-                emit(
-                    "D002",
-                    code[i].line,
-                    "wall-clock read (`Instant::now`): nondeterministic across runs — \
-                     simulation time must come from the sim clock; measurement sites need a pragma"
-                        .to_string(),
-                );
-            }
-            Some("SystemTime") => {
-                emit(
-                    "D002",
-                    code[i].line,
-                    "wall-clock type `SystemTime`: nondeterministic across runs".to_string(),
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-fn check_d003(code: &[&Token], ctx: &FileContext, emit: &mut impl FnMut(&str, u32, String)) {
-    if ctx.d003_exempt() {
-        return;
-    }
-    for tok in code {
-        if let TokenKind::Ident(name) = &tok.kind {
-            if matches!(name.as_str(), "thread_rng" | "from_entropy" | "OsRng") {
-                emit(
-                    "D003",
-                    tok.line,
-                    format!(
-                        "unseeded RNG (`{name}`): draws are irreproducible — derive seeds \
-                         from `sss_exec::SeedSequence` instead"
-                    ),
-                );
-            }
-        }
-    }
-}
-
 fn check_d004(code: &[&Token], emit: &mut impl FnMut(&str, u32, String)) {
     for i in 0..code.len() {
         let op = match &code[i].kind {
@@ -411,75 +333,13 @@ fn check_d004(code: &[&Token], emit: &mut impl FnMut(&str, u32, String)) {
     }
 }
 
-fn check_p001(code: &[&Token], ctx: &FileContext, emit: &mut impl FnMut(&str, u32, String)) {
-    if !ctx.p001_applies() {
-        return;
-    }
-    for i in 0..code.len() {
-        if !is_op(code.get(i), ".") {
-            continue;
-        }
-        match ident(code.get(i + 1)) {
-            Some("unwrap") if is_op(code.get(i + 2), "(") && is_op(code.get(i + 3), ")") => {
-                emit(
-                    "P001",
-                    code[i + 1].line,
-                    "`.unwrap()` on a request-handling path: a panic here silently drops \
-                     the connection — handle the error or return a 4xx/5xx body"
-                        .to_string(),
-                );
-            }
-            Some("expect") if is_op(code.get(i + 2), "(") => {
-                emit(
-                    "P001",
-                    code[i + 1].line,
-                    "`.expect(…)` on a request-handling path: a panic here silently drops \
-                     the connection — handle the error or return a 4xx/5xx body"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-fn check_l001(code: &[&Token], ctx: &FileContext, emit: &mut impl FnMut(&str, u32, String)) {
-    let Some(own) = ctx.crate_name.as_deref() else {
-        return;
-    };
-    let Some(own_rank) = layer_rank(own) else {
-        return;
-    };
-    for tok in code {
-        let TokenKind::Ident(name) = &tok.kind else {
-            continue;
-        };
-        let Some(dep) = name.strip_prefix("sss_") else {
-            continue;
-        };
-        if dep == own {
-            continue;
-        }
-        if let Some(dep_rank) = layer_rank(dep) {
-            if dep_rank >= own_rank {
-                emit(
-                    "L001",
-                    tok.line,
-                    format!(
-                        "layering violation: `{own}` (layer {own_rank}) references \
-                         `sss_{dep}` (layer {dep_rank}) — dependencies must point strictly \
-                         down the stack units→stats→sim→core→{{netsim,iosim}}→exec→loadgen→report→server"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Lint a crate manifest: `[dependencies]` entries on `sss-*` crates must
-/// point strictly down the stack, mirroring the source-level L001 check
-/// for the edges
-/// Cargo sees. Manifest findings cannot be pragma'd — baseline them.
+/// Lint a crate manifest: every normal dependency on an `sss-*` crate
+/// must point strictly down the stack (L001). It reads each form Cargo
+/// accepts for one: a key under `[dependencies]` or
+/// `[target.'…'.dependencies]`, and a `[dependencies.sss-x]` or
+/// `[target.'…'.dependencies.sss-x]` table. `[dev-dependencies]` and
+/// `[build-dependencies]` are not layered. Manifest findings cannot be
+/// pragma'd — baseline them.
 pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> {
     let Some(own) = ctx.crate_name.as_deref() else {
         return Vec::new();
@@ -491,24 +351,32 @@ pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> 
     let mut in_dependencies = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        if line.starts_with('[') {
-            in_dependencies = line == "[dependencies]";
-            continue;
-        }
-        if !in_dependencies {
-            continue;
-        }
-        let Some(rest) = line.strip_prefix("sss-") else {
+        let name = if let Some(header) = line.strip_prefix('[') {
+            // Up to the first `]`, so a trailing comment or `[[bin]]`'s
+            // second bracket is dropped; no target spec holds a `]`.
+            let keys = dotted_keys(header.split(']').next().unwrap_or(""));
+            let section = match keys.as_slice() {
+                ["target", _, rest @ ..] => rest,
+                all => all,
+            };
+            in_dependencies = section == ["dependencies"];
+            match section {
+                ["dependencies", name] => *name,
+                _ => continue,
+            }
+        } else if in_dependencies {
+            // `sss-x = …`, `sss-x.workspace = true` or `"sss-x" = …`.
+            dotted_keys(line.split('=').next().unwrap_or(""))[0]
+        } else {
             continue;
         };
-        let dep: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
-            .collect();
+        let Some(dep) = name.strip_prefix("sss-") else {
+            continue;
+        };
         if dep == own {
             continue;
         }
-        if let Some(dep_rank) = layer_rank(&dep) {
+        if let Some(dep_rank) = layer_rank(dep) {
             if dep_rank >= own_rank {
                 findings.push(Finding {
                     rule: "L001".to_string(),
@@ -524,4 +392,27 @@ pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> 
         }
     }
     findings
+}
+
+/// Split a TOML dotted key (`target.'cfg(unix)'.dependencies`) into its
+/// parts, unquoted and trimmed; a `.` inside quotes does not split.
+fn dotted_keys(key: &str) -> Vec<&str> {
+    let mut keys = Vec::new();
+    let mut quote = None;
+    let mut start = 0;
+    for (i, c) in key.char_indices() {
+        match (quote, c) {
+            (None, '"' | '\'') => quote = Some(c),
+            (Some(open), _) if c == open => quote = None,
+            (None, '.') => {
+                keys.push(&key[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    keys.push(&key[start..]);
+    keys.into_iter()
+        .map(|k| k.trim().trim_matches(['"', '\'']))
+        .collect()
 }

@@ -3,13 +3,15 @@
 //! through the library API and through the compiled binary; plus the
 //! baseline-minimality contract — the committed `sss-lint.baseline` must
 //! grandfather exactly the findings a baseline-free workspace run emits.
-//! U001 reads a whole workspace, so its fixture is a small workspace tree,
-//! `tests/fixtures/u001/`.
+//! L001 reads crate manifests, so its fixture is a manifest; U001 reads a
+//! whole workspace, so its fixture is a small workspace tree,
+//! `tests/fixtures/u001/`. The invariants clippy and rustc enforce in
+//! place of retired rules are pinned by their configuration.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use sss_lint::rules::{lint_source, FileContext};
+use sss_lint::rules::{lint_manifest, lint_source, FileContext};
 use sss_lint::{lint_workspace, Finding};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -88,25 +90,6 @@ fn d001_fires_on_hash_iteration_and_only_there() {
 }
 
 #[test]
-fn d002_fires_on_wall_clock_everywhere() {
-    let findings = lint_fixture("d002_violation.rs", "sim");
-    assert_eq!(rules_of(&findings), ["D002", "D002"], "{findings:?}");
-    assert!(lint_fixture("d002_clean.rs", "sim").is_empty());
-    // D002 is universal: the same source violates in any crate context.
-    assert_eq!(lint_fixture("d002_violation.rs", "bench").len(), 2);
-}
-
-#[test]
-fn d003_fires_on_ambient_entropy_outside_entry_points() {
-    let findings = lint_fixture("d003_violation.rs", "stats");
-    assert_eq!(rules_of(&findings), ["D003", "D003"], "{findings:?}");
-    assert!(lint_fixture("d003_clean.rs", "stats").is_empty());
-    // Entry points (bench, the CLI crate) may use ambient entropy.
-    assert!(lint_fixture("d003_violation.rs", "bench").is_empty());
-    assert!(lint_fixture("d003_violation.rs", "stream-score").is_empty());
-}
-
-#[test]
 fn d004_fires_on_exact_float_comparison() {
     let findings = lint_fixture("d004_violation.rs", "units");
     assert_eq!(rules_of(&findings), ["D004", "D004"], "{findings:?}");
@@ -114,30 +97,24 @@ fn d004_fires_on_exact_float_comparison() {
 }
 
 #[test]
-fn p001_fires_on_request_path_panics_in_scope() {
-    let findings = lint_fixture("p001_violation.rs", "server");
-    assert_eq!(rules_of(&findings), ["P001", "P001"], "{findings:?}");
-    assert_eq!(
-        rules_of(&lint_fixture("p001_violation.rs", "loadgen")),
-        ["P001", "P001"]
-    );
-    assert!(lint_fixture("p001_clean.rs", "server").is_empty());
-    // Panicking is allowed below the service layer.
-    assert!(lint_fixture("p001_violation.rs", "core").is_empty());
-}
-
-#[test]
-fn l001_fires_on_upward_and_lateral_references() {
-    let findings = lint_fixture("l001_violation.rs", "core");
-    assert_eq!(rules_of(&findings), ["L001", "L001"], "{findings:?}");
-    assert!(lint_fixture("l001_clean.rs", "server").is_empty());
-    // From the top of the stack the same references point downward.
-    assert!(lint_fixture("l001_violation.rs", "stream-score").is_empty());
+fn l001_fires_on_upward_manifest_dependencies_in_every_form() {
+    let text = std::fs::read_to_string(fixture_path("l001_manifest.toml")).expect("fixture");
+    let flagged: Vec<u32> = (1..)
+        .zip(text.lines())
+        .filter(|(_, line)| line.ends_with("# flagged"))
+        .map(|(number, _)| number)
+        .collect();
+    let findings = lint_manifest("Cargo.toml", &text, &FileContext::for_crate("core"));
+    assert_eq!(rules_of(&findings), ["L001"; 3], "{findings:?}");
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, flagged, "{findings:?}");
+    // From the top of the stack the same dependencies point downward.
+    assert!(lint_manifest("Cargo.toml", &text, &FileContext::for_crate("server")).is_empty());
 }
 
 #[test]
 fn tokens_inside_strings_and_comments_never_fire() {
-    let findings = lint_fixture("tricky_tokens.rs", "sim");
+    let findings = lint_fixture("tricky_tokens.rs", "core");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -218,14 +195,14 @@ fn binary_runs_u001_in_workspace_mode_only() {
 
 #[test]
 fn binary_reports_fixture_violations_in_text() {
-    let path = fixture_path("p001_violation.rs");
-    let run = run_binary(&["--context", "server", path.to_str().unwrap()]);
+    let path = fixture_path("d004_violation.rs");
+    let run = run_binary(&["--context", "units", path.to_str().unwrap()]);
     assert_eq!(run.code, 1, "stderr: {}", run.stderr);
     let anchors = text_anchors(&run.stdout);
     assert_eq!(anchors.len(), 2, "{}", run.stdout);
     for (rule, anchor) in &anchors {
-        assert_eq!(rule, "P001");
-        assert!(anchor.contains("p001_violation.rs:"), "{anchor}");
+        assert_eq!(rule, "D004");
+        assert!(anchor.contains("d004_violation.rs:"), "{anchor}");
     }
     assert!(run.stdout.contains("2 finding(s)"), "{}", run.stdout);
 }
@@ -250,7 +227,7 @@ fn binary_reports_fixture_violations_in_json() {
 #[test]
 fn binary_exits_zero_on_clean_fixture() {
     let path = fixture_path("tricky_tokens.rs");
-    let run = run_binary(&["--context", "sim", path.to_str().unwrap()]);
+    let run = run_binary(&["--context", "core", path.to_str().unwrap()]);
     assert_eq!(run.code, 0, "{} {}", run.stdout, run.stderr);
     assert!(run.stdout.contains("clean"), "{}", run.stdout);
 }
@@ -268,8 +245,51 @@ fn binary_rejects_bad_usage_with_exit_two() {
 fn binary_lists_every_rule() {
     let run = run_binary(&["--list-rules"]);
     assert_eq!(run.code, 0);
-    for code in ["D001", "D002", "D003", "D004", "P001", "L001", "U001"] {
-        assert!(run.stdout.contains(code), "missing {code}: {}", run.stdout);
+    let codes: Vec<&str> = run
+        .stdout
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(codes, ["D001", "D004", "L001", "U001"], "{}", run.stdout);
+}
+
+// ---- where the retired rules went ----------------------------------------
+
+/// Lines of `text` that are not comments, trimmed.
+fn live_lines<'t>(text: &'t str, comment: &str) -> Vec<&'t str> {
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.starts_with(comment))
+        .collect()
+}
+
+#[test]
+fn clippy_configuration_keeps_the_retired_invariants() {
+    let root = workspace_root();
+    // The wall clock is clippy's `disallowed-methods`; tests may unwrap.
+    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    let clippy = live_lines(&clippy, "#");
+    for method in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        let entry = format!("{{ path = \"{method}\"");
+        assert!(
+            clippy.iter().any(|line| line.starts_with(&entry)),
+            "clippy.toml no longer disallows {method}"
+        );
+    }
+    for key in [
+        "allow-unwrap-in-tests = true",
+        "allow-expect-in-tests = true",
+    ] {
+        assert!(clippy.contains(&key), "clippy.toml lost `{key}`");
+    }
+    // Request-path panics are clippy's `unwrap_used`/`expect_used`.
+    for krate in ["server", "loadgen"] {
+        let lib = std::fs::read_to_string(root.join(format!("crates/{krate}/src/lib.rs")))
+            .expect("crate root");
+        assert!(
+            live_lines(&lib, "//").contains(&"#![warn(clippy::unwrap_used, clippy::expect_used)]"),
+            "crates/{krate}/src/lib.rs lost its unwrap_used/expect_used attribute"
+        );
     }
 }
 

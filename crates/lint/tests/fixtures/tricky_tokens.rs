@@ -1,21 +1,19 @@
-// Fixture (context: sim). Every forbidden token appears only in non-code
+// Fixture (context: core). Every forbidden token appears only in non-code
 // positions — strings, raw strings at several hash depths, nested block
 // comments, char literals — so nothing may fire.
+use std::collections::HashMap;
 
-/* Outer /* nested /* twice */ */ comment: Instant::now(), SystemTime,
-   thread_rng(), from_entropy(), OsRng, x == 0.0, y != 1.5,
-   table.iter(), for k in keys {}, .unwrap(), .expect("boom"),
-   sss_server::PORT — none of this is code. */
+/* Outer /* nested /* twice */ */ comment: x == 0.0, y != 1.5,
+   cache.iter(), cache.keys(), for k in cache {} — none of this is code. */
 
-pub fn strings() -> Vec<String> {
+pub fn strings(cache: HashMap<String, f64>) -> Vec<String> {
+    let _ = cache.get("point lookups never observe order");
     vec![
-        "Instant::now() and SystemTime::now()".to_string(),
-        "thread_rng() and from_entropy() and OsRng".to_string(),
         "x == 0.0 and y != 1.5".to_string(),
-        ".unwrap() and .expect(\"boom\")".to_string(),
-        r#"raw: HashMap::new() then cache.iter() then sss_server::run()"#.to_string(),
-        r##"deeper raw keeps "#-terminators inert: Instant::now()"##.to_string(),
-        b"byte string: SystemTime::now()".escape_ascii().to_string(),
+        "cache.iter() and cache.values()".to_string(),
+        r#"raw: for k in cache { x == 0.25 }"#.to_string(),
+        r##"deeper raw keeps "#-terminators inert: cache.drain()"##.to_string(),
+        b"byte string: y != 1.5".escape_ascii().to_string(),
     ]
 }
 

@@ -327,7 +327,6 @@ pub struct FleetReport {
     /// to. The breakpoints a floored session passes inside its window
     /// are never scheduled, so they are not counted. The denominator of
     /// the scaling bench's events/sec.
-    #[serde(default)]
     pub events: u64,
 }
 

@@ -348,8 +348,10 @@ mod engine {
             let pick = (self.idx + self.sent * mix.stride) % mix.requests.len();
             self.out.extend_from_slice(&mix.requests[pick]);
             self.sent += 1;
-            #[allow(clippy::disallowed_methods)]
-            // sss-lint: allow(D002, per-request wall-clock latency of a real server; never feeds simulation state)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-request wall-clock latency of a real server; never feeds simulation state"
+            )]
             let now = Instant::now();
             self.started_at = now;
         }
@@ -486,8 +488,10 @@ mod engine {
         // 1 fd per connection plus slack for the poller and stdio.
         raise_nofile_limit(spec.connections as u64 + 64);
 
-        #[allow(clippy::disallowed_methods)]
-        // sss-lint: allow(D002, wall-clock throughput measurement of a real server; never feeds simulation state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock throughput measurement of a real server; never feeds simulation state"
+        )]
         let started = Instant::now();
 
         // Ramp phase: open until the target or the first hard refusal —

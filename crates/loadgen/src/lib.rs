@@ -47,6 +47,9 @@
 //! assert!(result.worst_transfer_time().is_some());
 //! ```
 
+// A panic while driving a real server aborts the measurement.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod experiment;
 mod fleet;
 mod frontier;

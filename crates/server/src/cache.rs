@@ -80,7 +80,6 @@ struct Shard<K> {
     // point `get`s, eviction order comes from `order` (a FIFO queue), and
     // `stats()` only sums per-shard `len()`s. If that ever changes, swap
     // in a BTreeMap or sort before emitting — D001 exists to catch it.
-    // sss-lint: allow(D001, point lookups only; order never feeds output)
     map: HashMap<K, Arc<str>>,
     // Insertion order for FIFO eviction. An entry is evicted when its
     // shard exceeds its share of the configured capacity.

@@ -64,6 +64,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// A panic on a request path silently drops the connection.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod api;
 pub mod batch;

@@ -24,7 +24,7 @@ use crate::http::Request;
 /// How the service is sized. `Default` is a sensible interactive setup:
 /// an OS-assigned port, one worker per core, a 4096-entry cache and
 /// 32-request batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// TCP port to bind on `127.0.0.1` (0 = let the OS pick).
     pub port: u16,
@@ -38,43 +38,18 @@ pub struct ServerConfig {
     /// requests above it get a 400. Defaults to
     /// [`FleetRequest::DEFAULT_SESSION_CAP`] and is reported by
     /// `GET /healthz`.
-    #[serde(default = "default_fleet_session_cap")]
     pub fleet_session_cap: u32,
     /// Most connections the reactor holds open at once; accepts beyond it
     /// are dropped immediately.
-    #[serde(default = "default_max_connections")]
     pub max_connections: usize,
     /// Idle timeout counted in quiet reactor ticks — `epoll_wait`
     /// timeouts with zero events — so the hot path never reads a wall
     /// clock (0 disables the timeout). The nominal idle window is
     /// `idle_timeout_ticks × tick_ms`.
-    #[serde(default = "default_idle_timeout_ticks")]
     pub idle_timeout_ticks: u64,
     /// Reactor tick length: the bound on `epoll_wait`, and therefore on
     /// how stale a shutdown flag can go unobserved, in milliseconds.
-    #[serde(default = "default_tick_ms")]
     pub tick_ms: u64,
-}
-
-/// Serde default: configurations that predate the knob keep the
-/// historical 512-session service cap.
-fn default_fleet_session_cap() -> u32 {
-    FleetRequest::DEFAULT_SESSION_CAP
-}
-
-/// Serde default: plenty for the CI box, far under typical fd hard caps.
-fn default_max_connections() -> usize {
-    16 * 1024
-}
-
-/// Serde default: 300 ticks × 100 ms = a 30 s idle window.
-fn default_idle_timeout_ticks() -> u64 {
-    300
-}
-
-/// Serde default: 100 ms shutdown-observation bound.
-fn default_tick_ms() -> u64 {
-    100
 }
 
 impl Default for ServerConfig {
@@ -85,9 +60,12 @@ impl Default for ServerConfig {
             cache_capacity: 4096,
             max_batch: 32,
             fleet_session_cap: FleetRequest::DEFAULT_SESSION_CAP,
-            max_connections: default_max_connections(),
-            idle_timeout_ticks: default_idle_timeout_ticks(),
-            tick_ms: default_tick_ms(),
+            // Plenty for the CI box, far under typical fd hard caps.
+            max_connections: 16 * 1024,
+            // 300 ticks × 100 ms = a 30 s idle window.
+            idle_timeout_ticks: 300,
+            // 100 ms shutdown-observation bound.
+            tick_ms: 100,
         }
     }
 }
@@ -319,7 +297,6 @@ pub struct Health {
     pub max_batch: usize,
     /// Connections open at the moment of the probe (including the one
     /// carrying it).
-    #[serde(default)]
     pub open_connections: u64,
     /// Decision-cache counters.
     pub cache: CacheStats,
@@ -333,7 +310,6 @@ pub struct Health {
     pub fleet_cache: CacheStats,
     /// Largest fleet a single `/fleet` request may simulate (the
     /// configured service cap).
-    #[serde(default = "default_fleet_session_cap")]
     pub fleet_session_cap: u32,
 }
 
@@ -365,14 +341,18 @@ impl Server {
         }
         let cache = Arc::new(DecisionCache::new(config.cache_capacity));
         let batcher = Batcher::new(cache.clone(), config.workers, config.max_batch);
+        #[expect(
+            clippy::expect_used,
+            reason = "bind-time panic is a failed boot, not a dropped connection"
+        )]
         let scenarios_body: Arc<str> = Arc::from(
-            // Runs once at startup, before the listener serves: a panic
-            // here is a failed boot, not a dropped connection.
             serde_json::to_string(&ScenariosResponse::bundled())
-                .expect("scenario catalog serializes"), // sss-lint: allow(P001, bind-time panic is a failed boot, not a dropped connection)
+                .expect("scenario catalog serializes"),
         );
-        #[allow(clippy::disallowed_methods)]
-        // sss-lint: allow(D002, operator-facing /healthz uptime metric; never feeds simulation or decision output)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "operator-facing /healthz uptime metric; never feeds simulation or decision output"
+        )]
         let started = Instant::now();
         // The reactor's wake pipe is created at bind so an unsupported
         // platform fails the boot with a clear error instead of a dead
@@ -407,10 +387,12 @@ impl Server {
     }
 
     /// The address the listener actually bound (resolves port 0).
+    #[expect(
+        clippy::expect_used,
+        reason = "bound listener always has a local address; failure is a failed boot"
+    )]
     pub fn local_addr(&self) -> SocketAddr {
-        // A successfully bound TCP listener always has a local address;
-        // failure here means the socket itself is gone — a failed boot.
-        self.listener.local_addr().expect("listener bound") // sss-lint: allow(P001, bound listener always has a local address; failure is a failed boot)
+        self.listener.local_addr().expect("listener bound")
     }
 
     /// Serve until [`ServerHandle::shutdown`] is called (from a handle

@@ -297,8 +297,10 @@ fn malformed_request_draws_400_and_teardown() {
 #[test]
 fn shutdown_is_prompt_with_no_clients() {
     let handle = start();
-    #[allow(clippy::disallowed_methods)]
-    // sss-lint: allow(D002, test wall-clock measures shutdown promptness, never sim state)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test wall-clock measures shutdown promptness, never sim state"
+    )]
     let begun = Instant::now();
     handle.shutdown();
     let took = begun.elapsed();
