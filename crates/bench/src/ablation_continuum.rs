@@ -6,15 +6,15 @@
 //! propagation-only (Eq. 2), the textbook best case (Eq. 1 with empty
 //! queues), and the queueing-aware M/M/1 reference.
 
-use sss_bench::{figure2_sweep, fmt_s, results_dir};
 use sss_core::{ContinuumApproximation, DelayDecomposition, MM1Reference};
 use sss_loadgen::SpawnStrategy;
 use sss_report::{CsvWriter, Table};
 use sss_units::TimeDelta;
 
-fn main() {
-    eprintln!("running ablation sweep...");
-    let points = figure2_sweep(SpawnStrategy::Simultaneous);
+use crate::context::{fmt_s, Context};
+
+pub(crate) fn run(ctx: &Context) {
+    let points = ctx.grid(SpawnStrategy::Simultaneous);
     let mm1 = MM1Reference;
 
     let mut table = Table::new([
@@ -69,8 +69,7 @@ fn main() {
         "Eq. 2 (propagation-only) underestimates worst-case completion by >99% under \
          congestion — the paper's argument for modeling queues and losses."
     );
-    let dir = results_dir();
-    csv.write_to(&dir.join("ablation_continuum.csv"))
-        .expect("write ablation csv");
-    eprintln!("wrote {}", dir.join("ablation_continuum.csv").display());
+    let path = ctx.out("ablation_continuum.csv");
+    csv.write_to(&path).expect("write ablation csv");
+    eprintln!("wrote {}", path.display());
 }

@@ -3,20 +3,21 @@
 //!
 //! Runs the same congested batch (8 × 0.5 GB simultaneous clients for
 //! 3 s on the Table 1 testbed; 8 × 100 MB for 2 s under `SSS_QUICK`, the
-//! values `figure2_sweep` shrinks to) under combinations of
+//! values the quick Table 2 grid shrinks to) under combinations of
 //! congestion-control algorithm (Reno vs CUBIC), HyStart on/off, and
 //! bottleneck queue discipline (drop-tail vs RED), reporting worst/mean
 //! completion time, drops and retransmissions.
 
-use sss_bench::{fmt_s, quick, results_dir};
 use sss_loadgen::{Experiment, SpawnStrategy};
 use sss_netsim::{CongestionAlgo, Qdisc, SimConfig};
 use sss_report::{CsvWriter, Table};
 use sss_units::Bytes;
 
+use crate::context::{fmt_s, Context};
+
 /// The congested batch every ablation cell runs, at the testbed defaults.
-fn batch() -> Experiment {
-    let (duration_s, bytes_per_client) = if quick() {
+fn batch(quick: bool) -> Experiment {
+    let (duration_s, bytes_per_client) = if quick {
         (2, Bytes::from_mb(100.0))
     } else {
         (3, Bytes::from_gb(0.5))
@@ -33,7 +34,7 @@ fn batch() -> Experiment {
     }
 }
 
-fn run(
+fn run_cell(
     batch: &Experiment,
     algo: CongestionAlgo,
     hystart: bool,
@@ -72,8 +73,8 @@ fn run(
     (worst, mean, drops, early, retx)
 }
 
-fn main() {
-    let batch = batch();
+pub(crate) fn run(ctx: &Context) {
+    let batch = batch(ctx.quick);
     let mut table = Table::new([
         "algo", "hystart", "qdisc", "worst", "mean", "drops", "early", "retx MB",
     ])
@@ -102,7 +103,7 @@ fn main() {
         for hystart in [true, false] {
             for red in [false, true] {
                 eprintln!("running {name} hystart={hystart} red={red}...");
-                let (worst, mean, drops, early, retx) = run(&batch, algo, hystart, red);
+                let (worst, mean, drops, early, retx) = run_cell(&batch, algo, hystart, red);
                 let qdisc = if red { "RED" } else { "drop-tail" };
                 table.row([
                     name.to_string(),
@@ -134,6 +135,6 @@ fn main() {
          the window faster than Reno after loss; RED trades a few early drops for a \
          shorter standing queue."
     );
-    csv.write_to(&results_dir().join("ablation_tcp.csv"))
+    csv.write_to(&ctx.out("ablation_tcp.csv"))
         .expect("write ablation_tcp.csv");
 }

@@ -9,19 +9,18 @@
 //! reduced to 3 GB/s (96% utilization) the worst case is ~6 s, leaving
 //! only ~4 s.
 
-use sss_bench::{batch_worst_curve, figure2_sweep, fmt_s, results_dir};
 use sss_core::{decide, Decision, Scenario, Tier, TierReport};
 use sss_loadgen::SpawnStrategy;
 use sss_report::{CsvWriter, Table};
 use sss_units::Ratio;
 
-fn main() {
-    eprintln!("measuring the congestion curve (Figure 2(a) sweep)...");
-    let points = figure2_sweep(SpawnStrategy::Simultaneous);
+use crate::context::{batch_worst_curve, fmt_s, Context};
+
+pub(crate) fn run(ctx: &Context) {
     // §5 reads worst-case streaming times for "one second of data"
     // directly off Figure 2(a): the concurrency cell offering the same
     // utilization IS a second's worth of data in flight.
-    let worst_curve = batch_worst_curve(&points);
+    let worst_curve = batch_worst_curve(ctx.grid(SpawnStrategy::Simultaneous));
 
     let mut table = Table::new([
         "workflow",
@@ -114,8 +113,7 @@ fn main() {
          4 GB/s infeasible on 25 Gbps"
     );
 
-    let dir = results_dir();
-    csv.write_to(&dir.join("case_study.csv"))
-        .expect("write case_study.csv");
-    eprintln!("wrote {}", dir.join("case_study.csv").display());
+    let path = ctx.out("case_study.csv");
+    csv.write_to(&path).expect("write case_study.csv");
+    eprintln!("wrote {}", path.display());
 }

@@ -5,13 +5,13 @@
 //! Expected shape (paper): flat and sub-second at low utilization,
 //! 2–3 s in the moderate regime, non-linear growth past ~90%.
 
-use sss_bench::{congestion_curve, figure2_sweep, fmt_s, results_dir};
 use sss_loadgen::SpawnStrategy;
-use sss_report::{AsciiPlot, CsvWriter, Scale, Series, Table};
+use sss_report::{AsciiPlot, CsvWriter, Scale, Table};
 
-fn main() {
-    eprintln!("running Figure 2(a) sweep (simultaneous batches)...");
-    let points = figure2_sweep(SpawnStrategy::Simultaneous);
+use crate::context::{congestion_curve, fmt_s, p_series, Context};
+
+pub(crate) fn run(ctx: &Context) {
+    let points = ctx.grid(SpawnStrategy::Simultaneous);
 
     let mut table = Table::new([
         "P",
@@ -34,23 +34,7 @@ fn main() {
         "p99_s",
         "sss",
     ]);
-    let mut series: Vec<Series> = Vec::new();
-    for p_flows in [2u32, 4, 8] {
-        let glyph = match p_flows {
-            2 => 'o',
-            4 => '+',
-            _ => 'x',
-        };
-        let pts: Vec<(f64, f64)> = points
-            .iter()
-            .filter(|p| p.parallel_flows == p_flows)
-            .map(|p| (p.utilization * 100.0, p.worst_transfer_s))
-            .collect();
-        if !pts.is_empty() {
-            series.push(Series::new(format!("P={p_flows}"), glyph, pts));
-        }
-    }
-    for p in &points {
+    for p in points {
         let offered = p.results[0].experiment.offered_load().value();
         table.row([
             p.parallel_flows.to_string(),
@@ -78,12 +62,12 @@ fn main() {
     let mut plot = AsciiPlot::new("max transfer time (s, log) vs utilization (%)", 64, 16)
         .labels("utilization %", "worst transfer s")
         .scales(Scale::Linear, Scale::Log);
-    for s in series {
+    for s in p_series(points, |p| p.utilization * 100.0) {
         plot = plot.series(s);
     }
     println!("{}", plot.render());
 
-    let curve = congestion_curve(&points);
+    let curve = congestion_curve(points);
     println!(
         "interpolated SSS at 64% utilization: {:.2} (case-study input)",
         curve.sss_at(0.64).value()
@@ -93,10 +77,9 @@ fn main() {
         curve.sss_at(0.96).value()
     );
 
-    let dir = results_dir();
-    csv.write_to(&dir.join("fig2a.csv"))
-        .expect("write fig2a.csv");
-    sss_report::write_json(&dir.join("fig2a_curve.json"), &curve.points().to_vec())
+    let path = ctx.out("fig2a.csv");
+    csv.write_to(&path).expect("write fig2a.csv");
+    sss_report::write_json(&ctx.out("fig2a_curve.json"), &curve.points().to_vec())
         .expect("write curve json");
-    eprintln!("wrote {}", dir.join("fig2a.csv").display());
+    eprintln!("wrote {}", path.display());
 }

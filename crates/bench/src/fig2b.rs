@@ -4,13 +4,13 @@
 //! Expected shape (paper): steady ~0.2 s transfers, maximum comfortably
 //! within the 1-second budget at every load level.
 
-use sss_bench::{figure2_sweep, fmt_s, results_dir};
 use sss_loadgen::SpawnStrategy;
-use sss_report::{AsciiPlot, CsvWriter, Scale, Series, Table};
+use sss_report::{AsciiPlot, CsvWriter, Scale, Table};
 
-fn main() {
-    eprintln!("running Figure 2(b) sweep (reserved/scheduled slots)...");
-    let points = figure2_sweep(SpawnStrategy::Reserved);
+use crate::context::{fmt_s, p_series, Context};
+
+pub(crate) fn run(ctx: &Context) {
+    let points = ctx.grid(SpawnStrategy::Reserved);
 
     let mut table = Table::new(["P", "concurrency", "offered", "worst", "mean", "SSS"])
         .with_title("Figure 2(b): max transfer time vs load, scheduled batches");
@@ -23,29 +23,8 @@ fn main() {
         "mean_s",
         "sss",
     ]);
-    let mut series: Vec<Series> = Vec::new();
-    for p_flows in [2u32, 4, 8] {
-        let glyph = match p_flows {
-            2 => 'o',
-            4 => '+',
-            _ => 'x',
-        };
-        let pts: Vec<(f64, f64)> = points
-            .iter()
-            .filter(|p| p.parallel_flows == p_flows)
-            .map(|p| {
-                (
-                    p.results[0].experiment.offered_load().value() * 100.0,
-                    p.worst_transfer_s,
-                )
-            })
-            .collect();
-        if !pts.is_empty() {
-            series.push(Series::new(format!("P={p_flows}"), glyph, pts));
-        }
-    }
     let mut max_worst = 0.0f64;
-    for p in &points {
+    for p in points {
         let offered = p.results[0].experiment.offered_load().value();
         max_worst = max_worst.max(p.worst_transfer_s);
         table.row([
@@ -71,7 +50,9 @@ fn main() {
     let mut plot = AsciiPlot::new("max transfer time (s) vs offered load (%)", 64, 12)
         .labels("offered load %", "worst transfer s")
         .scales(Scale::Linear, Scale::Linear);
-    for s in series {
+    for s in p_series(points, |p| {
+        p.results[0].experiment.offered_load().value() * 100.0
+    }) {
         plot = plot.series(s);
     }
     println!("{}", plot.render());
@@ -80,8 +61,7 @@ fn main() {
         fmt_s(max_worst)
     );
 
-    let dir = results_dir();
-    csv.write_to(&dir.join("fig2b.csv"))
-        .expect("write fig2b.csv");
-    eprintln!("wrote {}", dir.join("fig2b.csv").display());
+    let path = ctx.out("fig2b.csv");
+    csv.write_to(&path).expect("write fig2b.csv");
+    eprintln!("wrote {}", path.display());
 }

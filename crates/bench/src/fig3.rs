@@ -4,14 +4,15 @@
 //! Expected shape (paper): long-tailed, with non-linear increases at the
 //! P90 and P99 levels.
 
-use sss_bench::{figure2_sweep, fmt_s, results_dir};
 use sss_loadgen::SpawnStrategy;
 use sss_report::{AsciiPlot, CsvWriter, Scale, Series, Table};
 use sss_stats::{Ecdf, TailMetrics};
 
-fn main() {
+use crate::context::{fmt_s, Context};
+
+pub(crate) fn run(ctx: &Context) {
     eprintln!("running Figure 3 (pooled transfer-time CDF)...");
-    let points = figure2_sweep(SpawnStrategy::Simultaneous);
+    let points = ctx.grid(SpawnStrategy::Simultaneous);
     let samples: Vec<f64> = points
         .iter()
         .flat_map(|p| p.samples.iter().copied())
@@ -44,8 +45,8 @@ fn main() {
     for (x, f) in &curve {
         csv.row_f64([*x, *f]);
     }
-    let dir = results_dir();
-    csv.write_to(&dir.join("fig3.csv")).expect("write fig3.csv");
-    sss_report::write_json(&dir.join("fig3_tail.json"), &tail).expect("write tail json");
-    eprintln!("wrote {}", dir.join("fig3.csv").display());
+    let path = ctx.out("fig3.csv");
+    csv.write_to(&path).expect("write fig3.csv");
+    sss_report::write_json(&ctx.out("fig3_tail.json"), &tail).expect("write tail json");
+    eprintln!("wrote {}", path.display());
 }

@@ -7,7 +7,6 @@
 //! frame rates; the 1,440-small-file case suffers severe metadata/startup
 //! penalties; large aggregates are competitive at the low rate.
 
-use sss_bench::{fmt_s, results_dir};
 use sss_iosim::{
     presets, theta_estimate, EventFileBasedPipeline, EventStreamingPipeline, FrameSource,
 };
@@ -15,8 +14,9 @@ use sss_report::{CsvWriter, Table};
 use sss_sim::BandwidthTrace;
 use sss_units::TimeDelta;
 
-fn main() {
-    let dir = results_dir();
+use crate::context::{fmt_s, Context};
+
+pub(crate) fn run(ctx: &Context) {
     let mut csv = CsvWriter::new([
         "period_s",
         "method",
@@ -90,6 +90,7 @@ fn main() {
         );
     }
 
-    csv.write_to(&dir.join("fig4.csv")).expect("write fig4.csv");
-    eprintln!("wrote {}", dir.join("fig4.csv").display());
+    let path = ctx.out("fig4.csv");
+    csv.write_to(&path).expect("write fig4.csv");
+    eprintln!("wrote {}", path.display());
 }

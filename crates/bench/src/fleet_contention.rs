@@ -8,13 +8,14 @@
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
 use serde::Serialize;
-use sss_bench::{quick, results_dir, seed};
 use sss_exec::ThreadPool;
 use sss_loadgen::{
     fleet_scenario_csv, fleet_summary_table, AdmissionPolicy, FleetConfig, FleetReport, FleetSim,
 };
 use sss_report::write_json;
 use sss_sim::{fluid_tolerance, Fidelity, TraceShape};
+
+use crate::context::Context;
 
 /// Offered loads (Erlangs) swept per (shape × policy) cell.
 const LOADS: &[f64] = &[2.0, 4.0, 8.0];
@@ -35,14 +36,6 @@ struct SpotCheck {
     policy: AdmissionPolicy,
     max_rel_err: f64,
     tolerance: f64,
-}
-
-fn base_config() -> FleetConfig {
-    if quick() {
-        FleetConfig::quick(seed())
-    } else {
-        FleetConfig::standard(seed())
-    }
 }
 
 fn run_cell(config: FleetConfig, pool: &ThreadPool) -> FleetReport {
@@ -80,9 +73,13 @@ fn spot_check(config: &FleetConfig, fluid: &FleetReport, pool: &ThreadPool) -> S
     }
 }
 
-fn main() {
-    let base = base_config();
-    let pool = ThreadPool::with_available_parallelism();
+pub(crate) fn run(ctx: &Context) {
+    let base = if ctx.quick {
+        FleetConfig::quick(ctx.seed)
+    } else {
+        FleetConfig::standard(ctx.seed)
+    };
+    let pool = &ctx.pool;
     eprintln!(
         "sweeping {} sessions x {} loads x {} shapes x {} policies on {} workers (fluid)...",
         base.sessions,
@@ -102,12 +99,12 @@ fn main() {
                     .with_load(load)
                     .with_shape(shape)
                     .with_policy(policy);
-                let report = run_cell(config.clone(), &pool);
+                let report = run_cell(config.clone(), pool);
                 // One differential spot check per (shape × policy) at
                 // the middle load: every shape's tolerance gets
                 // exercised without doubling the whole sweep.
                 if li == LOADS.len() / 2 {
-                    spot_checks.push(spot_check(&config, &report, &pool));
+                    spot_checks.push(spot_check(&config, &report, pool));
                 }
                 cells.push(report);
             }
@@ -122,8 +119,7 @@ fn main() {
         spot_checks.len()
     );
 
-    let dir = results_dir();
-    let md = dir.join("fleet_contention.md");
+    let md = ctx.out("fleet_contention.md");
     std::fs::write(
         &md,
         format!(
@@ -133,11 +129,11 @@ fn main() {
         ),
     )
     .expect("write fleet_contention.md");
-    let csv = dir.join("fleet_contention.csv");
+    let csv = ctx.out("fleet_contention.csv");
     fleet_scenario_csv(&cells)
         .write_to(&csv)
         .expect("write fleet_contention.csv");
-    let json = dir.join("fleet_contention.json");
+    let json = ctx.out("fleet_contention.json");
     let artifact = FleetContentionArtifact { cells, spot_checks };
     write_json(&json, &artifact).expect("write fleet_contention.json");
     eprintln!(

@@ -14,17 +14,18 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use sss_bench::{quick, results_dir, seed};
 use sss_exec::ThreadPool;
 use sss_loadgen::{AdmissionPolicy, FleetConfig, FleetSim};
 use sss_report::{write_json, CsvWriter, Table};
 use sss_sim::TraceShape;
 use sss_units::Rate;
 
+use crate::context::Context;
+
 /// Fleet sizes swept (sessions). Quick mode keeps the 1000-session cell
 /// so CI still exercises a deep admission queue.
-fn fleet_sizes() -> &'static [u32] {
-    if quick() {
+fn fleet_sizes(quick: bool) -> &'static [u32] {
+    if quick {
         &[50, 200, 1000]
     } else {
         &[50, 200, 1000, 5000]
@@ -55,7 +56,12 @@ fn slots_for(sessions: u32) -> u32 {
     (sessions / 8).clamp(4, 128)
 }
 
-fn cell_config(sessions: u32, shape: TraceShape, policy: AdmissionPolicy) -> FleetConfig {
+fn cell_config(
+    sessions: u32,
+    shape: TraceShape,
+    policy: AdmissionPolicy,
+    seed: u64,
+) -> FleetConfig {
     let slots = slots_for(sessions);
     FleetConfig {
         sessions,
@@ -64,7 +70,7 @@ fn cell_config(sessions: u32, shape: TraceShape, policy: AdmissionPolicy) -> Fle
         load: slots as f64 * 4.0,
         slots,
         wan: Rate::from_gbps(40.0),
-        ..FleetConfig::standard(seed())
+        ..FleetConfig::standard(seed)
     }
     .with_shape(shape)
     .with_policy(policy)
@@ -95,22 +101,22 @@ fn run_cell(config: &FleetConfig, pool: &ThreadPool) -> Cell {
     }
 }
 
-fn main() {
-    let pool = ThreadPool::with_available_parallelism();
-    let sizes = fleet_sizes();
+pub(crate) fn run(ctx: &Context) {
+    let sizes = fleet_sizes(ctx.quick);
     eprintln!(
         "sweeping {} fleet sizes x {} shapes x {} policies on {} workers...",
         sizes.len(),
         SHAPES.len(),
         AdmissionPolicy::ALL.len(),
-        pool.workers()
+        ctx.pool.workers()
     );
 
     let mut cells = Vec::new();
     for &sessions in sizes {
         for &shape in &SHAPES {
             for &policy in &AdmissionPolicy::ALL {
-                cells.push(run_cell(&cell_config(sessions, shape, policy), &pool));
+                let config = cell_config(sessions, shape, policy, ctx.seed);
+                cells.push(run_cell(&config, &ctx.pool));
             }
         }
     }
@@ -133,7 +139,6 @@ fn main() {
     }
     println!("{}", table.to_text());
 
-    let dir = results_dir();
     let mut csv = CsvWriter::new([
         "sessions",
         "shape",
@@ -158,11 +163,11 @@ fn main() {
             format!("{}", c.makespan_s),
         ]);
     }
-    let csv_path = dir.join("fleet_scaling.csv");
+    let csv_path = ctx.out("fleet_scaling.csv");
     csv.write_to(&csv_path).expect("write fleet_scaling.csv");
-    let json_path = dir.join("fleet_scaling.json");
+    let json_path = ctx.out("fleet_scaling.json");
     write_json(&json_path, &cells).expect("write fleet_scaling.json");
-    let md_path = dir.join("fleet_scaling.md");
+    let md_path = ctx.out("fleet_scaling.md");
     std::fs::write(&md_path, table.to_markdown()).expect("write fleet_scaling.md");
     eprintln!(
         "wrote {}, {} and {} ({} cells)",

@@ -5,21 +5,19 @@
 //!
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
-use sss_bench::{quick, results_dir, seed};
 use sss_core::{Axis, FrontierSpec, Scenario};
-use sss_exec::ThreadPool;
 use sss_loadgen::{frontier_csv, FrontierJob};
 use sss_report::{write_json, CsvWriter, Table};
 
-fn main() {
-    let resolution = if quick() { 12 } else { 24 };
-    let pool = ThreadPool::with_available_parallelism();
-    let dir = results_dir();
+use crate::context::Context;
+
+pub(crate) fn run(ctx: &Context) {
+    let resolution = if ctx.quick { 12 } else { 24 };
     let scenarios = Scenario::all();
     eprintln!(
         "mapping {} facility frontiers at resolution {resolution} on {} workers...",
         scenarios.len(),
-        pool.workers()
+        ctx.pool.workers()
     );
 
     let mut table = Table::new([
@@ -49,15 +47,15 @@ fn main() {
         .expect("data axis");
         let mut spec = FrontierSpec::new(x, y);
         spec.resolution = resolution;
-        spec.seed = seed();
+        spec.seed = ctx.seed;
         let job = FrontierJob::new(scenario.params, spec).expect("valid frontier job");
-        let map = job.run(&pool);
+        let map = job.run(&ctx.pool);
 
-        let csv_path = dir.join(format!("frontier_{}.csv", scenario.id));
+        let csv_path = ctx.out(&format!("frontier_{}.csv", scenario.id));
         frontier_csv(&map)
             .write_to(&csv_path)
             .unwrap_or_else(|e| panic!("write {}: {e}", csv_path.display()));
-        let json_path = dir.join(format!("frontier_{}.json", scenario.id));
+        let json_path = ctx.out(&format!("frontier_{}.json", scenario.id));
         write_json(&json_path, &map)
             .unwrap_or_else(|e| panic!("write {}: {e}", json_path.display()));
 
@@ -93,7 +91,7 @@ fn main() {
     }
 
     println!("{}", table.to_text());
-    let summary_path = dir.join("frontier_summary.csv");
+    let summary_path = ctx.out("frontier_summary.csv");
     summary
         .write_to(&summary_path)
         .expect("write frontier_summary.csv");

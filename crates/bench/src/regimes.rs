@@ -4,9 +4,10 @@
 //! streaming is beneficial"; this renders the (α, r) decision plane for
 //! each bundled scenario, plus the analytic break-even boundaries.
 
-use sss_bench::results_dir;
 use sss_core::{BreakEven, Decision, RegimeMap, Scenario};
 use sss_report::{CsvWriter, Table};
+
+use crate::context::Context;
 
 fn cell_char(d: Decision) -> char {
     match d {
@@ -16,8 +17,7 @@ fn cell_char(d: Decision) -> char {
     }
 }
 
-fn main() {
-    let dir = results_dir();
+pub(crate) fn run(ctx: &Context) {
     let mut be_table = Table::new(["scenario", "r*", "α*", "θ_max", "Bw_min"])
         .with_title("Analytic break-even boundaries per scenario");
     let mut csv = CsvWriter::new(["scenario", "alpha", "r", "decision"]);
@@ -66,7 +66,7 @@ fn main() {
     }
 
     println!("{}", be_table.to_text());
-    csv.write_to(&dir.join("regimes.csv"))
-        .expect("write regimes.csv");
-    eprintln!("wrote {}", dir.join("regimes.csv").display());
+    let path = ctx.out("regimes.csv");
+    csv.write_to(&path).expect("write regimes.csv");
+    eprintln!("wrote {}", path.display());
 }

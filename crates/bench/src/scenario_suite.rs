@@ -4,38 +4,36 @@
 //!
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
-use sss_bench::{quick, results_dir, seed};
-use sss_exec::ThreadPool;
 use sss_loadgen::{suite_csv, summary_table, ScenarioSuite, SuiteConfig};
 use sss_report::write_json;
 
-fn main() {
-    let config = if quick() {
-        SuiteConfig::quick(seed())
+use crate::context::Context;
+
+pub(crate) fn run(ctx: &Context) {
+    let config = if ctx.quick {
+        SuiteConfig::quick(ctx.seed)
     } else {
-        SuiteConfig::standard(seed())
+        SuiteConfig::standard(ctx.seed)
     };
     let suite = ScenarioSuite::bundled(config).expect("bundled SuiteConfig is valid");
-    let pool = ThreadPool::with_available_parallelism();
     eprintln!(
         "evaluating {} scenarios × {} congestion levels on {} workers...",
         suite.scenarios().len(),
         suite.config().congestion_levels.len(),
-        pool.workers()
+        ctx.pool.workers()
     );
-    let evaluations = suite.run(&pool);
+    let evaluations = suite.run(&ctx.pool);
 
     let table = summary_table(&evaluations);
     println!("{}", table.to_text());
 
-    let dir = results_dir();
-    let md = dir.join("scenario_suite.md");
+    let md = ctx.out("scenario_suite.md");
     std::fs::write(&md, table.to_markdown()).expect("write scenario_suite.md");
-    let csv = dir.join("scenario_suite.csv");
+    let csv = ctx.out("scenario_suite.csv");
     suite_csv(&evaluations)
         .write_to(&csv)
         .expect("write scenario_suite.csv");
-    let json = dir.join("scenario_suite.json");
+    let json = ctx.out("scenario_suite.json");
     write_json(&json, &evaluations).expect("write scenario_suite.json");
     eprintln!(
         "wrote {}, {} and {}",

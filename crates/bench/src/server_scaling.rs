@@ -11,10 +11,11 @@
 //! regenerators.
 
 use serde::Serialize;
-use sss_bench::{quick, results_dir, seed};
 use sss_loadgen::{run_http_load, HttpLoadSpec};
 use sss_report::{write_json, CsvWriter, Table};
 use sss_server::{Server, ServerConfig};
+
+use crate::context::Context;
 
 /// One measured cell of any of the three experiments.
 #[derive(Debug, Clone, Serialize)]
@@ -42,6 +43,7 @@ struct Cell {
 /// `connections` × `requests_per_conn` closed-loop requests, and collapse
 /// the outcome into a [`Cell`].
 fn measure(
+    seed: u64,
     experiment: &'static str,
     workers: usize,
     cache_capacity: usize,
@@ -67,7 +69,7 @@ fn measure(
         connections,
         requests_per_conn,
         distinct_workloads,
-        seed: seed(),
+        seed,
     };
     let handle = server.spawn();
     let report = run_http_load(&spec).expect("load run completes");
@@ -111,8 +113,8 @@ fn fetch_health(addr: &str) -> sss_server::Health {
     serde_json::from_str(body).expect("healthz body parses")
 }
 
-fn main() {
-    let (conns, per_conn) = if quick() { (4, 50) } else { (8, 500) };
+pub(crate) fn run(ctx: &Context) {
+    let (conns, per_conn) = if ctx.quick { (4, 50) } else { (8, 500) };
     let worker_counts = [1usize, 2, 4, 8];
 
     // Experiment A: throughput vs worker count, cache-hostile mix (more
@@ -121,7 +123,7 @@ fn main() {
     let hostile_pool = 256;
     let scaling: Vec<Cell> = worker_counts
         .iter()
-        .map(|&w| measure("workers", w, 0, conns, per_conn, hostile_pool))
+        .map(|&w| measure(ctx.seed, "workers", w, 0, conns, per_conn, hostile_pool))
         .collect();
 
     // Experiment B: memoized cache vs uncached baseline on a repetitive
@@ -129,13 +131,13 @@ fn main() {
     let repeat_pool = 8;
     let cached: Vec<Cell> = [0usize, 4096]
         .iter()
-        .map(|&cap| measure("cache", 4, cap, conns, per_conn, repeat_pool))
+        .map(|&cap| measure(ctx.seed, "cache", 4, cap, conns, per_conn, repeat_pool))
         .collect();
 
     // Experiment C: connection-ramp sweep — the reactor's open-connection
     // ceiling. It rides to 8000 held sockets (5000+ even in quick mode,
     // pinning the C10k-path acceptance).
-    let ramp_sizes: &[usize] = if quick() {
+    let ramp_sizes: &[usize] = if ctx.quick {
         &[256, 5000]
     } else {
         &[1000, 5000, 8000]
@@ -143,7 +145,7 @@ fn main() {
     eprintln!("ramp: reactor to {ramp_sizes:?} connections...");
     let ramp: Vec<Cell> = ramp_sizes
         .iter()
-        .map(|&n| measure("ramp", 2, 4096, n, 2, 8))
+        .map(|&n| measure(ctx.seed, "ramp", 2, 4096, n, 2, 8))
         .collect();
 
     let mut scaling_table =
@@ -222,7 +224,6 @@ fn main() {
         );
     }
 
-    let dir = results_dir();
     let mut csv = CsvWriter::new([
         "experiment",
         "workers",
@@ -259,9 +260,9 @@ fn main() {
             c.cache_misses.to_string(),
         ]);
     }
-    let csv_path = dir.join("server_scaling.csv");
+    let csv_path = ctx.out("server_scaling.csv");
     csv.write_to(&csv_path).expect("write server_scaling.csv");
-    let json_path = dir.join("server_scaling.json");
+    let json_path = ctx.out("server_scaling.json");
     let all: Vec<&Cell> = scaling.iter().chain(&cached).chain(&ramp).collect();
     write_json(&json_path, &all).expect("write server_scaling.json");
     eprintln!("wrote {} and {}", csv_path.display(), json_path.display());

@@ -13,7 +13,6 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use sss_bench::{quick, results_dir, seed};
 use sss_exec::ThreadPool;
 use sss_loadgen::{
     replay_fidelity_csv, replay_summary_table, replay_table, ReplayConfig, ReplayReport,
@@ -22,6 +21,8 @@ use sss_loadgen::{
 use sss_report::write_json;
 use sss_sim::{fluid_tolerance, Fidelity, TraceShape};
 use sss_stats::Ecdf;
+
+use crate::context::Context;
 
 /// Timed one-worker replays per fidelity; the throughput figures are
 /// their median and range.
@@ -89,24 +90,23 @@ fn rate_range(tp: &FidelityThroughput) -> String {
     )
 }
 
-fn main() {
-    let config = if quick() {
-        ReplayConfig::quick(seed())
+pub(crate) fn run(ctx: &Context) {
+    let config = if ctx.quick {
+        ReplayConfig::quick(ctx.seed)
     } else {
-        ReplayConfig::standard(seed())
+        ReplayConfig::standard(ctx.seed)
     };
     let replay = SessionReplay::bundled(config.clone()).expect("bundled ReplayConfig is valid");
-    let pool = ThreadPool::with_available_parallelism();
     eprintln!(
         "replaying {} scenarios x {} trace shapes on {} workers (exact + fluid)...",
         replay.scenarios().len(),
         replay.config().shapes.len(),
-        pool.workers()
+        ctx.pool.workers()
     );
-    let exact = replay.run(&pool);
+    let exact = replay.run(&ctx.pool);
     let fluid = SessionReplay::bundled(config.clone().with_fidelity(Fidelity::Fluid))
         .expect("bundled ReplayConfig is valid")
-        .run(&pool);
+        .run(&ctx.pool);
 
     println!("{}", replay_table(&exact).to_text());
     println!("{}", replay_summary_table(&exact).to_text());
@@ -141,7 +141,7 @@ fn main() {
     // one O(trace segments). Quick mode halves the frame count. Both
     // fidelities get the same statistic, so the speedup compares like
     // with like.
-    let bench_frames = if quick() { 2048 } else { 4096 };
+    let bench_frames = if ctx.quick { 2048 } else { 4096 };
     let mut bench_config = config.clone();
     bench_config.frames = bench_frames;
     bench_config.files = 16.min(bench_frames);
@@ -157,8 +157,7 @@ fn main() {
     println!("{throughput_line}");
     println!("fluid fast path speedup: {speedup:.0}x median cells/sec over the exact integrator");
 
-    let dir = results_dir();
-    let md = dir.join("sim_validation.md");
+    let md = ctx.out("sim_validation.md");
     std::fs::write(
         &md,
         format!(
@@ -169,11 +168,11 @@ fn main() {
         ),
     )
     .expect("write sim_validation.md");
-    let csv = dir.join("sim_validation.csv");
+    let csv = ctx.out("sim_validation.csv");
     replay_fidelity_csv(&[(Fidelity::Exact, &exact), (Fidelity::Fluid, &fluid)])
         .write_to(&csv)
         .expect("write sim_validation.csv");
-    let json = dir.join("sim_validation.json");
+    let json = ctx.out("sim_validation.json");
     let artifact = SimValidationArtifact {
         exact,
         fluid,

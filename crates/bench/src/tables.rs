@@ -8,7 +8,9 @@ use sss_loadgen::{SpawnStrategy, SweepSpec};
 use sss_netsim::SimConfig;
 use sss_report::Table;
 
-fn main() {
+use crate::context::Context;
+
+pub(crate) fn run(_: &Context) {
     let cfg = SimConfig::paper_testbed();
     let mut t1 = Table::new(["component", "specification", "encoded in"])
         .with_title("Table 1: experimental testbed configuration");

@@ -336,8 +336,10 @@ fn check_d004(code: &[&Token], emit: &mut impl FnMut(&str, u32, String)) {
 /// Lint a crate manifest: every normal dependency on an `sss-*` crate
 /// must point strictly down the stack (L001). It reads each form Cargo
 /// accepts for one: a key under `[dependencies]` or
-/// `[target.'…'.dependencies]`, and a `[dependencies.sss-x]` or
-/// `[target.'…'.dependencies.sss-x]` table. `[dev-dependencies]` and
+/// `[target.'…'.dependencies]`, and a `[dependencies.x]` or
+/// `[target.'…'.dependencies.x]` table. A dependency renamed with
+/// `package = "sss-x"`, in an inline table or in a table's body, is
+/// `sss-x`, reported on the line that says so. `[dev-dependencies]` and
 /// `[build-dependencies]` are not layered. Manifest findings cannot be
 /// pragma'd — baseline them.
 pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> {
@@ -348,28 +350,7 @@ pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> 
         return Vec::new();
     };
     let mut findings = Vec::new();
-    let mut in_dependencies = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        let name = if let Some(header) = line.strip_prefix('[') {
-            // Up to the first `]`, so a trailing comment or `[[bin]]`'s
-            // second bracket is dropped; no target spec holds a `]`.
-            let keys = dotted_keys(header.split(']').next().unwrap_or(""));
-            let section = match keys.as_slice() {
-                ["target", _, rest @ ..] => rest,
-                all => all,
-            };
-            in_dependencies = section == ["dependencies"];
-            match section {
-                ["dependencies", name] => *name,
-                _ => continue,
-            }
-        } else if in_dependencies {
-            // `sss-x = …`, `sss-x.workspace = true` or `"sss-x" = …`.
-            dotted_keys(line.split('=').next().unwrap_or(""))[0]
-        } else {
-            continue;
-        };
+    for (idx, name) in normal_dependencies(text) {
         let Some(dep) = name.strip_prefix("sss-") else {
             continue;
         };
@@ -392,6 +373,56 @@ pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> 
         }
     }
     findings
+}
+
+/// Every key under a normal dependencies section of `text`, as `(line
+/// index, crate name)` in line order; non-dependency keys come along and
+/// match no crate. A `[dependencies.x]` table is `x` on its header line
+/// until a `package` line in its body renames it.
+fn normal_dependencies(text: &str) -> Vec<(usize, &str)> {
+    let mut deps = Vec::new();
+    let mut in_dependencies = false;
+    let mut table = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if let Some(header) = line.strip_prefix('[') {
+            deps.extend(table.take());
+            // Up to the first `]`, so a trailing comment or `[[bin]]`'s
+            // second bracket is dropped; no target spec holds a `]`.
+            let keys = dotted_keys(header.split(']').next().unwrap_or(""));
+            let section = match keys.as_slice() {
+                ["target", _, rest @ ..] => rest,
+                all => all,
+            };
+            in_dependencies = section == ["dependencies"];
+            if let ["dependencies", name] = section {
+                table = Some((idx, *name));
+            }
+        } else if in_dependencies {
+            // `sss-x = …`, `sss-x.workspace = true`, `"sss-x" = …` or
+            // `x = { package = "sss-x", … }`.
+            let key = dotted_keys(line.split('=').next().unwrap_or(""))[0];
+            deps.push((idx, package_in(line).unwrap_or(key)));
+        } else if let (Some(dep), Some(package)) = (&mut table, package_in(line)) {
+            *dep = (idx, package);
+        }
+    }
+    deps.extend(table);
+    deps
+}
+
+/// The quoted value of a `package` key among `entries`: one `key = value`
+/// line, or a key line with an inline table.
+fn package_in(entries: &str) -> Option<&str> {
+    entries.split([',', '{', '}']).find_map(|entry| {
+        let (key, value) = entry.split_once('=')?;
+        if dotted_keys(key) != ["package"] {
+            return None;
+        }
+        let value = value.trim_start();
+        let quote = value.chars().next().filter(|c| matches!(c, '"' | '\''))?;
+        value[1..].split(quote).next()
+    })
 }
 
 /// Split a TOML dotted key (`target.'cfg(unix)'.dependencies`) into its

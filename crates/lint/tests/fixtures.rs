@@ -105,7 +105,7 @@ fn l001_fires_on_upward_manifest_dependencies_in_every_form() {
         .map(|(number, _)| number)
         .collect();
     let findings = lint_manifest("Cargo.toml", &text, &FileContext::for_crate("core"));
-    assert_eq!(rules_of(&findings), ["L001"; 3], "{findings:?}");
+    assert_eq!(rules_of(&findings), ["L001"; 5], "{findings:?}");
     let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
     assert_eq!(lines, flagged, "{findings:?}");
     // From the top of the stack the same dependencies point downward.

@@ -43,10 +43,10 @@
 //! println!("{}: gain {:.1}x", report.reasons[0], report.gain.value());
 //! ```
 //!
-//! Every table and figure of the paper regenerates via the binaries in
-//! `sss-bench` (`cargo run --release -p sss-bench --bin sweep_all`): one
-//! binary per artifact in `crates/bench/src/bin/`, each module doc naming
-//! what it reproduces, all writing under `results/`.
+//! Every table and figure of the paper regenerates in one process with
+//! `cargo run --release -p sss-bench` (or `-- fig2a case_study …` for a
+//! subset): one module per artifact in `crates/bench/src/`, each module
+//! doc naming what it reproduces, all writing under `results/`.
 
 pub use sss_core as core;
 pub use sss_exec as exec;

@@ -377,7 +377,7 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
         Some(other) => return Err(format!("unknown tier {other:?} (use 1, 2 or 3)")),
     };
     // Congestion curve: a measured fig2a_curve.json, or the bundled
-    // seed-42 measurement of the simulated 25 Gbps testbed.
+    // snapshot of the simulated 25 Gbps testbed.
     let curve = match flags.get("curve") {
         Some(path) => {
             let text =
@@ -388,8 +388,12 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
                 .ok_or_else(|| format!("{path} is not a valid congestion curve"))?
         }
         None => CongestionCurve::from_points(vec![
-            // Seed-42 measurement of the simulated testbed (fig2a),
-            // monotone envelope over the P ∈ {2,4,8} series.
+            // An earlier engine's seed-42 snapshot of the simulated
+            // testbed (fig2a's monotone envelope over the P ∈ {2,4,8}
+            // series). Today's full-mode fig2a at seed 42 reads SSS 10.55
+            // at 62% utilization and 38.2 from 67% up, where these points
+            // have 7.6 and 14.9–15.0; `--curve results/fig2a_curve.json`
+            // plans on the committed curve.
             (0.16, 2.4),
             (0.32, 4.3),
             (0.47, 7.0),
