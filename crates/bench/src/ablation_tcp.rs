@@ -3,10 +3,11 @@
 //!
 //! Runs the same congested batch (8 × 0.5 GB simultaneous clients for
 //! 3 s on the Table 1 testbed; 8 × 100 MB for 2 s under `SSS_QUICK`, the
-//! values the quick Table 2 grid shrinks to) under combinations of
-//! congestion-control algorithm (Reno vs CUBIC), HyStart on/off, and
-//! bottleneck queue discipline (drop-tail vs RED), reporting worst/mean
-//! completion time, drops and retransmissions.
+//! values the quick Table 2 grid shrinks to), at the run's master seed
+//! (`SSS_SEED`), under combinations of congestion-control algorithm
+//! (Reno vs CUBIC), HyStart on/off, and bottleneck queue discipline
+//! (drop-tail vs RED), reporting worst/mean completion time, drops and
+//! retransmissions.
 
 use sss_loadgen::{Experiment, SpawnStrategy};
 use sss_netsim::{CongestionAlgo, Qdisc, SimConfig};
@@ -15,8 +16,9 @@ use sss_units::Bytes;
 
 use crate::context::{fmt_s, Context};
 
-/// The congested batch every ablation cell runs, at the testbed defaults.
-fn batch(quick: bool) -> Experiment {
+/// The congested batch every ablation cell runs, at the testbed defaults
+/// and the run's master seed.
+fn batch(quick: bool, seed: u64) -> Experiment {
     let (duration_s, bytes_per_client) = if quick {
         (2, Bytes::from_mb(100.0))
     } else {
@@ -30,7 +32,7 @@ fn batch(quick: bool) -> Experiment {
         bytes_per_client,
         strategy: SpawnStrategy::Simultaneous,
         start_jitter: 0.002,
-        seed: 42,
+        seed,
     }
 }
 
@@ -74,7 +76,7 @@ fn run_cell(
 }
 
 pub(crate) fn run(ctx: &Context) {
-    let batch = batch(ctx.quick);
+    let batch = batch(ctx.quick, ctx.seed);
     let mut table = Table::new([
         "algo", "hystart", "qdisc", "worst", "mean", "drops", "early", "retx MB",
     ])
@@ -137,4 +139,18 @@ pub(crate) fn run(ctx: &Context) {
     );
     csv.write_to(&ctx.out("ablation_tcp.csv"))
         .expect("write ablation_tcp.csv");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_batch_carries_the_seed_it_is_given() {
+        for quick in [false, true] {
+            for seed in [0, 7, 42, u64::MAX] {
+                assert_eq!(batch(quick, seed).seed, seed);
+            }
+        }
+    }
 }

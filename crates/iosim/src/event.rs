@@ -26,6 +26,14 @@
 //!   DTN slot at its close, and nothing flows from a delivery back to the
 //!   writer.
 //!
+//! **Two stages.** The writer never reads the WAN trace, so it is a stage
+//! of its own: [`EventFileBasedPipeline::closes`] takes the source, the
+//! file count, the local PFS and the [`Fidelity`] to each file's close
+//! instant, and [`EventFileBasedPipeline::deliver`] moves the closed
+//! files over one trace. `run` is the two back to back. A replay that
+//! delivers one scan over several traces runs the writer once per
+//! scenario and delivery once per (scenario × trace) cell.
+//!
 //! A burst source keeps both chains backlogged after their first frame,
 //! so the kernel advances them sixteen frames at a time: it assumes each
 //! frame starts when the one before it frees the server, computes the
@@ -47,18 +55,20 @@
 //!
 //! A run returns the completion and the lag behind acquisition, and
 //! keeps no per-frame or per-file instants. The tests read those through
-//! the crate-private `run_with`, which shows each unit's instant to a
-//! callback; `run` passes one that does nothing.
+//! the crate-private `run_with` (a stream's frames) and `deliver_with`
+//! (a scan's files), which show each unit's instant to a callback; `run`
+//! and `deliver` pass one that does nothing.
 //!
 //! On a steady trace each integration is `start + bytes/rate`, so the
 //! chains reduce to constant-rate arithmetic; a test checks every
 //! instant of a small stream and staged scan against that arithmetic
 //! written out by hand.
 
-use sss_sim::{BandwidthTrace, Seconds};
+use sss_sim::{BandwidthTrace, Fidelity, Seconds};
 
+use crate::fluid::fluid_closes;
 use crate::pipeline::MovementResult;
-use crate::profile::{PathProfile, WanProfile};
+use crate::profile::{PathProfile, PfsProfile, WanProfile};
 use crate::workload::FrameSource;
 
 /// Streaming movement: frames are pushed to the remote consumer's memory
@@ -136,10 +146,7 @@ impl EventFileBasedPipeline {
     /// # Panics
     /// Panics when `files` is out of range or the profile is invalid.
     pub fn new(source: FrameSource, files: u32, path: PathProfile, trace: BandwidthTrace) -> Self {
-        assert!(
-            files >= 1 && files <= source.n_frames,
-            "files must be in 1..=n_frames, got {files}"
-        );
+        check_files(&source, files);
         path.validate().expect("invalid PathProfile");
         EventFileBasedPipeline {
             source,
@@ -149,51 +156,58 @@ impl EventFileBasedPipeline {
         }
     }
 
+    /// The writer stage: each file's close instant, in file order, when
+    /// `source`'s scan is written to the `local` PFS as `files` files.
+    /// `Exact` steps the writer frame by frame; `Fluid` takes each file's
+    /// closed form. No WAN, DTN or remote term enters, so one call serves
+    /// every pipeline over the same scan, file count and local PFS, at
+    /// any trace ([`EventFileBasedPipeline::deliver`]).
+    ///
+    /// # Panics
+    /// Panics when `files` is out of `1..=n_frames` or `local` is
+    /// invalid.
+    pub fn closes(
+        source: &FrameSource,
+        files: u32,
+        local: &PfsProfile,
+        fidelity: Fidelity,
+    ) -> Vec<f64> {
+        check_files(source, files);
+        local.validate().expect("invalid PfsProfile");
+        match fidelity {
+            Fidelity::Exact => exact_closes(source, files, local),
+            Fidelity::Fluid => fluid_closes(source, files, local),
+        }
+    }
+
     /// Move the scan frame by frame through the local writer, then file
     /// by file through the DTN.
     pub fn run(&self) -> MovementResult {
-        self.run_with(|_| {})
+        self.run_fidelity(Fidelity::Exact)
     }
 
-    /// [`EventFileBasedPipeline::run`], showing `unit` each file's
+    /// The DTN stage both fidelities share, over the writer stage's
+    /// `closes` ([`EventFileBasedPipeline::closes`] of this pipeline's
+    /// source, file count and local PFS): in close order, each file takes
+    /// the earliest-free of the transfer slots at `closes[file]`, pays the
+    /// fixed per-file costs, moves its bytes at the traced WAN share
+    /// capped by the slower PFS stage, then verifies checksums.
+    ///
+    /// # Panics
+    /// Panics unless `closes` holds one instant per file, or when a
+    /// delivery instant is negative or not finite.
+    pub fn deliver(&self, closes: &[f64]) -> MovementResult {
+        self.deliver_with(closes, |_| {})
+    }
+
+    /// [`EventFileBasedPipeline::deliver`], showing `unit` each file's
     /// delivery instant in file order.
-    pub(crate) fn run_with(&self, unit: impl FnMut(f64)) -> MovementResult {
-        let src = &self.source;
-        let local = &self.path.local;
-        let writer = BandwidthTrace::steady(local.write_bw);
-        let metadata = local.metadata_latency.as_secs();
-
-        // The writer's sequential program: open each file (charged from
-        // t=0 for the first, before any frame exists), then write each of
-        // its frames once the frame exists and the writer is free, as one
-        // send chain at the write bandwidth from the open's completion. A
-        // file closes with its last write.
-        let mut writer_free = 0.0f64;
-        let mut first = 0u32;
-        let mut closes = Vec::with_capacity(self.files as usize);
-        for file in 0..self.files {
-            let frames = src.frames_in_file(self.files, file);
-            writer_free = writer.send_chain(
-                writer_free + metadata,
-                frames,
-                src.frame_bytes.as_b(),
-                0.0,
-                |k| src.frame_ready(first + k).as_secs(),
-                |_| {},
-            );
-            first += frames;
-            closes.push(writer_free);
-        }
-        debug_assert_eq!(first, src.n_frames);
-        self.deliver(&closes, unit)
-    }
-
-    /// The DTN stage both fidelities share: in close order, each file
-    /// takes the earliest-free of the transfer slots at `closes[file]`,
-    /// pays the fixed per-file costs, moves its bytes at the traced WAN
-    /// share capped by the slower PFS stage, then verifies checksums.
-    /// `unit` sees each file's delivery instant in file order.
-    pub(crate) fn deliver(&self, closes: &[f64], mut unit: impl FnMut(f64)) -> MovementResult {
+    pub(crate) fn deliver_with(&self, closes: &[f64], mut unit: impl FnMut(f64)) -> MovementResult {
+        assert_eq!(
+            closes.len(),
+            self.files as usize,
+            "need one close instant per file"
+        );
         let p = &self.path;
         let frame_bytes = self.source.frame_bytes.as_b();
         // The slowest pipelined per-byte stage bounds a DTN task's rate.
@@ -224,6 +238,56 @@ impl EventFileBasedPipeline {
         }
         MovementResult::new(&self.source, completion)
     }
+}
+
+#[cfg(test)]
+impl EventFileBasedPipeline {
+    /// [`EventFileBasedPipeline::run`], showing `unit` each file's
+    /// delivery instant in file order.
+    pub(crate) fn run_with(&self, unit: impl FnMut(f64)) -> MovementResult {
+        let closes = Self::closes(&self.source, self.files, &self.path.local, Fidelity::Exact);
+        self.deliver_with(&closes, unit)
+    }
+}
+
+/// The file-count check of both stages: every file holds at least one
+/// frame.
+///
+/// # Panics
+/// Panics unless `files` is in `1..=source.n_frames`.
+fn check_files(source: &FrameSource, files: u32) {
+    assert!(
+        files >= 1 && files <= source.n_frames,
+        "files must be in 1..=n_frames, got {files}"
+    );
+}
+
+/// The exact writer stage: the writer's sequential program opens each
+/// file (charged from t=0 for the first, before any frame exists), then
+/// writes each of its frames once the frame exists and the writer is
+/// free, as one send chain at the write bandwidth from the open's
+/// completion. A file closes with its last write.
+fn exact_closes(source: &FrameSource, files: u32, local: &PfsProfile) -> Vec<f64> {
+    let writer = BandwidthTrace::steady(local.write_bw);
+    let metadata = local.metadata_latency.as_secs();
+    let mut writer_free = 0.0f64;
+    let mut first = 0u32;
+    let mut closes = Vec::with_capacity(files as usize);
+    for file in 0..files {
+        let frames = source.frames_in_file(files, file);
+        writer_free = writer.send_chain(
+            writer_free + metadata,
+            frames,
+            source.frame_bytes.as_b(),
+            0.0,
+            |k| source.frame_ready(first + k).as_secs(),
+            |_| {},
+        );
+        first += frames;
+        closes.push(writer_free);
+    }
+    debug_assert_eq!(first, source.n_frames);
+    closes
 }
 
 /// An instant on the simulated clock, checked as a [`Seconds`] is.

@@ -32,6 +32,8 @@ use sss_sim::Fidelity;
 
 use crate::event::{EventFileBasedPipeline, EventStreamingPipeline};
 use crate::pipeline::MovementResult;
+use crate::profile::PfsProfile;
+use crate::workload::FrameSource;
 
 impl EventStreamingPipeline {
     /// Run the streaming movement on the fluid fast path.
@@ -101,51 +103,55 @@ impl EventFileBasedPipeline {
     /// [`EventFileBasedPipeline::run`] are floating-point
     /// re-association only.
     pub fn run_fluid(&self) -> MovementResult {
-        self.run_fluid_with(|_| {})
+        self.run_fidelity(Fidelity::Fluid)
     }
 
+    /// Run at the requested fidelity: the writer stage
+    /// ([`EventFileBasedPipeline::closes`]) at `fidelity`, then the DTN
+    /// stage ([`EventFileBasedPipeline::deliver`]) both fidelities share.
+    pub fn run_fidelity(&self, fidelity: Fidelity) -> MovementResult {
+        self.deliver(&Self::closes(
+            &self.source,
+            self.files,
+            &self.path.local,
+            fidelity,
+        ))
+    }
+}
+
+/// The fluid writer stage, closed form per file: the k writes of a file
+/// chain as d_j = max(d_{j-1}, ready_j) + w from the post-open entry
+/// time, whose expansion maximizes a linear function of the frame index —
+/// endpoints only.
+pub(crate) fn fluid_closes(source: &FrameSource, files: u32, local: &PfsProfile) -> Vec<f64> {
+    let metadata = local.metadata_latency.as_secs();
+    let period = source.period.as_secs();
+    let w = source.frame_bytes.as_b() / local.write_bw.as_bytes_per_sec();
+    let mut write_free = 0.0f64;
+    let mut frame = 0u32;
+    let mut closes = Vec::with_capacity(files as usize);
+    for file in 0..files {
+        let entry = write_free + metadata;
+        let in_file = source.frames_in_file(files, file);
+        let k = in_file as f64;
+        let r_first = period * (frame + 1) as f64;
+        let r_last = period * (frame as f64 + k);
+        let close = (entry + k * w).max(r_first + k * w).max(r_last + w);
+        write_free = close;
+        closes.push(close);
+        frame += in_file;
+    }
+    debug_assert_eq!(frame, source.n_frames);
+    closes
+}
+
+#[cfg(test)]
+impl EventFileBasedPipeline {
     /// [`EventFileBasedPipeline::run_fluid`], showing `unit` each file's
     /// delivery instant in file order.
     pub(crate) fn run_fluid_with(&self, unit: impl FnMut(f64)) -> MovementResult {
-        let src = &self.source;
-        let local = &self.path.local;
-        let metadata = local.metadata_latency.as_secs();
-        let period = src.period.as_secs();
-        let w = src.frame_bytes.as_b() / local.write_bw.as_bytes_per_sec();
-
-        // Local writer, closed form per file: the k writes of a file
-        // chain as d_j = max(d_{j-1}, ready_j) + w from the post-open
-        // entry time, whose expansion maximizes a linear function of the
-        // frame index — endpoints only.
-        let mut write_free = 0.0f64;
-        let mut frame = 0u32;
-        let mut file_ready = Vec::with_capacity(self.files as usize);
-        for file in 0..self.files {
-            let entry = write_free + metadata;
-            let in_file = src.frames_in_file(self.files, file);
-            let k = in_file as f64;
-            let r_first = period * (frame + 1) as f64;
-            let r_last = period * (frame as f64 + k);
-            let close = (entry + k * w).max(r_first + k * w).max(r_last + w);
-            write_free = close;
-            file_ready.push(close);
-            frame += in_file;
-        }
-        debug_assert_eq!(frame, src.n_frames);
-
-        // The DTN stage is already closed-form per file via the traced
-        // integrator, so it is the exact pipeline's own.
-        self.deliver(&file_ready, unit)
-    }
-
-    /// Run at the requested fidelity: `Exact` is
-    /// [`EventFileBasedPipeline::run`], `Fluid` is
-    /// [`EventFileBasedPipeline::run_fluid`].
-    pub fn run_fidelity(&self, fidelity: Fidelity) -> MovementResult {
-        match fidelity {
-            Fidelity::Exact => self.run(),
-            Fidelity::Fluid => self.run_fluid(),
-        }
+        let closes = Self::closes(&self.source, self.files, &self.path.local, Fidelity::Fluid);
+        self.deliver_with(&closes, unit)
     }
 }
 
@@ -222,6 +228,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One writer stage serves every pipeline over the same scan, file
+    /// count and local PFS: its closes, delivered over each trace shape,
+    /// DTN concurrency and WAN RTT, give every file's delivery instant
+    /// bit for bit as that pipeline's own run, at both fidelities, for an
+    /// arrival-gated source and a burst (where the two fidelities' closes
+    /// differ in their last bits).
+    #[test]
+    fn one_writer_stage_serves_every_trace() {
+        let gated = FrameSource::new(97, Bytes::from_mb(8.0), TimeDelta::from_millis(7.0));
+        let base = presets::aps_to_alcf();
+        let bits = |units: &[f64]| units.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        for (src, fidelity) in [gated, burst(97)]
+            .into_iter()
+            .flat_map(|src| [(src, Fidelity::Exact), (src, Fidelity::Fluid)])
+        {
+            for files in [1u32, 7, 24, 97] {
+                let closes = EventFileBasedPipeline::closes(&src, files, &base.local, fidelity);
+                for (k, shape) in TraceShape::ALL.into_iter().enumerate() {
+                    let mut path = base;
+                    path.dtn.concurrency = 1 + k as u32;
+                    path.wan.rtt = TimeDelta::from_millis(k as f64);
+                    let trace = shape.build(path.wan.bandwidth, 2.0, 11);
+                    let pipe = EventFileBasedPipeline::new(src, files, path, trace);
+                    let (own, own_units) = with_units(|u| match fidelity {
+                        Fidelity::Exact => pipe.run_with(u),
+                        Fidelity::Fluid => pipe.run_fluid_with(u),
+                    });
+                    let (shared, shared_units) = with_units(|u| pipe.deliver_with(&closes, u));
+                    assert_eq!(own_units.len(), files as usize);
+                    assert_eq!(bits(&own_units), bits(&shared_units), "{shape}/{files}");
+                    assert_eq!(own, shared, "{shape}/{files}");
+                    assert_eq!(pipe.deliver(&closes), pipe.run_fidelity(fidelity));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "files must be in")]
+    fn the_writer_stage_rejects_an_empty_split() {
+        let src = burst(4);
+        let _ = EventFileBasedPipeline::closes(&src, 0, &presets::voyager_gpfs(), Fidelity::Exact);
+    }
+
+    #[test]
+    #[should_panic(expected = "one close instant per file")]
+    fn delivery_needs_one_close_per_file() {
+        let src = burst(4);
+        let path = presets::aps_to_alcf();
+        let pipe =
+            EventFileBasedPipeline::new(src, 2, path, BandwidthTrace::steady(path.wan.bandwidth));
+        let _ = pipe.deliver(&[0.0]);
     }
 
     #[test]

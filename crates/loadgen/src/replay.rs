@@ -31,6 +31,13 @@
 //! degraded shapes the error is the real, quantified gap between the
 //! closed form and a network that changes mid-transfer.
 //!
+//! The staged column (`sim_file_completion_s`) moves the same frames over
+//! the same trace through [`EventFileBasedPipeline`]: [`ReplayConfig::files`]
+//! files on the preset PFS and DTN substrate, with the session's WAN. Its
+//! writer stage never reads the trace, so it runs once per scenario
+//! ([`EventFileBasedPipeline::closes`]), and each cell only delivers
+//! those closes over its own trace ([`EventFileBasedPipeline::deliver`]).
+//!
 //! The simulated **decision** re-runs the model's verdict with simulated
 //! inputs: feasibility against the trace's mean effective rate over the
 //! nominal horizon, and the simulated `T_pct` against the analytic
@@ -103,14 +110,20 @@ impl Session {
         shape.lay_out(self.base, self.horizon, dips)
     }
 
-    /// The streaming pipeline moving the unit as `frames` frames over
-    /// `trace`.
-    pub(crate) fn stream(&self, frames: u32, trace: BandwidthTrace) -> EventStreamingPipeline {
-        let source = FrameSource::new(
+    /// The unit as `frames` frames, burst out at [`BURST_PERIOD_S`]
+    /// cadence.
+    fn source(&self, frames: u32) -> FrameSource {
+        FrameSource::new(
             frames,
             Bytes::from_b(self.s_bytes / frames as f64),
             TimeDelta::from_secs(BURST_PERIOD_S),
-        );
+        )
+    }
+
+    /// The streaming pipeline moving the unit as `frames` frames over
+    /// `trace`.
+    pub(crate) fn stream(&self, frames: u32, trace: BandwidthTrace) -> EventStreamingPipeline {
+        let source = self.source(frames);
         // Zero-overhead WAN: the closed form has no framing or RTT terms,
         // so none may leak into the comparison.
         let wan = WanProfile {
@@ -293,14 +306,28 @@ impl SessionReplay {
         &self.config
     }
 
-    /// Replay every (scenario × shape) cell on `pool`. Every worker count
-    /// returns the same bytes: seeds are position-derived, so scheduling
-    /// cannot perturb them.
+    /// Replay every (scenario × shape) cell on `pool`, in two fan-outs:
+    /// the staged column's writer stage once per scenario (it reads no
+    /// trace, so every shape of a scenario shares its file closes), then
+    /// per cell the trace, the streaming chain and the staged delivery
+    /// over that trace. Every worker count returns the same bytes: each
+    /// task's output depends only on its position (seeds are
+    /// position-derived), so scheduling cannot perturb it.
     pub fn run(&self, pool: &ThreadPool) -> ReplayReport {
         // The model side of every comparison: one `decide` per catalog
         // scenario, on the calling thread.
         let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
+
+        let local = presets::aps_to_alcf().local;
+        let closes = pool.map(&self.scenarios, |scenario| {
+            EventFileBasedPipeline::closes(
+                &Session::new(&scenario.params).source(self.config.frames),
+                self.config.files,
+                &local,
+                self.config.fidelity,
+            )
+        });
 
         // Scenario-major cell order, each cell's seed derived from its
         // position — what makes replays agree across worker counts.
@@ -314,6 +341,7 @@ impl SessionReplay {
             self.evaluate_cell(
                 &self.scenarios[si],
                 &decisions[si],
+                &closes[si],
                 self.config.shapes[hi],
                 seed,
             )
@@ -329,11 +357,13 @@ impl SessionReplay {
         ReplayReport { records, shapes }
     }
 
-    /// Replay one scenario under one trace shape.
+    /// Replay one scenario under one trace shape, delivering the
+    /// scenario's staged files from their `closes`.
     fn evaluate_cell(
         &self,
         scenario: &Scenario,
         model: &DecisionReport,
+        closes: &[f64],
         shape: TraceShape,
         seed: u64,
     ) -> ReplayRecord {
@@ -354,17 +384,16 @@ impl SessionReplay {
         let model_t_pct = model.t_pct.as_secs();
         let t_pct_rel_err = (sim_t_pct - model_t_pct).abs() / model_t_pct.abs().max(1e-12);
 
-        // The staged column: the same unit and trace through the
-        // file-based pipeline (preset PFS/DTN substrate, the session's
-        // WAN in place of its link).
+        // The staged column: the same unit's closed files delivered over
+        // the same trace (preset PFS/DTN substrate, the session's WAN in
+        // place of its link).
         let mut path = presets::aps_to_alcf();
         path.wan = stream.wan;
-        let staged =
-            EventFileBasedPipeline::new(stream.source, self.config.files, path, trace.clone());
-        let sim_file_completion_s = staged
-            .run_fidelity(self.config.fidelity)
-            .completion
-            .as_secs();
+        let sim_file_completion_s =
+            EventFileBasedPipeline::new(stream.source, self.config.files, path, trace.clone())
+                .deliver(closes)
+                .completion
+                .as_secs();
 
         // The simulated verdict: the model's own decision rule fed with
         // simulated inputs. Feasibility uses the trace's mean effective
@@ -716,6 +745,55 @@ mod tests {
         let par = replay.run(&ThreadPool::new(8));
         let seq = replay.run(&ThreadPool::new(1));
         assert_eq!(par, seq);
+    }
+
+    /// The staged column against a fresh one-cell pipeline: every
+    /// record's file completion equals, bit for bit, what
+    /// `run_fidelity` gives on that cell's own `EventFileBasedPipeline`,
+    /// on an uneven split (1000 frames into 7 files), on two shapes out of
+    /// their usual order, at both fidelities and on 1, 2 and 8 workers.
+    #[test]
+    fn staged_column_matches_a_fresh_pipeline_per_cell() {
+        let shapes = vec![TraceShape::Outage, TraceShape::Bursty];
+        for fidelity in [Fidelity::Exact, Fidelity::Fluid] {
+            let config = ReplayConfig {
+                frames: 1000,
+                files: 7,
+                shapes: shapes.clone(),
+                seed: 42,
+                fidelity,
+            };
+            let replay = SessionReplay::bundled(config.clone()).unwrap();
+            let seeds = SeedSequence::new(config.seed);
+            let mut oracle = Vec::new();
+            for (si, scenario) in replay.scenarios().iter().enumerate() {
+                for (hi, &shape) in shapes.iter().enumerate() {
+                    let session = Session::new(&scenario.params);
+                    let seed = seeds.seed((si * shapes.len() + hi) as u64);
+                    let trace = session.trace(shape, &shape.draw(&[seed])[0]);
+                    let stream = session.stream(config.frames, trace.clone());
+                    let mut path = presets::aps_to_alcf();
+                    path.wan = stream.wan;
+                    let cell =
+                        EventFileBasedPipeline::new(stream.source, config.files, path, trace)
+                            .run_fidelity(fidelity);
+                    oracle.push((scenario.id.clone(), shape, cell.completion.as_secs()));
+                }
+            }
+            for workers in [1, 2, 8] {
+                let report = replay.run(&ThreadPool::new(workers));
+                assert_eq!(report.records.len(), oracle.len());
+                for (r, (id, shape, want)) in report.records.iter().zip(&oracle) {
+                    assert_eq!((&r.scenario_id, r.shape), (id, *shape));
+                    assert_eq!(
+                        r.sim_file_completion_s.to_bits(),
+                        want.to_bits(),
+                        "{id}/{shape} at {fidelity:?} on {workers} workers: {} vs {want}",
+                        r.sim_file_completion_s
+                    );
+                }
+            }
+        }
     }
 
     #[test]
