@@ -13,9 +13,9 @@
 //! whole workspace for `pub` items that nothing names.
 //!
 //! Suppression is explicit and auditable: an inline
-//! `// sss-lint: allow(RULE, reason)` pragma (reason mandatory) clears one
-//! line, and the checked-in `sss-lint.baseline` file grandfathers legacy
-//! sites — stale entries fail the lint, so the baseline stays minimal.
+//! `// sss-lint: allow(RULE, reason)` pragma (reason mandatory), or
+//! `# sss-lint: allow(RULE, reason)` in a manifest, clears one line, and a
+//! pragma that suppresses nothing fails the lint; see [`pragma`].
 //!
 //! # Example
 //!
@@ -41,7 +41,6 @@
 //! ```
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod pragma;
 pub mod rules;
@@ -56,7 +55,7 @@ use std::path::Path;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule code (`D001`, `D004`, `L001`, `U001`) or meta code (`X001` bad
-    /// pragma, `X002` stale baseline entry).
+    /// pragma, `X002` pragma that suppresses nothing).
     pub rule: String,
     /// Workspace-relative file path with forward slashes.
     pub file: String,
@@ -97,7 +96,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 }
 
 /// Render findings as `file:line: RULE: message` lines plus a summary.
-pub fn render_text(findings: &[Finding], grandfathered: usize) -> String {
+pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         out.push_str(&format!(
@@ -106,22 +105,16 @@ pub fn render_text(findings: &[Finding], grandfathered: usize) -> String {
         ));
     }
     if findings.is_empty() {
-        out.push_str(&format!(
-            "sss-lint: clean ({grandfathered} grandfathered in baseline)\n"
-        ));
+        out.push_str("sss-lint: clean\n");
     } else {
-        out.push_str(&format!(
-            "sss-lint: {} finding(s), {} grandfathered in baseline\n",
-            findings.len(),
-            grandfathered
-        ));
+        out.push_str(&format!("sss-lint: {} finding(s)\n", findings.len()));
     }
     out
 }
 
 /// Render findings as a stable JSON document:
-/// `{"findings":[{"rule","file","line","message"}…],"total":N,"grandfathered":M}`.
-pub fn render_json(findings: &[Finding], grandfathered: usize) -> String {
+/// `{"findings":[{"rule","file","line","message"}…],"total":N}`.
+pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\"findings\":[");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
@@ -135,11 +128,7 @@ pub fn render_json(findings: &[Finding], grandfathered: usize) -> String {
             json_str(&f.message)
         ));
     }
-    out.push_str(&format!(
-        "],\"total\":{},\"grandfathered\":{}}}",
-        findings.len(),
-        grandfathered
-    ));
+    out.push_str(&format!("],\"total\":{}}}", findings.len()));
     out.push('\n');
     out
 }
@@ -181,12 +170,12 @@ mod tests {
             line: 7,
             message: "float equality".into(),
         }];
-        let text = render_text(&f, 2);
+        let text = render_text(&f);
         assert!(text.contains("crates/sim/src/x.rs:7: D004: float equality"));
-        assert!(text.contains("1 finding(s), 2 grandfathered"));
-        let json = render_json(&f, 2);
+        assert!(text.ends_with("sss-lint: 1 finding(s)\n"), "{text}");
+        let json = render_json(&f);
         assert!(json.contains("\"file\":\"crates/sim/src/x.rs\""));
         assert!(json.contains("\"line\":7"));
-        assert!(json.contains("\"grandfathered\":2"));
+        assert!(json.ends_with("],\"total\":1}\n"), "{json}");
     }
 }

@@ -2,31 +2,23 @@
 //!
 //! ```text
 //! sss-lint --workspace [--root DIR] [--format text|json]
-//!          [--baseline FILE | --no-baseline] [--write-baseline]
 //! sss-lint [--context CRATE] [--format text|json] FILE...
 //! sss-lint --list-rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` non-baselined findings, `2` usage or I/O
-//! error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 #![warn(missing_docs)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sss_lint::rules::{lint_source, FileContext, RULES};
-use sss_lint::{baseline, lint_workspace, render_json, render_text, Finding};
-
-/// Default baseline location, relative to the workspace root.
-const DEFAULT_BASELINE: &str = "sss-lint.baseline";
+use sss_lint::{lint_workspace, render_json, render_text};
 
 struct Options {
     workspace: bool,
     root: PathBuf,
     format: Format,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     context: Option<String>,
     list_rules: bool,
     files: Vec<PathBuf>,
@@ -43,9 +35,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         workspace: false,
         root: PathBuf::from("."),
         format: Format::Text,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         context: None,
         list_rules: false,
         files: Vec::new(),
@@ -67,15 +56,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown format {other:?} (use text or json)")),
                 }
             }
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--no-baseline" => opts.no_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--context" => opts.context = Some(value("--context")?),
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: sss-lint --workspace [--root DIR] [--format text|json] \
-                            [--baseline FILE | --no-baseline] [--write-baseline] | \
+                    "usage: sss-lint --workspace [--root DIR] [--format text|json] | \
                             sss-lint [--context CRATE] FILE... | sss-lint --list-rules"
                         .to_string(),
                 )
@@ -101,39 +86,10 @@ fn run(opts: &Options) -> Result<bool, String> {
         return Ok(true);
     }
 
-    let mut findings: Vec<Finding>;
-    let mut grandfathered = 0usize;
-
-    if opts.workspace {
-        findings = lint_workspace(&opts.root)?;
-        // Baseline handling (workspace mode only — explicit files are
-        // fixture/spot checks and always see every finding).
-        let baseline_path = opts
-            .baseline
-            .clone()
-            .unwrap_or_else(|| opts.root.join(DEFAULT_BASELINE));
-        let baseline_rel = rel_to_root(&baseline_path, &opts.root);
-        if opts.write_baseline {
-            std::fs::write(&baseline_path, baseline::render(&findings))
-                .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-            eprintln!(
-                "sss-lint: wrote {} entries to {}",
-                findings.len(),
-                baseline_path.display()
-            );
-            return Ok(true);
-        }
-        if !opts.no_baseline && baseline_path.is_file() {
-            let text = std::fs::read_to_string(&baseline_path)
-                .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-            let entries = baseline::parse(&text)?;
-            let (fresh, old) = baseline::apply(findings, &entries, &baseline_rel);
-            findings = fresh;
-            grandfathered = old.len();
-            findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-        }
+    let findings = if opts.workspace {
+        lint_workspace(&opts.root)?
     } else {
-        findings = Vec::new();
+        let mut findings = Vec::new();
         for path in &opts.files {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -145,20 +101,14 @@ fn run(opts: &Options) -> Result<bool, String> {
             findings.extend(lint_source(&rel, &text, &ctx));
         }
         findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    }
+        findings
+    };
 
     match opts.format {
-        Format::Text => print!("{}", render_text(&findings, grandfathered)),
-        Format::Json => print!("{}", render_json(&findings, grandfathered)),
+        Format::Text => print!("{}", render_text(&findings)),
+        Format::Json => print!("{}", render_json(&findings)),
     }
     Ok(findings.is_empty())
-}
-
-fn rel_to_root(path: &Path, root: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
 }
 
 fn main() -> ExitCode {

@@ -121,7 +121,7 @@ pub fn lint_source(path: &str, source: &str, ctx: &FileContext) -> Vec<Finding> 
 /// [`lint_source`] on an already lexed file, so the workspace pass lexes
 /// each file once for the per-file rules and U001.
 pub(crate) fn lint_tokens(path: &str, tokens: &[Token], ctx: &FileContext) -> Vec<Finding> {
-    let pragmas = pragma::collect(tokens);
+    let mut pragmas = pragma::collect(tokens);
     // Comments only matter for pragmas; rule patterns match adjacent
     // code tokens.
     let code: Vec<&Token> = tokens
@@ -149,6 +149,8 @@ pub(crate) fn lint_tokens(path: &str, tokens: &[Token], ctx: &FileContext) -> Ve
 
     check_d001(&code, ctx, &mut emit);
     check_d004(&code, &mut emit);
+    // U001 reads the whole workspace, so its pragmas are its own to judge.
+    findings.extend(pragmas.stale(path, |rule| rule != "U001"));
 
     findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
     findings
@@ -340,38 +342,37 @@ fn check_d004(code: &[&Token], emit: &mut impl FnMut(&str, u32, String)) {
 /// `[target.'…'.dependencies.x]` table. A dependency renamed with
 /// `package = "sss-x"`, in an inline table or in a table's body, is
 /// `sss-x`, reported on the line that says so. `[dev-dependencies]` and
-/// `[build-dependencies]` are not layered. Manifest findings cannot be
-/// pragma'd — baseline them.
+/// `[build-dependencies]` are not layered. An exception is a
+/// `# sss-lint: allow(L001, reason)` comment, bound like a source pragma.
 pub fn lint_manifest(path: &str, text: &str, ctx: &FileContext) -> Vec<Finding> {
-    let Some(own) = ctx.crate_name.as_deref() else {
-        return Vec::new();
-    };
-    let Some(own_rank) = layer_rank(own) else {
-        return Vec::new();
-    };
-    let mut findings = Vec::new();
+    let mut pragmas = pragma::collect_toml(text);
+    let mut findings = pragmas.error_findings(path);
+    let own = ctx.crate_name.as_deref().unwrap_or_default();
+    let own_rank = layer_rank(own);
     for (idx, name) in normal_dependencies(text) {
         let Some(dep) = name.strip_prefix("sss-") else {
             continue;
         };
-        if dep == own {
+        let (Some(own_rank), Some(dep_rank)) = (own_rank, layer_rank(dep)) else {
             continue;
-        }
-        if let Some(dep_rank) = layer_rank(dep) {
-            if dep_rank >= own_rank {
-                findings.push(Finding {
-                    rule: "L001".to_string(),
-                    file: path.to_string(),
-                    line: (idx + 1) as u32,
-                    message: format!(
-                        "layering violation in manifest: `{own}` (layer {own_rank}) depends \
-                         on `sss-{dep}` (layer {dep_rank}) — dependencies must point strictly \
-                         down the stack"
-                    ),
-                });
-            }
+        };
+        let line = (idx + 1) as u32;
+        if dep != own && dep_rank >= own_rank && !pragmas.allows("L001", line) {
+            findings.push(Finding {
+                rule: "L001".to_string(),
+                file: path.to_string(),
+                line,
+                message: format!(
+                    "layering violation in manifest: `{own}` (layer {own_rank}) depends \
+                     on `sss-{dep}` (layer {dep_rank}) — dependencies must point strictly \
+                     down the stack"
+                ),
+            });
         }
     }
+    // No other pass reads a manifest, so every pragma in one is judged here.
+    findings.extend(pragmas.stale(path, |_| true));
+    findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
     findings
 }
 
@@ -384,11 +385,13 @@ fn normal_dependencies(text: &str) -> Vec<(usize, &str)> {
     let mut in_dependencies = false;
     let mut table = None;
     for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
+        // A comment is free text (a pragma's reason holds commas), never
+        // keys.
+        let line = split_comment(raw).0.trim();
         if let Some(header) = line.strip_prefix('[') {
             deps.extend(table.take());
-            // Up to the first `]`, so a trailing comment or `[[bin]]`'s
-            // second bracket is dropped; no target spec holds a `]`.
+            // Up to the first `]`, so `[[bin]]`'s second bracket is
+            // dropped; no target spec holds a `]`.
             let keys = dotted_keys(header.split(']').next().unwrap_or(""));
             let section = match keys.as_slice() {
                 ["target", _, rest @ ..] => rest,
@@ -423,6 +426,27 @@ fn package_in(entries: &str) -> Option<&str> {
         let quote = value.chars().next().filter(|c| matches!(c, '"' | '\''))?;
         value[1..].split(quote).next()
     })
+}
+
+/// Split one TOML line at its comment, the first `#` outside a quoted
+/// string, into the code before it and the comment text after it. Lines
+/// are read one at a time, so a multi-line string's inner lines read as
+/// code.
+pub(crate) fn split_comment(line: &str) -> (&str, Option<&str>) {
+    let mut quote = None;
+    let mut escaped = false;
+    for (i, c) in line.char_indices() {
+        match quote {
+            None if c == '#' => return (&line[..i], Some(&line[i + 1..])),
+            None if matches!(c, '"' | '\'') => quote = Some(c),
+            // Only a basic (`"`) string has escapes.
+            Some('"') if escaped => escaped = false,
+            Some('"') if c == '\\' => escaped = true,
+            Some(open) if c == open => quote = None,
+            _ => {}
+        }
+    }
+    (line, None)
 }
 
 /// Split a TOML dotted key (`target.'cfg(unix)'.dependencies`) into its

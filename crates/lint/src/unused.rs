@@ -23,7 +23,8 @@
 //! Another crate's test code counts, because only `pub` reaches it.
 //! Comments and strings are not code, so a name mentioned only there is
 //! unused. An intentional public API takes a
-//! `// sss-lint: allow(U001, reason)` pragma on its declaration line.
+//! `// sss-lint: allow(U001, reason)` pragma on its declaration line; a
+//! U001 pragma on an item that is used is stale (`X002`).
 //!
 //! Two blind spots follow from matching names, not reachability:
 //!
@@ -77,7 +78,7 @@ struct Decl<'t> {
 
 /// Run U001 over lexed files `(workspace-relative path, tokens)`.
 pub(crate) fn check(sources: &[(String, Vec<Token>)]) -> Vec<Finding> {
-    let files: Vec<File> = sources
+    let mut files: Vec<File> = sources
         .iter()
         .map(|(rel, tokens)| File::new(rel, tokens))
         .collect();
@@ -105,7 +106,7 @@ pub(crate) fn check(sources: &[(String, Vec<Token>)]) -> Vec<Finding> {
         let used = occurrences[decl.name]
             .iter()
             .any(|&(f, t)| is_use(decl, &files, f, t));
-        let file = &files[decl.file];
+        let file = &mut files[decl.file];
         if !used && !file.pragmas.allows("U001", decl.line) {
             findings.push(Finding {
                 rule: "U001".to_string(),
@@ -119,6 +120,9 @@ pub(crate) fn check(sources: &[(String, Vec<Token>)]) -> Vec<Finding> {
                 ),
             });
         }
+    }
+    for file in &files {
+        findings.extend(file.pragmas.stale(file.rel, |rule| rule == "U001"));
     }
     findings
 }

@@ -1,12 +1,12 @@
 //! Fixture-driven end-to-end coverage: every rule has at least one
 //! positive and one negative snippet under `tests/fixtures/`, each linted
-//! through the library API and through the compiled binary; plus the
-//! baseline-minimality contract — the committed `sss-lint.baseline` must
-//! grandfather exactly the findings a baseline-free workspace run emits.
-//! L001 reads crate manifests, so its fixture is a manifest; U001 reads a
-//! whole workspace, so its fixture is a small workspace tree,
-//! `tests/fixtures/u001/`. The invariants clippy and rustc enforce in
-//! place of retired rules are pinned by their configuration.
+//! through the library API and through the compiled binary, and pragmas
+//! in sources and manifests must each suppress a live finding; plus the
+//! workspace itself must lint clean. L001 reads crate manifests, so its
+//! fixtures are manifests; U001 reads a whole workspace, so its fixture is
+//! a small workspace tree, `tests/fixtures/u001/`. The invariants clippy
+//! and rustc enforce in place of retired rules are pinned by their
+//! configuration.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -37,6 +37,19 @@ fn lint_fixture(name: &str, crate_ctx: &str) -> Vec<Finding> {
 
 fn rules_of(findings: &[Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule.as_str()).collect()
+}
+
+fn anchors_of(findings: &[Finding]) -> Vec<(&str, u32)> {
+    findings.iter().map(|f| (f.rule.as_str(), f.line)).collect()
+}
+
+/// 1-based numbers of the lines of `text` that `marked` accepts.
+fn marked_lines(text: &str, marked: impl Fn(&str) -> bool) -> Vec<u32> {
+    (1..)
+        .zip(text.lines())
+        .filter(|(_, line)| marked(line))
+        .map(|(number, _)| number)
+        .collect()
 }
 
 struct BinaryRun {
@@ -99,17 +112,49 @@ fn d004_fires_on_exact_float_comparison() {
 #[test]
 fn l001_fires_on_upward_manifest_dependencies_in_every_form() {
     let text = std::fs::read_to_string(fixture_path("l001_manifest.toml")).expect("fixture");
-    let flagged: Vec<u32> = (1..)
-        .zip(text.lines())
-        .filter(|(_, line)| line.ends_with("# flagged"))
-        .map(|(number, _)| number)
-        .collect();
+    let flagged = marked_lines(&text, |line| line.ends_with("# flagged"));
     let findings = lint_manifest("Cargo.toml", &text, &FileContext::for_crate("core"));
     assert_eq!(rules_of(&findings), ["L001"; 5], "{findings:?}");
     let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
     assert_eq!(lines, flagged, "{findings:?}");
     // From the top of the stack the same dependencies point downward.
     assert!(lint_manifest("Cargo.toml", &text, &FileContext::for_crate("server")).is_empty());
+}
+
+#[test]
+fn manifest_pragmas_suppress_l001_on_their_line_only() {
+    let text = std::fs::read_to_string(fixture_path("manifest_pragmas.toml")).expect("fixture");
+    let findings = lint_manifest("Cargo.toml", &text, &FileContext::for_crate("core"));
+    assert_eq!(
+        anchors_of(&findings),
+        [
+            ("L001", 11),
+            ("L001", 15),
+            ("L001", 16),
+            ("X001", 16),
+            ("X002", 17)
+        ],
+        "{findings:#?}"
+    );
+    // Outside the layered stack nothing is L001, so every pragma is stale.
+    let findings = lint_manifest("Cargo.toml", &text, &FileContext::default());
+    assert_eq!(
+        anchors_of(&findings),
+        [("X002", 10), ("X002", 12), ("X001", 16), ("X002", 17)],
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn pragmas_that_suppress_nothing_are_x002() {
+    let text = std::fs::read_to_string(fixture_path("stale_pragmas.rs")).expect("fixture");
+    let findings = lint_fixture("stale_pragmas.rs", "units");
+    // One in code, one trailing, one in test code.
+    let stale = marked_lines(&text, |line| line.contains(", stale:"));
+    assert_eq!(stale.len(), 3);
+    let want: Vec<(&str, u32)> = stale.into_iter().map(|line| ("X002", line)).collect();
+    assert_eq!(anchors_of(&findings), want, "{findings:#?}");
+    assert!(findings[0].message.contains("suppresses nothing"));
 }
 
 #[test]
@@ -131,8 +176,8 @@ fn malformed_pragmas_are_x001_and_do_not_suppress() {
 // ---- U001: a fixture workspace -------------------------------------------
 
 /// `(rule, "file:line")` of every finding the U001 fixture workspace must
-/// produce, sorted: a U001 on each line marked `// flagged` and an X001
-/// on the pragma that has no reason.
+/// produce, sorted: a U001 on each line marked `// flagged`, an X001 on
+/// the pragma that has no reason and an X002 on the pragma of a used item.
 fn u001_expected() -> Vec<(String, String)> {
     let root = fixture_path("u001");
     let mut want = Vec::new();
@@ -143,6 +188,8 @@ fn u001_expected() -> Vec<(String, String)> {
                 "U001"
             } else if line.ends_with("allow(U001)") {
                 "X001"
+            } else if line.contains("allow(U001, stale:") {
+                "X002"
             } else {
                 continue;
             };
@@ -162,12 +209,12 @@ fn u001_flags_pub_items_that_only_they_name() {
     // Flagged: a dead `pub fn`; a type named only inside its own impls; a
     // trait named only by its impl; an item named only by a `pub use`;
     // one named only in its own crate's tests; one named only in a
-    // comment and a string; one whose pragma has no reason. Not flagged:
-    // users in another crate's tests, `tests/`, `crates/*/tests/`,
-    // `examples/` and `perfbench/src/`, a pragma'd API, test code,
-    // `pub(crate)` and binaries.
+    // comment and a string; one whose pragma has no reason; the pragma of
+    // a used item. Not flagged: users in another crate's tests, `tests/`,
+    // `crates/*/tests/`, `examples/` and `perfbench/src/`, a pragma'd
+    // API, test code, `pub(crate)` and binaries.
     assert_eq!(found, u001_expected(), "{findings:#?}");
-    assert_eq!(found.len(), 8, "{findings:#?}");
+    assert_eq!(found.len(), 9, "{findings:#?}");
     for f in findings.iter().filter(|f| f.rule == "U001") {
         assert!(f.message.contains("is named nowhere"), "{f:?}");
     }
@@ -179,8 +226,8 @@ fn binary_runs_u001_in_workspace_mode_only() {
     let run = run_binary(&["--workspace", "--root", root.to_str().unwrap()]);
     assert_eq!(run.code, 1, "stderr: {}", run.stderr);
     assert_eq!(text_anchors(&run.stdout), u001_expected(), "{}", run.stdout);
-    // One file alone has no users to search, so U001 stays silent; the
-    // reasonless pragma is still X001.
+    // One file alone has no users to search, so U001 stays silent and
+    // its pragmas go unjudged; the reasonless pragma is still X001.
     let lib = root.join("crates/alpha/src/lib.rs");
     let run = run_binary(&["--context", "alpha", lib.to_str().unwrap()]);
     assert_eq!(run.code, 1, "stderr: {}", run.stderr);
@@ -239,6 +286,15 @@ fn binary_rejects_bad_usage_with_exit_two() {
     assert!(run.stderr.contains("nothing to lint"), "{}", run.stderr);
     let run = run_binary(&["--format", "yaml", "x.rs"]);
     assert_eq!(run.code, 2);
+    for flag in ["--baseline", "--no-baseline", "--write-baseline"] {
+        let run = run_binary(&["--workspace", flag]);
+        assert_eq!(run.code, 2, "{flag}: {}", run.stdout);
+        assert!(
+            run.stderr.contains("unknown flag"),
+            "{flag}: {}",
+            run.stderr
+        );
+    }
 }
 
 #[test]
@@ -296,45 +352,9 @@ fn clippy_configuration_keeps_the_retired_invariants() {
 // ---- the workspace itself ----------------------------------------------
 
 #[test]
-fn workspace_is_clean_under_the_committed_baseline() {
+fn workspace_is_clean() {
     let root = workspace_root();
     let run = run_binary(&["--workspace", "--root", root.to_str().unwrap()]);
     assert_eq!(run.code, 0, "{} {}", run.stdout, run.stderr);
-}
-
-#[test]
-fn baseline_is_minimal() {
-    // Without the baseline the workspace must produce *exactly* the
-    // grandfathered set: no stale entries hiding fixed sites, no fresh
-    // violations hiding behind the summary count.
-    let root = workspace_root();
-    let run = run_binary(&[
-        "--workspace",
-        "--root",
-        root.to_str().unwrap(),
-        "--no-baseline",
-    ]);
-    let mut found = text_anchors(&run.stdout);
-    found.sort();
-
-    let text = std::fs::read_to_string(root.join("sss-lint.baseline"))
-        .expect("committed sss-lint.baseline");
-    let mut grandfathered: Vec<(String, String)> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let mut cols = l.split('\t');
-            let rule = cols.next().expect("rule column").to_string();
-            let anchor = cols.next().expect("anchor column").to_string();
-            (rule, anchor)
-        })
-        .collect();
-    grandfathered.sort();
-
-    assert_eq!(
-        found, grandfathered,
-        "baseline out of sync: regenerate with --write-baseline and review"
-    );
-    let expected_exit = if grandfathered.is_empty() { 0 } else { 1 };
-    assert_eq!(run.code, expected_exit);
+    assert_eq!(run.stdout, "sss-lint: clean\n");
 }

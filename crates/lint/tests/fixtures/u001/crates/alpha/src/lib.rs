@@ -1,5 +1,7 @@
 //! U001 fixture crate. A declaration that U001 must flag carries a
-//! trailing `// flagged` marker; every other `pub` item must pass.
+//! trailing `// flagged` marker, and a pragma that suppresses nothing
+//! (X002) starts its reason with `stale:`; every other `pub` item must
+//! pass.
 
 mod shapes;
 
@@ -60,7 +62,8 @@ pub fn oracle(x: u32) -> u32 {
     x
 }
 
-/// The root `tests/` call it.
+/// The root `tests/` call it, so its pragma suppresses nothing.
+// sss-lint: allow(U001, stale: the root tests call it)
 pub fn used_by_tests() -> u32 {
     helper()
 }

@@ -37,7 +37,7 @@ mod waterfill;
 pub use config::{LinkConfig, Qdisc, SimConfig, TcpConfig};
 pub use fluid::progressive_fill;
 pub use link::{Link, LinkStats};
-pub use packet::{FlowId, Packet, PacketKind};
+pub use packet::{FlowId, Packet};
 pub use sim::{CwndSample, FlowRecord, FlowSpec, SimReport, Simulator};
 pub use waterfill::{WaterFiller, WaterFlowId};
 // The clock and event queue live in the shared `sss-sim` kernel; the

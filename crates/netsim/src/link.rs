@@ -224,7 +224,7 @@ mod tests {
     }
 
     fn pkt(bytes: u32) -> Packet {
-        Packet::data(FlowId(0), 0, bytes - Packet::HEADER_BYTES, false)
+        Packet::data(FlowId(0), 0, bytes - Packet::HEADER_BYTES)
     }
 
     #[test]

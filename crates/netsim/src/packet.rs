@@ -6,25 +6,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FlowId(pub u32);
 
-/// What a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PacketKind {
-    /// A data segment: `seq` is the byte offset of the first payload byte.
-    Data {
-        /// Byte offset of the segment's first byte in the flow.
-        seq: u64,
-        /// True when this is a retransmission (excluded from RTT samples,
-        /// per Karn's algorithm).
-        retransmit: bool,
-    },
-    /// A cumulative acknowledgement.
-    Ack {
-        /// All bytes below this offset have been received in order.
-        cum_ack: u64,
-    },
-}
-
-/// A simulated packet.
+/// A simulated data segment. Acknowledgements do not travel as packets:
+/// the receiver's answer is scheduled as its own event.
 ///
 /// `wire_bytes` is what occupies link capacity and queue space: payload
 /// plus header overhead. With the paper's MTU-9000 jumbo frames the data
@@ -33,12 +16,12 @@ pub enum PacketKind {
 pub struct Packet {
     /// Owning flow.
     pub flow: FlowId,
-    /// Payload byte count (0 for pure ACKs).
+    /// Byte offset of the segment's first payload byte in the flow.
+    pub seq: u64,
+    /// Payload byte count.
     pub payload_bytes: u32,
     /// Bytes occupied on the wire (payload + headers).
     pub wire_bytes: u32,
-    /// Segment or acknowledgement content.
-    pub kind: PacketKind,
 }
 
 impl Packet {
@@ -48,12 +31,12 @@ impl Packet {
     pub const HEADER_BYTES: u32 = 52;
 
     /// Build a data segment.
-    pub fn data(flow: FlowId, seq: u64, payload: u32, retransmit: bool) -> Self {
+    pub fn data(flow: FlowId, seq: u64, payload: u32) -> Self {
         Packet {
             flow,
+            seq,
             payload_bytes: payload,
             wire_bytes: payload + Self::HEADER_BYTES,
-            kind: PacketKind::Data { seq, retransmit },
         }
     }
 }
@@ -64,20 +47,8 @@ mod tests {
 
     #[test]
     fn data_packet_wire_size() {
-        let p = Packet::data(FlowId(1), 0, 8948, false);
+        let p = Packet::data(FlowId(1), 100, 8948);
         assert_eq!(p.wire_bytes, 9000);
-        assert!(matches!(p.kind, PacketKind::Data { .. }));
-    }
-
-    #[test]
-    fn retransmit_flag_preserved() {
-        let p = Packet::data(FlowId(0), 100, 500, true);
-        match p.kind {
-            PacketKind::Data { seq, retransmit } => {
-                assert_eq!(seq, 100);
-                assert!(retransmit);
-            }
-            _ => panic!("expected data"),
-        }
+        assert_eq!(p.seq, 100);
     }
 }

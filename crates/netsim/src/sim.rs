@@ -7,7 +7,7 @@ use sss_units::{Bytes, TimeDelta};
 
 use crate::config::SimConfig;
 use crate::link::{Enqueue, Link, LinkStats};
-use crate::packet::{FlowId, Packet, PacketKind};
+use crate::packet::{FlowId, Packet};
 use crate::tcp::{AckInfo, TcpAction, TcpReceiver, TcpSender, TcpSenderStats};
 
 /// Specification of one TCP transfer.
@@ -311,15 +311,13 @@ impl Simulator {
                 self.schedule(arrive, EventKind::ArriveServer(pkt));
             }
             EventKind::ArriveServer(pkt) => {
-                if let PacketKind::Data { seq, .. } = pkt.kind {
-                    let now = self.now;
-                    self.delivered
-                        .record(now.as_secs(), pkt.payload_bytes as f64);
-                    let flow = &mut self.flows[pkt.flow.0 as usize];
-                    let info = flow.receiver.on_data(seq, pkt.payload_bytes);
-                    let ack_at = now + self.cfg.ack_delay;
-                    self.schedule(ack_at, EventKind::AckArrive(pkt.flow, info));
-                }
+                let now = self.now;
+                self.delivered
+                    .record(now.as_secs(), pkt.payload_bytes as f64);
+                let flow = &mut self.flows[pkt.flow.0 as usize];
+                let info = flow.receiver.on_data(pkt.seq, pkt.payload_bytes);
+                let ack_at = now + self.cfg.ack_delay;
+                self.schedule(ack_at, EventKind::AckArrive(pkt.flow, info));
             }
             EventKind::AckArrive(id, info) => {
                 let now = self.now;
@@ -356,13 +354,9 @@ impl Simulator {
     fn apply(&mut self, id: FlowId, actions: Vec<TcpAction>) {
         for action in actions {
             match action {
-                TcpAction::Send {
-                    seq,
-                    len,
-                    retransmit,
-                } => {
+                TcpAction::Send { seq, len, .. } => {
                     let client = self.flows[id.0 as usize].spec.client;
-                    let pkt = Packet::data(id, seq, len, retransmit);
+                    let pkt = Packet::data(id, seq, len);
                     match self.access[client as usize].enqueue(pkt, self.now) {
                         Enqueue::StartTx(done) => {
                             self.schedule(done, EventKind::AccessTxDone(client));

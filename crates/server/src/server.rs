@@ -9,6 +9,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+use sss_loadgen::{AdmissionPolicy, FleetConfig, ReplayConfig};
+use sss_sim::{Fidelity, TraceShape};
 use sss_units::Ratio;
 
 use sss_exec::poll::WakePipe;
@@ -111,59 +113,60 @@ const SIMULATE_CACHE_CAP: usize = 256;
 /// the service cap), so their cache is sized like `/frontier`'s.
 const FLEET_CACHE_CAP: usize = 64;
 
-/// The identity of a `/fleet` query: every knob that shapes the fleet,
-/// with float knobs compared by their exact bits (the fleet is a pure
-/// function of them, so bit-equal knobs mean byte-equal bodies).
+/// The identity of a `/fleet` query: the validated [`FleetConfig`], with
+/// float knobs compared by their exact bits. The fleet is a pure function
+/// of its configuration, so equal keys mean byte-equal bodies, and every
+/// spelling of one knob (`"fair"` and `"fair-share"`) shares one entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FleetKey {
     sessions: u32,
     load_bits: u64,
-    shape: String,
-    policy: String,
+    shape: TraceShape,
+    policy: AdmissionPolicy,
     slots: u32,
     wan_bits: u64,
     frames: u32,
     seed: u64,
-    fidelity: String,
+    fidelity: Fidelity,
 }
 
 impl FleetKey {
-    fn of(request: &FleetRequest) -> Self {
+    fn of(config: &FleetConfig) -> Self {
         FleetKey {
-            sessions: request.sessions,
-            load_bits: request.load.to_bits(),
-            shape: request.shape.clone(),
-            policy: request.policy.clone(),
-            slots: request.slots,
-            wan_bits: request.wan_gbps.to_bits(),
-            frames: request.frames,
-            seed: request.seed,
-            fidelity: request.fidelity.clone(),
+            sessions: config.sessions,
+            load_bits: config.load.to_bits(),
+            shape: config.shape,
+            policy: config.policy,
+            slots: config.slots,
+            wan_bits: config.wan.as_bytes_per_sec().to_bits(),
+            frames: config.frames,
+            seed: config.seed,
+            fidelity: config.fidelity,
         }
     }
 }
 
 /// The identity of a `/simulate` query: quantized base parameters plus
-/// every knob that shapes the replay.
+/// the validated [`ReplayConfig`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SimulateKey {
     params: CacheKey,
-    shapes: Vec<String>,
+    shapes: Vec<TraceShape>,
     frames: u32,
     files: u32,
     seed: u64,
-    fidelity: String,
+    fidelity: Fidelity,
 }
 
 impl SimulateKey {
-    fn of(request: &SimulateRequest, params: &sss_core::ModelParams) -> Self {
+    fn of(config: &ReplayConfig, params: &sss_core::ModelParams) -> Self {
         SimulateKey {
             params: CacheKey::of(params),
-            shapes: request.shapes.clone(),
-            frames: request.frames,
-            files: request.files,
-            seed: request.seed,
-            fidelity: request.fidelity.clone(),
+            shapes: config.shapes.clone(),
+            frames: config.frames,
+            files: config.files,
+            seed: config.seed,
+            fidelity: config.fidelity,
         }
     }
 }
@@ -559,7 +562,7 @@ fn handle_simulate(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
         Ok(replay) => replay,
         Err(e) => return (400, error_body(e)),
     };
-    let key = SimulateKey::of(&request, &replay.scenarios()[0].params);
+    let key = SimulateKey::of(replay.config(), &replay.scenarios()[0].params);
     let Ok(body) = state
         .simulate_flight
         .serve_fallible(&state.simulate_cache, key, || {
@@ -586,7 +589,7 @@ fn handle_fleet(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
         Ok(fleet) => fleet,
         Err(e) => return (400, error_body(e)),
     };
-    let key = FleetKey::of(&request);
+    let key = FleetKey::of(fleet.config());
     let served = state
         .fleet_flight
         .serve_fallible(&state.fleet_cache, key, || {

@@ -938,8 +938,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = ServerConfig {
         port: flag_or(flags, "port", 8080u16)?,
         workers: parse_workers(flags)?,
-        cache_capacity: flag_or(flags, "cache-capacity", 4096usize)?,
-        max_batch: flag_or(flags, "batch-max", 32usize)?,
+        cache_capacity: flag_or(flags, "cache-capacity", defaults.cache_capacity)?,
+        max_batch: flag_or(flags, "batch-max", defaults.max_batch)?,
         fleet_session_cap: flag_or(flags, "fleet-cap", defaults.fleet_session_cap)?,
         max_connections: flag_or(flags, "max-conns", defaults.max_connections)?,
         idle_timeout_ticks: flag_or(flags, "idle-ticks", defaults.idle_timeout_ticks)?,
@@ -1001,11 +1001,12 @@ fn cmd_loadtest(flags: &Flags) -> Result<(), String> {
             (addr.clone(), None)
         }
         None => {
+            let defaults = ServerConfig::default();
             let config = ServerConfig {
                 port: 0,
-                cache_capacity: flag_or(flags, "cache-capacity", 4096usize)?,
+                cache_capacity: flag_or(flags, "cache-capacity", defaults.cache_capacity)?,
                 workers: parse_workers(flags)?,
-                ..ServerConfig::default()
+                ..defaults
             };
             let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
             let addr = server.local_addr().to_string();

@@ -508,6 +508,26 @@ fn healthz_cache_stats_are_byte_stable_across_runs() {
 /// be part of the `/fleet` cache key: a request that differs from a
 /// cached one in any single field is a cache miss, never a stale hit.
 #[test]
+fn fleet_policy_spellings_share_one_cache_entry() {
+    let handle = start(2, 64);
+    let addr = handle.addr();
+    let post = |policy: &str| {
+        let body = format!(r#"{{"sessions": 13, "policy": "{policy}"}}"#);
+        let (status, response) = call(addr, "POST", "/fleet", &body);
+        assert_eq!(status, 200, "{response}");
+        response
+    };
+    let fair = post("fair");
+    let before = health(addr).fleet_cache;
+    assert_eq!(post("fair-share"), fair, "both spellings name one policy");
+    let after = health(addr).fleet_cache;
+    assert_eq!(after.misses, before.misses, "the second spelling is a hit");
+    assert_eq!(after.hits, before.hits + 1);
+    assert_eq!(after.entries, 1);
+    handle.shutdown();
+}
+
+#[test]
 fn fleet_cache_key_covers_every_request_field() {
     use stream_score::server::api::FleetRequest;
 
