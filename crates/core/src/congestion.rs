@@ -89,58 +89,29 @@ impl Curve1D {
 /// assert!(mid > 1.9 && mid < 26.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CongestionCurve {
-    /// (utilization, SSS) points sorted by utilization.
-    points: Vec<(f64, f64)>,
-}
+pub struct CongestionCurve(Curve1D);
 
 impl CongestionCurve {
     /// Build from measurement points. Returns `None` when fewer than two
     /// points are given, any value is non-finite, any SSS is below 1, or
     /// utilizations are not strictly increasing after sorting.
-    pub fn from_points(mut points: Vec<(f64, f64)>) -> Option<Self> {
-        if points.len() < 2 {
+    pub fn from_points(points: Vec<(f64, f64)>) -> Option<Self> {
+        if points.iter().any(|&(u, s)| s < 1.0 || u < 0.0) {
             return None;
         }
-        if points
-            .iter()
-            .any(|(u, s)| !u.is_finite() || !s.is_finite() || *s < 1.0 || *u < 0.0)
-        {
-            return None;
-        }
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        if points.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return None; // duplicate utilization: ambiguous curve
-        }
-        Some(CongestionCurve { points })
+        Curve1D::from_points(points).map(CongestionCurve)
     }
 
-    /// The underlying points.
+    /// The (utilization, SSS) points, sorted by utilization.
     pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
+        self.0.points()
     }
 
     /// Interpolated SSS at a utilization. Clamps below the first point;
     /// extrapolates linearly beyond the last (congestion keeps growing),
     /// never returning less than 1.
     pub fn sss_at(&self, utilization: f64) -> Ratio {
-        let pts = &self.points;
-        let first = pts[0];
-        let last = pts[pts.len() - 1];
-        let v = if utilization <= first.0 {
-            first.1
-        } else if utilization >= last.0 {
-            // Extrapolate along the final segment's slope.
-            let prev = pts[pts.len() - 2];
-            let slope = (last.1 - prev.1) / (last.0 - prev.0);
-            last.1 + slope * (utilization - last.0)
-        } else {
-            let i = pts.partition_point(|(u, _)| *u <= utilization);
-            let (u0, s0) = pts[i - 1];
-            let (u1, s1) = pts[i];
-            s0 + (s1 - s0) * (utilization - u0) / (u1 - u0)
-        };
-        Ratio::new(v.max(1.0))
+        Ratio::new(self.0.at(utilization).max(1.0))
     }
 }
 

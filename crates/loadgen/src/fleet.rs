@@ -1806,8 +1806,20 @@ mod tests {
 
     #[test]
     fn fluid_and_exact_fleets_agree_within_the_shape_tolerance() {
-        for shape in TraceShape::ALL {
-            let config = FleetConfig::quick(42).with_load(6.0).with_shape(shape);
+        // The quick cell, and 13 sessions at load 6 through a 40 Gbps
+        // backbone (seed 7) on 4 and on 3 DTN slots.
+        let small = |slots| FleetConfig {
+            sessions: 13,
+            slots,
+            wan: Rate::from_gbps(40.0),
+            ..FleetConfig::standard(7).with_load(6.0)
+        };
+        let cells = [FleetConfig::quick(42).with_load(6.0), small(4), small(3)];
+        for (cell, shape) in cells
+            .iter()
+            .flat_map(|cell| TraceShape::ALL.map(|shape| (cell, shape)))
+        {
+            let config = cell.clone().with_shape(shape);
             let fluid = FleetSim::bundled(config.clone().with_fidelity(Fidelity::Fluid))
                 .unwrap()
                 .run(&ThreadPool::new(1))
@@ -1821,7 +1833,9 @@ mod tests {
                 let rel = (f.movement_s - e.movement_s).abs() / e.movement_s.abs().max(1e-12);
                 assert!(
                     rel <= tol,
-                    "{}/{shape}: fluid {} vs exact {} (rel {rel} > tol {tol})",
+                    "{} sessions on {} slots, {}/{shape}: fluid {} vs exact {} (rel {rel} > tol {tol})",
+                    cell.sessions,
+                    cell.slots,
                     f.scenario_id,
                     f.movement_s,
                     e.movement_s

@@ -1,7 +1,7 @@
 //! Micro-batching of concurrent `/decide` requests.
 //!
-//! Connection threads do not evaluate the model themselves: they submit
-//! the parsed parameters to the [`Batcher`] and block on a reply channel.
+//! Service threads do not evaluate the model themselves: they submit the
+//! parsed parameters to the [`Batcher`] and block on a reply channel.
 //! A single dispatcher thread drains whatever has accumulated in the
 //! submission queue — up to `max_batch` requests — checks the decision
 //! cache for each, decides **all** the misses with
@@ -154,8 +154,8 @@ impl Batcher {
 
     /// Evaluate one workload through the batch pipeline, blocking until
     /// its response body is ready. Fails (instead of panicking the
-    /// connection thread) if the dispatcher is gone — the caller turns
-    /// that into a 500 response.
+    /// service thread) if the dispatcher is gone — the caller turns that
+    /// into a 500 response.
     pub fn submit(&self, params: ModelParams) -> Result<Arc<str>, String> {
         let (reply_tx, reply_rx) = mpsc::channel();
         let job = Job {

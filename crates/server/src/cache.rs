@@ -1,24 +1,25 @@
-//! Sharded, memoized response caches keyed on quantized request identity.
+//! Sharded, memoized response caches keyed on exact request identity.
 //!
 //! Every endpoint of the service is pure: the serialized response for a
 //! given request never changes, so repeated queries can be answered from
 //! memory in O(1) instead of re-deriving the analysis. Two design points
 //! matter:
 //!
-//! * **Quantized keys.** Operators re-ask the same question with floats
-//!   that differ in the last bits (`0.8` vs `0.8000000000000001`, a GB
-//!   computed two ways). [`CacheKey`] quantizes every model parameter to
-//!   9 significant decimal digits, so physically-identical workloads
-//!   share an entry while any meaningful change (well above measurement
-//!   precision) maps to a new one.
+//! * **Exact keys.** A cached body is right only if its key is exactly
+//!   the input the body was computed from. [`CacheKey`] is the seven
+//!   model parameters' bit patterns, so a body is shared only by requests
+//!   that evaluate the same numbers, and a change in the last bit of any
+//!   parameter is a new entry whose bytes are the ones a fresh server
+//!   would return.
 //! * **Sharding.** The cache sits on the hot path of every batch; a
 //!   single mutex would serialize the whole pool. Keys hash to one of
 //!   [`SHARDS`] independently-locked shards, so concurrent batches
 //!   contend only when they touch the same shard.
 //!
 //! The storage itself ([`ResponseCache`]) is generic over the key type:
-//! [`DecisionCache`] keys `/decide` bodies on quantized [`ModelParams`],
-//! and the server keys `/frontier` bodies on the full frontier query.
+//! [`DecisionCache`] keys `/decide` bodies on [`CacheKey`], and the
+//! server keys each compute route's bodies (`/frontier`, `/simulate`,
+//! `/fleet`) on the validated engine input, serialized.
 //! Entries store the *serialized* response body (`Arc<str>`), not the
 //! response struct: a cache hit returns the exact bytes the miss
 //! produced, which is what makes responses byte-identical across worker
@@ -37,34 +38,22 @@ use sss_core::ModelParams;
 /// Number of independently-locked shards.
 pub const SHARDS: usize = 16;
 
-/// A `/decide` cache key: the seven model parameters, each quantized to
-/// 9 significant decimal digits.
+/// A `/decide` cache key: the bit patterns of the seven model
+/// parameters, the exact numbers the response is computed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey([u64; 7]);
-
-/// Quantize one component to 9 significant decimal digits.
-fn quantize(v: f64) -> u64 {
-    // sss-lint: allow(D004, ±0.0 must share a bucket; scientific formatting handles the rest)
-    if v == 0.0 {
-        return 0;
-    }
-    // Round-trip through scientific notation with 8 fractional digits
-    // (9 significant): cheap, allocation-bounded, and exactly mirrors how
-    // the values print, so "looks equal" implies "caches equal".
-    format!("{v:.8e}").parse::<f64>().unwrap_or(v).to_bits()
-}
 
 impl CacheKey {
     /// Key for a parameter set.
     pub fn of(p: &ModelParams) -> Self {
         CacheKey([
-            quantize(p.data_unit.as_b()),
-            quantize(p.intensity.as_flop_per_byte()),
-            quantize(p.local_rate.as_flops()),
-            quantize(p.remote_rate.as_flops()),
-            quantize(p.bandwidth.as_bytes_per_sec()),
-            quantize(p.alpha.value()),
-            quantize(p.theta.value()),
+            p.data_unit.as_b().to_bits(),
+            p.intensity.as_flop_per_byte().to_bits(),
+            p.local_rate.as_flops().to_bits(),
+            p.remote_rate.as_flops().to_bits(),
+            p.bandwidth.as_bytes_per_sec().to_bits(),
+            p.alpha.value().to_bits(),
+            p.theta.value().to_bits(),
         ])
     }
 }
@@ -122,7 +111,7 @@ pub struct ResponseCache<K> {
     evictions: AtomicU64,
 }
 
-/// The `/decide` response cache, keyed on quantized model parameters.
+/// The `/decide` response cache, keyed on the exact model parameters.
 pub type DecisionCache = ResponseCache<CacheKey>;
 
 impl<K: Hash + Eq + Clone> ResponseCache<K> {
@@ -141,16 +130,21 @@ impl<K: Hash + Eq + Clone> ResponseCache<K> {
 
     /// Look up a key, counting the hit or miss.
     pub fn get(&self, key: &K) -> Option<Arc<str>> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let found = self.shards[shard_of(key)].lock().map.get(key).cloned();
+        let found = self.peek(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
+    }
+
+    /// Look up a key without counting it: the re-check of a request
+    /// whose one lookup [`ResponseCache::get`] already counted.
+    pub(crate) fn peek(&self, key: &K) -> Option<Arc<str>> {
+        if self.capacity == 0 {
+            return None;
+        }
+        self.shards[shard_of(key)].lock().map.get(key).cloned()
     }
 
     /// Store a freshly-evaluated response body, evicting the shard's
@@ -212,12 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn quantization_merges_float_noise() {
+    fn keys_are_the_exact_parameter_bits() {
         let a = CacheKey::of(&params(0.8));
+        assert_eq!(a, CacheKey::of(&params(0.8)), "equal inputs share an entry");
         let b = CacheKey::of(&params(0.8 + 1e-13));
-        assert_eq!(a, b, "sub-precision noise must share an entry");
-        let c = CacheKey::of(&params(0.81));
-        assert_ne!(a, c, "meaningful changes must not collide");
+        assert_ne!(a, b, "a last-digits change is a different input");
+        let next = CacheKey::of(&params(f64::from_bits(0.8f64.to_bits() + 1)));
+        assert_ne!(a, next, "one ulp apart is a different input");
     }
 
     #[test]
@@ -260,7 +255,8 @@ mod tests {
 
     #[test]
     fn string_keyed_cache_works() {
-        // The generic storage also backs the /frontier body cache.
+        // The generic storage also backs the compute routes' body caches,
+        // keyed on the serialized engine input.
         let cache: ResponseCache<String> = ResponseCache::new(32);
         cache.insert("query-a".to_string(), Arc::from("map"));
         assert_eq!(cache.get(&"query-a".to_string()).as_deref(), Some("map"));

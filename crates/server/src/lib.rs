@@ -17,13 +17,17 @@
 //!   `POST /simulate`, `POST /fleet`, `GET /scenarios` and `GET /healthz`.
 //! * [`batch::Batcher`] — micro-batches concurrent `/decide` bodies and
 //!   evaluates each wave of cache misses in one [`sss_exec::ThreadPool`]
-//!   fan-out. `/frontier` requests fan their grid rows and boundary edges
-//!   across the same pool size, and memoize whole response bodies.
-//! * [`cache::ResponseCache`] — sharded body memoization; the
-//!   [`cache::DecisionCache`] instance keys `/decide` on quantized
-//!   [`ModelParams`](sss_core::ModelParams), a second instance keys
-//!   `/frontier` on the full query. Repeat queries are answered from
-//!   memory with the exact bytes the first evaluation produced.
+//!   fan-out. The compute routes (`/frontier`, `/simulate`, `/fleet`) fan
+//!   each miss across a pool of the same size and memoize whole response
+//!   bodies.
+//! * [`cache::ResponseCache`] — sharded body memoization, always keyed on
+//!   the exact validated input: the [`cache::DecisionCache`] instance
+//!   keys `/decide` on the bits of the
+//!   [`ModelParams`](sss_core::ModelParams), and one instance per compute
+//!   route keys its bodies on the validated engine input, serialized.
+//!   Repeat queries are answered from memory with the exact bytes the
+//!   first evaluation produced, and each request counts one hit or one
+//!   miss.
 //! * [`api`] — the JSON request/response types, in the paper's own units.
 //!
 //! # Example

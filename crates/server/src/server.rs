@@ -1,7 +1,6 @@
 //! Service configuration, request router, and lifecycle handle.
 
 use std::collections::HashSet;
-use std::convert::Infallible;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -9,18 +8,17 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use sss_loadgen::{AdmissionPolicy, FleetConfig, ReplayConfig};
-use sss_sim::{Fidelity, TraceShape};
 use sss_units::Ratio;
 
 use sss_exec::poll::WakePipe;
 use sss_exec::ThreadPool;
 
 use crate::api::{
-    ErrorResponse, FleetRequest, FrontierRequest, ScenariosResponse, SimulateRequest, TiersRequest,
+    DecideRequest, ErrorResponse, FleetRequest, FrontierRequest, ScenariosResponse,
+    SimulateRequest, TiersRequest,
 };
 use crate::batch::{BatchStats, Batcher};
-use crate::cache::{CacheKey, CacheStats, DecisionCache, ResponseCache};
+use crate::cache::{CacheStats, DecisionCache, ResponseCache};
 use crate::http::Request;
 
 /// How the service is sized. `Default` is a sensible interactive setup:
@@ -72,34 +70,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// The identity of a `/frontier` query: quantized base parameters plus
-/// every knob that shapes the map. Two requests with the same key get the
-/// same bytes back.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FrontierKey {
-    params: CacheKey,
-    x: String,
-    y: String,
-    z: Option<String>,
-    resolution: usize,
-    tolerance_bits: u64,
-    slices: usize,
-}
-
-impl FrontierKey {
-    fn of(request: &FrontierRequest, params: &sss_core::ModelParams) -> Self {
-        FrontierKey {
-            params: CacheKey::of(params),
-            x: request.x.clone(),
-            y: request.y.clone(),
-            z: request.z.clone(),
-            resolution: request.resolution,
-            tolerance_bits: request.tolerance.to_bits(),
-            slices: request.slices,
-        }
-    }
-}
-
 /// Frontier responses are three orders of magnitude bigger than decide
 /// bodies, so their cache holds at most this many entries regardless of
 /// the configured `/decide` capacity.
@@ -113,148 +83,90 @@ const SIMULATE_CACHE_CAP: usize = 256;
 /// the service cap), so their cache is sized like `/frontier`'s.
 const FLEET_CACHE_CAP: usize = 64;
 
-/// The identity of a `/fleet` query: the validated [`FleetConfig`], with
-/// float knobs compared by their exact bits. The fleet is a pure function
-/// of its configuration, so equal keys mean byte-equal bodies, and every
-/// spelling of one knob (`"fair"` and `"fair-share"`) shares one entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FleetKey {
-    sessions: u32,
-    load_bits: u64,
-    shape: TraceShape,
-    policy: AdmissionPolicy,
-    slots: u32,
-    wan_bits: u64,
-    frames: u32,
-    seed: u64,
-    fidelity: Fidelity,
-}
-
-impl FleetKey {
-    fn of(config: &FleetConfig) -> Self {
-        FleetKey {
-            sessions: config.sessions,
-            load_bits: config.load.to_bits(),
-            shape: config.shape,
-            policy: config.policy,
-            slots: config.slots,
-            wan_bits: config.wan.as_bytes_per_sec().to_bits(),
-            frames: config.frames,
-            seed: config.seed,
-            fidelity: config.fidelity,
-        }
-    }
-}
-
-/// The identity of a `/simulate` query: quantized base parameters plus
-/// the validated [`ReplayConfig`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SimulateKey {
-    params: CacheKey,
-    shapes: Vec<TraceShape>,
-    frames: u32,
-    files: u32,
-    seed: u64,
-    fidelity: Fidelity,
-}
-
-impl SimulateKey {
-    fn of(config: &ReplayConfig, params: &sss_core::ModelParams) -> Self {
-        SimulateKey {
-            params: CacheKey::of(params),
-            shapes: config.shapes.clone(),
-            frames: config.frames,
-            files: config.files,
-            seed: config.seed,
-            fidelity: config.fidelity,
-        }
-    }
-}
-
-/// Single-flight coordination: the first thread to miss on a key
-/// computes; identical concurrent misses wait for its insert and are
-/// then served the computer's exact bytes from the cache, instead of
-/// burning the pool N times for one answer. The vendored parking_lot
-/// has no Condvar, so this uses std's; a poisoned lock is recovered
-/// rather than propagated (the critical sections are pure HashSet
-/// operations, so the set cannot be left inconsistent).
-struct SingleFlight<K> {
-    inflight: Mutex<HashSet<K>>,
+/// One compute route's memo: its body cache, keyed on the validated
+/// engine input serialized, plus single-flight claims. The first request
+/// to miss on a key computes; identical concurrent misses wait for its
+/// insert and are then served the computer's exact bytes, instead of
+/// burning the pool N times for one answer. The vendored parking_lot has
+/// no Condvar, so this uses std's; a poisoned lock is recovered rather
+/// than propagated (the critical sections are pure `HashSet` operations
+/// and cache reads, so the set cannot be left inconsistent).
+struct Memo {
+    cache: ResponseCache<String>,
+    inflight: Mutex<HashSet<String>>,
     done: Condvar,
 }
 
-impl<K: Clone + Eq + std::hash::Hash> SingleFlight<K> {
-    fn new() -> Self {
-        SingleFlight {
+impl Memo {
+    fn new(capacity: usize) -> Self {
+        Memo {
+            cache: ResponseCache::new(capacity),
             inflight: Mutex::new(HashSet::new()),
             done: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashSet<K>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashSet<String>> {
         self.inflight
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Serve `key` from `cache`, computing the body at most once across
-    /// concurrent identical requests. (With caching disabled every
-    /// waiter recomputes — degenerate but correct.) Only a success is
-    /// memoized, so a failure answers this caller alone and an identical
-    /// later request recomputes instead of being served a cached error;
-    /// a compute step that cannot fail returns `Result<_, Infallible>`.
-    fn serve_fallible<E>(
+    /// Serve `key`, computing the body at most once across concurrent
+    /// identical requests. The request's one lookup is counted as a hit
+    /// or a miss; the re-checks while it waits for a claim are not. (With
+    /// caching disabled every waiter recomputes, one at a time:
+    /// degenerate but correct.) Only a success is memoized, so a failure
+    /// answers this caller alone and an identical later request
+    /// recomputes instead of being served a cached error.
+    fn serve(
         &self,
-        cache: &ResponseCache<K>,
-        key: K,
-        compute: impl FnOnce() -> Result<Arc<str>, E>,
-    ) -> Result<Arc<str>, E> {
+        key: String,
+        compute: impl FnOnce() -> Result<Arc<str>, String>,
+    ) -> Result<Arc<str>, String> {
+        if let Some(hit) = self.cache.get(&key) {
+            return Ok(hit);
+        }
+        let mut inflight = self.lock();
         loop {
-            if let Some(hit) = cache.get(&key) {
+            // A computer inserts its body before it drops its claim, and
+            // both this check and the claim happen under the lock, so a
+            // key that is not claimed is either cached or not computed.
+            if let Some(hit) = self.cache.peek(&key) {
                 return Ok(hit);
             }
-            let mut inflight = self.lock();
             if inflight.insert(key.clone()) {
                 break;
             }
             // Someone else is computing this key: wait for them to
-            // finish, then re-check the cache. A computer that *failed*
-            // releases its claim without an insert; the re-check misses
-            // and this waiter takes over.
-            drop(
-                self.done
-                    .wait(inflight)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
+            // finish. A computer that *failed* releases its claim without
+            // an insert; the re-check misses and this waiter takes over.
+            inflight = self
+                .done
+                .wait(inflight)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+        drop(inflight);
         // Remove the claim even if serialization or the pool panics, so
         // an identical later request is never stuck waiting forever.
-        struct Claim<'a, K: Clone + Eq + std::hash::Hash> {
-            flight: &'a SingleFlight<K>,
-            key: &'a K,
+        struct Claim<'a> {
+            memo: &'a Memo,
+            key: &'a str,
         }
-        impl<K: Clone + Eq + std::hash::Hash> Drop for Claim<'_, K> {
+        impl Drop for Claim<'_> {
             fn drop(&mut self) {
-                self.flight.lock().remove(self.key);
-                self.flight.done.notify_all();
+                self.memo.lock().remove(self.key);
+                self.memo.done.notify_all();
             }
         }
-        let claim = Claim {
-            flight: self,
+        let _claim = Claim {
+            memo: self,
             key: &key,
         };
-        // Re-check after winning the claim: another computer's insert
-        // may have landed between our miss and our claim, and recomputing
-        // for bytes already in the cache would waste the pool.
-        if let Some(hit) = cache.get(&key) {
-            drop(claim);
-            return Ok(hit);
-        }
         let result = compute();
         if let Ok(body) = &result {
-            cache.insert(key.clone(), body.clone());
+            self.cache.insert(key.clone(), body.clone());
         }
-        drop(claim);
         result
     }
 }
@@ -263,15 +175,12 @@ impl<K: Clone + Eq + std::hash::Hash> SingleFlight<K> {
 /// one `Arc`.
 pub(crate) struct AppState {
     cache: Arc<DecisionCache>,
-    /// Shared pool `/frontier` and `/simulate` cache misses fan their
-    /// work across, sized like the batcher's.
+    /// Shared pool the compute routes' cache misses fan their work
+    /// across, sized like the batcher's.
     miss_pool: ThreadPool,
-    frontier_cache: ResponseCache<FrontierKey>,
-    frontier_flight: SingleFlight<FrontierKey>,
-    simulate_cache: ResponseCache<SimulateKey>,
-    simulate_flight: SingleFlight<SimulateKey>,
-    fleet_cache: ResponseCache<FleetKey>,
-    fleet_flight: SingleFlight<FleetKey>,
+    frontier: Memo,
+    simulate: Memo,
+    fleet: Memo,
     batcher: Batcher,
     scenarios_body: Arc<str>,
     started: Instant,
@@ -371,12 +280,9 @@ impl Server {
             state: Arc::new(AppState {
                 cache,
                 miss_pool: ThreadPool::new(config.workers),
-                frontier_cache: ResponseCache::new(config.cache_capacity.min(FRONTIER_CACHE_CAP)),
-                frontier_flight: SingleFlight::new(),
-                simulate_cache: ResponseCache::new(config.cache_capacity.min(SIMULATE_CACHE_CAP)),
-                simulate_flight: SingleFlight::new(),
-                fleet_cache: ResponseCache::new(config.cache_capacity.min(FLEET_CACHE_CAP)),
-                fleet_flight: SingleFlight::new(),
+                frontier: Memo::new(config.cache_capacity.min(FRONTIER_CACHE_CAP)),
+                simulate: Memo::new(config.cache_capacity.min(SIMULATE_CACHE_CAP)),
+                fleet: Memo::new(config.cache_capacity.min(FLEET_CACHE_CAP)),
                 batcher,
                 scenarios_body,
                 started,
@@ -484,12 +390,37 @@ pub(crate) fn error_body(message: String) -> Arc<str> {
 /// Bodies are `Arc<str>` so the hot paths (cached `/decide` hits, the
 /// precomputed `/scenarios` catalog) are served without copying them.
 pub(crate) fn route(request: &Request, state: &AppState) -> (u16, Arc<str>) {
+    let body = &request.body;
+    let pool = &state.miss_pool;
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/decide") => handle_decide(&request.body, state),
-        ("POST", "/tiers") => handle_tiers(&request.body),
-        ("POST", "/frontier") => handle_frontier(&request.body, state),
-        ("POST", "/simulate") => handle_simulate(&request.body, state),
-        ("POST", "/fleet") => handle_fleet(&request.body, state),
+        ("POST", "/decide") => handle_decide(body, state),
+        ("POST", "/tiers") => handle_tiers(body),
+        ("POST", "/frontier") => handle_compute(
+            body,
+            "frontier",
+            &state.frontier,
+            |request: FrontierRequest| request.job(),
+            |job| serde_json::to_string(&(job.base(), job.spec())),
+            |job| Ok(json_body(&job.run(pool))),
+        ),
+        ("POST", "/simulate") => handle_compute(
+            body,
+            "simulate",
+            &state.simulate,
+            |request: SimulateRequest| request.replay(),
+            |replay| serde_json::to_string(&(replay.scenarios(), replay.config())),
+            |replay| Ok(json_body(&replay.run(pool))),
+        ),
+        ("POST", "/fleet") => handle_compute(
+            body,
+            "fleet",
+            &state.fleet,
+            |request: FleetRequest| request.fleet(state.config.fleet_session_cap),
+            |fleet| serde_json::to_string(fleet.config()),
+            // Fails only on a self-composed trace the engine's own kernel
+            // rejects: a 500 that is not memoized.
+            |fleet| fleet.run(pool).map(|report| json_body(&report)),
+        ),
         ("GET", "/scenarios") => (200, state.scenarios_body.clone()),
         ("GET", "/healthz") => handle_healthz(state),
         (
@@ -506,8 +437,17 @@ pub(crate) fn route(request: &Request, state: &AppState) -> (u16, Arc<str>) {
     }
 }
 
+/// Decode a POST body: UTF-8, then JSON into the route's request type,
+/// whose `deny_unknown_fields` turns a misspelled key into an error.
+fn decode<R: serde::Deserialize>(body: &[u8], route: &str) -> Result<R, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    serde_json::from_str(text).map_err(|e| format!("bad {route} request: {e}"))
+}
+
 fn handle_decide(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
-    let params = match parse_workload(body) {
+    let params = match decode(body, "decide")
+        .and_then(|request: DecideRequest| request.params().map_err(|e| e.to_string()))
+    {
         Ok(p) => p,
         Err(msg) => return (400, error_body(msg)),
     };
@@ -517,104 +457,39 @@ fn handle_decide(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
     }
 }
 
-/// `POST /frontier`: parse the query, answer repeats from the memoized
-/// body cache, and compute misses by fanning the frontier's grid rows and
-/// boundary edges across a worker pool — the per-cell analogue of the
-/// `/decide` batch wave. The computation is position-seeded, so the bytes
-/// served are independent of worker count and of the hit/miss boundary.
-fn handle_frontier(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8".into())),
-    };
-    let request: FrontierRequest = match serde_json::from_str(text) {
-        Ok(r) => r,
-        Err(e) => return (400, error_body(format!("bad frontier request: {e}"))),
-    };
-    let job = match request.job() {
-        Ok(job) => job,
+/// `POST /frontier`, `/simulate` and `/fleet`: decode the body, validate
+/// it into an engine, then serve the route's memo entry for `key`, the
+/// engine's validated input serialized. Each engine is a position-seeded
+/// pure function of that input, fanned across the worker pool on a miss,
+/// so a key cannot drift from the work it stands for, every spelling of
+/// one knob shares an entry, and the bytes served are independent of
+/// worker count and of the hit/miss boundary.
+fn handle_compute<R: serde::Deserialize, E>(
+    body: &[u8],
+    route: &str,
+    memo: &Memo,
+    validate: impl FnOnce(R) -> Result<E, String>,
+    key: impl FnOnce(&E) -> Result<String, serde_json::Error>,
+    run: impl FnOnce(&E) -> Result<Arc<str>, String>,
+) -> (u16, Arc<str>) {
+    let engine = match decode(body, route).and_then(validate) {
+        Ok(engine) => engine,
         Err(e) => return (400, error_body(e)),
     };
-    let key = FrontierKey::of(&request, job.base());
-    let Ok(body) = state
-        .frontier_flight
-        .serve_fallible(&state.frontier_cache, key, || {
-            Ok::<_, Infallible>(json_body(&job.run(&state.miss_pool)))
-        });
-    (200, body)
-}
-
-/// `POST /simulate`: replay the workload through the event-driven
-/// simulator under the requested trace shapes, memoizing whole response
-/// bodies in [`AppState::simulate_cache`]. The replay is position-seeded
-/// and the cells fan across the worker pool, so the bytes served are
-/// independent of worker count and of the hit/miss boundary.
-fn handle_simulate(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8".into())),
+    let served = match key(&engine) {
+        Ok(key) => memo.serve(key, || run(&engine)),
+        Err(e) => Err(e.to_string()),
     };
-    let request: SimulateRequest = match serde_json::from_str(text) {
-        Ok(r) => r,
-        Err(e) => return (400, error_body(format!("bad simulate request: {e}"))),
-    };
-    let replay = match request.replay() {
-        Ok(replay) => replay,
-        Err(e) => return (400, error_body(e)),
-    };
-    let key = SimulateKey::of(replay.config(), &replay.scenarios()[0].params);
-    let Ok(body) = state
-        .simulate_flight
-        .serve_fallible(&state.simulate_cache, key, || {
-            Ok::<_, Infallible>(json_body(&replay.run(&state.miss_pool)))
-        });
-    (200, body)
-}
-
-/// `POST /fleet`: replay a multi-tenant fleet of catalog sessions under
-/// WAN sharing and DTN slot contention, memoizing whole response bodies
-/// in [`AppState::fleet_cache`]. The fleet is position-seeded and its
-/// per-session movement replays fan across the worker pool, so the bytes
-/// served are independent of worker count and of the hit/miss boundary.
-fn handle_fleet(body: &[u8], state: &AppState) -> (u16, Arc<str>) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8".into())),
-    };
-    let request: FleetRequest = match serde_json::from_str(text) {
-        Ok(r) => r,
-        Err(e) => return (400, error_body(format!("bad fleet request: {e}"))),
-    };
-    let fleet = match request.fleet(state.config.fleet_session_cap) {
-        Ok(fleet) => fleet,
-        Err(e) => return (400, error_body(e)),
-    };
-    let key = FleetKey::of(fleet.config());
-    let served = state
-        .fleet_flight
-        .serve_fallible(&state.fleet_cache, key, || {
-            match fleet.run(&state.miss_pool) {
-                Ok(report) => Ok(json_body(&report)),
-                // Unreachable by construction (the engine only fails on a
-                // self-composed trace its own kernel rejects), but a 500
-                // body must not be memoized as this key's answer.
-                Err(e) => Err(error_body(format!("internal: {e}"))),
-            }
-        });
     match served {
         Ok(body) => (200, body),
-        Err(body) => (500, body),
+        Err(e) => (500, error_body(format!("internal: {e}"))),
     }
 }
 
 fn handle_tiers(body: &[u8]) -> (u16, Arc<str>) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8".into())),
-    };
-    let request: TiersRequest = match serde_json::from_str(text) {
+    let request: TiersRequest = match decode(body, "tiers") {
         Ok(r) => r,
-        Err(e) => return (400, error_body(format!("bad tiers request: {e}"))),
+        Err(e) => return (400, error_body(e)),
     };
     if !request.sss.is_finite() || request.sss < 1.0 {
         return (
@@ -640,18 +515,10 @@ fn handle_healthz(state: &AppState) -> (u16, Arc<str>) {
         open_connections: state.open_conns.load(Ordering::Relaxed),
         cache: state.cache.stats(),
         batch: state.batcher.stats(),
-        frontier_cache: state.frontier_cache.stats(),
-        simulate_cache: state.simulate_cache.stats(),
-        fleet_cache: state.fleet_cache.stats(),
+        frontier_cache: state.frontier.cache.stats(),
+        simulate_cache: state.simulate.cache.stats(),
+        fleet_cache: state.fleet.cache.stats(),
         fleet_session_cap: state.config.fleet_session_cap,
     };
     (200, json_body(&health))
-}
-
-/// Parse and validate a `/decide` body into model parameters.
-fn parse_workload(body: &[u8]) -> Result<sss_core::ModelParams, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let request: crate::api::DecideRequest =
-        serde_json::from_str(text).map_err(|e| format!("bad decide request: {e}"))?;
-    request.params().map_err(|e| e.to_string())
 }

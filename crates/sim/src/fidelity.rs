@@ -5,9 +5,9 @@
 //! [`BandwidthTrace`](crate::BandwidthTrace) breakpoints instead. A
 //! [`Fidelity`] selects which world a consumer runs in, and the
 //! [`fluid_tolerance`] contract states — as exported constants, so the
-//! library, the differential tests, the CLI `--check` gate and CI all
-//! compare against the same numbers — how closely the fluid answer must
-//! track the exact one for each bundled [`TraceShape`].
+//! library, the differential tests and the `sim_validation` regenerator
+//! all compare against the same numbers — how closely the fluid answer
+//! must track the exact one for each bundled [`TraceShape`].
 
 use serde::{Deserialize, Serialize};
 
@@ -47,8 +47,8 @@ pub const FLUID_TOLERANCE_OUTAGE: f64 = 1e-6;
 /// bundled trace shape.
 ///
 /// This is the single source the differential harness
-/// (`tests/fidelity_parity.rs`), the proptest suites, the CLI `--check`
-/// gate and the CI determinism job all consult.
+/// (`tests/fidelity_parity.rs`), the proptest suites and the bench
+/// regenerators all consult.
 ///
 /// ```
 /// use sss_sim::{fluid_tolerance, TraceShape, FLUID_TOLERANCE_STEADY};

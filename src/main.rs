@@ -28,12 +28,11 @@ use stream_score::loadgen::{
     boundary_csv, fleet_csv, fleet_scenario_table, fleet_table, frontier_csv, frontier_table,
     loadtest_table, replay_csv, replay_summary_table, replay_table, run_http_load, AdmissionPolicy,
     FleetConfig, FleetSim, FrontierJob, HttpLoadSpec, ReplayConfig, SessionReplay,
-    STEADY_TOLERANCE,
 };
 use stream_score::prelude::*;
 use stream_score::report::CharGrid;
 use stream_score::server::{Server, ServerConfig};
-use stream_score::sim::{fluid_tolerance, Fidelity, TraceShape};
+use stream_score::sim::{Fidelity, TraceShape};
 
 fn usage() -> &'static str {
     "stream-score — to stream or not to stream?\n\
@@ -50,12 +49,12 @@ fn usage() -> &'static str {
        stream-score simulate  [--scenario <ID>] [--shapes steady,diurnal,bursty,outage]\n\
                               [--frames <N>] [--files <N>] [--seed <N>]\n\
                               [--fidelity exact|fluid] [--workers <N>]\n\
-                              [--format text|md|csv] [--check true] [--tolerance <T>]\n\
+                              [--format text|md|csv]\n\
        stream-score fleet     [--scenario <ID>] [--sessions <N>] [--load <L>]\n\
                               [--policy fifo|fair-share|priority] [--slots <N>]\n\
                               [--wan <RATE>] [--shape steady|diurnal|bursty|outage]\n\
                               [--frames <N>] [--seed <N>] [--fidelity exact|fluid]\n\
-                              [--workers <N>] [--format text|md|csv] [--check true]\n\
+                              [--workers <N>] [--format text|md|csv]\n\
        stream-score frontier  --scenario <ID> | (same flags as decide)\n\
                               --x <AXIS:LO:HI[:log]> --y <AXIS:LO:HI[:log]>\n\
                               [--z <AXIS:LO:HI[:log]> --slices <N>]\n\
@@ -147,16 +146,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_simulate,
         params: false,
         flags: &[
-            "scenario",
-            "shapes",
-            "frames",
-            "files",
-            "seed",
-            "fidelity",
-            "workers",
-            "format",
-            "check",
-            "tolerance",
+            "scenario", "shapes", "frames", "files", "seed", "fidelity", "workers", "format",
         ],
     },
     Command {
@@ -165,7 +155,7 @@ const COMMANDS: &[Command] = &[
         params: false,
         flags: &[
             "scenario", "sessions", "load", "policy", "slots", "wan", "shape", "frames", "seed",
-            "fidelity", "workers", "format", "check",
+            "fidelity", "workers", "format",
         ],
     },
     Command {
@@ -514,33 +504,6 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
             format.unwrap_or_default()
         ));
     }
-    let check = match flags.get("check").map(String::as_str) {
-        Some("true") => true,
-        Some("false") | None => false,
-        Some(other) => return Err(format!("bad --check {other:?} (use true or false)")),
-    };
-    // An explicit steady-check tolerance must be a usable number: zero,
-    // negative, NaN or infinite tolerances would make the gate pass (or
-    // fail) vacuously, so they are rejected up front with the offending
-    // value named.
-    let steady_tolerance = match flags.get("tolerance") {
-        Some(raw) => {
-            if !check {
-                return Err("--tolerance only affects --check; pass --check true".into());
-            }
-            let t: f64 = raw
-                .parse()
-                .map_err(|_| format!("bad --tolerance {raw:?} (expected a number)"))?;
-            if !(t.is_finite() && t > 0.0) {
-                return Err(format!(
-                    "--tolerance must be a positive finite number, got {raw:?}"
-                ));
-            }
-            t
-        }
-        None => STEADY_TOLERANCE,
-    };
-
     let replay = match flags.get("scenario") {
         Some(query) => SessionReplay::new(vec![Scenario::resolve(query)?], config),
         None => SessionReplay::bundled(config),
@@ -567,64 +530,6 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
                 replay.scenarios().len(),
                 replay.config().shapes.len(),
             );
-        }
-    }
-
-    if check {
-        let steady = report
-            .shape_summary(TraceShape::Steady)
-            .ok_or("--check needs the steady shape in --shapes")?;
-        if steady.max_rel_err > steady_tolerance {
-            return Err(format!(
-                "steady-trace replay drifted {} from the closed form (tolerance {})",
-                steady.max_rel_err, steady_tolerance
-            ));
-        }
-        if steady.agreement < 1.0 {
-            return Err(format!(
-                "steady-trace replay disagrees with the model on {:.1}% of scenarios",
-                (1.0 - steady.agreement) * 100.0
-            ));
-        }
-        // Under the fluid fidelity the check also gates the fast path
-        // itself: replay the same cells through the exact integrator and
-        // hold every cell to the per-shape tolerance the library exports
-        // (the same constants the test suites use).
-        let mut fluid_max_rel = None;
-        if replay.config().fidelity == Fidelity::Fluid {
-            let exact = SessionReplay::new(
-                replay.scenarios().to_vec(),
-                replay.config().clone().with_fidelity(Fidelity::Exact),
-            )?
-            .run(&pool);
-            let mut max_rel = 0.0f64;
-            for (f, e) in report.records.iter().zip(&exact.records) {
-                let rel = (f.sim_t_pct_s - e.sim_t_pct_s).abs() / e.sim_t_pct_s.abs().max(1e-12);
-                max_rel = max_rel.max(rel);
-                let tol = fluid_tolerance(e.shape);
-                if rel > tol {
-                    return Err(format!(
-                        "{} under {}: fluid T_pct {} drifted {rel:.3e} from the exact \
-                         integrator's {} (per-shape tolerance {tol:.0e})",
-                        f.scenario_id, f.shape, f.sim_t_pct_s, e.sim_t_pct_s
-                    ));
-                }
-            }
-            fluid_max_rel = Some(max_rel);
-        }
-        // The confirmation is human-facing chatter; never append it to
-        // machine-readable CSV output.
-        if format != Some("csv") {
-            println!(
-                "check passed: steady max err {:.2e} <= {steady_tolerance:.0e}, agreement 100%",
-                steady.max_rel_err
-            );
-            if let Some(max_rel) = fluid_max_rel {
-                println!(
-                    "fluid parity passed: max |fluid - exact| / exact = {max_rel:.2e} \
-                     within the per-shape tolerances"
-                );
-            }
         }
     }
     Ok(())
@@ -656,15 +561,9 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
             format.unwrap_or_default()
         ));
     }
-    let check = match flags.get("check").map(String::as_str) {
-        Some("true") => true,
-        Some("false") | None => false,
-        Some(other) => return Err(format!("bad --check {other:?} (use true or false)")),
-    };
-
     let fleet = match flags.get("scenario") {
-        Some(query) => FleetSim::new(vec![Scenario::resolve(query)?], config.clone()),
-        None => FleetSim::bundled(config.clone()),
+        Some(query) => FleetSim::new(vec![Scenario::resolve(query)?], config),
+        None => FleetSim::bundled(config),
     }?;
     let pool = ThreadPool::new(parse_workers(flags)?);
     let report = fleet.run(&pool)?;
@@ -687,53 +586,11 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
                 report.overall.mispredict_rate * 100.0,
                 report.records.len(),
                 report.peak_active,
-                config.slots,
+                fleet.config().slots,
                 report.slowdown_p50,
                 report.slowdown_p90,
                 report.slowdown_p99,
                 report.makespan_s,
-            );
-        }
-    }
-
-    if check {
-        // Differential gate: replay the same fleet through the *other*
-        // movement integrator and hold every session's contended movement
-        // to the per-shape tolerance the library exports. The allocation
-        // integrator (and hence queue waits) is shared, so movement is
-        // the only number that can drift.
-        let counterpart = if config.fidelity == Fidelity::Exact {
-            Fidelity::Fluid
-        } else {
-            Fidelity::Exact
-        };
-        let other = FleetSim::new(
-            fleet.scenarios().to_vec(),
-            config.clone().with_fidelity(counterpart),
-        )?
-        .run(&pool)?;
-        let tol = fluid_tolerance(config.shape);
-        let mut max_rel = 0.0f64;
-        for (a, b) in report.records.iter().zip(&other.records) {
-            let rel = (a.movement_s - b.movement_s).abs() / b.movement_s.abs().max(1e-12);
-            max_rel = max_rel.max(rel);
-            if rel > tol {
-                return Err(format!(
-                    "session {} ({}): {} movement {} drifted {rel:.3e} from the {} \
-                     integrator's {} (per-shape tolerance {tol:.0e})",
-                    a.session,
-                    a.scenario_id,
-                    config.fidelity,
-                    a.movement_s,
-                    counterpart,
-                    b.movement_s
-                ));
-            }
-        }
-        if format != Some("csv") {
-            println!(
-                "check passed: max |{} - {}| / {} movement = {max_rel:.2e} <= {tol:.0e}",
-                config.fidelity, counterpart, counterpart
             );
         }
     }

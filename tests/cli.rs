@@ -156,6 +156,9 @@ fn unknown_flags_are_rejected() {
         (&["scenarios", "--mode", "sequential"], "--mode"),
         (&["serve", "--read-buf", "1"], "--read-buf"),
         (&["serve", "--write-buf", "1"], "--write-buf"),
+        (&["simulate", "--check", "true"], "--check"),
+        (&["simulate", "--tolerance", "1e-6"], "--tolerance"),
+        (&["fleet", "--check", "true"], "--check"),
         (
             &[
                 "frontier",

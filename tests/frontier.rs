@@ -168,10 +168,9 @@ fn http_frontier_round_trips_and_memoizes() {
         "healthz exposes frontier cache: {health}"
     );
     let health: stream_score::server::Health = serde_json::from_str(&health).unwrap();
-    // The computing request looks the key up twice (initial probe plus the
-    // re-check after winning the single-flight claim), so one computation
-    // shows as two misses; the repeat request is the lone hit.
-    assert_eq!(health.frontier_cache.misses, 2);
+    // Each request counts one lookup: the computed body a miss, the
+    // repeat a hit.
+    assert_eq!(health.frontier_cache.misses, 1);
     assert_eq!(health.frontier_cache.hits, 1);
     assert_eq!(health.frontier_cache.entries, 1);
 

@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use stream_score::server::{Health, Server, ServerConfig, ServerHandle};
+use stream_score::server::{CacheStats, Health, Server, ServerConfig, ServerHandle};
 
 fn start(workers: usize, cache_capacity: usize) -> ServerHandle {
     let server = Server::bind(ServerConfig {
@@ -326,10 +326,9 @@ fn simulate_replays_a_workload_with_memoized_bodies() {
     assert_eq!(status, 200);
     assert_eq!(first, second, "cache hits must return the miss's bytes");
     let h = health(addr);
-    // A cold key counts two misses: the initial lookup plus the
-    // single-flight re-check after winning the compute claim (the same
-    // accounting /frontier uses).
-    assert_eq!(h.simulate_cache.misses, 2);
+    // Each request counts one lookup: the computed body a miss, the
+    // repeat a hit.
+    assert_eq!(h.simulate_cache.misses, 1);
     assert_eq!(h.simulate_cache.hits, 1);
     assert_eq!(h.simulate_cache.entries, 1);
 
@@ -364,19 +363,19 @@ fn cache_accounts_hits_and_misses() {
     assert_eq!(h.cache.hits, 4);
     assert_eq!(h.cache.entries, 1);
 
-    // A sub-precision perturbation quantizes onto the same entry...
+    // A change in the last digits is a different input, so a new entry...
     let noisy = TABLE3.replace("\"alpha\":0.8", "\"alpha\":0.8000000000001");
     let (status, _) = call(addr, "POST", "/decide", &noisy);
     assert_eq!(status, 200);
     let h = health(addr);
-    assert_eq!((h.cache.misses, h.cache.hits), (1, 5));
+    assert_eq!((h.cache.misses, h.cache.hits, h.cache.entries), (2, 4, 2));
 
-    // ...while a meaningful change is a new entry.
+    // ...as is a larger change.
     let changed = TABLE3.replace("\"alpha\":0.8", "\"alpha\":0.7");
     let (status, _) = call(addr, "POST", "/decide", &changed);
     assert_eq!(status, 200);
     let h = health(addr);
-    assert_eq!((h.cache.misses, h.cache.entries), (2, 2));
+    assert_eq!((h.cache.misses, h.cache.entries), (3, 3));
 
     handle.shutdown();
 }
@@ -527,59 +526,228 @@ fn fleet_policy_spellings_share_one_cache_entry() {
     handle.shutdown();
 }
 
+/// A named edit of a request.
+type Edit<R> = (&'static str, fn(&mut R));
+
+/// One compute route's key-coverage case: the route, its `/healthz`
+/// counters, a base request, one in-range alternative per wire field
+/// (each must miss), and other spellings of the base (each must hit).
+struct KeyCase<R: 'static> {
+    path: &'static str,
+    stats: fn(&Health) -> CacheStats,
+    base: R,
+    variants: &'static [Edit<R>],
+    spellings: &'static [Edit<R>],
+}
+
+impl<R: serde::Serialize + Clone + PartialEq + std::fmt::Debug + 'static> KeyCase<R> {
+    fn check(&self, addr: std::net::SocketAddr) {
+        let path = self.path;
+        // The table names every serialized field, so a field added later
+        // fails here until it has a variant (and a place in the key).
+        let serde::Value::Map(fields) = serde_json::to_value(&self.base).expect("serializes")
+        else {
+            panic!("{path}: the request serializes as a JSON object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        let covered: Vec<&str> = self.variants.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names, covered,
+            "{path}: every request field needs a variant"
+        );
+
+        let stats = || (self.stats)(&health(addr));
+        let post = |request: &R| {
+            let body = serde_json::to_string(request).expect("request serializes");
+            let (status, response) = call(addr, "POST", path, &body);
+            assert_eq!(status, 200, "{path}: {response}");
+            response
+        };
+        // Each request counts exactly one lookup: a computed body one
+        // miss, a repeat one hit.
+        let before = stats();
+        let first = post(&self.base);
+        let after = stats();
+        assert_eq!(
+            (after.misses, after.hits),
+            (before.misses + 1, before.hits),
+            "{path}: a computed body is one miss"
+        );
+        assert_eq!(
+            post(&self.base),
+            first,
+            "{path}: a repeat is served the same bytes"
+        );
+        let again = stats();
+        assert_eq!(
+            (again.misses, again.hits),
+            (after.misses, after.hits + 1),
+            "{path}: a repeat is one hit"
+        );
+
+        for (spelling, respell) in self.spellings {
+            let mut request = self.base.clone();
+            respell(&mut request);
+            assert_ne!(
+                request, self.base,
+                "{path}: {spelling} must change the wire"
+            );
+            let before = stats();
+            assert_eq!(
+                post(&request),
+                first,
+                "{path}: {spelling} names the same input"
+            );
+            let after = stats();
+            assert_eq!(
+                (after.misses, after.hits, after.entries),
+                (before.misses, before.hits + 1, before.entries),
+                "{path}: {spelling} must share the base's entry"
+            );
+        }
+
+        for (field, vary) in self.variants {
+            let mut request = self.base.clone();
+            vary(&mut request);
+            assert_ne!(
+                request, self.base,
+                "{path}: the {field} variant must change the request"
+            );
+            let before = stats().misses;
+            post(&request);
+            assert_eq!(
+                stats().misses,
+                before + 1,
+                "{path}: a request differing only in {field} was served from the cache"
+            );
+        }
+    }
+}
+
+/// Every wire field of a compute request shapes the engine's output, so
+/// each must reach the memo key: a request that differs from a cached one
+/// in any single field misses, never a stale hit. Spellings that validate
+/// to the same engine input share one entry.
 #[test]
 fn fleet_cache_key_covers_every_request_field() {
     use stream_score::server::api::FleetRequest;
+    use stream_score::server::{DecideRequest, FrontierRequest, SimulateRequest};
 
-    let base = FleetRequest {
-        sessions: 13,
-        ..FleetRequest::default()
-    };
-    // One in-range alternative per wire field.
-    type Variant = (&'static str, fn(&mut FleetRequest));
-    let variants: &[Variant] = &[
-        ("sessions", |r| r.sessions = 12),
-        ("load", |r| r.load = 3.0),
-        ("shape", |r| r.shape = "bursty".into()),
-        ("policy", |r| r.policy = "priority".into()),
-        ("slots", |r| r.slots = 3),
-        ("wan_gbps", |r| r.wan_gbps = 50.0),
-        ("frames", |r| r.frames = 8),
-        ("seed", |r| r.seed = 7),
-        ("fidelity", |r| r.fidelity = "exact".into()),
-    ];
-    // The table names every serialized field, so a field added later
-    // fails here until it has a variant (and a place in the key).
-    let serde::Value::Map(fields) = serde_json::to_value(&base).expect("request serializes") else {
-        panic!("FleetRequest serializes as a JSON object");
-    };
-    let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
-    let covered: Vec<&str> = variants.iter().map(|(name, _)| *name).collect();
-    assert_eq!(names, covered, "every FleetRequest field needs a variant");
-
+    let workload: DecideRequest = serde_json::from_str(TABLE3).expect("TABLE3 parses");
     let handle = start(2, 64);
     let addr = handle.addr();
-    let post = |request: &FleetRequest| {
-        let body = serde_json::to_string(request).expect("request serializes");
-        let (status, response) = call(addr, "POST", "/fleet", &body);
-        assert_eq!(status, 200, "{response}");
-        response
-    };
-    let first = post(&base);
-    let misses = health(addr).fleet_cache.misses;
-    assert_eq!(post(&base), first, "a repeat is served from the cache");
-    assert_eq!(health(addr).fleet_cache.misses, misses, "a repeat is a hit");
-
-    for (field, vary) in variants {
-        let mut request = base.clone();
-        vary(&mut request);
-        assert_ne!(request, base, "the {field} variant must change the request");
-        let before = health(addr).fleet_cache.misses;
-        post(&request);
-        assert!(
-            health(addr).fleet_cache.misses > before,
-            "a request differing only in {field} was served from the cache"
-        );
+    KeyCase {
+        path: "/fleet",
+        stats: |h| h.fleet_cache,
+        base: FleetRequest {
+            sessions: 13,
+            ..FleetRequest::default()
+        },
+        variants: &[
+            ("sessions", |r| r.sessions = 12),
+            ("load", |r| r.load = 3.0),
+            ("shape", |r| r.shape = "bursty".into()),
+            ("policy", |r| r.policy = "priority".into()),
+            ("slots", |r| r.slots = 3),
+            ("wan_gbps", |r| r.wan_gbps = 50.0),
+            ("frames", |r| r.frames = 8),
+            ("seed", |r| r.seed = 7),
+            ("fidelity", |r| r.fidelity = "exact".into()),
+        ],
+        spellings: &[],
     }
+    .check(addr);
+    KeyCase {
+        path: "/simulate",
+        stats: |h| h.simulate_cache,
+        base: SimulateRequest {
+            workload,
+            // The seed places bursty dips, so every field reaches the bytes.
+            shapes: vec!["bursty".into()],
+            frames: 16,
+            files: 4,
+            seed: 42,
+            fidelity: "exact".into(),
+        },
+        variants: &[
+            ("workload", |r| r.workload.alpha = 0.8000000000001),
+            ("shapes", |r| r.shapes = vec!["outage".into()]),
+            ("frames", |r| r.frames = 32),
+            ("files", |r| r.files = 8),
+            ("seed", |r| r.seed = 7),
+            ("fidelity", |r| r.fidelity = "fluid".into()),
+        ],
+        spellings: &[],
+    }
+    .check(addr);
+    KeyCase {
+        path: "/frontier",
+        stats: |h| h.frontier_cache,
+        base: FrontierRequest {
+            workload,
+            x: "wan_gbps:1:400".into(),
+            y: "data_gb:0.5:50".into(),
+            z: None,
+            resolution: 4,
+            tolerance: 1e-3,
+            slices: 3,
+        },
+        variants: &[
+            ("workload", |r| r.workload.alpha = 0.8000000000001),
+            ("x", |r| r.x = "wan_gbps:1:300".into()),
+            ("y", |r| r.y = "data_gb:0.5:40".into()),
+            ("z", |r| r.z = Some("remote_tflops:50:500".into())),
+            ("resolution", |r| r.resolution = 5),
+            ("tolerance", |r| r.tolerance = 2e-3),
+            ("slices", |r| r.slices = 2),
+        ],
+        spellings: &[
+            ("an explicit linear spacing", |r| {
+                r.x = "wan_gbps:1:400:lin".into()
+            }),
+            ("another float spelling", |r| {
+                r.y = "data_gb:5e-1:50.0".into()
+            }),
+        ],
+    }
+    .check(addr);
     handle.shutdown();
+}
+
+/// A cached body is served only for the exact input it was computed
+/// from: after alpha 0.8, alpha 0.8000000000001 gets the bytes a fresh
+/// server computes for it on every route that evaluates the workload.
+#[test]
+fn a_last_digit_change_is_answered_as_a_fresh_server_answers_it() {
+    let noisy = TABLE3.replace("\"alpha\":0.8", "\"alpha\":0.8000000000001");
+    let routes = [
+        ("/decide", "WORKLOAD"),
+        (
+            "/simulate",
+            r#"{"workload":WORKLOAD,"shapes":["steady"],"frames":16,"files":4}"#,
+        ),
+        (
+            "/frontier",
+            r#"{"workload":WORKLOAD,"x":"wan_gbps:1:400","y":"data_gb:0.5:50","resolution":4}"#,
+        ),
+    ];
+    let warm = start(1, 64);
+    let fresh = start(1, 64);
+    for (path, template) in routes {
+        let (status, exact) = call(
+            warm.addr(),
+            "POST",
+            path,
+            &template.replace("WORKLOAD", TABLE3),
+        );
+        assert_eq!(status, 200, "{path}: {exact}");
+        let body = template.replace("WORKLOAD", &noisy);
+        let (status, served) = call(warm.addr(), "POST", path, &body);
+        assert_eq!(status, 200, "{path}: {served}");
+        let (_, expected) = call(fresh.addr(), "POST", path, &body);
+        assert_ne!(expected, exact, "{path}: the last digits reach the bytes");
+        assert_eq!(served, expected, "{path}: served another input's bytes");
+    }
+    warm.shutdown();
+    fresh.shutdown();
 }

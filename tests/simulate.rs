@@ -39,15 +39,6 @@ fn simulate_covers_the_catalog_under_four_traces() {
 }
 
 #[test]
-fn simulate_check_passes_on_steady_traces() {
-    let mut args: Vec<&str> = SIMULATE_QUICK.to_vec();
-    args.extend_from_slice(&["--shapes", "steady", "--check", "true"]);
-    let (ok, stdout, stderr) = run(&args);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("check passed"), "{stdout}");
-}
-
-#[test]
 fn simulate_parallel_and_sequential_agree() {
     let mut seq: Vec<&str> = SIMULATE_QUICK.to_vec();
     seq.extend_from_slice(&["--workers", "1"]);
