@@ -19,9 +19,11 @@ const CLAIMS_PER_WORKER: usize = 16;
 /// sessions touches the counter about sixteen times per worker instead
 /// of once per item. Results land in their input slot, preserving order.
 ///
-/// The pool is created per call — thread spawn cost is negligible next to
-/// the work being mapped, and scoped threads let closures borrow from
-/// the caller without `'static` bounds.
+/// The threads are spawned per call: scoped threads let closures borrow
+/// from the caller without `'static` bounds. That costs about 60 µs a
+/// call at two workers on a 2-vCPU host (median of an empty map over 13
+/// items), so a map with several workers pays only when its items take
+/// longer than that together; one worker runs inline and spawns nothing.
 pub struct ThreadPool {
     workers: usize,
 }

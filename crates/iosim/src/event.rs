@@ -34,24 +34,25 @@
 //! delivers one scan over several traces runs the writer once per
 //! scenario and delivery once per (scenario × trace) cell.
 //!
-//! A burst source keeps both chains backlogged after their first frame,
-//! so the kernel advances them sixteen frames at a time: it assumes each
-//! frame starts when the one before it frees the server, computes the
-//! sixteen frees with the single step's own `(free + frame_bytes/rate) +
-//! overhead`, and checks every frame without a branch (ready by its
-//! start, inside the segment, every instant valid). A block that fails
-//! any check is discarded and its frames step singly, as do the first
-//! frame, the short tail and frames that wait to be produced, so every
-//! instant is the `f64` a frame-by-frame chain gives.
+//! Both chains hand the kernel the source's production as a
+//! [`Production`]: frame `i` ready at `period·(i+1)`, which never
+//! decreases. A burst source keeps both chains backlogged after their
+//! first frame, so the kernel jumps them in closed form: while the
+//! server's free instant stays in one segment and one binade, every
+//! backlogged frame adds the same step, so a run of frames lands on
+//! `free + k·step` exactly, the bits a frame-by-frame chain gives. The
+//! first frame, frames that wait to be produced, ties, binade tops and
+//! frames that cross a breakpoint step singly.
 //!
 //! A discrete-event simulation of the same processes has to break ties
 //! between a production and a completion at the same instant; here each
 //! tie resolves to the same `f64` either way. The tests keep that
 //! simulation, with every production scheduled up front on an
 //! [`EventQueue`](sss_sim::EventQueue), as the reference the recurrences
-//! must match bit for bit. Every production, send, writer operation and
-//! delivery instant is still checked the way a [`Seconds`] is: finite
-//! and non-negative.
+//! must match bit for bit. Every instant is still a valid [`Seconds`],
+//! finite and non-negative: a single step checks its production, send or
+//! writer instant, a jumped run's instants all lie between two checked
+//! ones, and each delivery instant is checked.
 //!
 //! A run returns the completion and the lag behind acquisition, and
 //! keeps no per-frame or per-file instants. The tests read those through
@@ -64,7 +65,7 @@
 //! instant of a small stream and staged scan against that arithmetic
 //! written out by hand.
 
-use sss_sim::{BandwidthTrace, Fidelity, Seconds};
+use sss_sim::{BandwidthTrace, Fidelity, Production, Seconds};
 
 use crate::fluid::fluid_closes;
 use crate::pipeline::MovementResult;
@@ -114,7 +115,10 @@ impl EventStreamingPipeline {
             src.n_frames,
             src.frame_bytes.as_b(),
             self.wan.per_message_overhead.as_secs(),
-            |i| src.frame_ready(i).as_secs(),
+            Production {
+                period: src.period.as_secs(),
+                first: 0,
+            },
             |free| unit(free + one_way),
         );
         MovementResult::new(src, link_free + one_way)
@@ -280,7 +284,10 @@ fn exact_closes(source: &FrameSource, files: u32, local: &PfsProfile) -> Vec<f64
             frames,
             source.frame_bytes.as_b(),
             0.0,
-            |k| source.frame_ready(first + k).as_secs(),
+            Production {
+                period: source.period.as_secs(),
+                first,
+            },
             |_| {},
         );
         first += frames;

@@ -1,11 +1,13 @@
 //! The **fluid fast path** of the movement pipelines: closed-form
 //! piecewise-constant rate integration in place of per-frame stepping.
 //!
-//! The exact pipelines in [`crate::event`] step one busy-until
-//! recurrence per frame, `O(frames)` per run; the fluid counterparts
-//! here cost `O(trace segments + files)` regardless of frame count, by
-//! advancing time analytically to the next trace breakpoint, DTN-slot
-//! edge or completion:
+//! The exact pipelines in [`crate::event`] run one busy-until
+//! recurrence per frame, stepping each frame that waits to be produced
+//! or crosses a breakpoint and jumping backlogged runs in closed form;
+//! the fluid counterparts here cost `O(trace segments + files)`
+//! regardless of frame count or production pace, by advancing time
+//! analytically to the next trace breakpoint, DTN-slot edge or
+//! completion:
 //!
 //! * **Streaming** models the frame stream as a fluid arriving at the
 //!   generation rate from the first frame's production instant and

@@ -42,7 +42,8 @@
 //! inputs: feasibility against the trace's mean effective rate over the
 //! nominal horizon, and the simulated `T_pct` against the analytic
 //! `T_local` (the local path has no network, so its closed form is
-//! exact). Cells fan out across the [`ThreadPool`] with position-derived
+//! exact). Scenarios fan out across the [`ThreadPool`], one task per
+//! scenario running its cells in shape order with position-derived
 //! seeds, so replays are byte-identical across worker counts.
 //!
 //! ## Fidelity
@@ -52,8 +53,11 @@
 //! cell in the regime where the fluid fast path is provably exact (see
 //! `sss_iosim`'s fluid module), so [`Fidelity::Fluid`] reproduces the
 //! exact records within the per-shape tolerances exported by
-//! [`sss_sim::fluid_tolerance`] while costing `O(trace segments)` per
-//! cell instead of `O(frames)`.
+//! [`sss_sim::fluid_tolerance`]. Both cost about `O(trace segments)` per
+//! cell: the fluid path integrates each segment in closed form, and the
+//! exact chain, whose burst source keeps it backlogged, jumps each run of
+//! sends inside one segment and one binade in closed form
+//! ([`BandwidthTrace::send_chain`]) instead of stepping frame by frame.
 
 use serde::{Deserialize, Serialize};
 
@@ -306,51 +310,47 @@ impl SessionReplay {
         &self.config
     }
 
-    /// Replay every (scenario × shape) cell on `pool`, in two fan-outs:
-    /// the staged column's writer stage once per scenario (it reads no
-    /// trace, so every shape of a scenario shares its file closes), then
-    /// per cell the trace, the streaming chain and the staged delivery
-    /// over that trace. Every worker count returns the same bytes: each
-    /// task's output depends only on its position (seeds are
-    /// position-derived), so scheduling cannot perturb it.
+    /// Replay every (scenario × shape) cell on `pool`, in one fan-out
+    /// over the scenarios: each task runs its scenario's staged writer
+    /// stage once (it reads no trace, so every shape of a scenario shares
+    /// its file closes), then the scenario's cells in shape order, each
+    /// the trace, the streaming chain and the staged delivery over that
+    /// trace. The records concatenate scenario-major. Every worker count
+    /// returns the same bytes: each cell's output depends only on its
+    /// position (seeds are position-derived), so scheduling cannot
+    /// perturb it.
     pub fn run(&self, pool: &ThreadPool) -> ReplayReport {
         // The model side of every comparison: one `decide` per catalog
         // scenario, on the calling thread.
         let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
         let decisions = decide_batch(&params);
 
+        // Scenario-major cell order, each cell's seed derived from its
+        // position — what makes replays agree across worker counts.
+        let seeds = SeedSequence::new(self.config.seed);
+        let shapes = &self.config.shapes;
         let local = presets::aps_to_alcf().local;
-        let closes = pool.map(&self.scenarios, |scenario| {
-            EventFileBasedPipeline::closes(
+        let indices: Vec<usize> = (0..self.scenarios.len()).collect();
+        let per_scenario = pool.map(&indices, |&si| {
+            let scenario = &self.scenarios[si];
+            let closes = EventFileBasedPipeline::closes(
                 &Session::new(&scenario.params).source(self.config.frames),
                 self.config.files,
                 &local,
                 self.config.fidelity,
-            )
+            );
+            shapes
+                .iter()
+                .enumerate()
+                .map(|(hi, &shape)| {
+                    let seed = seeds.seed((si * shapes.len() + hi) as u64);
+                    self.evaluate_cell(scenario, &decisions[si], &closes, shape, seed)
+                })
+                .collect::<Vec<_>>()
         });
+        let records: Vec<ReplayRecord> = per_scenario.into_iter().flatten().collect();
 
-        // Scenario-major cell order, each cell's seed derived from its
-        // position — what makes replays agree across worker counts.
-        let seeds = SeedSequence::new(self.config.seed);
-        let shapes_n = self.config.shapes.len();
-        let cells: Vec<(usize, usize, u64)> = (0..self.scenarios.len() * shapes_n)
-            .map(|idx| (idx / shapes_n, idx % shapes_n, seeds.seed(idx as u64)))
-            .collect();
-
-        let eval = |&(si, hi, seed): &(usize, usize, u64)| {
-            self.evaluate_cell(
-                &self.scenarios[si],
-                &decisions[si],
-                &closes[si],
-                self.config.shapes[hi],
-                seed,
-            )
-        };
-        let records = pool.map(&cells, eval);
-
-        let shapes = self
-            .config
-            .shapes
+        let shapes = shapes
             .iter()
             .map(|&shape| summarize_shape(&records, shape))
             .collect();

@@ -305,7 +305,9 @@ pub struct SimulateRequest {
     /// File count for the staged-replay column (default 16).
     #[serde(default = "default_files")]
     pub files: u32,
-    /// Seed for the `bursty` shape's dip placement (default 42).
+    /// Seed for the `bursty` shape's dip placement (default 42). A
+    /// request without a `bursty` shape reads no seed, so its replay runs
+    /// at the default whatever this says.
     #[serde(default = "default_seed")]
     pub seed: u64,
     /// Movement integrator: `"exact"` (per-frame recurrences, the
@@ -334,11 +336,19 @@ impl SimulateRequest {
             .iter()
             .map(|s| TraceShape::parse(s))
             .collect::<Result<Vec<TraceShape>, String>>()?;
+        // Only the bursty shape draws from the seed. Without it the
+        // seed folds to one value, so requests that differ only in a seed
+        // nothing reads share one memoized body.
+        let seed = if shapes.contains(&TraceShape::Bursty) {
+            self.seed
+        } else {
+            default_seed()
+        };
         let config = ReplayConfig {
             frames: self.frames,
             files: self.files,
             shapes,
-            seed: self.seed,
+            seed,
             fidelity: Fidelity::parse(&self.fidelity)?,
         };
         let scenario = Scenario {

@@ -55,7 +55,7 @@ pub use fidelity::{
 };
 pub use queue::EventQueue;
 pub use time::{non_negative_finite, Seconds, SimTime};
-pub use trace::{BandwidthTrace, DippedTrace, Dips, TraceShape};
+pub use trace::{BandwidthTrace, DippedTrace, Dips, Production, TraceShape};
 
 #[cfg(test)]
 mod proptests {

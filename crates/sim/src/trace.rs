@@ -69,11 +69,34 @@ impl Deserialize for BandwidthTrace {
     }
 }
 
+/// When the sends of a [`BandwidthTrace::send_chain`] are ready: they
+/// carry consecutive units of a source that finishes one unit every
+/// `period` seconds from t=0, the first send unit `first`, so send `i` is
+/// ready at `period·(first + i + 1)` (bit for bit the instant
+/// `FrameSource::frame_ready` gives frame `first + i`). For a finite,
+/// non-negative period that instant never decreases in `i`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Production {
+    /// Seconds between two units.
+    pub period: f64,
+    /// The unit the chain's first send carries.
+    pub first: u32,
+}
+
+impl Production {
+    /// When send `i` is ready. The unit count is an integer below 2^33,
+    /// so it converts to `f64` exactly and never overflows.
+    #[inline]
+    fn ready(&self, i: u32) -> f64 {
+        self.period * (u64::from(self.first) + u64::from(i) + 1) as f64
+    }
+}
+
 /// Segments a [`BandwidthTrace::window_above`] chunk tests at once.
 const LANES: usize = 8;
 
-/// Sends a backlogged [`BandwidthTrace::send_chain`] advances at once.
-const BLOCK: usize = 16;
+/// The 52 mantissa bits of an `f64`.
+const MANTISSA: u64 = (1 << 52) - 1;
 
 /// Slots a bursty trace cuts each horizon into.
 const SLOTS: usize = 32;
@@ -371,11 +394,12 @@ impl BandwidthTrace {
     }
 
     /// A FIFO link's chain of `sends` transfers of `bytes` each; the link
-    /// is first free at `free`. Send `i` starts once it is ready and the
-    /// send before it has freed the link, and holds the link `overhead`
+    /// is first free at `free`. Send `i` starts once it is ready, at
+    /// `ready_i = period·(first + i + 1)` of `production`, and the send
+    /// before it has freed the link, and holds the link `overhead`
     /// seconds past its last byte:
     ///
-    /// `start_i = max(ready(i), free_{i-1})`,
+    /// `start_i = max(ready_i, free_{i-1})`,
     /// `free_i = finish_time(start_i, bytes) + overhead`, `free_{-1} = free`,
     ///
     /// where a send ready exactly when the link frees starts at the free
@@ -390,22 +414,24 @@ impl BandwidthTrace {
     /// `start + bytes/rate`, and only a send that crosses a breakpoint
     /// integrates segment by segment.
     ///
-    /// A backlogged chain advances sixteen sends at a time. Sends step
-    /// singly in runs, the first send alone and then sixteen at a time.
-    /// When a run's last send started at the link's free instant, the
-    /// chain speculates that each of the next sixteen sends does too and
-    /// fits in the same segment: it computes their frees in order, each
-    /// `(free + bytes/rate) + overhead` as a single step would, and then
-    /// checks all sixteen without a branch. Each must be ready at a valid
-    /// instant no later than its start, start no earlier than the segment
-    /// and fit in it, and the last must free the link at a valid instant.
-    /// Only when every send passes does `sent` see the block's frees, and
-    /// the chain tries the next block; on a miss it discards the block
-    /// and steps its sends singly as the next run. The first send, tails
-    /// shorter than a block, idle sends and missed blocks all take the
-    /// single step, so every instant is the same `f64` either way. `ready`
-    /// is read ahead and may be read twice for a send, so it must be a
-    /// pure function of the index.
+    /// A backlogged chain jumps in closed form. After each single step
+    /// whose next send is already ready, the chain adds the longest run
+    /// of sends it can at once: the run's last send is ready by the
+    /// link's free instant, so every send in it starts when the one
+    /// before it frees the link; its last start still fits the segment,
+    /// so every send in it takes the in-segment path; and its last free
+    /// stays in the binade of the first, the `f64`s in `[2^e, 2^(e+1))`,
+    /// which are all multiples of one spacing `u`. There each step
+    /// `(free + bytes/rate) + overhead` rounds both sums to the same
+    /// multiple of `u` unless a sum falls exactly halfway between two
+    /// `f64`s (a tie, which rounds to the even neighbour), so `k` steps
+    /// land on exactly `free + k·step`, the bits of `k` single steps, and
+    /// `sent` sees each of those frees. The first send, idle sends, ties,
+    /// binade tops, zero or subnormal instants, negative overheads,
+    /// zero-byte sends and sends that cross a breakpoint keep the single
+    /// step, so every instant is the same `f64` either way. A chain whose
+    /// sends are ready early costs a few steps per segment and binade it
+    /// crosses, whatever its send count.
     ///
     /// The WAN link starts free at 0. A constant-rate server that is busy
     /// before its first send, such as a file writer that must open the
@@ -413,7 +439,7 @@ impl BandwidthTrace {
     /// instant it frees up.
     ///
     /// ```
-    /// use sss_sim::BandwidthTrace;
+    /// use sss_sim::{BandwidthTrace, Production};
     /// use sss_units::Rate;
     ///
     /// let t = BandwidthTrace::from_segments(&[
@@ -424,30 +450,39 @@ impl BandwidthTrace {
     /// .unwrap();
     /// // Two 1.5 GB sends, both ready at t=0: the second one waits for
     /// // the link, then for the outage.
+    /// let at_once = Production { period: 0.0, first: 0 };
     /// let mut free = Vec::new();
-    /// let last = t.send_chain(0.0, 2, 1.5e9, 0.0, |_| 0.0, |f| free.push(f));
+    /// let last = t.send_chain(0.0, 2, 1.5e9, 0.0, at_once, |f| free.push(f));
     /// assert_eq!(free, [1.5, 5.0]);
     /// assert_eq!(last, t.finish_time(1.5, 1.5e9));
     ///
     /// // The same sends on a link that is busy until t=1: the first one
     /// // moves 1 GB before the outage and the rest from t=4.
-    /// let last = t.send_chain(1.0, 2, 1.5e9, 0.0, |_| 0.0, |_| {});
+    /// let last = t.send_chain(1.0, 2, 1.5e9, 0.0, at_once, |_| {});
     /// assert_eq!(last, 6.0);
+    ///
+    /// // 2^20 one-byte sends on a 2^20 B/s link, all ready at once: every
+    /// // sum is exact, so the link frees at 1 s, reached in a few jumps
+    /// // per binade instead of 2^20 steps.
+    /// let link = BandwidthTrace::steady(Rate::from_bytes_per_sec(1048576.0));
+    /// assert_eq!(link.send_chain(0.0, 1 << 20, 1.0, 0.0, at_once, |_| {}), 1.0);
     /// ```
     ///
     /// # Panics
-    /// Panics on a negative or non-finite first-free, ready or free
-    /// instant or `bytes`, and when a start falls before the segment the
-    /// chain has reached (a negative `overhead` can rewind it). The panic
-    /// comes at the faulty send, after `sent` has seen every send before
-    /// it, but a block may have read `ready` up to 15 sends past it.
+    /// Panics on a negative or non-finite first-free instant or period,
+    /// before any send; then on a ready instant that overflows to
+    /// infinity, a negative or non-finite `bytes` or free instant, and a
+    /// start before the segment the chain has reached (a negative
+    /// `overhead` can rewind it). The panic comes at the faulty send,
+    /// after `sent` has seen every send before it: a jumped run never
+    /// holds a faulty send.
     pub fn send_chain(
         &self,
         free: f64,
         sends: u32,
         bytes: f64,
         overhead: f64,
-        ready: impl Fn(u32) -> f64,
+        production: Production,
         mut sent: impl FnMut(f64),
     ) -> f64 {
         // The segment of the latest start: its start, its end (infinite
@@ -464,55 +499,51 @@ impl BandwidthTrace {
         let mut seg = 0;
         let (mut seg_start, mut end, mut rate, mut per_send) = segment(seg);
         let mut free = Seconds::new(free).value();
-        // Sends step singly in runs: the first send alone, then sixteen at
-        // a time (a missed block, a stretch of idle sends or the tail).
-        let mut run = 1;
+        // A valid period makes every ready instant non-negative and
+        // non-decreasing, which is what lets a run skip their checks.
+        let period = production.period;
+        assert!(
+            non_negative_finite(period),
+            "period must be non-negative and finite, got {period}"
+        );
         let mut i = 0;
         while i < sends {
-            let run_end = i + run.min(sends - i);
-            let mut backlogged = false;
-            for i in i..run_end {
-                // Both instants are checked, so one compare is their maximum:
-                // `f64::max` would put its NaN handling on the chain, and
-                // `start` needs no check of its own.
-                let ready_i = Seconds::new(ready(i)).value();
-                backlogged = ready_i <= free;
-                let start = if ready_i > free { ready_i } else { free };
-                check_bytes(bytes);
-                assert!(
-                    seg_start <= start,
-                    "segment cursor at t={seg_start} is past the start {start}"
-                );
-                if start >= end {
-                    while self.starts_s.get(seg + 1).is_some_and(|&s| s <= start) {
-                        seg += 1;
-                    }
-                    (seg_start, end, rate, per_send) = segment(seg);
+            // Both instants are checked, so one compare is their maximum:
+            // `f64::max` would put its NaN handling on the chain, and
+            // `start` needs no check of its own.
+            let ready = Seconds::new(production.ready(i)).value();
+            let start = if ready > free { ready } else { free };
+            check_bytes(bytes);
+            assert!(
+                seg_start <= start,
+                "segment cursor at t={seg_start} is past the start {start}"
+            );
+            if start >= end {
+                while self.starts_s.get(seg + 1).is_some_and(|&s| s <= start) {
+                    seg += 1;
                 }
-                let finish = if rate > 0.0 && rate * (end - start) >= bytes {
-                    // The send fits in its segment: `walk`'s first step.
-                    start + per_send
-                } else {
-                    self.walk(seg, start, bytes, 1.0, f64::INFINITY)
-                };
-                free = Seconds::new(finish + overhead).value();
-                sent(free);
+                (seg_start, end, rate, per_send) = segment(seg);
             }
-            i = run_end;
-            run = BLOCK as u32;
-            // A run whose last send started at the link's free instant
-            // may have reached a backlog: advance it block by block.
-            if !backlogged {
-                continue;
-            }
-            while sends - i >= BLOCK as u32 {
-                let cursor = (seg_start, end, rate, per_send);
-                let Some(frees) = backlogged_block(&ready, i, free, bytes, overhead, cursor) else {
-                    break;
-                };
-                frees.into_iter().for_each(&mut sent);
-                free = frees[BLOCK - 1];
-                i += BLOCK as u32;
+            let finish = if rate > 0.0 && rate * (end - start) >= bytes {
+                // The send fits in its segment: `walk`'s first step.
+                start + per_send
+            } else {
+                self.walk(seg, start, bytes, 1.0, f64::INFINITY)
+            };
+            free = Seconds::new(finish + overhead).value();
+            sent(free);
+            i += 1;
+            let cursor = (end, rate, per_send);
+            if let Some((run, step)) =
+                backlogged_run(production, i, sends, free, bytes, overhead, cursor)
+            {
+                // A counted range, so that with a `sent` that does nothing
+                // the compiler deletes the loop.
+                for k in 1..run + 1 {
+                    sent(free + f64::from(k) * step);
+                }
+                free += f64::from(run) * step;
+                i += run;
             }
         }
         free
@@ -930,54 +961,131 @@ fn check_bytes(bytes: f64) {
     );
 }
 
-/// The [`BandwidthTrace::send_chain`] block from send `first`, on a link
-/// free at `free` whose latest start lies in the segment `[seg_start,
-/// end)` at `rate`, `per_send` apart: the sixteen free instants, if every
-/// send starts at the free instant before it and takes the single step's
-/// in-segment path.
+/// The run of backlogged sends a [`BandwidthTrace::send_chain`] jumps
+/// once a single step has left the link free at `free`, with the sends
+/// from `next` on still to go and the latest start in a segment that ends
+/// at `end`, moving `rate`, where a send takes `per_send`: how many sends
+/// the run holds and the constant step between their frees, or `None`
+/// when the next send must take the single step.
 ///
-/// The frees are one chain of `(free + per_send) + overhead`, the single
-/// step's arithmetic; the checks run after it, lane by lane and without a
-/// branch. A lane passes when its ready instant is a time no later than
-/// its start (so the single step starts it there too), its start is not
-/// before the segment, and the segment holds the send. With `bytes > 0`
-/// the capacity test also fails a start at or past `end` and a zero-rate
-/// segment. Each start is the free instant before it, and a free that is
-/// not a time fails the next lane (a negative or NaN one `seg_start <=
-/// start`, an infinite one the capacity test), so only the block's last
-/// free needs its own check.
+/// A run holds `n` sends when the `n`-th is ready by `free`, so each
+/// send in it starts at the free instant before it (ready instants never
+/// decrease); when the `n`-th start `free + (n-1)·step` still fits the
+/// segment, so each takes the in-segment path (the single step's fit
+/// test never passes a later start after failing an earlier one); and
+/// when the last free `free + n·step` is no higher than the top of
+/// `free`'s binade. Inside the binade every `f64` is a multiple of its
+/// spacing `u`, so the step `(f + per_send) + overhead` rounds each sum
+/// by the same multiple of `u` from every free `f` there, unless a sum
+/// is a tie; and `free + k·step` is a multiple of `u` inside the binade,
+/// so it is computed exactly. Every ready instant and free of the run
+/// lies between two checked instants, so each is a valid time, and no
+/// start precedes the segment: each is at least `free`, which is at
+/// least the single step's start.
 #[inline]
-fn backlogged_block(
-    ready: &impl Fn(u32) -> f64,
-    first: u32,
+fn backlogged_run(
+    production: Production,
+    next: u32,
+    sends: u32,
     free: f64,
     bytes: f64,
     overhead: f64,
-    (seg_start, end, rate, per_send): (f64, f64, f64, f64),
-) -> Option<[f64; BLOCK]> {
-    let mut readies = [0.0; BLOCK];
-    let mut starts = [0.0; BLOCK];
-    let mut frees = [0.0; BLOCK];
-    let mut f = free;
-    for k in 0..BLOCK {
-        readies[k] = ready(first + k as u32);
-        starts[k] = f;
-        f = (f + per_send) + overhead;
-        frees[k] = f;
+    (end, rate, per_send): (f64, f64, f64),
+) -> Option<(u32, f64)> {
+    // The single step's in-segment test.
+    let fits = |start: f64| rate > 0.0 && rate * (end - start) >= bytes;
+    // The argument below covers positive sends, a chain that never
+    // rewinds (no negative overhead) and the binades of normal `f64`s;
+    // everything else keeps the single step, and so does a next send
+    // that is not ready or does not fit, before any binade arithmetic.
+    let backlogged = next < sends
+        && bytes > 0.0
+        && overhead >= 0.0
+        && free >= f64::MIN_POSITIVE
+        && production.ready(next) <= free
+        && fits(free);
+    if !backlogged {
+        return None;
     }
-    // Counting the failed lanes keeps the checks branch-free, as packed
-    // compares; an `&`-fold over the lanes compiled to a branch per check.
-    let misses: u32 = (0..BLOCK)
-        .map(|k| {
-            let (ready, start) = (readies[k], starts[k]);
-            let fits = (0.0 <= ready)
-                & (ready <= start)
-                & (seg_start <= start)
-                & (rate * (end - start) >= bytes);
-            u32::from(!fits)
-        })
-        .sum();
-    (misses == 0 && bytes > 0.0 && non_negative_finite(f)).then_some(frees)
+    // The largest `f64` of `free`'s binade, and the binade's spacing.
+    let top = f64::from_bits(free.to_bits() | MANTISSA);
+    let u = top - f64::from_bits(top.to_bits() - 1);
+    // Neither addend is NaN (`fits` took a positive rate), so neither
+    // sum is.
+    let sum = free + per_send;
+    let stepped = sum + overhead;
+    if stepped > top {
+        return None;
+    }
+    // Both sums stay in the binade, so each addend is below the instant
+    // it is added to, and each sum's rounding error is exactly `addend -
+    // (sum - instant)` (Fast2Sum). A tie's error is half a spacing, and
+    // the comparison is exact on purpose.
+    let tie = |error: f64| 2.0 * error.abs() == u;
+    if tie(per_send - (sum - free)) || tie(overhead - (stepped - sum)) {
+        return None;
+    }
+    let step = stepped - free;
+    // Inside one binade the bit patterns are spaced as the values are.
+    let room = top.to_bits() - free.to_bits();
+    let units = stepped.to_bits() - free.to_bits();
+    let left = sends - next;
+    let most = room
+        .checked_div(units)
+        .map_or(left, |n| u32::try_from(n).map_or(left, |n| n.min(left)));
+    // Where the fit test and the production would end the run, in real
+    // arithmetic; `last_passing` settles the exact length from there.
+    let Production { period, first } = production;
+    let guess = ((end - per_send - free) / step + 1.0)
+        .min(free / period - (f64::from(first) + f64::from(next)));
+    let ok =
+        |n: u32| production.ready(next + n - 1) <= free && fits(free + f64::from(n - 1) * step);
+    // The cast saturates, and takes NaN to 0.
+    Some((last_passing(most, guess as u32, ok), step))
+}
+
+/// The largest `n` in `0..=most` for which `ok(n)` holds, when `ok`
+/// holds up to some `n` and for none past it (`ok(0)` is taken to hold).
+/// Probes outward from `guess` in doubling strides until it brackets the
+/// answer, then bisects the bracket, so a guess that is `g` off costs
+/// about `2·log2(g)` probes and an exact one two.
+fn last_passing(most: u32, guess: u32, ok: impl Fn(u32) -> bool) -> u32 {
+    let ok = |n: u32| n == 0 || ok(n);
+    let probe = guess.min(most);
+    // `lo` passes and `up` fails.
+    let (mut lo, mut up) = if ok(probe) {
+        let (mut lo, mut stride) = (probe, 1u32);
+        loop {
+            if lo == most {
+                return most;
+            }
+            let next = lo.saturating_add(stride).min(most);
+            if !ok(next) {
+                break (lo, next);
+            }
+            lo = next;
+            stride = stride.saturating_mul(2);
+        }
+    } else {
+        let (mut up, mut stride) = (probe, 1u32);
+        loop {
+            let next = up.saturating_sub(stride);
+            if ok(next) {
+                break (next, up);
+            }
+            up = next;
+            stride = stride.saturating_mul(2);
+        }
+    };
+    while up - lo > 1 {
+        let mid = lo + (up - lo) / 2;
+        if ok(mid) {
+            lo = mid;
+        } else {
+            up = mid;
+        }
+    }
+    lo
 }
 
 /// SplitMix64 finalizer — the same generator `sss_exec::SeedSequence`
@@ -1556,6 +1664,15 @@ mod tests {
         assert_eq!(t.finish_time(7.5, 0.0), 7.5);
     }
 
+    /// The ready instant of each of `sends` sends of `production`, written
+    /// out as `FrameSource::frame_ready` computes a frame's.
+    fn readies(production: Production, sends: usize) -> Vec<f64> {
+        let first = production.first as usize;
+        (0..sends)
+            .map(|i| production.period * (first + i + 1) as f64)
+            .collect()
+    }
+
     /// The send chain written out with one `finish_time` per send from a
     /// link first free at `free`: every free instant of the chain, in
     /// send order. A send ready exactly when the link frees starts at the
@@ -1586,21 +1703,38 @@ mod tests {
     fn chained(
         trace: &BandwidthTrace,
         free: f64,
-        readies: &[f64],
+        production: Production,
+        sends: usize,
         bytes: f64,
         overhead: f64,
     ) -> (Vec<f64>, f64) {
-        let mut frees = Vec::with_capacity(readies.len());
-        let sends = u32::try_from(readies.len()).unwrap();
+        let mut frees = Vec::with_capacity(sends);
         let last = trace.send_chain(
             free,
-            sends,
+            u32::try_from(sends).unwrap(),
             bytes,
             overhead,
-            |i| readies[i as usize],
+            production,
             |free| frees.push(free),
         );
         (frees, last)
+    }
+
+    /// The chain's free instants, once they have replayed `step_by_step`
+    /// bit for bit, and its return value the last of them.
+    fn replayed(
+        trace: &BandwidthTrace,
+        free: f64,
+        production: Production,
+        sends: usize,
+        bytes: f64,
+        overhead: f64,
+    ) -> Vec<f64> {
+        let want = step_by_step(trace, free, &readies(production, sends), bytes, overhead);
+        let (got, last) = chained(trace, free, production, sends, bytes, overhead);
+        assert_eq!(bits(&got), bits(&want), "{bytes} B from {free}");
+        assert_eq!(last.to_bits(), want.last().unwrap_or(&free).to_bits());
+        got
     }
 
     proptest! {
@@ -1608,16 +1742,17 @@ mod tests {
 
         /// The send chain replays step-by-step `finish_time` bit for bit:
         /// on every bundled shape and on random traces with zero-rate
-        /// segments; under burst readies (the link never idles),
-        /// arrival-gated readies (it idles between sends), readies on the
-        /// breakpoints themselves, and bursts of 1–40 sends ready at once
-        /// with idle gaps between them, so backlogged runs and idle sends
-        /// share sixteen-send blocks; from a link first free at ±0, on a
-        /// breakpoint or anywhere up to past the last one; for chains of
-        /// 0–200 sends, straddling blocks and tails; with sends that
-        /// exactly fill the segment they start on and zero-byte sends; and
-        /// with an overhead of +0.0, -0.0, a positive one, or a negative
-        /// one shorter than any send, which never rewinds the chain.
+        /// segments; under a production that bursts (the link never
+        /// idles), keeps a cadence (it idles between sends), lands on a
+        /// breakpoint or has all sends ready at once (period 0), or
+        /// produces near the link's own pace, so backlogged runs and idle
+        /// sends alternate as the rate changes; from the first unit or a
+        /// later one; from a link first free at ±0, on a breakpoint or
+        /// anywhere up to past the last one; for chains of 0–1000 sends;
+        /// with sends that exactly fill the segment they start on and
+        /// zero-byte sends; and with an overhead of +0.0, -0.0, a positive
+        /// one, or a negative one shorter than any send, which never
+        /// rewinds the chain.
         #[test]
         fn the_send_chain_replays_finish_time_bit_for_bit(
             trace_pick in 0usize..=TraceShape::ALL.len(),
@@ -1625,10 +1760,10 @@ mod tests {
             seed in any::<u64>(),
             // (duration, rate level) pairs; level 0 is a zero-rate slot.
             segs in proptest::collection::vec((0.01f64..5.0, 0u32..4), 0..12),
-            sends in 0usize..=200,
+            sends in 0usize..=1000,
             pace in 0u32..4,
             period in 0.0f64..1.0,
-            burst in 1usize..=40,
+            first in 0u32..10_000,
             size_pick in 0u32..3,
             size in 0.0f64..1.0,
             fill_pick in any::<usize>(),
@@ -1653,16 +1788,6 @@ mod tests {
             // crosses many breakpoints before it passes the last one.
             let last_start = *trace.starts_s.last().unwrap();
             let unit = if last_start > 0.0 { last_start / 64.0 } else { 1.0 / 64.0 };
-            let readies: Vec<f64> = match pace {
-                0 => (1..=sends).map(|i| 1e-9 * i as f64).collect(),
-                1 => (1..=sends).map(|i| period * unit * i as f64).collect(),
-                2 => (0..sends)
-                    .map(|i| trace.starts_s[i * trace.starts_s.len() / sends])
-                    .collect(),
-                _ => (0..sends)
-                    .map(|i| (i / burst) as f64 * period * unit * 64.0)
-                    .collect(),
-            };
             // A send that exactly fills a positive-rate segment when it
             // starts on that segment's breakpoint.
             let fillable: Vec<usize> = (0..trace.starts_s.len() - 1)
@@ -1675,6 +1800,19 @@ mod tests {
                     trace.rates_bps[k] * (trace.starts_s[k + 1] - trace.starts_s[k])
                 }
                 _ => (0.01 + size) * unit * 1e9,
+            };
+            let production = match pace {
+                0 => Production { period: 1e-9, first: 0 },
+                1 => Production { period: period * unit, first },
+                // Send `m - 1` ready on breakpoint `k`, up to the rounding
+                // of the period; breakpoint 0 makes the period 0.
+                2 => {
+                    let k = fill_pick % trace.starts_s.len();
+                    let m = 1 + fill_pick % 64;
+                    Production { period: trace.starts_s[k] / m as f64, first: 0 }
+                }
+                // One send per 0.25 to 1.75 of its time at 1 GB/s.
+                _ => Production { period: (0.25 + 1.5 * period) * bytes / 1e9, first },
             };
             // Every send holds the link at least `bytes / max_rate`, so a
             // negative overhead of half that frees it after its start.
@@ -1690,18 +1828,49 @@ mod tests {
                 2 => trace.starts_s[fill_pick % trace.starts_s.len()],
                 _ => free_at * 64.0 * unit,
             };
+            replayed(&trace, free, production, sends, bytes, overhead);
+        }
 
-            let want = step_by_step(&trace, free, &readies, bytes, overhead);
-            let (got, last) = chained(&trace, free, &readies, bytes, overhead);
-            prop_assert_eq!(bits(&got), bits(&want), "{} bytes", bytes);
-            prop_assert_eq!(last.to_bits(), want.last().unwrap_or(&free).to_bits());
+        /// Jumped runs replay single steps bit for bit where rounding
+        /// decides. On a 1 B/s link, where a send takes `bytes` seconds,
+        /// from a first free anywhere in a random binade or just below its
+        /// top, each send takes a whole or half number of the binade's
+        /// spacings and the overhead does too (or is ±0), so about half
+        /// the sums are ties, and chains climb into the next binade,
+        /// where the spacing doubles. Sends are ready at once or by the
+        /// first free.
+        #[test]
+        fn jumped_runs_replay_ties_and_binade_tops_bit_for_bit(
+            exponent in -60i32..60,
+            mantissa in 0u64..(1 << 52),
+            near_top in any::<bool>(),
+            below_top in 0u64..20_000,
+            halves in 0u32..64,
+            overhead_pick in 0u32..3,
+            overhead_halves in 0u32..8,
+            sends in 1usize..=300,
+            spread in any::<bool>(),
+        ) {
+            let mantissa = if near_top { (1 << 52) - 1 - below_top } else { mantissa };
+            let free = f64::from_bits(((exponent + 1023) as u64) << 52 | mantissa);
+            let half = 2f64.powi(exponent - 53);
+            let bytes = f64::from(halves) * half;
+            let overhead = match overhead_pick {
+                0 => f64::from(overhead_halves) * half,
+                1 => 0.0,
+                _ => -0.0,
+            };
+            let period = if spread { free / 512.0 } else { 0.0 };
+            let one_bps = BandwidthTrace::steady(Rate::from_bytes_per_sec(1.0));
+            replayed(&one_bps, free, Production { period, first: 0 }, sends, bytes, overhead);
         }
     }
 
     /// Sends that start on a breakpoint and exactly fill its segment take
     /// the in-segment path; the next send, starting on the following
     /// breakpoint, steps the cursor first. A send that overflows its
-    /// segment by any amount integrates across the breakpoint.
+    /// segment by any amount integrates across the breakpoint. A jumped
+    /// run may end with a send that exactly fills its segment.
     #[test]
     fn sends_that_fill_a_segment_match_finish_time() {
         let t = BandwidthTrace::from_segments(&[
@@ -1711,51 +1880,146 @@ mod tests {
             (7.0, gbs(2.0)),
         ])
         .unwrap();
-        for (bytes, readies) in [
-            (2.0e9, vec![0.0, 2.0, 6.0, 7.0]),
-            (1.0e9, vec![0.0, 0.0, 2.0, 2.0, 4.5]),
-            (2.0e9 + 1.0, vec![0.0, 0.0, 6.0]),
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
+        for (free, bytes, production, sends) in [
+            (0.0, 2.0e9, at_once, 4),
+            (0.0, 1.0e9, at_once, 5),
+            (0.0, 2.0e9 + 1.0, at_once, 3),
+            // Ready on the breakpoints at t=2, 4 and 6, and at t=8.
+            (
+                0.0,
+                1.0e9,
+                Production {
+                    period: 2.0,
+                    first: 0,
+                },
+                4,
+            ),
+            (2.0, 0.5e9, at_once, 5),
         ] {
-            let (got, last) = chained(&t, 0.0, &readies, bytes, 0.0);
-            let want = step_by_step(&t, 0.0, &readies, bytes, 0.0);
-            assert_eq!(bits(&got), bits(&want), "{bytes} B");
-            assert_eq!(last.to_bits(), got.last().unwrap().to_bits());
+            replayed(&t, free, production, sends, bytes, 0.0);
         }
         // The first chain written out: 2 GB fill [0, 2) at 1 GB/s and
         // [2, 6) at 0.5 GB/s; the third send waits out the outage and
         // moves at 2 GB/s from t=7.
         assert_eq!(
-            chained(&t, 0.0, &[0.0, 2.0, 6.0, 7.0], 2.0e9, 0.0).0,
+            chained(&t, 0.0, at_once, 4, 2.0e9, 0.0).0,
             [2.0, 6.0, 8.0, 9.0]
         );
+        // One-second sends from t=2: from t=4 the sends starting at 4 and
+        // 5 are one jumped run, whose last send fills [2, 6) to its end.
+        assert_eq!(
+            chained(&t, 2.0, at_once, 5, 0.5e9, 0.0).0,
+            [3.0, 4.0, 5.0, 6.0, 7.25]
+        );
+    }
+
+    /// Chains on the edges of the jump, each replayed bit for bit against
+    /// single steps, all sends ready at once. From a free just below 1,
+    /// sends of exactly 1.5 and 2.5 spacings of the binade `[1, 2)` first
+    /// land on an odd multiple of the spacing; from there each sum is a
+    /// tie that rounds to the even neighbour, so the step after the first
+    /// differs from it, and a jump from the first free would be wrong. A
+    /// send under half a spacing stalls the chain on its first free.
+    #[test]
+    fn ties_and_stalls_replay_finish_time() {
+        let u = f64::EPSILON;
+        let one_bps = BandwidthTrace::steady(Rate::from_bytes_per_sec(1.0));
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
+        for (free, bytes, want) in [
+            (
+                1.0 - 0.5 * u,
+                1.5 * u,
+                [1.0 + u, 1.0 + 2.0 * u, 1.0 + 4.0 * u],
+            ),
+            (
+                1.0 - 1.5 * u,
+                2.5 * u,
+                [1.0 + u, 1.0 + 4.0 * u, 1.0 + 6.0 * u],
+            ),
+        ] {
+            let frees = replayed(&one_bps, free, at_once, 64, bytes, 0.0);
+            assert_eq!(frees[..3], want, "{bytes} B");
+        }
+        let frees = replayed(&one_bps, 1.0, at_once, 64, 0.25 * u, 0.0);
+        assert!(frees.iter().all(|&f| f == 1.0), "{frees:?}");
+    }
+
+    /// 2^24 sends of 2^-20 s each, all ready at t=0, from a link free at
+    /// 0: the frees climb through the 24 binades from 2^-20 to 16, and
+    /// each is exactly its send count times 2^-20.
+    #[test]
+    fn a_long_chain_crosses_binades_exactly() {
+        let link = BandwidthTrace::steady(Rate::from_bytes_per_sec(1048576.0));
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
+        let mut count = 0u32;
+        let last = link.send_chain(0.0, 1 << 24, 1.0, 0.0, at_once, |free| {
+            count += 1;
+            assert_eq!(free, f64::from(count) / 1048576.0);
+        });
+        assert_eq!((count, last), (1 << 24, 16.0));
+    }
+
+    /// `last_passing` finds every boundary from every guess: small ranges
+    /// exhaustively, and boundaries across the whole `u32` range from
+    /// guesses at both ends, where a stride saturates.
+    #[test]
+    fn last_passing_finds_the_boundary_from_any_guess() {
+        for most in 0..40u32 {
+            for bound in 0..=most {
+                for guess in 0..50 {
+                    let got = last_passing(most, guess, |n| n <= bound);
+                    assert_eq!(got, bound, "most {most}, guess {guess}");
+                }
+            }
+        }
+        let most = u32::MAX - 1;
+        for bound in [0, 1, 12_345, 1 << 31, most - 1, most] {
+            for guess in [0, 1, bound, most, u32::MAX] {
+                assert_eq!(last_passing(most, guess, |n| n <= bound), bound);
+            }
+        }
     }
 
     #[test]
     fn an_empty_chain_leaves_the_link_free_at_zero() {
         let t = BandwidthTrace::steady(gbs(1.0));
-        assert_eq!(chained(&t, 0.0, &[], 1.0e9, 0.5), (vec![], 0.0));
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
+        assert_eq!(chained(&t, 0.0, at_once, 0, 1.0e9, 0.5), (vec![], 0.0));
     }
 
     /// A fault fails the chain at the faulty send with the single step's
     /// message, after `sent` has seen exactly the sends before it; a
-    /// fault inside a sixteen-send block is no exception.
+    /// fault right after a jumped run is no exception.
     fn assert_fails_at(
         trace: &BandwidthTrace,
         free: f64,
-        readies: &[f64],
+        production: Production,
+        sends: usize,
         bytes: f64,
         overhead: f64,
         (send, message): (usize, &str),
     ) {
         let mut seen = Vec::new();
-        let sends = u32::try_from(readies.len()).unwrap();
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             trace.send_chain(
                 free,
-                sends,
+                u32::try_from(sends).unwrap(),
                 bytes,
                 overhead,
-                |i| readies[i as usize],
+                production,
                 |f| seen.push(f),
             )
         }))
@@ -1764,54 +2028,83 @@ mod tests {
             panic.downcast_ref::<String>().map(String::as_str),
             Some(message)
         );
-        let want = step_by_step(trace, free, &readies[..send], bytes, overhead);
+        let want = step_by_step(trace, free, &readies(production, send), bytes, overhead);
         assert_eq!(bits(&seen), bits(&want), "{message}");
     }
 
     #[test]
     fn a_chain_rewound_by_a_negative_overhead_fails_loudly() {
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
         let t = BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (2.0, gbs(0.5))]).unwrap();
-        // The first send starts at t=3, on the second segment, and frees
-        // the link at 5 - 4 = 1: the second send would start before the
-        // segment the chain has reached.
+        // The link is busy until t=3, on the second segment; the first
+        // send frees it at 5 - 4 = 1, so the second would start before
+        // the segment the chain has reached.
         let at_1 = (1, "segment cursor at t=2 is past the start 1");
-        assert_fails_at(&t, 0.0, &[3.0, 0.0], 1.0e9, -4.0, at_1);
+        assert_fails_at(&t, 3.0, at_once, 2, 1.0e9, -4.0, at_1);
         // A backlogged chain from t=34.5 on the 2 GB/s segment from t=10:
         // each 1 GB send takes 0.5 s and the overhead hands back 1.5 s, so
-        // send k starts at 34.5 - k. The first block passes; send 25, in
-        // the second, starts at 9.5, before the segment.
+        // send k starts at 34.5 - k, and send 25 at 9.5, before the
+        // segment.
         let t = BandwidthTrace::from_segments(&[(0.0, gbs(1.0)), (10.0, gbs(2.0))]).unwrap();
         let at_25 = (25, "segment cursor at t=10 is past the start 9.5");
-        assert_fails_at(&t, 34.5, &[0.0; 40], 1.0e9, -1.5, at_25);
+        assert_fails_at(&t, 34.5, at_once, 40, 1.0e9, -1.5, at_25);
     }
 
+    /// A period that is not a time fails before any send, even for a
+    /// chain with no sends.
+    #[test]
+    fn a_period_that_is_not_a_time_fails_loudly() {
+        let t = BandwidthTrace::steady(gbs(1.0));
+        for period in [f64::NAN, -1.0, f64::INFINITY] {
+            let message = format!("period must be non-negative and finite, got {period}");
+            for sends in [0, 40] {
+                let production = Production { period, first: 0 };
+                assert_fails_at(&t, 0.0, production, sends, 1.0e9, 0.0, (0, &message));
+            }
+        }
+    }
+
+    /// Send `k` of a production every `f64::MAX / (k + 0.5)` seconds is
+    /// ready at infinity. The chain fails there whether its sends wait
+    /// to be produced (a link free at 0) or not: on a link busy until
+    /// `0.99 · f64::MAX`, where a one-second send is lost in rounding and
+    /// the chain stalls, every send before `k` but the first is one jumped
+    /// run.
     #[test]
     fn a_ready_instant_that_is_not_a_time_fails_loudly() {
         let t = BandwidthTrace::steady(gbs(1.0));
-        let nan = (0, "Seconds must be non-negative and finite, got NaN");
-        assert_fails_at(&t, 0.0, &[f64::NAN], 1.0e9, 0.0, nan);
-        // Send 20 of a backlogged chain, inside its second block.
-        for bad in [f64::NAN, -1.0, f64::INFINITY] {
-            let mut readies = [0.0; 40];
-            readies[20] = bad;
-            let message = format!("Seconds must be non-negative and finite, got {bad}");
-            assert_fails_at(&t, 0.0, &readies, 1.0e9, 0.0, (20, &message));
+        let message = "Seconds must be non-negative and finite, got inf";
+        for send in [20, 32] {
+            let production = Production {
+                period: f64::MAX / (send as f64 + 0.5),
+                first: 0,
+            };
+            for free in [0.0, 0.99 * f64::MAX] {
+                assert_fails_at(&t, free, production, 40, 1.0e9, 0.0, (send, message));
+            }
         }
     }
 
     #[test]
     fn bytes_or_a_free_that_is_not_a_time_fails_loudly() {
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
         let bytes = (0, "bytes must be non-negative and finite, got inf");
         let t = BandwidthTrace::steady(gbs(1.0));
-        assert_fails_at(&t, 0.0, &[0.0; 40], f64::INFINITY, 0.0, bytes);
+        assert_fails_at(&t, 0.0, at_once, 40, f64::INFINITY, 0.0, bytes);
         // At 1 B/s a send of f64::MAX / (k + 0.5) bytes takes as many
-        // seconds, so the free instant of send k overflows: send 20 is
-        // inside the second block, send 32 ends it.
+        // seconds, so the free instant of send k overflows; no run is
+        // jumped, since each send doubles the free or more.
         let t = BandwidthTrace::steady(Rate::from_bytes_per_sec(1.0));
         for send in [20, 32] {
             let bytes = f64::MAX / (send as f64 + 0.5);
             let free = (send, "Seconds must be non-negative and finite, got inf");
-            assert_fails_at(&t, 0.0, &[0.0; 40], bytes, 0.0, free);
+            assert_fails_at(&t, 0.0, at_once, 40, bytes, 0.0, free);
         }
     }
 
@@ -1820,7 +2113,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "Seconds must be non-negative and finite")]
     fn a_first_free_instant_that_is_not_a_time_fails_loudly() {
-        chained(&BandwidthTrace::steady(gbs(1.0)), f64::NAN, &[], 1.0e9, 0.0);
+        let at_once = Production {
+            period: 0.0,
+            first: 0,
+        };
+        chained(
+            &BandwidthTrace::steady(gbs(1.0)),
+            f64::NAN,
+            at_once,
+            0,
+            1.0e9,
+            0.0,
+        );
     }
 
     #[test]

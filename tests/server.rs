@@ -332,6 +332,19 @@ fn simulate_replays_a_workload_with_memoized_bodies() {
     assert_eq!(h.simulate_cache.hits, 1);
     assert_eq!(h.simulate_cache.entries, 1);
 
+    // Neither shape reads the seed, so another seed is the same replay:
+    // a hit with the first body's bytes.
+    let reseeded = format!(
+        r#"{{"workload":{TABLE3},"shapes":["steady","outage"],"frames":16,"files":4,"seed":7}}"#
+    );
+    let (status, third) = call(addr, "POST", "/simulate", &reseeded);
+    assert_eq!(status, 200);
+    assert_eq!(first, third, "an unread seed must share the body");
+    let h = health(addr);
+    assert_eq!(h.simulate_cache.misses, 1);
+    assert_eq!(h.simulate_cache.hits, 2);
+    assert_eq!(h.simulate_cache.entries, 1);
+
     // Bad shape names and oversized grids are 400s, not panics.
     let bad = format!(r#"{{"workload":{TABLE3},"shapes":["tsunami"]}}"#);
     let (status, body) = call(addr, "POST", "/simulate", &bad);
