@@ -1,15 +1,16 @@
 //! Regenerate the paper's tables and figures in one process.
 //!
 //! `cargo run --release -p sss-bench -- [artifact …]` runs the named
-//! regenerators in the order given; with no names it runs every one but
-//! `server_scaling`, which binds sockets and holds thousands of
-//! connections, so it runs only when named. Each module regenerates one
-//! artifact of the paper's evaluation (its doc says which) by running the
-//! simulators at the published parameters and rendering the series the
-//! paper reports, as terminal tables and plots plus CSV/JSON under
-//! `results/`. The regenerators share one [`Context`]: Figure 2(a),
-//! Figure 3, the headline, the case study and the continuum ablation read
-//! one simultaneous-batch sweep, run once.
+//! regenerators in the order given; with no names it runs every one.
+//! Each module regenerates one artifact of the paper's evaluation (its
+//! doc says which) by running the simulators at the published parameters
+//! and rendering the series the paper reports, as terminal tables and
+//! plots plus CSV/JSON under `results/`. No regenerator reads a clock:
+//! every file a run writes is simulation output, and the same knobs
+//! write the same bytes. Timing lives in `perfbench/`. The regenerators
+//! share one [`Context`]: Figure 2(a), Figure 3, the headline, the case
+//! study and the continuum ablation read one simultaneous-batch sweep,
+//! run once.
 //!
 //! Environment knobs, each optional and read once:
 //! * `SSS_SEED` — master seed (default 42).
@@ -31,12 +32,10 @@ mod fig2b;
 mod fig3;
 mod fig4;
 mod fleet_contention;
-mod fleet_scaling;
 mod frontier_map;
 mod headline;
 mod regimes;
 mod scenario_suite;
-mod server_scaling;
 mod sim_validation;
 mod tables;
 
@@ -45,10 +44,8 @@ use context::Context;
 /// A regenerator by name.
 type Artifact = (&'static str, fn(&Context));
 
-/// Every regenerator, in the order a run with no names takes them. The
-/// last, `server_scaling`, binds sockets and holds thousands of
-/// connections, so it runs only when named.
-const ARTIFACTS: [Artifact; 16] = [
+/// Every regenerator, in the order a run with no names takes them.
+const ARTIFACTS: [Artifact; 14] = [
     ("tables", tables::run),
     ("fig2a", fig2a::run),
     ("fig2b", fig2b::run),
@@ -63,16 +60,14 @@ const ARTIFACTS: [Artifact; 16] = [
     ("frontier_map", frontier_map::run),
     ("sim_validation", sim_validation::run),
     ("fleet_contention", fleet_contention::run),
-    ("fleet_scaling", fleet_scaling::run),
-    ("server_scaling", server_scaling::run),
 ];
 
-/// The regenerators `names` asks for, in that order, or every one but
-/// the last when `names` is empty. An unknown name is an error naming it
-/// and the known ones, so nothing runs.
+/// The regenerators `names` asks for, in that order, or every one when
+/// `names` is empty. An unknown name is an error naming it and the known
+/// ones, so nothing runs.
 fn select(names: &[String]) -> Result<Vec<Artifact>, String> {
     if names.is_empty() {
-        return Ok(ARTIFACTS[..ARTIFACTS.len() - 1].to_vec());
+        return Ok(ARTIFACTS.to_vec());
     }
     names
         .iter()
@@ -110,15 +105,14 @@ mod tests {
     }
 
     #[test]
-    fn no_names_run_every_artifact_but_the_server_bench_in_table_order() {
+    fn no_names_run_every_artifact_in_table_order() {
         let all = select(&[]).expect("no names select the default run");
-        assert_eq!(names(&all), names(&ARTIFACTS[..15]));
-        assert_eq!(ARTIFACTS[15].0, "server_scaling");
+        assert_eq!(names(&all), names(&ARTIFACTS));
     }
 
     #[test]
     fn named_artifacts_run_in_the_order_given() {
-        let wanted = ["server_scaling", "fig3", "fig2a"].map(String::from);
+        let wanted = ["fleet_contention", "fig3", "fig2a"].map(String::from);
         let chosen = select(&wanted).expect("known names");
         assert_eq!(names(&chosen), wanted);
     }

@@ -3,13 +3,19 @@
 //! Reproduces the paper's measurement methodology (§4): an orchestrator
 //! spawns `concurrency` clients per second for `duration` seconds, each
 //! transferring a fixed volume over `P` parallel TCP flows into one
-//! server, under two spawning strategies:
+//! server, under one of four spawning strategies:
 //!
 //! * [`SpawnStrategy::Simultaneous`] — all of a second's clients start at
 //!   the top of the second, creating the instantaneous congestion spikes
 //!   of Figure 2(a);
 //! * [`SpawnStrategy::Scheduled`] — clients are spaced evenly within the
-//!   second, modeling reserved/scheduled transfers as in Figure 2(b).
+//!   second, which smooths spikes but cannot help once offered load
+//!   exceeds capacity;
+//! * [`SpawnStrategy::Reserved`] — spaced like `Scheduled`, but a client
+//!   never starts before the previous reservation ends, modeling the
+//!   reserved time slots of Figure 2(b);
+//! * [`SpawnStrategy::Poisson`] — Poisson arrivals at rate `concurrency`
+//!   per second, the open-loop arrival model of queueing analysis.
 //!
 //! Each client's transfer time spans from its spawn instant to the
 //! completion of its **last** parallel flow (iperf3 reports the session,

@@ -298,8 +298,12 @@ pub struct SimulateRequest {
     /// Trace-shape labels (default: all four bundled shapes).
     #[serde(default = "default_shapes")]
     pub shapes: Vec<String>,
-    /// Frames the data unit is split into (default 64, max
-    /// [`SimulateRequest::MAX_FRAMES`]).
+    /// Frames the data unit is split into (default 64). The one bound is
+    /// the replay's own, 65,536 frames ([`ReplayConfig::validate`]). The
+    /// costliest body it admits, 65,536 frames in 65,536 files under all
+    /// four shapes, took 14.6–16.7 ms a miss on `stream-score serve` (2
+    /// workers on a 2-vCPU Xeon, eleven seeds, round trip from a local
+    /// client), against 0.3–0.6 ms for the default body.
     #[serde(default = "default_frames")]
     pub frames: u32,
     /// File count for the staged-replay column (default 16).
@@ -318,19 +322,9 @@ pub struct SimulateRequest {
 }
 
 impl SimulateRequest {
-    /// Largest per-request frame split the service simulates.
-    pub const MAX_FRAMES: u32 = 4096;
-
     /// Validate the request into a runnable replay.
     pub fn replay(&self) -> Result<SessionReplay, String> {
         let params = self.workload.params().map_err(|e| e.to_string())?;
-        if self.frames > Self::MAX_FRAMES {
-            return Err(format!(
-                "frames {} exceeds the service cap of {}",
-                self.frames,
-                Self::MAX_FRAMES
-            ));
-        }
         let shapes = self
             .shapes
             .iter()

@@ -373,9 +373,10 @@ fn connections_beyond_cap_are_dropped() {
 }
 
 /// The load driver holds a four-digit connection set open against the
-/// reactor from one process, with every request answered. (The full ≥5k
-/// ramp runs in the `server_scaling` bench; this keeps the test suite
-/// fast while still proving the mechanism end to end.)
+/// reactor from one process, with every request answered. (CI's
+/// `bench-smoke` job holds 5000 with `stream-score loadtest --clients
+/// 5000 --requests 2`; this keeps the test suite fast while still
+/// proving the mechanism end to end.)
 #[cfg(target_os = "linux")]
 #[test]
 fn ramp_holds_a_thousand_connections() {

@@ -5,7 +5,10 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use stream_score::server::{CacheStats, Health, Server, ServerConfig, ServerHandle};
+use stream_score::exec::ThreadPool;
+use stream_score::server::{
+    CacheStats, Health, Server, ServerConfig, ServerHandle, SimulateRequest,
+};
 
 fn start(workers: usize, cache_capacity: usize) -> ServerHandle {
     let server = Server::bind(ServerConfig {
@@ -345,19 +348,45 @@ fn simulate_replays_a_workload_with_memoized_bodies() {
     assert_eq!(h.simulate_cache.hits, 2);
     assert_eq!(h.simulate_cache.entries, 1);
 
-    // Bad shape names and oversized grids are 400s, not panics.
+    // Bad shape names are 400s, not panics.
     let bad = format!(r#"{{"workload":{TABLE3},"shapes":["tsunami"]}}"#);
     let (status, body) = call(addr, "POST", "/simulate", &bad);
     assert_eq!(status, 400);
     assert!(body.contains("unknown trace shape"), "{body}");
-    let oversized = format!(r#"{{"workload":{TABLE3},"frames":100000}}"#);
-    let (status, body) = call(addr, "POST", "/simulate", &oversized);
-    assert_eq!(status, 400);
-    assert!(body.contains("cap"), "{body}");
 
     // Unsupported methods are 405, never 404.
     let (status, _) = call(addr, "GET", "/simulate", "");
     assert_eq!(status, 405);
+
+    handle.shutdown();
+}
+
+/// `/simulate` bounds `frames` only by the replay's own cap of 65,536:
+/// 8192 frames answer 200 with the bytes the library computes
+/// in-process, and 65,537 draw a 400 naming that cap.
+#[test]
+fn simulate_frames_are_bounded_by_the_replay_cap_alone() {
+    let handle = start(2, 64);
+    let addr = handle.addr();
+
+    let body = format!(r#"{{"workload":{TABLE3},"frames":8192}}"#);
+    let request: SimulateRequest = serde_json::from_str(&body).expect("simulate parses");
+    let replay = request.replay().expect("8192 frames validate");
+    let expected = serde_json::to_string(&replay.run(&ThreadPool::new(2))).expect("serializes");
+    let (status, served) = call(addr, "POST", "/simulate", &body);
+    assert_eq!(status, 200, "{served}");
+    assert_eq!(
+        served, expected,
+        "the service must serve the library's bytes"
+    );
+
+    let over = format!(r#"{{"workload":{TABLE3},"frames":65537}}"#);
+    let (status, body) = call(addr, "POST", "/simulate", &over);
+    assert_eq!(status, 400);
+    assert!(
+        body.contains("frames 65537 exceeds the replay cap of 65536"),
+        "{body}"
+    );
 
     handle.shutdown();
 }
