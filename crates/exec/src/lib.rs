@@ -8,9 +8,11 @@
 //! RNG seeds per item so the assignment of items to threads cannot change
 //! any outcome.
 //!
-//! Built directly on `std::thread::scope` and an atomic work counter rather
-//! than a work-stealing framework. The maps range from a few dozen whole
-//! simulations (milliseconds to seconds each) to thousands of fleet
+//! Built on an atomic work counter and a few parked helper threads rather
+//! than a work-stealing framework. A map runs on its calling thread, and
+//! process-wide helpers, spawned once and parked between maps, join it,
+//! so a map spawns no thread. The maps range from a few dozen whole
+//! simulations (a few microseconds to seconds each) to thousands of fleet
 //! sessions (about a microsecond each), so workers claim consecutive items
 //! in runs sized to the map (see [`ThreadPool`]): one at a time for the
 //! coarse maps, dozens at a time for the fine ones. A simple shared-queue

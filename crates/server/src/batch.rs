@@ -8,9 +8,10 @@
 //! `sss_core::decide_batch`, and then finishes the responses (break-even
 //! boundaries, sensitivities, serialization) in **one**
 //! [`sss_exec::ThreadPool`] task wave. Under load this amortizes the
-//! thread fan-out across many requests (one pool spawn per batch, not
-//! per request) while an idle service still answers a lone request
-//! immediately: the dispatcher never waits for a batch to fill.
+//! fan-out across many requests (one wave per batch, run by the
+//! dispatcher and the executor's parked helpers, not one per request)
+//! while an idle service still answers a lone request immediately: the
+//! dispatcher never waits for a batch to fill.
 //!
 //! Replies are the serialized response bodies (`Arc<str>`) produced by
 //! [`DecideResponse::evaluate`] — pure, so batching and worker count can
@@ -79,8 +80,8 @@ fn evaluate_body(params: &ModelParams) -> Arc<str> {
 }
 
 impl Batcher {
-    /// Start the dispatcher with `workers` pool threads, draining at most
-    /// `max_batch` queued requests per wave.
+    /// Start the dispatcher, whose waves run `workers` wide, draining at
+    /// most `max_batch` queued requests per wave.
     pub fn new(cache: Arc<DecisionCache>, workers: usize, max_batch: usize) -> Self {
         let max_batch = max_batch.max(1);
         let (tx, rx) = channel::unbounded::<Job>();

@@ -1191,12 +1191,16 @@ impl TraceShape {
             TraceShape::Diurnal => {
                 const STEPS: usize = 16;
                 const PERIODS: usize = 8;
+                // Each period repeats the same 16 steps: one cosine per step.
+                let factors: [f64; STEPS] = std::array::from_fn(|step| {
+                    let phase = 2.0 * std::f64::consts::PI * step as f64 / STEPS as f64;
+                    0.55 + 0.45 * phase.cos()
+                });
                 let mut starts_s = Vec::with_capacity(STEPS * PERIODS + 1);
                 let mut rates_bps = Vec::with_capacity(STEPS * PERIODS + 1);
                 for k in 0..STEPS * PERIODS {
-                    let phase = 2.0 * std::f64::consts::PI * (k % STEPS) as f64 / STEPS as f64;
                     starts_s.push(horizon_s * k as f64 / STEPS as f64);
-                    rates_bps.push(base * (0.55 + 0.45 * phase.cos()));
+                    rates_bps.push(base * factors[k % STEPS]);
                 }
                 starts_s.push(horizon_s * PERIODS as f64);
                 rates_bps.push(base);

@@ -391,6 +391,61 @@ fn simulate_frames_are_bounded_by_the_replay_cap_alone() {
     handle.shutdown();
 }
 
+/// Heavy-route misses that run at once share the executor's helpers:
+/// four clients each post a distinct `/simulate` and `/fleet` body at the
+/// same moment to a 2-worker server, and every body served is the bytes
+/// the library computes for it in-process on a fresh pool.
+#[test]
+fn concurrent_heavy_misses_serve_the_library_bytes() {
+    use stream_score::server::api::FleetRequest;
+
+    let handle = start(2, 64);
+    let addr = handle.addr();
+    let start_line = std::sync::Barrier::new(4);
+    let served: Vec<[(String, String); 2]> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4u32)
+            .map(|i| {
+                let start_line = &start_line;
+                scope.spawn(move || {
+                    let simulate = format!(
+                        r#"{{"workload":{TABLE3},"shapes":["bursty","diurnal"],"frames":{},"files":4,"seed":{i}}}"#,
+                        256 + 64 * i
+                    );
+                    let fleet = format!(r#"{{"sessions":{},"seed":{i}}}"#, 24 + 8 * i);
+                    start_line.wait();
+                    [("/simulate", simulate), ("/fleet", fleet)].map(|(path, body)| {
+                        let (status, response) = call(addr, "POST", path, &body);
+                        assert_eq!(status, 200, "{path}: {response}");
+                        (body, response)
+                    })
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread"))
+            .collect()
+    });
+
+    for [(simulate, simulated), (fleet, fleeted)] in served {
+        let request: SimulateRequest = serde_json::from_str(&simulate).expect("simulate parses");
+        let replay = request.replay().expect("the replay validates");
+        let expected = serde_json::to_string(&replay.run(&ThreadPool::new(2))).expect("serializes");
+        assert_eq!(simulated, expected, "/simulate {simulate}");
+
+        let request: FleetRequest = serde_json::from_str(&fleet).expect("fleet parses");
+        let sim = request
+            .fleet(FleetRequest::DEFAULT_SESSION_CAP)
+            .expect("the fleet validates");
+        let report = sim.run(&ThreadPool::new(2)).expect("the fleet runs");
+        let expected = serde_json::to_string(&report).expect("serializes");
+        assert_eq!(fleeted, expected, "/fleet {fleet}");
+    }
+    let h = health(addr);
+    assert_eq!((h.simulate_cache.misses, h.fleet_cache.misses), (4, 4));
+    handle.shutdown();
+}
+
 #[test]
 fn cache_accounts_hits_and_misses() {
     let handle = start(2, 256);
