@@ -338,8 +338,9 @@ pub struct FleetSim {
 }
 
 /// Seeds a call of [`TraceShape::draw`] takes in [`FleetSim::plan`]: the
-/// draw advances eight SplitMix64 chains at once, so a group of eight
-/// leaves it no chain to advance alone.
+/// draw advances eight SplitMix64 chains at once through each seed's
+/// first dip word, so a group of eight leaves it no chain to advance
+/// alone. A later word is drawn on one chain, by the read that reaches it.
 const DRAW_GROUP: usize = 8;
 
 /// One planned arrival.
@@ -354,11 +355,12 @@ struct SessionState {
     scenario_idx: usize,
     arrival_s: f64,
     session: Session,
-    /// The solo trace's draws, made from its seed when the run was
-    /// planned. The integrator reads the solo trace through a
-    /// [`DippedTrace`] over the scenario's clear layout and these dips,
-    /// and `finalize` lays an unclipped session's trace out from them:
-    /// the same bits either way.
+    /// The solo trace's dips, drawn from its seed to their first word
+    /// when the run was planned. The integrator reads the solo trace
+    /// through a [`DippedTrace`] over the scenario's clear layout and
+    /// these dips, which draws each later word the first time a read
+    /// reaches it, and `finalize` lays an unclipped session's trace out
+    /// from a completed copy: the same bits either way.
     dips: Dips,
     start_s: f64,
     /// Elapsed time since admission — the session's private trace clock.
@@ -388,9 +390,10 @@ impl SessionState {
     }
 
     /// The session's solo trace, read through its scenario's layout in
-    /// `clear` (one per scenario, from clear dips).
-    fn solo<'a>(&self, shape: TraceShape, clear: &'a [BandwidthTrace]) -> DippedTrace<'a> {
-        DippedTrace::new(shape, &clear[self.scenario_idx], &self.dips)
+    /// `clear` (one per scenario, from clear dips). Its reads draw the
+    /// dip words they reach into the session's dips.
+    fn solo<'a>(&'a mut self, shape: TraceShape, clear: &'a [BandwidthTrace]) -> DippedTrace<'a> {
+        DippedTrace::new(shape, &clear[self.scenario_idx], &mut self.dips)
     }
 
     /// The session ran dry: mark it done.
@@ -628,13 +631,24 @@ impl FleetSim {
     /// A fleet over an explicit scenario mix.
     ///
     /// # Errors
-    /// Fails on an invalid [`FleetConfig`] or an empty scenario list —
-    /// `/fleet` turns this into a 400 instead of panicking the
-    /// connection.
+    /// Fails on an invalid [`FleetConfig`], an empty scenario list or a
+    /// list that repeats a scenario id (the report summarizes each
+    /// scenario once) — `/fleet` turns this into a 400 instead of
+    /// panicking the connection.
     pub fn new(scenarios: Vec<Scenario>, config: FleetConfig) -> Result<Self, String> {
         config.validate()?;
         if scenarios.is_empty() {
             return Err("a fleet needs at least one scenario in the mix".into());
+        }
+        // A mix is catalog-sized, so a scan of the ids before each one
+        // costs less than hashing them.
+        let repeated =
+            (1..scenarios.len()).find(|&k| scenarios[..k].iter().any(|s| s.id == scenarios[k].id));
+        if let Some(k) = repeated {
+            return Err(format!(
+                "the scenario mix repeats {:?}; list each scenario once",
+                scenarios[k].id
+            ));
         }
         Ok(FleetSim { scenarios, config })
     }
@@ -662,9 +676,11 @@ impl FleetSim {
     /// shuffle, per-session trace seeds position-derived so session `k`'s
     /// trace seed equals the single-session replay's cell-`k` seed.
     ///
-    /// Every session's dips are drawn here, on `pool`, [`DRAW_GROUP`]
-    /// seeds a call, so the integrator only lays traces out. Shapes that
-    /// draw nothing skip the fan-out.
+    /// Every session's first dip word is drawn here, on `pool`,
+    /// [`DRAW_GROUP`] seeds a call. The integrator draws a later word only
+    /// when a read reaches it, and the replay completes the draw of an
+    /// unclipped session, whose trace it lays out. Shapes that draw
+    /// nothing skip the fan-out.
     fn plan(&self, pool: &ThreadPool) -> Vec<Planned> {
         if self.config.load <= 0.0 || self.config.sessions == 0 {
             return Vec::new();
@@ -1268,34 +1284,35 @@ impl FleetSim {
             let st = &states[k as usize];
             self.finalize(k, st, &decisions[st.scenario_idx])
         };
-        let results: Vec<Result<FleetRecord, String>> = pool.map(&indices, eval);
-        let mut records = Vec::with_capacity(results.len());
-        for r in results {
-            records.push(r?);
-        }
+        let records = pool
+            .map(&indices, eval)
+            .into_iter()
+            .collect::<Result<Vec<FleetRecord>, String>>()?;
 
+        // One pass groups the outcomes by scenario. Each scenario's stay
+        // in session order: its float sums depend on that order.
+        let mut by_scenario = vec![Vec::new(); self.scenarios.len()];
+        let mut outcomes = Vec::with_capacity(records.len());
+        let mut slowdowns = Vec::with_capacity(records.len());
+        let mut makespan = 0.0f64;
+        for (st, r) in states.iter().zip(&records) {
+            let outcome = (r.mispredict, r.slowdown);
+            by_scenario[st.scenario_idx].push(outcome);
+            outcomes.push(outcome);
+            slowdowns.push(r.slowdown);
+            makespan = makespan.max(r.completion_s);
+        }
         let scenarios = self
             .scenarios
             .iter()
-            .filter_map(|s| {
-                let outcomes: Vec<(bool, f64)> = records
-                    .iter()
-                    .filter(|r| r.scenario_id == s.id)
-                    .map(|r| (r.mispredict, r.slowdown))
-                    .collect();
-                if outcomes.is_empty() {
-                    return None;
-                }
-                Some(ScenarioContention {
-                    scenario_id: s.id.clone(),
-                    summary: ContentionSummary::from_outcomes(&outcomes),
-                })
+            .zip(&by_scenario)
+            .filter(|(_, outcomes)| !outcomes.is_empty())
+            .map(|(s, outcomes)| ScenarioContention {
+                scenario_id: s.id.clone(),
+                summary: ContentionSummary::from_outcomes(outcomes),
             })
             .collect();
-        let outcomes: Vec<(bool, f64)> =
-            records.iter().map(|r| (r.mispredict, r.slowdown)).collect();
         let overall = ContentionSummary::from_outcomes(&outcomes);
-        let slowdowns: Vec<f64> = records.iter().map(|r| r.slowdown).collect();
         let (p50, p90, p99) = match Ecdf::from_samples(&slowdowns) {
             Some(ecdf) => (
                 ecdf.quantile(0.50),
@@ -1310,7 +1327,7 @@ impl FleetSim {
             policy: self.config.policy,
             slots: self.config.slots,
             wan_gbps: self.config.wan.as_gbps(),
-            makespan_s: records.iter().map(|r| r.completion_s).fold(0.0, f64::max),
+            makespan_s: makespan,
             records,
             scenarios,
             overall,
@@ -1933,6 +1950,21 @@ mod tests {
         assert!(c.validate().is_err());
         assert!(FleetConfig::quick(1).validate().is_ok());
         assert!(FleetSim::new(Vec::new(), FleetConfig::quick(1)).is_err());
+    }
+
+    /// A mix that lists a scenario twice is refused: the report keys each
+    /// scenario's summary on its place in the mix, so a repeat would
+    /// split its sessions between two summaries.
+    #[test]
+    fn a_mix_that_repeats_a_scenario_is_rejected() {
+        let lcls = Scenario::by_id("lcls-coherent-scattering").unwrap();
+        let aps = Scenario::by_id("aps-tomography").unwrap();
+        let mix = vec![lcls.clone(), aps.clone(), lcls.clone()];
+        assert_eq!(
+            FleetSim::new(mix, FleetConfig::quick(1)).unwrap_err(),
+            "the scenario mix repeats \"lcls-coherent-scattering\"; list each scenario once"
+        );
+        assert!(FleetSim::new(vec![lcls, aps], FleetConfig::quick(1)).is_ok());
     }
 
     #[test]

@@ -104,6 +104,9 @@ const SLOTS: usize = 32;
 /// Horizons a bursty trace repeats its slots over.
 const HORIZONS: usize = 8;
 
+/// Words of 64 dip flags a bursty trace's slots fill.
+const WORDS: usize = SLOTS * HORIZONS / 64;
+
 /// SplitMix64 chains [`TraceShape::draw`] advances at once.
 const CHAINS: usize = 8;
 
@@ -787,62 +790,112 @@ pub enum TraceShape {
 /// [`TraceShape::draw`] draws them from seeds and
 /// [`TraceShape::lay_out`] lays a trace out from them. The other shapes
 /// draw nothing: their dips are all clear, and their layouts ignore them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Dips([u64; SLOTS * HORIZONS / 64]);
+///
+/// The words are drawn as far as they are read. A draw makes the first
+/// word and keeps its seed's SplitMix64 state; a later word is drawn
+/// from that state the first time a read reaches it, so every flag is the
+/// one an eager draw of all four words makes. A [`DippedTrace`] borrows
+/// the dips mutably, so a word drawn once stays drawn, and a layout
+/// completes a copy. Two dips compare equal when their flags do, however
+/// far each was drawn.
+/// The default is clear dips, with no word left to draw.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Dips {
+    /// The flags, zero in the words not drawn yet.
+    words: [u64; WORDS],
+    /// How many words, the last ones, are not drawn yet.
+    pending: usize,
+    /// The seed's SplitMix64 state after the last word drawn.
+    state: u64,
+}
+
+impl PartialEq for Dips {
+    fn eq(&self, other: &Self) -> bool {
+        self.completed().words == other.completed().words
+    }
+}
+
+impl Eq for Dips {}
+
+/// The next word of flags of `N` SplitMix64 chains: one step per slot,
+/// the slot dipping when the state is a multiple of 4. Each flag shifts
+/// in at the bottom of its word, so the word's first slot ends on top.
+/// The `N` chains advance interleaved, each step of one chain beside the
+/// same step of the others, so the multiplier has independent work while
+/// each chain waits on its own last step. Every chain's sequence is the
+/// one it has alone.
+fn next_words<const N: usize>(states: &mut [u64; N]) -> [u64; N] {
+    let mut words = [0u64; N];
+    for _ in 0..64 {
+        for (state, w) in states.iter_mut().zip(&mut words) {
+            splitmix64(state);
+            *w = (*w << 1) | u64::from(state.is_multiple_of(4));
+        }
+    }
+    words
+}
 
 impl Dips {
-    /// The bursty dips of `N` seeds: each seed's SplitMix64 stream, one
-    /// step per slot, the slot dipping when the state is a multiple of
-    /// 4. Each flag shifts in at the bottom of its word, so the word's
-    /// first slot ends on top. The `N` chains advance interleaved, each
-    /// step of one chain beside the same step of the others, so the
-    /// multiplier has independent work while each chain waits on its own
-    /// last step. Every chain's sequence is the one it has alone.
+    /// The bursty dips of `N` seeds, each drawn to its first word.
     fn drawn<const N: usize>(mut states: [u64; N]) -> [Dips; N] {
-        let mut dips = [Dips::default(); N];
-        for word in 0..SLOTS * HORIZONS / 64 {
-            let mut words = [0u64; N];
-            for _ in 0..64 {
-                for (state, w) in states.iter_mut().zip(&mut words) {
-                    splitmix64(state);
-                    *w = (*w << 1) | u64::from(state.is_multiple_of(4));
-                }
+        let first = next_words(&mut states);
+        std::array::from_fn(|i| {
+            let mut words = [0; WORDS];
+            words[0] = first[i];
+            Dips {
+                words,
+                pending: WORDS - 1,
+                state: states[i],
             }
-            for (d, w) in dips.iter_mut().zip(words) {
-                d.0[word] = w;
-            }
+        })
+    }
+
+    /// Word `w` of the flags, drawing it, and every word before it, on
+    /// first read.
+    fn word(&mut self, w: usize) -> u64 {
+        while w >= WORDS - self.pending {
+            let mut state = [self.state];
+            let [word] = next_words(&mut state);
+            [self.state] = state;
+            self.words[WORDS - self.pending] = word;
+            self.pending -= 1;
         }
+        self.words[w]
+    }
+
+    /// A copy with every word drawn.
+    fn completed(&self) -> Dips {
+        let mut dips = *self;
+        dips.word(WORDS - 1);
         dips
     }
 
     /// Whether slot `k` dips. No slot past the last does, a bursty
     /// trace's final segment among them.
-    fn dipped(&self, k: usize) -> bool {
-        self.0
-            .get(k / 64)
-            .is_some_and(|&w| (w << (k % 64)) >> 63 == 1)
+    fn dipped(&mut self, k: usize) -> bool {
+        k < SLOTS * HORIZONS && (self.word(k / 64) << (k % 64)) >> 63 == 1
     }
 
     /// The first slot at or after `from` whose flag is `dipped`, or the
     /// slot count when there is none: the index of a bursty trace's final
     /// segment, which never dips. Masks the slots before `from` off its
     /// word and counts leading zeros, a word at a time.
-    fn next_slot(&self, from: usize, dipped: bool) -> usize {
+    fn next_slot(&mut self, from: usize, dipped: bool) -> usize {
         let flip = if dipped { 0 } else { u64::MAX };
         let mut word = from / 64;
-        let Some(&w) = self.0.get(word) else {
+        if word >= WORDS {
             return SLOTS * HORIZONS;
-        };
-        let mut flags = (w ^ flip) & (u64::MAX >> (from % 64));
+        }
+        let mut flags = (self.word(word) ^ flip) & (u64::MAX >> (from % 64));
         loop {
             if flags != 0 {
                 return word * 64 + flags.leading_zeros() as usize;
             }
             word += 1;
-            let Some(&w) = self.0.get(word) else {
+            if word == WORDS {
                 return SLOTS * HORIZONS;
-            };
-            flags = w ^ flip;
+            }
+            flags = self.word(word) ^ flip;
         }
     }
 }
@@ -858,25 +911,30 @@ impl Dips {
 /// rate times the factor the layout dips by. Only `bursty` reads its
 /// dips; the view of any other shape reads the clear layout unchanged.
 ///
+/// The view borrows the dips mutably: a read draws the dip words it
+/// reaches that were not drawn yet, and they stay drawn in the session's
+/// dips for every later view.
+///
 /// The clear layout also carries every check the session's own layout
 /// would make: those depend on the base and horizon alone.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct DippedTrace<'a> {
     clear: &'a BandwidthTrace,
-    dips: Dips,
+    /// The session's dips; `None` for a shape that reads none.
+    dips: Option<&'a mut Dips>,
 }
 
 impl<'a> DippedTrace<'a> {
     /// The view of `shape`'s layout from `dips` over `clear`, the layout
     /// of the same shape, base and horizon from clear dips. Shapes other
     /// than `bursty` ignore `dips`, as their layouts do.
-    pub fn new(shape: TraceShape, clear: &'a BandwidthTrace, dips: &Dips) -> Self {
+    pub fn new(shape: TraceShape, clear: &'a BandwidthTrace, dips: &'a mut Dips) -> Self {
         let dips = match shape {
             TraceShape::Bursty => {
                 debug_assert_eq!(clear.segments(), SLOTS * HORIZONS + 1);
-                *dips
+                Some(dips)
             }
-            _ => Dips::default(),
+            _ => None,
         };
         DippedTrace { clear, dips }
     }
@@ -884,13 +942,14 @@ impl<'a> DippedTrace<'a> {
     /// [`BandwidthTrace::segment_at`] on the laid-out trace: one binary
     /// search over the clear starts, the rate picked from the clear rate
     /// and its dip by the segment's flag.
-    pub fn segment_at(&self, t_s: f64) -> (f64, Option<f64>) {
+    pub fn segment_at(&mut self, t_s: f64) -> (f64, Option<f64>) {
         let idx = self.clear.starts_s.partition_point(|&s| s <= t_s);
         let seg = idx.saturating_sub(1);
         let rate = self.clear.rates_bps[seg];
         let pair = [rate, rate * DIP_FACTOR];
+        let dipped = self.dips.as_mut().is_some_and(|dips| dips.dipped(seg));
         (
-            pair[usize::from(self.dips.dipped(seg))],
+            pair[usize::from(dipped)],
             self.clear.starts_s.get(idx).copied(),
         )
     }
@@ -904,26 +963,27 @@ impl<'a> DippedTrace<'a> {
     /// in clear slots and the final segment, and the dip in dipped slots.
     /// `above` is called at most once on each, and the window's end is
     /// the next slot flagged unlike the first, found by counting leading
-    /// zeros over the four dip words. So `above` must be a pure function,
-    /// as the scan's branch-free chunks already assume.
+    /// zeros over the dip words, and looked for only when the window
+    /// ends. So `above` must be a pure function, as the scan's
+    /// branch-free chunks already assume.
     pub fn window_above(
-        &self,
+        &mut self,
         t_s: f64,
         above: impl Fn(f64) -> bool,
     ) -> Option<(f64, Option<f64>)> {
+        let Some(dips) = self.dips.as_mut() else {
+            return self.clear.window_above(t_s, above);
+        };
         let first = self.clear.segment_index(t_s);
-        let next_dip = self.dips.next_slot(first, true);
+        let next_dip = dips.next_slot(first, true);
         if next_dip == SLOTS * HORIZONS {
             return self.clear.window_above(t_s, above);
         }
         // A bursty slot: its clear rate is the base.
         let base = self.clear.rates_bps[first];
         let dip = base * DIP_FACTOR;
-        let (here, other, end) = if next_dip == first {
-            (dip, base, self.dips.next_slot(first, false))
-        } else {
-            (base, dip, next_dip)
-        };
+        let dipped = next_dip == first;
+        let (here, other) = if dipped { (dip, base) } else { (base, dip) };
         if !above(here) {
             return None;
         }
@@ -931,6 +991,11 @@ impl<'a> DippedTrace<'a> {
             // Every rate ahead passes, and one of them is a dip.
             return Some((dip, None));
         }
+        let end = if dipped {
+            dips.next_slot(first, false)
+        } else {
+            next_dip
+        };
         Some((here, Some(self.clear.starts_s[end])))
     }
 }
@@ -1136,11 +1201,13 @@ impl TraceShape {
     /// pure functions of `(shape, base, horizon, seed)`.
     ///
     /// A build is two steps, each public on its own: the draw, from the
-    /// seed to the 256 dip flags ([`TraceShape::draw`]), and the layout,
+    /// seed to the dip flags ([`TraceShape::draw`]), and the layout,
     /// from the flags, base and horizon to the trace
-    /// ([`TraceShape::lay_out`]). A caller that knows its seeds ahead
-    /// can draw them all at once, eight chains at a time, and lay each
-    /// trace out when it needs it, to the same bits.
+    /// ([`TraceShape::lay_out`]), which draws the flags the draw left
+    /// undrawn, so a build draws all 256 on the seed's one chain. A
+    /// caller that knows its seeds ahead can draw them all at once, eight
+    /// chains at a time, read each through a [`DippedTrace`] as far as it
+    /// needs, and lay each trace out when it needs it, to the same bits.
     ///
     /// # Panics
     /// Panics on a non-positive base rate or horizon.
@@ -1150,10 +1217,11 @@ impl TraceShape {
     }
 
     /// Each seed's [`Dips`], in seed order, as [`TraceShape::build`]
-    /// draws them. The `bursty` shape draws eight seeds' chains at a
-    /// time, interleaved, and the seeds after the last full eight one
-    /// at a time; every other shape draws nothing and returns clear
-    /// dips.
+    /// draws them. The `bursty` shape draws each seed's first word of 64
+    /// flags, eight seeds' chains at a time, interleaved, and the seeds
+    /// after the last full eight one at a time, and keeps each chain's
+    /// state to draw the other three words on first read; every other
+    /// shape draws nothing and returns clear dips.
     pub fn draw(&self, seeds: &[u64]) -> Vec<Dips> {
         let (groups, tail) = seeds.as_chunks::<CHAINS>();
         let mut dips = Vec::with_capacity(seeds.len());
@@ -1176,7 +1244,8 @@ impl TraceShape {
 
     /// Lay out the trace at `base` rate over the characteristic horizon
     /// `horizon_s` from drawn `dips` (see [`TraceShape::build`], which
-    /// is this layout of its seed's draw). Only `bursty` reads the dips.
+    /// is this layout of its seed's draw). Only `bursty` reads the dips,
+    /// from a copy it completes, so `dips` keeps only the words it had.
     ///
     /// # Panics
     /// Panics on a non-positive base rate or horizon.
@@ -1217,7 +1286,7 @@ impl TraceShape {
                 starts_s.extend((0..slots).map(|k| horizon_s * f64::from(k) / SLOTS as f64));
                 starts_s.push(horizon_s * HORIZONS as f64);
                 let mut rates_bps = Vec::with_capacity(SLOTS * HORIZONS + 1);
-                for &word in &dips.0 {
+                for word in dips.completed().words {
                     let mut flags = word;
                     rates_bps.extend((0..64).map(|_| {
                         let rate = pair[(flags >> 63) as usize];
@@ -1534,15 +1603,19 @@ mod tests {
         }
 
         /// A `DippedTrace` reads as the layout of its dips, bit for bit:
-        /// on every shape, at bases and horizons across many decades, with
-        /// dips from none through sparse and dense to all on every shape
-        /// (the non-bursty views must ignore them), and with every slot
+        /// on every shape, at bases and horizons across many decades,
+        /// over hand-set dips and over lazily drawn ones. The hand-set
+        /// dips run from none through sparse and dense to all on every
+        /// shape (the non-bursty views must ignore them), with every slot
         /// from a random one on clear, so windows start with no dip
-        /// ahead. `segment_at` is asked on every breakpoint, just left of
-        /// it, between breakpoints, before 0 and past the last start, and
-        /// `window_above` from the same instants: under thresholds below
-        /// the dip, on it, between the dip and the base and on the base,
-        /// and under a predicate that passes the dip but not the base.
+        /// ahead. The drawn dips come from a group of eight chains or the
+        /// lone chain after it, and the view draws their later words as
+        /// its reads reach them. `segment_at` is asked on every
+        /// breakpoint, just left of it, between breakpoints, before 0 and
+        /// past the last start, and `window_above` from the same instants,
+        /// in shuffled order: under thresholds below the dip, on it,
+        /// between the dip and the base and on the base, and under a
+        /// predicate that passes the dip but not the base.
         #[test]
         fn the_dipped_view_reads_as_its_layout_bit_for_bit(
             pick in 0usize..TraceShape::ALL.len(),
@@ -1553,12 +1626,15 @@ mod tests {
             words in proptest::collection::vec(any::<u64>(), 12..=12),
             density in 0usize..6,
             cut in 0usize..=2 * SLOTS * HORIZONS,
+            seed in any::<u64>(),
+            lane in 0usize..=CHAINS,
+            order in any::<u64>(),
         ) {
             let shape = TraceShape::ALL[pick];
             let base = Rate::from_bytes_per_sec(base_mantissa * 10f64.powi(base_exp));
             let horizon = horizon_mantissa * 10f64.powi(horizon_exp);
             let cut = cut.min(SLOTS * HORIZONS);
-            let mut flags = [0u64; 4];
+            let mut flags = [0u64; WORDS];
             for (k, flag) in flags.iter_mut().enumerate() {
                 let (a, b, c) = (words[k], words[k + 4], words[k + 8]);
                 let w = [0, a & b & c, a & b, a, a | b | c, u64::MAX][density];
@@ -1566,48 +1642,59 @@ mod tests {
                 let keep = cut.saturating_sub(64 * k).min(64);
                 *flag = if keep == 64 { w } else { w & !(u64::MAX >> keep) };
             }
-            let dips = Dips(flags);
-            let laid_out = shape.lay_out(base, horizon, &dips);
+            let hand_set = Dips { words: flags, ..Dips::default() };
+            let seeds: Vec<u64> = (0..=CHAINS as u64).map(|k| seed.wrapping_add(k)).collect();
+            let drawn = shape.draw(&seeds)[lane];
             let clear = shape.lay_out(base, horizon, &Dips::default());
-            let view = DippedTrace::new(shape, &clear, &dips);
+            for (source, mut dips) in [("hand-set", hand_set), ("drawn", drawn)] {
+                let laid_out = shape.lay_out(base, horizon, &dips);
+                let mut view = DippedTrace::new(shape, &clear, &mut dips);
 
-            let last = *laid_out.starts_s.last().unwrap();
-            let mut queries = vec![-1.0, last + 1.0, 2.0 * last + 1.0];
-            for (k, &s) in laid_out.starts_s.iter().enumerate() {
-                queries.push(s);
-                queries.push(s - s.abs() * 1e-12 - 1e-300);
-                if let Some(&next) = laid_out.starts_s.get(k + 1) {
-                    queries.push((s + next) / 2.0);
+                let last = *laid_out.starts_s.last().unwrap();
+                let mut queries = vec![-1.0, last + 1.0, 2.0 * last + 1.0];
+                for (k, &s) in laid_out.starts_s.iter().enumerate() {
+                    queries.push(s);
+                    queries.push(s - s.abs() * 1e-12 - 1e-300);
+                    if let Some(&next) = laid_out.starts_s.get(k + 1) {
+                        queries.push((s + next) / 2.0);
+                    }
                 }
-            }
-            let base = base.as_bytes_per_sec();
-            let dip = base * DIP_FACTOR;
-            let mid = (dip + base) / 2.0;
-            let predicates: [(&str, &dyn Fn(f64) -> bool); 6] = [
-                ("above half the dip", &|r| r > dip / 2.0),
-                ("above the dip", &|r| r > dip),
-                ("above the midpoint", &|r| r > mid),
-                ("above the base", &|r| r > base),
-                ("below the midpoint", &|r| r < mid),
-                ("not the base", &|r| r != base),
-            ];
-            for &q in &queries {
-                prop_assert_eq!(
-                    view.segment_at(q).0.to_bits(),
-                    laid_out.segment_at(q).0.to_bits(),
-                    "{}: rate at {}", shape, q
-                );
-                prop_assert_eq!(
-                    view.segment_at(q).1.map(f64::to_bits),
-                    laid_out.segment_at(q).1.map(f64::to_bits),
-                    "{}: next breakpoint after {}", shape, q
-                );
-                for (name, above) in predicates {
+                let mut state = order;
+                for j in (1..queries.len()).rev() {
+                    splitmix64(&mut state);
+                    queries.swap(j, (state % (j as u64 + 1)) as usize);
+                }
+                let base = base.as_bytes_per_sec();
+                let dip = base * DIP_FACTOR;
+                let mid = (dip + base) / 2.0;
+                let predicates: [(&str, &dyn Fn(f64) -> bool); 6] = [
+                    ("above half the dip", &|r| r > dip / 2.0),
+                    ("above the dip", &|r| r > dip),
+                    ("above the midpoint", &|r| r > mid),
+                    ("above the base", &|r| r > base),
+                    ("below the midpoint", &|r| r < mid),
+                    ("not the base", &|r| r != base),
+                ];
+                for &q in &queries {
+                    let (rate, next) = view.segment_at(q);
+                    let (want_rate, want_next) = laid_out.segment_at(q);
                     prop_assert_eq!(
-                        window_bits(view.window_above(q, above)),
-                        window_bits(laid_out.window_above(q, above)),
-                        "{}: window from {} {}", shape, q, name
+                        rate.to_bits(),
+                        want_rate.to_bits(),
+                        "{} dips, {}: rate at {}", source, shape, q
                     );
+                    prop_assert_eq!(
+                        next.map(f64::to_bits),
+                        want_next.map(f64::to_bits),
+                        "{} dips, {}: next breakpoint after {}", source, shape, q
+                    );
+                    for (name, above) in predicates {
+                        prop_assert_eq!(
+                            window_bits(view.window_above(q, above)),
+                            window_bits(laid_out.window_above(q, above)),
+                            "{} dips, {}: window from {} {}", source, shape, q, name
+                        );
+                    }
                 }
             }
         }
@@ -1616,7 +1703,8 @@ mod tests {
         /// bit for bit, over bases and horizons across many decades, and
         /// so does the layout of the seed's draw. A batch of 0 to 40
         /// seeds, so full groups of eight chains and every length of
-        /// tail after them, draws each seed's own dips.
+        /// tail after them, draws each seed's own dips, and completed,
+        /// the flags the eager draw of all four words makes.
         #[test]
         fn builds_match_the_tuple_construction_bit_for_bit(
             pick in 0usize..TraceShape::ALL.len(),
@@ -1637,9 +1725,109 @@ mod tests {
                 prop_assert_eq!(bits(&got.starts_s), bits(&want.starts_s));
                 prop_assert_eq!(bits(&got.rates_bps), bits(&want.rates_bps));
             }
+            let drawn = shape.draw(&batch);
             let alone: Vec<Dips> = batch.iter().map(|&s| shape.draw(&[s])[0]).collect();
-            prop_assert_eq!(shape.draw(&batch), alone);
+            prop_assert_eq!(&drawn, &alone);
+            let completed: Vec<[u64; WORDS]> = drawn.iter().map(|d| d.completed().words).collect();
+            let eager = match shape {
+                TraceShape::Bursty => eager_draw(&batch),
+                _ => vec![[0; WORDS]; batch.len()],
+            };
+            prop_assert_eq!(completed, eager);
         }
+    }
+
+    /// The draw [`TraceShape::draw`] made before it drew lazily: all four
+    /// words of `N` seeds at once, the chains interleaved. Its oracle.
+    fn eagerly_drawn<const N: usize>(mut states: [u64; N]) -> [[u64; WORDS]; N] {
+        let mut dips = [[0; WORDS]; N];
+        for word in 0..WORDS {
+            let mut words = [0u64; N];
+            for _ in 0..64 {
+                for (state, w) in states.iter_mut().zip(&mut words) {
+                    splitmix64(state);
+                    *w = (*w << 1) | u64::from(state.is_multiple_of(4));
+                }
+            }
+            for (d, w) in dips.iter_mut().zip(words) {
+                d[word] = w;
+            }
+        }
+        dips
+    }
+
+    /// Every seed's flags drawn eagerly, eight chains at a time and the
+    /// seeds after the last full eight one at a time.
+    fn eager_draw(seeds: &[u64]) -> Vec<[u64; WORDS]> {
+        let (groups, tail) = seeds.as_chunks::<CHAINS>();
+        let mut dips = Vec::with_capacity(seeds.len());
+        for &group in groups {
+            dips.extend(eagerly_drawn(group));
+        }
+        for &seed in tail {
+            dips.extend(eagerly_drawn([seed]));
+        }
+        dips
+    }
+
+    /// A draw makes one word of flags a seed, and reads confined to slots
+    /// 0–63 draw no other: `segment_at` in every one of those slots, and
+    /// `window_above` from each of them whose window the first word
+    /// decides, under every outcome of the two threshold tests. A read in
+    /// slot 64 then draws the second word, one in the last slot the other
+    /// two, and the flags are the eager draw's. The dips still compare
+    /// equal to a fresh draw of their seed, however far each was drawn.
+    #[test]
+    fn reads_within_the_first_word_leave_the_others_undrawn() {
+        // The fleet copies each session's dips and draws them on the pool.
+        fn copy_send_sync<T: Copy + Send + Sync>() {}
+        copy_send_sync::<Dips>();
+
+        let shape = TraceShape::Bursty;
+        let (base, horizon) = (gbs(1.0), 2.0);
+        let clear = shape.lay_out(base, horizon, &Dips::default());
+        let (base, dip) = (1.0e9, 1.0e9 * DIP_FACTOR);
+        let thresholds = [dip / 2.0, dip, (dip + base) / 2.0, base];
+        let seeds: Vec<u64> = (0..2 * CHAINS as u64 + 3).map(|k| k * 7919).collect();
+        let eager = eager_draw(&seeds);
+        let fresh = shape.draw(&seeds);
+        let mut windows = 0;
+        for (k, mut dips) in fresh.clone().into_iter().enumerate() {
+            assert_eq!(dips.pending, WORDS - 1, "seed {k}: a draw makes one word");
+            let first = eager[k][0];
+            let mut view = DippedTrace::new(shape, &clear, &mut dips);
+            for slot in 0..64 {
+                let (at, next) = (clear.starts_s[slot], clear.starts_s[slot + 1]);
+                view.segment_at(at);
+                view.segment_at((at + next) / 2.0);
+                // The next dip and the next clear slot both lie ahead in
+                // the first word.
+                let ahead = u64::MAX >> slot;
+                if first & ahead != 0 && !first & ahead != 0 {
+                    for threshold in thresholds {
+                        view.window_above(at, |r| r > threshold);
+                        windows += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                dips.pending,
+                WORDS - 1,
+                "seed {k}: reads in slots 0–63 drew a later word"
+            );
+            DippedTrace::new(shape, &clear, &mut dips).segment_at(clear.starts_s[64]);
+            assert_eq!(
+                dips.pending,
+                WORDS - 2,
+                "seed {k}: a read in slot 64 draws the second word"
+            );
+            assert_eq!(dips, fresh[k], "seed {k}: two words against one");
+            DippedTrace::new(shape, &clear, &mut dips).segment_at(clear.starts_s[255]);
+            assert_eq!(dips.pending, 0, "seed {k}");
+            assert_eq!(dips.words, eager[k], "seed {k}");
+            assert_eq!(fresh[k], dips, "seed {k}: one word against four");
+        }
+        assert!(windows > 1000, "only {windows} windows read");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! End-to-end gates for the multi-tenant fleet simulator: CLI
 //! round-trips in every output format, byte-identity across worker
 //! counts and repeated seeds, the bursty and diurnal cells against their
-//! golden CSVs, the benchmark cell against its pinned digest, the
-//! shared `--seed` flag-error contract, and the `POST /fleet` endpoint
-//! with its memoized body cache surfaced in `/healthz`.
+//! golden CSVs, the benchmark cell and a light-load cell against their
+//! pinned digests, the shared `--seed` flag-error contract, and the
+//! `POST /fleet` endpoint with its memoized body cache surfaced in
+//! `/healthz`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -184,6 +185,41 @@ fn the_benchmark_cell_matches_its_pinned_digest() {
     );
     assert_eq!(csv.len(), 955_599);
     assert_eq!(fnv1a64(csv.as_bytes()), 0x63fe_b4ac_1918_4007);
+}
+
+/// A light-load bursty cell: 2000 sessions at load 8 through 128 slots
+/// on a 400 Gbps backbone. Unlike the benchmark cell, its sessions read
+/// their dips past the first 64 slots: some draw a later dip word inside
+/// the integrator, and the unclipped ones (whose movement replays the
+/// solo trace laid out from its dips) complete their draw in the replay.
+/// Pinned like the benchmark cell, by rows, length and digest.
+#[test]
+fn the_light_load_cell_matches_its_pinned_digest() {
+    let (ok, csv, stderr) = run(&[
+        "fleet",
+        "--sessions",
+        "2000",
+        "--load",
+        "8",
+        "--slots",
+        "128",
+        "--wan",
+        "400Gbps",
+        "--shape",
+        "bursty",
+        "--seed",
+        "1",
+        "--format",
+        "csv",
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(
+        csv.lines().count(),
+        2001,
+        "a header and one row per session"
+    );
+    assert_eq!(csv.len(), 357_212);
+    assert_eq!(fnv1a64(csv.as_bytes()), 0x247f_4241_c8d9_fa69);
 }
 
 #[test]
