@@ -17,7 +17,7 @@ pub(crate) fn run(ctx: &Context) {
         .iter()
         .flat_map(|p| p.samples.iter().copied())
         .collect();
-    let ecdf = Ecdf::from_samples(&samples).expect("sweep produced transfers");
+    let ecdf = Ecdf::from_samples(samples.clone()).expect("sweep produced transfers");
     let tail = TailMetrics::from_samples(&samples).expect("non-empty");
 
     let mut table = Table::new(["statistic", "value"])

@@ -19,7 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::decision::{Decision, DecisionReport};
+use crate::decision::{Decision, Verdict};
 
 /// The decision the model would reach if it had known the realized
 /// completion time.
@@ -29,7 +29,7 @@ use crate::decision::{Decision, DecisionReport};
 /// feasible verdicts the model's strict comparison is re-applied with
 /// `realized_t_pct_s` against the analytic `T_local` (the local path has
 /// no network in it, so its closed form stays exact under contention).
-pub fn contended_decision(model: &DecisionReport, realized_t_pct_s: f64) -> Decision {
+pub fn contended_decision(model: &Verdict, realized_t_pct_s: f64) -> Decision {
     if model.decision == Decision::Infeasible {
         return Decision::Infeasible;
     }
@@ -83,7 +83,7 @@ impl ContentionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::decide;
+    use crate::decision::verdict;
     use crate::params::ModelParams;
     use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio};
 
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn uncontended_verdict_is_preserved() {
         let p = streaming_params();
-        let model = decide(&p);
+        let model = verdict(&p);
         assert_eq!(model.decision, Decision::RemoteStream);
         let same = contended_decision(&model, model.t_pct.as_secs());
         assert_eq!(same, Decision::RemoteStream);
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn heavy_contention_flips_stream_to_local() {
         let p = streaming_params();
-        let model = decide(&p);
+        let model = verdict(&p);
         let past_local = model.t_local.as_secs() * 2.0;
         assert_eq!(contended_decision(&model, past_local), Decision::Local);
     }
@@ -130,7 +130,7 @@ mod tests {
             .theta(Ratio::ONE)
             .build()
             .unwrap();
-        let model = decide(&p);
+        let model = verdict(&p);
         assert_eq!(model.decision, Decision::Infeasible);
         assert_eq!(contended_decision(&model, 1e-6), Decision::Infeasible);
     }

@@ -41,21 +41,50 @@ pub struct DecisionReport {
     pub reasons: Vec<String>,
 }
 
-/// Apply the §3 model and produce a decision with its justification.
-pub fn decide(params: &ModelParams) -> DecisionReport {
+/// The verdict and the two completion times it weighs: the numbers of
+/// a [`DecisionReport`] that a caller re-judging the verdict reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// The verdict.
+    pub decision: Decision,
+    /// Eq. 3 local completion time.
+    pub t_local: TimeDelta,
+    /// Eq. 10 remote completion time.
+    pub t_pct: TimeDelta,
+}
+
+/// Apply the §3 model: the verdict [`decide`] justifies, without the
+/// prose.
+pub fn verdict(params: &ModelParams) -> Verdict {
     let m = CompletionModel::new(*params);
     let t_local = m.t_local();
     let t_pct = m.t_pct();
+    let decision = kernel::verdict(
+        params.data_unit.as_b(),
+        params.effective_rate().as_bytes_per_sec(),
+        t_local.as_secs(),
+        t_pct.as_secs(),
+    );
+    Verdict {
+        decision,
+        t_local,
+        t_pct,
+    }
+}
+
+/// Apply the §3 model and produce a decision with its justification:
+/// the [`verdict`], the numbers around it and the prose built on them.
+pub fn decide(params: &ModelParams) -> DecisionReport {
+    let m = CompletionModel::new(*params);
+    let Verdict {
+        decision,
+        t_local,
+        t_pct,
+    } = verdict(params);
     let gain = m.gain();
     let reduction = m.reduction();
     let required = params.required_stream_rate();
     let effective = params.effective_rate();
-    let decision = kernel::verdict(
-        params.data_unit.as_b(),
-        effective.as_bytes_per_sec(),
-        t_local.as_secs(),
-        t_pct.as_secs(),
-    );
     let mut reasons = Vec::new();
 
     match decision {

@@ -71,7 +71,9 @@ pub mod tiers;
 
 pub use congestion::{CongestionCurve, Curve1D, MM1Reference};
 pub use contention::{contended_decision, ContentionSummary};
-pub use decision::{decide, decide_batch, BreakEven, Decision, DecisionReport, RegimeMap};
+pub use decision::{
+    decide, decide_batch, verdict, BreakEven, Decision, DecisionReport, RegimeMap, Verdict,
+};
 pub use delay::{ContinuumApproximation, DelayDecomposition};
 pub use frontier::{
     AlphaJitter, Axis, AxisParam, BoundaryPoint, Edge, FrontierCell, FrontierMap, FrontierSlice,

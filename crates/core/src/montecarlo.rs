@@ -135,7 +135,7 @@ impl MonteCarloOutcome {
             .collect();
         let wins = t_pct_s.iter().filter(|t| **t < t_local).count();
         t_pct_s.sort_by(f64::total_cmp);
-        let ecdf = sss_stats::Ecdf::from_samples(&t_pct_s).expect("non-empty, NaN-free");
+        let ecdf = sss_stats::Ecdf::from_samples(t_pct_s.clone()).expect("non-empty, NaN-free");
         Some(MonteCarloOutcome {
             samples: n,
             mean: TimeDelta::from_secs(t_pct_s.iter().sum::<f64>() / n as f64),

@@ -54,8 +54,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use sss_core::{
-    contended_decision, decide_batch, CompletionModel, ContentionSummary, Decision, DecisionReport,
-    Scenario, Tier,
+    contended_decision, verdict, CompletionModel, ContentionSummary, Decision, Scenario, Tier,
+    Verdict,
 };
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_netsim::{WaterFiller, WaterFlowId};
@@ -337,12 +337,6 @@ pub struct FleetSim {
     config: FleetConfig,
 }
 
-/// Seeds a call of [`TraceShape::draw`] takes in [`FleetSim::plan`]: the
-/// draw advances eight SplitMix64 chains at once through each seed's
-/// first dip word, so a group of eight leaves it no chain to advance
-/// alone. A later word is drawn on one chain, by the read that reaches it.
-const DRAW_GROUP: usize = 8;
-
 /// One planned arrival.
 struct Planned {
     scenario_idx: usize,
@@ -355,12 +349,12 @@ struct SessionState {
     scenario_idx: usize,
     arrival_s: f64,
     session: Session,
-    /// The solo trace's dips, drawn from its seed to their first word
-    /// when the run was planned. The integrator reads the solo trace
-    /// through a [`DippedTrace`] over the scenario's clear layout and
-    /// these dips, which draws each later word the first time a read
-    /// reaches it, and `finalize` lays an unclipped session's trace out
-    /// from a completed copy: the same bits either way.
+    /// The solo trace's dips, from its seed, none drawn when the run was
+    /// planned. The integrator reads the solo trace through a
+    /// [`DippedTrace`] over the scenario's clear layout and these dips,
+    /// which draws each flag the first time a read reaches it, and
+    /// `finalize` lays an unclipped session's trace out from a completed
+    /// copy: the same bits either way.
     dips: Dips,
     start_s: f64,
     /// Elapsed time since admission — the session's private trace clock.
@@ -371,11 +365,44 @@ struct SessionState {
     wait_s: f64,
     remaining: f64,
     clipped: bool,
-    /// Granted allocation as `(seconds since admission, deflated rate)`
-    /// pieces — the session's contention-adjusted trace.
-    pieces: Vec<(f64, f64)>,
+    /// The first and the last of the pieces of granted allocation the
+    /// session's own touches pushed, in the fleet's list of pieces
+    /// ([`NO_PIECE`] before the first). With the level moves the fleet's
+    /// log records while a clipped one holds, they are the session's
+    /// contention-adjusted trace ([`SessionState::grants`]).
+    first_piece: usize,
+    last_piece: usize,
+    /// The log's length when the session drained: the end of its last
+    /// piece's level moves.
+    drained_at: usize,
     done: bool,
 }
+
+/// A piece of granted allocation a session's own touch pushed: from
+/// `rel` seconds after admission, `rate` deflated bytes per second. While
+/// the piece is `clipped`, the session's grant is the water level over
+/// its θ, so every level move the fleet's log records from `log_at` up to
+/// the next piece's (or to the session's drain) grants it a piece too,
+/// starting at `rel + (t − t_anchor)` for a move at fleet time `t`.
+/// `t_anchor` is the fleet clock at the push. A session's anchors change
+/// only where it pushes its own piece, so that is the start the
+/// integrator's clock gives the move.
+///
+/// The fleet keeps every session's pieces in one list, in push order,
+/// each linked to the same session's `next`, so a session's pieces cost
+/// no allocation of their own.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    rel: f64,
+    rate: f64,
+    t_anchor: f64,
+    log_at: usize,
+    clipped: bool,
+    next: usize,
+}
+
+/// The index of no piece: ends a session's list of pieces.
+const NO_PIECE: usize = usize::MAX;
 
 impl SessionState {
     /// Admit the session at `t`: start its trace clock and record its
@@ -391,32 +418,75 @@ impl SessionState {
 
     /// The session's solo trace, read through its scenario's layout in
     /// `clear` (one per scenario, from clear dips). Its reads draw the
-    /// dip words they reach into the session's dips.
+    /// dip flags they reach into the session's dips.
     fn solo<'a>(&'a mut self, shape: TraceShape, clear: &'a [BandwidthTrace]) -> DippedTrace<'a> {
         DippedTrace::new(shape, &clear[self.scenario_idx], &mut self.dips)
     }
 
-    /// The session ran dry: mark it done.
-    fn drain(&mut self) {
+    /// The session ran dry with `log_len` level moves logged: mark it
+    /// done.
+    fn drain(&mut self, log_len: usize) {
         self.remaining = 0.0;
         self.done = true;
+        self.drained_at = log_len;
+    }
+
+    /// Push `piece`, whose `next` is [`NO_PIECE`], onto the fleet's list
+    /// `pieces`, after the session's last.
+    fn add_piece(&mut self, pieces: &mut Vec<Piece>, piece: Piece) {
+        let at = pieces.len();
+        pieces.push(piece);
+        match pieces.get_mut(self.last_piece) {
+            Some(last) => last.next = at,
+            None => self.first_piece = at,
+        }
+        self.last_piece = at;
+    }
+
+    /// The session's granted allocation written over the trace columns
+    /// `starts` and `rates`: each of its own pieces in `pieces`, and
+    /// after a clipped one a piece for each level move `log` records
+    /// while it holds.
+    fn grants(
+        &self,
+        pieces: &[Piece],
+        log: &[(f64, f64)],
+        starts: &mut Vec<f64>,
+        rates: &mut Vec<f64>,
+    ) {
+        starts.clear();
+        rates.clear();
+        let theta = self.session.theta;
+        let mut next = pieces.get(self.first_piece);
+        while let Some(p) = next {
+            next = pieces.get(p.next);
+            push_piece(starts, rates, p.rel, p.rate);
+            if p.clipped {
+                let until = next.map_or(self.drained_at, |q| q.log_at);
+                for &(t, level) in &log[p.log_at..until] {
+                    push_piece(starts, rates, p.rel + (t - p.t_anchor), level / theta);
+                }
+            }
+        }
     }
 }
 
-/// Append an allocation piece, merging bit-equal consecutive rates so an
-/// unclipped session's pieces reproduce its solo trace segments exactly.
-fn push_piece(pieces: &mut Vec<(f64, f64)>, rel_t: f64, rate: f64) {
-    if let Some(last) = pieces.last_mut() {
-        if rel_t <= last.0 {
+/// Append an allocation piece to trace columns, merging bit-equal
+/// consecutive rates so an unclipped session's pieces reproduce its solo
+/// trace segments exactly.
+fn push_piece(starts: &mut Vec<f64>, rates: &mut Vec<f64>, rel_t: f64, rate: f64) {
+    if let (Some(&last_t), Some(last_rate)) = (starts.last(), rates.last_mut()) {
+        if rel_t <= last_t {
             // A zero-length segment: the later rate wins.
-            last.1 = rate;
+            *last_rate = rate;
             return;
         }
-        if rate.to_bits() == last.1.to_bits() {
+        if rate.to_bits() == last_rate.to_bits() {
             return;
         }
     }
-    pieces.push((rel_t, rate));
+    starts.push(rel_t);
+    rates.push(rate);
 }
 
 /// A uniform in (0, 1) from 53 high bits of a SplitMix64 output.
@@ -589,20 +659,6 @@ struct Lane {
     epoch: u64,
 }
 
-/// Remove `i` from the clipped-set (swap-remove with position fix-up);
-/// no-op when absent.
-fn leave_clipped(set: &mut Vec<usize>, pos: &mut [usize], i: usize) {
-    let p = pos[i];
-    if p == usize::MAX {
-        return;
-    }
-    set.swap_remove(p);
-    if p < set.len() {
-        pos[set[p]] = p;
-    }
-    pos[i] = usize::MAX;
-}
-
 /// How often the integrator held a session at a floor cap, woke a
 /// floored session because the level rose to its floor, and let a floor
 /// window run to its end. Only the tests read these: they prove that a
@@ -619,12 +675,22 @@ struct FloorCounts {
 struct Integration {
     /// Every session's state, advanced to completion.
     states: Vec<SessionState>,
+    /// Every session's own pieces, in push order.
+    pieces: Vec<Piece>,
+    /// The water level's moves, `(fleet time, new level)`, in time order:
+    /// the grants of every clipped session between its own pieces.
+    log: Vec<(f64, f64)>,
     /// Largest number of concurrently admitted sessions.
     peak_active: u32,
     /// Events processed, as [`FleetReport::events`] counts them.
     events: u64,
     #[cfg_attr(not(test), allow(dead_code))]
     floor_counts: FloorCounts,
+    /// Each session's pieces as the integrator once recorded them, every
+    /// level move pushed onto every clipped session: the oracle of
+    /// [`SessionState::grants`].
+    #[cfg(test)]
+    recorded: Vec<Vec<(f64, f64)>>,
 }
 
 impl FleetSim {
@@ -676,12 +742,11 @@ impl FleetSim {
     /// shuffle, per-session trace seeds position-derived so session `k`'s
     /// trace seed equals the single-session replay's cell-`k` seed.
     ///
-    /// Every session's first dip word is drawn here, on `pool`,
-    /// [`DRAW_GROUP`] seeds a call. The integrator draws a later word only
-    /// when a read reaches it, and the replay completes the draw of an
-    /// unclipped session, whose trace it lays out. Shapes that draw
-    /// nothing skip the fan-out.
-    fn plan(&self, pool: &ThreadPool) -> Vec<Planned> {
+    /// No dip is drawn here: each session's dips keep its trace seed, the
+    /// integrator draws each flag the first time a read reaches it, and
+    /// the replay completes the draw of an unclipped session, whose trace
+    /// it lays out.
+    fn plan(&self) -> Vec<Planned> {
         if self.config.load <= 0.0 || self.config.sessions == 0 {
             return Vec::new();
         }
@@ -695,22 +760,14 @@ impl FleetSim {
         let lambda = self.config.load / mean_movement;
 
         let n = self.config.sessions as usize;
-        let shape = self.config.shape;
-        let draws = if shape == TraceShape::Bursty {
-            let trace_seeds = SeedSequence::new(self.config.seed);
-            let seeds: Vec<u64> = (0..n as u64).map(|k| trace_seeds.seed(k)).collect();
-            let groups: Vec<&[u64]> = seeds.chunks(DRAW_GROUP).collect();
-            pool.map(&groups, |group| shape.draw(group)).concat()
-        } else {
-            vec![Dips::default(); n]
-        };
+        let trace_seeds = SeedSequence::new(self.config.seed);
         let gap_stream = SeedSequence::new(self.config.seed).child(1);
         let shuffle_root = SeedSequence::new(self.config.seed).child(2);
 
         let mut planned = Vec::with_capacity(n);
         let mut t = 0.0f64;
         let mut order = Vec::new();
-        for (k, dips) in draws.into_iter().enumerate() {
+        for k in 0..n {
             if k % catalog_n == 0 {
                 order = block_permutation(catalog_n, shuffle_root.child((k / catalog_n) as u64));
             }
@@ -719,7 +776,7 @@ impl FleetSim {
             planned.push(Planned {
                 scenario_idx: order[k % catalog_n],
                 arrival_s: t,
-                dips,
+                dips: self.config.shape.draw(trace_seeds.seed(k as u64)),
             });
         }
         planned
@@ -743,7 +800,9 @@ impl FleetSim {
                     wait_s: 0.0,
                     remaining: session.s_bytes,
                     clipped: false,
-                    pieces: Vec::new(),
+                    first_piece: NO_PIECE,
+                    last_piece: NO_PIECE,
+                    drained_at: 0,
                     done: false,
                 }
             })
@@ -756,7 +815,7 @@ impl FleetSim {
     /// admissions, trace breakpoints of unclipped sessions, floor-window
     /// ends, drains).
     ///
-    /// Four structures replace the test-only reference loop's full
+    /// Five structures replace the test-only reference loop's full
     /// rescans:
     ///
     /// * a [`WaterFiller`] holds every active flow's WAN demand in
@@ -785,19 +844,26 @@ impl FleetSim {
     ///   the end of that window in place of one per breakpoint. When a
     ///   re-level lifts the level to a floor, the flip query reports the
     ///   flow, which wakes onto its true cap, and the step re-levels
-    ///   until no floor is crossed.
+    ///   until no floor is crossed;
+    /// * **one water-level log** holds the grants of every clipped session
+    ///   between its own status changes: a step that moves the level
+    ///   appends `(t, level)` once, and a session records a [`Piece`] only
+    ///   when it is touched itself, tagged with the log's length, so a
+    ///   step costs its own events, not one piece per clipped session.
+    ///   [`SessionState::grants`] expands the two when the report replays
+    ///   the session.
     ///
     /// Scratch buffers are reused across events and per-session state is
     /// materialized lazily (only when a session's own status changes).
     /// Each scenario's solo trace is laid out once per run from clear
     /// dips, and every session reads its own through a [`DippedTrace`]
     /// over that layout and its dips, so beyond the pieces each session
-    /// records, an admission allocates nothing and a drain frees nothing.
-    /// Arrival and calendar instants are stored verbatim and the clock
-    /// jumps onto them exactly (no `t+dt` rounding), mirroring the
-    /// reference loop's snapping; an unclipped session's recorded pieces
-    /// carry its solo rates bit-for-bit, which preserves the fleet-of-one
-    /// ≡ `SessionReplay` identity.
+    /// records and the log, an admission allocates nothing and a drain
+    /// frees nothing. Arrival and calendar instants are stored verbatim
+    /// and the clock jumps onto them exactly (no `t+dt` rounding),
+    /// mirroring the reference loop's snapping; an unclipped session's
+    /// recorded pieces carry its solo rates bit-for-bit, which preserves
+    /// the fleet-of-one ≡ `SessionReplay` identity.
     fn integrate(&self, plan: &[Planned]) -> Integration {
         let mut states = self.session_states(plan);
         let n = states.len();
@@ -839,11 +905,10 @@ impl FleetSim {
         // makes ties FIFO like the calendar's.
         let mut clip_heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>> = BinaryHeap::new();
         let mut clip_seq = 0u64;
-        // Currently-clipped sessions, for eager piece recording when the
-        // level moves; iteration order is irrelevant (pieces are
-        // per-session) so swap-remove is fine.
-        let mut clipped_set: Vec<usize> = Vec::new();
-        let mut clipped_pos: Vec<usize> = vec![usize::MAX; n];
+        let mut pieces: Vec<Piece> = Vec::new();
+        let mut log: Vec<(f64, f64)> = Vec::new();
+        #[cfg(test)]
+        let mut recording = tests::Recording::new(n);
         // Sessions whose own status may have changed this instant.
         let mut touched: Vec<usize> = Vec::new();
         let mut touch_stamp: Vec<u64> = vec![0; n];
@@ -918,13 +983,14 @@ impl FleetSim {
                     break;
                 }
                 clip_heap.pop();
-                states[i].drain();
+                states[i].drain(log.len());
                 if let Some(flow) = lanes[i].flow.take() {
                     wf.remove(flow);
                 }
                 lanes[i].epoch += 1;
                 active -= 1;
-                leave_clipped(&mut clipped_set, &mut clipped_pos, i);
+                #[cfg(test)]
+                recording.leave(i);
                 events += 1;
             }
 
@@ -991,13 +1057,14 @@ impl FleetSim {
                             if states[i].done || lanes[i].epoch != epoch {
                                 continue;
                             }
-                            states[i].drain();
+                            states[i].drain(log.len());
                             if let Some(flow) = lanes[i].flow.take() {
                                 wf.remove(flow);
                             }
                             lanes[i].epoch += 1;
                             active -= 1;
-                            leave_clipped(&mut clipped_set, &mut clipped_pos, i);
+                            #[cfg(test)]
+                            recording.leave(i);
                             events += 1;
                         }
                     }
@@ -1120,17 +1187,26 @@ impl FleetSim {
                 lane.t_anchor = t_next;
                 lane.epoch += 1;
                 lane.clipped = now_clipped;
+                let piece = Piece {
+                    rel: states[i].rel_s,
+                    rate: if now_clipped {
+                        level_new / theta
+                    } else {
+                        lane.solo
+                    },
+                    t_anchor: t_next,
+                    log_at: log.len(),
+                    clipped: now_clipped,
+                    next: NO_PIECE,
+                };
+                states[i].add_piece(&mut pieces, piece);
+                #[cfg(test)]
+                recording.push(i, piece);
                 if now_clipped {
                     states[i].clipped = true;
                     lane.d_key = v + theta * rem;
                     clip_heap.push(Reverse((lane.d_key.to_bits(), clip_seq, i, lane.epoch)));
                     clip_seq += 1;
-                    if clipped_pos[i] == usize::MAX {
-                        clipped_pos[i] = clipped_set.len();
-                        clipped_set.push(i);
-                    }
-                    let rel = states[i].rel_s;
-                    push_piece(&mut states[i].pieces, rel, level_new / theta);
                     // Hold it at a floor cap when its trace stays above
                     // the level past the pending breakpoint.
                     let window = lane.next_break.and_then(|b| {
@@ -1161,40 +1237,41 @@ impl FleetSim {
                         }
                         floor_counts.floors += 1;
                     }
-                } else {
-                    leave_clipped(&mut clipped_set, &mut clipped_pos, i);
-                    if lane.solo > 0.0 {
-                        // A zero-rate segment never drains — the kernel
-                        // guarantees a positive final rate, so a later
-                        // breakpoint always reschedules this.
-                        calendar.schedule(
-                            Seconds::new(t_next + rem / lanes[i].solo),
-                            FleetEvent::Drain(i, lanes[i].epoch),
-                        );
-                    }
-                    let (rel, solo) = (states[i].rel_s, lanes[i].solo);
-                    push_piece(&mut states[i].pieces, rel, solo);
+                } else if lane.solo > 0.0 {
+                    // A zero-rate segment never drains — the kernel
+                    // guarantees a positive final rate, so a later
+                    // breakpoint always reschedules this.
+                    calendar.schedule(
+                        Seconds::new(t_next + rem / lane.solo),
+                        FleetEvent::Drain(i, lane.epoch),
+                    );
                 }
             }
-            // Level moved: every still-clipped session's grant moved
-            // with it — record the new rate at each session's private
-            // clock (touched ones already carry it; the bit-equal merge
-            // in `push_piece` makes the double push a no-op).
+            // Level moved: every still-clipped session's grant moved with
+            // it. One log entry records the move for all of them; each
+            // session's clipped piece reads it back at its own clock
+            // (touched ones already carry the new rate, which the
+            // bit-equal merge in `push_piece` keeps).
             if moved {
-                for &i in &clipped_set {
+                #[cfg(test)]
+                recording.level_moved(|i| {
                     let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
-                    let rate = level_new / states[i].session.theta;
-                    push_piece(&mut states[i].pieces, rel_now, rate);
-                }
+                    (rel_now, level_new / states[i].session.theta)
+                });
+                log.push((t_next, level_new));
             }
 
             t = t_next;
         }
         Integration {
             states,
+            pieces,
+            log,
             peak_active,
             events,
             floor_counts,
+            #[cfg(test)]
+            recorded: recording.pieces,
         }
     }
 
@@ -1203,41 +1280,42 @@ impl FleetSim {
     /// uncontended session replays its solo trace through the *same*
     /// session pipeline as `SessionReplay::evaluate_cell` — the
     /// structural guarantee behind the fleet-of-one bit-identity tests.
+    /// A contended session's grants are expanded into `columns`, which
+    /// the caller passes from session to session, and the pipeline's
+    /// trace hands them back. `model` is the scenario's verdict and its
+    /// remote compute time.
     fn finalize(
         &self,
         session: u32,
         st: &SessionState,
-        model: &DecisionReport,
+        (pieces, log): (&[Piece], &[(f64, f64)]),
+        (model, t_remote): &(Verdict, f64),
+        columns: &mut (Vec<f64>, Vec<f64>),
     ) -> Result<FleetRecord, String> {
-        let scenario = &self.scenarios[st.scenario_idx];
         let trace = if !st.clipped {
             // Never queued, never clipped: the granted allocation IS the
             // solo trace — laid out again from its draws, bit for bit the
             // trace the single-session replay builds.
             st.session.trace(self.config.shape, &st.dips)
         } else {
-            let segments: Vec<(f64, Rate)> = st
-                .pieces
-                .iter()
-                .map(|&(rel, r)| (rel, Rate::from_bytes_per_sec(r)))
-                .collect();
-            BandwidthTrace::from_segments(&segments)
+            let (mut starts, mut rates) = std::mem::take(columns);
+            st.grants(pieces, log, &mut starts, &mut rates);
+            BandwidthTrace::from_columns(starts, rates)
                 .map_err(|e| format!("session {session} composed an invalid allocation: {e}"))?
         };
-        let movement = st
-            .session
-            .stream(self.config.frames, trace)
+        let stream = st.session.stream(self.config.frames, trace);
+        let movement = stream
             .run_fidelity(self.config.fidelity)
             .completion
             .as_secs();
+        *columns = stream.trace.into_columns();
 
-        let t_remote = CompletionModel::new(scenario.params).t_remote().as_secs();
         let realized_t_pct = st.wait_s + movement + t_remote;
         let model_t_pct = model.t_pct.as_secs();
         let realized_decision = contended_decision(model, realized_t_pct);
         Ok(FleetRecord {
             session,
-            scenario_id: scenario.id.clone(),
+            scenario_id: self.scenarios[st.scenario_idx].id.clone(),
             arrival_s: st.arrival_s,
             wait_s: st.wait_s,
             movement_s: movement,
@@ -1261,31 +1339,44 @@ impl FleetSim {
     /// kernel's validator — impossible by construction, surfaced instead
     /// of unwrapped.
     pub fn run(&self, pool: &ThreadPool) -> Result<FleetReport, String> {
-        self.report(pool, self.integrate(&self.plan(pool)))
+        self.report(pool, self.integrate(&self.plan()))
     }
 
     /// Replay every integrated session through the movement pipeline,
-    /// fanned across `pool`, and aggregate the fleet report.
+    /// fanned across `pool`, each claimed run of sessions reusing one
+    /// trace's storage, and aggregate the fleet report.
     fn report(
         &self,
         pool: &ThreadPool,
         Integration {
             states,
+            pieces,
+            log,
             peak_active,
             events,
             ..
         }: Integration,
     ) -> Result<FleetReport, String> {
-        let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
-        let decisions = decide_batch(&params);
+        // The model side of every session: its scenario's verdict and
+        // remote compute time, which contention leaves alone.
+        let models: Vec<(Verdict, f64)> = self
+            .scenarios
+            .iter()
+            .map(|s| {
+                let t_remote = CompletionModel::new(s.params).t_remote().as_secs();
+                (verdict(&s.params), t_remote)
+            })
+            .collect();
 
         let indices: Vec<u32> = (0..states.len() as u32).collect();
-        let eval = |&k: &u32| {
+        let no_columns = || (Vec::new(), Vec::new());
+        let eval = |columns: &mut (Vec<f64>, Vec<f64>), &k: &u32| {
             let st = &states[k as usize];
-            self.finalize(k, st, &decisions[st.scenario_idx])
+            let model = &models[st.scenario_idx];
+            self.finalize(k, st, (&pieces, &log), model, columns)
         };
         let records = pool
-            .map(&indices, eval)
+            .map_init(&indices, no_columns, eval)
             .into_iter()
             .collect::<Result<Vec<FleetRecord>, String>>()?;
 
@@ -1313,7 +1404,7 @@ impl FleetSim {
             })
             .collect();
         let overall = ContentionSummary::from_outcomes(&outcomes);
-        let (p50, p90, p99) = match Ecdf::from_samples(&slowdowns) {
+        let (p50, p90, p99) = match Ecdf::from_samples(slowdowns) {
             Some(ecdf) => (
                 ecdf.quantile(0.50),
                 ecdf.quantile(0.90),
@@ -1526,6 +1617,76 @@ mod tests {
     use crate::{ReplayConfig, SessionReplay};
     use sss_netsim::progressive_fill;
 
+    /// The pieces as the integrator recorded them before its water-level
+    /// log: each piece a session's own touch pushes goes onto its list,
+    /// and each level move onto the list of every session clipped then,
+    /// at that session's clock. The oracle of [`SessionState::grants`].
+    pub(super) struct Recording {
+        pub(super) pieces: Vec<Vec<(f64, f64)>>,
+        /// Currently-clipped sessions, in no order (swap-remove).
+        clipped_set: Vec<usize>,
+        clipped_pos: Vec<usize>,
+    }
+
+    impl Recording {
+        pub(super) fn new(n: usize) -> Self {
+            Recording {
+                pieces: vec![Vec::new(); n],
+                clipped_set: Vec::new(),
+                clipped_pos: vec![usize::MAX; n],
+            }
+        }
+
+        /// Session `i` pushed `piece`, and is clipped from now on if the
+        /// piece is.
+        pub(super) fn push(&mut self, i: usize, piece: Piece) {
+            record(&mut self.pieces[i], piece.rel, piece.rate);
+            if !piece.clipped {
+                self.leave(i);
+            } else if self.clipped_pos[i] == usize::MAX {
+                self.clipped_pos[i] = self.clipped_set.len();
+                self.clipped_set.push(i);
+            }
+        }
+
+        /// Session `i` is no longer clipped; a no-op when it was not.
+        pub(super) fn leave(&mut self, i: usize) {
+            let p = self.clipped_pos[i];
+            if p == usize::MAX {
+                return;
+            }
+            self.clipped_set.swap_remove(p);
+            if p < self.clipped_set.len() {
+                self.clipped_pos[self.clipped_set[p]] = p;
+            }
+            self.clipped_pos[i] = usize::MAX;
+        }
+
+        /// The level moved: every clipped session `i` gets the piece
+        /// `at(i)`, its clock and its new grant.
+        pub(super) fn level_moved(&mut self, at: impl Fn(usize) -> (f64, f64)) {
+            for &i in &self.clipped_set {
+                let (rel, rate) = at(i);
+                record(&mut self.pieces[i], rel, rate);
+            }
+        }
+    }
+
+    /// Append a piece, merging bit-equal consecutive rates: the
+    /// recording's merge.
+    fn record(pieces: &mut Vec<(f64, f64)>, rel_t: f64, rate: f64) {
+        if let Some(last) = pieces.last_mut() {
+            if rel_t <= last.0 {
+                last.1 = rate;
+                return;
+            }
+            if rate.to_bits() == last.1.to_bits() {
+                return;
+            }
+        }
+        pieces.push((rel_t, rate));
+    }
+
     /// The original allocation loop, byte-faithful to the seed
     /// integrator: the oracle [`FleetSim::integrate`] is differentially
     /// tested against.
@@ -1538,6 +1699,7 @@ mod tests {
         /// the layout.
         fn integrate_reference(&self, plan: &[Planned]) -> Integration {
             let mut states = self.session_states(plan);
+            let mut pieces = Vec::new();
             let traces: Vec<BandwidthTrace> = states
                 .iter()
                 .map(|st| st.session.trace(self.config.shape, &st.dips))
@@ -1599,9 +1761,18 @@ mod tests {
                         rates.push(solo[j]);
                     }
                 }
+                // Pieces that no level move follows: the grants replay them
+                // as they are.
                 for (j, &i) in active.iter().enumerate() {
-                    let rel = states[i].rel_s;
-                    push_piece(&mut states[i].pieces, rel, rates[j]);
+                    let piece = Piece {
+                        rel: states[i].rel_s,
+                        rate: rates[j],
+                        t_anchor: t,
+                        log_at: 0,
+                        clipped: false,
+                        next: NO_PIECE,
+                    };
+                    states[i].add_piece(&mut pieces, piece);
                 }
 
                 // Next event as a *delta*: the next arrival, the next
@@ -1640,7 +1811,7 @@ mod tests {
                 for (j, &i) in active.iter().enumerate() {
                     let r = rates[j];
                     if r > 0.0 && states[i].remaining / r <= dt {
-                        states[i].drain();
+                        states[i].drain(0);
                     } else {
                         states[i].remaining = (states[i].remaining - r * dt).max(0.0);
                     }
@@ -1658,9 +1829,12 @@ mod tests {
             }
             Integration {
                 states,
+                pieces,
+                log: Vec::new(),
                 peak_active,
                 events,
                 floor_counts: FloorCounts::default(),
+                recorded: Vec::new(),
             }
         }
 
@@ -1698,7 +1872,7 @@ mod tests {
         /// instead of the incremental integrator.
         fn run_reference(&self) -> Result<FleetReport, String> {
             let pool = ThreadPool::new(1);
-            self.report(&pool, self.integrate_reference(&self.plan(&pool)))
+            self.report(&pool, self.integrate_reference(&self.plan()))
         }
     }
 
@@ -2044,7 +2218,7 @@ mod tests {
             config.shape = shape;
             config.policy = policy;
             let sim = FleetSim::bundled(config).unwrap();
-            let run = sim.integrate(&sim.plan(&ThreadPool::new(1)));
+            let run = sim.integrate(&sim.plan());
             let counts = run.floor_counts;
             totals.floors += counts.floors;
             totals.wakes += counts.wakes;
@@ -2094,6 +2268,114 @@ mod tests {
         assert!(totals.expiries > 0, "no floor window ran to its end");
     }
 
+    /// Each session's grants, its own pieces expanded with the fleet's
+    /// water-level log, equal bit for bit the pieces the integrator
+    /// recorded before the log: under every shape and policy at loads
+    /// from 4 to 512, and on the light cell, where the level moves under
+    /// most of its sessions. The log holds at most one entry per event.
+    #[test]
+    fn grants_expand_to_the_recorded_pieces_bit_for_bit() {
+        let light = FleetConfig {
+            sessions: 2000,
+            load: 8.0,
+            slots: 128,
+            wan: Rate::from_gbps(400.0),
+            shape: TraceShape::Bursty,
+            ..FleetConfig::standard(1)
+        };
+        let cells = AdmissionPolicy::ALL.into_iter().flat_map(|policy| {
+            TraceShape::ALL.into_iter().flat_map(move |shape| {
+                [4.0, 32.0, 512.0].map(|load| FleetConfig {
+                    sessions: 300,
+                    slots: 16,
+                    wan: Rate::from_gbps(40.0),
+                    ..FleetConfig::standard(3)
+                        .with_load(load)
+                        .with_shape(shape)
+                        .with_policy(policy)
+                })
+            })
+        });
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for config in cells.chain([light]) {
+            let cell = format!("{}/{}/load {}", config.shape, config.policy, config.load);
+            let sim = FleetSim::bundled(config).unwrap();
+            let run = sim.integrate(&sim.plan());
+            assert!(
+                run.log.len() as u64 <= run.events,
+                "{cell}: {} level moves logged in {} events",
+                run.log.len(),
+                run.events
+            );
+            let (mut starts, mut rates) = (Vec::new(), Vec::new());
+            let mut granted = 0;
+            for (k, (st, recorded)) in run.states.iter().zip(&run.recorded).enumerate() {
+                st.grants(&run.pieces, &run.log, &mut starts, &mut rates);
+                let want: (Vec<f64>, Vec<f64>) = recorded.iter().copied().unzip();
+                assert_eq!(bits(&starts), bits(&want.0), "{cell}/session {k}: starts");
+                assert_eq!(bits(&rates), bits(&want.1), "{cell}/session {k}: rates");
+                granted += starts.len();
+            }
+            if sim.config().load == 8.0 {
+                let own = run.pieces.len();
+                assert!(
+                    granted > 10 * own,
+                    "{cell}: {granted} pieces granted from {own} of the sessions' own"
+                );
+            }
+        }
+    }
+
+    /// Every session's movement, replayed in place on the pool, equals
+    /// bit for bit a fresh pipeline's over the trace `from_segments`
+    /// builds from its recorded pieces (or over its solo trace, when it
+    /// never contended): on CI's 1000-session bursty cell, at both
+    /// fidelities, on 1, 2 and 8 workers.
+    #[test]
+    fn in_place_replays_match_a_fresh_pipeline_per_session() {
+        for fidelity in [Fidelity::Fluid, Fidelity::Exact] {
+            let config = FleetConfig {
+                sessions: 1000,
+                load: 64.0,
+                slots: 32,
+                wan: Rate::from_gbps(40.0),
+                shape: TraceShape::Bursty,
+                fidelity,
+                ..FleetConfig::standard(7)
+            };
+            let sim = FleetSim::bundled(config.clone()).unwrap();
+            let run = sim.integrate(&sim.plan());
+            let want: Vec<u64> = run
+                .states
+                .iter()
+                .zip(&run.recorded)
+                .map(|(st, recorded)| {
+                    let trace = if st.clipped {
+                        let segments: Vec<(f64, Rate)> = recorded
+                            .iter()
+                            .map(|&(rel, r)| (rel, Rate::from_bytes_per_sec(r)))
+                            .collect();
+                        BandwidthTrace::from_segments(&segments).unwrap()
+                    } else {
+                        st.session.trace(config.shape, &st.dips)
+                    };
+                    let stream = st.session.stream(config.frames, trace);
+                    stream.run_fidelity(fidelity).completion.as_secs().to_bits()
+                })
+                .collect();
+            assert!(run.states.iter().any(|st| st.clipped));
+            for workers in [1, 2, 8] {
+                let report = sim.run(&ThreadPool::new(workers)).unwrap();
+                let got: Vec<u64> = report
+                    .records
+                    .iter()
+                    .map(|r| r.movement_s.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{fidelity:?} on {workers} workers");
+            }
+        }
+    }
+
     /// Once either integrator returns, every session has drained, under
     /// every shape, and each cell drained clipped and unclipped sessions
     /// alike.
@@ -2103,7 +2385,7 @@ mod tests {
             let mut config = FleetConfig::quick(5).with_load(6.0).with_shape(shape);
             config.wan = Rate::from_gbps(40.0);
             let sim = FleetSim::bundled(config).unwrap();
-            let plan = sim.plan(&ThreadPool::new(1));
+            let plan = sim.plan();
             for (engine, run) in [
                 ("incremental", sim.integrate(&plan)),
                 ("reference", sim.integrate_reference(&plan)),
@@ -2151,7 +2433,7 @@ mod tests {
     fn admission_queue_matches_the_reference_scan() {
         for policy in AdmissionPolicy::ALL {
             let sim = FleetSim::bundled(FleetConfig::quick(7).with_policy(policy)).unwrap();
-            let plan = sim.plan(&ThreadPool::new(1));
+            let plan = sim.plan();
             let states = sim.session_states(&plan);
             let catalog = sim.scenarios().len();
 

@@ -5,7 +5,7 @@
 //! catalog scenario through the per-frame movement simulator under a
 //! set of WAN [`TraceShape`]s — steady, diurnal, bursty, scheduled
 //! outage — and compares the simulated completion time and the simulated
-//! decision against [`CompletionModel`]/[`decide_batch`], producing
+//! decision against [`CompletionModel`]/[`verdict`], producing
 //! per-scenario **relative error** and **decision agreement** reports.
 //!
 //! ## What one replay cell simulates
@@ -61,7 +61,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sss_core::{decide_batch, CompletionModel, Decision, DecisionReport, ModelParams, Scenario};
+use sss_core::{verdict, CompletionModel, Decision, ModelParams, Scenario, Verdict};
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource, WanProfile};
 use sss_report::{CsvWriter, Table};
@@ -320,10 +320,9 @@ impl SessionReplay {
     /// position (seeds are position-derived), so scheduling cannot
     /// perturb it.
     pub fn run(&self, pool: &ThreadPool) -> ReplayReport {
-        // The model side of every comparison: one `decide` per catalog
+        // The model side of every comparison: one verdict per catalog
         // scenario, on the calling thread.
-        let params: Vec<_> = self.scenarios.iter().map(|s| s.params).collect();
-        let decisions = decide_batch(&params);
+        let verdicts: Vec<Verdict> = self.scenarios.iter().map(|s| verdict(&s.params)).collect();
 
         // Scenario-major cell order, each cell's seed derived from its
         // position — what makes replays agree across worker counts.
@@ -344,7 +343,7 @@ impl SessionReplay {
                 .enumerate()
                 .map(|(hi, &shape)| {
                     let seed = seeds.seed((si * shapes.len() + hi) as u64);
-                    self.evaluate_cell(scenario, &decisions[si], &closes, shape, seed)
+                    self.evaluate_cell(scenario, &verdicts[si], &closes, shape, seed)
                 })
                 .collect::<Vec<_>>()
         });
@@ -362,7 +361,7 @@ impl SessionReplay {
     fn evaluate_cell(
         &self,
         scenario: &Scenario,
-        model: &DecisionReport,
+        model: &Verdict,
         closes: &[f64],
         shape: TraceShape,
         seed: u64,
@@ -370,8 +369,12 @@ impl SessionReplay {
         let p = &scenario.params;
         let model_eval = CompletionModel::new(*p);
         let session = Session::new(p);
-        let trace = session.trace(shape, &shape.draw(&[seed])[0]);
-        let stream = session.stream(self.config.frames, trace.clone());
+        let trace = session.trace(shape, &shape.draw(seed));
+        // The trace's mean effective rate over the nominal horizon
+        // (θ-undeflated, comparable to α·Bw), read before the streaming
+        // pipeline takes the trace.
+        let mean_effective = session.theta * trace.mean_rate(session.horizon);
+        let stream = session.stream(self.config.frames, trace);
         let sim_transfer = stream
             .run_fidelity(self.config.fidelity)
             .completion
@@ -385,22 +388,20 @@ impl SessionReplay {
         let t_pct_rel_err = (sim_t_pct - model_t_pct).abs() / model_t_pct.abs().max(1e-12);
 
         // The staged column: the same unit's closed files delivered over
-        // the same trace (preset PFS/DTN substrate, the session's WAN in
-        // place of its link).
+        // the same trace, which the streaming pipeline hands on (preset
+        // PFS/DTN substrate, the session's WAN in place of its link).
         let mut path = presets::aps_to_alcf();
         path.wan = stream.wan;
         let sim_file_completion_s =
-            EventFileBasedPipeline::new(stream.source, self.config.files, path, trace.clone())
+            EventFileBasedPipeline::new(stream.source, self.config.files, path, stream.trace)
                 .deliver(closes)
                 .completion
                 .as_secs();
 
         // The simulated verdict: the model's own decision rule fed with
         // simulated inputs. Feasibility uses the trace's mean effective
-        // rate over the nominal horizon (θ-undeflated, comparable to
-        // α·Bw); the time comparison uses the simulated T_pct against the
+        // rate; the time comparison uses the simulated T_pct against the
         // analytic T_local (no network on the local path).
-        let mean_effective = session.theta * trace.mean_rate(session.horizon);
         let required = p.required_stream_rate().as_bytes_per_sec();
         let t_local = model.t_local.as_secs();
         let sim_decision = if required > mean_effective {
@@ -770,7 +771,7 @@ mod tests {
                 for (hi, &shape) in shapes.iter().enumerate() {
                     let session = Session::new(&scenario.params);
                     let seed = seeds.seed((si * shapes.len() + hi) as u64);
-                    let trace = session.trace(shape, &shape.draw(&[seed])[0]);
+                    let trace = session.trace(shape, &shape.draw(seed));
                     let stream = session.stream(config.frames, trace.clone());
                     let mut path = presets::aps_to_alcf();
                     path.wan = stream.wan;

@@ -162,7 +162,7 @@ pub fn aggregate(spec: &SweepSpec, results: &[ExperimentResult]) -> Vec<SweepPoi
         } else {
             samples.iter().sum::<f64>() / samples.len() as f64
         };
-        let p99 = sss_stats::Ecdf::from_samples(&samples)
+        let p99 = sss_stats::Ecdf::from_samples(samples.clone())
             .map(|e| e.quantile(0.99))
             .unwrap_or(f64::NAN);
         points.push(SweepPoint {

@@ -107,9 +107,6 @@ const HORIZONS: usize = 8;
 /// Words of 64 dip flags a bursty trace's slots fill.
 const WORDS: usize = SLOTS * HORIZONS / 64;
 
-/// SplitMix64 chains [`TraceShape::draw`] advances at once.
-const CHAINS: usize = 8;
-
 /// The share of base a bursty slot keeps when it dips: the layout and
 /// [`DippedTrace`] both take a dipped slot's rate as `base * DIP_FACTOR`.
 const DIP_FACTOR: f64 = 0.3;
@@ -136,16 +133,20 @@ impl BandwidthTrace {
         Self::from_columns(starts_s, rates_bps)
     }
 
-    /// The one validator behind every trace: `from_segments`, the
-    /// bundled shapes and the wire form. Checks, in this order: one rate
-    /// per start, at least one segment, a first start at 0, finite
-    /// strictly increasing starts, finite non-negative rates and a
-    /// positive final rate; the first failure is the error.
+    /// Build from the segment starts, in seconds, and the rates, in
+    /// bytes per second, as two columns: the one validator behind every
+    /// trace, `from_segments`, the bundled shapes and the wire form among
+    /// them. Checks, in this order: one rate per start, at least one
+    /// segment, a first start at 0, finite strictly increasing starts,
+    /// finite non-negative rates and a positive final rate; the first
+    /// failure is the error. [`BandwidthTrace::into_columns`] hands the
+    /// columns back, so a caller can refill the same storage trace after
+    /// trace.
     ///
     /// Each column is swept branch-free over every segment, and the
     /// first failure is looked for only once a sweep has found one, so
     /// a valid trace pays no per-segment branch.
-    fn from_columns(starts_s: Vec<f64>, rates_bps: Vec<f64>) -> Result<Self, String> {
+    pub fn from_columns(starts_s: Vec<f64>, rates_bps: Vec<f64>) -> Result<Self, String> {
         if starts_s.len() != rates_bps.len() {
             return Err(format!(
                 "a trace needs one rate per segment start, got {} starts and {} rates",
@@ -196,6 +197,12 @@ impl BandwidthTrace {
             starts_s,
             rates_bps,
         })
+    }
+
+    /// The trace's columns, segment starts and rates, as
+    /// [`BandwidthTrace::from_columns`] took them.
+    pub fn into_columns(self) -> (Vec<f64>, Vec<f64>) {
+        (self.starts_s, self.rates_bps)
     }
 
     /// Number of segments.
@@ -783,30 +790,40 @@ pub enum TraceShape {
     Outage,
 }
 
-/// A bursty trace's drawn dips, one flag per slot in four words of 64,
-/// each word's first slot in its top bit: bit `63 - k % 64` of word
-/// `k / 64` is set when slot `k` of the 256 slots dips.
+/// A bursty trace's dips, one flag per slot in four words of 64, each
+/// word's first slot in its top bit: bit `63 - k % 64` of word `k / 64`
+/// is set when slot `k` of the 256 slots dips.
 ///
-/// [`TraceShape::draw`] draws them from seeds and
-/// [`TraceShape::lay_out`] lays a trace out from them. The other shapes
-/// draw nothing: their dips are all clear, and their layouts ignore them.
+/// [`TraceShape::draw`] makes them from a seed and [`TraceShape::lay_out`]
+/// lays a trace out from them. The other shapes draw nothing: their dips
+/// are all clear, and their layouts ignore them.
 ///
-/// The words are drawn as far as they are read. A draw makes the first
-/// word and keeps its seed's SplitMix64 state; a later word is drawn
-/// from that state the first time a read reaches it, so every flag is the
-/// one an eager draw of all four words makes. A [`DippedTrace`] borrows
-/// the dips mutably, so a word drawn once stays drawn, and a layout
-/// completes a copy. Two dips compare equal when their flags do, however
-/// far each was drawn.
-/// The default is clear dips, with no word left to draw.
-#[derive(Debug, Clone, Copy, Default)]
+/// The flags are drawn as far as they are read. A draw keeps the seed's
+/// SplitMix64 state and draws no flag; a read of slot `k` draws, in slot
+/// order, every flag up to `k` not drawn yet and none after it, so every
+/// flag is the one an eager draw of all 256 makes. A [`DippedTrace`]
+/// borrows the dips mutably, so a flag drawn once stays drawn, and a
+/// layout completes a copy. Two dips compare equal when their flags do,
+/// however far each was drawn. The default is clear dips, every flag
+/// drawn.
+#[derive(Debug, Clone, Copy)]
 pub struct Dips {
-    /// The flags, zero in the words not drawn yet.
+    /// The flags, zero from slot `drawn` on.
     words: [u64; WORDS],
-    /// How many words, the last ones, are not drawn yet.
-    pending: usize,
-    /// The seed's SplitMix64 state after the last word drawn.
+    /// How many flags, the first ones, are drawn.
+    drawn: usize,
+    /// The seed's SplitMix64 state after the last flag drawn.
     state: u64,
+}
+
+impl Default for Dips {
+    fn default() -> Self {
+        Dips {
+            words: [0; WORDS],
+            drawn: SLOTS * HORIZONS,
+            state: 0,
+        }
+    }
 }
 
 impl PartialEq for Dips {
@@ -817,86 +834,75 @@ impl PartialEq for Dips {
 
 impl Eq for Dips {}
 
-/// The next word of flags of `N` SplitMix64 chains: one step per slot,
-/// the slot dipping when the state is a multiple of 4. Each flag shifts
-/// in at the bottom of its word, so the word's first slot ends on top.
-/// The `N` chains advance interleaved, each step of one chain beside the
-/// same step of the others, so the multiplier has independent work while
-/// each chain waits on its own last step. Every chain's sequence is the
-/// one it has alone.
-fn next_words<const N: usize>(states: &mut [u64; N]) -> [u64; N] {
-    let mut words = [0u64; N];
-    for _ in 0..64 {
-        for (state, w) in states.iter_mut().zip(&mut words) {
-            splitmix64(state);
-            *w = (*w << 1) | u64::from(state.is_multiple_of(4));
-        }
-    }
-    words
-}
-
 impl Dips {
-    /// The bursty dips of `N` seeds, each drawn to its first word.
-    fn drawn<const N: usize>(mut states: [u64; N]) -> [Dips; N] {
-        let first = next_words(&mut states);
-        std::array::from_fn(|i| {
-            let mut words = [0; WORDS];
-            words[0] = first[i];
-            Dips {
-                words,
-                pending: WORDS - 1,
-                state: states[i],
-            }
-        })
-    }
-
-    /// Word `w` of the flags, drawing it, and every word before it, on
-    /// first read.
-    fn word(&mut self, w: usize) -> u64 {
-        while w >= WORDS - self.pending {
-            let mut state = [self.state];
-            let [word] = next_words(&mut state);
-            [self.state] = state;
-            self.words[WORDS - self.pending] = word;
-            self.pending -= 1;
+    /// The bursty dips of `seed`, no flag drawn yet.
+    fn seeded(seed: u64) -> Dips {
+        Dips {
+            words: [0; WORDS],
+            drawn: 0,
+            state: seed,
         }
-        self.words[w]
     }
 
-    /// A copy with every word drawn.
+    /// Draw every flag before slot `end` not drawn yet: one SplitMix64
+    /// step a slot, the slot dipping when the state is a multiple of 4.
+    /// Each word's new flags shift in at the bottom of a register, the
+    /// first on top, and move up to their slots once the word's run ends.
+    fn draw_to(&mut self, end: usize) {
+        while self.drawn < end {
+            let word = self.drawn / 64;
+            let stop = end.min(word * 64 + 64);
+            let mut flags = 0u64;
+            for _ in self.drawn..stop {
+                splitmix64(&mut self.state);
+                flags = (flags << 1) | u64::from(self.state.is_multiple_of(4));
+            }
+            self.words[word] |= flags << (word * 64 + 64 - stop);
+            self.drawn = stop;
+        }
+    }
+
+    /// A copy with every flag drawn.
     fn completed(&self) -> Dips {
         let mut dips = *self;
-        dips.word(WORDS - 1);
+        dips.draw_to(SLOTS * HORIZONS);
         dips
     }
 
-    /// Whether slot `k` dips. No slot past the last does, a bursty
-    /// trace's final segment among them.
+    /// Whether slot `k` dips, drawing the flags up to it. No slot past
+    /// the last does, a bursty trace's final segment among them.
     fn dipped(&mut self, k: usize) -> bool {
-        k < SLOTS * HORIZONS && (self.word(k / 64) << (k % 64)) >> 63 == 1
+        if k >= SLOTS * HORIZONS {
+            return false;
+        }
+        self.draw_to(k + 1);
+        (self.words[k / 64] << (k % 64)) >> 63 == 1
     }
 
     /// The first slot at or after `from` whose flag is `dipped`, or the
     /// slot count when there is none: the index of a bursty trace's final
-    /// segment, which never dips. Masks the slots before `from` off its
-    /// word and counts leading zeros, a word at a time.
+    /// segment, which never dips. Draws the flags up to the slot it
+    /// returns and no further. Over the flags already drawn it masks the
+    /// slots outside the span off its word and counts leading zeros, a
+    /// word at a time; past them the span is the one flag it draws next.
     fn next_slot(&mut self, from: usize, dipped: bool) -> usize {
         let flip = if dipped { 0 } else { u64::MAX };
-        let mut word = from / 64;
-        if word >= WORDS {
-            return SLOTS * HORIZONS;
-        }
-        let mut flags = (self.word(word) ^ flip) & (u64::MAX >> (from % 64));
-        loop {
+        let mut k = from;
+        while k < SLOTS * HORIZONS {
+            if k >= self.drawn {
+                self.draw_to(k + 1);
+            }
+            // The drawn slots from `k` to the end of its word.
+            let word = k / 64;
+            let end = self.drawn.min(word * 64 + 64);
+            let span = (u64::MAX >> (k % 64)) & (u64::MAX << (word * 64 + 64 - end));
+            let flags = (self.words[word] ^ flip) & span;
             if flags != 0 {
                 return word * 64 + flags.leading_zeros() as usize;
             }
-            word += 1;
-            if word == WORDS {
-                return SLOTS * HORIZONS;
-            }
-            flags = self.word(word) ^ flip;
+            k = end;
         }
+        SLOTS * HORIZONS
     }
 }
 
@@ -911,9 +917,9 @@ impl Dips {
 /// rate times the factor the layout dips by. Only `bursty` reads its
 /// dips; the view of any other shape reads the clear layout unchanged.
 ///
-/// The view borrows the dips mutably: a read draws the dip words it
-/// reaches that were not drawn yet, and they stay drawn in the session's
-/// dips for every later view.
+/// The view borrows the dips mutably: a read draws the dip flags up to
+/// the last slot it reaches that were not drawn yet, and they stay drawn
+/// in the session's dips for every later view.
 ///
 /// The clear layout also carries every check the session's own layout
 /// would make: those depend on the base and horizon alone.
@@ -963,9 +969,10 @@ impl<'a> DippedTrace<'a> {
     /// in clear slots and the final segment, and the dip in dipped slots.
     /// `above` is called at most once on each, and the window's end is
     /// the next slot flagged unlike the first, found by counting leading
-    /// zeros over the dip words, and looked for only when the window
-    /// ends. So `above` must be a pure function, as the scan's
-    /// branch-free chunks already assume.
+    /// zeros over the drawn dip words and drawing flags past them one at
+    /// a time, and looked for only when the window ends. So `above` must
+    /// be a pure function, as the scan's branch-free chunks already
+    /// assume.
     pub fn window_above(
         &mut self,
         t_s: f64,
@@ -1201,51 +1208,34 @@ impl TraceShape {
     /// pure functions of `(shape, base, horizon, seed)`.
     ///
     /// A build is two steps, each public on its own: the draw, from the
-    /// seed to the dip flags ([`TraceShape::draw`]), and the layout,
-    /// from the flags, base and horizon to the trace
-    /// ([`TraceShape::lay_out`]), which draws the flags the draw left
-    /// undrawn, so a build draws all 256 on the seed's one chain. A
-    /// caller that knows its seeds ahead can draw them all at once, eight
-    /// chains at a time, read each through a [`DippedTrace`] as far as it
-    /// needs, and lay each trace out when it needs it, to the same bits.
+    /// seed to its [`Dips`] ([`TraceShape::draw`]), and the layout, from
+    /// the dips, base and horizon to the trace ([`TraceShape::lay_out`]),
+    /// which draws all 256 flags. A caller that needs only some of a
+    /// trace's rates can read it through a [`DippedTrace`] instead, which
+    /// draws the flags as far as its reads reach, and lay it out later
+    /// from the same dips, to the same bits.
     ///
     /// # Panics
     /// Panics on a non-positive base rate or horizon.
     pub fn build(&self, base: Rate, horizon_s: f64, seed: u64) -> BandwidthTrace {
-        let [dips] = self.drawn([seed]);
-        self.lay_out(base, horizon_s, &dips)
+        self.lay_out(base, horizon_s, &self.draw(seed))
     }
 
-    /// Each seed's [`Dips`], in seed order, as [`TraceShape::build`]
-    /// draws them. The `bursty` shape draws each seed's first word of 64
-    /// flags, eight seeds' chains at a time, interleaved, and the seeds
-    /// after the last full eight one at a time, and keeps each chain's
-    /// state to draw the other three words on first read; every other
-    /// shape draws nothing and returns clear dips.
-    pub fn draw(&self, seeds: &[u64]) -> Vec<Dips> {
-        let (groups, tail) = seeds.as_chunks::<CHAINS>();
-        let mut dips = Vec::with_capacity(seeds.len());
-        for &group in groups {
-            dips.extend(self.drawn(group));
-        }
-        for &seed in tail {
-            dips.extend(self.drawn([seed]));
-        }
-        dips
-    }
-
-    /// The dips of `N` seeds: only `bursty` draws.
-    fn drawn<const N: usize>(&self, seeds: [u64; N]) -> [Dips; N] {
+    /// The [`Dips`] of `seed`, as [`TraceShape::build`] draws them. The
+    /// `bursty` shape keeps the seed's SplitMix64 state and draws no flag
+    /// yet: each is drawn the first time a read reaches it. Every other
+    /// shape returns clear dips.
+    pub fn draw(&self, seed: u64) -> Dips {
         match self {
-            TraceShape::Bursty => Dips::drawn(seeds),
-            _ => [Dips::default(); N],
+            TraceShape::Bursty => Dips::seeded(seed),
+            _ => Dips::default(),
         }
     }
 
     /// Lay out the trace at `base` rate over the characteristic horizon
     /// `horizon_s` from drawn `dips` (see [`TraceShape::build`], which
     /// is this layout of its seed's draw). Only `bursty` reads the dips,
-    /// from a copy it completes, so `dips` keeps only the words it had.
+    /// from a copy it completes, so `dips` keeps only the flags it had.
     ///
     /// # Panics
     /// Panics on a non-positive base rate or horizon.
@@ -1608,9 +1598,8 @@ mod tests {
         /// dips run from none through sparse and dense to all on every
         /// shape (the non-bursty views must ignore them), with every slot
         /// from a random one on clear, so windows start with no dip
-        /// ahead. The drawn dips come from a group of eight chains or the
-        /// lone chain after it, and the view draws their later words as
-        /// its reads reach them. `segment_at` is asked on every
+        /// ahead. The drawn dips are drawn ahead to a random slot, and the
+        /// view draws the rest as its reads reach them. `segment_at` is asked on every
         /// breakpoint, just left of it, between breakpoints, before 0 and
         /// past the last start, and `window_above` from the same instants,
         /// in shuffled order: under thresholds below the dip, on it,
@@ -1627,7 +1616,7 @@ mod tests {
             density in 0usize..6,
             cut in 0usize..=2 * SLOTS * HORIZONS,
             seed in any::<u64>(),
-            lane in 0usize..=CHAINS,
+            ahead in 0usize..=SLOTS * HORIZONS,
             order in any::<u64>(),
         ) {
             let shape = TraceShape::ALL[pick];
@@ -1643,8 +1632,8 @@ mod tests {
                 *flag = if keep == 64 { w } else { w & !(u64::MAX >> keep) };
             }
             let hand_set = Dips { words: flags, ..Dips::default() };
-            let seeds: Vec<u64> = (0..=CHAINS as u64).map(|k| seed.wrapping_add(k)).collect();
-            let drawn = shape.draw(&seeds)[lane];
+            let mut drawn = shape.draw(seed);
+            drawn.draw_to(ahead);
             let clear = shape.lay_out(base, horizon, &Dips::default());
             for (source, mut dips) in [("hand-set", hand_set), ("drawn", drawn)] {
                 let laid_out = shape.lay_out(base, horizon, &dips);
@@ -1701,10 +1690,8 @@ mod tests {
 
         /// Every shape builds the trace the tuple construction built,
         /// bit for bit, over bases and horizons across many decades, and
-        /// so does the layout of the seed's draw. A batch of 0 to 40
-        /// seeds, so full groups of eight chains and every length of
-        /// tail after them, draws each seed's own dips, and completed,
-        /// the flags the eager draw of all four words makes.
+        /// so does the layout of the seed's draw, which completed holds
+        /// the flags the eager draw makes.
         #[test]
         fn builds_match_the_tuple_construction_bit_for_bit(
             pick in 0usize..TraceShape::ALL.len(),
@@ -1713,121 +1700,157 @@ mod tests {
             horizon_mantissa in 1.0f64..10.0,
             horizon_exp in -6i32..6,
             seed in any::<u64>(),
-            batch in proptest::collection::vec(any::<u64>(), 0..=40),
         ) {
             let shape = TraceShape::ALL[pick];
             let base = Rate::from_bytes_per_sec(base_mantissa * 10f64.powi(base_exp));
             let horizon = horizon_mantissa * 10f64.powi(horizon_exp);
             let want = built_from_segments(shape, base, horizon, seed);
             let built = shape.build(base, horizon, seed);
-            let laid_out = shape.lay_out(base, horizon, &shape.draw(&[seed])[0]);
+            let laid_out = shape.lay_out(base, horizon, &shape.draw(seed));
             for got in [built, laid_out] {
                 prop_assert_eq!(bits(&got.starts_s), bits(&want.starts_s));
                 prop_assert_eq!(bits(&got.rates_bps), bits(&want.rates_bps));
             }
-            let drawn = shape.draw(&batch);
-            let alone: Vec<Dips> = batch.iter().map(|&s| shape.draw(&[s])[0]).collect();
-            prop_assert_eq!(&drawn, &alone);
-            let completed: Vec<[u64; WORDS]> = drawn.iter().map(|d| d.completed().words).collect();
             let eager = match shape {
-                TraceShape::Bursty => eager_draw(&batch),
-                _ => vec![[0; WORDS]; batch.len()],
+                TraceShape::Bursty => eager_draw(seed),
+                _ => [0; WORDS],
             };
-            prop_assert_eq!(completed, eager);
+            prop_assert_eq!(shape.draw(seed).completed().words, eager);
         }
     }
 
-    /// The draw [`TraceShape::draw`] made before it drew lazily: all four
-    /// words of `N` seeds at once, the chains interleaved. Its oracle.
-    fn eagerly_drawn<const N: usize>(mut states: [u64; N]) -> [[u64; WORDS]; N] {
-        let mut dips = [[0; WORDS]; N];
-        for word in 0..WORDS {
-            let mut words = [0u64; N];
+    /// All 256 flags of `seed` drawn at once, a word at a time on the
+    /// seed's chain: the oracle of the lazy draw.
+    fn eager_draw(seed: u64) -> [u64; WORDS] {
+        let mut state = seed;
+        let mut words = [0; WORDS];
+        for word in &mut words {
             for _ in 0..64 {
-                for (state, w) in states.iter_mut().zip(&mut words) {
-                    splitmix64(state);
-                    *w = (*w << 1) | u64::from(state.is_multiple_of(4));
-                }
-            }
-            for (d, w) in dips.iter_mut().zip(words) {
-                d[word] = w;
+                splitmix64(&mut state);
+                *word = (*word << 1) | u64::from(state.is_multiple_of(4));
             }
         }
-        dips
+        words
     }
 
-    /// Every seed's flags drawn eagerly, eight chains at a time and the
-    /// seeds after the last full eight one at a time.
-    fn eager_draw(seeds: &[u64]) -> Vec<[u64; WORDS]> {
-        let (groups, tail) = seeds.as_chunks::<CHAINS>();
-        let mut dips = Vec::with_capacity(seeds.len());
-        for &group in groups {
-            dips.extend(eagerly_drawn(group));
-        }
-        for &seed in tail {
-            dips.extend(eagerly_drawn([seed]));
-        }
-        dips
+    /// The first `n` flags of `words`, the others clear.
+    fn first_flags(words: [u64; WORDS], n: usize) -> [u64; WORDS] {
+        std::array::from_fn(|w| {
+            let keep = n.saturating_sub(64 * w).min(64);
+            if keep == 64 {
+                words[w]
+            } else {
+                words[w] & !(u64::MAX >> keep)
+            }
+        })
     }
 
-    /// A draw makes one word of flags a seed, and reads confined to slots
-    /// 0–63 draw no other: `segment_at` in every one of those slots, and
-    /// `window_above` from each of them whose window the first word
-    /// decides, under every outcome of the two threshold tests. A read in
-    /// slot 64 then draws the second word, one in the last slot the other
-    /// two, and the flags are the eager draw's. The dips still compare
-    /// equal to a fresh draw of their seed, however far each was drawn.
+    /// A draw makes no flag, and a read draws the flags up to the last
+    /// slot it reaches and none after, the eager draw's flags: through a
+    /// `DippedTrace`, `segment_at` in slot `k` leaves `k + 1` drawn, and
+    /// `window_above` from slot `k` leaves drawn the flags up to the next
+    /// dip, or up to the next clear slot when a window that starts in a
+    /// dip ends there (every flag when no dip is ahead, none from the
+    /// final segment); and `next_slot` from every slot, for a dip and for
+    /// a clear slot, from dips drawn ahead to before, at and past that
+    /// slot, leaves drawn the flags up to the slot it returns (every flag
+    /// when it finds none, none from past the last slot), or the ones
+    /// drawn ahead when they reach further. Dips compare equal to a fresh
+    /// draw of their seed however far each was drawn.
     #[test]
-    fn reads_within_the_first_word_leave_the_others_undrawn() {
-        // The fleet copies each session's dips and draws them on the pool.
+    fn a_read_draws_the_flags_up_to_its_slot_and_no_further() {
+        // The fleet copies each session's dips and reads them on the pool.
         fn copy_send_sync<T: Copy + Send + Sync>() {}
         copy_send_sync::<Dips>();
 
+        const ALL: usize = SLOTS * HORIZONS;
         let shape = TraceShape::Bursty;
-        let (base, horizon) = (gbs(1.0), 2.0);
-        let clear = shape.lay_out(base, horizon, &Dips::default());
-        let (base, dip) = (1.0e9, 1.0e9 * DIP_FACTOR);
-        let thresholds = [dip / 2.0, dip, (dip + base) / 2.0, base];
-        let seeds: Vec<u64> = (0..2 * CHAINS as u64 + 3).map(|k| k * 7919).collect();
-        let eager = eager_draw(&seeds);
-        let fresh = shape.draw(&seeds);
-        let mut windows = 0;
-        for (k, mut dips) in fresh.clone().into_iter().enumerate() {
-            assert_eq!(dips.pending, WORDS - 1, "seed {k}: a draw makes one word");
-            let first = eager[k][0];
-            let mut view = DippedTrace::new(shape, &clear, &mut dips);
-            for slot in 0..64 {
-                let (at, next) = (clear.starts_s[slot], clear.starts_s[slot + 1]);
-                view.segment_at(at);
-                view.segment_at((at + next) / 2.0);
-                // The next dip and the next clear slot both lie ahead in
-                // the first word.
-                let ahead = u64::MAX >> slot;
-                if first & ahead != 0 && !first & ahead != 0 {
-                    for threshold in thresholds {
-                        view.window_above(at, |r| r > threshold);
+        let clear = shape.lay_out(gbs(1.0), 2.0, &Dips::default());
+        let (mut windows, mut ends_sought) = (0, 0);
+        for seed in (0..12u64).map(|k| k * 7919) {
+            let eager = eager_draw(seed);
+            let flag = |k: usize| (eager[k / 64] << (k % 64)) >> 63 == 1;
+            let fresh = shape.draw(seed);
+            assert_eq!(fresh.drawn, 0, "seed {seed}: a draw makes no flag");
+            let mut dips = fresh;
+            for k in 0..ALL {
+                let mid = (clear.starts_s[k] + clear.starts_s[k + 1]) / 2.0;
+                DippedTrace::new(shape, &clear, &mut dips).segment_at(mid);
+                assert_eq!(dips.drawn, k + 1, "seed {seed}: a read in slot {k}");
+                assert_eq!(dips.words, first_flags(eager, k + 1), "seed {seed}");
+                assert_eq!(dips, fresh, "seed {seed}: {} flags against none", k + 1);
+            }
+            let base = clear.rates_bps[0];
+            let dip = base * DIP_FACTOR;
+            let mid = (dip + base) / 2.0;
+            let predicates: [(&str, &dyn Fn(f64) -> bool); 5] = [
+                ("above half the dip", &|r| r > dip / 2.0),
+                ("above the dip", &|r| r > dip),
+                ("above the midpoint", &|r| r > mid),
+                ("above the base", &|r| r > base),
+                ("below the midpoint", &|r| r < mid),
+            ];
+            for k in 0..=ALL {
+                let next_dip = (k..ALL).find(|&j| flag(j)).unwrap_or(ALL);
+                let next_clear = (k..ALL).find(|&j| !flag(j)).unwrap_or(ALL);
+                let dipped = next_dip == k;
+                let (here, other) = if dipped { (dip, base) } else { (base, dip) };
+                let next = clear.starts_s.get(k + 1).copied();
+                let instants = [
+                    Some(clear.starts_s[k]),
+                    next.map(|n| (clear.starts_s[k] + n) / 2.0),
+                ];
+                for (name, above) in predicates {
+                    // One past the furthest slot the window needs.
+                    let need = if k == ALL {
+                        0
+                    } else if next_dip == ALL {
+                        ALL
+                    } else if dipped && above(here) && !above(other) {
+                        ends_sought += usize::from(next_clear > k + 1);
+                        (next_clear + 1).min(ALL)
+                    } else {
+                        next_dip + 1
+                    };
+                    for t in instants.into_iter().flatten() {
+                        let mut dips = fresh;
+                        DippedTrace::new(shape, &clear, &mut dips).window_above(t, above);
+                        assert_eq!(
+                            dips.drawn, need,
+                            "seed {seed}: the window {name} from {t} in slot {k}"
+                        );
+                        assert_eq!(dips.words, first_flags(eager, need), "seed {seed}");
                         windows += 1;
                     }
                 }
             }
-            assert_eq!(
-                dips.pending,
-                WORDS - 1,
-                "seed {k}: reads in slots 0–63 drew a later word"
-            );
-            DippedTrace::new(shape, &clear, &mut dips).segment_at(clear.starts_s[64]);
-            assert_eq!(
-                dips.pending,
-                WORDS - 2,
-                "seed {k}: a read in slot 64 draws the second word"
-            );
-            assert_eq!(dips, fresh[k], "seed {k}: two words against one");
-            DippedTrace::new(shape, &clear, &mut dips).segment_at(clear.starts_s[255]);
-            assert_eq!(dips.pending, 0, "seed {k}");
-            assert_eq!(dips.words, eager[k], "seed {k}");
-            assert_eq!(fresh[k], dips, "seed {k}: one word against four");
+            for from in 0..=ALL {
+                for dipped in [true, false] {
+                    let want = (from..ALL).find(|&k| flag(k) == dipped).unwrap_or(ALL);
+                    for ahead in [0, from / 2, from, from + 1, from + 70] {
+                        let ahead = ahead.min(ALL);
+                        let mut dips = fresh;
+                        dips.draw_to(ahead);
+                        assert_eq!(dips.next_slot(from, dipped), want, "seed {seed}");
+                        // A search from past the last slot reads none.
+                        let read = if from == ALL { 0 } else { (want + 1).min(ALL) };
+                        let drawn = ahead.max(read);
+                        assert_eq!(
+                            dips.drawn,
+                            drawn,
+                            "seed {seed}: the next {} slot from {from}, {ahead} drawn ahead",
+                            if dipped { "dipped" } else { "clear" }
+                        );
+                        assert_eq!(dips.words, first_flags(eager, drawn), "seed {seed}");
+                    }
+                }
+            }
         }
-        assert!(windows > 1000, "only {windows} windows read");
+        assert!(windows > 10_000, "only {windows} windows read");
+        assert!(
+            ends_sought > 100,
+            "only {ends_sought} dipped windows end past their slot"
+        );
     }
 
     #[test]

@@ -13,16 +13,18 @@ pub struct Ecdf {
 }
 
 impl Ecdf {
-    /// Build from samples. Returns `None` when the input is empty or
-    /// contains NaN (a NaN completion time indicates a harness bug and must
-    /// not silently poison quantiles).
-    pub fn from_samples(samples: &[f64]) -> Option<Self> {
+    /// Build from samples, sorted in place. Returns `None` when the input
+    /// is empty or contains NaN (a NaN completion time indicates a harness
+    /// bug and must not silently poison quantiles).
+    ///
+    /// Two samples equal under [`f64::total_cmp`] have the same bits, so
+    /// the unstable sort orders them as a stable one would.
+    pub fn from_samples(mut samples: Vec<f64>) -> Option<Self> {
         if samples.is_empty() || samples.iter().any(|x| x.is_nan()) {
             return None;
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        Some(Ecdf { sorted })
+        samples.sort_unstable_by(f64::total_cmp);
+        Some(Ecdf { sorted: samples })
     }
 
     /// Number of samples.
@@ -106,13 +108,13 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_nan() {
-        assert!(Ecdf::from_samples(&[]).is_none());
-        assert!(Ecdf::from_samples(&[1.0, f64::NAN]).is_none());
+        assert!(Ecdf::from_samples(Vec::new()).is_none());
+        assert!(Ecdf::from_samples(vec![1.0, f64::NAN]).is_none());
     }
 
     #[test]
     fn eval_steps() {
-        let e = Ecdf::from_samples(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let e = Ecdf::from_samples(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(e.eval(0.5), 0.0);
         assert_eq!(e.eval(1.0), 0.25);
         assert_eq!(e.eval(2.5), 0.5);
@@ -122,7 +124,7 @@ mod tests {
 
     #[test]
     fn interpolated_quantiles() {
-        let e = Ecdf::from_samples(&[10.0, 20.0, 30.0, 40.0, 50.0]).unwrap();
+        let e = Ecdf::from_samples(vec![10.0, 20.0, 30.0, 40.0, 50.0]).unwrap();
         assert_eq!(e.quantile(0.0), 10.0);
         assert_eq!(e.quantile(0.25), 20.0);
         assert_eq!(e.quantile(0.5), 30.0);
@@ -134,7 +136,7 @@ mod tests {
 
     #[test]
     fn single_sample() {
-        let e = Ecdf::from_samples(&[7.0]).unwrap();
+        let e = Ecdf::from_samples(vec![7.0]).unwrap();
         assert_eq!(e.quantile(0.3), 7.0);
         assert_eq!(e.min(), 7.0);
         assert_eq!(e.max(), 7.0);
@@ -142,13 +144,13 @@ mod tests {
 
     #[test]
     fn unsorted_input_is_sorted() {
-        let e = Ecdf::from_samples(&[3.0, 1.0, 2.0]).unwrap();
+        let e = Ecdf::from_samples(vec![3.0, 1.0, 2.0]).unwrap();
         assert_eq!(e.samples(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn curve_reaches_one() {
-        let e = Ecdf::from_samples(&[0.2, 0.5, 5.0]).unwrap();
+        let e = Ecdf::from_samples(vec![0.2, 0.5, 5.0]).unwrap();
         let c = e.curve();
         assert_eq!(c.len(), 3);
         assert_eq!(c.last().unwrap().1, 1.0);
@@ -157,9 +159,50 @@ mod tests {
 
     #[test]
     fn q_clamped() {
-        let e = Ecdf::from_samples(&[1.0, 2.0]).unwrap();
+        let e = Ecdf::from_samples(vec![1.0, 2.0]).unwrap();
         assert_eq!(e.quantile(-0.5), 1.0);
         assert_eq!(e.quantile(1.5), 2.0);
+    }
+
+    /// The quantiles of the unstable in-place sort are those of the copy
+    /// and stable sort it replaced, bit for bit: on samples with ties, on
+    /// both zeros (which `total_cmp` orders, −0 first), and at one and two
+    /// samples.
+    #[test]
+    fn quantiles_match_the_copying_stable_sort() {
+        let sets: [&[f64]; 6] = [
+            &[7.0],
+            &[2.0, 1.0],
+            &[0.0, -0.0],
+            &[3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 0.5, 3.0],
+            &[0.0, -0.0, 1.5, -0.0, 0.0, -2.0, 1.5, 0.0],
+            &[
+                1e-300,
+                5e-324,
+                1e300,
+                5e-324,
+                1e-300,
+                f64::INFINITY,
+                2.0,
+                2.0,
+                2.0,
+            ],
+        ];
+        for samples in sets {
+            let mut stable = samples.to_vec();
+            stable.sort_by(f64::total_cmp);
+            let old = Ecdf { sorted: stable };
+            let new = Ecdf::from_samples(samples.to_vec()).unwrap();
+            let bits = |e: &Ecdf| e.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&new), bits(&old), "{samples:?}");
+            for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(
+                    new.quantile(q).to_bits(),
+                    old.quantile(q).to_bits(),
+                    "{samples:?} at {q}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -167,7 +210,7 @@ mod tests {
         // Synthetic long-tail sample like Figure 3: mostly fast, few slow.
         let mut xs = vec![0.2; 95];
         xs.extend_from_slice(&[1.0, 2.0, 3.0, 5.0, 8.0]);
-        let e = Ecdf::from_samples(&xs).unwrap();
+        let e = Ecdf::from_samples(xs).unwrap();
         assert!(e.quantile(0.99) > 10.0 * e.quantile(0.5));
     }
 }

@@ -56,7 +56,7 @@ mod proptests {
         /// Any quantile of an ECDF lies within [min, max] of the data.
         #[test]
         fn quantile_bounded(mut xs in proptest::collection::vec(-1e9f64..1e9, 1..200), q in 0.0f64..=1.0) {
-            let ecdf = Ecdf::from_samples(&xs).unwrap();
+            let ecdf = Ecdf::from_samples(xs.clone()).unwrap();
             let v = ecdf.quantile(q);
             xs.sort_by(f64::total_cmp);
             prop_assert!(v >= xs[0] - 1e-9);
@@ -68,7 +68,7 @@ mod proptests {
         fn quantile_monotone(xs in proptest::collection::vec(-1e9f64..1e9, 1..200),
                              q1 in 0.0f64..=1.0, q2 in 0.0f64..=1.0) {
             let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            let ecdf = Ecdf::from_samples(&xs).unwrap();
+            let ecdf = Ecdf::from_samples(xs.clone()).unwrap();
             prop_assert!(ecdf.quantile(lo) <= ecdf.quantile(hi) + 1e-9);
         }
 
@@ -77,7 +77,7 @@ mod proptests {
         fn ecdf_monotone(xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
                          a in -2e6f64..2e6, b in -2e6f64..2e6) {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let ecdf = Ecdf::from_samples(&xs).unwrap();
+            let ecdf = Ecdf::from_samples(xs.clone()).unwrap();
             let fa = ecdf.eval(lo);
             let fb = ecdf.eval(hi);
             prop_assert!((0.0..=1.0).contains(&fa));

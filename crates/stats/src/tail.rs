@@ -29,7 +29,7 @@ pub struct TailMetrics {
 impl TailMetrics {
     /// Compute the digest; `None` for empty or NaN-containing input.
     pub fn from_samples(samples: &[f64]) -> Option<Self> {
-        let ecdf = Ecdf::from_samples(samples)?;
+        let ecdf = Ecdf::from_samples(samples.to_vec())?;
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         Some(TailMetrics {
             count: samples.len(),
