@@ -33,7 +33,8 @@
 //!   below its solo rate experiences *literally* the single-session
 //!   replay: the replay's session helper lays its trace out from the same
 //!   draws and builds its [`EventStreamingPipeline`](sss_iosim::EventStreamingPipeline),
-//!   which is what makes a fleet of one bit-identical to [`SessionReplay`].
+//!   which is what makes a fleet of one bit-identical to
+//!   [`SessionReplay`](crate::SessionReplay).
 //! * **Fidelity** — the allocation integrator is fluid (event-driven,
 //!   analytic between rate changes); each session's *reported* movement
 //!   then replays its granted piecewise-constant allocation through the
@@ -337,14 +338,10 @@ pub struct FleetSim {
     config: FleetConfig,
 }
 
-/// One planned arrival.
-struct Planned {
-    scenario_idx: usize,
-    arrival_s: f64,
-    dips: Dips,
-}
-
-/// A session's state through the allocation integrator.
+/// One session's record: its planned arrival and its state through the
+/// allocation integrator. [`FleetSim::plan`] makes one per arrival, in
+/// arrival order; an integrator advances each to its drain, and the
+/// report replays it.
 struct SessionState {
     scenario_idx: usize,
     arrival_s: f64,
@@ -363,8 +360,45 @@ struct SessionState {
     /// a breakpoint and stall the integrator there.
     rel_s: f64,
     wait_s: f64,
+    /// Deflated bytes remaining at `t_anchor`: the whole data unit until
+    /// admission. It governs an unclipped drain; a clipped session drains
+    /// on `d_key`. The reference loop keeps it at its own clock.
     remaining: f64,
+    /// Whether contention touched the session at all: it queued, or it
+    /// was clipped at some instant ([`FleetRecord::contended`]).
+    contended: bool,
+    /// The session's live flow in the water-filler (admitted, not done).
+    flow: Option<WaterFlowId>,
+    /// Whether the flow sat above the water level at the last resolution.
+    /// Unlike `contended`, it clears once the demand fits again.
     clipped: bool,
+    /// Whether the flow is held at a floor cap: clipped, with its demand
+    /// registered as the smallest one it has before `next_break`, and no
+    /// calendar entry for the segment switches in between.
+    floored: bool,
+    /// Solo rate of the trace segment last looked up — the deflated
+    /// grant while unclipped; the WAN demand is `theta` times this.
+    /// Stale while floored.
+    solo: f64,
+    /// Trace time of the pending breakpoint entry: the next segment
+    /// switch, or the end of the floor window while floored.
+    next_break: Option<f64>,
+    /// Generation of the live breakpoint entry.
+    break_gen: u64,
+    /// Fleet instant `remaining` and `rel_s` were last materialized at.
+    t_anchor: f64,
+    /// Drain key in water-volume space: with `v(t) = ∫ level dt`, a
+    /// continuously-clipped session drains when `v` reaches
+    /// `d = v(t₀) + θ·rem(t₀)`, a constant — so the drain heap never
+    /// re-sorts while the level moves.
+    d_key: f64,
+    /// Bumped on every state transition; drain entries (calendar and
+    /// heap) carry the epoch they were scheduled under, and
+    /// [`SessionState::live`] drops them once it is stale.
+    epoch: u64,
+    /// The last integrator step that listed the session as touched
+    /// ([`SessionState::touch`]).
+    stamp: u64,
     /// The first and the last of the pieces of granted allocation the
     /// session's own touches pushed, in the fleet's list of pieces
     /// ([`NO_PIECE`] before the first). With the level moves the fleet's
@@ -411,9 +445,10 @@ impl SessionState {
         self.start_s = t;
         self.wait_s = t - self.arrival_s;
         if self.wait_s > 0.0 {
-            self.clipped = true;
+            self.contended = true;
         }
         self.rel_s = 0.0;
+        self.t_anchor = t;
     }
 
     /// The session's solo trace, read through its scenario's layout in
@@ -423,12 +458,33 @@ impl SessionState {
         DippedTrace::new(shape, &clear[self.scenario_idx], &mut self.dips)
     }
 
-    /// The session ran dry with `log_len` level moves logged: mark it
-    /// done.
-    fn drain(&mut self, log_len: usize) {
-        self.remaining = 0.0;
-        self.done = true;
-        self.drained_at = log_len;
+    /// Whether a drain entry scheduled under `epoch` still stands: the
+    /// session has not drained, and no transition has passed since.
+    fn live(&self, epoch: u64) -> bool {
+        !self.done && self.epoch == epoch
+    }
+
+    /// List session `i` in `touched`, unless step `stamp` already has.
+    fn touch(&mut self, i: usize, stamp: u64, touched: &mut Vec<usize>) {
+        if self.stamp != stamp {
+            self.stamp = stamp;
+            touched.push(i);
+        }
+    }
+
+    /// Materialize the bytes remaining at `t`, with `v` the water volume
+    /// then, under the dynamics that governed since the anchor (the drain
+    /// key while clipped, the solo rate while not), and re-anchor there
+    /// with the trace clock at `rel`.
+    fn anchor(&mut self, t: f64, v: f64, rel: f64) {
+        self.remaining = if self.clipped {
+            ((self.d_key - v) / self.session.theta).max(0.0)
+        } else {
+            (self.remaining - self.solo * (t - self.t_anchor)).max(0.0)
+        };
+        self.t_anchor = t;
+        self.rel_s = rel;
+        self.epoch += 1;
     }
 
     /// Push `piece`, whose `next` is [`NO_PIECE`], onto the fleet's list
@@ -574,36 +630,37 @@ impl AdmissionQueue {
     }
 }
 
-/// The arrival lane: [`FleetSim::plan`] emits arrivals in time order, so
-/// they need no calendar heap. The integrator merges this cursor in front
-/// of the calendar and takes arrivals first at a tie, the order their low
+/// The arrival lane: [`FleetSim::plan`] makes the session records in
+/// arrival order, so arrivals need no calendar heap, only this cursor
+/// over the records' indices. The integrator merges it in front of the
+/// calendar and takes arrivals first at a tie, the order their low
 /// sequence numbers gave them as calendar entries. Like dslab's ordered
 /// events, the lane panics if the plan steps back in time.
-struct ArrivalLane<'p> {
-    plan: &'p [Planned],
+#[derive(Default)]
+struct ArrivalLane {
     next: usize,
 }
 
-impl ArrivalLane<'_> {
+impl ArrivalLane {
     /// The next arrival's instant.
-    fn peek(&self) -> Option<Seconds> {
-        self.plan.get(self.next).map(|p| Seconds::new(p.arrival_s))
+    fn peek(&self, states: &[SessionState]) -> Option<Seconds> {
+        states.get(self.next).map(|st| Seconds::new(st.arrival_s))
     }
 
     /// Take the next arrival, a session index, if it falls at `now`.
-    fn pop_at(&mut self, now: Seconds) -> Option<usize> {
-        if self.peek() != Some(now) {
+    fn pop_at(&mut self, states: &[SessionState], now: Seconds) -> Option<usize> {
+        if self.peek(states) != Some(now) {
             return None;
         }
         let i = self.next;
         self.next += 1;
-        if let Some(after) = self.plan.get(self.next) {
+        if let Some(after) = states.get(self.next) {
             assert!(
-                after.arrival_s >= self.plan[i].arrival_s,
+                after.arrival_s >= states[i].arrival_s,
                 "arrival lane out of order: session {} arrives at {}s, before session {i} at {}s",
                 self.next,
                 after.arrival_s,
-                self.plan[i].arrival_s
+                states[i].arrival_s
             );
         }
         Some(i)
@@ -613,50 +670,34 @@ impl ArrivalLane<'_> {
 /// A calendar entry for the incremental engine. Arrivals are not among
 /// them: they come in time order on the [`ArrivalLane`].
 enum FleetEvent {
-    /// An admitted session's trace clock reaches `Lane::next_break`: the
-    /// next segment switch, or the end of its floor window. Carries the
-    /// breakpoint generation it was scheduled under; holding the session
-    /// at a floor or waking it bumps the generation, which orphans the
-    /// pending entry, as does the session draining (the `done` flag).
+    /// An admitted session's trace clock reaches its
+    /// `SessionState::next_break`: the next segment switch, or the end of
+    /// its floor window. Carries the breakpoint generation it was
+    /// scheduled under; holding the session at a floor or waking it bumps
+    /// the generation, which orphans the pending entry, as does the
+    /// session draining (the `done` flag).
     Breakpoint(usize, u64),
     /// An unclipped session runs dry at its solo rate; stale once the
     /// session's epoch moved past the recorded one.
     Drain(usize, u64),
 }
 
-/// Per-session scratch for the incremental engine, indexed like the
-/// `SessionState` vector.
-struct Lane {
-    /// The session's live flow in the water-filler (admitted, not done).
-    flow: Option<WaterFlowId>,
-    /// Whether the flow sat above the water level at the last resolution.
-    clipped: bool,
-    /// Whether the flow is held at a floor cap: clipped, with its demand
-    /// registered as the smallest one it has before `next_break`, and no
-    /// calendar entry for the segment switches in between.
-    floored: bool,
-    /// Solo rate of the trace segment last looked up — the deflated
-    /// grant while unclipped; the WAN demand is `theta` times this.
-    /// Stale while floored.
-    solo: f64,
-    /// Trace time of the pending breakpoint entry: the next segment
-    /// switch, or the end of the floor window while floored.
-    next_break: Option<f64>,
-    /// Generation of the live breakpoint entry.
-    break_gen: u64,
-    /// Wall-clock instant the anchors below were last materialized.
-    t_anchor: f64,
-    /// Deflated bytes remaining at the anchor (governs unclipped drains).
-    rem_anchor: f64,
-    /// Drain key in water-volume space: with `v(t) = ∫ level dt`, a
-    /// continuously-clipped session drains when `v` reaches
-    /// `d = v(t₀) + θ·rem(t₀)`, a constant — so the drain heap never
-    /// re-sorts while the level moves.
-    d_key: f64,
-    /// Bumped on every state transition; drain entries (calendar and
-    /// heap) carry the epoch they were scheduled under and are dropped
-    /// when stale.
-    epoch: u64,
+/// Clipped drains: a min-heap on (drain key bits, push seq, session,
+/// epoch). The key is non-negative, so its bit order is its value order,
+/// and the seq makes ties FIFO like the calendar's.
+type ClipHeap = BinaryHeap<Reverse<(u64, u64, usize, u64)>>;
+
+/// The earliest clipped drain still live, as its key's bits and its
+/// session, once the heap has dropped the entries a flip, a breakpoint
+/// or a drain orphaned.
+fn live_clip_drain(heap: &mut ClipHeap, states: &[SessionState]) -> Option<(u64, usize)> {
+    while let Some(&Reverse((bits, _, i, epoch))) = heap.peek() {
+        if states[i].live(epoch) {
+            return Some((bits, i));
+        }
+        heap.pop();
+    }
+    None
 }
 
 /// How often the integrator held a session at a floor cap, woke a
@@ -671,9 +712,10 @@ struct FloorCounts {
     expiries: u64,
 }
 
-/// What one pass of the allocation integrator produced.
+/// One pass of the allocation integrator: the session records it
+/// advances, and what it produced.
 struct Integration {
-    /// Every session's state, advanced to completion.
+    /// Every session's record, advanced to its drain.
     states: Vec<SessionState>,
     /// Every session's own pieces, in push order.
     pieces: Vec<Piece>,
@@ -690,7 +732,25 @@ struct Integration {
     /// level move pushed onto every clipped session: the oracle of
     /// [`SessionState::grants`].
     #[cfg(test)]
-    recorded: Vec<Vec<(f64, f64)>>,
+    recording: tests::Recording,
+}
+
+impl Integration {
+    /// Session `i` ran dry and leaves the fleet: its flow leaves `wf`,
+    /// the log as it stands ends its grants, and the entries it has
+    /// pending go stale.
+    fn leave(&mut self, i: usize, wf: &mut WaterFiller) {
+        let st = &mut self.states[i];
+        st.done = true;
+        st.drained_at = self.log.len();
+        st.epoch += 1;
+        if let Some(flow) = st.flow.take() {
+            wf.remove(flow);
+        }
+        #[cfg(test)]
+        self.recording.leave(i);
+        self.events += 1;
+    }
 }
 
 impl FleetSim {
@@ -742,21 +802,24 @@ impl FleetSim {
     /// shuffle, per-session trace seeds position-derived so session `k`'s
     /// trace seed equals the single-session replay's cell-`k` seed.
     ///
-    /// No dip is drawn here: each session's dips keep its trace seed, the
-    /// integrator draws each flag the first time a read reaches it, and
-    /// the replay completes the draw of an unclipped session, whose trace
-    /// it lays out.
-    fn plan(&self) -> Vec<Planned> {
+    /// The plan is the session records, one per arrival in arrival order,
+    /// none admitted yet, which both integrators advance from the same
+    /// draws, clocks and byte counts. No dip is drawn and no trace is laid
+    /// out here: each session's dips keep its trace seed, the integrator
+    /// draws each flag the first time a read reaches it, and the replay
+    /// completes the draw of an unclipped session, whose trace it lays
+    /// out.
+    fn plan(&self) -> Vec<SessionState> {
         if self.config.load <= 0.0 || self.config.sessions == 0 {
             return Vec::new();
         }
-        let catalog_n = self.scenarios.len();
-        let mean_movement: f64 = self
+        let sessions: Vec<Session> = self
             .scenarios
             .iter()
-            .map(|s| Session::new(&s.params).horizon)
-            .sum::<f64>()
-            / catalog_n as f64;
+            .map(|s| Session::new(&s.params))
+            .collect();
+        let catalog_n = sessions.len();
+        let mean_movement: f64 = sessions.iter().map(|s| s.horizon).sum::<f64>() / catalog_n as f64;
         let lambda = self.config.load / mean_movement;
 
         let n = self.config.sessions as usize;
@@ -773,40 +836,35 @@ impl FleetSim {
             }
             let u = unit_uniform(gap_stream.seed(k as u64));
             t += -u.ln() / lambda;
-            planned.push(Planned {
-                scenario_idx: order[k % catalog_n],
+            let scenario_idx = order[k % catalog_n];
+            let session = sessions[scenario_idx];
+            planned.push(SessionState {
+                scenario_idx,
                 arrival_s: t,
+                session,
                 dips: self.config.shape.draw(trace_seeds.seed(k as u64)),
+                start_s: 0.0,
+                rel_s: 0.0,
+                wait_s: 0.0,
+                remaining: session.s_bytes,
+                contended: false,
+                flow: None,
+                clipped: false,
+                floored: false,
+                solo: 0.0,
+                next_break: None,
+                break_gen: 0,
+                t_anchor: 0.0,
+                d_key: 0.0,
+                epoch: 0,
+                stamp: 0,
+                first_piece: NO_PIECE,
+                last_piece: NO_PIECE,
+                drained_at: 0,
+                done: false,
             });
         }
         planned
-    }
-
-    /// Fresh per-session integrator state for a planned arrival schedule
-    /// — shared verbatim with the test-only reference integrator so both
-    /// start from identical trace draws, clocks and byte counts. No trace
-    /// is laid out here.
-    fn session_states(&self, plan: &[Planned]) -> Vec<SessionState> {
-        plan.iter()
-            .map(|p| {
-                let session = Session::new(&self.scenarios[p.scenario_idx].params);
-                SessionState {
-                    scenario_idx: p.scenario_idx,
-                    arrival_s: p.arrival_s,
-                    session,
-                    dips: p.dips,
-                    start_s: 0.0,
-                    rel_s: 0.0,
-                    wait_s: 0.0,
-                    remaining: session.s_bytes,
-                    clipped: false,
-                    first_piece: NO_PIECE,
-                    last_piece: NO_PIECE,
-                    drained_at: 0,
-                    done: false,
-                }
-            })
-            .collect()
     }
 
     /// The fluid allocation integrator: admissions, max-min fair WAN
@@ -814,6 +872,14 @@ impl FleetSim {
     /// allocation. Event-driven and analytic between events (arrivals,
     /// admissions, trace breakpoints of unclipped sessions, floor-window
     /// ends, drains).
+    ///
+    /// It advances the plan's session records in place, one record per
+    /// session: the arrival lane walks them by index, and every calendar
+    /// and heap entry names one. Each step its transitions share has one
+    /// body: [`Integration::leave`] takes a drained session out of the
+    /// fleet, [`SessionState::live`] tests a drain entry,
+    /// [`SessionState::anchor`] materializes the bytes remaining, and
+    /// [`SessionState::touch`] lists a session for the step's resolution.
     ///
     /// Five structures replace the test-only reference loop's full
     /// rescans:
@@ -853,8 +919,9 @@ impl FleetSim {
     ///   [`SessionState::grants`] expands the two when the report replays
     ///   the session.
     ///
-    /// Scratch buffers are reused across events and per-session state is
-    /// materialized lazily (only when a session's own status changes).
+    /// Scratch buffers are reused across events and a session's remaining
+    /// bytes and trace clock are materialized lazily, only when its own
+    /// status changes ([`SessionState::anchor`]).
     /// Each scenario's solo trace is laid out once per run from clear
     /// dips, and every session reads its own through a [`DippedTrace`]
     /// over that layout and its dips, so beyond the pieces each session
@@ -864,9 +931,7 @@ impl FleetSim {
     /// mirroring the reference loop's snapping; an unclipped session's
     /// recorded pieces carry its solo rates bit-for-bit, which preserves
     /// the fleet-of-one ≡ `SessionReplay` identity.
-    fn integrate(&self, plan: &[Planned]) -> Integration {
-        let mut states = self.session_states(plan);
-        let n = states.len();
+    fn integrate(&self, states: Vec<SessionState>) -> Integration {
         let wan_bps = self.config.wan.as_bytes_per_sec();
         let slots = self.config.slots as usize;
         let shape = self.config.shape;
@@ -879,74 +944,52 @@ impl FleetSim {
             .map(|s| Session::new(&s.params).trace(shape, &Dips::default()))
             .collect();
 
+        // Every admitted session's flow, so `wf.len()` is the number
+        // moving.
         let mut wf = WaterFiller::new(wan_bps);
         // Live flow handle → session index (slab slots are recycled, so
         // this stays as small as the peak concurrency).
         let mut flow_session: Vec<usize> = Vec::new();
-        let mut lanes: Vec<Lane> = (0..n)
-            .map(|_| Lane {
-                flow: None,
-                clipped: false,
-                floored: false,
-                solo: 0.0,
-                next_break: None,
-                break_gen: 0,
-                t_anchor: 0.0,
-                rem_anchor: 0.0,
-                d_key: 0.0,
-                epoch: 0,
-            })
-            .collect();
-
-        let mut arrivals = ArrivalLane { plan, next: 0 };
-        let mut calendar: EventQueue<Seconds, FleetEvent> = EventQueue::new();
-        // Clipped drains: min-heap on (d_key bits, push seq) — both
-        // non-negative, so the bit order is the value order and the seq
-        // makes ties FIFO like the calendar's.
-        let mut clip_heap: BinaryHeap<Reverse<(u64, u64, usize, u64)>> = BinaryHeap::new();
-        let mut clip_seq = 0u64;
-        let mut pieces: Vec<Piece> = Vec::new();
-        let mut log: Vec<(f64, f64)> = Vec::new();
         #[cfg(test)]
-        let mut recording = tests::Recording::new(n);
-        // Sessions whose own status may have changed this instant.
+        let recording = tests::Recording::new(states.len());
+        let mut run = Integration {
+            states,
+            pieces: Vec::new(),
+            log: Vec::new(),
+            peak_active: 0,
+            events: 0,
+            floor_counts: FloorCounts::default(),
+            #[cfg(test)]
+            recording,
+        };
+
+        let mut arrivals = ArrivalLane::default();
+        let mut calendar: EventQueue<Seconds, FleetEvent> = EventQueue::new();
+        let mut clip_heap = ClipHeap::new();
+        let mut clip_seq = 0u64;
+        // Sessions whose own status may have changed this step.
         let mut touched: Vec<usize> = Vec::new();
-        let mut touch_stamp: Vec<u64> = vec![0; n];
         let mut stamp = 0u64;
         // Sessions whose flow caps lie in a band the level swept.
         let mut band: Vec<usize> = Vec::new();
 
-        let mut active = 0usize;
-        let mut peak_active = 0u32;
         let mut t = 0.0f64;
         let mut v = 0.0f64;
-        let mut events = 0u64;
-        let mut floor_counts = FloorCounts::default();
 
         loop {
-            // Drop heap entries orphaned by a flip, breakpoint or drain.
-            while let Some(&Reverse((_, _, i, epoch))) = clip_heap.peek() {
-                if states[i].done || lanes[i].epoch != epoch {
-                    clip_heap.pop();
-                } else {
-                    break;
-                }
-            }
             let level = wf.level();
             let draining = level > 0.0 && level.is_finite();
             // The next scheduled instant: the arrival lane's head or the
             // calendar's, whichever is earlier.
-            let next_at = match (arrivals.peek(), calendar.peek_time()) {
+            let next_at = match (arrivals.peek(&run.states), calendar.peek_time()) {
                 (Some(a), Some(&c)) => Some(a.min(c)),
                 (a, c) => a.or(c.copied()),
             };
             let d_sched = next_at.map(|s| s.value() - t);
             // The earliest clipped drain as a delta — the incremental
             // analog of the reference loop's `remaining / rate` scan.
-            let d_clip = match clip_heap.peek() {
-                Some(&Reverse((bits, _, _, _))) if draining => {
-                    Some(((f64::from_bits(bits) - v) / level).max(0.0))
-                }
+            let d_clip = match live_clip_drain(&mut clip_heap, &run.states) {
+                Some((bits, _)) if draining => Some(((f64::from_bits(bits) - v) / level).max(0.0)),
                 _ => None,
             };
             let dt = match (d_sched, d_clip) {
@@ -974,34 +1017,26 @@ impl FleetSim {
             // 1. Clipped drains due within this step — compared against
             // the drain delta itself, not a re-derived time difference, so
             // the defining session lands exactly on its key.
-            while let Some(&Reverse((bits, _, i, epoch))) = clip_heap.peek() {
-                if states[i].done || lanes[i].epoch != epoch {
-                    clip_heap.pop();
-                    continue;
-                }
+            while let Some((bits, i)) = live_clip_drain(&mut clip_heap, &run.states) {
                 if !draining || (f64::from_bits(bits) - v_pre) / level > dt {
                     break;
                 }
                 clip_heap.pop();
-                states[i].drain(log.len());
-                if let Some(flow) = lanes[i].flow.take() {
-                    wf.remove(flow);
-                }
-                lanes[i].epoch += 1;
-                active -= 1;
-                #[cfg(test)]
-                recording.leave(i);
-                events += 1;
+                run.leave(i, &mut wf);
             }
 
             // 2. Events scheduled at exactly this instant: arrivals in
             // plan order, then calendar entries in (time, seq) order.
             if at_scheduled {
                 let now = Seconds::new(t_next);
-                while let Some(i) = arrivals.pop_at(now) {
-                    let rank = tier_rank(self.scenarios[states[i].scenario_idx].tier);
-                    queue.push(i, states[i].scenario_idx, rank);
-                    events += 1;
+                while let Some(i) = arrivals.pop_at(&run.states, now) {
+                    let scenario_idx = run.states[i].scenario_idx;
+                    queue.push(
+                        i,
+                        scenario_idx,
+                        tier_rank(self.scenarios[scenario_idx].tier),
+                    );
+                    run.events += 1;
                 }
                 while calendar.peek_time() == Some(&now) {
                     let Some((_, event)) = calendar.pop() else {
@@ -1009,10 +1044,11 @@ impl FleetSim {
                     };
                     match event {
                         FleetEvent::Breakpoint(i, gen) => {
-                            if states[i].done || lanes[i].break_gen != gen {
+                            let st = &mut run.states[i];
+                            if st.done || st.break_gen != gen {
                                 continue;
                             }
-                            let (Some(flow), Some(b)) = (lanes[i].flow, lanes[i].next_break) else {
+                            let (Some(flow), Some(b)) = (st.flow, st.next_break) else {
                                 continue;
                             };
                             // Materialize remaining over the outgoing
@@ -1020,92 +1056,60 @@ impl FleetSim {
                             // clock onto the breakpoint verbatim (the
                             // reference loop's rounding guard) and register
                             // the true cap there.
-                            let (solo, next_b) = states[i].solo(shape, &clear).segment_at(b);
-                            let theta = states[i].session.theta;
-                            let rem = if lanes[i].clipped {
-                                ((lanes[i].d_key - v) / theta).max(0.0)
-                            } else {
-                                (lanes[i].rem_anchor - lanes[i].solo * (t_next - lanes[i].t_anchor))
-                                    .max(0.0)
-                            };
-                            states[i].remaining = rem;
-                            states[i].rel_s = b;
-                            wf.update(flow, theta * solo);
-                            let lane = &mut lanes[i];
-                            if lane.floored {
-                                lane.floored = false;
-                                floor_counts.expiries += 1;
+                            let (solo, next_b) = st.solo(shape, &clear).segment_at(b);
+                            st.anchor(t_next, v, b);
+                            wf.update(flow, st.session.theta * solo);
+                            if st.floored {
+                                st.floored = false;
+                                run.floor_counts.expiries += 1;
                             }
-                            lane.rem_anchor = rem;
-                            lane.t_anchor = t_next;
-                            lane.solo = solo;
-                            lane.next_break = next_b;
-                            lane.epoch += 1;
+                            st.solo = solo;
+                            st.next_break = next_b;
                             if let Some(nb) = next_b {
                                 calendar.schedule(
                                     Seconds::new(t_next + (nb - b)),
                                     FleetEvent::Breakpoint(i, gen),
                                 );
                             }
-                            if touch_stamp[i] != stamp {
-                                touch_stamp[i] = stamp;
-                                touched.push(i);
-                            }
-                            events += 1;
+                            st.touch(i, stamp, &mut touched);
+                            run.events += 1;
                         }
                         FleetEvent::Drain(i, epoch) => {
-                            if states[i].done || lanes[i].epoch != epoch {
-                                continue;
+                            if run.states[i].live(epoch) {
+                                run.leave(i, &mut wf);
                             }
-                            states[i].drain(log.len());
-                            if let Some(flow) = lanes[i].flow.take() {
-                                wf.remove(flow);
-                            }
-                            lanes[i].epoch += 1;
-                            active -= 1;
-                            #[cfg(test)]
-                            recording.leave(i);
-                            events += 1;
                         }
                     }
                 }
             }
 
             // 3. Admissions into freed slots.
-            while active < slots {
+            while wf.len() < slots {
                 let Some(i) = queue.pop(&admitted_per_scenario) else {
                     break;
                 };
-                states[i].admit(t_next);
-                let (solo, next_b) = states[i].solo(shape, &clear).segment_at(0.0);
-                admitted_per_scenario[states[i].scenario_idx] += 1;
-                active += 1;
-                let flow = wf.insert(states[i].session.theta * solo);
+                let st = &mut run.states[i];
+                st.admit(t_next);
+                let (solo, next_b) = st.solo(shape, &clear).segment_at(0.0);
+                admitted_per_scenario[st.scenario_idx] += 1;
+                let flow = wf.insert(st.session.theta * solo);
                 if flow.index() >= flow_session.len() {
                     flow_session.resize(flow.index() + 1, usize::MAX);
                 }
                 flow_session[flow.index()] = i;
-                let lane = &mut lanes[i];
-                lane.flow = Some(flow);
-                lane.clipped = false;
-                lane.solo = solo;
-                lane.next_break = next_b;
-                lane.t_anchor = t_next;
-                lane.rem_anchor = states[i].session.s_bytes;
-                lane.epoch += 1;
+                st.flow = Some(flow);
+                st.solo = solo;
+                st.next_break = next_b;
                 if let Some(b) = next_b {
                     calendar.schedule(
                         Seconds::new(t_next + b),
-                        FleetEvent::Breakpoint(i, lane.break_gen),
+                        FleetEvent::Breakpoint(i, st.break_gen),
                     );
                 }
-                if touch_stamp[i] != stamp {
-                    touch_stamp[i] = stamp;
-                    touched.push(i);
-                }
-                events += 1;
+                st.touch(i, stamp, &mut touched);
+                run.events += 1;
             }
-            peak_active = peak_active.max(active as u32);
+            run.peak_active = run.peak_active.max(wf.len() as u32);
 
             // 4. Resolution: one re-level covers every mutation above.
             // A flow whose own cap didn't change flips clip status iff
@@ -1128,34 +1132,31 @@ impl FleetSim {
                 }
                 let mut woke = false;
                 for &i in &band {
-                    if touch_stamp[i] != stamp {
-                        touch_stamp[i] = stamp;
-                        touched.push(i);
-                    }
-                    if !lanes[i].floored {
+                    let st = &mut run.states[i];
+                    st.touch(i, stamp, &mut touched);
+                    if !st.floored {
                         continue;
                     }
-                    let Some(flow) = lanes[i].flow else {
+                    let Some(flow) = st.flow else {
                         continue;
                     };
                     // Wake: the trace clock ran on past segment switches
                     // with no calendar entry, so look up where it is now.
-                    let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
-                    let (solo, next_b) = states[i].solo(shape, &clear).segment_at(rel_now);
-                    wf.update(flow, states[i].session.theta * solo);
-                    let lane = &mut lanes[i];
-                    lane.floored = false;
-                    lane.solo = solo;
-                    lane.next_break = next_b;
-                    lane.break_gen += 1;
+                    let rel_now = st.rel_s + (t_next - st.t_anchor);
+                    let (solo, next_b) = st.solo(shape, &clear).segment_at(rel_now);
+                    wf.update(flow, st.session.theta * solo);
+                    st.floored = false;
+                    st.solo = solo;
+                    st.next_break = next_b;
+                    st.break_gen += 1;
                     if let Some(nb) = next_b {
                         calendar.schedule(
                             Seconds::new(t_next + (nb - rel_now)),
-                            FleetEvent::Breakpoint(i, lane.break_gen),
+                            FleetEvent::Breakpoint(i, st.break_gen),
                         );
                     }
-                    floor_counts.wakes += 1;
-                    events += 1;
+                    run.floor_counts.wakes += 1;
+                    run.events += 1;
                     woke = true;
                 }
                 if !woke {
@@ -1165,55 +1166,47 @@ impl FleetSim {
             }
             let moved = level_new.to_bits() != level.to_bits();
             for &i in &touched {
-                if states[i].done {
+                let st = &mut run.states[i];
+                if st.done {
                     continue;
                 }
-                let Some(flow) = lanes[i].flow else { continue };
+                let Some(flow) = st.flow else { continue };
                 let now_clipped = wf.is_clipped(flow);
-                let theta = states[i].session.theta;
+                let theta = st.session.theta;
                 // Materialize remaining at `t_next` under the dynamics
                 // that governed since the anchor, then re-anchor. For
                 // sessions whose own event already re-anchored above
                 // this is an exact no-op (`t_next - t_anchor == 0`).
-                let rem = if lanes[i].clipped {
-                    ((lanes[i].d_key - v) / theta).max(0.0)
-                } else {
-                    (lanes[i].rem_anchor - lanes[i].solo * (t_next - lanes[i].t_anchor)).max(0.0)
-                };
-                states[i].rel_s += t_next - lanes[i].t_anchor;
-                states[i].remaining = rem;
-                let lane = &mut lanes[i];
-                lane.rem_anchor = rem;
-                lane.t_anchor = t_next;
-                lane.epoch += 1;
-                lane.clipped = now_clipped;
+                st.anchor(t_next, v, st.rel_s + (t_next - st.t_anchor));
+                st.clipped = now_clipped;
                 let piece = Piece {
-                    rel: states[i].rel_s,
+                    rel: st.rel_s,
                     rate: if now_clipped {
                         level_new / theta
                     } else {
-                        lane.solo
+                        st.solo
                     },
                     t_anchor: t_next,
-                    log_at: log.len(),
+                    log_at: run.log.len(),
                     clipped: now_clipped,
                     next: NO_PIECE,
                 };
-                states[i].add_piece(&mut pieces, piece);
+                st.add_piece(&mut run.pieces, piece);
                 #[cfg(test)]
-                recording.push(i, piece);
+                run.recording.push(i, piece);
                 if now_clipped {
-                    states[i].clipped = true;
-                    lane.d_key = v + theta * rem;
-                    clip_heap.push(Reverse((lane.d_key.to_bits(), clip_seq, i, lane.epoch)));
+                    st.contended = true;
+                    st.d_key = v + theta * st.remaining;
+                    clip_heap.push(Reverse((st.d_key.to_bits(), clip_seq, i, st.epoch)));
                     clip_seq += 1;
                     // Hold it at a floor cap when its trace stays above
                     // the level past the pending breakpoint.
-                    let window = lane.next_break.and_then(|b| {
-                        states[i]
+                    let window = match st.next_break {
+                        Some(b) => st
                             .solo(shape, &clear)
-                            .window_above(b, |rate| theta * rate > level_new)
-                    });
+                            .window_above(b, |rate| theta * rate > level_new),
+                        None => None,
+                    };
                     if let Some((min, end)) = window {
                         // The floor is the smaller of the current cap
                         // and the window's smallest later demand.
@@ -1226,24 +1219,24 @@ impl FleetSim {
                                 "a floor above the level must not move it"
                             );
                         }
-                        lane.floored = true;
-                        lane.next_break = end;
-                        lane.break_gen += 1;
+                        st.floored = true;
+                        st.next_break = end;
+                        st.break_gen += 1;
                         if let Some(e) = end {
                             calendar.schedule(
-                                Seconds::new(t_next + (e - states[i].rel_s)),
-                                FleetEvent::Breakpoint(i, lane.break_gen),
+                                Seconds::new(t_next + (e - st.rel_s)),
+                                FleetEvent::Breakpoint(i, st.break_gen),
                             );
                         }
-                        floor_counts.floors += 1;
+                        run.floor_counts.floors += 1;
                     }
-                } else if lane.solo > 0.0 {
+                } else if st.solo > 0.0 {
                     // A zero-rate segment never drains — the kernel
                     // guarantees a positive final rate, so a later
                     // breakpoint always reschedules this.
                     calendar.schedule(
-                        Seconds::new(t_next + rem / lane.solo),
-                        FleetEvent::Drain(i, lane.epoch),
+                        Seconds::new(t_next + st.remaining / st.solo),
+                        FleetEvent::Drain(i, st.epoch),
                     );
                 }
             }
@@ -1254,25 +1247,17 @@ impl FleetSim {
             // bit-equal merge in `push_piece` keeps).
             if moved {
                 #[cfg(test)]
-                recording.level_moved(|i| {
-                    let rel_now = states[i].rel_s + (t_next - lanes[i].t_anchor);
-                    (rel_now, level_new / states[i].session.theta)
+                run.recording.level_moved(|i| {
+                    let st = &run.states[i];
+                    let rel_now = st.rel_s + (t_next - st.t_anchor);
+                    (rel_now, level_new / st.session.theta)
                 });
-                log.push((t_next, level_new));
+                run.log.push((t_next, level_new));
             }
 
             t = t_next;
         }
-        Integration {
-            states,
-            pieces,
-            log,
-            peak_active,
-            events,
-            floor_counts,
-            #[cfg(test)]
-            recorded: recording.pieces,
-        }
+        run
     }
 
     /// One session's reported record: its granted allocation replayed
@@ -1292,7 +1277,7 @@ impl FleetSim {
         (model, t_remote): &(Verdict, f64),
         columns: &mut (Vec<f64>, Vec<f64>),
     ) -> Result<FleetRecord, String> {
-        let trace = if !st.clipped {
+        let trace = if !st.contended {
             // Never queued, never clipped: the granted allocation IS the
             // solo trace — laid out again from its draws, bit for bit the
             // trace the single-session replay builds.
@@ -1320,7 +1305,7 @@ impl FleetSim {
             wait_s: st.wait_s,
             movement_s: movement,
             completion_s: st.start_s + movement + t_remote,
-            contended: st.clipped,
+            contended: st.contended,
             model_t_pct_s: model_t_pct,
             realized_t_pct_s: realized_t_pct,
             slowdown: realized_t_pct / model_t_pct.max(1e-12),
@@ -1339,7 +1324,7 @@ impl FleetSim {
     /// kernel's validator — impossible by construction, surfaced instead
     /// of unwrapped.
     pub fn run(&self, pool: &ThreadPool) -> Result<FleetReport, String> {
-        self.report(pool, self.integrate(&self.plan()))
+        self.report(pool, self.integrate(self.plan()))
     }
 
     /// Replay every integrated session through the movement pipeline,
@@ -1697,8 +1682,7 @@ mod tests {
         /// solo trace is laid out from its own dips, so the differential
         /// test holds the incremental engine's [`DippedTrace`] reads to
         /// the layout.
-        fn integrate_reference(&self, plan: &[Planned]) -> Integration {
-            let mut states = self.session_states(plan);
+        fn integrate_reference(&self, mut states: Vec<SessionState>) -> Integration {
             let mut pieces = Vec::new();
             let traces: Vec<BandwidthTrace> = states
                 .iter()
@@ -1755,7 +1739,7 @@ mod tests {
                 for j in 0..active.len() {
                     let i = active[j];
                     if shares[j] < caps[j] {
-                        states[i].clipped = true;
+                        states[i].contended = true;
                         rates.push(shares[j] / states[i].session.theta);
                     } else {
                         rates.push(solo[j]);
@@ -1811,7 +1795,7 @@ mod tests {
                 for (j, &i) in active.iter().enumerate() {
                     let r = rates[j];
                     if r > 0.0 && states[i].remaining / r <= dt {
-                        states[i].drain(0);
+                        states[i].done = true;
                     } else {
                         states[i].remaining = (states[i].remaining - r * dt).max(0.0);
                     }
@@ -1834,7 +1818,7 @@ mod tests {
                 peak_active,
                 events,
                 floor_counts: FloorCounts::default(),
-                recorded: Vec::new(),
+                recording: Recording::new(0),
             }
         }
 
@@ -1872,7 +1856,7 @@ mod tests {
         /// instead of the incremental integrator.
         fn run_reference(&self) -> Result<FleetReport, String> {
             let pool = ThreadPool::new(1);
-            self.report(&pool, self.integrate_reference(&self.plan()))
+            self.report(&pool, self.integrate_reference(self.plan()))
         }
     }
 
@@ -1940,6 +1924,55 @@ mod tests {
                         "{shape}/{fidelity}/{engine}: realized T_pct must be bit-identical"
                     );
                     assert_eq!(f.model_t_pct_s, r.model_t_pct_s);
+                }
+            }
+        }
+    }
+
+    /// A session that queues for its slot but is never clipped is
+    /// contended without being clipped: `contended` reads its wait, and
+    /// its movement, replayed from its grants, is its scenario's steady
+    /// replay cell bit for bit, at both fidelities and with both
+    /// integrators. One slot makes the catalog fleet queue; a backbone far
+    /// above any demand clips no one.
+    #[test]
+    fn a_queued_session_that_is_never_clipped_moves_as_its_replay_cell() {
+        for fidelity in [Fidelity::Exact, Fidelity::Fluid] {
+            let config = FleetConfig {
+                shape: TraceShape::Steady,
+                slots: 1,
+                wan: Rate::from_gbps(100_000.0),
+                ..FleetConfig::quick(42).with_fidelity(fidelity)
+            };
+            let sim = FleetSim::bundled(config).unwrap();
+            let mut rc = ReplayConfig::quick(42).with_fidelity(fidelity);
+            rc.shapes = vec![TraceShape::Steady];
+            let replay = SessionReplay::new(Scenario::all(), rc)
+                .unwrap()
+                .run(&ThreadPool::new(1));
+            for (engine, fleet) in [
+                ("incremental", sim.run(&ThreadPool::new(1)).unwrap()),
+                ("reference", sim.run_reference().unwrap()),
+            ] {
+                assert!(
+                    fleet.records.iter().any(|r| r.wait_s > 0.0),
+                    "{fidelity:?}/{engine}: the sessions must queue"
+                );
+                for r in &fleet.records {
+                    let tag = format!("{fidelity:?}/{engine}/session {}", r.session);
+                    assert_eq!(r.contended, r.wait_s > 0.0, "{tag}: contended");
+                    let cell = replay
+                        .records
+                        .iter()
+                        .find(|c| c.scenario_id == r.scenario_id)
+                        .unwrap();
+                    assert_eq!(
+                        r.movement_s.to_bits(),
+                        cell.sim_transfer_s.to_bits(),
+                        "{tag}: movement {} vs {}",
+                        r.movement_s,
+                        cell.sim_transfer_s
+                    );
                 }
             }
         }
@@ -2218,7 +2251,7 @@ mod tests {
             config.shape = shape;
             config.policy = policy;
             let sim = FleetSim::bundled(config).unwrap();
-            let run = sim.integrate(&sim.plan());
+            let run = sim.integrate(sim.plan());
             let counts = run.floor_counts;
             totals.floors += counts.floors;
             totals.wakes += counts.wakes;
@@ -2300,7 +2333,7 @@ mod tests {
         for config in cells.chain([light]) {
             let cell = format!("{}/{}/load {}", config.shape, config.policy, config.load);
             let sim = FleetSim::bundled(config).unwrap();
-            let run = sim.integrate(&sim.plan());
+            let run = sim.integrate(sim.plan());
             assert!(
                 run.log.len() as u64 <= run.events,
                 "{cell}: {} level moves logged in {} events",
@@ -2309,7 +2342,7 @@ mod tests {
             );
             let (mut starts, mut rates) = (Vec::new(), Vec::new());
             let mut granted = 0;
-            for (k, (st, recorded)) in run.states.iter().zip(&run.recorded).enumerate() {
+            for (k, (st, recorded)) in run.states.iter().zip(&run.recording.pieces).enumerate() {
                 st.grants(&run.pieces, &run.log, &mut starts, &mut rates);
                 let want: (Vec<f64>, Vec<f64>) = recorded.iter().copied().unzip();
                 assert_eq!(bits(&starts), bits(&want.0), "{cell}/session {k}: starts");
@@ -2344,13 +2377,13 @@ mod tests {
                 ..FleetConfig::standard(7)
             };
             let sim = FleetSim::bundled(config.clone()).unwrap();
-            let run = sim.integrate(&sim.plan());
+            let run = sim.integrate(sim.plan());
             let want: Vec<u64> = run
                 .states
                 .iter()
-                .zip(&run.recorded)
+                .zip(&run.recording.pieces)
                 .map(|(st, recorded)| {
-                    let trace = if st.clipped {
+                    let trace = if st.contended {
                         let segments: Vec<(f64, Rate)> = recorded
                             .iter()
                             .map(|&(rel, r)| (rel, Rate::from_bytes_per_sec(r)))
@@ -2363,7 +2396,7 @@ mod tests {
                     stream.run_fidelity(fidelity).completion.as_secs().to_bits()
                 })
                 .collect();
-            assert!(run.states.iter().any(|st| st.clipped));
+            assert!(run.states.iter().any(|st| st.contended));
             for workers in [1, 2, 8] {
                 let report = sim.run(&ThreadPool::new(workers)).unwrap();
                 let got: Vec<u64> = report
@@ -2385,14 +2418,13 @@ mod tests {
             let mut config = FleetConfig::quick(5).with_load(6.0).with_shape(shape);
             config.wan = Rate::from_gbps(40.0);
             let sim = FleetSim::bundled(config).unwrap();
-            let plan = sim.plan();
             for (engine, run) in [
-                ("incremental", sim.integrate(&plan)),
-                ("reference", sim.integrate_reference(&plan)),
+                ("incremental", sim.integrate(sim.plan())),
+                ("reference", sim.integrate_reference(sim.plan())),
             ] {
                 assert!(
-                    run.states.iter().any(|st| st.clipped)
-                        && run.states.iter().any(|st| !st.clipped),
+                    run.states.iter().any(|st| st.contended)
+                        && run.states.iter().any(|st| !st.contended),
                     "{shape}/{engine}: the cell must drain clipped and unclipped sessions"
                 );
                 for (i, st) in run.states.iter().enumerate() {
@@ -2410,19 +2442,11 @@ mod tests {
     )]
     fn an_arrival_plan_that_steps_back_in_time_panics() {
         let sim = FleetSim::bundled(FleetConfig::quick(1)).unwrap();
-        let plan = [
-            Planned {
-                scenario_idx: 0,
-                arrival_s: 2.0,
-                dips: Dips::default(),
-            },
-            Planned {
-                scenario_idx: 1,
-                arrival_s: 1.0,
-                dips: Dips::default(),
-            },
-        ];
-        sim.integrate(&plan);
+        let mut states = sim.plan();
+        states.truncate(2);
+        states[0].arrival_s = 2.0;
+        states[1].arrival_s = 1.0;
+        sim.integrate(states);
     }
 
     /// Satellite gate: the policy-specialized [`AdmissionQueue`] pops
@@ -2433,8 +2457,7 @@ mod tests {
     fn admission_queue_matches_the_reference_scan() {
         for policy in AdmissionPolicy::ALL {
             let sim = FleetSim::bundled(FleetConfig::quick(7).with_policy(policy)).unwrap();
-            let plan = sim.plan();
-            let states = sim.session_states(&plan);
+            let states = sim.plan();
             let catalog = sim.scenarios().len();
 
             let mut queue = AdmissionQueue::new(policy, catalog);

@@ -94,7 +94,10 @@ pub struct SimReport {
     pub end: SimTime,
     /// True when the run hit `max_sim_time` with events still pending.
     pub truncated: bool,
-    /// Total events processed (diagnostic / benchmarking).
+    /// Every event popped from the queue up to the horizon (diagnostic /
+    /// benchmarking). Stale RTO entries count too: every ACK re-arms the
+    /// sender's timer with a new entry, and an entry whose generation a
+    /// later arm superseded is popped and counted before `on_rto` drops it.
     pub events: u64,
     /// Congestion-window trace (empty unless tracing was enabled).
     pub cwnd_trace: Vec<CwndSample>,

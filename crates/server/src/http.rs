@@ -262,11 +262,35 @@ fn parse_request_line(text: &str) -> Result<Head, HttpError> {
     })
 }
 
+/// The body length the head frames: its `content-length`, or 0 without
+/// one. A head that two readers could frame two ways is malformed (RFC
+/// 9112 §6.3): any `transfer-encoding` (no chunked body is read here),
+/// `content-length` values that differ, or a value that is not all ASCII
+/// digits (`usize`'s parse would take a leading `+`). Identical repeats
+/// frame one body and stay accepted.
 fn content_length(head: &Head) -> Result<usize, HttpError> {
-    let length = match head.headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
+    if head.headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::Malformed(
+            "transfer-encoding is not supported; frame the body with content-length".into(),
+        ));
+    }
+    let mut value: Option<&str> = None;
+    for (_, v) in head.headers.iter().filter(|(k, _)| k == "content-length") {
+        match value {
+            Some(first) if first != v => {
+                return Err(HttpError::Malformed(format!(
+                    "conflicting content-length values {first:?} and {v:?}"
+                )))
+            }
+            _ => value = Some(v),
+        }
+    }
+    let length = match value {
+        Some(v) => v
             .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| HttpError::Malformed(format!("bad content-length {v:?}")))?,
         None => 0,
     };
     if length > MAX_BODY {
@@ -403,6 +427,48 @@ mod tests {
             parse(b"NONSENSE\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    /// Two different `content-length` values are refused, not framed by
+    /// the first: the bytes past a 2-byte body must not parse as a second,
+    /// pipelined request. An identical repeat frames one body.
+    #[test]
+    fn conflicting_content_lengths_rejected() {
+        let wire = b"POST /decide HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 30\r\n\r\n\
+                     {}GET /healthz HTTP/1.1\r\n\r\n";
+        assert!(matches!(parse(wire), Err(HttpError::Malformed(m)) if m.contains("conflicting")));
+        let req =
+            parse_one(b"POST /decide HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\n{}");
+        assert_eq!(req.body, b"{}");
+    }
+
+    /// A `content-length` that is not all ASCII digits is refused, a
+    /// leading `+` included.
+    #[test]
+    fn non_digit_content_length_rejected() {
+        for value in ["+2", "-2", "2 2", "0x2", ""] {
+            let wire = format!("POST /decide HTTP/1.1\r\ncontent-length: {value}\r\n\r\n{{}}");
+            assert!(
+                matches!(parse(wire.as_bytes()), Err(HttpError::Malformed(m)) if m.contains("bad content-length")),
+                "{value:?}"
+            );
+        }
+    }
+
+    /// Any `transfer-encoding` is refused: its chunk lines must not parse
+    /// as the next request after an empty body.
+    #[test]
+    fn transfer_encoding_rejected() {
+        for extra in ["", "content-length: 2\r\n"] {
+            let wire = format!(
+                "POST /decide HTTP/1.1\r\ntransfer-encoding: chunked\r\n{extra}\r\n\
+                 2\r\n{{}}\r\n0\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(wire.as_bytes()), Err(HttpError::Malformed(m)) if m.contains("transfer-encoding")),
+                "{extra:?}"
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,8 @@ fn usage() -> &'static str {
                               --remote <RATE> --bw <RATE> --alpha <RATIO> [--theta <RATIO>]\n\
        stream-score tiers     (same flags as decide) --sss <RATIO>\n\
        stream-score plan      (same flags as decide) --tier <1|2|3>\n\
-                              [--curve results/fig2a_curve.json]\n\
+                              [--curve <FILE>] (default: the committed\n\
+                              results/fig2a_curve.json, compiled in)\n\
        stream-score scenarios [--scenario <ID>] [--depth quick|full] [--workers <N>]\n\
                               [--levels 1,4,8] [--seconds <N>]\n\
                               [--seed <N>] [--format text|md]\n\
@@ -358,6 +359,12 @@ fn cmd_tiers(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// `plan`'s default congestion curve: full-mode `fig2a`'s utilization →
+/// SSS curve (the monotone envelope of the simultaneous grid at seed 42)
+/// as `results/` commits it, so `plan` follows that file whenever it is
+/// regenerated.
+const COMMITTED_CURVE: &str = include_str!("../results/fig2a_curve.json");
+
 fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let params = params_from_flags(flags)?;
     let tier = match flags.get("tier").map(String::as_str) {
@@ -366,35 +373,19 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
         Some("3") => Tier::QuasiRealTime,
         Some(other) => return Err(format!("unknown tier {other:?} (use 1, 2 or 3)")),
     };
-    // Congestion curve: a measured fig2a_curve.json, or the bundled
-    // snapshot of the simulated 25 Gbps testbed.
-    let curve = match flags.get("curve") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let points: Vec<(f64, f64)> =
-                serde_json::from_str(&text).map_err(|e| format!("bad curve {path}: {e}"))?;
-            CongestionCurve::from_points(points)
-                .ok_or_else(|| format!("{path} is not a valid congestion curve"))?
-        }
-        None => CongestionCurve::from_points(vec![
-            // An earlier engine's seed-42 snapshot of the simulated
-            // testbed (fig2a's monotone envelope over the P ∈ {2,4,8}
-            // series). Today's full-mode fig2a at seed 42 reads SSS 10.55
-            // at 62% utilization and 38.2 from 67% up, where these points
-            // have 7.6 and 14.9–15.0; `--curve results/fig2a_curve.json`
-            // plans on the committed curve.
-            (0.16, 2.4),
-            (0.32, 4.3),
-            (0.47, 7.0),
-            (0.62, 7.6),
-            (0.74, 14.9),
-            (0.87, 15.0),
-            (0.92, 31.8),
-            (0.94, 58.6),
-        ])
-        .expect("bundled curve valid"),
+    // Congestion curve: a measured fig2a_curve.json, or the simulated
+    // 25 Gbps testbed's curve that `results/` commits, compiled in.
+    let (path, text) = match flags.get("curve") {
+        Some(path) => (
+            path.as_str(),
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?,
+        ),
+        None => ("results/fig2a_curve.json", COMMITTED_CURVE.to_string()),
     };
+    let points: Vec<(f64, f64)> =
+        serde_json::from_str(&text).map_err(|e| format!("bad curve {path}: {e}"))?;
+    let curve = CongestionCurve::from_points(points)
+        .ok_or_else(|| format!("{path} is not a valid congestion curve"))?;
 
     let plan = plan_for_tier(&params, &curve, tier).expect("budgeted tier");
     println!("target: {tier}");

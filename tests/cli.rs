@@ -499,6 +499,25 @@ fn plan_prescribes_compute_for_starved_workload() {
     assert!(stdout.contains("grow remote compute"), "{stdout}");
 }
 
+/// `plan`'s default curve is the committed `results/fig2a_curve.json`,
+/// compiled in: its output equals, byte for byte, a run that reads that
+/// file through `--curve`, at every tier.
+#[test]
+fn plan_defaults_to_the_committed_curve() {
+    let curve = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fig2a_curve.json");
+    for tier in ["1", "2", "3"] {
+        let mut args: Vec<&str> = DECIDE_ARGS.to_vec();
+        args[0] = "plan";
+        args.extend_from_slice(&["--tier", tier]);
+        let (ok, default, stderr) = run(&args);
+        assert!(ok, "tier {tier}: {stderr}");
+        args.extend_from_slice(&["--curve", curve]);
+        let (ok, read, stderr) = run(&args);
+        assert!(ok, "tier {tier}: {stderr}");
+        assert_eq!(default, read, "tier {tier}");
+    }
+}
+
 #[test]
 fn plan_rejects_bad_tier() {
     let mut args: Vec<&str> = DECIDE_ARGS.to_vec();
