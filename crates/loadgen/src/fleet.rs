@@ -62,7 +62,7 @@ use sss_exec::{SeedSequence, ThreadPool};
 use sss_netsim::{WaterFiller, WaterFlowId};
 use sss_report::{CsvWriter, Table};
 use sss_sim::{BandwidthTrace, DippedTrace, Dips, EventQueue, Fidelity, Seconds, TraceShape};
-use sss_stats::Ecdf;
+use sss_stats::select_quantiles;
 use sss_units::Rate;
 
 use crate::replay::Session;
@@ -327,7 +327,7 @@ pub struct FleetReport {
     /// floor-window ends, and wakes of floored sessions the level rose
     /// to. The breakpoints a floored session passes inside its window
     /// are never scheduled, so they are not counted. The denominator of
-    /// the scaling bench's events/sec.
+    /// perfbench's `loadgen.fleet.ns_per_event`.
     pub events: u64,
 }
 
@@ -380,9 +380,13 @@ struct SessionState {
     /// grant while unclipped; the WAN demand is `theta` times this.
     /// Stale while floored.
     solo: f64,
-    /// Trace time of the pending breakpoint entry: the next segment
-    /// switch, or the end of the floor window while floored.
-    next_break: Option<f64>,
+    /// The segment the pending breakpoint entry starts: the next segment
+    /// switch, or the end of the floor window while floored. Every
+    /// breakpoint the integrator schedules is a segment start, so the
+    /// session reads its trace there by index, and the instant is the
+    /// start in the scenario's clear layout, verbatim. A layout has at
+    /// most 257 segments.
+    next_break: Option<u32>,
     /// Generation of the live breakpoint entry.
     break_gen: u64,
     /// Fleet instant `remaining` and `rel_s` were last materialized at.
@@ -451,11 +455,36 @@ impl SessionState {
         self.t_anchor = t;
     }
 
-    /// The session's solo trace, read through its scenario's layout in
-    /// `clear` (one per scenario, from clear dips). Its reads draw the
-    /// dip flags they reach into the session's dips.
+    /// The session's solo trace, read by segment index through its
+    /// scenario's layout in `clear` (one per scenario, from clear dips),
+    /// which also holds each segment's instant. Its reads draw the dip
+    /// flags they reach into the session's dips.
     fn solo<'a>(&'a mut self, shape: TraceShape, clear: &'a [BandwidthTrace]) -> DippedTrace<'a> {
         DippedTrace::new(shape, &clear[self.scenario_idx], &mut self.dips)
+    }
+
+    /// Make segment `next` of the session's trace, from the scenario's
+    /// layout in `clear`, the pending breakpoint (none when `None`), and
+    /// schedule it on `calendar` under the current breakpoint generation.
+    /// The fleet clock reads `t` when the trace clock reads `rel`, so the
+    /// entry falls at `t + (start − rel)` for the segment's verbatim
+    /// start (at admission `rel` is 0, and `start − 0` is `start`).
+    fn set_break(
+        &mut self,
+        i: usize,
+        next: Option<usize>,
+        clear: &[BandwidthTrace],
+        (t, rel): (f64, f64),
+        calendar: &mut EventQueue<Seconds, FleetEvent>,
+    ) {
+        self.next_break = next.map(|k| k as u32);
+        if let Some(k) = next {
+            let start = clear[self.scenario_idx].segment_start(k);
+            calendar.schedule(
+                Seconds::new(t + (start - rel)),
+                FleetEvent::Breakpoint(i, self.break_gen),
+            );
+        }
     }
 
     /// Whether a drain entry scheduled under `epoch` still stands: the
@@ -687,13 +716,18 @@ enum FleetEvent {
 /// and the seq makes ties FIFO like the calendar's.
 type ClipHeap = BinaryHeap<Reverse<(u64, u64, usize, u64)>>;
 
-/// The earliest clipped drain still live, as its key's bits and its
-/// session, once the heap has dropped the entries a flip, a breakpoint
-/// or a drain orphaned.
-fn live_clip_drain(heap: &mut ClipHeap, states: &[SessionState]) -> Option<(u64, usize)> {
+/// The earliest clipped drain still live, once the heap has dropped the
+/// entries a flip, a breakpoint or a drain orphaned: the time the water
+/// volume, `v` now, takes at `level` to reach its key, and its session.
+fn next_clip_drain(
+    heap: &mut ClipHeap,
+    states: &[SessionState],
+    v: f64,
+    level: f64,
+) -> Option<(f64, usize)> {
     while let Some(&Reverse((bits, _, i, epoch))) = heap.peek() {
         if states[i].live(epoch) {
-            return Some((bits, i));
+            return Some(((f64::from_bits(bits) - v) / level, i));
         }
         heap.pop();
     }
@@ -878,7 +912,8 @@ impl FleetSim {
     /// and heap entry names one. Each step its transitions share has one
     /// body: [`Integration::leave`] takes a drained session out of the
     /// fleet, [`SessionState::live`] tests a drain entry,
-    /// [`SessionState::anchor`] materializes the bytes remaining, and
+    /// [`SessionState::anchor`] materializes the bytes remaining,
+    /// [`SessionState::set_break`] schedules a breakpoint, and
     /// [`SessionState::touch`] lists a session for the step's resolution.
     ///
     /// Five structures replace the test-only reference loop's full
@@ -889,7 +924,9 @@ impl FleetSim {
     ///   level stale, and the next read solves it with one scan up to
     ///   the first clipped flow, so the changes between two reads cost
     ///   one solve and the max-min fair shares are never recomputed
-    ///   from scratch;
+    ///   from scratch. The newest flow stays out of the sorted order
+    ///   until the next admission places it, so a session held at a
+    ///   floor in the step that admits it is searched and moved once;
     /// * an [`EventQueue`] calendar holds per-session trace breakpoints
     ///   and projected unclipped drains, and the time-ordered arrivals
     ///   merge in front of it from their own [`ArrivalLane`], so each
@@ -898,7 +935,9 @@ impl FleetSim {
     ///   space**: with `v(t) = ∫ level dt`, a continuously-clipped
     ///   session's remaining hits zero when `v` reaches the constant
     ///   `d = v(t₀) + θ·rem(t₀)` — level changes move every clipped
-    ///   drain time at once, but leave the heap order untouched;
+    ///   drain time at once, but leave the heap order untouched. A step
+    ///   divides for the live head once: the quotient that sizes the
+    ///   step is the one its drain phase tests;
     /// * **floor caps** keep clipped sessions off the calendar. The level
     ///   is `L = (C − Σ frozen caps)/(n − m)`, so a clipped flow's cap
     ///   only enters the search for the frozen prefix: while it stays
@@ -926,11 +965,18 @@ impl FleetSim {
     /// dips, and every session reads its own through a [`DippedTrace`]
     /// over that layout and its dips, so beyond the pieces each session
     /// records and the log, an admission allocates nothing and a drain
-    /// frees nothing. Arrival and calendar instants are stored verbatim
-    /// and the clock jumps onto them exactly (no `t+dt` rounding),
-    /// mirroring the reference loop's snapping; an unclipped session's
-    /// recorded pieces carry its solo rates bit-for-bit, which preserves
-    /// the fleet-of-one ≡ `SessionReplay` identity.
+    /// frees nothing. The reads go by segment index: every breakpoint
+    /// the integrator schedules (at admission, at a breakpoint, at a
+    /// floor window's end, after a wake) is a segment start, so a session
+    /// keeps its pending one as an index and reads its rate and its floor
+    /// window there with no search, the instant verbatim from the clear
+    /// layout. Only a wake, whose clock is arbitrary, searches
+    /// ([`BandwidthTrace::segment_index`]). Arrival and calendar instants
+    /// are stored verbatim and the clock jumps onto them exactly (no
+    /// `t+dt` rounding), mirroring the reference loop's snapping; an
+    /// unclipped session's recorded pieces carry its solo rates
+    /// bit-for-bit, which preserves the fleet-of-one ≡ `SessionReplay`
+    /// identity.
     fn integrate(&self, states: Vec<SessionState>) -> Integration {
         let wan_bps = self.config.wan.as_bytes_per_sec();
         let slots = self.config.slots as usize;
@@ -988,10 +1034,10 @@ impl FleetSim {
             let d_sched = next_at.map(|s| s.value() - t);
             // The earliest clipped drain as a delta — the incremental
             // analog of the reference loop's `remaining / rate` scan.
-            let d_clip = match live_clip_drain(&mut clip_heap, &run.states) {
-                Some((bits, _)) if draining => Some(((f64::from_bits(bits) - v) / level).max(0.0)),
-                _ => None,
-            };
+            // Phase 1 tests this quotient for the head, not a second one.
+            let clip_head =
+                next_clip_drain(&mut clip_heap, &run.states, v, level).filter(|_| draining);
+            let d_clip = clip_head.map(|(due, _)| due.max(0.0));
             let dt = match (d_sched, d_clip) {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
@@ -1017,12 +1063,14 @@ impl FleetSim {
             // 1. Clipped drains due within this step — compared against
             // the drain delta itself, not a re-derived time difference, so
             // the defining session lands exactly on its key.
-            while let Some((bits, i)) = live_clip_drain(&mut clip_heap, &run.states) {
-                if !draining || (f64::from_bits(bits) - v_pre) / level > dt {
+            let mut due = clip_head;
+            while let Some((delta, i)) = due {
+                if delta > dt {
                     break;
                 }
                 clip_heap.pop();
                 run.leave(i, &mut wf);
+                due = next_clip_drain(&mut clip_heap, &run.states, v_pre, level);
             }
 
             // 2. Events scheduled at exactly this instant: arrivals in
@@ -1048,7 +1096,7 @@ impl FleetSim {
                             if st.done || st.break_gen != gen {
                                 continue;
                             }
-                            let (Some(flow), Some(b)) = (st.flow, st.next_break) else {
+                            let (Some(flow), Some(k)) = (st.flow, st.next_break) else {
                                 continue;
                             };
                             // Materialize remaining over the outgoing
@@ -1056,7 +1104,9 @@ impl FleetSim {
                             // clock onto the breakpoint verbatim (the
                             // reference loop's rounding guard) and register
                             // the true cap there.
-                            let (solo, next_b) = st.solo(shape, &clear).segment_at(b);
+                            let k = k as usize;
+                            let b = clear[st.scenario_idx].segment_start(k);
+                            let (solo, next) = st.solo(shape, &clear).segment_at(k);
                             st.anchor(t_next, v, b);
                             wf.update(flow, st.session.theta * solo);
                             if st.floored {
@@ -1064,13 +1114,7 @@ impl FleetSim {
                                 run.floor_counts.expiries += 1;
                             }
                             st.solo = solo;
-                            st.next_break = next_b;
-                            if let Some(nb) = next_b {
-                                calendar.schedule(
-                                    Seconds::new(t_next + (nb - b)),
-                                    FleetEvent::Breakpoint(i, gen),
-                                );
-                            }
+                            st.set_break(i, next, &clear, (t_next, b), &mut calendar);
                             st.touch(i, stamp, &mut touched);
                             run.events += 1;
                         }
@@ -1090,7 +1134,7 @@ impl FleetSim {
                 };
                 let st = &mut run.states[i];
                 st.admit(t_next);
-                let (solo, next_b) = st.solo(shape, &clear).segment_at(0.0);
+                let (solo, next) = st.solo(shape, &clear).segment_at(0);
                 admitted_per_scenario[st.scenario_idx] += 1;
                 let flow = wf.insert(st.session.theta * solo);
                 if flow.index() >= flow_session.len() {
@@ -1099,13 +1143,7 @@ impl FleetSim {
                 flow_session[flow.index()] = i;
                 st.flow = Some(flow);
                 st.solo = solo;
-                st.next_break = next_b;
-                if let Some(b) = next_b {
-                    calendar.schedule(
-                        Seconds::new(t_next + b),
-                        FleetEvent::Breakpoint(i, st.break_gen),
-                    );
-                }
+                st.set_break(i, next, &clear, (t_next, 0.0), &mut calendar);
                 st.touch(i, stamp, &mut touched);
                 run.events += 1;
             }
@@ -1141,20 +1179,16 @@ impl FleetSim {
                         continue;
                     };
                     // Wake: the trace clock ran on past segment switches
-                    // with no calendar entry, so look up where it is now.
+                    // with no calendar entry, so search for where it is
+                    // now: the one trace read that does.
                     let rel_now = st.rel_s + (t_next - st.t_anchor);
-                    let (solo, next_b) = st.solo(shape, &clear).segment_at(rel_now);
+                    let k = clear[st.scenario_idx].segment_index(rel_now);
+                    let (solo, next) = st.solo(shape, &clear).segment_at(k);
                     wf.update(flow, st.session.theta * solo);
                     st.floored = false;
                     st.solo = solo;
-                    st.next_break = next_b;
                     st.break_gen += 1;
-                    if let Some(nb) = next_b {
-                        calendar.schedule(
-                            Seconds::new(t_next + (nb - rel_now)),
-                            FleetEvent::Breakpoint(i, st.break_gen),
-                        );
-                    }
+                    st.set_break(i, next, &clear, (t_next, rel_now), &mut calendar);
                     run.floor_counts.wakes += 1;
                     run.events += 1;
                     woke = true;
@@ -1202,9 +1236,9 @@ impl FleetSim {
                     // Hold it at a floor cap when its trace stays above
                     // the level past the pending breakpoint.
                     let window = match st.next_break {
-                        Some(b) => st
+                        Some(k) => st
                             .solo(shape, &clear)
-                            .window_above(b, |rate| theta * rate > level_new),
+                            .window_above(k as usize, |rate| theta * rate > level_new),
                         None => None,
                     };
                     if let Some((min, end)) = window {
@@ -1220,14 +1254,8 @@ impl FleetSim {
                             );
                         }
                         st.floored = true;
-                        st.next_break = end;
                         st.break_gen += 1;
-                        if let Some(e) = end {
-                            calendar.schedule(
-                                Seconds::new(t_next + (e - st.rel_s)),
-                                FleetEvent::Breakpoint(i, st.break_gen),
-                            );
-                        }
+                        st.set_break(i, end, &clear, (t_next, st.rel_s), &mut calendar);
                         run.floor_counts.floors += 1;
                     }
                 } else if st.solo > 0.0 {
@@ -1389,14 +1417,8 @@ impl FleetSim {
             })
             .collect();
         let overall = ContentionSummary::from_outcomes(&outcomes);
-        let (p50, p90, p99) = match Ecdf::from_samples(slowdowns) {
-            Some(ecdf) => (
-                ecdf.quantile(0.50),
-                ecdf.quantile(0.90),
-                ecdf.quantile(0.99),
-            ),
-            None => (1.0, 1.0, 1.0),
-        };
+        let [p50, p90, p99] =
+            select_quantiles(&mut slowdowns, [0.50, 0.90, 0.99]).unwrap_or([1.0; 3]);
         Ok(FleetReport {
             load: self.config.load,
             shape: self.config.shape,
@@ -1873,6 +1895,14 @@ mod tests {
             seed,
             fidelity,
         }
+    }
+
+    /// A session's pending breakpoint is a segment index, not an
+    /// instant, so its record is 224 bytes; it held 232 with the instant.
+    #[test]
+    fn a_session_record_does_not_grow() {
+        let size = std::mem::size_of::<SessionState>();
+        assert!(size <= 224, "a session record grew to {size} bytes");
     }
 
     #[test]

@@ -27,11 +27,16 @@
 //! failure ends every later run too; in floats, tied caps can make `g`
 //! dip by an ulp, and the first failure is what defines `m`.
 //!
-//! The structure keeps flows sorted by `(cap, id)`: an arrival, drain or
-//! cap change is a position search and a bounded `memmove` (`k` is
-//! capped by the fleet's DTN slot count, ≤ 4096), which on contiguous
-//! memory beats pointer-chasing trees at every size the cap admits. A
-//! mutation only marks the level stale. The next read
+//! The structure keeps flows sorted by `(cap, id)`: a drain or a cap
+//! change is a position search and a bounded `memmove` (`k` is capped by
+//! the fleet's DTN slot count, ≤ 4096), which on contiguous memory beats
+//! pointer-chasing trees at every size the cap admits. An arrival is
+//! placed lazily: the newest flow stays out of the sorted order, and
+//! every query treats it as sitting at its `(cap, id)` position, until the
+//! next arrival places it. The fleet often moves a flow to a floor cap in
+//! the step that admits it, so that flow is searched and moved once, at
+//! its final cap, and a flow that drains before the next arrival is never
+//! searched at all. A mutation only marks the level stale. The next read
 //! ([`WaterFiller::level`], [`WaterFiller::is_clipped`]) solves it with
 //! **one scan up from the smallest cap**, carrying the running sum and
 //! stopping at the first flow that fails — `O(m+1)` for `m` frozen flows,
@@ -103,8 +108,12 @@ pub struct WaterFiller {
     alive: Vec<bool>,
     /// Freed slab slots, reused LIFO.
     free: Vec<u32>,
-    /// Live flow ids sorted ascending by `(cap, id)`.
+    /// Live flow ids sorted ascending by `(cap, id)`, all but `unplaced`.
     order: Vec<u32>,
+    /// The newest live flow, not yet in `order`: every query treats it as
+    /// sitting at its `(cap, id)` position, and the next
+    /// [`WaterFiller::insert`] places it there.
+    unplaced: Option<u32>,
     /// The water level as of the last read (`+∞` when every demand
     /// fits); `None` once a mutation has made it stale.
     level: Option<f64>,
@@ -126,6 +135,7 @@ impl WaterFiller {
             alive: Vec::new(),
             free: Vec::new(),
             order: Vec::new(),
+            unplaced: None,
             level: None,
         }
     }
@@ -137,12 +147,12 @@ impl WaterFiller {
 
     /// Number of live flows.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.order.len() + usize::from(self.unplaced.is_some())
     }
 
     /// True when no flows are registered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// The current water level: every flow with `cap > level` is clipped
@@ -151,9 +161,15 @@ impl WaterFiller {
     /// uniform rule. Solved here, once per run of mutations, in `O(m+1)`
     /// for `m` frozen flows.
     pub fn level(&mut self) -> f64 {
-        *self
-            .level
-            .get_or_insert_with(|| front_scan(self.capacity, &self.caps, &self.order))
+        match self.level {
+            Some(level) => level,
+            None => {
+                let caps = self.sorted(0, self.unplaced).map(|f| self.caps[f as usize]);
+                *self
+                    .level
+                    .insert(front_scan(self.capacity, self.len(), caps))
+            }
+        }
     }
 
     /// The registered cap of a live flow.
@@ -190,7 +206,10 @@ impl WaterFiller {
         self.cap(id) > self.level()
     }
 
-    /// Register a flow demanding `cap`; the level goes stale.
+    /// Register a flow demanding `cap`; the level goes stale. The new
+    /// flow is left unplaced, and the flow this call places is the one
+    /// the previous call left: a flow that drains, or whose cap changes,
+    /// before the next insert costs no search for its insertion.
     ///
     /// # Panics
     /// Panics on a negative or non-finite cap.
@@ -199,6 +218,10 @@ impl WaterFiller {
             non_negative_finite(cap),
             "flow cap must be finite and >= 0, got {cap}"
         );
+        if let Some(prev) = self.unplaced.take() {
+            let pos = self.position_of(self.caps[prev as usize], prev);
+            self.order.insert(pos, prev);
+        }
         let id = match self.free.pop() {
             Some(id) => {
                 self.caps[id as usize] = cap;
@@ -211,8 +234,7 @@ impl WaterFiller {
                 (self.caps.len() - 1) as u32
             }
         };
-        let pos = self.position_of(cap, id);
-        self.order.insert(pos, id);
+        self.unplaced = Some(id);
         self.level = None;
         WaterFlowId(id)
     }
@@ -224,16 +246,21 @@ impl WaterFiller {
     pub fn remove(&mut self, id: WaterFlowId) {
         let i = id.0;
         assert!(self.alive[i as usize], "flow {:?} is not live", id);
-        let pos = self.position_of(self.caps[i as usize], i);
-        debug_assert_eq!(self.order[pos], i);
-        self.order.remove(pos);
+        if self.unplaced == Some(i) {
+            self.unplaced = None;
+        } else {
+            let pos = self.position_of(self.caps[i as usize], i);
+            debug_assert_eq!(self.order[pos], i);
+            self.order.remove(pos);
+        }
         self.alive[i as usize] = false;
         self.free.push(i);
         self.level = None;
     }
 
     /// Change a live flow's cap (a trace breakpoint moving its demand);
-    /// the level goes stale.
+    /// the level goes stale. The unplaced flow only takes the new cap, so
+    /// the next insert places it where that cap sorts.
     ///
     /// # Panics
     /// Panics on a removed handle or an invalid cap.
@@ -244,12 +271,14 @@ impl WaterFiller {
         );
         let i = id.0;
         assert!(self.alive[i as usize], "flow {:?} is not live", id);
-        let old = self.position_of(self.caps[i as usize], i);
-        debug_assert_eq!(self.order[old], i);
-        self.order.remove(old);
+        if self.unplaced != Some(i) {
+            let old = self.position_of(self.caps[i as usize], i);
+            debug_assert_eq!(self.order[old], i);
+            self.order.remove(old);
+            let new = self.position_of(cap, i);
+            self.order.insert(new, i);
+        }
         self.caps[i as usize] = cap;
-        let new = self.position_of(cap, i);
-        self.order.insert(new, i);
         self.level = None;
     }
 
@@ -264,7 +293,10 @@ impl WaterFiller {
             return;
         }
         let start = self.order.partition_point(|&f| self.caps[f as usize] <= lo);
-        for &f in &self.order[start..] {
+        // Above `lo`, the unplaced flow sorts after every flow before
+        // `start`.
+        let unplaced = self.unplaced.filter(|&f| self.caps[f as usize] > lo);
+        for f in self.sorted(start, unplaced) {
             if self.caps[f as usize] > hi {
                 break;
             }
@@ -272,17 +304,32 @@ impl WaterFiller {
         }
     }
 
+    /// The flows from `order[start]` on, ascending by `(cap, id)`, with
+    /// `unplaced`, which must sort after `order[..start]`, merged in at
+    /// its key: a merge, not a search, so it costs a compare a flow until
+    /// `unplaced` is passed.
+    fn sorted(&self, start: usize, unplaced: Option<u32>) -> Sorted<'_> {
+        Sorted {
+            caps: &self.caps,
+            order: self.order[start..].iter(),
+            unplaced: unplaced.map(|f| (self.caps[f as usize].to_bits(), f)),
+        }
+    }
+
     /// Sorted insertion point of `(cap, id)` — caps are finite and
     /// non-negative, so the IEEE bit pattern orders exactly like the
     /// value and the composite key needs no float comparator.
     fn position_of(&self, cap: f64, id: u32) -> usize {
+        #[cfg(test)]
+        tests::SEARCHES.with(|n| n.set(n.get() + 1));
         let key = (cap.to_bits(), id);
         self.order
             .partition_point(|&f| (self.caps[f as usize].to_bits(), f) < key)
     }
 
     /// Structural invariant, asserted by the tests after every mutation:
-    /// order sorted by `(cap, id)` over live flows.
+    /// order sorted by `(cap, id)` over live flows, and the unplaced flow
+    /// live and not in it.
     #[cfg(test)]
     fn check_invariants(&self) {
         for (k, &f) in self.order.iter().enumerate() {
@@ -294,19 +341,50 @@ impl WaterFiller {
                 assert!(a < b, "order not sorted at {k}");
             }
         }
+        if let Some(f) = self.unplaced {
+            assert!(self.alive[f as usize], "the unplaced flow {f} is not live");
+            assert!(!self.order.contains(&f), "the unplaced flow {f} is placed");
+        }
+        let live = self.alive.iter().filter(|&&a| a).count();
+        assert_eq!(self.len(), live, "every live flow is placed or unplaced");
     }
 }
 
-/// The water level of the flows `order` lists in ascending `(cap, id)`
-/// order: one scan up from the smallest cap, with a running sum of the
-/// caps that passed, which stops at the first flow that fails. `rest`
-/// counts the flows above the current one as a float (exact below 2⁵³),
-/// which spares an integer conversion per flow.
-fn front_scan(capacity: f64, caps: &[f64], order: &[u32]) -> f64 {
+/// The live flows of a [`WaterFiller`] in ascending `(cap, id)` order:
+/// a stretch of the sorted order, with the unplaced flow's key, when it
+/// falls in that stretch, merged in where it sorts.
+struct Sorted<'a> {
+    caps: &'a [f64],
+    order: std::slice::Iter<'a, u32>,
+    /// The unplaced flow's `(cap bits, id)` until it is yielded.
+    unplaced: Option<(u64, u32)>,
+}
+
+impl Iterator for Sorted<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if let Some(key) = self.unplaced {
+            let before = |&f: &u32| (self.caps[f as usize].to_bits(), f) < key;
+            if !self.order.as_slice().first().is_some_and(before) {
+                self.unplaced = None;
+                return Some(key.1);
+            }
+        }
+        self.order.next().copied()
+    }
+}
+
+/// The water level of `n` flows whose caps `caps` yields in ascending
+/// `(cap, id)` order: one scan up from the smallest cap, with a running
+/// sum of the caps that passed, which stops at the first flow that fails.
+/// `rest` counts the flows above the current one as a float (exact below
+/// 2⁵³), which spares an integer conversion per flow.
+fn front_scan(capacity: f64, n: usize, caps: impl Iterator<Item = f64>) -> f64 {
     let mut used = 0.0;
-    let mut rest = order.len() as f64;
-    for &f in order {
-        let cap = caps[f as usize];
+    let mut rest = n as f64;
+    for cap in caps {
         rest -= 1.0;
         let sum = used + cap;
         if sum + cap * rest > capacity {
@@ -329,6 +407,19 @@ mod tests {
     use proptest::prelude::*;
     use proptest::{collection, TestRng};
     use sss_core::Scenario;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Position searches this thread's filler ran.
+        pub(super) static SEARCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The position searches `f` runs.
+    fn searches(f: impl FnOnce()) -> u64 {
+        let before = SEARCHES.get();
+        f();
+        SEARCHES.get() - before
+    }
 
     /// Shadow model: `(id, cap)` in insertion order, the layout
     /// `progressive_fill` sees.
@@ -493,6 +584,112 @@ mod tests {
         assert!(seen.is_empty(), "an empty interval visits nothing");
     }
 
+    /// The newest flow is unplaced until the next insert, and the reads
+    /// see it where it sorts: removed, it costs no search and leaves the
+    /// others' level; its caps above and below the level re-level as a
+    /// placed flow's would.
+    #[test]
+    fn an_unplaced_flow_reads_as_a_placed_one() {
+        let mut s = Shadow::new(10.0);
+        s.insert(2.0);
+        s.insert(9.0);
+        s.insert(9.0);
+        let new = s.live[2].0;
+        assert_eq!(s.wf.unplaced, Some(new.0));
+        s.assert_matches_oracle();
+        assert_eq!(s.wf.level(), 4.0);
+        // Below the level it keeps its cap, and the other clipped flow
+        // takes the rest.
+        assert_eq!(searches(|| s.update(2, 1.0)), 0);
+        s.assert_matches_oracle();
+        assert_eq!(s.wf.level(), 7.0);
+        assert!(!s.wf.is_clipped(new));
+        // Above it, it is clipped with the other.
+        assert_eq!(searches(|| s.update(2, 20.0)), 0);
+        s.assert_matches_oracle();
+        assert_eq!(s.wf.level(), 4.0);
+        assert!(s.wf.is_clipped(new));
+        // Removed, it was never placed.
+        assert_eq!(searches(|| s.remove(2)), 0);
+        s.assert_matches_oracle();
+        assert_eq!((s.wf.len(), s.wf.unplaced), (2, None));
+        assert_eq!(s.wf.level(), 8.0);
+        // The next insert has nothing to place.
+        assert_eq!(searches(|| s.insert(3.0)), 0);
+        s.assert_matches_oracle();
+    }
+
+    /// The flip query visits the unplaced flow in `(cap, id)` order: in
+    /// every band that holds its cap and in none that does not, and,
+    /// on a recycled slot below a tied flow's id, before that flow.
+    #[test]
+    fn the_flip_query_visits_the_unplaced_flow_in_order() {
+        let mut wf = WaterFiller::new(100.0);
+        let ids: Vec<WaterFlowId> = [1.0, 4.0, 9.0, 5.0].iter().map(|&c| wf.insert(c)).collect();
+        let extra = wf.insert(6.0);
+        let visit = |wf: &WaterFiller, lo: f64, hi: f64| {
+            let mut seen = Vec::new();
+            wf.for_caps_in(lo, hi, |id| seen.push(id));
+            seen
+        };
+        assert_eq!(visit(&wf, 1.0, 9.0), [ids[1], ids[3], extra, ids[2]]);
+        assert_eq!(visit(&wf, 5.0, 6.0), [extra]);
+        assert_eq!(visit(&wf, 6.0, f64::INFINITY), [ids[2]]);
+        assert_eq!(visit(&wf, 0.0, 5.5), [ids[0], ids[1], ids[3]]);
+        assert_eq!(visit(&wf, 6.0, 6.0), []);
+        // Slot 0 comes back for a flow tied with `ids[2]` at 9: it sorts
+        // first on the id.
+        wf.remove(ids[0]);
+        let tied = wf.insert(9.0);
+        assert_eq!(tied.index(), 0);
+        wf.check_invariants();
+        assert_eq!(visit(&wf, 5.0, 9.0), [extra, tied, ids[2]]);
+        assert_eq!(visit(&wf, 8.0, f64::INFINITY), [tied, ids[2]]);
+    }
+
+    /// The fleet's admission pattern on 128 flows: a drain removes a
+    /// placed flow, an admission inserts one, the step reads the level,
+    /// and the new flow moves to a floor below its cap. Two searches per
+    /// admission: the drain's, and the placement of the flow the previous
+    /// admission left unplaced, at its floor. Placing each flow on insert
+    /// and moving it on update took four.
+    #[test]
+    fn an_admission_places_its_flow_once() {
+        let caps = tied_caps();
+        let mut wf = WaterFiller::new(5e9);
+        let mut live: Vec<(WaterFlowId, f64)> = (0..128)
+            .map(|k| {
+                let cap = caps[k % caps.len()];
+                (wf.insert(cap), cap)
+            })
+            .collect();
+        const ADMISSIONS: u64 = 1000;
+        let mut levels = 0;
+        let n = searches(|| {
+            for a in 0..ADMISSIONS as usize {
+                // Never the newest flow, which the fleet drains rarely.
+                let (out, _) = live.remove(a * 7919 % (live.len() - 1));
+                wf.remove(out);
+                let cap = caps[a % caps.len()];
+                let id = wf.insert(cap);
+                let mut sorted: Vec<f64> = live.iter().map(|&(_, c)| c).collect();
+                sorted.push(cap);
+                sorted.sort_by(f64::total_cmp);
+                let level = wf.level();
+                assert_eq!(
+                    level.to_bits(),
+                    scanned_level(wf.capacity(), &sorted).to_bits()
+                );
+                levels += usize::from(level.is_finite());
+                wf.update(id, 0.3 * cap);
+                live.push((id, 0.3 * cap));
+            }
+        });
+        wf.check_invariants();
+        assert!(levels > 0, "the fleet's flows must contend");
+        assert_eq!(n, 2 * ADMISSIONS);
+    }
+
     #[test]
     #[should_panic(expected = "not live")]
     fn double_remove_panics() {
@@ -630,7 +827,9 @@ mod tests {
     /// removes and reads over tied caps: every read (`level` or
     /// `is_clipped`) answers bit for bit as a fresh front scan over the
     /// sorted live caps, and, whenever float `g` is nondecreasing over
-    /// them, as the prefix-sum bisection the scan replaced.
+    /// them, as the prefix-sum bisection the scan replaced. The flip
+    /// query from the level to a catalog cap visits the live flows in
+    /// that band in `(cap, id)` order, the unplaced newest one among them.
     ///
     /// The catalog's rates have short mantissas, so their sums are exact
     /// and `g` never dips over them. Half the cases scale the set by one
@@ -712,6 +911,23 @@ mod tests {
                             ctx()
                         );
                         reads += 1;
+                        // The flip query between the level and a catalog
+                        // cap: the live flows in that band, in key order.
+                        let (lo, hi) = if set[k] < got {
+                            (set[k], got)
+                        } else {
+                            (got, set[k])
+                        };
+                        let mut band: Vec<(u64, u32)> = live
+                            .iter()
+                            .filter(|&&(_, c)| lo < c && c <= hi)
+                            .map(|&(id, c)| (c.to_bits(), id.0))
+                            .collect();
+                        band.sort_unstable();
+                        let mut seen = Vec::new();
+                        wf.for_caps_in(lo, hi, |id| seen.push(id.0));
+                        let want: Vec<u32> = band.into_iter().map(|(_, id)| id).collect();
+                        assert_eq!(seen, want, "flows in ({lo:e}, {hi:e}]: {}", ctx());
                         let old = bisected_level(capacity, &sorted);
                         if g_values(&sorted).windows(2).all(|w| w[0] <= w[1]) {
                             monotone += 1;

@@ -281,20 +281,21 @@ impl BandwidthTrace {
         )
     }
 
-    /// How far ahead of `t_s` the trace stays above a threshold: walks
-    /// segment indices forward from the segment containing `t_s` while
+    /// How far ahead of segment `first` the trace stays above a
+    /// threshold: walks segment indices forward from `first` while
     /// `above(rate)` holds.
     ///
-    /// Returns `None` when that first segment already fails — a window
-    /// that ends at `t_s` crosses no breakpoint. Otherwise returns the
-    /// minimum rate over the window and its end: the start of the first
-    /// segment that fails `above`, as a segment start verbatim, or `None`
-    /// when every later segment passes (the window has no end). A
-    /// zero-rate segment ends the window whenever `above(0.0)` is false.
+    /// Returns `None` when segment `first` already fails — a window that
+    /// ends where it starts crosses no breakpoint. Otherwise returns the
+    /// minimum rate over the window and its end: the index of the first
+    /// segment that fails `above`, or `None` when every later segment
+    /// passes (the window has no end). A zero-rate segment ends the
+    /// window whenever `above(0.0)` is false.
     ///
-    /// The fleet engine calls this with `t_s` on a breakpoint to hold a
-    /// clipped session at the smallest demand it will have before its
-    /// demand can fall to the shared level.
+    /// The fleet engine calls this from a session's pending breakpoint to
+    /// hold a clipped session at the smallest demand it will have before
+    /// its demand can fall to the shared level, and reads the end's
+    /// instant with [`BandwidthTrace::segment_start`].
     ///
     /// The later segments are tested eight at a time without a branch,
     /// keeping one minimum per lane; only the chunk where the window
@@ -302,6 +303,9 @@ impl BandwidthTrace {
     /// take a minimum by compare-and-select, not `f64::min`: every rate
     /// passed [`non_negative_finite`], so there is no NaN to handle, and
     /// the select vectorizes where `f64::min` does not.
+    ///
+    /// # Panics
+    /// Panics when `first` is not a segment index.
     ///
     /// ```
     /// use sss_sim::BandwidthTrace;
@@ -314,17 +318,17 @@ impl BandwidthTrace {
     ///     (3.0, Rate::from_bytes_per_sec(1.0)),
     /// ])
     /// .unwrap();
-    /// // Above 2 B/s from t=1 until the 1 B/s segment at t=3.
-    /// assert_eq!(t.window_above(1.0, |r| r > 2.0), Some((3.0, Some(3.0))));
-    /// // The segment at t=3 is already at or below 2 B/s.
-    /// assert_eq!(t.window_above(3.0, |r| r > 2.0), None);
+    /// // Above 2 B/s from segment 1 until the 1 B/s segment 3, at t=3.
+    /// assert_eq!(t.window_above(1, |r| r > 2.0), Some((3.0, Some(3))));
+    /// assert_eq!(t.segment_start(3), 3.0);
+    /// // Segment 3 is already at or below 2 B/s.
+    /// assert_eq!(t.window_above(3, |r| r > 2.0), None);
     /// ```
     pub fn window_above(
         &self,
-        t_s: f64,
+        first: usize,
         above: impl Fn(f64) -> bool,
-    ) -> Option<(f64, Option<f64>)> {
-        let first = self.segment_index(t_s);
+    ) -> Option<(f64, Option<usize>)> {
         let mut min = self.rates_bps[first];
         if !above(min) {
             return None;
@@ -343,22 +347,33 @@ impl BandwidthTrace {
             next += LANES;
         }
         min = lanes.into_iter().fold(min, smaller);
-        for (&start, &rate) in self.starts_s[next..].iter().zip(&self.rates_bps[next..]) {
+        for (k, &rate) in (next..).zip(&self.rates_bps[next..]) {
             if !above(rate) {
-                return Some((min, Some(start)));
+                return Some((min, Some(k)));
             }
             min = smaller(min, rate);
         }
         Some((min, None))
     }
 
-    /// Index of the segment containing `t_s` — the shared entry lookup
-    /// behind [`BandwidthTrace::segment_at`] and the fluid integrators'
-    /// walking cursors.
-    fn segment_index(&self, t_s: f64) -> usize {
+    /// Index of the segment containing `t_s`: the last one that starts at
+    /// or before it (the first for a `t_s` before 0). One binary search
+    /// over the starts: the entry of the integrators' walking cursors,
+    /// and of a fleet session woken at an arbitrary clock. A caller that
+    /// already knows its segment reads by index instead.
+    pub fn segment_index(&self, t_s: f64) -> usize {
         self.starts_s
             .partition_point(|&s| s <= t_s)
             .saturating_sub(1)
+    }
+
+    /// The start of segment `k`, seconds, verbatim: a clock advanced onto
+    /// it lands exactly on the breakpoint.
+    ///
+    /// # Panics
+    /// Panics when `k` is not a segment index.
+    pub fn segment_start(&self, k: usize) -> f64 {
+        self.starts_s[k]
     }
 
     /// The largest per-segment rate in the profile, bytes per second.
@@ -910,12 +925,17 @@ impl Dips {
 /// `shape.lay_out(base, horizon_s, &Dips::default())`, paired with the
 /// session's [`Dips`], so the session's own trace is never laid out.
 ///
-/// [`DippedTrace::segment_at`] and [`DippedTrace::window_above`] return,
-/// bit for bit, what the same calls return on `shape.lay_out(base,
-/// horizon_s, &dips)`. Every layout of a shape at one base and horizon
-/// has the clear layout's starts, and a dipped slot's rate is its clear
-/// rate times the factor the layout dips by. Only `bursty` reads its
-/// dips; the view of any other shape reads the clear layout unchanged.
+/// The view reads by segment index: [`DippedTrace::segment_at`] gives
+/// segment `k`'s rate on `shape.lay_out(base, horizon_s, &dips)` and the
+/// index of the segment after it, and [`DippedTrace::window_above`]
+/// returns what [`BandwidthTrace::window_above`] returns on that layout,
+/// bit for bit. Every layout of a shape at one base and horizon has the
+/// clear layout's starts, so an index names the same segment in each and
+/// the clear layout gives its instant ([`BandwidthTrace::segment_start`],
+/// or [`BandwidthTrace::segment_index`] for an arbitrary clock), and a
+/// dipped slot's rate is its clear rate times the factor the layout dips
+/// by. Only `bursty` reads its dips; the view of any other shape reads
+/// the clear layout unchanged.
 ///
 /// The view borrows the dips mutably: a read draws the dip flags up to
 /// the last slot it reaches that were not drawn yet, and they stay drawn
@@ -945,46 +965,50 @@ impl<'a> DippedTrace<'a> {
         DippedTrace { clear, dips }
     }
 
-    /// [`BandwidthTrace::segment_at`] on the laid-out trace: one binary
-    /// search over the clear starts, the rate picked from the clear rate
-    /// and its dip by the segment's flag.
-    pub fn segment_at(&mut self, t_s: f64) -> (f64, Option<f64>) {
-        let idx = self.clear.starts_s.partition_point(|&s| s <= t_s);
-        let seg = idx.saturating_sub(1);
-        let rate = self.clear.rates_bps[seg];
+    /// Segment `k`'s rate on the laid-out trace, and the index of the
+    /// next segment (`None` from the last, which extends forever): the
+    /// clear rate or its dip, picked by the segment's flag, with no
+    /// search.
+    ///
+    /// # Panics
+    /// Panics when `k` is not a segment index.
+    pub fn segment_at(&mut self, k: usize) -> (f64, Option<usize>) {
+        let rate = self.clear.rates_bps[k];
         let pair = [rate, rate * DIP_FACTOR];
-        let dipped = self.dips.as_mut().is_some_and(|dips| dips.dipped(seg));
+        let dipped = self.dips.as_mut().is_some_and(|dips| dips.dipped(k));
+        let next = k + 1;
         (
             pair[usize::from(dipped)],
-            self.clear.starts_s.get(idx).copied(),
+            (next < self.clear.segments()).then_some(next),
         )
     }
 
-    /// [`BandwidthTrace::window_above`] on the laid-out trace, without
-    /// its segment scan.
+    /// [`BandwidthTrace::window_above`] from segment `first` on the
+    /// laid-out trace, without its segment scan.
     ///
-    /// When no slot dips from the segment containing `t_s` on, the rates
-    /// from there are the clear layout's, and its scan answers. Otherwise
-    /// the trace is bursty, and ahead of `t_s` it has two rates: the base
-    /// in clear slots and the final segment, and the dip in dipped slots.
-    /// `above` is called at most once on each, and the window's end is
-    /// the next slot flagged unlike the first, found by counting leading
-    /// zeros over the drawn dip words and drawing flags past them one at
-    /// a time, and looked for only when the window ends. So `above` must
-    /// be a pure function, as the scan's branch-free chunks already
-    /// assume.
+    /// When no slot dips from segment `first` on, the rates from there are
+    /// the clear layout's, and its scan answers. Otherwise the trace is
+    /// bursty, and from `first` on it has two rates: the base in clear
+    /// slots and the final segment, and the dip in dipped slots. `above`
+    /// is called at most once on each, and the window's end is the next
+    /// slot flagged unlike the first, found by counting leading zeros over
+    /// the drawn dip words and drawing flags past them one at a time, and
+    /// looked for only when the window ends. So `above` must be a pure
+    /// function, as the scan's branch-free chunks already assume.
+    ///
+    /// # Panics
+    /// Panics when `first` is not a segment index.
     pub fn window_above(
         &mut self,
-        t_s: f64,
+        first: usize,
         above: impl Fn(f64) -> bool,
-    ) -> Option<(f64, Option<f64>)> {
+    ) -> Option<(f64, Option<usize>)> {
         let Some(dips) = self.dips.as_mut() else {
-            return self.clear.window_above(t_s, above);
+            return self.clear.window_above(first, above);
         };
-        let first = self.clear.segment_index(t_s);
         let next_dip = dips.next_slot(first, true);
         if next_dip == SLOTS * HORIZONS {
-            return self.clear.window_above(t_s, above);
+            return self.clear.window_above(first, above);
         }
         // A bursty slot: its clear rate is the base.
         let base = self.clear.rates_bps[first];
@@ -1003,7 +1027,7 @@ impl<'a> DippedTrace<'a> {
         } else {
             next_dip
         };
-        Some((here, Some(self.clear.starts_s[end])))
+        Some((here, Some(end)))
     }
 }
 
@@ -1400,54 +1424,58 @@ mod tests {
     #[test]
     fn a_zero_rate_slot_ends_the_window() {
         let t = TraceShape::Outage.build(gbs(1.0), 10.0, 0);
-        // Above any non-negative threshold, the outage at t=2.5 ends the
-        // window that starts on the first segment.
-        assert_eq!(t.window_above(0.0, |r| r > 0.0), Some((1.0e9, Some(2.5))));
+        // Above any non-negative threshold, the outage (segment 1, from
+        // t=2.5) ends the window that starts on the first segment.
+        assert_eq!(t.window_above(0, |r| r > 0.0), Some((1.0e9, Some(1))));
+        assert_eq!(t.segment_start(1), 2.5);
         // Starting on the outage itself, the window is empty.
-        assert_eq!(t.window_above(2.5, |r| r > 0.0), None);
+        assert_eq!(t.window_above(1, |r| r > 0.0), None);
     }
 
     #[test]
     fn the_final_segment_gives_a_window_with_no_end() {
         let t = BandwidthTrace::from_segments(&[(0.0, gbs(0.5)), (1.0, gbs(3.0)), (2.0, gbs(2.0))])
             .unwrap();
-        assert_eq!(t.window_above(1.0, |r| r > 1.0e9), Some((2.0e9, None)));
-        // On the final segment itself, too.
-        assert_eq!(t.window_above(7.0, |r| r > 1.0e9), Some((2.0e9, None)));
-        // The minimum covers the segment containing `t_s` mid-segment.
-        assert_eq!(t.window_above(0.5, |r| r > 0.1e9), Some((0.5e9, None)));
+        assert_eq!(t.window_above(1, |r| r > 1.0e9), Some((2.0e9, None)));
+        // On the final segment itself, too, found from a clock past it.
+        assert_eq!(t.segment_index(7.0), 2);
+        assert_eq!(t.window_above(2, |r| r > 1.0e9), Some((2.0e9, None)));
+        // The minimum covers the first segment, found mid-segment.
+        assert_eq!(t.segment_index(0.5), 0);
+        assert_eq!(t.window_above(0, |r| r > 0.1e9), Some((0.5e9, None)));
     }
 
-    /// Asked on a breakpoint whose segment is already at or below the
-    /// threshold, the window ends right there: it crosses no breakpoint.
+    /// Asked from a segment already at or below the threshold, the
+    /// window ends right there: it crosses no breakpoint.
     #[test]
     fn a_window_that_crosses_no_breakpoint_returns_nothing() {
         let t = BandwidthTrace::from_segments(&[(0.0, gbs(2.0)), (1.0, gbs(0.5)), (2.0, gbs(3.0))])
             .unwrap();
-        // The segment at t=1 is at the threshold: `above` is strict.
-        assert_eq!(t.window_above(1.0, |r| r > 0.5e9), None);
-        assert_eq!(t.window_above(1.5, |r| r > 1.0e9), None);
+        // Segment 1, from t=1, is at the threshold: `above` is strict.
+        assert_eq!(t.window_above(1, |r| r > 0.5e9), None);
+        assert_eq!(t.window_above(1, |r| r > 1.0e9), None);
     }
 
-    /// Every returned end is a segment start bit for bit, and every
-    /// segment inside the window passes the threshold.
+    /// Every returned end is the first segment after the window's start
+    /// that fails, its start read verbatim, and every segment inside the
+    /// window passes the threshold.
     #[test]
     fn a_returned_window_end_is_a_segment_start_verbatim() {
         for shape in TraceShape::ALL {
             let t = shape.build(gbs(1.0 / 3.0), 7.0 / 3.0, 42);
             for threshold in [0.05e9, 0.1e9, 0.2e9, 0.3e9] {
                 let above = |r: f64| r > threshold;
-                for (k, &start) in t.starts_s.iter().enumerate() {
-                    let Some((min, end)) = t.window_above(start, above) else {
+                for k in 0..t.segments() {
+                    let Some((min, end)) = t.window_above(k, above) else {
                         assert!(!above(t.rates_bps[k]), "{shape}: segment {k}");
                         continue;
                     };
                     let stop = match end {
-                        Some(e) => t
-                            .starts_s
-                            .iter()
-                            .position(|s| s.to_bits() == e.to_bits())
-                            .unwrap_or_else(|| panic!("{shape}: end {e} is no segment start")),
+                        Some(e) => {
+                            let start = t.segment_start(e);
+                            assert_eq!(start.to_bits(), t.starts_s[e].to_bits(), "{shape}");
+                            e
+                        }
                         None => t.starts_s.len(),
                     };
                     assert!(stop > k, "{shape}: the window covers segment {k}");
@@ -1457,7 +1485,7 @@ mod tests {
                         .iter()
                         .copied()
                         .fold(f64::INFINITY, f64::min);
-                    assert_eq!(min.to_bits(), want.to_bits(), "{shape}: min from {start}");
+                    assert_eq!(min.to_bits(), want.to_bits(), "{shape}: min from {k}");
                 }
             }
         }
@@ -1467,22 +1495,21 @@ mod tests {
     /// `f64::min`: its oracle.
     fn scalar_window_above(
         t: &BandwidthTrace,
-        t_s: f64,
+        first: usize,
         above: impl Fn(f64) -> bool,
-    ) -> Option<(f64, Option<f64>)> {
-        let mut i = t.segment_index(t_s);
+    ) -> Option<(f64, Option<usize>)> {
+        let mut i = first;
         let mut min = t.rates_bps[i];
         if !above(min) {
             return None;
         }
         loop {
             i += 1;
-            let Some(&start) = t.starts_s.get(i) else {
+            let Some(&rate) = t.rates_bps.get(i) else {
                 return Some((min, None));
             };
-            let rate = t.rates_bps[i];
             if !above(rate) {
-                return Some((min, Some(start)));
+                return Some((min, Some(i)));
             }
             min = min.min(rate);
         }
@@ -1539,9 +1566,10 @@ mod tests {
         BandwidthTrace::from_segments(&segments).unwrap()
     }
 
-    /// A window as raw bits, so equality means bit identity.
-    fn window_bits(window: Option<(f64, Option<f64>)>) -> Option<(u64, Option<u64>)> {
-        window.map(|(min, end)| (min.to_bits(), end.map(f64::to_bits)))
+    /// A window's minimum as raw bits, so equality means bit identity,
+    /// and its end.
+    fn window_bits(window: Option<(f64, Option<usize>)>) -> Option<(u64, Option<usize>)> {
+        window.map(|(min, end)| (min.to_bits(), end))
     }
 
     proptest! {
@@ -1551,8 +1579,9 @@ mod tests {
         /// on traces of 1 to 40 segments, so windows end in every lane
         /// of a chunk and in the tail; with rates of +0.0 and a few
         /// positive values, so rates tie the strict threshold, and with
-        /// a threshold below zero, so zero-rate segments pass; queried
-        /// on every segment start, mid-segment and past the last start.
+        /// a threshold below zero, so zero-rate segments pass; asked from
+        /// every segment, found by its start, mid-segment and past the
+        /// last start.
         #[test]
         fn window_above_matches_the_scalar_scan_bit_for_bit(
             // (duration, rate level) pairs; level 0 is a zero-rate slot.
@@ -1584,10 +1613,12 @@ mod tests {
                 }
             }
             for q in queries {
+                let k = t.segment_index(q);
+                prop_assert!(t.starts_s[k] <= q && t.starts_s.get(k + 1).is_none_or(|&s| q < s));
                 prop_assert_eq!(
-                    window_bits(t.window_above(q, above)),
-                    window_bits(scalar_window_above(&t, q, above)),
-                    "at {} above {}", q, threshold
+                    window_bits(t.window_above(k, above)),
+                    window_bits(scalar_window_above(&t, k, above)),
+                    "from segment {} (at {}) above {}", k, q, threshold
                 );
             }
         }
@@ -1599,12 +1630,16 @@ mod tests {
         /// shape (the non-bursty views must ignore them), with every slot
         /// from a random one on clear, so windows start with no dip
         /// ahead. The drawn dips are drawn ahead to a random slot, and the
-        /// view draws the rest as its reads reach them. `segment_at` is asked on every
+        /// view draws the rest as its reads reach them. Every segment is
+        /// read by its index, found from the clear layout's clock by
+        /// `segment_index` as a woken fleet session finds it: at every
         /// breakpoint, just left of it, between breakpoints, before 0 and
-        /// past the last start, and `window_above` from the same instants,
-        /// in shuffled order: under thresholds below the dip, on it,
-        /// between the dip and the base and on the base, and under a
-        /// predicate that passes the dip but not the base.
+        /// past the last start, in shuffled order. `segment_at` there must
+        /// give the layout's rate and, through the clear starts, its next
+        /// breakpoint (from any clock at or after 0), and `window_above`
+        /// from there the layout's window: under thresholds below the dip,
+        /// on it, between the dip and the base and on the base, and under
+        /// a predicate that passes the dip but not the base.
         #[test]
         fn the_dipped_view_reads_as_its_layout_bit_for_bit(
             pick in 0usize..TraceShape::ALL.len(),
@@ -1665,22 +1700,29 @@ mod tests {
                     ("not the base", &|r| r != base),
                 ];
                 for &q in &queries {
-                    let (rate, next) = view.segment_at(q);
+                    let k = clear.segment_index(q);
+                    prop_assert_eq!(k, laid_out.segment_index(q));
+                    let (rate, next) = view.segment_at(k);
                     let (want_rate, want_next) = laid_out.segment_at(q);
                     prop_assert_eq!(
                         rate.to_bits(),
                         want_rate.to_bits(),
                         "{} dips, {}: rate at {}", source, shape, q
                     );
-                    prop_assert_eq!(
-                        next.map(f64::to_bits),
-                        want_next.map(f64::to_bits),
-                        "{} dips, {}: next breakpoint after {}", source, shape, q
-                    );
+                    prop_assert_eq!(next, (k + 1 < laid_out.segments()).then_some(k + 1));
+                    // Before 0 the next change is the first start, which
+                    // no segment index reads; the fleet's clocks start at 0.
+                    if q >= 0.0 {
+                        prop_assert_eq!(
+                            next.map(|n| clear.segment_start(n).to_bits()),
+                            want_next.map(f64::to_bits),
+                            "{} dips, {}: next breakpoint after {}", source, shape, q
+                        );
+                    }
                     for (name, above) in predicates {
                         prop_assert_eq!(
-                            window_bits(view.window_above(q, above)),
-                            window_bits(laid_out.window_above(q, above)),
+                            window_bits(view.window_above(k, above)),
+                            window_bits(laid_out.window_above(k, above)),
                             "{} dips, {}: window from {} {}", source, shape, q, name
                         );
                     }
@@ -1775,7 +1817,7 @@ mod tests {
             let mut dips = fresh;
             for k in 0..ALL {
                 let mid = (clear.starts_s[k] + clear.starts_s[k + 1]) / 2.0;
-                DippedTrace::new(shape, &clear, &mut dips).segment_at(mid);
+                DippedTrace::new(shape, &clear, &mut dips).segment_at(clear.segment_index(mid));
                 assert_eq!(dips.drawn, k + 1, "seed {seed}: a read in slot {k}");
                 assert_eq!(dips.words, first_flags(eager, k + 1), "seed {seed}");
                 assert_eq!(dips, fresh, "seed {seed}: {} flags against none", k + 1);
@@ -1814,7 +1856,8 @@ mod tests {
                     };
                     for t in instants.into_iter().flatten() {
                         let mut dips = fresh;
-                        DippedTrace::new(shape, &clear, &mut dips).window_above(t, above);
+                        let first = clear.segment_index(t);
+                        DippedTrace::new(shape, &clear, &mut dips).window_above(first, above);
                         assert_eq!(
                             dips.drawn, need,
                             "seed {seed}: the window {name} from {t} in slot {k}"

@@ -69,20 +69,9 @@ impl Ecdf {
     /// Linearly-interpolated quantile (type-7, the R/NumPy default).
     /// `q` is clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let h = q * (n - 1) as f64;
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        if lo == hi {
-            self.sorted[lo]
-        } else {
-            let w = h - lo as f64;
-            self.sorted[lo] * (1.0 - w) + self.sorted[hi] * w
-        }
+        type7(q, self.sorted.len(), |lo, hi| {
+            (self.sorted[lo], self.sorted[hi])
+        })
     }
 
     /// The `(x, F(x))` step points, ready for plotting Figure 3.
@@ -102,9 +91,74 @@ impl Ecdf {
     }
 }
 
+/// The type-7 quantile `q`, clamped to `[0, 1]`, of `n ≥ 1` samples:
+/// `order(lo, hi)` returns the order statistics at ranks `lo` and `hi`,
+/// where `hi` is `lo` or `lo + 1`, and they are interpolated. The one
+/// home of the rank and interpolation arithmetic behind
+/// [`Ecdf::quantile`] and [`select_quantiles`].
+fn type7(q: f64, n: usize, order: impl FnOnce(usize, usize) -> (f64, f64)) -> f64 {
+    let h = q.clamp(0.0, 1.0) * (n - 1) as f64;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    let (at_lo, at_hi) = order(lo, hi);
+    if lo == hi {
+        at_lo
+    } else {
+        let w = h - lo as f64;
+        at_lo * (1.0 - w) + at_hi * w
+    }
+}
+
+/// The type-7 quantiles `qs`, which must ascend, of `samples`, bit for
+/// bit as [`Ecdf::quantile`] gives them, without sorting: each quantile's
+/// lower order statistic is selected (`select_nth_unstable_by` on
+/// [`f64::total_cmp`]) from the samples the previous selection left at or
+/// above its own, and the upper one, when it interpolates, is the least of
+/// the selection's right partition. `O(n)` a quantile; reorders
+/// `samples`. `None` for an empty sample or one holding a NaN, as
+/// [`Ecdf::from_samples`].
+///
+/// # Panics
+/// Panics when `qs` descend.
+///
+/// ```
+/// use sss_stats::{select_quantiles, Ecdf};
+///
+/// let mut xs = vec![5.0, 1.0, 4.0, 2.0, 3.0];
+/// let ecdf = Ecdf::from_samples(xs.clone()).unwrap();
+/// let [p50, p90] = select_quantiles(&mut xs, [0.5, 0.9]).unwrap();
+/// assert_eq!((p50, p90), (ecdf.quantile(0.5), ecdf.quantile(0.9)));
+/// ```
+pub fn select_quantiles<const N: usize>(samples: &mut [f64], qs: [f64; N]) -> Option<[f64; N]> {
+    if samples.is_empty() || samples.iter().any(|x| x.is_nan()) {
+        return None;
+    }
+    let n = samples.len();
+    let mut from = 0;
+    Some(qs.map(|q| {
+        type7(q, n, |lo, hi| {
+            assert!(lo >= from, "quantiles must ascend: rank {lo} after {from}");
+            let (_, &mut at_lo, right) =
+                samples[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
+            from = lo;
+            let at_hi = if hi > lo {
+                right
+                    .iter()
+                    .copied()
+                    .min_by(f64::total_cmp)
+                    .expect("an upper rank lies in the right partition")
+            } else {
+                at_lo
+            };
+            (at_lo, at_hi)
+        })
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rejects_empty_and_nan() {
@@ -202,6 +256,65 @@ mod tests {
                     "{samples:?} at {q}"
                 );
             }
+        }
+    }
+
+    /// Selected quantiles against the sorted ECDF's, as bits.
+    fn assert_selection_matches(samples: &[f64], qs: [f64; 4]) {
+        let ecdf = Ecdf::from_samples(samples.to_vec()).unwrap();
+        let mut shuffled = samples.to_vec();
+        let got = select_quantiles(&mut shuffled, qs).unwrap();
+        for (q, got) in qs.into_iter().zip(got) {
+            assert_eq!(
+                got.to_bits(),
+                ecdf.quantile(q).to_bits(),
+                "{samples:?} at {q}"
+            );
+        }
+    }
+
+    /// One and two samples, and quantiles whose rank is a whole number,
+    /// where the lower order statistic is the answer: 0.25 of five
+    /// samples is rank 1 exactly. An empty sample or a NaN gives none.
+    #[test]
+    fn selected_quantiles_cover_the_small_and_whole_rank_cases() {
+        assert_selection_matches(&[7.0], [0.0, 0.3, 0.99, 1.0]);
+        assert_selection_matches(&[2.0, -0.0], [0.0, 0.5, 0.75, 1.0]);
+        assert_selection_matches(&[0.0, -0.0], [0.0, 0.25, 0.5, 1.0]);
+        let five = [3.0, 1.0, 3.0, 0.0, -0.0];
+        assert_eq!(0.25 * (five.len() - 1) as f64, 1.0);
+        assert_selection_matches(&five, [0.0, 0.25, 0.5, 1.0]);
+        assert_selection_matches(&five, [0.25, 0.25, 0.25, 0.25]);
+        assert_eq!(select_quantiles(&mut [], [0.5]), None);
+        assert_eq!(select_quantiles(&mut [1.0, f64::NAN], [0.5]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantiles must ascend")]
+    fn descending_quantiles_panic() {
+        let _ = select_quantiles(&mut [1.0, 2.0, 3.0, 4.0], [0.9, 0.1]);
+    }
+
+    proptest! {
+        /// Selection answers as the sort, bit for bit, on samples of 1 to
+        /// 300 drawn from a few values, so they tie often, both zeros
+        /// among them, at four ascending quantiles, the ends included.
+        #[test]
+        fn selected_quantiles_match_the_sorted_ecdf_bit_for_bit(
+            picks in proptest::collection::vec(0usize..7, 1..300),
+            inner in proptest::collection::vec(0.0f64..=1.0, 2..=2),
+            ends in 0usize..4,
+        ) {
+            const VALUES: [f64; 7] = [-0.0, 0.0, 1.0, 1.5, 1e300, 5e-324, -2.0];
+            let samples: Vec<f64> = picks.iter().map(|&k| VALUES[k]).collect();
+            let (a, b) = (inner[0].min(inner[1]), inner[0].max(inner[1]));
+            let qs = match ends {
+                0 => [0.0, a, b, 1.0],
+                1 => [0.0, 0.0, a, b],
+                2 => [a, b, 1.0, 1.0],
+                _ => [a, a, b, b],
+            };
+            assert_selection_matches(&samples, qs);
         }
     }
 

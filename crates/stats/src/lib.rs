@@ -9,7 +9,8 @@
 //!
 //! * [`Summary`] — streaming count/mean/min/max.
 //! * [`Ecdf`] — exact empirical CDF with interpolated quantiles
-//!   (Figure 3).
+//!   (Figure 3); [`select_quantiles`] reads a few of the same quantiles
+//!   without sorting.
 //! * [`TailMetrics`] — the P50/P90/P99/max digest the paper reports.
 //! * [`bootstrap_ci`] — seeded bootstrap confidence intervals for the
 //!   worst-case estimators.
@@ -42,7 +43,7 @@ mod tail;
 mod timeseries;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
-pub use ecdf::Ecdf;
+pub use ecdf::{select_quantiles, Ecdf};
 pub use summary::Summary;
 pub use tail::TailMetrics;
 pub use timeseries::RateSeries;

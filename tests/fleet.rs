@@ -1,10 +1,10 @@
 //! End-to-end gates for the multi-tenant fleet simulator: CLI
 //! round-trips in every output format, byte-identity across worker
 //! counts and repeated seeds, the bursty and diurnal cells against their
-//! golden CSVs, the benchmark cell and a light-load cell against their
-//! pinned digests, the shared `--seed` flag-error contract, and the
-//! `POST /fleet` endpoint with its memoized body cache surfaced in
-//! `/healthz`.
+//! golden CSVs, the benchmark cell, a light-load cell and four
+//! 1000-session cells against their pinned digests, the shared `--seed`
+//! flag-error contract, and the `POST /fleet` endpoint with its memoized
+//! body cache surfaced in `/healthz`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -220,6 +220,47 @@ fn the_light_load_cell_matches_its_pinned_digest() {
     );
     assert_eq!(csv.len(), 357_212);
     assert_eq!(fnv1a64(csv.as_bytes()), 0x247f_4241_c8d9_fa69);
+}
+
+/// CI's 1000-session cell (load 64 through 32 slots on a 40 Gbps
+/// backbone, seed 7) on the integrator's edge paths, pinned like the
+/// benchmark cell: bursty under the two policies that admit out of
+/// arrival order; outage, whose zero caps make the water level's scan
+/// walk a frozen prefix past a flow admitted in the same step; and
+/// diurnal, which wakes floored sessions, the one trace read that
+/// searches by time.
+#[test]
+fn the_thousand_session_cells_match_their_pinned_digests() {
+    for (shape, policy, len, digest) in [
+        ("bursty", "fair-share", 195_414, 0xffbc_ec78_319e_a877),
+        ("bursty", "priority", 193_007, 0x2b21_7d3a_a0f8_8bca),
+        ("outage", "fifo", 191_732, 0xc6f5_eec5_66f0_4ac0),
+        ("diurnal", "fifo", 191_707, 0x2291_9f41_3bb3_99de),
+    ] {
+        let (ok, csv, stderr) = run(&[
+            "fleet",
+            "--sessions",
+            "1000",
+            "--load",
+            "64",
+            "--slots",
+            "32",
+            "--wan",
+            "40Gbps",
+            "--shape",
+            shape,
+            "--policy",
+            policy,
+            "--seed",
+            "7",
+            "--format",
+            "csv",
+        ]);
+        assert!(ok, "{shape}/{policy}: {stderr}");
+        assert_eq!(csv.lines().count(), 1001, "{shape}/{policy}: rows");
+        assert_eq!(csv.len(), len, "{shape}/{policy}: length");
+        assert_eq!(fnv1a64(csv.as_bytes()), digest, "{shape}/{policy}: digest");
+    }
 }
 
 #[test]
