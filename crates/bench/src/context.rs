@@ -29,7 +29,7 @@ pub(crate) struct Context {
     pub(crate) pool: ThreadPool,
     /// The sweep a strategy's grid runs ([`table2_grid`] in the product).
     grid_spec: fn(&Context, SpawnStrategy) -> SweepSpec,
-    grids: [OnceCell<Vec<SweepPoint>>; 4],
+    grids: [OnceCell<Vec<SweepPoint>>; 3],
 }
 
 impl Context {
@@ -63,7 +63,6 @@ impl Context {
             SpawnStrategy::Simultaneous => 0,
             SpawnStrategy::Scheduled => 1,
             SpawnStrategy::Reserved => 2,
-            SpawnStrategy::Poisson => 3,
         };
         self.grids[slot].get_or_init(|| {
             eprintln!("running the Table 2 sweep ({strategy:?} spawning)...");

@@ -5,8 +5,8 @@
 //!
 //! Honors `SSS_SEED` and `SSS_QUICK` like the other regenerators.
 
-use sss_core::{Axis, FrontierSpec, Scenario};
-use sss_loadgen::{frontier_csv, FrontierJob};
+use sss_core::Scenario;
+use sss_loadgen::{frontier_csv, Axis, FrontierJob, FrontierSpec};
 use sss_report::{write_json, CsvWriter, Table};
 
 use crate::context::Context;

@@ -53,6 +53,18 @@ pub struct Verdict {
     pub t_pct: TimeDelta,
 }
 
+impl Verdict {
+    /// The gain of going remote, `T_local / T_pct`, from the two times
+    /// already evaluated: guarded like [`CompletionModel::gain`], and the
+    /// same bits.
+    pub fn gain(&self) -> Ratio {
+        Ratio::new(kernel::guarded_ratio(
+            self.t_local.as_secs(),
+            self.t_pct.as_secs(),
+        ))
+    }
+}
+
 /// Apply the §3 model: the verdict [`decide`] justifies, without the
 /// prose.
 pub fn verdict(params: &ModelParams) -> Verdict {
@@ -76,12 +88,13 @@ pub fn verdict(params: &ModelParams) -> Verdict {
 /// the [`verdict`], the numbers around it and the prose built on them.
 pub fn decide(params: &ModelParams) -> DecisionReport {
     let m = CompletionModel::new(*params);
+    let judged = verdict(params);
     let Verdict {
         decision,
         t_local,
         t_pct,
-    } = verdict(params);
-    let gain = m.gain();
+    } = judged;
+    let gain = judged.gain();
     let reduction = m.reduction();
     let required = params.required_stream_rate();
     let effective = params.effective_rate();
@@ -430,5 +443,64 @@ mod tests {
     #[should_panic(expected = "2×2")]
     fn degenerate_grid_rejected() {
         let _ = RegimeMap::compute(&params(100.0, 0.8, 1.0), (0.1, 1.0), (0.5, 10.0), 1, 5);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use sss_units::{Bytes, ComputeIntensity, FlopRate};
+
+    /// Wide-but-valid parameter sets, including the `C = 0` corner the
+    /// gain guard exists for (one draw in eight zeroes the intensity).
+    fn arb_params() -> impl Strategy<Value = ModelParams> {
+        (
+            1e-3f64..1e4,  // S_unit GB
+            0u32..8,       // 0 → zero intensity (pure movement)
+            1e-3f64..1e3,  // C TF/GB otherwise
+            1e-2f64..1e4,  // R_local TFLOPS
+            1e-2f64..1e5,  // R_remote TFLOPS
+            1e-1f64..1e3,  // Bw Gbps
+            0.01f64..=1.0, // alpha
+            1.0f64..50.0,  // theta
+        )
+            .prop_map(|(s, zero, c, rl, rr, bw, a, th)| {
+                let c = if zero == 0 { 0.0 } else { c };
+                ModelParams::builder()
+                    .data_unit(Bytes::from_gb(s))
+                    .intensity(ComputeIntensity::from_tflop_per_gb(c))
+                    .local_rate(FlopRate::from_tflops(rl))
+                    .remote_rate(FlopRate::from_tflops(rr))
+                    .bandwidth(Rate::from_gbps(bw))
+                    .alpha(Ratio::new(a))
+                    .theta(Ratio::new(th))
+                    .build()
+                    .expect("generated params valid")
+            })
+    }
+
+    proptest! {
+        /// [`verdict`] and [`Verdict::gain`], which the frontier evaluates
+        /// once per point, match `decide` and `CompletionModel::gain` bit
+        /// for bit *at* the decision boundary: each workload is pinned to
+        /// its break-even remote rate r* (and a hair either side), where
+        /// `T_pct` and `T_local` are as close as f64 lets them be.
+        #[test]
+        fn parity_at_the_decision_boundary(p in arb_params(), pick in 0usize..5) {
+            let nudge = [1.0f64, 1.0 - 1e-15, 1.0 + 1e-15, 0.999, 1.001][pick];
+            let Some(r_star) = BreakEven::of(&p).r_star else {
+                return Ok(());
+            };
+            prop_assume!(r_star.value().is_finite() && r_star.value() < 1e9);
+            let mut tied = p;
+            tied.remote_rate = p.local_rate * (r_star.value() * nudge);
+            prop_assume!(tied.validated().is_ok());
+            let judged = verdict(&tied);
+            let (decision, gain) = (judged.decision, judged.gain().value());
+            prop_assert_eq!(decision, decide(&tied).decision);
+            prop_assert_eq!(gain.to_bits(),
+                CompletionModel::new(tied).gain().value().to_bits());
+        }
     }
 }

@@ -7,14 +7,12 @@
 //!   constraints enforced at construction.
 //! * [`CompletionModel`] — Eq. 3–10: `T_local`, `T_transfer`, `T_remote`,
 //!   `T_IO`, and the total processing-completion time `T_pct`; its scalar
-//!   kernels are the one evaluator behind [`decide`], Monte Carlo and the
-//!   frontier.
+//!   kernels are the one evaluator behind [`verdict`], [`decide`] and
+//!   Monte Carlo.
 //! * [`StreamingSpeedScore`] — Eq. 11: worst-case over theoretical
 //!   transfer time, measured under controlled congestion.
 //! * [`decision`] — the stream / stay-local verdict, feasibility checks,
 //!   analytic break-even boundaries and (α, r) regime maps.
-//! * [`frontier`] — break-even frontier maps over arbitrary parameter
-//!   axes: coarse-grid classification plus adaptive bisection refinement.
 //! * [`tiers`] — the case study's latency tiers (real-time < 1 s, near
 //!   real-time < 10 s, quasi real-time < 1 min).
 //! * [`delay`] — the Kurose–Ross delay decomposition (Eq. 1) and the
@@ -59,7 +57,6 @@ pub mod congestion;
 pub mod contention;
 pub mod decision;
 pub mod delay;
-pub mod frontier;
 pub mod model;
 pub mod montecarlo;
 pub mod params;
@@ -75,10 +72,6 @@ pub use decision::{
     decide, decide_batch, verdict, BreakEven, Decision, DecisionReport, RegimeMap, Verdict,
 };
 pub use delay::{ContinuumApproximation, DelayDecomposition};
-pub use frontier::{
-    AlphaJitter, Axis, AxisParam, BoundaryPoint, Edge, FrontierCell, FrontierMap, FrontierSlice,
-    FrontierSpec,
-};
 pub use model::CompletionModel;
 pub use montecarlo::{MonteCarloOutcome, TransferEfficiencyDistribution};
 pub use params::{ModelParams, ModelParamsBuilder, ParamError};

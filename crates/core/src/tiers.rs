@@ -33,6 +33,7 @@ impl Tier {
     }
 
     /// Classify a completion time into its tier.
+    // sss-lint: allow(U001, library callers of the prelude's Tier: the paper's section 5 tier of a completion time)
     pub fn classify(t: TimeDelta) -> Tier {
         let s = t.as_secs();
         if s < 1.0 {

@@ -26,12 +26,6 @@ pub enum SpawnStrategy {
     /// construction, at the price of the calendar stretching beyond the
     /// nominal duration when oversubscribed.
     Reserved,
-    /// Poisson arrivals at rate `concurrency` per second: the open-loop
-    /// arrival model of classical queueing analysis, bridging to the
-    /// M/M/1-style references in `sss_core::congestion` (the paper's
-    /// future work on queueing effects). Each of a second's clients
-    /// receives an exponentially-distributed offset within its second.
-    Poisson,
 }
 
 /// Configuration of one experiment.
@@ -108,13 +102,6 @@ impl Experiment {
                         let start = nominal.max(calendar_end);
                         calendar_end = start + slot_len;
                         start
-                    }
-                    SpawnStrategy::Poisson => {
-                        // Conditioned Poisson process: given the N arrivals
-                        // of a second, their times are i.i.d. uniform over
-                        // it (the order-statistics property), so each
-                        // client draws an independent U[0, 1) offset.
-                        second as f64 + rng.random_range(0.0..1.0)
                     }
                 };
                 let jitter = if self.start_jitter > 0.0 {
@@ -367,48 +354,6 @@ mod tests {
         let mut e = small_exp(1, SpawnStrategy::Scheduled);
         e.concurrency = 0;
         let _ = e.run();
-    }
-
-    #[test]
-    fn poisson_arrivals_spread_within_seconds() {
-        let r = small_exp(8, SpawnStrategy::Poisson).run();
-        // Every spawn lands inside its nominal second.
-        for (i, c) in r.clients.iter().enumerate() {
-            let second = (i / 8) as f64;
-            let s = c.spawn.as_secs();
-            assert!(
-                s >= second && s < second + 1.0 + 0.01,
-                "spawn {s} outside [{second}, {})",
-                second + 1.0
-            );
-        }
-        // Arrivals are jittered, not batched: distinct times in second 0.
-        let mut first: Vec<f64> = r.clients[0..8].iter().map(|c| c.spawn.as_secs()).collect();
-        first.sort_by(f64::total_cmp);
-        first.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        assert!(first.len() > 4, "expected spread arrivals, got {first:?}");
-    }
-
-    #[test]
-    fn poisson_tail_sits_between_batch_and_reserved() {
-        // Memoryless arrivals cluster less than batches but more than a
-        // reservation calendar.
-        let batch = small_exp(8, SpawnStrategy::Simultaneous).run();
-        let poisson = small_exp(8, SpawnStrategy::Poisson).run();
-        let reserved = small_exp(8, SpawnStrategy::Reserved).run();
-        let w = |r: &ExperimentResult| r.worst_transfer_time().unwrap().as_secs();
-        assert!(
-            w(&poisson) <= w(&batch) * 1.2,
-            "poisson {} batch {}",
-            w(&poisson),
-            w(&batch)
-        );
-        assert!(
-            w(&reserved) <= w(&poisson) * 1.2,
-            "reserved {} poisson {}",
-            w(&reserved),
-            w(&poisson)
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Reproduces the paper's measurement methodology (§4): an orchestrator
 //! spawns `concurrency` clients per second for `duration` seconds, each
 //! transferring a fixed volume over `P` parallel TCP flows into one
-//! server, under one of four spawning strategies:
+//! server, under one of three spawning strategies:
 //!
 //! * [`SpawnStrategy::Simultaneous`] — all of a second's clients start at
 //!   the top of the second, creating the instantaneous congestion spikes
@@ -13,9 +13,7 @@
 //!   exceeds capacity;
 //! * [`SpawnStrategy::Reserved`] — spaced like `Scheduled`, but a client
 //!   never starts before the previous reservation ends, modeling the
-//!   reserved time slots of Figure 2(b);
-//! * [`SpawnStrategy::Poisson`] — Poisson arrivals at rate `concurrency`
-//!   per second, the open-loop arrival model of queueing analysis.
+//!   reserved time slots of Figure 2(b).
 //!
 //! Each client's transfer time spans from its spawn instant to the
 //! completion of its **last** parallel flow (iperf3 reports the session,
@@ -28,6 +26,11 @@
 //! measure request throughput, per-request latency tails and the
 //! connection ceiling actually reached — from a handful of sockets up to
 //! thousands.
+//!
+//! The crate also holds the engines that fan work across an
+//! [`sss_exec::ThreadPool`]: the facility [`ScenarioSuite`], the
+//! trace-driven [`SessionReplay`], the multi-tenant [`FleetSim`] and the
+//! break-even frontier map, [`FrontierJob`].
 //!
 //! # Example
 //!
@@ -69,7 +72,10 @@ pub use fleet::{
     fleet_csv, fleet_scenario_csv, fleet_scenario_table, fleet_summary_table, fleet_table,
     AdmissionPolicy, FleetConfig, FleetRecord, FleetReport, FleetSim, ScenarioContention,
 };
-pub use frontier::{boundary_csv, frontier_csv, frontier_table, FrontierJob};
+pub use frontier::{
+    boundary_csv, frontier_csv, frontier_table, AlphaJitter, Axis, AxisParam, BoundaryPoint,
+    FrontierCell, FrontierJob, FrontierMap, FrontierSlice, FrontierSpec,
+};
 pub use httpload::{loadtest_table, run_http_load, HttpLoadReport, HttpLoadSpec};
 pub use replay::{
     replay_csv, replay_fidelity_csv, replay_summary_table, replay_table, ReplayConfig,

@@ -41,8 +41,6 @@ pub struct SuiteConfig {
     pub duration_s: u32,
     /// Parallel TCP flows per client.
     pub parallel_flows: u32,
-    /// Client spawning strategy.
-    pub strategy: SpawnStrategy,
     /// Target wire time of one probe transfer; per-client volume is
     /// `bandwidth × probe_wire_time`, clamped to the probe bounds below so
     /// a 1 Tbps scenario stays simulable and a 10 Gbps one stays measurable.
@@ -67,7 +65,6 @@ impl SuiteConfig {
             congestion_levels: vec![1, 4],
             duration_s: 1,
             parallel_flows: 4,
-            strategy: SpawnStrategy::Simultaneous,
             probe_wire_time: TimeDelta::from_millis(20.0),
             probe_floor: Bytes::from_mb(2.0),
             probe_ceiling: Bytes::from_mb(64.0),
@@ -85,7 +82,6 @@ impl SuiteConfig {
             congestion_levels: vec![1, 4, 8],
             duration_s: 2,
             parallel_flows: 8,
-            strategy: SpawnStrategy::Simultaneous,
             probe_wire_time: TimeDelta::from_millis(50.0),
             probe_floor: Bytes::from_mb(4.0),
             probe_ceiling: Bytes::from_mb(256.0),
@@ -242,7 +238,7 @@ impl ScenarioSuite {
             concurrency: self.config.congestion_levels.clone(),
             parallel_flows: vec![self.config.parallel_flows],
             bytes_per_client: self.config.probe_bytes(scenario.params.bandwidth),
-            strategy: self.config.strategy,
+            strategy: SpawnStrategy::Simultaneous,
             start_jitter: 0.002,
             repeats: 1,
             seed: SeedSequence::new(self.config.seed).seed(index as u64),
@@ -404,7 +400,6 @@ mod tests {
             congestion_levels: vec![1, 2],
             duration_s: 1,
             parallel_flows: 2,
-            strategy: SpawnStrategy::Simultaneous,
             probe_wire_time: TimeDelta::from_millis(5.0),
             probe_floor: Bytes::from_mb(1.0),
             probe_ceiling: Bytes::from_mb(8.0),

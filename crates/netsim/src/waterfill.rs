@@ -209,7 +209,8 @@ impl WaterFiller {
     /// Register a flow demanding `cap`; the level goes stale. The new
     /// flow is left unplaced, and the flow this call places is the one
     /// the previous call left: a flow that drains, or whose cap changes,
-    /// before the next insert costs no search for its insertion.
+    /// before the next insert costs no search for its insertion. A `-0.0`
+    /// cap is stored, and granted, as `+0.0`.
     ///
     /// # Panics
     /// Panics on a negative or non-finite cap.
@@ -218,6 +219,9 @@ impl WaterFiller {
             non_negative_finite(cap),
             "flow cap must be finite and >= 0, got {cap}"
         );
+        // `-0.0` passes the check, but its IEEE bits would sort it after
+        // every positive cap in the `(cap bits, id)` order.
+        let cap = cap.abs();
         if let Some(prev) = self.unplaced.take() {
             let pos = self.position_of(self.caps[prev as usize], prev);
             self.order.insert(pos, prev);
@@ -260,7 +264,8 @@ impl WaterFiller {
 
     /// Change a live flow's cap (a trace breakpoint moving its demand);
     /// the level goes stale. The unplaced flow only takes the new cap, so
-    /// the next insert places it where that cap sorts.
+    /// the next insert places it where that cap sorts. A `-0.0` cap is
+    /// stored as `+0.0`, as in [`WaterFiller::insert`].
     ///
     /// # Panics
     /// Panics on a removed handle or an invalid cap.
@@ -269,6 +274,7 @@ impl WaterFiller {
             non_negative_finite(cap),
             "flow cap must be finite and >= 0, got {cap}"
         );
+        let cap = cap.abs();
         let i = id.0;
         assert!(self.alive[i as usize], "flow {:?} is not live", id);
         if self.unplaced != Some(i) {
@@ -473,9 +479,11 @@ mod tests {
                     self.wf.capacity()
                 );
                 if !self.wf.is_clipped(id) {
+                    // Verbatim up to the sign of zero: a `-0.0` cap is
+                    // stored as `+0.0`.
                     assert_eq!(
                         got.to_bits(),
-                        cap.to_bits(),
+                        cap.abs().to_bits(),
                         "frozen grants must be the cap verbatim"
                     );
                 }
@@ -489,6 +497,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A `-0.0` cap sorts as zero: the level is the 1.75 that
+    /// `progressive_fill` grants the two largest caps, and the flip query
+    /// above 0.25 skips the zero flow.
+    #[test]
+    fn a_negative_zero_cap_sorts_as_zero() {
+        let mut s = Shadow::new(5.0);
+        for c in [-0.0, 1.0, 2.0, 3.0, 0.5] {
+            s.insert(c);
+            s.assert_matches_oracle();
+        }
+        assert_eq!(s.wf.level(), 1.75);
+        let zero = s.live[0].0;
+        s.wf.for_caps_in(0.25, 10.0, |id| {
+            assert_ne!(id, zero, "visited the zero flow")
+        });
+        s.update(1, -0.0);
+        s.assert_matches_oracle();
+        s.wf.for_caps_in(0.25, 10.0, |id| assert_ne!(id, s.live[1].0));
     }
 
     #[test]
@@ -716,8 +744,14 @@ mod tests {
             // (all-frozen: every grant is a cap verbatim).
             capacity_class in 0u8..3,
             capacity_mantissa in 1.0f64..9.9,
+            // One cap in eight is `-0.0`, which inserts and updates
+            // must order as `+0.0`.
             ops in proptest::collection::vec(
-                (0u8..4, any::<u16>(), 0.0f64..1e9),
+                (
+                    0u8..4,
+                    any::<u16>(),
+                    (0.0f64..1e9, 0u8..8).prop_map(|(c, z)| if z == 0 { -0.0 } else { c }),
+                ),
                 1..70,
             ),
         ) {

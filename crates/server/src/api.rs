@@ -10,11 +10,12 @@
 
 use serde::{Deserialize, Serialize};
 use sss_core::{
-    decide, Axis, BreakEven, Decision, DecisionReport, FrontierSpec, ModelParams, ParamError,
-    Scenario, Sensitivity, Tier, TierReport,
+    decide, BreakEven, Decision, DecisionReport, ModelParams, ParamError, Scenario, Sensitivity,
+    Tier, TierReport,
 };
 use sss_loadgen::{
-    AdmissionPolicy, FleetConfig, FleetSim, FrontierJob, ReplayConfig, SessionReplay,
+    AdmissionPolicy, Axis, FleetConfig, FleetSim, FrontierJob, FrontierSpec, ReplayConfig,
+    SessionReplay,
 };
 use sss_sim::{Fidelity, TraceShape};
 use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio};
@@ -203,8 +204,8 @@ fn default_slices() -> usize {
 ///
 /// Axes use the CLI's compact `name:lo:hi[:log]` notation (e.g.
 /// `"wan_gbps:1:400"`, `"data_tb:0.1:100:log"`). The response is the
-/// serialized [`sss_core::FrontierMap`] — byte-identical to what the CLI
-/// and the sequential reference produce for the same query.
+/// serialized [`sss_loadgen::FrontierMap`] — the map the CLI computes for
+/// the same query, byte for byte at any worker count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct FrontierRequest {

@@ -131,12 +131,6 @@ impl Bytes {
     pub fn clamp(self, lo: Bytes, hi: Bytes) -> Bytes {
         Bytes(self.0.clamp(lo.0, hi.0))
     }
-
-    /// Absolute difference `|self - other|`, useful in tolerance checks.
-    #[inline]
-    pub fn abs_diff(self, other: Bytes) -> Bytes {
-        Bytes((self.0 - other.0).abs())
-    }
 }
 
 impl Add for Bytes {

@@ -101,12 +101,6 @@ impl TimeDelta {
     pub fn max(self, other: TimeDelta) -> TimeDelta {
         TimeDelta(self.0.max(other.0))
     }
-
-    /// Absolute difference `|self - other|`.
-    #[inline]
-    pub fn abs_diff(self, other: TimeDelta) -> TimeDelta {
-        TimeDelta((self.0 - other.0).abs())
-    }
 }
 
 impl Add for TimeDelta {

@@ -10,10 +10,10 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`sss_core`] | the decision model: `T_pct` (Eq. 3–10), Streaming Speed Score (Eq. 11), break-even boundaries and frontier maps, latency tiers, regime maps |
+//! | [`sss_core`] | the decision model: `T_pct` (Eq. 3–10), Streaming Speed Score (Eq. 11), break-even boundaries, latency tiers, regime maps |
 //! | [`sss_sim`] | the shared discrete-event kernel: clocks, deterministic event queue, time-varying WAN bandwidth traces |
 //! | [`sss_netsim`] | packet-level network simulator (TCP CUBIC/Reno + SACK + HyStart, drop-tail queues) standing in for the paper's 25 Gbps testbed |
-//! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning) plus the trace-driven `SessionReplay` model validator |
+//! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning), the trace-driven `SessionReplay` model validator, and break-even frontier maps (`FrontierJob`) |
 //! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), as per-frame recurrences over a WAN bandwidth trace (a constant-rate WAN is the steady trace) |
 //! | [`sss_stats`] | tail-latency statistics: Welford summary, ECDF, the P50/P90/P99/max digest, bootstrap CIs, rate series |
 //! | [`sss_exec`] | deterministic parallel sweep executor |
@@ -63,18 +63,19 @@ pub use sss_units as units;
 /// the model, run the simulators.
 pub mod prelude {
     pub use sss_core::{
-        decide, decide_batch, Axis, BreakEven, CompletionModel, CongestionCurve, Decision,
-        DecisionReport, FrontierMap, FrontierSpec, ModelParams, RegimeMap, Scenario, ScenarioSpec,
-        StreamingSpeedScore, Tier, TierReport,
+        decide, decide_batch, BreakEven, CompletionModel, CongestionCurve, Decision,
+        DecisionReport, ModelParams, RegimeMap, Scenario, ScenarioSpec, StreamingSpeedScore, Tier,
+        TierReport,
     };
     pub use sss_exec::ThreadPool;
     pub use sss_iosim::{
         presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource, MovementResult,
     };
     pub use sss_loadgen::{
-        frontier_csv, frontier_table, replay_table, run_http_load, summary_table, sweep,
-        Experiment, ExperimentResult, FrontierJob, HttpLoadSpec, ReplayConfig, ReplayReport,
-        ScenarioEvaluation, ScenarioSuite, SessionReplay, SpawnStrategy, SuiteConfig, SweepSpec,
+        frontier_csv, frontier_table, replay_table, run_http_load, summary_table, sweep, Axis,
+        Experiment, ExperimentResult, FrontierJob, FrontierMap, FrontierSpec, HttpLoadSpec,
+        ReplayConfig, ReplayReport, ScenarioEvaluation, ScenarioSuite, SessionReplay,
+        SpawnStrategy, SuiteConfig, SweepSpec,
     };
     pub use sss_netsim::{FlowSpec, SimConfig, SimTime, Simulator};
     pub use sss_server::{Server, ServerConfig};

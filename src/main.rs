@@ -20,14 +20,13 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use stream_score::core::frontier::{AlphaJitter, Axis, FrontierMap, FrontierSpec};
 use stream_score::core::nearest_within;
 use stream_score::core::planner::plan_for_tier;
 use stream_score::core::sensitivity::Sensitivity;
 use stream_score::loadgen::{
     boundary_csv, fleet_csv, fleet_scenario_table, fleet_table, frontier_csv, frontier_table,
     loadtest_table, replay_csv, replay_summary_table, replay_table, run_http_load, AdmissionPolicy,
-    FleetConfig, FleetSim, FrontierJob, HttpLoadSpec, ReplayConfig, SessionReplay,
+    AlphaJitter, FleetConfig, FleetSim, HttpLoadSpec, ReplayConfig, SessionReplay,
 };
 use stream_score::prelude::*;
 use stream_score::report::CharGrid;

@@ -12,6 +12,9 @@ use std::process::Command;
 
 use stream_score::server::{Health, Server, ServerConfig, ServerHandle};
 
+mod common;
+use common::fnv1a64;
+
 fn run(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_stream-score"))
         .args(args)
@@ -136,13 +139,6 @@ fn bursty_fleet_matches_the_golden_csv() {
         assert!(ok, "{stderr}");
         assert_eq!(csv, golden, "{shape}/{fidelity}");
     }
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// perfbench's `fleet_bursty` cell: 5000 bursty sessions through 128 DTN

@@ -1,13 +1,17 @@
 //! Integration tests for the break-even frontier engine: boundary
-//! physics, parallel/sequential byte-identity, refinement convergence,
-//! and the `POST /frontier` HTTP round-trip.
+//! physics, CI's two maps against their pinned digests, byte-identity
+//! across worker counts, refinement convergence, and the
+//! `POST /frontier` HTTP round-trip.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use stream_score::core::frontier::{Axis, FrontierMap, FrontierSpec};
+use stream_score::loadgen::AlphaJitter;
 use stream_score::prelude::*;
 use stream_score::server::{Server, ServerConfig};
+
+mod common;
+use common::fnv1a64;
 
 fn lcls() -> ModelParams {
     Scenario::by_id("lcls-coherent-scattering").unwrap().params
@@ -22,12 +26,20 @@ fn spec(resolution: usize) -> FrontierSpec {
     spec
 }
 
+/// The map of `spec` over LCLS-II on a pool of one: every row and edge in
+/// order on the calling thread.
+fn inline(spec: FrontierSpec) -> FrontierMap {
+    FrontierJob::new(lcls(), spec)
+        .unwrap()
+        .run(&ThreadPool::new(1))
+}
+
 #[test]
 fn boundary_is_monotone_along_the_feasibility_diagonal() {
     // The feasibility frontier sits at α·Bw = S: doubling the data volume
     // must double the bandwidth where the decision flips. The refined
     // boundary points must reproduce both the monotonicity and the slope.
-    let map = spec(16).compute(&lcls());
+    let map = inline(spec(16));
     let mut flips: Vec<(f64, f64)> = map.slices[0]
         .boundary
         .iter()
@@ -52,11 +64,63 @@ fn boundary_is_monotone_along_the_feasibility_diagonal() {
     }
 }
 
+/// CI's determinism-job maps: LCLS-II's coherent-scattering workload
+/// (`lcls2`) over `wan_gbps:1:1000:log` × `data_gb:0.1:40:log`, and with
+/// `three_d` the same map sliced twice along `remote_tflops:50:500` with
+/// α-jitter (sd 0.05, 32 draws a cell). Everything else is the CLI's
+/// default: resolution 24, tolerance 1e-3, seed 42.
+fn ci_job(three_d: bool) -> FrontierJob {
+    let mut spec = FrontierSpec::new(
+        Axis::parse("wan_gbps:1:1000:log").unwrap(),
+        Axis::parse("data_gb:0.1:40:log").unwrap(),
+    );
+    if three_d {
+        spec.z = Some(Axis::parse("remote_tflops:50:500").unwrap());
+        spec.slices = 2;
+        spec.jitter = Some(AlphaJitter {
+            sd: 0.05,
+            samples: 32,
+        });
+    }
+    FrontierJob::new(Scenario::resolve("lcls2").unwrap().params, spec).unwrap()
+}
+
+/// CI's two maps, pinned by absolute bytes: their grid cells and
+/// boundary points, and the length and FNV-1a-64 digest of the serialized
+/// `FrontierMap` (the `POST /frontier` body). Worker-count comparisons
+/// hold the engine to itself; these hold its rows, edges, seeds and
+/// verdicts to fixed bytes. Change a digest only when the frontier's
+/// output changes on purpose.
+#[test]
+fn ci_maps_match_their_pinned_digests() {
+    for (three_d, cells, boundary, len, digest) in [
+        (false, 576, 49, 73_036, 0x41f1_fd96_67af_65ae),
+        (true, 1152, 99, 144_413, 0x897f_f553_6d42_6e52),
+    ] {
+        let job = ci_job(three_d);
+        for workers in [1, 2, 8] {
+            let map = job.run(&ThreadPool::new(workers));
+            let body = serde_json::to_string(&map).unwrap();
+            let at = format!("3D {three_d}, {workers} workers");
+            let slices = map.slices.iter();
+            let cell_count: usize = slices
+                .clone()
+                .map(|s| s.cells.iter().flatten().count())
+                .sum();
+            let boundary_count: usize = slices.map(|s| s.boundary.len()).sum();
+            assert_eq!(cell_count, cells, "{at}: cells");
+            assert_eq!(boundary_count, boundary, "{at}: boundary points");
+            assert_eq!(body.len(), len, "{at}: body length");
+            assert_eq!(fnv1a64(body.as_bytes()), digest, "{at}: digest");
+        }
+    }
+}
+
 #[test]
 fn parallel_output_is_byte_identical_to_sequential() {
     let job = FrontierJob::new(lcls(), spec(12)).unwrap();
-    let seq = job.spec().compute(job.base());
-    for workers in [1, 4, 8] {
+    let seq = job.run(&ThreadPool::new(1));
+    for workers in [2, 4, 8] {
         let par = job.run(&ThreadPool::new(workers));
         assert_eq!(par, seq, "{workers} workers changed the result");
         assert_eq!(
@@ -72,7 +136,7 @@ fn refinement_converges_to_the_configured_tolerance() {
     for tolerance in [1e-2, 1e-3, 1e-4] {
         let mut s = spec(10);
         s.tolerance = tolerance;
-        let map = s.compute(&lcls());
+        let map = inline(s.clone());
         let slice = &map.slices[0];
         assert!(!slice.boundary.is_empty());
         for b in &slice.boundary {
@@ -91,12 +155,12 @@ fn refinement_converges_to_the_configured_tolerance() {
     let coarse = {
         let mut s = spec(10);
         s.tolerance = 1e-2;
-        s.compute(&lcls()).evaluations
+        inline(s).evaluations
     };
     let fine = {
         let mut s = spec(10);
         s.tolerance = 1e-4;
-        s.compute(&lcls()).evaluations
+        inline(s).evaluations
     };
     assert!(fine > coarse);
 }
@@ -153,9 +217,13 @@ fn http_frontier_round_trips_and_memoizes() {
     spec.resolution = 12;
     spec.tolerance = 1e-3;
     let job = FrontierJob::new(lcls(), spec).unwrap();
-    let local = job.spec().compute(job.base());
+    let local = job.run(&ThreadPool::new(1));
     assert_eq!(served.slices, local.slices);
     assert_eq!(served.evaluations, local.evaluations);
+    for workers in [2, 8] {
+        let par = job.run(&ThreadPool::new(workers));
+        assert_eq!(par, local, "{workers} workers");
+    }
 
     // A repeat of the same query is answered from the memoized body cache
     // with identical bytes.
