@@ -36,7 +36,7 @@ pub(crate) fn run(ctx: &Context) {
     ]);
 
     for p in points.iter().filter(|p| p.parallel_flows == 8) {
-        let exp = &p.results[0].experiment;
+        let exp = &p.experiment;
         let cfg = &exp.config;
         let prop = ContinuumApproximation::new(cfg.base_rtt() / 2.0);
         let best = DelayDecomposition::best_case(

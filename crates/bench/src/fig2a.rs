@@ -35,7 +35,7 @@ pub(crate) fn run(ctx: &Context) {
         "sss",
     ]);
     for p in points {
-        let offered = p.results[0].experiment.offered_load().value();
+        let offered = p.experiment.offered_load().value();
         table.row([
             p.parallel_flows.to_string(),
             p.concurrency.to_string(),

@@ -25,7 +25,7 @@ pub(crate) fn run(ctx: &Context) {
     ]);
     let mut max_worst = 0.0f64;
     for p in points {
-        let offered = p.results[0].experiment.offered_load().value();
+        let offered = p.experiment.offered_load().value();
         max_worst = max_worst.max(p.worst_transfer_s);
         table.row([
             p.parallel_flows.to_string(),
@@ -50,9 +50,7 @@ pub(crate) fn run(ctx: &Context) {
     let mut plot = AsciiPlot::new("max transfer time (s) vs offered load (%)", 64, 12)
         .labels("offered load %", "worst transfer s")
         .scales(Scale::Linear, Scale::Linear);
-    for s in p_series(points, |p| {
-        p.results[0].experiment.offered_load().value() * 100.0
-    }) {
+    for s in p_series(points, |p| p.experiment.offered_load().value() * 100.0) {
         plot = plot.series(s);
     }
     println!("{}", plot.render());

@@ -2,9 +2,13 @@
 //!
 //! Contribution (1) promises to "identify operational regimes where
 //! streaming is beneficial"; this renders the (α, r) decision plane for
-//! each bundled scenario, plus the analytic break-even boundaries.
+//! each bundled scenario, plus the analytic break-even boundaries. Each
+//! plane is a 24 × 24 frontier map over `alpha × remote_tflops`, the
+//! remote rate spanning 0.2× to 50× the scenario's local rate, so r =
+//! remote / local labels its rows.
 
-use sss_core::{BreakEven, Decision, RegimeMap, Scenario};
+use sss_core::{BreakEven, Decision, Scenario};
+use sss_loadgen::{Axis, FrontierJob, FrontierSpec};
 use sss_report::{CsvWriter, Table};
 
 use crate::context::Context;
@@ -40,28 +44,40 @@ pub(crate) fn run(ctx: &Context) {
                 .unwrap_or_else(|| "-".into()),
         ]);
 
-        let map = RegimeMap::compute(&scenario.params, (0.05, 1.0), (0.2, 50.0), 24, 12);
+        let local = scenario.params.local_rate.as_tflops();
+        let x = Axis::parse("alpha:0.05:1").expect("alpha axis");
+        let y = Axis::parse(&format!(
+            "remote_tflops:{}:{}:log",
+            0.2 * local,
+            50.0 * local
+        ))
+        .expect("remote rate axis");
+        let job =
+            FrontierJob::new(scenario.params, FrontierSpec::new(x, y)).expect("valid regime map");
+        let map = job.run(&ctx.pool);
+        let slice = &map.slices[0];
         println!(
             "regime map for {} (rows: r {:.1}..{:.1} log, cols: α 0.05..1.0); \
              S=stream, L=local, !=infeasible",
             scenario.id, 0.2, 50.0
         );
         // Print with r descending so "more remote compute" is up.
-        for (ri, row) in map.cells.iter().enumerate().rev() {
-            let line: String = row.iter().map(|d| cell_char(*d)).collect();
-            println!("  r={:>6.2} |{line}|", map.rs[ri]);
-            for (ai, d) in row.iter().enumerate() {
+        for (row, y) in slice.cells.iter().zip(&slice.ys).rev() {
+            let r = y / local;
+            let line: String = row.iter().map(|c| cell_char(c.decision)).collect();
+            println!("  r={r:>6.2} |{line}|");
+            for cell in row {
                 csv.row([
                     scenario.id.to_string(),
-                    map.alphas[ai].to_string(),
-                    map.rs[ri].to_string(),
-                    format!("{d:?}"),
+                    cell.x.to_string(),
+                    r.to_string(),
+                    format!("{:?}", cell.decision),
                 ]);
             }
         }
         println!(
             "  streaming wins in {:.0}% of the sampled plane\n",
-            map.stream_fraction() * 100.0
+            slice.stream_fraction * 100.0
         );
     }
 

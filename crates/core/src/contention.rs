@@ -4,41 +4,21 @@
 //! The closed-form model (Eq. 3–10) prices the network as a private
 //! `α·Bw` link. In a shared facility the same session queues for a DTN
 //! slot and splits the WAN with concurrent campaigns, so its realized
-//! `T_pct` can only be equal or worse. This module holds the vocabulary
-//! for that comparison:
+//! `T_pct` can only be equal or worse. The comparison takes two pieces:
 //!
-//! * [`contended_decision`] re-runs the model's own decision rule with
-//!   the realized `T_pct` in place of the analytic one — feasibility is a
-//!   rate property of the workload and link, so an `Infeasible` verdict
-//!   stands regardless of load;
+//! * the model's own rule, [`judge`](crate::judge), fed the realized
+//!   `T_pct` in place of the analytic one, with the workload's required
+//!   and effective rates and the analytic `T_local` (the local path has
+//!   no network in it, so its closed form stays exact under contention).
+//!   Feasibility is a rate property of the workload and its link, so an
+//!   `Infeasible` verdict stands regardless of load;
 //! * a **mispredict** is an idle-WAN `RemoteStream` verdict that
 //!   contention pushed past `T_local` (the only direction a verdict can
 //!   flip: realized completion is never faster than the closed form);
-//! * [`ContentionSummary`] aggregates mispredicts and slowdowns over a
+//!   [`ContentionSummary`] aggregates mispredicts and slowdowns over a
 //!   group of sessions (one scenario, one policy cell, a whole fleet).
 
 use serde::{Deserialize, Serialize};
-
-use crate::decision::{Decision, Verdict};
-
-/// The decision the model would reach if it had known the realized
-/// completion time.
-///
-/// `Infeasible` is preserved: the workload's sustained rate exceeding the
-/// link is a property of the session, not of the load around it. For the
-/// feasible verdicts the model's strict comparison is re-applied with
-/// `realized_t_pct_s` against the analytic `T_local` (the local path has
-/// no network in it, so its closed form stays exact under contention).
-pub fn contended_decision(model: &Verdict, realized_t_pct_s: f64) -> Decision {
-    if model.decision == Decision::Infeasible {
-        return Decision::Infeasible;
-    }
-    if realized_t_pct_s < model.t_local.as_secs() {
-        Decision::RemoteStream
-    } else {
-        Decision::Local
-    }
-}
 
 /// Mispredict and slowdown aggregates over a group of sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,9 +63,21 @@ impl ContentionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::verdict;
+    use crate::decision::{judge, verdict, Decision};
     use crate::params::ModelParams;
-    use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio};
+    use sss_units::{Bytes, ComputeIntensity, FlopRate, Rate, Ratio, TimeDelta};
+
+    /// The model's rule at `p` with `realized` in place of the analytic
+    /// `T_pct`.
+    fn rejudge(p: &ModelParams, realized: f64) -> Decision {
+        let model = verdict(p);
+        judge(
+            p.required_stream_rate(),
+            p.effective_rate(),
+            model.t_local,
+            TimeDelta::from_secs(realized),
+        )
+    }
 
     fn streaming_params() -> ModelParams {
         // The paper's flagship workload: remote streaming wins cleanly.
@@ -102,20 +94,21 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_verdict_is_preserved() {
+    fn realized_below_local_streams() {
         let p = streaming_params();
         let model = verdict(&p);
         assert_eq!(model.decision, Decision::RemoteStream);
-        let same = contended_decision(&model, model.t_pct.as_secs());
-        assert_eq!(same, Decision::RemoteStream);
+        assert_eq!(rejudge(&p, model.t_pct.as_secs()), Decision::RemoteStream);
+        let just_below = model.t_local.as_secs().next_down();
+        assert_eq!(rejudge(&p, just_below), Decision::RemoteStream);
     }
 
     #[test]
-    fn heavy_contention_flips_stream_to_local() {
+    fn realized_at_or_past_local_is_local() {
         let p = streaming_params();
-        let model = verdict(&p);
-        let past_local = model.t_local.as_secs() * 2.0;
-        assert_eq!(contended_decision(&model, past_local), Decision::Local);
+        let t_local = verdict(&p).t_local.as_secs();
+        assert_eq!(rejudge(&p, t_local), Decision::Local, "a tie is local");
+        assert_eq!(rejudge(&p, t_local * 2.0), Decision::Local);
     }
 
     #[test]
@@ -130,9 +123,10 @@ mod tests {
             .theta(Ratio::ONE)
             .build()
             .unwrap();
-        let model = verdict(&p);
-        assert_eq!(model.decision, Decision::Infeasible);
-        assert_eq!(contended_decision(&model, 1e-6), Decision::Infeasible);
+        assert_eq!(verdict(&p).decision, Decision::Infeasible);
+        for realized in [0.0, 1e-6, verdict(&p).t_local.as_secs(), 1e9] {
+            assert_eq!(rejudge(&p, realized), Decision::Infeasible, "{realized}");
+        }
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The stream-or-not decision, break-even boundaries, and regime maps.
+//! The stream-or-not decision and its break-even boundaries. The
+//! regime maps of contribution (1), where the decision flips across a
+//! plane of parameters, are `sss-loadgen`'s frontier maps.
 
 use serde::{Deserialize, Serialize};
 use sss_units::{Rate, Ratio, TimeDelta};
@@ -65,17 +67,37 @@ impl Verdict {
     }
 }
 
+/// The model's decision rule, from rates and times already in hand:
+/// infeasible when the demanded sustained rate exceeds the effective
+/// link rate, otherwise remote streaming exactly when `t_pct` is
+/// strictly below `t_local`.
+///
+/// [`verdict`] feeds it the closed form. The trace replay and the fleet
+/// feed it a simulated or realized `T_pct` (and the replay a trace's mean
+/// effective rate), so they grade the model by its own rule. Every
+/// decision in the workspace comes from this one function.
+#[inline]
+pub fn judge(required: Rate, effective: Rate, t_local: TimeDelta, t_pct: TimeDelta) -> Decision {
+    if required.as_bytes_per_sec() > effective.as_bytes_per_sec() {
+        Decision::Infeasible
+    } else if t_pct.as_secs() < t_local.as_secs() {
+        Decision::RemoteStream
+    } else {
+        Decision::Local
+    }
+}
+
 /// Apply the §3 model: the verdict [`decide`] justifies, without the
 /// prose.
 pub fn verdict(params: &ModelParams) -> Verdict {
     let m = CompletionModel::new(*params);
     let t_local = m.t_local();
     let t_pct = m.t_pct();
-    let decision = kernel::verdict(
-        params.data_unit.as_b(),
-        params.effective_rate().as_bytes_per_sec(),
-        t_local.as_secs(),
-        t_pct.as_secs(),
+    let decision = judge(
+        params.required_stream_rate(),
+        params.effective_rate(),
+        t_local,
+        t_pct,
     );
     Verdict {
         decision,
@@ -202,82 +224,6 @@ impl BreakEven {
             theta_max,
             bw_min,
         }
-    }
-}
-
-/// A grid of decisions over the (α, r) plane — the "operational regimes
-/// where streaming is beneficial" of contribution (1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegimeMap {
-    /// Sampled α values (columns).
-    pub alphas: Vec<f64>,
-    /// Sampled r values (rows).
-    pub rs: Vec<f64>,
-    /// `cells[row][col]` = decision at `(rs[row], alphas[col])`.
-    pub cells: Vec<Vec<Decision>>,
-}
-
-impl RegimeMap {
-    /// Evaluate the decision over `n_alpha × n_r` samples of
-    /// `alpha ∈ [alpha_lo, alpha_hi]`, `r ∈ [r_lo, r_hi]` (log-spaced in
-    /// r), holding the other parameters of `base` fixed.
-    ///
-    /// # Panics
-    /// Panics on empty ranges or zero sample counts.
-    pub fn compute(
-        base: &ModelParams,
-        (alpha_lo, alpha_hi): (f64, f64),
-        (r_lo, r_hi): (f64, f64),
-        n_alpha: usize,
-        n_r: usize,
-    ) -> Self {
-        assert!(n_alpha >= 2 && n_r >= 2, "need at least a 2×2 grid");
-        assert!(
-            0.0 < alpha_lo && alpha_lo < alpha_hi && alpha_hi <= 1.0,
-            "alpha range must satisfy 0 < lo < hi <= 1"
-        );
-        assert!(
-            0.0 < r_lo && r_lo < r_hi,
-            "r range must satisfy 0 < lo < hi"
-        );
-
-        let alphas: Vec<f64> = (0..n_alpha)
-            .map(|i| alpha_lo + (alpha_hi - alpha_lo) * i as f64 / (n_alpha - 1) as f64)
-            .collect();
-        let log_lo = r_lo.ln();
-        let log_hi = r_hi.ln();
-        let rs: Vec<f64> = (0..n_r)
-            .map(|i| (log_lo + (log_hi - log_lo) * i as f64 / (n_r - 1) as f64).exp())
-            .collect();
-
-        let cells = rs
-            .iter()
-            .map(|&r| {
-                alphas
-                    .iter()
-                    .map(|&a| {
-                        let mut p = *base;
-                        p.alpha = Ratio::new(a);
-                        p.remote_rate = p.local_rate * r;
-                        decide(&p).decision
-                    })
-                    .collect()
-            })
-            .collect();
-
-        RegimeMap { alphas, rs, cells }
-    }
-
-    /// Fraction of grid cells where remote streaming wins.
-    pub fn stream_fraction(&self) -> f64 {
-        let total = self.cells.len() * self.alphas.len();
-        let wins = self
-            .cells
-            .iter()
-            .flatten()
-            .filter(|d| **d == Decision::RemoteStream)
-            .count();
-        wins as f64 / total as f64
     }
 }
 
@@ -426,23 +372,6 @@ mod tests {
     #[test]
     fn decide_batch_empty_is_empty() {
         assert!(decide_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn regime_map_has_both_regimes() {
-        let map = RegimeMap::compute(&params(100.0, 0.8, 1.0), (0.05, 1.0), (0.5, 100.0), 12, 12);
-        let f = map.stream_fraction();
-        assert!(f > 0.0 && f < 1.0, "expected a mixed map, got {f}");
-        // Streaming regime grows with both α and r: top-right cell must
-        // stream, bottom-left must not.
-        assert_eq!(map.cells[11][11], Decision::RemoteStream);
-        assert_ne!(map.cells[0][0], Decision::RemoteStream);
-    }
-
-    #[test]
-    #[should_panic(expected = "2×2")]
-    fn degenerate_grid_rejected() {
-        let _ = RegimeMap::compute(&params(100.0, 0.8, 1.0), (0.1, 1.0), (0.5, 10.0), 1, 5);
     }
 }
 

@@ -9,12 +9,18 @@
 //!   `T_IO`, and the total processing-completion time `T_pct`; its scalar
 //!   kernels are the one evaluator behind [`verdict`], [`decide`] and
 //!   Monte Carlo.
+//! * [`judge`] — the one decision rule: infeasible when the demanded rate
+//!   exceeds the effective link rate, else remote exactly when `T_pct <
+//!   T_local`. The closed form, the trace replay and the fleet all judge
+//!   through it.
 //! * [`StreamingSpeedScore`] — Eq. 11: worst-case over theoretical
 //!   transfer time, measured under controlled congestion.
-//! * [`decision`] — the stream / stay-local verdict, feasibility checks,
-//!   analytic break-even boundaries and (α, r) regime maps.
+//! * [`decision`] — the stream / stay-local verdict and analytic
+//!   break-even boundaries (the maps of where it flips are `sss-loadgen`'s
+//!   frontier maps).
 //! * [`tiers`] — the case study's latency tiers (real-time < 1 s, near
-//!   real-time < 10 s, quasi real-time < 1 min).
+//!   real-time < 10 s, quasi real-time < 1 min); [`planner`] runs the
+//!   tier evaluation backwards.
 //! * [`delay`] — the Kurose–Ross delay decomposition (Eq. 1) and the
 //!   "computing continuum" approximation (Eq. 2) the paper critiques.
 //! * [`congestion`] — utilization → worst-case-inflation curves: empirical
@@ -67,9 +73,9 @@ pub mod sss;
 pub mod tiers;
 
 pub use congestion::{CongestionCurve, Curve1D, MM1Reference};
-pub use contention::{contended_decision, ContentionSummary};
+pub use contention::ContentionSummary;
 pub use decision::{
-    decide, decide_batch, verdict, BreakEven, Decision, DecisionReport, RegimeMap, Verdict,
+    decide, decide_batch, judge, verdict, BreakEven, Decision, DecisionReport, Verdict,
 };
 pub use delay::{ContinuumApproximation, DelayDecomposition};
 pub use model::CompletionModel;

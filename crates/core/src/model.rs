@@ -10,8 +10,6 @@ use crate::params::ModelParams;
 /// [`CompletionModel`], [`decide`](crate::decision::decide), Monte Carlo
 /// and the frontier cannot drift apart.
 pub(crate) mod kernel {
-    use crate::decision::Decision;
-
     /// Eq. 3 — `T_local = C·S/R_local`, seconds.
     #[inline(always)]
     pub(crate) fn t_local(s: f64, c: f64, rl: f64) -> f64 {
@@ -66,22 +64,6 @@ pub(crate) mod kernel {
     #[inline(always)]
     pub(crate) fn reduction(s: f64, c: f64, rl: f64, rr: f64, bw: f64, a: f64, th: f64) -> f64 {
         1.0 - guarded_ratio(t_pct(s, c, rr, bw, a, th), t_local(s, c, rl))
-    }
-
-    /// The three-way verdict from already-evaluated times: infeasible
-    /// when the demanded sustained rate (`S` bytes per second) exceeds
-    /// the effective link rate `α·Bw`, otherwise a strict
-    /// `T_pct < T_local` comparison. Every decision branch in the crate
-    /// funnels through this one function.
-    #[inline(always)]
-    pub(crate) fn verdict(s: f64, effective: f64, t_local: f64, t_pct: f64) -> Decision {
-        if s > effective {
-            Decision::Infeasible
-        } else if t_pct < t_local {
-            Decision::RemoteStream
-        } else {
-            Decision::Local
-        }
     }
 }
 

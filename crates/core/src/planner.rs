@@ -1,18 +1,21 @@
 //! Facility planning: the model run backwards.
 //!
 //! §6 promises "practical recommendations for facility decision-making".
-//! The forward model answers *"will this workload meet its tier?"*; the
-//! planner answers *"what would it take?"* — the minimum link bandwidth,
-//! remote compute, or transfer efficiency that brings a workload inside
-//! its latency tier under a measured congestion curve.
+//! The forward model answers *"will this workload meet its tier?"* with a
+//! [`TierReport`]; the planner answers *"what would it take?"* — the
+//! minimum link bandwidth, remote compute, or transfer efficiency that
+//! brings a workload inside its latency tier under a measured congestion
+//! curve. Every operating point it weighs, the current one and each
+//! candidate bandwidth, is one [`TierReport::evaluate`] at the SSS the
+//! curve reads at that point's utilization.
 
 use serde::{Deserialize, Serialize};
 use sss_units::{FlopRate, Rate, TimeDelta};
 
 use crate::congestion::CongestionCurve;
-use crate::model::CompletionModel;
+use crate::decision::{verdict, Decision};
 use crate::params::ModelParams;
-use crate::tiers::Tier;
+use crate::tiers::{Tier, TierReport};
 
 /// What a workload needs to meet a tier, holding everything else fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,83 +41,55 @@ pub struct Plan {
 /// utilization to worst-case inflation (Eq. 11 applied at each operating
 /// point). Returns `None` for [`Tier::Offline`].
 pub fn plan_for_tier(params: &ModelParams, curve: &CongestionCurve, tier: Tier) -> Option<Plan> {
-    let budget = tier.budget()?;
-    let worst_now = worst_t_pct(params, curve);
+    let report = |p: &ModelParams| TierReport::evaluate(p, curve.sss_at(utilization(p)), tier);
+    let now = report(params)?;
+    let with_link = |bw_factor: f64| {
+        let mut p = *params;
+        p.bandwidth = params.bandwidth * bw_factor;
+        p
+    };
+    let meets = |p: &ModelParams| report(p).is_some_and(|r| r.feasible);
 
-    // Minimum remote rate: budget_for_compute = budget − θ·T_worst;
-    // rate = C·S / budget_for_compute.
-    let transfer_budget = budget - worst_transfer(params, curve) * params.theta;
-    let work = params.intensity * params.data_unit;
-    let min_remote_rate = (transfer_budget.as_secs() > 0.0)
-        .then(|| FlopRate::from_flops(work.as_flop() / transfer_budget.as_secs()));
-
-    // Minimum bandwidth: T_pct(bw) is monotone non-increasing in bw (the
+    // Worst-case T_pct is monotone non-increasing in bandwidth (the
     // utilization falls, the curve value falls, the theoretical time
-    // falls), so bisect on a bracket up to 100× the current link.
-    let min_bandwidth = {
-        let meets = |bw_factor: f64| -> bool {
-            let mut p = *params;
-            p.bandwidth = params.bandwidth * bw_factor;
-            worst_t_pct(&p, curve) <= budget
+    // falls). A workload that meets the tier bisects down to 1% of its
+    // link for the headroom, where a candidate must also carry the stream
+    // at all; one that misses it bisects up to 100×.
+    let min_bandwidth = if now.feasible {
+        let holds = |f: f64| {
+            let p = with_link(f);
+            verdict(&p).decision != Decision::Infeasible && meets(&p)
         };
-        if meets(1.0) {
-            Some(search_down(params, curve, budget))
-        } else if !meets(100.0) {
-            None
+        let factor = if holds(0.01) {
+            0.01
         } else {
-            let (mut lo, mut hi) = (1.0f64, 100.0f64);
-            for _ in 0..60 {
-                let mid = 0.5 * (lo + hi);
-                if meets(mid) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            Some(params.bandwidth * hi)
-        }
+            bisect(0.01, 1.0, holds)
+        };
+        Some(params.bandwidth * factor)
+    } else if meets(&with_link(100.0)) {
+        Some(params.bandwidth * bisect(1.0, 100.0, |f| meets(&with_link(f))))
+    } else {
+        None
     };
 
     Some(Plan {
         tier,
-        current_worst_t_pct: worst_now,
-        already_feasible: worst_now <= budget,
-        min_remote_rate,
+        current_worst_t_pct: now.worst_t_pct,
+        already_feasible: now.feasible,
+        min_remote_rate: now.required_remote_rate,
         min_bandwidth,
     })
 }
 
-/// Worst-case transfer time of the data unit at the parameters' operating
-/// point: `SSS(utilization) × S/Bw`.
-fn worst_transfer(params: &ModelParams, curve: &CongestionCurve) -> TimeDelta {
-    let utilization =
-        params.required_stream_rate().as_bytes_per_sec() / params.bandwidth.as_bytes_per_sec();
-    let sss = curve.sss_at(utilization);
-    (params.data_unit / params.bandwidth) * sss
+/// The link utilization the workload's sustained stream causes: the
+/// point at which the congestion curve is read.
+fn utilization(params: &ModelParams) -> f64 {
+    params.required_stream_rate().as_bytes_per_sec() / params.bandwidth.as_bytes_per_sec()
 }
 
-/// Worst-case `T_pct` at an operating point.
-fn worst_t_pct(params: &ModelParams, curve: &CongestionCurve) -> TimeDelta {
-    let utilization =
-        params.required_stream_rate().as_bytes_per_sec() / params.bandwidth.as_bytes_per_sec();
-    let sss = curve.sss_at(utilization);
-    CompletionModel::new(*params).t_pct_worst_case(sss)
-}
-
-/// When already feasible, find how much link could be *given up* while
-/// still meeting the budget (useful for capacity planning): bisect down
-/// to 1% of the current link.
-fn search_down(params: &ModelParams, curve: &CongestionCurve, budget: TimeDelta) -> Rate {
-    let meets = |bw_factor: f64| -> bool {
-        let mut p = *params;
-        p.bandwidth = params.bandwidth * bw_factor;
-        // Feasibility also requires the stream to fit at all.
-        p.required_stream_rate() <= p.effective_rate() && worst_t_pct(&p, curve) <= budget
-    };
-    let (mut lo, mut hi) = (0.01f64, 1.0f64);
-    if meets(lo) {
-        return params.bandwidth * lo;
-    }
+/// Bisect a predicate that fails at `lo` and holds at `hi` with 60
+/// halvings, returning the upper end of the final bracket.
+fn bisect(mut lo: f64, mut hi: f64, meets: impl Fn(f64) -> bool) -> f64 {
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
         if meets(mid) {
@@ -123,7 +98,7 @@ fn search_down(params: &ModelParams, curve: &CongestionCurve, budget: TimeDelta)
             lo = mid;
         }
     }
-    params.bandwidth * hi
+    hi
 }
 
 #[cfg(test)]
@@ -134,6 +109,11 @@ mod tests {
     fn curve() -> CongestionCurve {
         CongestionCurve::from_points(vec![(0.16, 2.0), (0.64, 2.2), (0.9, 10.0), (1.1, 50.0)])
             .unwrap()
+    }
+
+    /// The tier report the planner weighs at an operating point.
+    fn report(p: &ModelParams, tier: Tier) -> TierReport {
+        TierReport::evaluate(p, curve().sss_at(utilization(p)), tier).unwrap()
     }
 
     fn params(remote_tf: f64, bw_gbps: f64) -> ModelParams {
@@ -163,7 +143,7 @@ mod tests {
         // ... but the reported minimum really does still meet the tier.
         let mut squeezed = params(340.0, 25.0);
         squeezed.bandwidth = min_bw * 1.01;
-        assert!(worst_t_pct(&squeezed, &curve()) <= TimeDelta::from_secs(10.0));
+        assert!(report(&squeezed, Tier::NearRealTime).feasible);
     }
 
     #[test]
@@ -177,7 +157,7 @@ mod tests {
         let mut fixed = p;
         fixed.remote_rate = need * 1.001;
         assert!(
-            worst_t_pct(&fixed, &curve()) <= TimeDelta::from_secs(10.0),
+            report(&fixed, Tier::NearRealTime).feasible,
             "planned rate {} insufficient",
             need
         );
@@ -192,7 +172,7 @@ mod tests {
         if let Some(bw) = plan.min_bandwidth {
             let mut fixed = p;
             fixed.bandwidth = bw * 1.01;
-            assert!(worst_t_pct(&fixed, &curve()) <= TimeDelta::from_secs(1.0));
+            assert!(report(&fixed, Tier::RealTime).feasible);
             assert!(bw > p.bandwidth);
         }
     }
@@ -215,7 +195,8 @@ mod tests {
     fn worst_transfer_uses_curve_at_operating_point() {
         let p = params(340.0, 25.0);
         // Utilization = 2 GB/s over 3.125 GB/s = 64% → SSS 2.2.
-        let w = worst_transfer(&p, &curve());
+        assert!((utilization(&p) - 0.64).abs() < 1e-12);
+        let w = report(&p, Tier::NearRealTime).worst_transfer;
         assert!((w.as_secs() - 2.2 * 0.64).abs() < 1e-9);
     }
 }

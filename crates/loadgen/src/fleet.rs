@@ -42,10 +42,11 @@
 //!   provides independent per-frame spot-checks of the fluid numbers via
 //!   the same differential harness the single-session replay uses.
 //!
-//! The verdict layer comes from `sss-core`'s contention module: each
-//! session's realized `T_pct` (queue wait + contended movement + remote
-//! compute) is re-judged by [`contended_decision`], a **mispredict**
-//! being an idle-WAN `RemoteStream` verdict that contention pushed past
+//! The verdict layer is `sss-core`'s: each session's realized `T_pct`
+//! (queue wait + contended movement + remote compute) is re-judged by
+//! the model's own rule, [`judge`], with its scenario's required and
+//! effective rates and analytic `T_local`, a **mispredict** being an
+//! idle-WAN `RemoteStream` verdict that contention pushed past
 //! `T_local`. [`FleetReport`] aggregates per-scenario mispredict rates
 //! and the slowdown distribution (P50/P90/P99 via `sss-stats`).
 
@@ -55,15 +56,14 @@ use std::collections::{BinaryHeap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use sss_core::{
-    contended_decision, verdict, CompletionModel, ContentionSummary, Decision, Scenario, Tier,
-    Verdict,
+    judge, verdict, CompletionModel, ContentionSummary, Decision, Scenario, Tier, Verdict,
 };
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_netsim::{WaterFiller, WaterFlowId};
 use sss_report::{CsvWriter, Table};
 use sss_sim::{BandwidthTrace, DippedTrace, Dips, EventQueue, Fidelity, Seconds, TraceShape};
 use sss_stats::select_quantiles;
-use sss_units::Rate;
+use sss_units::{Rate, TimeDelta};
 
 use crate::replay::Session;
 
@@ -1325,10 +1325,16 @@ impl FleetSim {
 
         let realized_t_pct = st.wait_s + movement + t_remote;
         let model_t_pct = model.t_pct.as_secs();
-        let realized_decision = contended_decision(model, realized_t_pct);
+        let scenario = &self.scenarios[st.scenario_idx];
+        let realized_decision = judge(
+            scenario.params.required_stream_rate(),
+            scenario.params.effective_rate(),
+            model.t_local,
+            TimeDelta::from_secs(realized_t_pct),
+        );
         Ok(FleetRecord {
             session,
-            scenario_id: self.scenarios[st.scenario_idx].id.clone(),
+            scenario_id: scenario.id.clone(),
             arrival_s: st.arrival_s,
             wait_s: st.wait_s,
             movement_s: movement,

@@ -1,12 +1,12 @@
 //! Break-even frontier maps: where in parameter space the decision flips.
 //!
 //! [`decide`](sss_core::decide) answers the question at one operating
-//! point and [`RegimeMap`](sss_core::RegimeMap) samples a fixed (α, r)
-//! grid, but a facility planning an upgrade wants the *boundary itself*:
+//! point, but a facility planning an upgrade wants the *boundary itself*:
 //! the curve in (WAN bandwidth × data volume), or any other parameter
-//! pair, along which streaming stops (or starts) paying off. This module
-//! maps that boundary over user-chosen [`Axis`] pairs (optionally sliced
-//! along a third axis) in two stages:
+//! pair, along which streaming stops (or starts) paying off. The paper's
+//! (α, r) regime maps are such maps over `alpha × remote_tflops`. This
+//! module maps that boundary over user-chosen [`Axis`] pairs (optionally
+//! sliced along a third axis) in two stages:
 //!
 //! 1. **Coarse grid** — every cell of a `resolution × resolution` grid is
 //!    classified (`Local` / `RemoteStream` / `Infeasible`).
@@ -811,12 +811,52 @@ mod tests {
 
     #[test]
     fn invalid_spec_rejected_up_front() {
-        let spec = FrontierSpec::new(
+        let one_param = FrontierSpec::new(
             Axis::parse("wan_gbps:1:400").unwrap(),
             Axis::parse("bandwidth_gbps:1:400").unwrap(),
         );
-        let err = FrontierJob::new(lcls(), spec).unwrap_err();
+        let err = FrontierJob::new(lcls(), one_param).unwrap_err();
         assert!(err.contains("different parameters"), "{err}");
+        let err = FrontierJob::new(lcls(), spec(1)).unwrap_err();
+        assert_eq!(err, "resolution must be >= 2");
+    }
+
+    /// The (α, r) plane `sss-bench regimes` draws for `base`: r from 0.2
+    /// to 50 times the local rate.
+    fn regime_job(base: ModelParams) -> FrontierJob {
+        let local = base.local_rate.as_tflops();
+        let r = format!("remote_tflops:{}:{}:log", 0.2 * local, 50.0 * local);
+        let spec = FrontierSpec::new(
+            Axis::parse("alpha:0.05:1").unwrap(),
+            Axis::parse(&r).unwrap(),
+        );
+        FrontierJob::new(base, spec).unwrap()
+    }
+
+    #[test]
+    fn regime_map_has_both_regimes_and_cells_match_decide() {
+        let job = regime_job(lcls());
+        let slice = &inline(&job).slices[0];
+        let f = slice.stream_fraction;
+        assert!(f > 0.0 && f < 1.0, "expected a mixed map, got {f}");
+        // Streaming grows with both α and r: the high corner streams and
+        // the low one does not.
+        let n = job.spec().resolution;
+        assert_eq!(slice.cells[n - 1][n - 1].decision, Decision::RemoteStream);
+        assert_ne!(slice.cells[0][0].decision, Decision::RemoteStream);
+        // Every cell of every catalog scenario's plane is `decide`'s verdict.
+        for scenario in Scenario::all() {
+            let job = regime_job(scenario.params);
+            for cell in inline(&job).slices[0].cells.iter().flatten() {
+                let p = job.params_at(None, cell.x, cell.y);
+                assert_eq!(
+                    cell.decision,
+                    decide(&p).decision,
+                    "{}: {cell:?}",
+                    scenario.id
+                );
+            }
+        }
     }
 
     #[test]

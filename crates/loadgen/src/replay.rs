@@ -38,11 +38,11 @@
 //! ([`EventFileBasedPipeline::closes`]), and each cell only delivers
 //! those closes over its own trace ([`EventFileBasedPipeline::deliver`]).
 //!
-//! The simulated **decision** re-runs the model's verdict with simulated
-//! inputs: feasibility against the trace's mean effective rate over the
-//! nominal horizon, and the simulated `T_pct` against the analytic
-//! `T_local` (the local path has no network, so its closed form is
-//! exact). Scenarios fan out across the [`ThreadPool`], one task per
+//! The simulated **decision** is the model's own rule, [`judge`], fed
+//! simulated inputs: feasibility against the trace's mean effective rate
+//! over the nominal horizon, and the simulated `T_pct` against the
+//! analytic `T_local` (the local path has no network, so its closed form
+//! is exact). Scenarios fan out across the [`ThreadPool`], one task per
 //! scenario running its cells in shape order with position-derived
 //! seeds, so replays are byte-identical across worker counts.
 //!
@@ -61,7 +61,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sss_core::{verdict, CompletionModel, Decision, ModelParams, Scenario, Verdict};
+use sss_core::{judge, verdict, CompletionModel, Decision, ModelParams, Scenario, Verdict};
 use sss_exec::{SeedSequence, ThreadPool};
 use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource, WanProfile};
 use sss_report::{CsvWriter, Table};
@@ -373,7 +373,8 @@ impl SessionReplay {
         // The trace's mean effective rate over the nominal horizon
         // (θ-undeflated, comparable to α·Bw), read before the streaming
         // pipeline takes the trace.
-        let mean_effective = session.theta * trace.mean_rate(session.horizon);
+        let mean_effective =
+            Rate::from_bytes_per_sec(session.theta * trace.mean_rate(session.horizon));
         let stream = session.stream(self.config.frames, trace);
         let sim_transfer = stream
             .run_fidelity(self.config.fidelity)
@@ -402,20 +403,17 @@ impl SessionReplay {
         // simulated inputs. Feasibility uses the trace's mean effective
         // rate; the time comparison uses the simulated T_pct against the
         // analytic T_local (no network on the local path).
-        let required = p.required_stream_rate().as_bytes_per_sec();
-        let t_local = model.t_local.as_secs();
-        let sim_decision = if required > mean_effective {
-            Decision::Infeasible
-        } else if sim_t_pct < t_local {
-            Decision::RemoteStream
-        } else {
-            Decision::Local
-        };
+        let sim_decision = judge(
+            p.required_stream_rate(),
+            mean_effective,
+            model.t_local,
+            TimeDelta::from_secs(sim_t_pct),
+        );
 
         ReplayRecord {
             scenario_id: scenario.id.clone(),
             shape,
-            mean_effective_gbps: Rate::from_bytes_per_sec(mean_effective).as_gbps(),
+            mean_effective_gbps: mean_effective.as_gbps(),
             model_transfer_s: model_eval.t_transfer().as_secs() + model_eval.t_io().as_secs(),
             sim_transfer_s: sim_transfer,
             model_t_pct_s: model_t_pct,

@@ -115,14 +115,15 @@ pub struct SweepPoint {
     pub p99_transfer_s: f64,
     /// Pooled per-transfer times (for CDF plots), seconds.
     pub samples: Vec<f64>,
-    /// The per-repeat results (kept for deeper analysis).
-    pub results: Vec<ExperimentResult>,
+    /// The cell's experiment, as its first repeat ran it (the repeats
+    /// differ only in their seeds).
+    pub experiment: Experiment,
 }
 
 impl SweepPoint {
     /// Streaming Speed Score of this cell: worst over theoretical.
     pub fn sss(&self) -> f64 {
-        let theo = self.results[0].experiment.theoretical_transfer_time();
+        let theo = self.experiment.theoretical_transfer_time();
         self.worst_transfer_s / theo.as_secs()
     }
 }
@@ -146,7 +147,7 @@ pub fn aggregate(spec: &SweepSpec, results: &[ExperimentResult]) -> Vec<SweepPoi
     let mut points = Vec::with_capacity(spec.cells());
     let repeats = spec.repeats as usize;
     for chunk in results.chunks(repeats) {
-        let first = &chunk[0].experiment;
+        let experiment = chunk[0].experiment;
         let mut samples = Vec::new();
         let mut worst: f64 = 0.0;
         let mut util_sum = 0.0;
@@ -166,14 +167,14 @@ pub fn aggregate(spec: &SweepSpec, results: &[ExperimentResult]) -> Vec<SweepPoi
             .map(|e| e.quantile(0.99))
             .unwrap_or(f64::NAN);
         points.push(SweepPoint {
-            concurrency: first.concurrency,
-            parallel_flows: first.parallel_flows,
+            concurrency: experiment.concurrency,
+            parallel_flows: experiment.parallel_flows,
             utilization: util_sum / chunk.len() as f64,
             worst_transfer_s: worst,
             mean_transfer_s: mean,
             p99_transfer_s: p99,
             samples,
-            results: chunk.to_vec(),
+            experiment,
         });
     }
     points

@@ -1,4 +1,4 @@
-//! Sharded, memoized response caches keyed on exact request identity.
+//! Memoized response caches keyed on exact request identity.
 //!
 //! Every endpoint of the service is pure: the serialized response for a
 //! given request never changes, so repeated queries can be answered from
@@ -11,10 +11,12 @@
 //!   that evaluate the same numbers, and a change in the last bit of any
 //!   parameter is a new entry whose bytes are the ones a fresh server
 //!   would return.
-//! * **Sharding.** The cache sits on the hot path of every batch; a
-//!   single mutex would serialize the whole pool. Keys hash to one of
-//!   [`SHARDS`] independently-locked shards, so concurrent batches
-//!   contend only when they touch the same shard.
+//! * **Exact capacity.** One mutex guards one map and one FIFO, so a
+//!   cache never holds more than its configured capacity and always
+//!   evicts its oldest entry first. One lock is enough: only the batcher's
+//!   one dispatcher thread reads and writes the `/decide` cache, and a
+//!   compute route's memo is read once per request that then computes for
+//!   milliseconds.
 //!
 //! The storage itself ([`ResponseCache`]) is generic over the key type:
 //! [`DecisionCache`] keys `/decide` bodies on [`CacheKey`], and the
@@ -25,18 +27,14 @@
 //! produced, which is what makes responses byte-identical across worker
 //! counts and across the hit/miss boundary.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sss_core::ModelParams;
-
-/// Number of independently-locked shards.
-pub const SHARDS: usize = 16;
 
 /// A `/decide` cache key: the bit patterns of the seven model
 /// parameters, the exact numbers the response is computed from.
@@ -58,30 +56,15 @@ impl CacheKey {
     }
 }
 
-fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
-}
-
-struct Shard<K> {
+struct Store<K> {
     // Iteration order over this map never reaches a response: lookups are
     // point `get`s, eviction order comes from `order` (a FIFO queue), and
-    // `stats()` only sums per-shard `len()`s. If that ever changes, swap
-    // in a BTreeMap or sort before emitting — D001 exists to catch it.
+    // `stats()` only reads `len()`. If that ever changes, swap in a
+    // BTreeMap or sort before emitting — D001 exists to catch it.
     map: HashMap<K, Arc<str>>,
-    // Insertion order for FIFO eviction. An entry is evicted when its
-    // shard exceeds its share of the configured capacity.
+    // Insertion order for FIFO eviction: the front entry goes when an
+    // insert takes the store past its capacity.
     order: VecDeque<K>,
-}
-
-impl<K> Default for Shard<K> {
-    fn default() -> Self {
-        Shard {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
 }
 
 /// Point-in-time cache counters, served under `/healthz`.
@@ -99,12 +82,11 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// A sharded body cache over any hashable key. Capacity 0 disables
-/// storage entirely (every lookup is a miss) — the uncached baseline the
-/// benches compare against.
+/// A body cache over any hashable key, holding at most its capacity and
+/// evicting the oldest entry first. Capacity 0 disables storage entirely:
+/// every lookup is a miss.
 pub struct ResponseCache<K> {
-    shards: Vec<Mutex<Shard<K>>>,
-    per_shard_capacity: usize,
+    store: Mutex<Store<K>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -115,12 +97,13 @@ pub struct ResponseCache<K> {
 pub type DecisionCache = ResponseCache<CacheKey>;
 
 impl<K: Hash + Eq + Clone> ResponseCache<K> {
-    /// Cache bounded to roughly `capacity` entries (rounded up to a
-    /// multiple of [`SHARDS`]); 0 disables caching.
+    /// Cache bounded to `capacity` entries; 0 disables caching.
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_capacity: capacity.div_ceil(SHARDS),
+            store: Mutex::new(Store {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+            }),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -144,21 +127,21 @@ impl<K: Hash + Eq + Clone> ResponseCache<K> {
         if self.capacity == 0 {
             return None;
         }
-        self.shards[shard_of(key)].lock().map.get(key).cloned()
+        self.store.lock().map.get(key).cloned()
     }
 
-    /// Store a freshly-evaluated response body, evicting the shard's
-    /// oldest entry if it is full. A no-op when caching is disabled.
+    /// Store a freshly-evaluated response body, evicting the oldest entry
+    /// if the cache is full. A no-op when caching is disabled.
     pub fn insert(&self, key: K, body: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
-        let mut shard = self.shards[shard_of(&key)].lock();
-        if shard.map.insert(key.clone(), body).is_none() {
-            shard.order.push_back(key);
-            if shard.order.len() > self.per_shard_capacity {
-                if let Some(oldest) = shard.order.pop_front() {
-                    shard.map.remove(&oldest);
+        let mut store = self.store.lock();
+        if store.map.insert(key.clone(), body).is_none() {
+            store.order.push_back(key);
+            if store.order.len() > self.capacity {
+                if let Some(oldest) = store.order.pop_front() {
+                    store.map.remove(&oldest);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -171,7 +154,7 @@ impl<K: Hash + Eq + Clone> ResponseCache<K> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().map.len()).sum(),
+            entries: self.store.lock().map.len(),
             capacity: self.capacity,
         }
     }
@@ -227,19 +210,26 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_fifo_per_shard() {
-        // Capacity 16 → one entry per shard; a second key landing in an
-        // occupied shard must displace the first.
-        let cache = DecisionCache::new(SHARDS);
+    fn capacity_is_exact_and_eviction_oldest_first() {
         let keys: Vec<CacheKey> = (0..200)
             .map(|i| CacheKey::of(&params(0.2 + 0.003 * i as f64)))
             .collect();
+        let one = DecisionCache::new(1);
+        for k in &keys {
+            one.insert(*k, Arc::from("x"));
+            assert!(one.stats().entries <= 1);
+        }
+        assert_eq!((one.stats().entries, one.stats().evictions), (1, 199));
+
+        let cache = DecisionCache::new(16);
         for k in &keys {
             cache.insert(*k, Arc::from("x"));
         }
         let s = cache.stats();
-        assert!(s.entries <= SHARDS, "entries {} > capacity", s.entries);
-        assert!(s.evictions > 0);
+        assert_eq!((s.entries, s.evictions), (16, 184));
+        let (evicted, newest) = keys.split_at(184);
+        assert!(newest.iter().all(|k| cache.peek(k).is_some()));
+        assert!(evicted.iter().all(|k| cache.peek(k).is_none()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```text
 //! epoll reactor ──▶ service threads ──▶ Batcher queue ──▶ dispatcher ──▶ ThreadPool wave
 //!                                                                │
-//!                                                 DecisionCache (sharded, memoized)
+//!                                                 DecisionCache (memoized, FIFO)
 //! ```
 //!
 //! * [`server::Server`] — the reactor front end (Linux) and the router
@@ -20,9 +20,10 @@
 //!   fan-out. The compute routes (`/frontier`, `/simulate`, `/fleet`) fan
 //!   each miss across a pool of the same size and memoize whole response
 //!   bodies.
-//! * [`cache::ResponseCache`] — sharded body memoization, always keyed on
-//!   the exact validated input: the [`cache::DecisionCache`] instance
-//!   keys `/decide` on the bits of the
+//! * [`cache::ResponseCache`] — body memoization that holds at most its
+//!   capacity and evicts its oldest entry first, always keyed on the
+//!   exact validated input: the [`cache::DecisionCache`] instance keys
+//!   `/decide` on the bits of the
 //!   [`ModelParams`](sss_core::ModelParams), and one instance per compute
 //!   route keys its bodies on the validated engine input, serialized.
 //!   Repeat queries are answered from memory with the exact bytes the

@@ -10,10 +10,10 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`sss_core`] | the decision model: `T_pct` (Eq. 3–10), Streaming Speed Score (Eq. 11), break-even boundaries, latency tiers, regime maps |
+//! | [`sss_core`] | the decision model: `T_pct` (Eq. 3–10), Streaming Speed Score (Eq. 11), break-even boundaries, latency tiers, tier planning |
 //! | [`sss_sim`] | the shared discrete-event kernel: clocks, deterministic event queue, time-varying WAN bandwidth traces |
 //! | [`sss_netsim`] | packet-level network simulator (TCP CUBIC/Reno + SACK + HyStart, drop-tail queues) standing in for the paper's 25 Gbps testbed |
-//! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning), the trace-driven `SessionReplay` model validator, and break-even frontier maps (`FrontierJob`) |
+//! | [`sss_loadgen`] | iperf3-style congestion workload orchestration (Table 2's grid, batch vs scheduled spawning), the trace-driven `SessionReplay` model validator, and break-even frontier and regime maps (`FrontierJob`) |
 //! | [`sss_iosim`] | PFS + DTN staging pipelines vs memory streaming (Figure 4's APS→ALCF scenario), as per-frame recurrences over a WAN bandwidth trace (a constant-rate WAN is the steady trace) |
 //! | [`sss_stats`] | tail-latency statistics: Welford summary, ECDF, the P50/P90/P99/max digest, bootstrap CIs, rate series |
 //! | [`sss_exec`] | deterministic parallel sweep executor |
@@ -64,8 +64,7 @@ pub use sss_units as units;
 pub mod prelude {
     pub use sss_core::{
         decide, decide_batch, BreakEven, CompletionModel, CongestionCurve, Decision,
-        DecisionReport, ModelParams, RegimeMap, Scenario, ScenarioSpec, StreamingSpeedScore, Tier,
-        TierReport,
+        DecisionReport, ModelParams, Scenario, ScenarioSpec, StreamingSpeedScore, Tier, TierReport,
     };
     pub use sss_exec::ThreadPool;
     pub use sss_iosim::{
