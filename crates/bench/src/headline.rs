@@ -5,6 +5,7 @@
 //! 2. "worst-case congestion can increase transfer times by over an order
 //!    of magnitude" (from Figure 2(a) vs the 0.16 s theoretical time).
 
+use serde::Serialize;
 use sss_iosim::{presets, EventFileBasedPipeline, EventStreamingPipeline, FrameSource};
 use sss_loadgen::SpawnStrategy;
 use sss_report::Table;
@@ -12,6 +13,13 @@ use sss_sim::BandwidthTrace;
 use sss_units::TimeDelta;
 
 use crate::context::Context;
+
+/// `headline.json`: the two measured numbers.
+#[derive(Serialize)]
+struct Headline {
+    fig4_reduction: f64,
+    worst_sss: f64,
+}
 
 pub(crate) fn run(ctx: &Context) {
     let mut table =
@@ -44,10 +52,10 @@ pub(crate) fn run(ctx: &Context) {
     println!("{}", table.to_text());
     sss_report::write_json(
         &ctx.out("headline.json"),
-        &serde_json::json!({
-            "fig4_reduction": reduction,
-            "worst_sss": worst_sss,
-        }),
+        &Headline {
+            fig4_reduction: reduction,
+            worst_sss,
+        },
     )
     .expect("write headline.json");
 }

@@ -24,16 +24,17 @@ pub struct Plan {
     pub tier: Tier,
     /// Worst-case `T_pct` at the current parameters (via the curve).
     pub current_worst_t_pct: TimeDelta,
-    /// True when the workload already meets the tier, worst case.
+    /// True when the current link carries the workload's stream and the
+    /// worst case meets the tier.
     pub already_feasible: bool,
     /// Minimum remote compute rate that meets the tier at the current
     /// network; `None` when no finite rate can (transfer alone blows the
     /// budget).
     pub min_remote_rate: Option<FlopRate>,
-    /// Minimum link bandwidth that meets the tier with the current
-    /// remote compute, assuming the congestion curve's *shape* carries
-    /// over (utilization re-evaluated at each candidate bandwidth);
-    /// `None` when even a 100× link does not help.
+    /// Minimum link bandwidth that carries the stream and meets the tier
+    /// with the current remote compute, assuming the congestion curve's
+    /// *shape* carries over (utilization re-evaluated at each candidate
+    /// bandwidth); `None` when even a 100× link does not help.
     pub min_bandwidth: Option<Rate>,
 }
 
@@ -43,31 +44,29 @@ pub struct Plan {
 pub fn plan_for_tier(params: &ModelParams, curve: &CongestionCurve, tier: Tier) -> Option<Plan> {
     let report = |p: &ModelParams| TierReport::evaluate(p, curve.sss_at(utilization(p)), tier);
     let now = report(params)?;
-    let with_link = |bw_factor: f64| {
+    // A link `bw_factor` times the current one serves the tier when it
+    // carries the stream at all and the worst case meets the budget.
+    let holds = |bw_factor: f64| {
         let mut p = *params;
         p.bandwidth = params.bandwidth * bw_factor;
-        p
+        verdict(&p).decision != Decision::Infeasible && report(&p).is_some_and(|r| r.feasible)
     };
-    let meets = |p: &ModelParams| report(p).is_some_and(|r| r.feasible);
+    let already_feasible = holds(1.0);
 
-    // Worst-case T_pct is monotone non-increasing in bandwidth (the
-    // utilization falls, the curve value falls, the theoretical time
-    // falls). A workload that meets the tier bisects down to 1% of its
-    // link for the headroom, where a candidate must also carry the stream
-    // at all; one that misses it bisects up to 100×.
-    let min_bandwidth = if now.feasible {
-        let holds = |f: f64| {
-            let p = with_link(f);
-            verdict(&p).decision != Decision::Infeasible && meets(&p)
-        };
+    // Both halves are monotone in bandwidth: the stream fits from some
+    // link up, and worst-case T_pct is non-increasing (the utilization
+    // falls, the curve value falls, the theoretical time falls). A
+    // workload that holds bisects down to 1% of its link for the
+    // headroom; one that does not bisects up to 100×.
+    let min_bandwidth = if already_feasible {
         let factor = if holds(0.01) {
             0.01
         } else {
             bisect(0.01, 1.0, holds)
         };
         Some(params.bandwidth * factor)
-    } else if meets(&with_link(100.0)) {
-        Some(params.bandwidth * bisect(1.0, 100.0, |f| meets(&with_link(f))))
+    } else if holds(100.0) {
+        Some(params.bandwidth * bisect(1.0, 100.0, holds))
     } else {
         None
     };
@@ -75,7 +74,7 @@ pub fn plan_for_tier(params: &ModelParams, curve: &CongestionCurve, tier: Tier) 
     Some(Plan {
         tier,
         current_worst_t_pct: now.worst_t_pct,
-        already_feasible: now.feasible,
+        already_feasible,
         min_remote_rate: now.required_remote_rate,
         min_bandwidth,
     })

@@ -120,8 +120,8 @@ impl std::fmt::Display for AdmissionPolicy {
 // Serialized as the lowercase label so the wire form, the CLI `--policy`
 // vocabulary and the CSV column all share one spelling.
 impl Serialize for AdmissionPolicy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.label());
     }
 }
 

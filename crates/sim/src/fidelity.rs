@@ -117,8 +117,8 @@ impl std::fmt::Display for Fidelity {
 // One spelling everywhere, exactly as TraceShape: the wire form, the CLI
 // `--fidelity` vocabulary and the CSV column are all the lowercase label.
 impl Serialize for Fidelity {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.label());
     }
 }
 

@@ -1332,8 +1332,8 @@ impl std::fmt::Display for TraceShape {
 // from a `/simulate` response can be echoed straight back into the next
 // request.
 impl Serialize for TraceShape {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.label());
     }
 }
 

@@ -54,6 +54,31 @@ fn catalog_plans_match_their_pinned_digest() {
     );
 
     let json = serde_json::to_string(&plans).unwrap();
-    assert_eq!(json.len(), 5859, "length");
-    assert_eq!(fnv1a64(json.as_bytes()), 0x4288_fc5b_0722_a434, "digest");
+    assert_eq!(json.len(), 5854, "length");
+    assert_eq!(fnv1a64(json.as_bytes()), 0x3d69_92c4_a6d3_80e6, "digest");
+}
+
+/// A planned link carries the workload's own stream: at every bandwidth a
+/// catalog plan recommends, up for a missed tier or down for headroom,
+/// `decide` does not call the stream `Infeasible`.
+#[test]
+fn every_planned_link_carries_the_stream() {
+    let curve = committed_curve();
+    for scenario in Scenario::all() {
+        for tier in TIERS {
+            let plan = plan_for_tier(&scenario.params, &curve, tier);
+            let Some(link) = plan.and_then(|p| p.min_bandwidth) else {
+                continue;
+            };
+            let mut params = scenario.params;
+            params.bandwidth = link;
+            assert_ne!(
+                decide(&params).decision,
+                Decision::Infeasible,
+                "{} at {tier:?}: {} Gbps",
+                scenario.id,
+                link.as_gbps()
+            );
+        }
+    }
 }

@@ -642,8 +642,8 @@ impl<R: serde::Serialize + Clone + PartialEq + std::fmt::Debug + 'static> KeyCas
         let path = self.path;
         // The table names every serialized field, so a field added later
         // fails here until it has a variant (and a place in the key).
-        let serde::Value::Map(fields) = serde_json::to_value(&self.base).expect("serializes")
-        else {
+        let body = serde_json::to_string(&self.base).expect("serializes");
+        let serde::Value::Map(fields) = serde_json::from_str(&body).expect("parses") else {
             panic!("{path}: the request serializes as a JSON object");
         };
         let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
