@@ -919,14 +919,18 @@ impl FleetSim {
     /// Five structures replace the test-only reference loop's full
     /// rescans:
     ///
-    /// * a [`WaterFiller`] holds every active flow's WAN demand in
-    ///   sorted order. A cap change, arrival or drain only marks its
-    ///   level stale, and the next read solves it with one scan up to
-    ///   the first clipped flow, so the changes between two reads cost
-    ///   one solve and the max-min fair shares are never recomputed
-    ///   from scratch. The newest flow stays out of the sorted order
-    ///   until the next admission places it, so a session held at a
-    ///   floor in the step that admits it is searched and moved once;
+    /// * a [`WaterFiller`] holds every active flow's WAN demand. A cap
+    ///   change, arrival or drain only marks its level stale, and the
+    ///   next read solves it with one scan up to the first clipped flow,
+    ///   so the changes between two reads cost one solve and the max-min
+    ///   fair shares are never recomputed from scratch. The newest flow
+    ///   stays unplaced until the next admission settles it, so a
+    ///   session held at a floor in the step that admits it settles
+    ///   once, at its floor. A flow that settles above the last level
+    ///   waits in an unsorted bag, with no position search, and the
+    ///   scan stops at the bag's floor when that floor already fails,
+    ///   so a clipped session's admission, floor and drain pay no
+    ///   search; the flip query places the bag flows in its band first;
     /// * an [`EventQueue`] calendar holds per-session trace breakpoints
     ///   and projected unclipped drains, and the time-ordered arrivals
     ///   merge in front of it from their own [`ArrivalLane`], so each
